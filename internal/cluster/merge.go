@@ -86,6 +86,7 @@ func mergeResults(kind ppd.Kind, k int, parts []*server.V1Result) (*ResultJSON, 
 					out.Diag = &server.TopKDiagJSON{}
 				}
 				out.Diag.BoundSolves += p.Diag.BoundSolves
+				out.Diag.BoundCacheHits += p.Diag.BoundCacheHits
 				out.Diag.ExactSolves += p.Diag.ExactSolves
 				out.Diag.SessionsEvaluated += p.Diag.SessionsEvaluated
 				out.Diag.CacheHits += p.Diag.CacheHits
@@ -242,7 +243,8 @@ func cachedCopy(res *ResultJSON) *ResultJSON {
 	out.Solves = 0
 	if out.Diag != nil {
 		d := *out.Diag
-		d.CacheHits += d.BoundSolves + d.ExactSolves
+		d.BoundCacheHits += d.BoundSolves
+		d.CacheHits += d.ExactSolves
 		d.BoundSolves = 0
 		d.ExactSolves = 0
 		out.Diag = &d

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 
 	"probpref/internal/rank"
 )
@@ -19,8 +20,11 @@ import (
 // Label is an interned label identifier.
 type Label int32
 
-// Vocab interns label strings.
+// Vocab interns label strings. It is safe for concurrent use: grounding a
+// query interns the labels of its constants, and one database (and with it
+// one Vocab) serves concurrent queries.
 type Vocab struct {
+	mu     sync.RWMutex
 	byName map[string]Label
 	names  []string
 }
@@ -32,6 +36,11 @@ func NewVocab() *Vocab {
 
 // Intern returns the id of name, creating it if necessary.
 func (v *Vocab) Intern(name string) Label {
+	if id, ok := v.Lookup(name); ok {
+		return id
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if id, ok := v.byName[name]; ok {
 		return id
 	}
@@ -43,12 +52,16 @@ func (v *Vocab) Intern(name string) Label {
 
 // Lookup returns the id of name and whether it exists.
 func (v *Vocab) Lookup(name string) (Label, bool) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	id, ok := v.byName[name]
 	return id, ok
 }
 
 // Name returns the string for a label id.
 func (v *Vocab) Name(l Label) string {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	if int(l) < 0 || int(l) >= len(v.names) {
 		return fmt.Sprintf("label#%d", int(l))
 	}
@@ -56,7 +69,11 @@ func (v *Vocab) Name(l Label) string {
 }
 
 // Len returns the number of interned labels.
-func (v *Vocab) Len() int { return len(v.names) }
+func (v *Vocab) Len() int {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	return len(v.names)
+}
 
 // Set is a sorted, duplicate-free set of labels.
 type Set []Label

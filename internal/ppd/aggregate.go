@@ -59,11 +59,12 @@ func FoldAggregateRows(rows []AggRow) *AggregateResult {
 	return res
 }
 
-// aggregateQuery is the aggregation core behind KindAggregate (and the
+// aggregateUnion is the aggregation core behind KindAggregate (and the
 // Aggregate compatibility wrappers): sum/avg of a numeric attribute of rel
-// over the sessions satisfying q; see Engine.Aggregate for the lookup
-// semantics.
-func (e *Engine) aggregateQuery(ctx context.Context, q *Query, rel, attr string) (*AggregateResult, error) {
+// over the sessions satisfying the (single-disjunct) query; see
+// Engine.Aggregate for the lookup semantics. Only the groups of sessions
+// that carry a value are solved.
+func (e *Engine) aggregateUnion(ctx context.Context, uq *UnionQuery, rel, attr string) (*AggregateResult, error) {
 	r, ok := e.DB.Relations[rel]
 	if !ok {
 		return nil, fmt.Errorf("ppd: unknown relation %q", rel)
@@ -78,28 +79,23 @@ func (e *Engine) aggregateQuery(ctx context.Context, q *Query, rel, attr string)
 			byKey[row[0]] = v
 		}
 	}
-	g, err := NewGrounder(e.DB, q)
+	loopCtx, cancel := e.loopContext(ctx)
+	defer cancel()
+	gr, err := e.ground(loopCtx, uq)
 	if err != nil {
 		return nil, err
 	}
 	var rows []AggRow
-	cache := make(map[string]float64)
-	for _, s := range g.Pref().Sessions.All() {
-		if len(s.Key) == 0 {
+	probs := e.newGroupProbs(gr)
+	for _, ls := range gr.Live {
+		if len(ls.Session.Key) == 0 {
 			continue
 		}
-		v, ok := byKey[s.Key[0]]
+		v, ok := byKey[ls.Session.Key[0]]
 		if !ok {
 			continue
 		}
-		gq, err := g.GroundSession(s)
-		if err != nil {
-			return nil, err
-		}
-		if len(gq.Union) == 0 {
-			continue
-		}
-		p, err := e.sessionProb(ctx, s, gq.Union, cache, nil)
+		p, err := probs.prob(ctx, ls.Group)
 		if err != nil {
 			return nil, err
 		}

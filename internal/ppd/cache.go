@@ -5,11 +5,21 @@ import (
 	"probpref/internal/rim"
 )
 
-// SolveCache memoizes inference results across Eval/TopK calls. The engine
+// SolveCache memoizes inference results across evaluations. The engine
 // consults it with GroupKey-formed keys before solving a distinct
 // (model, union) group and stores the result afterwards, so a process-wide
 // cache turns the per-call identical-request grouping of Section 6.4 into
-// cross-query memoization.
+// cross-query memoization. The upper bounds of a top-k evaluation go
+// through it too, under GroupKey(MethodBipartite, model, relaxed union):
+// a bound is Pr(relaxed union) under the bipartite solver, so its key is
+// the key an exact bipartite solve of that union would use, and a warm
+// bound-1 top-k solves nothing.
+//
+// Keys are content-addressed — method, model parameters, union — so an
+// entry can never be wrong for a database it was not computed on, and
+// nothing ever needs to invalidate one: appending sessions to a model
+// leaves every entry valid, and most of the appended sessions' groups
+// already present.
 //
 // Implementations must be safe for concurrent use: with Engine.Workers > 1
 // the engine calls Get and Put from multiple goroutines, and a single cache
@@ -38,8 +48,9 @@ type SolveCache interface {
 
 // GroupKey returns the memoization key of one inference request: the solver
 // method joined with the model's parameter hash and the canonical key of
-// the grounded union. It is the key used for identical-request grouping
-// inside a single evaluation and for SolveCache lookups across evaluations.
+// the grounded union. It is the key of SolveCache lookups across
+// evaluations; Grounded.GroupKey returns the same string for a grounded
+// group without rehashing anything.
 func GroupKey(m Method, sm rim.SessionModel, u pattern.Union) string {
-	return m.String() + "|" + sm.Rehash() + "||" + u.Key()
+	return groupID{model: sm.Rehash(), union: u.Key()}.key(m)
 }

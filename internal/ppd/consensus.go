@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"probpref/internal/consensus"
-	"probpref/internal/pattern"
 	"probpref/internal/rank"
 )
 
@@ -46,20 +45,20 @@ type ConsensusResult struct {
 // satisfy the query", mirroring the PerSession semantics of the
 // evaluation kinds.
 func (e *Engine) consensusUnion(ctx context.Context, cr *CompiledRequest) (*Response, error) {
-	sessions, ground, err := e.unionGround(cr.Union)
+	gr, err := e.ground(ctx, cr.Union)
 	if err != nil {
 		return nil, err
 	}
 	m := e.DB.M()
-	exact, err := e.consensusRoute(ctx, m, sessions.Len())
+	exact, err := e.consensusRoute(ctx, m, gr.Sessions)
 	if err != nil {
 		return nil, err
 	}
 	var rows []consensus.Row
 	if exact {
-		rows, err = e.consensusExactRows(ctx, sessions, ground, cr)
+		rows, err = e.consensusExactRows(ctx, gr, cr)
 	} else {
-		rows, err = e.consensusSampledRows(ctx, sessions, ground, cr)
+		rows, err = e.consensusSampledRows(ctx, gr, cr)
 	}
 	if err != nil {
 		return nil, err
@@ -105,23 +104,17 @@ func (e *Engine) consensusRoute(ctx context.Context, m, sessions int) (bool, err
 // consensusExactRows enumerates every ranking of every live session,
 // accumulating the requested target's probability-mass numerators over
 // the rankings matching the session's grounded union.
-func (e *Engine) consensusExactRows(ctx context.Context, sessions SessionStore, ground func(*Session) (pattern.Union, error), cr *CompiledRequest) ([]consensus.Row, error) {
+func (e *Engine) consensusExactRows(ctx context.Context, gr *Grounded, cr *CompiledRequest) ([]consensus.Row, error) {
 	m := e.DB.M()
 	lab := e.DB.Labeling()
 	var rows []consensus.Row
-	for si, s := range sessions.All() {
-		if si&7 == 0 {
+	for li, ls := range gr.Live {
+		if li&7 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		u, err := ground(s)
-		if err != nil {
-			return nil, err
-		}
-		if len(u) == 0 {
-			continue
-		}
+		s, u := ls.Session, gr.Groups[ls.Group].Union
 		row := consensus.Row{Session: s.Key}
 		switch cr.Target {
 		case consensus.TargetMedian:
@@ -184,7 +177,7 @@ func (e *Engine) consensusExactRows(ctx context.Context, sessions SessionStore, 
 // process, partition or iteration order evaluates the session. That is
 // what makes sampled consensus answers byte-identical between a single
 // process and the sharded coordinator.
-func (e *Engine) consensusSampledRows(ctx context.Context, sessions SessionStore, ground func(*Session) (pattern.Union, error), cr *CompiledRequest) ([]consensus.Row, error) {
+func (e *Engine) consensusSampledRows(ctx context.Context, gr *Grounded, cr *CompiledRequest) ([]consensus.Row, error) {
 	m := e.DB.M()
 	lab := e.DB.Labeling()
 	draws := e.RejectionN
@@ -193,17 +186,11 @@ func (e *Engine) consensusSampledRows(ctx context.Context, sessions SessionStore
 	}
 	baseSeed := e.rng().Int63()
 	var rows []consensus.Row
-	for _, s := range sessions.All() {
+	for _, ls := range gr.Live {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		u, err := ground(s)
-		if err != nil {
-			return nil, err
-		}
-		if len(u) == 0 {
-			continue
-		}
+		s, u := ls.Session, gr.Groups[ls.Group].Union
 		rng := rand.New(rand.NewSource(sessionSeed(baseSeed, s.Key)))
 		row := consensus.Row{Session: s.Key, Sampled: true, Draws: int64(draws)}
 		switch cr.Target {

@@ -74,7 +74,10 @@ type PrefRelation struct {
 	Sessions SessionStore
 }
 
-// DB is a RIM-PPD instance.
+// DB is a RIM-PPD instance. Relations and sessions must not be changed once
+// the database is being queried, other than through the Add methods and
+// AppendSessions (which returns a new version and leaves the receiver as it
+// was): evaluation memoises groundings on the version it ran against.
 type DB struct {
 	// ItemRelation is the o-relation cataloguing the ranked items; its key
 	// values identify items in preference models.
@@ -89,6 +92,8 @@ type DB struct {
 	labeling *label.Labeling
 	itemIDs  map[string]rank.Item
 	itemKeys []string
+
+	memo groundMemo // groundings by query, see DB.Ground
 }
 
 // NewDB builds a database around an item relation. Each item receives one
@@ -127,6 +132,7 @@ func (db *DB) AddRelation(r *Relation) error {
 		return fmt.Errorf("ppd: relation %q already exists", r.Name)
 	}
 	db.Relations[r.Name] = r
+	db.memo.drop()
 	return nil
 }
 
@@ -160,6 +166,7 @@ func (db *DB) AddPrefRelationUnchecked(p *PrefRelation) error {
 		p.Sessions = SessionSlice(nil)
 	}
 	db.Prefs[p.Name] = p
+	db.memo.drop()
 	return nil
 }
 

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-
-	"probpref/internal/pattern"
 )
 
 // Do is the engine's single entry point: it validates the request with
@@ -49,7 +47,7 @@ func (e *Engine) DoCompiled(ctx context.Context, cr *CompiledRequest) (*Response
 	}
 	switch cr.Kind {
 	case KindBool, KindCount:
-		res, err := eng.evalUnion(ctx, cr.Union)
+		res, _, err := eng.evalUnion(ctx, cr.Union)
 		if err != nil {
 			return nil, err
 		}
@@ -64,11 +62,11 @@ func (e *Engine) DoCompiled(ctx context.Context, cr *CompiledRequest) (*Response
 			Top:       top,
 			Diag:      diag,
 			Solves:    diag.ExactSolves + diag.BoundSolves,
-			CacheHits: diag.CacheHits,
+			CacheHits: diag.CacheHits + diag.BoundCacheHits,
 			Plan:      diag.Plan,
 		}, nil
 	case KindAggregate:
-		agg, err := eng.aggregateQuery(ctx, cr.Union.Disjuncts[0], cr.AggRel, cr.AggAttr)
+		agg, err := eng.aggregateUnion(ctx, cr.Union, cr.AggRel, cr.AggAttr)
 		if err != nil {
 			return nil, err
 		}
@@ -100,74 +98,16 @@ func evalResponse(k Kind, res *EvalResult) *Response {
 	}
 }
 
-// evalUnion is the evaluation core shared by every Boolean / Count-Session
-// entry point: grounding (plain for a single CQ, merged across disjuncts
-// for a union), identical-request grouping, optional parallel solving and
-// the Boolean / Count-Session aggregation. A done ctx aborts grounding,
-// in-flight solver layers and sampling rounds with ctx's error, and
-// MethodAdaptive budgets each group from the ctx deadline.
-func (e *Engine) evalUnion(ctx context.Context, uq *UnionQuery) (*EvalResult, error) {
-	sessions, ground, err := e.unionGround(uq)
-	if err != nil {
-		return nil, err
-	}
-	return e.evalGrounded(ctx, sessions, ground)
-}
-
-// topKUnion is the Most-Probable-Session core shared by every topk entry
-// point; see evalUnion for the grounding split and TopK for the bound-edge
-// semantics.
-func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges int) ([]SessionProb, *TopKDiag, error) {
-	sessions, ground, err := e.unionGround(uq)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e.topKGrounded(ctx, sessions, ground, k, boundEdges)
-}
-
-// unionGround builds the session list and grounding function for a union
-// query. A single-disjunct union grounds through one grounder directly;
-// a true union grounds every disjunct and merges the per-session pattern
-// unions into the single equivalent inference request. (GroundSession
-// already deduplicates patterns by key, so the two paths agree on
-// single-disjunct queries.)
-func (e *Engine) unionGround(uq *UnionQuery) (SessionStore, func(*Session) (pattern.Union, error), error) {
-	if len(uq.Disjuncts) == 1 {
-		g, err := NewGrounder(e.DB, uq.Disjuncts[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		return g.Pref().Sessions, func(s *Session) (pattern.Union, error) {
-			gq, err := g.GroundSession(s)
-			if err != nil {
-				return nil, err
-			}
-			return gq.Union, nil
-		}, nil
-	}
-	grounders, err := UnionGrounders(e.DB, uq)
-	if err != nil {
-		return nil, nil, err
-	}
-	return grounders[0].Pref().Sessions, func(s *Session) (pattern.Union, error) {
-		return GroundMerged(grounders, s)
-	}, nil
-}
-
 // countDistUnion is the count-distribution core: it evaluates the union and
 // extends the per-session probabilities into the exact Poisson-binomial
 // distribution of count(Q); see CountDistFromSessions for the padding
 // semantics.
 func (e *Engine) countDistUnion(ctx context.Context, uq *UnionQuery) (*CountDistribution, *EvalResult, error) {
-	res, err := e.evalUnion(ctx, uq)
+	res, gr, err := e.evalUnion(ctx, uq)
 	if err != nil {
 		return nil, nil, err
 	}
-	g, err := NewGrounder(e.DB, uq.Disjuncts[0])
-	if err != nil {
-		return nil, nil, err
-	}
-	dist, err := CountDistFromSessions(res.PerSession, g.Pref().Sessions.Len())
+	dist, err := CountDistFromSessions(res.PerSession, gr.Sessions)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -183,60 +183,49 @@ type EvalResult struct {
 	Plan *PlanStats
 }
 
-// evalGrounded runs the shared per-session evaluation loop — grounding,
-// identical-request grouping, optional parallel solving, and the Boolean /
-// Count-Session aggregation — for any grounding function (a plain CQ's
-// grounder, or the merged grounders of a union query).
-func (e *Engine) evalGrounded(ctx context.Context, sessions SessionStore, ground func(*Session) (pattern.Union, error)) (*EvalResult, error) {
-	type liveSession struct {
-		s     *Session
-		u     pattern.Union
-		group int
-	}
-	var live []liveSession
-	groupOf := make(map[string]int)
-	type group struct {
-		s   *Session
-		u   pattern.Union
-		key string
-	}
-	// With the adaptive planner an expired deadline must not abort the
-	// evaluation — the planner's contract is to degrade remaining groups to
-	// sampling — so the loop and fan-out run under a deadline-detached
-	// context (cancellation still aborts); each solve still sees the
-	// original ctx for budgeting and mid-solve deadline checks.
-	loopCtx := ctx
+// loopContext returns the context an evaluation's grounding pass, group
+// loop and fan-out run under. With the adaptive planner an expired deadline
+// must not abort the evaluation — the planner's contract is to degrade the
+// remaining groups to sampling — so those run deadline-detached
+// (cancellation still aborts) while each solve still sees the original ctx
+// for budgeting and mid-solve deadline checks.
+func (e *Engine) loopContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	if e.Method == MethodAdaptive {
-		var cancel context.CancelFunc
-		loopCtx, cancel = DetachDeadline(ctx)
-		defer cancel()
+		return DetachDeadline(ctx)
 	}
-	var groups []group
-	for si, s := range sessions.All() {
-		if si&63 == 0 {
-			if err := loopCtx.Err(); err != nil {
-				return nil, context.Cause(loopCtx)
-			}
-		}
-		u, err := ground(s)
-		if err != nil {
-			return nil, err
-		}
-		if len(u) == 0 {
-			continue
-		}
-		key := GroupKey(e.Method, s.Model, u)
-		if e.DisableGrouping {
-			key = fmt.Sprintf("#%d", si)
-		}
-		gi, ok := groupOf[key]
-		if !ok {
-			gi = len(groups)
-			groupOf[key] = gi
-			groups = append(groups, group{s: s, u: u, key: key})
-		}
-		live = append(live, liveSession{s: s, u: u, group: gi})
+	return ctx, func() {}
+}
+
+// ground returns the grounding of uq over the engine's database: the
+// version's memoised one, or with DisableGrouping a private one in which
+// every live session is its own group.
+func (e *Engine) ground(ctx context.Context, uq *UnionQuery) (*Grounded, error) {
+	if e.DisableGrouping {
+		return groundUnion(ctx, e.DB, uq, nil, false)
 	}
+	return e.DB.Ground(ctx, uq)
+}
+
+// useCache reports whether groups resolve through Engine.Cache. Without
+// grouping every session is its own group by decree, not by content, so
+// the ablation bypasses the content-addressed cache as well.
+func (e *Engine) useCache() bool { return e.Cache != nil && !e.DisableGrouping }
+
+// evalUnion is the evaluation core shared by every Boolean / Count-Session
+// entry point: the query's grounding, cache resolution of its groups,
+// optional batched or parallel solving of the misses, and the Boolean /
+// Count-Session aggregation. A done ctx aborts grounding, in-flight solver
+// layers and sampling rounds with ctx's error, and MethodAdaptive budgets
+// each group from the ctx deadline. The grounding is returned alongside
+// for callers that need the relation's session count.
+func (e *Engine) evalUnion(ctx context.Context, uq *UnionQuery) (*EvalResult, *Grounded, error) {
+	loopCtx, cancel := e.loopContext(ctx)
+	defer cancel()
+	gr, err := e.ground(loopCtx, uq)
+	if err != nil {
+		return nil, nil, err
+	}
+	groups, live := gr.Groups, gr.Live
 
 	// Resolve groups against the shared cache first; only misses are solved.
 	// With Workers > 1, pending keeps the original group indices and the
@@ -248,11 +237,16 @@ func (e *Engine) evalGrounded(ctx context.Context, sessions SessionStore, ground
 	probs := make([]float64, len(groups))
 	reports := make([]SolveReport, len(groups))
 	cacheHits := 0
-	useCache := e.Cache != nil && !e.DisableGrouping
+	useCache := e.useCache()
 	var pending []int
+	var keys []string
+	if useCache {
+		keys = make([]string, len(groups))
+	}
 	for gi := range groups {
 		if useCache {
-			if p, ok := e.Cache.Get(groups[gi].key); ok {
+			keys[gi] = gr.GroupKey(e.Method, gi)
+			if p, ok := e.Cache.Get(keys[gi]); ok {
 				probs[gi] = p
 				cacheHits++
 				continue
@@ -264,7 +258,7 @@ func (e *Engine) evalGrounded(ctx context.Context, sessions SessionStore, ground
 		probs[gi] = p
 		reports[gi] = rep
 		if useCache {
-			e.Cache.Put(groups[gi].key, p)
+			e.Cache.Put(keys[gi], p)
 		}
 	}
 
@@ -278,11 +272,11 @@ func (e *Engine) evalGrounded(ctx context.Context, sessions SessionStore, ground
 		// always carry the shared cache).
 		bg := make([]BatchGroup, len(pending))
 		for pi, gi := range pending {
-			bg[pi] = BatchGroup{SM: groups[gi].s.Model, U: groups[gi].u}
+			bg[pi] = BatchGroup{SM: groups[gi].Model, U: groups[gi].Union}
 		}
 		bprobs, breps, err := e.BatchSolveGroups(ctx, bg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for pi, gi := range pending {
 			finish(gi, bprobs[pi], breps[pi])
@@ -295,7 +289,7 @@ func (e *Engine) evalGrounded(ctx context.Context, sessions SessionStore, ground
 		err := pool.RunCtx(loopCtx, len(pending), workers, func(pi int) error {
 			gi := pending[pi]
 			sub := e.withRng(rand.New(rand.NewSource(baseSeed + int64(gi))))
-			p, rep, err := sub.solve(ctx, groups[gi].s.Model, groups[gi].u)
+			p, rep, err := sub.solve(ctx, groups[gi].Model, groups[gi].Union)
 			if err != nil {
 				return err
 			}
@@ -303,16 +297,16 @@ func (e *Engine) evalGrounded(ctx context.Context, sessions SessionStore, ground
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	} else {
 		for _, gi := range pending {
 			if err := loopCtx.Err(); err != nil {
-				return nil, context.Cause(loopCtx)
+				return nil, nil, context.Cause(loopCtx)
 			}
-			p, rep, err := e.solve(ctx, groups[gi].s.Model, groups[gi].u)
+			p, rep, err := e.solve(ctx, groups[gi].Model, groups[gi].Union)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			finish(gi, p, rep)
 		}
@@ -320,7 +314,7 @@ func (e *Engine) evalGrounded(ctx context.Context, sessions SessionStore, ground
 
 	per := make([]SessionProb, len(live))
 	for i, ls := range live {
-		per[i] = SessionProb{Session: ls.s, Prob: probs[ls.group]}
+		per[i] = SessionProb{Session: ls.Session, Prob: probs[ls.Group]}
 	}
 	res := BoolAggregate(per)
 	res.Solves, res.CacheHits = len(pending), cacheHits
@@ -335,20 +329,20 @@ func (e *Engine) evalGrounded(ctx context.Context, sessions SessionStore, ground
 		// earlier answers and contribute no width.
 		hw := make([]float64, len(live))
 		for i, ls := range live {
-			if solved[ls.group] {
-				hw[i] = reports[ls.group].HalfWidth
+			if solved[ls.Group] {
+				hw[i] = reports[ls.Group].HalfWidth
 			}
 		}
 		plan.propagate(per, hw)
 		res.Plan = plan
 	}
-	return res, nil
+	return res, gr, nil
 }
 
 // BoolAggregate builds an EvalResult from per-session probabilities: the
 // Boolean confidence 1 - prod(1 - p) over the independent sessions and the
 // Count-Session expectation sum(p). It is the shared aggregation of
-// evalGrounded and the service layer's batch planner.
+// evalUnion and the service layer's batch planner.
 func BoolAggregate(per []SessionProb) *EvalResult {
 	res := &EvalResult{PerSession: per}
 	oneMinus := 1.0
@@ -369,51 +363,57 @@ func (e *Engine) withRng(rng *rand.Rand) *Engine {
 	return &clone
 }
 
-// sessionProb computes Pr(Q | s) for a grounded union, consulting the
-// per-call identical-request cache and then the engine's shared SolveCache,
-// both keyed by (model, union).
-func (e *Engine) sessionProb(ctx context.Context, s *Session, u pattern.Union, cache map[string]float64, res *EvalResult) (float64, error) {
+// groupProbs resolves the groups of one grounding lazily, one at a time and
+// in the order its caller asks — the top-k loop, which stops at the first
+// dominated bound, and aggregation, which skips sessions without a value —
+// so a sampling method draws from the engine's RNG stream for exactly the
+// groups the answer needs, in session order. Each group is resolved at
+// most once: from Engine.Cache when it holds the group, by a solve
+// otherwise.
+type groupProbs struct {
+	e     *Engine
+	gr    *Grounded
+	probs []float64
+	done  []bool
+
+	solves, cacheHits int
+	plan              *PlanStats // MethodAdaptive's routing of the solved groups, else nil
+}
+
+func (e *Engine) newGroupProbs(gr *Grounded) *groupProbs {
+	return &groupProbs{e: e, gr: gr, probs: make([]float64, len(gr.Groups)), done: make([]bool, len(gr.Groups))}
+}
+
+// prob returns the probability of group gi.
+func (gp *groupProbs) prob(ctx context.Context, gi int) (float64, error) {
+	if gp.done[gi] {
+		return gp.probs[gi], nil
+	}
+	e, g := gp.e, gp.gr.Groups[gi]
 	var key string
-	if !e.DisableGrouping {
-		key = GroupKey(e.Method, s.Model, u)
-		if cache != nil {
-			if p, ok := cache[key]; ok {
-				return p, nil
-			}
-		}
-		if e.Cache != nil {
-			if p, ok := e.Cache.Get(key); ok {
-				if res != nil {
-					res.CacheHits++
-				}
-				if cache != nil {
-					cache[key] = p
-				}
-				return p, nil
-			}
+	if e.useCache() {
+		key = gp.gr.GroupKey(e.Method, gi)
+		if p, ok := e.Cache.Get(key); ok {
+			gp.cacheHits++
+			gp.probs[gi], gp.done[gi] = p, true
+			return p, nil
 		}
 	}
-	p, rep, err := e.solve(ctx, s.Model, u)
+	p, rep, err := e.solve(ctx, g.Model, g.Union)
 	if err != nil {
 		return 0, err
 	}
-	if res != nil {
-		res.Solves++
-		if e.Method == MethodAdaptive {
-			if res.Plan == nil {
-				res.Plan = &PlanStats{}
-			}
-			res.Plan.Note(rep)
+	gp.solves++
+	if e.Method == MethodAdaptive {
+		if gp.plan == nil {
+			gp.plan = &PlanStats{}
 		}
+		gp.plan.Note(rep)
 	}
 	if key != "" {
-		if cache != nil {
-			cache[key] = p
-		}
-		if e.Cache != nil {
-			e.Cache.Put(key, p)
-		}
+		e.Cache.Put(key, p)
 	}
+	gp.probs[gi], gp.done[gi] = p, true
 	return p, nil
 }
 
@@ -543,8 +543,12 @@ func clamp01(p float64) float64 {
 // TopKDiag reports the work done by a Most-Probable-Session evaluation.
 type TopKDiag struct {
 	// BoundSolves counts upper-bound inference calls (0 for the naive
-	// strategy).
+	// strategy, and for a repeated query whose bounds are all cached).
 	BoundSolves int
+	// BoundCacheHits counts upper bounds answered from Engine.Cache.
+	// BoundSolves + BoundCacheHits is the number of distinct relaxed
+	// requests the query's groups bound to.
+	BoundCacheHits int
 	// ExactSolves counts exact per-session inference calls (after
 	// grouping).
 	ExactSolves int
@@ -558,95 +562,91 @@ type TopKDiag struct {
 	Plan *PlanStats
 }
 
-// topKGrounded is the shared Most-Probable-Session loop for any grounding
-// function.
-func (e *Engine) topKGrounded(ctx context.Context, sessions SessionStore, ground func(*Session) (pattern.Union, error), k, boundEdges int) ([]SessionProb, *TopKDiag, error) {
+// topKUnion is the Most-Probable-Session core shared by every topk entry
+// point; see TopK for the bound-edge semantics. Upper bounds are resolved
+// per distinct relaxed request of the grounding (see boundSet), through
+// Engine.Cache like any other inference request.
+func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges int) ([]SessionProb, *TopKDiag, error) {
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("ppd: top-k requires k >= 1, got %d", k)
 	}
+	// The candidate loop and the cheap bound solves run under the loop
+	// context; each exact solve still sees the original ctx.
+	loopCtx, cancel := e.loopContext(ctx)
+	defer cancel()
+	gr, err := e.ground(loopCtx, uq)
+	if err != nil {
+		return nil, nil, err
+	}
 	diag := &TopKDiag{}
-	type cand struct {
-		s  *Session
-		u  pattern.Union
-		ub float64
+	useCache := e.useCache()
+	ub := make([]float64, len(gr.Groups)) // upper bound per group
+	for gi := range ub {
+		ub[gi] = 1
 	}
-	// As in evalGrounded: the adaptive planner degrades past the deadline
-	// instead of aborting, so the candidate loop (and the cheap bound
-	// solves) run deadline-detached while each exact solve still sees the
-	// original ctx.
-	loopCtx := ctx
-	if e.Method == MethodAdaptive {
-		var cancel context.CancelFunc
-		loopCtx, cancel = DetachDeadline(ctx)
-		defer cancel()
-	}
-	var cands []cand
-	boundCache := make(map[string]float64)
-	boundOpts := e.SolverOpts
-	if boundOpts.Ctx == nil {
-		boundOpts.Ctx = loopCtx
-	}
-	for _, s := range sessions.All() {
-		u, err := ground(s)
-		if err != nil {
-			return nil, nil, err
+	if boundEdges > 0 {
+		boundOpts := e.SolverOpts
+		if boundOpts.Ctx == nil {
+			boundOpts.Ctx = loopCtx
 		}
-		if len(u) == 0 {
-			continue
-		}
-		c := cand{s: s, u: u, ub: 1}
-		if boundEdges > 0 {
-			bu := pattern.BoundUnion(u, s.Model.Reference(), e.DB.Labeling(), boundEdges)
-			key := GroupKey(MethodBipartite, s.Model, bu)
-			ub, ok := boundCache[key]
-			if !ok {
-				// Bound patterns are constraint sets; the bipartite solver
-				// evaluates them directly and its satisfied-state pruning
-				// makes it the cheapest choice for the (easy-to-satisfy)
-				// relaxations, including the two-label case.
-				ub, err = solver.Bipartite(s.Model.Model(), e.DB.Labeling(), bu, boundOpts)
-				if err != nil {
-					return nil, nil, err
+		lab := e.DB.Labeling()
+		bs := gr.bounds(boundEdges, lab)
+		vals := make([]float64, len(bs.relaxed))
+		for bi, b := range bs.relaxed {
+			var key string
+			if useCache {
+				key = b.id.key(MethodBipartite)
+				if p, ok := e.Cache.Get(key); ok {
+					vals[bi] = p
+					diag.BoundCacheHits++
+					continue
 				}
-				boundCache[key] = ub
-				diag.BoundSolves++
 			}
-			c.ub = ub
+			// Bound patterns are constraint sets; the bipartite solver
+			// evaluates them directly and its satisfied-state pruning
+			// makes it the cheapest choice for the (easy-to-satisfy)
+			// relaxations, including the two-label case.
+			p, err := solver.Bipartite(b.Model.Model(), lab, b.Union, boundOpts)
+			if err != nil {
+				return nil, nil, err
+			}
+			vals[bi] = p
+			diag.BoundSolves++
+			if key != "" {
+				e.Cache.Put(key, p)
+			}
 		}
-		cands = append(cands, c)
+		for gi := range ub {
+			ub[gi] = vals[bs.of[gi]]
+		}
 	}
 	// Highest upper bound first.
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].ub > cands[j].ub })
+	cands := append([]LiveSession(nil), gr.Live...)
+	sort.SliceStable(cands, func(i, j int) bool { return ub[cands[i].Group] > ub[cands[j].Group] })
 
-	exactCache := make(map[string]float64)
+	exact := e.newGroupProbs(gr)
 	var out []SessionProb
-	kth := func() float64 {
-		if len(out) < k {
-			return -1
-		}
-		return out[len(out)-1].Prob // out kept sorted descending, trimmed to k
-	}
-	res := &EvalResult{}
 	for _, c := range cands {
 		if err := loopCtx.Err(); err != nil {
 			return nil, nil, context.Cause(loopCtx)
 		}
-		if len(out) >= k && kth() >= c.ub {
+		// out is kept sorted descending and trimmed to k.
+		if len(out) >= k && out[len(out)-1].Prob >= ub[c.Group] {
 			break // every remaining bound is dominated
 		}
-		p, err := e.sessionProb(ctx, c.s, c.u, exactCache, res)
+		p, err := exact.prob(ctx, c.Group)
 		if err != nil {
 			return nil, nil, err
 		}
 		diag.SessionsEvaluated++
-		out = append(out, SessionProb{Session: c.s, Prob: p})
+		out = append(out, SessionProb{Session: c.Session, Prob: p})
 		sort.SliceStable(out, func(a, b int) bool { return out[a].Prob > out[b].Prob })
 		if len(out) > k {
 			out = out[:k]
 		}
 	}
-	diag.ExactSolves = res.Solves
-	diag.CacheHits = res.CacheHits
-	diag.Plan = res.Plan
+	diag.ExactSolves = exact.solves
+	diag.CacheHits = exact.cacheHits
+	diag.Plan = exact.plan
 	return out, diag, nil
 }

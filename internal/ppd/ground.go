@@ -28,6 +28,12 @@ type Grounder struct {
 	contextAtoms []RelAtom      // atoms over other relations
 	varComps     map[string][]Compare
 	keyIndexes   map[string]map[string][]int // relation -> first-attr value -> tuple rows
+	// patterns interns the grounded patterns by key, so that sessions
+	// grounding to the same pattern share one value instead of each
+	// keeping a copy alive in the groups of a Grounded. A pattern's key
+	// spells out its nodes and edges, so equal keys mean identical
+	// patterns and sharing cannot change an answer.
+	patterns map[string]*pattern.Pattern
 }
 
 // NewGrounder validates the query against the database and prepares the
@@ -52,6 +58,7 @@ func NewGrounder(db *DB, q *Query) (*Grounder, error) {
 		itemIdx:     make(map[string]int),
 		varComps:    make(map[string][]Compare),
 		keyIndexes:  make(map[string]map[string][]int),
+		patterns:    make(map[string]*pattern.Pattern),
 	}
 	for i, t := range q.Prefs[0].Session {
 		if t.Kind == Var {
@@ -233,6 +240,11 @@ func (g *Grounder) GroundSession(s *Session) (*GroundedQuery, error) {
 			k := pat.Key()
 			if !seen[k] {
 				seen[k] = true
+				if first, ok := g.patterns[k]; ok {
+					pat = first
+				} else {
+					g.patterns[k] = pat
+				}
 				res.Union = append(res.Union, pat)
 			}
 		})

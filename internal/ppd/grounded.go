@@ -1,0 +1,343 @@
+package ppd
+
+import (
+	"context"
+	"maps"
+	"slices"
+	"sync"
+
+	"probpref/internal/label"
+	"probpref/internal/pattern"
+	"probpref/internal/rim"
+)
+
+// This file is the one grounding-and-grouping implementation of the
+// package. Every query kind, through Engine.Do and through the service
+// layer's Do and DoBatch, evaluates over a Grounded; nothing else walks a
+// p-relation to ground a query for evaluation. (Explain and the possible-
+// world helpers keep their own walks: they need per-session details a
+// Grounded does not carry.)
+//
+// A Grounded depends on the query and the sessions only — not on the
+// method, the seed or the kind — so it is memoised per database version
+// (see groundMemo) and a repeated query touches no session at all; after
+// DB.AppendSessions the new version inherits the memo and grounds only the
+// appended tail.
+
+// LiveSession is one session whose grounded union is non-empty, with the
+// inference group it belongs to.
+type LiveSession struct {
+	// Session is the live session.
+	Session *Session
+	// Group indexes the session's group in Grounded.Groups.
+	Group int
+}
+
+// Group is one distinct inference request of a grounded query: a session
+// model and the pattern union the query grounds to on every session of the
+// group (the identical-request grouping of Section 6.4).
+type Group struct {
+	// Model is the session model shared by the group's sessions.
+	Model rim.SessionModel
+	// Union is the grounded union of the group's first session; the other
+	// sessions of the group ground to a union with the same canonical key.
+	Union pattern.Union
+
+	// id holds the two method-independent parts of the group's GroupKey,
+	// built once when the group is first seen.
+	id groupID
+}
+
+// groupID identifies an inference request whatever method solves it: two
+// sessions belong to one group exactly when their models rehash alike and
+// their unions have the same canonical key. The two parts stay apart so
+// that groups over one union — every group of a query that does not
+// depend on the session — share a single union-key string.
+type groupID struct {
+	model string // Model.Rehash()
+	union string // Union.Key()
+}
+
+func (id groupID) key(m Method) string {
+	return m.String() + "|" + id.model + "||" + id.union
+}
+
+// Grounded is the result of grounding one UnionQuery over one database
+// version and grouping its identical inference requests: the live sessions
+// in p-relation order and the distinct (model, union) groups in first-seen
+// order. Its exported fields are immutable once built and may be read
+// concurrently; DB.Ground returns the same value to every caller repeating
+// the query on the same version.
+//
+// A Grounded retains *Session values of the store it was built over and
+// must not outlive the database version that returned it (or, for a
+// snapshot-backed store, the mapping behind it).
+type Grounded struct {
+	// Sessions is the session count of the queried p-relation, live or not.
+	Sessions int
+	// Live lists the sessions with a non-empty grounded union, in
+	// p-relation order.
+	Live []LiveSession
+	// Groups lists the distinct inference requests in first-seen order.
+	Groups []Group
+
+	pref string // name of the queried p-relation
+
+	mu        sync.Mutex
+	boundSets map[int]*boundSet // top-k relaxations by bound-edge count, filled on demand
+}
+
+// GroupKey returns GroupKey(m, Model, Union) of group gi from the parts
+// built at grounding time, without rehashing the model or the union.
+func (gr *Grounded) GroupKey(m Method, gi int) string {
+	return gr.Groups[gi].id.key(m)
+}
+
+// maxBoundSets caps the distinct bound-edge counts one Grounded keeps
+// relaxations for. The count comes from the request, so without a cap a
+// client walking bound = 1, 2, 3, ... would grow an entry without limit;
+// counts past the cap are relaxed per call.
+const maxBoundSets = 4
+
+// boundSet holds the top-k upper-bound relaxations (Section 4.3.2) of a
+// Grounded's groups for one bound-edge count: the distinct relaxed
+// requests in first-seen order, and which of them bounds each group.
+// Distinct groups often relax to the same request, so this is the set a
+// top-k evaluation resolves before it ranks the sessions. Immutable once
+// built.
+type boundSet struct {
+	of      []int   // group index -> index into relaxed
+	relaxed []Group // Model, pattern.BoundUnion of the group's union, and its id
+}
+
+// bounds returns the relaxations of every group for the bound-edge count,
+// relaxing the groups an inherited set does not cover yet.
+func (gr *Grounded) bounds(edges int, lab *label.Labeling) *boundSet {
+	gr.mu.Lock()
+	defer gr.mu.Unlock()
+	bs, kept := gr.boundSets[edges]
+	if kept && len(bs.of) == len(gr.Groups) {
+		return bs
+	}
+	bs = bs.extend(gr.Groups, edges, lab)
+	if kept || len(gr.boundSets) < maxBoundSets {
+		if gr.boundSets == nil {
+			gr.boundSets = make(map[int]*boundSet)
+		}
+		gr.boundSets[edges] = bs
+	}
+	return bs
+}
+
+// extend returns a set covering all of groups, reusing prev (which covers
+// a prefix of them, or is nil) without modifying it.
+func (prev *boundSet) extend(groups []Group, edges int, lab *label.Labeling) *boundSet {
+	bs := &boundSet{of: make([]int, 0, len(groups))}
+	index := make(map[groupID]int)
+	if prev != nil {
+		bs.of = append(bs.of, prev.of...)
+		bs.relaxed = prev.relaxed[:len(prev.relaxed):len(prev.relaxed)]
+		for bi, b := range prev.relaxed {
+			index[b.id] = bi
+		}
+	}
+	for _, g := range groups[len(bs.of):] {
+		bu := pattern.BoundUnion(g.Union, g.Model.Reference(), lab, edges)
+		id := groupID{model: g.id.model, union: bu.Key()}
+		bi, ok := index[id]
+		if !ok {
+			bi = len(bs.relaxed)
+			index[id] = bi
+			bs.relaxed = append(bs.relaxed, Group{Model: g.Model, Union: bu, id: id})
+		}
+		bs.of = append(bs.of, bi)
+	}
+	return bs
+}
+
+// Ground returns the grounding of uq over this database version. The
+// first call for a query grounds every session of the queried p-relation
+// once; later calls with the same query return the memoised value without
+// touching a session, and the first call after AppendSessions grounds only
+// the appended sessions and extends a copy of the previous version's
+// value. ctx aborts a grounding pass between sessions.
+func (db *DB) Ground(ctx context.Context, uq *UnionQuery) (*Grounded, error) {
+	key := uq.String()
+	prev := db.memo.get(key)
+	if prev != nil {
+		// An inherited entry covers a prefix of the relation. One that
+		// covers more than the relation holds was built before the
+		// relation was replaced in place, and is of no use.
+		if p := db.Prefs[prev.pref]; p == nil || p.Sessions.Len() < prev.Sessions {
+			prev = nil
+		} else if p.Sessions.Len() == prev.Sessions {
+			return prev, nil
+		}
+	}
+	gr, err := groundUnion(ctx, db, uq, prev, true)
+	if err != nil {
+		return nil, err
+	}
+	db.memo.put(key, gr)
+	return gr, nil
+}
+
+// groundUnion grounds uq on the sessions prev does not cover yet (all of
+// them when prev is nil) and returns the grounding of the whole relation;
+// prev is not modified. With grouping off every live session is its own
+// group, which is what Engine.DisableGrouping asks for (prev is nil then).
+//
+// A true union grounds every disjunct and merges the per-session unions
+// into the single equivalent inference request (GroundMerged).
+func groundUnion(ctx context.Context, db *DB, uq *UnionQuery, prev *Grounded, grouping bool) (*Grounded, error) {
+	grounders, err := UnionGrounders(db, uq)
+	if err != nil {
+		return nil, err
+	}
+	pref := grounders[0].Pref()
+	gr := &Grounded{Sessions: pref.Sessions.Len(), pref: pref.Name}
+	from := 0
+	// groupOf is rebuilt for an extension rather than kept: it is needed
+	// once per query and append, and would otherwise be the largest
+	// pointer-bearing part of every memo entry.
+	groupOf := make(map[groupID]int)
+	if prev != nil {
+		// Full slice expressions: the first append copies, so the arrays
+		// prev's readers see are never written.
+		from = prev.Sessions
+		gr.Live = prev.Live[:len(prev.Live):len(prev.Live)]
+		gr.Groups = prev.Groups[:len(prev.Groups):len(prev.Groups)]
+		for gi, g := range prev.Groups {
+			groupOf[g.id] = gi
+		}
+		prev.mu.Lock()
+		gr.boundSets = maps.Clone(prev.boundSets)
+		prev.mu.Unlock()
+	}
+	// Sessions in a row mostly ground to the very same patterns (all of
+	// them do when the query does not mention the session). The grounders
+	// intern patterns, so such unions are equal pointer for pointer and
+	// share one slice and one key, neither rebuilt nor kept per session.
+	var (
+		last    pattern.Union
+		lastKey string
+	)
+	for si, s := range RangeSessions(pref.Sessions, from, gr.Sessions).All() {
+		if si&63 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, context.Cause(ctx)
+			}
+		}
+		u, err := GroundMerged(grounders, s)
+		if err != nil {
+			return nil, err
+		}
+		if len(u) == 0 {
+			continue
+		}
+		if !slices.Equal(u, last) {
+			last, lastKey = u, u.Key()
+		}
+		id := groupID{model: s.Model.Rehash(), union: lastKey}
+		gi, known := groupOf[id]
+		if !known || !grouping {
+			gi = len(gr.Groups)
+			groupOf[id] = gi
+			gr.Groups = append(gr.Groups, Group{Model: s.Model, Union: last, id: id})
+		}
+		gr.Live = append(gr.Live, LiveSession{Session: s, Group: gi})
+	}
+	return gr, nil
+}
+
+// groundMemoBudget bounds a database version's grounding memo, counted in
+// live-session references rather than in entries: an entry's footprint is
+// its Live slice and the sessions that slice keeps reachable, which for a
+// snapshot-backed store are reconstructed copies of around a kilobyte
+// each. 64 Ki references keep several hundred queries over a few hundred
+// sessions, and nothing at all for a relation with more live sessions than
+// that, whose every query grounds afresh as before.
+const groundMemoBudget = 1 << 16
+
+// memoCost is what an entry counts against the budget: its live-session
+// references, plus a flat charge for the value itself so that queries no
+// session is live for cannot pile up either (at most 4096 entries).
+func memoCost(gr *Grounded) int { return len(gr.Live) + 16 }
+
+// groundMemo is a database version's memo of Grounded values by canonical
+// query text, least recently used entry evicted first. It is addressed by
+// version, not by content: it lives on the DB, is dropped when relations
+// are added, and is handed to the successor version by AppendSessions, so
+// it needs no invalidation protocol and dies with the version. The zero
+// value is ready to use.
+type groundMemo struct {
+	mu      sync.Mutex
+	entries map[string]memoEntry
+	refs    int    // sum of memoCost over entries, at most groundMemoBudget
+	clock   uint64 // advances on every get and put; orders entries by use
+}
+
+type memoEntry struct {
+	gr   *Grounded
+	used uint64
+}
+
+func (m *groundMemo) get(key string) *Grounded {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.entries[key]
+	if !ok {
+		return nil
+	}
+	m.clock++
+	e.used = m.clock
+	m.entries[key] = e
+	return e.gr
+}
+
+func (m *groundMemo) put(key string, gr *Grounded) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if old, ok := m.entries[key]; ok {
+		m.refs -= memoCost(old.gr)
+		delete(m.entries, key)
+	}
+	if memoCost(gr) > groundMemoBudget {
+		return
+	}
+	if m.entries == nil {
+		m.entries = make(map[string]memoEntry)
+	}
+	m.clock++
+	m.entries[key] = memoEntry{gr: gr, used: m.clock}
+	m.refs += memoCost(gr)
+	for m.refs > groundMemoBudget {
+		// A scan per eviction: only a put into a full memo evicts, and
+		// there are at most a few thousand entries to scan.
+		var oldest string
+		least := ^uint64(0)
+		for k, e := range m.entries {
+			if e.used < least {
+				oldest, least = k, e.used
+			}
+		}
+		m.refs -= memoCost(m.entries[oldest].gr)
+		delete(m.entries, oldest)
+	}
+}
+
+// drop empties the memo; adding a relation changes what queries ground to.
+func (m *groundMemo) drop() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.entries, m.refs = nil, 0
+}
+
+// handTo copies the entries into the memo of a successor version. The
+// Grounded values themselves are shared: each records how many sessions it
+// covers, and DB.Ground extends a copy on the successor's first use.
+func (m *groundMemo) handTo(next *groundMemo) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	next.entries, next.refs, next.clock = maps.Clone(m.entries), m.refs, m.clock
+}

@@ -3,6 +3,7 @@ package ppd
 import (
 	"fmt"
 	"iter"
+	"slices"
 )
 
 // SessionStore is the session-source seam between the query engine and
@@ -52,9 +53,15 @@ func (ss SessionSlice) All() iter.Seq2[int, *Session] {
 // ConcatSessions returns a store listing base's sessions followed by tail's.
 // It is the representation of streaming ingest over an immutable snapshot:
 // the (possibly mmap-backed) base stays untouched while appended sessions
-// live in a RAM tail, and the combined store is itself immutable — a second
-// append wraps again, so handles on the old store never observe the new
-// sessions.
+// live in a RAM tail, and the combined store is itself immutable, so
+// handles on the old store never observe the new sessions.
+//
+// Repeated appends do not nest: when base is itself a concat store over a
+// RAM tail, the result layers one joined tail over base's own base, so a
+// relation grown by any number of appends stays two levels deep and At
+// stays O(1). The joined tail is a fresh copy — appending into the old
+// tail's backing array would let two stores grown from one base overwrite
+// each other's sessions.
 func ConcatSessions(base SessionStore, tail SessionStore) SessionStore {
 	if base == nil || base.Len() == 0 {
 		if tail == nil {
@@ -64,6 +71,13 @@ func ConcatSessions(base SessionStore, tail SessionStore) SessionStore {
 	}
 	if tail == nil || tail.Len() == 0 {
 		return base
+	}
+	if c, ok := base.(*concatStore); ok {
+		old, oldInRAM := c.tail.(SessionSlice)
+		add, addInRAM := tail.(SessionSlice)
+		if oldInRAM && addInRAM {
+			return &concatStore{base: c.base, tail: slices.Concat(old, add), split: c.split}
+		}
 	}
 	return &concatStore{base: base, tail: tail, split: base.Len()}
 }
@@ -103,8 +117,11 @@ func (c *concatStore) All() iter.Seq2[int, *Session] {
 // prefName. The receiver is not modified: in-flight queries holding db keep
 // evaluating against the old session set while new queries open the
 // returned database — this is the swap the registry performs under
-// streaming ingest. Each appended session is validated like AddPrefRelation
-// validates (key arity, model item count).
+// streaming ingest. The returned database inherits the receiver's grounding
+// memo, so a query already answered on the receiver grounds only the
+// appended sessions on its first run against the new version. Each appended
+// session is validated like AddPrefRelation validates (key arity, model
+// item count).
 func (db *DB) AppendSessions(prefName string, sessions []*Session) (*DB, error) {
 	p, ok := db.Prefs[prefName]
 	if !ok {
@@ -139,5 +156,6 @@ func (db *DB) AppendSessions(prefName string, sessions []*Session) (*DB, error) 
 		ndb.Prefs[name] = pr
 	}
 	ndb.Prefs[prefName] = np
+	db.memo.handTo(&ndb.memo)
 	return ndb, nil
 }

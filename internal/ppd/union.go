@@ -121,9 +121,16 @@ func (uq *UnionQuery) String() string {
 
 // UnionGrounders validates the union and builds one grounder per disjunct,
 // checking that every disjunct grounds over the same p-relation. It is the
-// shared grounding front end of EvalUnion, TopKUnion and the service
-// layer's batch planner.
+// grounding front end of DB.Ground. A single-disjunct union is a plain
+// query, and its errors carry no "disjunct 1" prefix.
 func UnionGrounders(db *DB, uq *UnionQuery) ([]*Grounder, error) {
+	if len(uq.Disjuncts) == 1 {
+		g, err := NewGrounder(db, uq.Disjuncts[0])
+		if err != nil {
+			return nil, err
+		}
+		return []*Grounder{g}, nil
+	}
 	if err := uq.Validate(); err != nil {
 		return nil, err
 	}
@@ -142,8 +149,17 @@ func UnionGrounders(db *DB, uq *UnionQuery) ([]*Grounder, error) {
 }
 
 // GroundMerged grounds one session under every grounder and merges the
-// disjuncts' unions into the single equivalent inference request.
+// disjuncts' unions into the single equivalent inference request. A lone
+// grounder's union is returned as is: GroundSession already deduplicates
+// its patterns by key, which is all Merge would do to it.
 func GroundMerged(grounders []*Grounder, s *Session) (pattern.Union, error) {
+	if len(grounders) == 1 {
+		gq, err := grounders[0].GroundSession(s)
+		if err != nil {
+			return nil, err
+		}
+		return gq.Union, nil
+	}
 	unions := make([]pattern.Union, 0, len(grounders))
 	for _, g := range grounders {
 		gq, err := g.GroundSession(s)
@@ -154,4 +170,3 @@ func GroundMerged(grounders []*Grounder, s *Session) (pattern.Union, error) {
 	}
 	return pattern.Merge(unions...), nil
 }
-

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"probpref/internal/rank"
 )
@@ -32,7 +33,9 @@ type GeneralizedMallows struct {
 	geoms   []float64 // geoms[i] = 1 + Phis[i] + ... + Phis[i]^i
 	logZ    float64
 	logPhis []float64
-	model   *Model
+
+	modelOnce sync.Once // guards the lazy build of model
+	model     *Model
 }
 
 // NewGeneralizedMallows validates and constructs a Generalized Mallows
@@ -83,11 +86,13 @@ func (gm *GeneralizedMallows) M() int { return len(gm.Sigma) }
 
 // Model materializes the equivalent RIM(sigma, Pi) with
 // Pi[i][j] = Phis[i]^(i-j) / (1 + Phis[i] + ... + Phis[i]^i). The result is
-// cached.
+// built once and cached; concurrent first calls are safe.
 func (gm *GeneralizedMallows) Model() *Model {
-	if gm.model != nil {
-		return gm.model
-	}
+	gm.modelOnce.Do(gm.buildModel)
+	return gm.model
+}
+
+func (gm *GeneralizedMallows) buildModel() {
 	m := len(gm.Sigma)
 	pi := make([][]float64, m)
 	for i := 0; i < m; i++ {
@@ -105,7 +110,6 @@ func (gm *GeneralizedMallows) Model() *Model {
 		pi[i] = row
 	}
 	gm.model = MustNew(gm.Sigma, pi)
-	return gm.model
 }
 
 // LogZ returns the log normalization constant

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"probpref/internal/rank"
 )
@@ -18,8 +19,10 @@ type Mallows struct {
 
 	logZ   float64
 	geom   []float64 // geom[k] = 1 + phi + ... + phi^k
-	model  *Model
 	logPhi float64
+
+	modelOnce sync.Once // guards the lazy build of model
+	model     *Model
 }
 
 // NewMallows validates and constructs a Mallows model.
@@ -68,11 +71,14 @@ func (ml *Mallows) M() int { return len(ml.Sigma) }
 
 // Model materializes the equivalent RIM(sigma, Pi) with
 // Pi[i][j] = phi^(i-j) / (1 + phi + ... + phi^i) (Doignon et al.).
-// The result is cached.
+// The result is built once and cached; concurrent first calls are safe
+// (sessions share models, so two requests can reach a solver together).
 func (ml *Mallows) Model() *Model {
-	if ml.model != nil {
-		return ml.model
-	}
+	ml.modelOnce.Do(ml.buildModel)
+	return ml.model
+}
+
+func (ml *Mallows) buildModel() {
 	m := len(ml.Sigma)
 	pi := make([][]float64, m)
 	for i := 0; i < m; i++ {
@@ -90,7 +96,6 @@ func (ml *Mallows) Model() *Model {
 		pi[i] = row
 	}
 	ml.model = MustNew(ml.Sigma, pi)
-	return ml.model
 }
 
 // LogZ returns the log of the Mallows normalization constant

@@ -131,7 +131,7 @@ func (c *Cache) Put(key string, p float64) {
 // PurgePrefix drops every entry whose key starts with prefix and returns
 // how many were dropped; purged entries count as evictions in Stats. Like
 // PlanCache.PurgePrefix it scans every shard, which is fine for its one
-// caller (session ingest, which is rare relative to queries).
+// caller (model deletion, a rare admin operation).
 func (c *Cache) PurgePrefix(prefix string) int {
 	n := 0
 	for _, s := range c.shards {

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"probpref/internal/pattern"
 	"probpref/internal/pool"
 	"probpref/internal/ppd"
 	"probpref/internal/registry"
-	"probpref/internal/rim"
 )
 
 // This file is the service's unified entry point: Do answers one
@@ -194,13 +192,14 @@ func seedSensitive(m ppd.Method) bool {
 }
 
 // doBatchGrouped is the grouped evaluation path of DoBatch, run per
-// cluster: ground every request of idx (original request indices, one model
-// and effective method), deduplicate the (model, union) inference groups
-// across the cluster, resolve cache hits inside the model's namespace, and
-// solve the misses — through one compiled-plan batched walk
-// (ppd.BatchSolveGroups) for the exact methods, or fanned out to the worker
-// pool otherwise. Responses land at their original indices in br and the
-// dedup counters accumulate into it.
+// cluster: take the grounding of every request of idx (original request
+// indices, one model and effective method) from the model's database,
+// deduplicate the (model, union) inference groups across the cluster,
+// resolve cache hits inside the model's namespace, and solve the misses —
+// through one compiled-plan batched walk (ppd.BatchSolveGroups) for the
+// exact methods, or fanned out to the worker pool otherwise. Responses land
+// at their original indices in br and the dedup counters accumulate into
+// it.
 func (s *Service) doBatchGrouped(ctx context.Context, crs []*ppd.CompiledRequest, idx []int, br *DoBatchResult) error {
 	h, err := s.open(crs[idx[0]].Model)
 	if err != nil {
@@ -208,23 +207,18 @@ func (s *Service) doBatchGrouped(ctx context.Context, crs []*ppd.CompiledRequest
 	}
 	defer h.Close()
 	method := s.effMethod(crs[idx[0]])
-	type ref struct {
-		sess *ppd.Session
-		gi   int
-	}
 	type batchGroup struct {
-		sm    rim.SessionModel
-		u     pattern.Union
+		ppd.Group
 		key   string
 		first int // position in idx of the first request referencing the group
 	}
 	var (
 		groupOf = make(map[string]int)
 		groups  []batchGroup
-		perQ    = make([][]ref, len(idx))
-		// nSessions records each request's total session count (live or
-		// not) so countdist responses can pad the structurally-zero tail.
-		nSessions = make([]int, len(idx))
+		// grounded holds each request's grounding and groupIdx maps its
+		// groups to their cluster-wide indices.
+		grounded = make([]*ppd.Grounded, len(idx))
+		groupIdx = make([][]int, len(idx))
 	)
 	// With the adaptive method an expired deadline degrades remaining groups
 	// to sampling instead of aborting the batch: the grounding loop and the
@@ -238,33 +232,25 @@ func (s *Service) doBatchGrouped(ctx context.Context, crs []*ppd.CompiledRequest
 		defer cancel()
 	}
 	for qi, ri := range idx {
-		cr := crs[ri]
 		if err := loopCtx.Err(); err != nil {
 			return &evalError{context.Cause(loopCtx)}
 		}
-		grounders, err := ppd.UnionGrounders(h.DB(), cr.Union)
+		gr, err := h.DB().Ground(loopCtx, crs[ri].Union)
 		if err != nil {
 			return &evalError{fmt.Errorf("server: query %d: %w", ri+1, err)}
 		}
-		nSessions[qi] = grounders[0].Pref().Sessions.Len()
-		for _, sess := range grounders[0].Pref().Sessions.All() {
-			u, err := ppd.GroundMerged(grounders, sess)
-			if err != nil {
-				return &evalError{fmt.Errorf("server: query %d: %w", ri+1, err)}
-			}
-			if len(u) == 0 {
-				continue
-			}
-			key := ppd.GroupKey(method, sess.Model, u)
+		grounded[qi], groupIdx[qi] = gr, make([]int, len(gr.Groups))
+		for lgi, g := range gr.Groups {
+			key := gr.GroupKey(method, lgi)
 			gi, ok := groupOf[key]
 			if !ok {
 				gi = len(groups)
 				groupOf[key] = gi
-				groups = append(groups, batchGroup{sm: sess.Model, u: u, key: key, first: qi})
+				groups = append(groups, batchGroup{Group: g, key: key, first: qi})
 			}
-			perQ[qi] = append(perQ[qi], ref{sess: sess, gi: gi})
-			br.Instances++
+			groupIdx[qi][lgi] = gi
 		}
+		br.Instances += len(gr.Live)
 	}
 	br.Groups += len(groups)
 
@@ -302,7 +288,7 @@ func (s *Service) doBatchGrouped(ctx context.Context, crs []*ppd.CompiledRequest
 		eng.Method = method
 		bgs := make([]ppd.BatchGroup, len(pending))
 		for pi, gi := range pending {
-			bgs[pi] = ppd.BatchGroup{SM: groups[gi].sm, U: groups[gi].u}
+			bgs[pi] = ppd.BatchGroup{SM: groups[gi].Model, U: groups[gi].Union}
 		}
 		bprobs, breps, err := eng.BatchSolveGroups(ctx, bgs)
 		if err != nil {
@@ -320,7 +306,7 @@ func (s *Service) doBatchGrouped(ctx context.Context, crs []*ppd.CompiledRequest
 			eng := s.engine(seedBase+int64(gi), h)
 			eng.Method = method
 			eng.Workers = 1 // the pool is the parallelism
-			p, rep, err := eng.SolveUnionCtx(ctx, groups[gi].sm, groups[gi].u)
+			p, rep, err := eng.SolveUnionCtx(ctx, groups[gi].Model, groups[gi].Union)
 			if err != nil {
 				return fmt.Errorf("server: query %d: %w", idx[groups[gi].first]+1, err)
 			}
@@ -355,22 +341,24 @@ func (s *Service) doBatchGrouped(ctx context.Context, crs []*ppd.CompiledRequest
 	}
 	for qi, ri := range idx {
 		cr := crs[ri]
-		per := make([]ppd.SessionProb, len(perQ[qi]))
-		hw := make([]float64, len(perQ[qi]))
-		seen := make(map[int]bool)
-		for i, r := range perQ[qi] {
-			per[i] = ppd.SessionProb{Session: r.sess, Prob: probs[r.gi]}
-			if !cached[r.gi] {
-				hw[i] = reports[r.gi].HalfWidth
+		live, gidx := grounded[qi].Live, groupIdx[qi]
+		per := make([]ppd.SessionProb, len(live))
+		hw := make([]float64, len(live))
+		for i, ls := range live {
+			gi := gidx[ls.Group]
+			per[i] = ppd.SessionProb{Session: ls.Session, Prob: probs[gi]}
+			if !cached[gi] {
+				hw[i] = reports[gi].HalfWidth
 			}
 		}
 		res := ppd.BoolAggregate(per)
 		if adaptive {
+			// The request's groups are distinct cluster-wide too: its own
+			// grouping already merged equal keys.
 			plan := ppd.BatchPlan(per, hw)
-			for _, r := range perQ[qi] {
-				if !cached[r.gi] && !seen[r.gi] {
-					seen[r.gi] = true
-					plan.Note(reports[r.gi])
+			for _, gi := range gidx {
+				if !cached[gi] {
+					plan.Note(reports[gi])
 				}
 			}
 			res.Plan = plan
@@ -386,7 +374,7 @@ func (s *Service) doBatchGrouped(ctx context.Context, crs []*ppd.CompiledRequest
 			Plan:       res.Plan,
 		}
 		if cr.Kind == ppd.KindCountDist {
-			dist, err := ppd.CountDistFromSessions(res.PerSession, nSessions[qi])
+			dist, err := ppd.CountDistFromSessions(res.PerSession, grounded[qi].Sessions)
 			if err != nil {
 				return &evalError{fmt.Errorf("server: query %d: %w", ri+1, err)}
 			}

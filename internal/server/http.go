@@ -104,6 +104,9 @@ type EvalRequest struct {
 type TopKDiagJSON struct {
 	// BoundSolves counts upper-bound relaxation solves.
 	BoundSolves int `json:"bound_solves"`
+	// BoundCacheHits counts upper bounds answered from the shared cache; a
+	// repeated bound-1 top-k reports every bound here and bound_solves 0.
+	BoundCacheHits int `json:"bound_cache_hits"`
 	// ExactSolves counts exact per-session solves the bounds could not prune.
 	ExactSolves int `json:"exact_solves"`
 	// SessionsEvaluated counts sessions examined before early termination.
@@ -518,6 +521,7 @@ func (s *Service) handleTopK(r *http.Request) (*TopKResponse, error) {
 	for _, res := range br.Responses {
 		rj := TopKResultJSON{Diag: TopKDiagJSON{
 			BoundSolves:       res.Diag.BoundSolves,
+			BoundCacheHits:    res.Diag.BoundCacheHits,
 			ExactSolves:       res.Diag.ExactSolves,
 			SessionsEvaluated: res.Diag.SessionsEvaluated,
 			CacheHits:         res.Diag.CacheHits,

@@ -34,24 +34,26 @@ type IngestResponse struct {
 	Appended int `json:"appended"`
 	// Sessions is the model's new total session count across p-relations.
 	Sessions int `json:"sessions"`
-	// PurgedSolves counts solve-cache entries invalidated for the model.
+	// PurgedSolves is always 0: ingest no longer purges the solve cache.
+	// The field is kept so the wire form does not change.
 	PurgedSolves int `json:"purged_solves"`
-	// PurgedPlans counts compiled-plan cache entries invalidated for the
-	// model.
+	// PurgedPlans is always 0, like PurgedSolves.
 	PurgedPlans int `json:"purged_plans"`
 }
 
-// IngestSessions appends sessions to a model's p-relation and invalidates
-// the model's cache namespaces. The append swaps the model's database under
-// the registry's build lock, so queries that already opened the model finish
-// on the pre-ingest snapshot while new opens see the grown database; the
-// purge then drops the model's solve- and plan-cache entries exactly once.
-// (Both key spaces are content-addressed — solve keys embed the session
-// model, plan keys the reference ranking and union shape — so stale entries
-// could never produce wrong answers; the purge reclaims capacity the grown
-// model's new working set would otherwise have to evict organically.)
-// Sessions with identical parameters share one model instance, preserving
-// the grouping behavior of the evaluator, exactly like ppd.LoadPrefJSON.
+// IngestSessions appends sessions to a model's p-relation. The append swaps
+// the model's database under the registry's build lock, so queries that
+// already opened the model finish on the pre-ingest version while new opens
+// see the grown database. Nothing is purged: the solve and plan caches are
+// content-addressed — solve keys embed the session model, plan keys the
+// reference ranking and union shape — so every entry stays valid for the
+// grown model, and an appended session whose (sigma, phi) pair the model
+// already holds lands in groups that are already solved. The grown version
+// also inherits the grounding memo of the one it replaces (see
+// ppd.DB.AppendSessions), so a repeated query grounds only the appended
+// sessions. Sessions with identical parameters share one model instance,
+// preserving the grouping behavior of the evaluator, exactly like
+// ppd.LoadPrefJSON.
 func (s *Service) IngestSessions(req *IngestRequest) (*IngestResponse, error) {
 	model := req.Model
 	if model == "" {
@@ -71,16 +73,8 @@ func (s *Service) IngestSessions(req *IngestRequest) (*IngestResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp := &IngestResponse{Model: model, Pref: req.Pref, Appended: len(parsed), Sessions: total}
-	ns := model + nsSep
-	if s.cache != nil {
-		resp.PurgedSolves = s.cache.PurgePrefix(ns)
+	if s.ingestSwappedHook != nil {
+		s.ingestSwappedHook(model)
 	}
-	if s.plans != nil {
-		resp.PurgedPlans = s.plans.PurgePrefix(ns)
-	}
-	if s.ingestPurgeHook != nil {
-		s.ingestPurgeHook(model)
-	}
-	return resp, nil
+	return &IngestResponse{Model: model, Pref: req.Pref, Appended: len(parsed), Sessions: total}, nil
 }

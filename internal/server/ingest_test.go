@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"probpref/internal/dataset"
 	"probpref/internal/ppd"
 	"probpref/internal/registry"
 )
@@ -19,9 +21,9 @@ import (
 // Ingest tests: POST /v1/sessions appends sessions to a live model while
 // queries keep running. The registry swaps the model's database under its
 // build lock, so requests that already opened a handle finish on the
-// pre-ingest snapshot while later opens see the grown model; the service
-// then purges the model's cache namespaces exactly once. Run under -race
-// (CI does).
+// pre-ingest snapshot while later opens see the grown model. Nothing is
+// purged: the caches are content-addressed and the grown version inherits
+// the grounding memo. Run under -race (CI does).
 
 // figIngest builds an ingest request appending one figure1-shaped session
 // per key (4-item Mallows center, session key (voter, day)).
@@ -101,10 +103,13 @@ func figIngestPref(pref string, keys ...string) *IngestRequest {
 	return req
 }
 
-// TestIngestPurgesNamespacesOnce: ingesting into one model must invalidate
-// exactly that model's solve- and plan-cache namespaces, exactly once — a
-// sibling model's warm entries keep hitting.
-func TestIngestPurgesNamespacesOnce(t *testing.T) {
+// TestIngestKeepsCachesWarm is the inverse of the purge-on-ingest contract
+// it replaces: an append leaves both cache namespaces of the model alone
+// (their keys are content-addressed, so no entry can be stale), a repeated
+// query after an append that reuses existing (sigma, phi) pairs solves
+// nothing, an append that introduces a model solves that model's groups
+// only, and a sibling model never notices.
+func TestIngestKeepsCachesWarm(t *testing.T) {
 	reg := registry.New()
 	for _, n := range []string{"a", "b"} {
 		if err := reg.Register(registry.Spec{Name: n, Dataset: "figure1", Preload: true}); err != nil {
@@ -112,49 +117,78 @@ func TestIngestPurgesNamespacesOnce(t *testing.T) {
 		}
 	}
 	svc := NewMulti(reg, Config{})
-	var purged []string
-	svc.ingestPurgeHook = func(model string) { purged = append(purged, model) }
+	var swapped []string
+	svc.ingestSwappedHook = func(model string) { swapped = append(swapped, model) }
 
-	warm := func(model string) {
-		t.Helper()
-		for i := 0; i < 2; i++ {
-			if _, err := svc.Do(context.Background(), &ppd.Request{Kind: ppd.KindBool, Query: q1, Model: model}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	solves := func(model string) int {
+	ask := func(model string) *ppd.Response {
 		t.Helper()
 		resp, err := svc.Do(context.Background(), &ppd.Request{Kind: ppd.KindBool, Query: q1, Model: model})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp.Solves
+		return resp
 	}
-	warm("a")
-	warm("b")
-	if n := solves("a"); n != 0 {
-		t.Fatalf("warm model a still solves %d groups", n)
+	ingest := func(sess IngestSessionJSON) {
+		t.Helper()
+		resp, err := svc.IngestSessions(&IngestRequest{Model: "a", Pref: "P", Sessions: []IngestSessionJSON{sess}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.PurgedSolves != 0 || resp.PurgedPlans != 0 {
+			t.Fatalf("ingest purged %d solve and %d plan entries, want none", resp.PurgedSolves, resp.PurgedPlans)
+		}
+	}
+	cold := ask("a")
+	ask("b")
+	if cold.Solves == 0 || cold.Solves != len(cold.PerSession) {
+		t.Fatalf("cold figure1 query solved %d groups over %d sessions, want one per session", cold.Solves, len(cold.PerSession))
+	}
+	if warm := ask("a"); warm.Solves != 0 || warm.CacheHits != cold.Solves {
+		t.Fatalf("warm model a: %d solves, %d hits, want 0 and %d", warm.Solves, warm.CacheHits, cold.Solves)
+	}
+	solveEntries, planEntries := svc.Cache().Len(), svc.PlanCache().Len()
+
+	// Eve votes like Ann: same center, same dispersion. Her group is solved.
+	ingest(IngestSessionJSON{Key: []string{"Eve", "7/7"}, Sigma: []int{1, 2, 3, 0}, Phi: 0.3})
+	if got := svc.Cache().Len(); got != solveEntries {
+		t.Fatalf("solve cache holds %d entries after ingest, had %d", got, solveEntries)
+	}
+	if got := svc.PlanCache().Len(); got != planEntries {
+		t.Fatalf("plan cache holds %d entries after ingest, had %d", got, planEntries)
+	}
+	grown := ask("a")
+	if len(grown.PerSession) != len(cold.PerSession)+1 {
+		t.Fatalf("grown model answers over %d sessions, want %d", len(grown.PerSession), len(cold.PerSession)+1)
+	}
+	if grown.Solves != 0 || grown.CacheHits != cold.Solves {
+		t.Fatalf("repeat query after a same-model append: %d solves, %d hits, want 0 and %d", grown.Solves, grown.CacheHits, cold.Solves)
 	}
 
-	resp, err := svc.IngestSessions(figIngest("a", "Eve"))
-	if err != nil {
+	// Frank brings a model the relation has not seen: one new group.
+	ingest(IngestSessionJSON{Key: []string{"Frank", "8/7"}, Sigma: []int{0, 1, 2, 3}, Phi: 0.4})
+	if fresh := ask("a"); fresh.Solves != 1 || fresh.CacheHits != cold.Solves {
+		t.Fatalf("repeat query after a new-model append: %d solves, %d hits, want 1 and %d", fresh.Solves, fresh.CacheHits, cold.Solves)
+	}
+	if again := ask("a"); again.Solves != 0 {
+		t.Fatalf("second repeat still solves %d groups", again.Solves)
+	}
+
+	if len(swapped) != 2 || swapped[0] != "a" || swapped[1] != "a" {
+		t.Fatalf("swap hook ran for %v, want a twice", swapped)
+	}
+	if b := ask("b"); b.Solves != 0 || len(b.PerSession) != len(cold.PerSession) {
+		t.Fatalf("ingest into a disturbed b: %d solves over %d sessions", b.Solves, len(b.PerSession))
+	}
+
+	// Deletion is the one purge left, and it empties both namespaces.
+	if err := svc.DeleteModel("a"); err != nil {
 		t.Fatal(err)
 	}
-	if resp.PurgedSolves == 0 {
-		t.Fatal("ingest purged no solve-cache entries from a warm namespace")
+	if got := svc.Cache().Len(); got != solveEntries/2 {
+		t.Fatalf("solve cache holds %d entries after deleting a, want b's %d", got, solveEntries/2)
 	}
-	if resp.PurgedPlans == 0 {
-		t.Fatal("ingest purged no plan-cache entries from a warm namespace")
-	}
-	if len(purged) != 1 || purged[0] != "a" {
-		t.Fatalf("purge hook ran %v, want exactly one purge of a", purged)
-	}
-	if n := solves("b"); n != 0 {
-		t.Fatalf("ingest into a evicted b's cache entries: %d solves", n)
-	}
-	if n := solves("a"); n == 0 {
-		t.Fatal("a's namespace was not invalidated: query served entirely from stale cache")
+	if got := svc.PlanCache().Len(); got != planEntries/2 {
+		t.Fatalf("plan cache holds %d entries after deleting a, want b's %d", got, planEntries/2)
 	}
 }
 
@@ -164,8 +198,8 @@ func TestIngestPurgesNamespacesOnce(t *testing.T) {
 // pre-ingest session set while a fresh query sees the grown model.
 func TestIngestDuringStreamKeepsOldSnapshot(t *testing.T) {
 	svc := figure1Service(t, Config{Workers: 2})
-	var purges atomic.Int32
-	svc.ingestPurgeHook = func(string) { purges.Add(1) }
+	var swaps atomic.Int32
+	svc.ingestSwappedHook = func(string) { swaps.Add(1) }
 	firstRow := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
@@ -204,8 +238,8 @@ func TestIngestDuringStreamKeepsOldSnapshot(t *testing.T) {
 	if ing.StatusCode != 200 || ir.Appended != 1 || ir.Sessions != 4 {
 		t.Fatalf("mid-stream ingest: status %d, response %+v", ing.StatusCode, ir)
 	}
-	if n := purges.Load(); n != 1 {
-		t.Fatalf("cache namespaces purged %d times, want exactly 1", n)
+	if n := swaps.Load(); n != 1 {
+		t.Fatalf("swap hook ran %d times, want exactly 1", n)
 	}
 
 	close(release)
@@ -237,32 +271,121 @@ func TestIngestDuringStreamKeepsOldSnapshot(t *testing.T) {
 	}
 }
 
+// ingestSteps is the writer's script of TestConcurrentIngestAndQueries: one
+// session per step, cycling through models the relation already holds
+// (Ann's and Bob's) and ones it does not, so appended sessions land both in
+// existing inference groups and in new ones.
+func ingestSteps(n int) []IngestSessionJSON {
+	models := []IngestSessionJSON{
+		{Sigma: []int{1, 2, 3, 0}, Phi: 0.3}, // Ann's
+		{Sigma: []int{0, 1, 2, 3}, Phi: 0.4},
+		{Sigma: []int{0, 3, 2, 1}, Phi: 0.3}, // Bob's
+		{Sigma: []int{3, 2, 1, 0}, Phi: 0.7},
+		{Sigma: []int{0, 1, 2, 3}, Phi: 0.4},
+	}
+	steps := make([]IngestSessionJSON, n)
+	for i := range steps {
+		steps[i] = models[i%len(models)]
+		steps[i].Key = []string{fmt.Sprintf("W%d", i), fmt.Sprintf("%d/7", i+7)}
+	}
+	return steps
+}
+
 // TestConcurrentIngestAndQueries hammers Append swaps against query opens:
-// 4 ingest goroutines grow the model while 8 query goroutines evaluate.
-// Correctness here is the race detector plus the final census.
+// one writer grows the model a session at a time while 8 readers repeat
+// three queries (a Boolean CQ, a count over a union, a bound-1 top-k), so
+// the readers race the grounding memo's hand-over and tail extension as
+// well as the registry swap. Every read must be bit-identical to the
+// answer of a bare engine over some version of the relation, built whole
+// (never grown) — the version the read's own session count names. The race
+// detector covers the rest.
 func TestConcurrentIngestAndQueries(t *testing.T) {
-	svc := figure1Service(t, Config{Workers: 4})
+	const steps = 12
+	script := ingestSteps(steps)
+	reqs := []*ppd.Request{
+		{Kind: ppd.KindBool, Query: q1},
+		{Kind: ppd.KindCount, Query: q1 + " | " + q2},
+		{Kind: ppd.KindTopK, Query: q2, K: 100, BoundEdges: 1},
+	}
 	ctx := context.Background()
+
+	// answer flattens the sections of a response a version determines.
+	answer := func(resp *ppd.Response) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%x %x", math.Float64bits(resp.Prob), math.Float64bits(resp.Count))
+		for _, sp := range append(resp.PerSession, resp.Top...) {
+			fmt.Fprintf(&b, " %v=%x", sp.Session.Key, math.Float64bits(sp.Prob))
+		}
+		return b.String()
+	}
+	// want[n][qi] is the reference answer of request qi on the version of
+	// the relation with n sessions. Every session is live for every one of
+	// the requests, so a response names its version by its row count.
+	sessions := func(resp *ppd.Response) int { return len(resp.PerSession) + len(resp.Top) }
+	want := make(map[int][]string)
+	for v := 0; v <= steps; v++ {
+		db, err := dataset.Figure1()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v > 0 {
+			parsed, err := ppd.ParseSessionsJSON(script[:v])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if db, err = db.AppendSessions("P", parsed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for qi, req := range reqs {
+			resp, err := (&ppd.Engine{DB: db}).Do(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := sessions(resp); n != 3+v {
+				t.Fatalf("version %d request %d answers over %d sessions, want every one of %d", v, qi, n, 3+v)
+			}
+			want[3+v] = append(want[3+v], answer(resp))
+		}
+	}
+
+	svc := figure1Service(t, Config{Workers: 4})
 	var wg sync.WaitGroup
 	errCh := make(chan error, 64)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 3; i++ {
-				if _, err := svc.IngestSessions(figIngest("", fmt.Sprintf("W%d-%d", g, i))); err != nil {
-					errCh <- err
-				}
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for _, sess := range script {
+			if _, err := svc.IngestSessions(&IngestRequest{Pref: "P", Sessions: []IngestSessionJSON{sess}}); err != nil {
+				errCh <- err
+				return
 			}
-		}(g)
-	}
+		}
+	}()
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				if _, err := svc.Do(ctx, &ppd.Request{Kind: ppd.KindBool, Query: q1}); err != nil {
-					errCh <- err
+			// Keep reading until the writer is done, then twice more on
+			// the final version.
+			for tail := 2; tail > 0; {
+				select {
+				case <-done:
+					tail--
+				default:
+				}
+				for qi, req := range reqs {
+					resp, err := svc.Do(ctx, req)
+					if err != nil {
+						errCh <- err
+						return
+					}
+					if ref := want[sessions(resp)]; ref == nil || ref[qi] != answer(resp) {
+						errCh <- fmt.Errorf("request %d over %d sessions answered\n%s\nwhich no version of the relation gives (want %v)", qi, sessions(resp), answer(resp), ref)
+						return
+					}
 				}
 			}
 		}()
@@ -272,8 +395,8 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if got := sessionCount(t, svc, ""); got != 3+4*3 {
-		t.Fatalf("final model has %d sessions, want %d", got, 3+4*3)
+	if got := sessionCount(t, svc, ""); got != 3+steps {
+		t.Fatalf("final model has %d sessions, want %d", got, 3+steps)
 	}
 }
 

@@ -146,11 +146,11 @@ type Service struct {
 	// provably reached the handler, making mid-stream cut-off deterministic.
 	streamRowHook func(ctx context.Context)
 
-	// ingestPurgeHook, when non-nil, runs after IngestSessions has swapped
-	// the model and purged its cache namespaces, with the resolved model
-	// name. Test-only: the concurrent-ingest tests use it to count purges
-	// and to order queries around the swap deterministically.
-	ingestPurgeHook func(model string)
+	// ingestSwappedHook, when non-nil, runs after IngestSessions has swapped
+	// the model's database, with the resolved model name. Test-only: the
+	// concurrent-ingest tests use it to order queries around the swap
+	// deterministically.
+	ingestSwappedHook func(model string)
 }
 
 // New builds a Service over the single database db, registered under
@@ -231,16 +231,22 @@ func (s *Service) Cache() *Cache { return s.cache }
 func (s *Service) PlanCache() *PlanCache { return s.plans }
 
 // DeleteModel evicts a model from the catalog and purges the model's
-// namespace from the compiled-plan cache: plan keys do not encode the
-// model's labeling (the namespace does), so a model later registered under
-// the same name must never inherit the old model's plans. In-flight queries
-// that already opened the model finish normally — a *Plan they hold keeps
-// working after the purge, plans are immutable. The solve cache needs no
-// purge: its ppd.GroupKey embeds the session model content, so a
-// re-registered model cannot collide with stale entries.
+// namespace from both caches. The plan purge is for correctness: plan keys
+// do not encode the model's labeling (the namespace does), so a model later
+// registered under the same name must never inherit the old model's plans.
+// The solve purge only reclaims capacity: ppd.GroupKey embeds the session
+// model content, so a re-registered model could not collide with stale
+// entries, but nothing else would ever drop them short of LRU pressure.
+// In-flight queries that already opened the model finish normally — a
+// *Plan they hold keeps working after the purge, plans are immutable.
+// Deletion is the only purge left: session ingest keeps both namespaces
+// (see IngestSessions).
 func (s *Service) DeleteModel(name string) error {
 	if err := s.reg.Delete(name); err != nil {
 		return err
+	}
+	if s.cache != nil {
+		s.cache.PurgePrefix(name + nsSep)
 	}
 	if s.plans != nil {
 		s.plans.PurgePrefix(name + nsSep)

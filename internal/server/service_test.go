@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -149,6 +151,44 @@ func TestTopKSharesCacheAcrossRequests(t *testing.T) {
 		if top1[i].Prob != top2[i].Prob {
 			t.Fatalf("rank %d: %v != %v", i, top1[i].Prob, top2[i].Prob)
 		}
+	}
+}
+
+// A repeated bound-1 top-k solves nothing: its upper bounds come from the
+// shared solve cache like any other inference request, one hit per distinct
+// relaxation, and neither the answer nor the service's solve counter moves.
+func TestWarmBoundTopKSolvesNothing(t *testing.T) {
+	svc := pollsService(t, Config{})
+	req := &ppd.Request{Kind: ppd.KindTopK, Query: pollsBatch(1)[0], K: 5, BoundEdges: 1}
+	cold, err := svc.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Diag.BoundSolves == 0 || cold.Diag.ExactSolves == 0 || cold.Diag.BoundCacheHits != 0 {
+		t.Fatalf("cold top-k diag %+v: want bound and exact solves and no bound hits", cold.Diag)
+	}
+	if cold.Solves != cold.Diag.BoundSolves+cold.Diag.ExactSolves {
+		t.Fatalf("cold Solves = %d, want %d bound + %d exact", cold.Solves, cold.Diag.BoundSolves, cold.Diag.ExactSolves)
+	}
+	solved := svc.Stats().Solves
+	warm, err := svc.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Solves != 0 || warm.Diag.BoundSolves != 0 || warm.Diag.ExactSolves != 0 {
+		t.Fatalf("warm top-k still solves: Solves %d, diag %+v", warm.Solves, warm.Diag)
+	}
+	if warm.Diag.BoundCacheHits != cold.Diag.BoundSolves {
+		t.Fatalf("warm top-k hit %d bounds, want the %d distinct relaxations the cold one solved", warm.Diag.BoundCacheHits, cold.Diag.BoundSolves)
+	}
+	if warm.CacheHits != warm.Diag.BoundCacheHits+warm.Diag.CacheHits {
+		t.Fatalf("warm CacheHits = %d, want %d bound + %d exact", warm.CacheHits, warm.Diag.BoundCacheHits, warm.Diag.CacheHits)
+	}
+	if got := svc.Stats().Solves; got != solved {
+		t.Fatalf("service solve counter moved from %d to %d on a warm top-k", solved, got)
+	}
+	if !reflect.DeepEqual(cold.Top, warm.Top) {
+		t.Fatalf("warm top-k answers\n%v\ncold\n%v", warm.Top, cold.Top)
 	}
 }
 

@@ -225,6 +225,7 @@ func v1Result(resp *ppd.Response, perSession bool) V1Result {
 	if d := resp.Diag; d != nil {
 		out.Diag = &TopKDiagJSON{
 			BoundSolves:       d.BoundSolves,
+			BoundCacheHits:    d.BoundCacheHits,
 			ExactSolves:       d.ExactSolves,
 			SessionsEvaluated: d.SessionsEvaluated,
 			CacheHits:         d.CacheHits,
