@@ -16,7 +16,10 @@ import (
 
 	"probpref/internal/dataset"
 	"probpref/internal/experiment"
+	"probpref/internal/label"
+	"probpref/internal/pattern"
 	"probpref/internal/ppd"
+	"probpref/internal/rim"
 	"probpref/internal/sampling"
 	"probpref/internal/solver"
 )
@@ -183,26 +186,36 @@ func BenchmarkAMPSampleAndDensity(b *testing.B) {
 // --- Ablation benchmarks (design choices called out in DESIGN.md) ---
 
 // BenchmarkAblationTrackerDropOn measures the bipartite solver with the
-// only-track-uncertain-labels optimization (Algorithm 4 as published).
+// only-track-uncertain-labels optimization (Algorithm 4 as published) and
+// tracker retirement.
 func BenchmarkAblationTrackerDropOn(b *testing.B) {
-	in := dataset.BenchmarkCSlice(1, 3, 4, 3)[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := solver.Bipartite(in.Model.Model(), in.Lab, in.Union, solver.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchTrackerDrop(b, solver.Bipartite, dataset.BenchmarkCSlice(1, 3, 4, 3)[0], false)
 }
 
-// BenchmarkAblationTrackerDropOff measures the same solve with the
-// optimization disabled; the gap is the value of the pruning.
+// BenchmarkAblationTrackerDropOff measures the same solve with both
+// disabled; the gap is the value of the pruning.
 func BenchmarkAblationTrackerDropOff(b *testing.B) {
-	in := dataset.BenchmarkCSlice(1, 3, 4, 3)[0]
+	benchTrackerDrop(b, solver.Bipartite, dataset.BenchmarkCSlice(1, 3, 4, 3)[0], true)
+}
+
+// BenchmarkAblationTrackerDropTwoLabelOn measures the two-label solver with
+// tracker retirement on the first Benchmark-D instance (m = 20, z = 2, 3
+// items per label).
+func BenchmarkAblationTrackerDropTwoLabelOn(b *testing.B) {
+	benchTrackerDrop(b, solver.TwoLabel, dataset.BenchmarkD(1)[0], false)
+}
+
+// BenchmarkAblationTrackerDropTwoLabelOff measures the same solve carrying
+// all 2z trackers to the last insertion step (Algorithm 3 as published).
+func BenchmarkAblationTrackerDropTwoLabelOff(b *testing.B) {
+	benchTrackerDrop(b, solver.TwoLabel, dataset.BenchmarkD(1)[0], true)
+}
+
+func benchTrackerDrop(b *testing.B, solve func(*rim.Model, *label.Labeling, pattern.Union, solver.Options) (float64, error), in dataset.Instance, noDrop bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.Bipartite(in.Model.Model(), in.Lab, in.Union, solver.Options{NoTrackerDrop: true}); err != nil {
+		if _, err := solve(in.Model.Model(), in.Lab, in.Union, solver.Options{NoTrackerDrop: noDrop}); err != nil {
 			b.Fatal(err)
 		}
 	}

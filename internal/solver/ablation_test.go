@@ -54,6 +54,42 @@ func TestBipartiteTrackerDropShrinks(t *testing.T) {
 	}
 }
 
+// Tracker retirement in TwoLabel must not change results either: the
+// NoTrackerDrop walk carries every tracker to the last step and is the
+// reference.
+func TestTwoLabelTrackerDropAblation(t *testing.T) {
+	rng := rand.New(rand.NewSource(204))
+	for trial := 0; trial < 60; trial++ {
+		m := 4 + rng.Intn(3)
+		lab := randWorld(rng, m, 4)
+		model := randModel(rng, m)
+		u := randTwoLabelUnion(rng, 1+rng.Intn(3), 4)
+
+		a, b, withDrop, noDrop := solveBoth(t, "twolabel", TwoLabel, model, lab, u)
+		if math.Abs(a-b) > 1e-12 {
+			t.Fatalf("trial %d: drop=%v nodrop=%v", trial, a, b)
+		}
+		if withDrop.TotalStates > noDrop.TotalStates {
+			t.Fatalf("trial %d: retiring increased states (%d > %d)",
+				trial, withDrop.TotalStates, noDrop.TotalStates)
+		}
+	}
+}
+
+// On a larger instance, retirement must strictly shrink TwoLabel's DP.
+func TestTwoLabelTrackerDropShrinks(t *testing.T) {
+	rng := rand.New(rand.NewSource(205))
+	m := 10
+	lab := randWorld(rng, m, 6)
+	model := randModel(rng, m)
+	u := randTwoLabelUnion(rng, 3, 6)
+	_, _, withDrop, noDrop := solveBoth(t, "twolabel", TwoLabel, model, lab, u)
+	if withDrop.TotalStates >= noDrop.TotalStates {
+		t.Fatalf("retirement did not shrink the DP: %d states vs %d without it",
+			withDrop.TotalStates, noDrop.TotalStates)
+	}
+}
+
 // The basic bipartite solver (Section 4.3.1, no pruning) must agree with
 // both the optimized solver and brute force.
 func TestBipartiteBasicAgainstBrute(t *testing.T) {

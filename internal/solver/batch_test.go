@@ -80,11 +80,17 @@ func batchCases(t *testing.T, seed int64, lanes int) []batchCase {
 		two := randTwoLabelUnion(rng, 2, 4)
 		bip := randBipartiteUnion(rng, 2, 4)
 		dag := randDAGUnion(rng, 1, 3)
+		// Plans on which tracker retirement fires mid-walk (see
+		// TestRetiringWorldRetiresMidWalk): the lanes must see the very same
+		// projection at the very same point as the single-session walk.
+		rlab, rtwo, rbip := retiringWorld(sigma)
 		cases = append(cases,
 			batchCase{"twolabel", AlgoTwoLabel, lab, two, models, TwoLabel},
 			batchCase{"bipartite", AlgoBipartite, lab, bip, models, Bipartite},
 			batchCase{"bipartite-basic", AlgoBipartiteBasic, lab, bip, models, BipartiteBasic},
 			batchCase{"relorder", AlgoRelOrder, lab, dag, models, RelOrder},
+			batchCase{"twolabel-retiring", AlgoTwoLabel, rlab, rtwo, models, TwoLabel},
+			batchCase{"bipartite-retiring", AlgoBipartite, rlab, rbip, models, Bipartite},
 		)
 	}
 	return cases

@@ -133,6 +133,48 @@ func BenchmarkGeneral(b *testing.B) {
 	benchSolve(b, General, mdl, lab, u)
 }
 
+// benchSelective builds the hard-CQ shape by hand: m = 20, z = 2, and four
+// selective label sets carried by 1, 3, 5 and 2 of the items, so each
+// pattern has a side exhausted well before the last insertion step (items
+// are numbered by insertion step: sigma is the identity).
+func benchSelective() (*rim.Model, *label.Labeling, pattern.Union) {
+	const m = 20
+	sigma := make(rank.Ranking, m)
+	for i := range sigma {
+		sigma[i] = rank.Item(i)
+	}
+	lab := label.NewLabeling()
+	for l, items := range [][]int{{4}, {1, 9, 16}, {0, 3, 7, 11, 13}, {6, 18}} {
+		for _, it := range items {
+			lab.Add(rank.Item(it), label.Label(l))
+		}
+	}
+	u := pattern.Union{
+		pattern.TwoLabel(label.NewSet(0), label.NewSet(1)),
+		pattern.TwoLabel(label.NewSet(2), label.NewSet(3)),
+	}
+	return rim.MustMallows(sigma, 0.5).Model(), lab, u
+}
+
+// benchSelectiveSolve also reports the solve's transition count, the number
+// tracker retirement moves (and one that repeats exactly run to run).
+func benchSelectiveSolve(b *testing.B, f solveFn) {
+	mdl, lab, u := benchSelective()
+	var st Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st = Stats{}
+		if _, err := f(mdl, lab, u, Options{Stats: &st}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.Transitions), "transitions/op")
+}
+
+func BenchmarkTwoLabelSelective(b *testing.B)  { benchSelectiveSolve(b, TwoLabel) }
+func BenchmarkBipartiteSelective(b *testing.B) { benchSelectiveSolve(b, Bipartite) }
+
 // Layer add/merge microbenchmarks: the DP inner-loop primitives. Both must
 // report 0 allocs/op — every buffer is recycled across resets.
 

@@ -17,7 +17,12 @@ import (
 // positions per (label set, role); edges and patterns move monotonically
 // through the situations {uncertain, satisfied, violated}, and the solver
 // only tracks labels appearing in uncertain edges of uncertain patterns
-// (the paper's pruning optimization). Complexity O(m^(qz)).
+// (the paper's pruning optimization) — and of those, only the live ones: an
+// edge reads alpha(l) only when an r-item is inserted and beta(r) only when
+// an l-item is, so a tracker is dropped once no item of the edge's other
+// side remains, and a later item of its own side is checked directly
+// against the surviving opposite tracker. Complexity O(m^(qz)), the qz
+// counting the live trackers of the widest layer.
 //
 // A state is a word vector: the satisfied-constraint bits and dead-pattern
 // bits packed 16 per word, followed by one position word per tracker slot.
@@ -53,22 +58,22 @@ func Bipartite(model *rim.Model, lab *label.Labeling, u pattern.Union, opts Opti
 // tracker slots, the constraint tables, the item-census matrices and the
 // per-step feed lists — everything the executor needs except the Pi rows.
 type bipPlan struct {
-	m, nPats     int
+	m, nPats      int
 	nSlots, nSets int
-	slotIsMin    []bool
-	consEdge     []bool
-	consL, consR []int
-	consSet      []int
-	slotCensus   []int
-	patBits      [][]int
-	match        []bool // step-major: match[i*nSets+si]
-	remaining    []int  // step-major suffix counts: remaining[i*nSets+si]
-	slotMatch    [][]int
-	satW, deadW  int
-	hw, words    int
-	allSat       []uint64
-	allDead      uint32
-	constOne     bool // some pattern is empty: probability is 1
+	slotIsMin     []bool
+	consEdge      []bool
+	consL, consR  []int
+	consSet       []int
+	slotCensus    []int
+	patBits       [][]int
+	match         []bool // step-major: match[i*nSets+si]
+	remaining     []int  // step-major suffix counts: remaining[i*nSets+si]
+	slotMatch     [][]int
+	satW, deadW   int
+	hw, words     int
+	allSat        []uint64
+	allDead       uint32
+	constOne      bool // some pattern is empty: probability is 1
 }
 
 func compileBipartite(pl *bipPlan, a planAlloc, sigma rank.Ranking, lab *label.Labeling, u pattern.Union) error {
@@ -369,10 +374,14 @@ func runBipartite(ar *arena, pl *bipPlan, model *rim.Model, opts Options) (float
 						continue
 					}
 					va, vb := next[consL[bi]], next[consR[bi]]
-					remL := remNow[slotCensus[consL[bi]]]
-					remR := remNow[slotCensus[consR[bi]]]
+					setL, setR := slotCensus[consL[bi]], slotCensus[consR[bi]]
+					remL, remR := remNow[setL], remNow[setR]
 					switch {
-					case va >= 0 && vb >= 0 && va < vb:
+					// The last two cases cover a retired (no longer fed)
+					// tracker: the inserted item itself stands in for it.
+					case va >= 0 && vb >= 0 && va < vb,
+						itemMatches[setL] && vb >= 0 && jj < vb,
+						itemMatches[setR] && va >= 0 && va < jj:
 						nSat |= 1 << uint(bi)
 					case va < 0 && remL == 0, vb < 0 && remR == 0,
 						va >= 0 && vb >= 0 && remL == 0 && remR == 0:
@@ -410,8 +419,14 @@ func runBipartite(ar *arena, pl *bipPlan, model *rim.Model, opts Options) (float
 						if nSat&(1<<uint(bi)) != 0 || !consEdge[bi] {
 							continue
 						}
-						live[consL[bi]] = true
-						live[consR[bi]] = true
+						// A tracker is only read when an item of the
+						// edge's other side is inserted.
+						if remNow[slotCensus[consR[bi]]] > 0 {
+							live[consL[bi]] = true
+						}
+						if remNow[slotCensus[consL[bi]]] > 0 {
+							live[consR[bi]] = true
+						}
 					}
 				}
 				for s := range next {
@@ -525,10 +540,14 @@ func runBipartiteVec(ar *arena, pl *bipPlan, models []*rim.Model, opts Options, 
 						continue
 					}
 					va, vb := next[consL[bi]], next[consR[bi]]
-					remL := remNow[slotCensus[consL[bi]]]
-					remR := remNow[slotCensus[consR[bi]]]
+					setL, setR := slotCensus[consL[bi]], slotCensus[consR[bi]]
+					remL, remR := remNow[setL], remNow[setR]
 					switch {
-					case va >= 0 && vb >= 0 && va < vb:
+					// The last two cases cover a retired (no longer fed)
+					// tracker: the inserted item itself stands in for it.
+					case va >= 0 && vb >= 0 && va < vb,
+						itemMatches[setL] && vb >= 0 && jj < vb,
+						itemMatches[setR] && va >= 0 && va < jj:
 						nSat |= 1 << uint(bi)
 					case va < 0 && remL == 0, vb < 0 && remR == 0,
 						va >= 0 && vb >= 0 && remL == 0 && remR == 0:
@@ -567,8 +586,14 @@ func runBipartiteVec(ar *arena, pl *bipPlan, models []*rim.Model, opts Options, 
 						if nSat&(1<<uint(bi)) != 0 || !consEdge[bi] {
 							continue
 						}
-						live[consL[bi]] = true
-						live[consR[bi]] = true
+						// A tracker is only read when an item of the
+						// edge's other side is inserted.
+						if remNow[slotCensus[consR[bi]]] > 0 {
+							live[consL[bi]] = true
+						}
+						if remNow[slotCensus[consL[bi]]] > 0 {
+							live[consR[bi]] = true
+						}
 					}
 				}
 				for s := range next {

@@ -58,6 +58,10 @@ func detCases(t *testing.T, seed int64) []detCase {
 		add("bipartite-basic", mdl, lab, bip, BipartiteBasic)
 		add("relorder", mdl, lab, dag, RelOrder)
 		add("general", mdl, lab, dag, General)
+		// Walks on which tracker retirement fires mid-walk.
+		rlab, rtwo, rbip := retiringWorld(mdl.Sigma())
+		add("twolabel-retiring", mdl, rlab, rtwo, TwoLabel)
+		add("bipartite-retiring", mdl, rlab, rbip, Bipartite)
 	}
 	return cases
 }

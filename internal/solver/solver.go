@@ -7,10 +7,12 @@
 // Solvers:
 //
 //   - Brute: enumerates all m! rankings; ground truth for tests (m <= 8).
-//   - TwoLabel: Algorithm 3, for unions of two-label patterns; O(m^(2z+1)).
+//   - TwoLabel: Algorithm 3, for unions of two-label patterns; O(m^(2z+1)),
+//     where the 2z counts live trackers only (a tracker is retired once no
+//     item of the other side of its patterns remains to be inserted).
 //   - Bipartite: Algorithm 4, for unions of bipartite patterns (and, under
 //     constraint semantics, for the upper-bound patterns of the top-k
-//     optimization); O(m^(qz)).
+//     optimization); O(m^(qz)), the qz likewise counting live trackers.
 //   - General: inclusion-exclusion over pattern conjunctions (Equation 3);
 //     the paper's baseline.
 //   - RelOrder: exact inference for arbitrary DAG patterns by dynamic
@@ -46,9 +48,13 @@ type Options struct {
 	// MaxInvolved bounds the number of involved items RelOrder will track
 	// (default 12).
 	MaxInvolved int
-	// NoTrackerDrop disables the bipartite solver's
-	// only-track-uncertain-labels optimization (ablation; results are
-	// unchanged, state spaces grow).
+	// NoTrackerDrop keeps every min/max position tracker in the DP state to
+	// the last insertion step: it disables tracker retirement in TwoLabel
+	// and Bipartite (a tracker is dropped once no item of the other side of
+	// its patterns remains to be inserted) and Bipartite's
+	// only-track-uncertain-labels pruning. Ablation switch and the
+	// reference walk of the solver tests: results agree to the last ulps,
+	// state spaces grow.
 	NoTrackerDrop bool
 	// Stats, when non-nil, receives execution statistics.
 	Stats *Stats

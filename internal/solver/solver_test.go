@@ -16,15 +16,7 @@ const tol = 1e-9
 
 // randWorld builds a random labeling over m items and numLabels labels.
 func randWorld(rng *rand.Rand, m, numLabels int) *label.Labeling {
-	lab := label.NewLabeling()
-	for it := 0; it < m; it++ {
-		for l := 0; l < numLabels; l++ {
-			if rng.Float64() < 0.4 {
-				lab.Add(rank.Item(it), label.Label(l))
-			}
-		}
-	}
-	return lab
+	return sparseWorld(rng, m, numLabels, 0.4)
 }
 
 // randModel builds a random RIM model (not necessarily Mallows).

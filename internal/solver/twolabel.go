@@ -15,14 +15,20 @@ import (
 // position of each L-type label set (alpha) and the maximum position of each
 // R-type label set (beta); a state violates pattern i while alpha(l_i) >=
 // beta(r_i), and only violating states are kept. The answer is one minus the
-// surviving probability mass. Complexity O(m^(2z+1)).
+// surviving probability mass. Complexity O(m^(2z+1)), the 2z counting the
+// live trackers of the widest layer.
 //
 // States are vectors of one position word per tracker slot (absent = -1),
 // held in the packed layer representation of state.go and expanded through
-// the shared (and, for large layers, parallel) driver of layer.go. The
-// solver is split into a session-independent compile half (tracker slots,
-// pattern slot pairs, per-step feed lists) and an executor that only reads
-// the session's Pi rows; see plan.go.
+// the shared (and, for large layers, parallel) driver of layer.go. A
+// tracker's position is only ever read when an item of the other side of one
+// of its patterns is inserted, so a tracker is retired — reset to absent
+// before the successor is emitted, which merges the states that differed
+// only in it — from the last step that feeds such a partner on (see retire
+// in twoLabelPlan; Options.NoTrackerDrop keeps every tracker to the end).
+// The solver is split into a session-independent compile half (tracker
+// slots, pattern slot pairs, per-step feed and retire lists) and an executor
+// that only reads the session's Pi rows; see plan.go.
 func TwoLabel(model *rim.Model, lab *label.Labeling, u pattern.Union, opts Options) (float64, error) {
 	if len(u) == 0 {
 		return 0, nil
@@ -40,9 +46,17 @@ func TwoLabel(model *rim.Model, lab *label.Labeling, u pattern.Union, opts Optio
 // everything the executor needs except the Pi rows.
 type twoLabelPlan struct {
 	m, n       int
-	patL, patR []int  // per pattern, alpha/beta tracker slot indices
-	slotIsMin  []bool // per slot, role (min = alpha, max = beta)
+	patL, patR []int   // per pattern, alpha/beta tracker slot indices
+	slotIsMin  []bool  // per slot, role (min = alpha, max = beta)
 	feeds      [][]int // per insertion step, slots fed by the inserted item
+	// retire lists, per insertion step, the slots to reset to absent before
+	// the step's successors are emitted: no later item feeds the other slot
+	// of any pattern using them, so nothing will read their position again.
+	// A slot appears at the last step that feeds one of its partners (every
+	// step it is fed, if none ever does) and at each later step that feeds
+	// it — there it is set for that step's check only; in between it stays
+	// absent. Marginalising a position nothing reads is exact.
+	retire [][]int
 }
 
 func compileTwoLabel(pl *twoLabelPlan, a planAlloc, sigma rank.Ranking, lab *label.Labeling, u pattern.Union) error {
@@ -98,10 +112,47 @@ func compileTwoLabel(pl *twoLabelPlan, a planAlloc, sigma rank.Ranking, lab *lab
 		}
 		feeds[i] = feedBacking[lo:len(feedBacking):len(feedBacking)]
 	}
+
+	// lastRead[s] is the last step whose item feeds the other slot of a
+	// pattern using s — the last step that reads s — or -1.
+	lastRead := a.ints(n)
+	for s := range lastRead {
+		lastRead[s] = -1
+	}
+	for i, feed := range feeds {
+		for _, s := range feed {
+			for pi := range patL {
+				if patL[pi] == s {
+					lastRead[patR[pi]] = i
+				}
+				if patR[pi] == s {
+					lastRead[patL[pi]] = i
+				}
+			}
+		}
+	}
+	retire := a.intSlices(m)
+	retireBacking := a.ints(nFeed + n)[:0]
+	for i, feed := range feeds {
+		lo := len(retireBacking)
+		for s := 0; s < n; s++ {
+			if lastRead[s] == i {
+				retireBacking = append(retireBacking, s)
+			}
+		}
+		for _, s := range feed {
+			if lastRead[s] < i {
+				retireBacking = append(retireBacking, s)
+			}
+		}
+		retire[i] = retireBacking[lo:len(retireBacking):len(retireBacking)]
+	}
+
 	pl.m, pl.n = m, n
 	pl.patL, pl.patR = patL, patR
 	pl.slotIsMin = slotIsMin
 	pl.feeds = feeds
+	pl.retire = retire
 	return nil
 }
 
@@ -126,9 +177,10 @@ func runTwoLabel(ar *arena, pl *twoLabelPlan, model *rim.Model, opts Options) (f
 	// The expand closure is built once; the step loop only rebinds the
 	// per-step variables it captures.
 	var (
-		piRow []float64
-		feed  []int
-		steps int
+		piRow  []float64
+		feed   []int
+		retire []int
+		steps  int
 	)
 	packed := n <= packedWords
 	piPrefix := ar.prefix(m + 2)
@@ -235,6 +287,9 @@ func runTwoLabel(ar *arena, pl *twoLabelPlan, model *rim.Model, opts Options) (f
 			if satisfied {
 				continue
 			}
+			for _, s := range retire {
+				next[s] = absent
+			}
 			if packed {
 				em.emit64(packWords(next), q*piRow[j])
 			} else {
@@ -247,6 +302,9 @@ func runTwoLabel(ar *arena, pl *twoLabelPlan, model *rim.Model, opts Options) (f
 			return 0, err
 		}
 		piRow, feed, steps = model.PiRow(i), pl.feeds[i], i+1
+		if !opts.NoTrackerDrop {
+			retire = pl.retire[i]
+		}
 		if len(feed) == 0 {
 			// Prefix sums of the insertion row for gap merging.
 			piPrefix[0] = 0
@@ -296,10 +354,11 @@ func runTwoLabelVec(ar *arena, pl *twoLabelPlan, models []*rim.Model, opts Optio
 	}
 
 	var (
-		feed  []int
-		steps int
-		wj    []float64 // j-major per-lane weights for feed steps
-		pp    []float64 // j-major per-lane Pi prefix sums for gap steps
+		feed   []int
+		retire []int
+		steps  int
+		wj     []float64 // j-major per-lane weights for feed steps
+		pp     []float64 // j-major per-lane Pi prefix sums for gap steps
 	)
 	packed := n <= packedWords
 	wbuf := ar.floats(S * (m + 2))
@@ -400,6 +459,9 @@ func runTwoLabelVec(ar *arena, pl *twoLabelPlan, models []*rim.Model, opts Optio
 			if satisfied {
 				continue
 			}
+			for _, s := range retire {
+				next[s] = absent
+			}
 			var dst []float64
 			if packed {
 				dst = em.window64(packWords(next))
@@ -417,6 +479,9 @@ func runTwoLabelVec(ar *arena, pl *twoLabelPlan, models []*rim.Model, opts Optio
 			return err
 		}
 		feed, steps = pl.feeds[i], i+1
+		if !opts.NoTrackerDrop {
+			retire = pl.retire[i]
+		}
 		if len(feed) == 0 {
 			pp = wbuf[:(steps+1)*S]
 			clear(pp[:S])

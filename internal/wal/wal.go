@@ -77,9 +77,21 @@ var (
 	ErrFormat = errors.New("wal: malformed segment")
 	// ErrClosed reports an operation on a closed log.
 	ErrClosed = errors.New("wal: log closed")
+	// ErrSyncFailed reports a log that failed closed because an fsync
+	// failed. After a failed fsync the kernel may drop the dirty pages and
+	// clear the error, so a retried fsync can report success for data that
+	// never reached the disk; the first failure is therefore sticky: it
+	// fails the append that ran into it and every later Append, Sync and
+	// rotation, each wrapping this error and the fsync's own. Close still
+	// closes the file; reopening the directory starts from what is on disk.
+	ErrSyncFailed = errors.New("wal: fsync failed, log failed closed")
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
+
+// syncFile is the fsync the log issues. Only tests assign it, to inject a
+// failing fsync.
+var syncFile = (*os.File).Sync
 
 // SyncPolicy selects when Append makes records durable.
 type SyncPolicy int
@@ -178,7 +190,8 @@ type Log struct {
 	dirty      bool // writes not yet fsynced
 	lastSync   time.Time
 	closed     bool
-	tornRepair int // torn-tail truncations performed by Open
+	failed     error // sticky: the first fsync failure (see ErrSyncFailed)
+	tornRepair int   // torn-tail truncations performed by Open
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -297,7 +310,9 @@ func (l *Log) openSegmentLocked() error {
 // Append writes one record and returns its sequence number. With
 // SyncAlways the record is durable when Append returns; the other policies
 // trade that guarantee for throughput. Concurrent appends serialize;
-// sequence numbers are assigned in write order.
+// sequence numbers are assigned in write order. Once an fsync has failed —
+// under this Append, an earlier one, Sync or the background flusher — every
+// Append fails with ErrSyncFailed.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	if len(payload) > maxRecordLen {
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", len(payload), maxRecordLen)
@@ -306,6 +321,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, ErrClosed
+	}
+	if l.failed != nil {
+		return 0, l.failed
 	}
 	rec := int64(recHeaderSize + len(payload))
 	if l.activeSeg.size > segHeaderSize && l.activeSeg.size+rec > l.opts.SegmentBytes {
@@ -359,13 +377,19 @@ func (l *Log) rotateLocked() error {
 	return l.openSegmentLocked()
 }
 
-// syncLocked fsyncs the active segment; l.mu must be held.
+// syncLocked fsyncs the active segment; l.mu must be held. The first
+// failure fails the log closed (see ErrSyncFailed): it is returned from
+// here on, without another fsync.
 func (l *Log) syncLocked() error {
+	if l.failed != nil {
+		return l.failed
+	}
 	if !l.dirty {
 		return nil
 	}
-	if err := l.active.Sync(); err != nil {
-		return err
+	if err := syncFile(l.active); err != nil {
+		l.failed = fmt.Errorf("%w: %w", ErrSyncFailed, err)
+		return l.failed
 	}
 	l.dirty = false
 	l.lastSync = time.Now()
@@ -395,14 +419,16 @@ func (l *Log) flushLoop() {
 		case <-t.C:
 			l.mu.Lock()
 			if !l.closed {
-				l.syncLocked() // best-effort; the next Append surfaces errors
+				_ = l.syncLocked() // a failure sticks: the next Append returns it
 			}
 			l.mu.Unlock()
 		}
 	}
 }
 
-// Close syncs and closes the log. Further appends fail with ErrClosed.
+// Close syncs and closes the log. Further appends fail with ErrClosed. The
+// file is closed even when the sync fails or the log had failed closed; the
+// error says so.
 func (l *Log) Close() error {
 	l.stopOnce.Do(func() { close(l.stop) })
 	l.wg.Wait()

@@ -587,3 +587,104 @@ func TestRecordChecksumMatchesSpec(t *testing.T) {
 		t.Fatalf("record CRC = %x, want CRC-64/ECMA %x", got, want)
 	}
 }
+
+// A failed fsync must fail the log closed: the kernel may have dropped the
+// dirty pages, so a retried append whose fsync "succeeds" would acknowledge
+// data that is not on disk. Every later Append, Sync and rotation returns
+// the first failure; Close still closes the file.
+func TestFsyncFailureFailsLogClosed(t *testing.T) {
+	dir := t.TempDir()
+	// 70-byte segments hold the header and the first two records: the
+	// third append, the retry, would rotate.
+	l, err := Open(dir, Options{Sync: SyncAlways, SegmentBytes: 70})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 1)
+	eio := errors.New("injected EIO")
+	FailSyncs(t, 1, eio)
+
+	if _, err := l.Append([]byte("lost")); !errors.Is(err, eio) || !errors.Is(err, ErrSyncFailed) {
+		t.Fatalf("append over a failing fsync: err = %v, want ErrSyncFailed wrapping the cause", err)
+	}
+	// fsync works again from here on; the log must not.
+	if seq, err := l.Append([]byte("retry")); !errors.Is(err, eio) || !errors.Is(err, ErrSyncFailed) {
+		t.Fatalf("retried append: seq %d, err = %v, want the sticky fsync failure", seq, err)
+	}
+	if err := l.Sync(); !errors.Is(err, eio) {
+		t.Fatalf("Sync after a failed fsync: err = %v, want the sticky failure", err)
+	}
+	if got := l.Segments(); got != 1 {
+		t.Fatalf("failed log rotated: %d segments", got)
+	}
+	if err := l.Close(); !errors.Is(err, eio) {
+		t.Fatalf("Close: err = %v, want the sticky failure", err)
+	}
+	if _, err := l.Append([]byte("x")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("append after Close: err = %v, want ErrClosed", err)
+	}
+	// Close released the file: the directory reopens, and whatever reached
+	// the disk replays without a format error.
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopening after a failed-closed log: %v", err)
+	}
+	defer l2.Close()
+	if recs := collect(t, dir); len(recs) == 0 || string(recs[0].Payload) != "rec-1" {
+		t.Fatalf("acknowledged record missing after reopen: %v", recs)
+	}
+}
+
+// Under SyncNever Append never fsyncs, and the background flusher of
+// SyncInterval used to drop its error: both must still see a failure that
+// Sync or the flusher ran into.
+func TestFsyncFailureSticksAcrossPolicies(t *testing.T) {
+	eio := errors.New("injected EIO")
+	t.Run("never", func(t *testing.T) {
+		l, err := Open(t.TempDir(), Options{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		appendN(t, l, 1)
+		FailSyncs(t, 1, eio)
+		if err := l.Sync(); !errors.Is(err, eio) {
+			t.Fatalf("Sync: err = %v, want the injected failure", err)
+		}
+		if _, err := l.Append([]byte("x")); !errors.Is(err, eio) {
+			t.Fatalf("append after a failed Sync: err = %v, want the sticky failure", err)
+		}
+	})
+	t.Run("interval flusher", func(t *testing.T) {
+		calls := FailSyncs(t, 1, eio)
+		l, err := Open(t.TempDir(), Options{Sync: SyncInterval, SyncEvery: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		// A zero lastSync would make the append below sync inline; push it
+		// out so that the fsync that fails is the flusher's.
+		l.mu.Lock()
+		l.lastSync = time.Now().Add(time.Hour)
+		l.mu.Unlock()
+		if _, err := l.Append([]byte("dirty")); err != nil {
+			t.Fatalf("append before the flusher ran: %v", err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			l.mu.Lock()
+			n := *calls
+			l.mu.Unlock()
+			if n > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("flusher never synced")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if _, err := l.Append([]byte("x")); !errors.Is(err, eio) {
+			t.Fatalf("append after the flusher's fsync failed: err = %v, want the sticky failure", err)
+		}
+	})
+}
