@@ -5,34 +5,79 @@ import (
 	"probpref/internal/rank"
 )
 
-// Matches reports whether (tau, lambda) |= g: there exists an embedding of
-// the pattern nodes into positions of tau such that labels and edges match
-// (Section 2.3).
-//
-// The test computes the greedy earliest embedding: processing nodes in
-// topological order, each node takes the earliest position whose item carries
-// the node's labels and that lies strictly after every predecessor's
-// position. By a standard exchange argument the greedy positions are a lower
-// bound on any valid embedding, so an embedding exists iff the greedy
-// embedding completes. Runs in O(q * m).
-func (p *Pattern) Matches(tau rank.Ranking, lab *label.Labeling) bool {
-	// Allocation-free variant of GreedyEmbedding for the solver inner loops:
-	// same greedy earliest embedding, positions kept in a stack buffer.
+// Matcher is a pattern union compiled against a labeling over the items
+// 0..m-1: every pattern node's label set is resolved once to a per-item
+// membership row, so that testing a ranking costs array reads instead of a
+// labeling lookup and a label-set merge per position. Sampling and
+// enumeration loops compile once per (union, labeling) and call Matches per
+// ranking. A Matcher is immutable and may be shared between goroutines.
+type Matcher struct {
+	pats     []matchPattern
+	maxNodes int
+}
+
+// matchPattern is one compiled member of the union. topo and preds are the
+// pattern's own (shared, read-only).
+type matchPattern struct {
+	topo  []int
+	preds [][]int
+	has   [][]bool // has[v][x]: item x carries every label of node v
+}
+
+// CompileMatcher compiles u against lab for rankings over the items 0..m-1
+// (sub-rankings included). An item outside that range matches no node.
+func CompileMatcher(u Union, lab *label.Labeling, m int) *Matcher {
+	mt := &Matcher{pats: make([]matchPattern, len(u)), maxNodes: u.MaxNodes()}
+	for gi, g := range u {
+		rows := make([]bool, len(g.nodes)*m)
+		has := make([][]bool, len(g.nodes))
+		for v, n := range g.nodes {
+			has[v], rows = rows[:m:m], rows[m:]
+			for x := range has[v] {
+				has[v][x] = lab.HasAll(rank.Item(x), n.Labels)
+			}
+		}
+		mt.pats[gi] = matchPattern{topo: g.topo, preds: g.preds, has: has}
+	}
+	return mt
+}
+
+// Matches reports whether tau matches at least one pattern of the compiled
+// union. It allocates nothing unless a member has more than 16 nodes.
+func (mt *Matcher) Matches(tau rank.Ranking) bool {
 	var buf [16]int
 	pos := buf[:]
-	if len(p.nodes) > len(buf) {
-		pos = make([]int, len(p.nodes))
+	if mt.maxNodes > len(buf) {
+		pos = make([]int, mt.maxNodes)
 	}
-	for _, v := range p.topo {
+	for gi := range mt.pats {
+		if mt.pats[gi].embed(tau, pos) {
+			return true
+		}
+	}
+	return false
+}
+
+// embed computes the greedy earliest embedding of the pattern into tau:
+// processing nodes in topological order, each node takes the earliest
+// position whose item carries the node's labels and that lies strictly
+// after every predecessor's position. It writes the positions to pos
+// (indexed by node) and reports whether the embedding completed. By a
+// standard exchange argument the greedy positions are a lower bound on any
+// valid embedding, so an embedding exists iff the greedy one completes.
+// Runs in O(q * m).
+func (g *matchPattern) embed(tau rank.Ranking, pos []int) bool {
+	for _, v := range g.topo {
 		lowest := 0
-		for _, u := range p.preds[v] {
+		for _, u := range g.preds[v] {
 			if pos[u]+1 > lowest {
 				lowest = pos[u] + 1
 			}
 		}
+		has := g.has[v]
 		found := -1
 		for q := lowest; q < len(tau); q++ {
-			if lab.HasAll(tau[q], p.nodes[v].Labels) {
+			if x := tau[q]; uint(x) < uint(len(has)) && has[x] {
 				found = q
 				break
 			}
@@ -45,41 +90,25 @@ func (p *Pattern) Matches(tau rank.Ranking, lab *label.Labeling) bool {
 	return true
 }
 
-// GreedyEmbedding returns the earliest embedding positions (0-based, indexed
-// by node), or ok=false when no embedding exists.
-func (p *Pattern) GreedyEmbedding(tau rank.Ranking, lab *label.Labeling) ([]int, bool) {
-	preds := p.Preds()
-	pos := make([]int, len(p.nodes))
-	for _, v := range p.TopoOrder() {
-		lowest := 0 // earliest admissible position
-		for _, u := range preds[v] {
-			if pos[u]+1 > lowest {
-				lowest = pos[u] + 1
-			}
-		}
-		found := -1
-		for q := lowest; q < len(tau); q++ {
-			if lab.HasAll(tau[q], p.nodes[v].Labels) {
-				found = q
-				break
-			}
-		}
-		if found < 0 {
-			return nil, false
-		}
-		pos[v] = found
-	}
-	return pos, true
+// Matches reports whether (tau, lambda) |= g: there exists an embedding of
+// the pattern nodes into positions of tau such that labels and edges match
+// (Section 2.3). It is the one-shot form of CompileMatcher + Matches: it
+// compiles the pattern for this one ranking, so a loop over rankings should
+// compile once instead.
+func (p *Pattern) Matches(tau rank.Ranking, lab *label.Labeling) bool {
+	return Union{p}.Matches(tau, lab)
 }
 
-// Matches reports whether tau matches at least one pattern of the union.
+// Matches reports whether tau matches at least one pattern of the union;
+// one-shot like Pattern.Matches.
 func (u Union) Matches(tau rank.Ranking, lab *label.Labeling) bool {
-	for _, g := range u {
-		if g.Matches(tau, lab) {
-			return true
+	m := 0
+	for _, x := range tau {
+		if int(x) >= m {
+			m = int(x) + 1
 		}
 	}
-	return false
+	return CompileMatcher(u, lab, m).Matches(tau)
 }
 
 // MinPos returns alpha(labels | tau): the minimum (0-based) position of an

@@ -111,8 +111,8 @@ func TestMatchesExample23(t *testing.T) {
 	if !g.Matches(tau, lab) {
 		t.Fatal("pattern F > M should match")
 	}
-	emb, ok := g.GreedyEmbedding(tau, lab)
-	if !ok || emb[0] != 1 || emb[1] != 2 {
+	emb := make([]int, g.NumNodes())
+	if ok := CompileMatcher(Union{g}, lab, len(tau)).pats[0].embed(tau, emb); !ok || emb[0] != 1 || emb[1] != 2 {
 		t.Fatalf("greedy embedding = %v (ok=%v), want [1 2]", emb, ok)
 	}
 	// The reverse pattern M > F also matches (Trump before Clinton).

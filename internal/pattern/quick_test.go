@@ -117,3 +117,106 @@ func TestUnmatchableNode(t *testing.T) {
 		return true
 	})
 }
+
+// refMatches is the uncompiled union test as it ran before CompileMatcher:
+// per pattern, the greedy earliest embedding with every membership question
+// put to the labeling (a map lookup and a sorted-set merge per position).
+// The compiled matcher must answer as it does.
+func refMatches(u Union, tau rank.Ranking, lab *label.Labeling) bool {
+	for _, p := range u {
+		pos := make([]int, len(p.nodes))
+		ok := true
+		for _, v := range p.topo {
+			lowest := 0
+			for _, w := range p.preds[v] {
+				if pos[w]+1 > lowest {
+					lowest = pos[w] + 1
+				}
+			}
+			found := -1
+			for q := lowest; q < len(tau); q++ {
+				if lab.HasAll(tau[q], p.nodes[v].Labels) {
+					found = q
+					break
+				}
+			}
+			if found < 0 {
+				ok = false
+				break
+			}
+			pos[v] = found
+		}
+		if ok {
+			return true
+		}
+	}
+	return false
+}
+
+// Property: a compiled Matcher, and the one-shot wrappers over it, answer
+// every ranking as the uncompiled test did — on unions of small random
+// patterns, on patterns wider than the matcher's 16-node stack buffer, with
+// labels no item carries (numLabels above the world's) and empty label sets,
+// over full rankings and sub-rankings.
+func TestMatcherAgreesWithUncompiled(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	matched, wide := 0, 0
+	for trial := 0; trial < 600; trial++ {
+		m := 3 + rng.Intn(10)
+		w := randomWorld(rng, m, 4)
+		u := make(Union, 1+rng.Intn(3))
+		for i := range u {
+			q := 1 + rng.Intn(4)
+			if trial%6 == 0 {
+				q = 17 + rng.Intn(4)
+			}
+			// Two labels beyond the world's four: carried by no item.
+			u[i] = randomPattern(rng, q, 4+2*(trial%2))
+		}
+		if trial%10 == 0 {
+			u = append(u, MustNew([]Node{{}, {Labels: label.NewSet(1)}}, [][2]int{{0, 1}}))
+		}
+		if u.MaxNodes() > 16 {
+			wide++
+		}
+		mt := CompileMatcher(u, w.lab, m)
+		for draw := 0; draw < 20; draw++ {
+			tau := make(rank.Ranking, m)
+			for i, v := range rng.Perm(m) {
+				tau[i] = rank.Item(v)
+			}
+			tau = tau[:1+rng.Intn(m)] // sub-rankings too
+			want := refMatches(u, tau, w.lab)
+			if want {
+				matched++
+			}
+			if got := mt.Matches(tau); got != want {
+				t.Fatalf("trial %d: Matcher.Matches(%v) = %v, uncompiled %v\n union %v", trial, tau, got, want, u)
+			}
+			if got := u.Matches(tau, w.lab); got != want {
+				t.Fatalf("trial %d: Union.Matches(%v) = %v, uncompiled %v\n union %v", trial, tau, got, want, u)
+			}
+			if got, want := u[0].Matches(tau, w.lab), refMatches(u[:1], tau, w.lab); got != want {
+				t.Fatalf("trial %d: Pattern.Matches(%v) = %v, uncompiled %v\n pattern %v", trial, tau, got, want, u[0])
+			}
+		}
+	}
+	if matched < 1000 || wide < 50 {
+		t.Fatalf("weak coverage: %d matching rankings, %d unions wider than 16 nodes", matched, wide)
+	}
+}
+
+// A compiled matcher never indexes past the universe it was compiled for:
+// an item it has not seen matches nothing.
+func TestMatcherItemOutOfRange(t *testing.T) {
+	lab := label.NewLabeling()
+	lab.Add(0, 0)
+	lab.Add(5, 0)
+	mt := CompileMatcher(Union{MustNew([]Node{{Labels: label.NewSet(0)}}, nil)}, lab, 3)
+	if !mt.Matches(rank.Ranking{2, 0}) {
+		t.Fatal("item 0 carries the label")
+	}
+	if mt.Matches(rank.Ranking{5, 2, -1}) {
+		t.Fatal("items outside 0..2 must match nothing")
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 
 	"probpref/internal/consensus"
+	"probpref/internal/label"
+	"probpref/internal/pattern"
 	"probpref/internal/rank"
 )
 
@@ -106,15 +108,15 @@ func (e *Engine) consensusRoute(ctx context.Context, m, sessions int) (bool, err
 // the rankings matching the session's grounded union.
 func (e *Engine) consensusExactRows(ctx context.Context, gr *Grounded, cr *CompiledRequest) ([]consensus.Row, error) {
 	m := e.DB.M()
-	lab := e.DB.Labeling()
+	matchers := groupMatchers(gr, e.DB.Labeling(), m)
 	var rows []consensus.Row
 	for li, ls := range gr.Live {
 		if li&7 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+			if ctx.Err() != nil {
+				return nil, context.Cause(ctx)
 			}
 		}
-		s, u := ls.Session, gr.Groups[ls.Group].Union
+		s, mt := ls.Session, matchers[ls.Group]
 		row := consensus.Row{Session: s.Key}
 		switch cr.Target {
 		case consensus.TargetMedian:
@@ -128,13 +130,13 @@ func (e *Engine) consensusExactRows(ctx context.Context, gr *Grounded, cr *Compi
 		count := 0
 		rank.ForEachPermutation(m, func(tau rank.Ranking) bool {
 			if count&1023 == 0 {
-				if err := ctx.Err(); err != nil {
-					stop = err
+				if ctx.Err() != nil {
+					stop = context.Cause(ctx)
 					return false
 				}
 			}
 			count++
-			if !u.Matches(tau, lab) {
+			if !mt.Matches(tau) {
 				return true
 			}
 			p := s.Model.Prob(tau)
@@ -179,18 +181,19 @@ func (e *Engine) consensusExactRows(ctx context.Context, gr *Grounded, cr *Compi
 // process and the sharded coordinator.
 func (e *Engine) consensusSampledRows(ctx context.Context, gr *Grounded, cr *CompiledRequest) ([]consensus.Row, error) {
 	m := e.DB.M()
-	lab := e.DB.Labeling()
+	matchers := groupMatchers(gr, e.DB.Labeling(), m)
 	draws := e.RejectionN
 	if draws <= 0 {
 		draws = DefaultConsensusDraws
 	}
 	baseSeed := e.rng().Int63()
 	var rows []consensus.Row
+	var tau rank.Ranking // one draw buffer for every session
 	for _, ls := range gr.Live {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if ctx.Err() != nil {
+			return nil, context.Cause(ctx)
 		}
-		s, u := ls.Session, gr.Groups[ls.Group].Union
+		s, mt := ls.Session, matchers[ls.Group]
 		rng := rand.New(rand.NewSource(sessionSeed(baseSeed, s.Key)))
 		row := consensus.Row{Session: s.Key, Sampled: true, Draws: int64(draws)}
 		switch cr.Target {
@@ -203,12 +206,12 @@ func (e *Engine) consensusSampledRows(ctx context.Context, gr *Grounded, cr *Com
 		}
 		for d := 0; d < draws; d++ {
 			if d&511 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
+				if ctx.Err() != nil {
+					return nil, context.Cause(ctx)
 				}
 			}
-			tau := s.Model.Sample(rng)
-			if !u.Matches(tau, lab) {
+			tau = s.Model.SampleInto(rng, tau)
+			if !mt.Matches(tau) {
 				continue
 			}
 			row.Accepts++
@@ -232,6 +235,24 @@ func (e *Engine) consensusSampledRows(ctx context.Context, gr *Grounded, cr *Com
 		}
 	}
 	return rows, nil
+}
+
+// groupMatchers compiles the union of every group of gr against lab, once
+// per request: the row builders test thousands of rankings per session, a
+// group's sessions share its matcher, and so do the groups that differ in
+// their model alone.
+func groupMatchers(gr *Grounded, lab *label.Labeling, m int) []*pattern.Matcher {
+	mts := make([]*pattern.Matcher, len(gr.Groups))
+	byUnion := make(map[string]*pattern.Matcher)
+	for g, grp := range gr.Groups {
+		mt, ok := byUnion[grp.id.union]
+		if !ok {
+			mt = pattern.CompileMatcher(grp.Union, lab, m)
+			byUnion[grp.id.union] = mt
+		}
+		mts[g] = mt
+	}
+	return mts
 }
 
 // sessionSeed derives a session's sampling seed from the request-level

@@ -2,6 +2,7 @@ package ppd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -228,6 +229,33 @@ func TestConsensusExactCap(t *testing.T) {
 	again := doConsensus(t, &Engine{DB: db, Method: MethodAuto, Rng: rand.New(rand.NewSource(2)), RejectionN: 200}, req)
 	if res.Ranking.Key() != again.Ranking.Key() || res.ExpectedTau != again.ExpectedTau {
 		t.Error("sampled local-search median not deterministic under a fixed seed")
+	}
+}
+
+// TestConsensusRowsReturnCancelCause: both row builders stop on a done
+// context with its cause, like every other evaluation and sampling loop —
+// not with the bare context.Canceled that hides why a request was dropped.
+func TestConsensusRowsReturnCancelCause(t *testing.T) {
+	db := figure1DB(t)
+	eng := &Engine{DB: db, Rng: rand.New(rand.NewSource(1))}
+	cr, err := consensusReq(consensus.TargetMedian, 0).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr, err := eng.ground(context.Background(), cr.Union)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cause := errors.New("client went away")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	for name, rows := range map[string]func(context.Context, *Grounded, *CompiledRequest) ([]consensus.Row, error){
+		"exact":   eng.consensusExactRows,
+		"sampled": eng.consensusSampledRows,
+	} {
+		if _, err := rows(ctx, gr, cr); err != cause {
+			t.Errorf("%s rows on a cancelled context: error %v, want the cause %v", name, err, cause)
+		}
 	}
 }
 

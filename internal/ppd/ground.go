@@ -34,6 +34,9 @@ type Grounder struct {
 	// spells out its nodes and edges, so equal keys mean identical
 	// patterns and sharing cannot change an answer.
 	patterns map[string]*pattern.Pattern
+	// world is the per-session matcher table of the possible-world helpers
+	// (see worldMatchers); nil until HoldsIn or CountIn first runs.
+	world []*pattern.Matcher
 }
 
 // NewGrounder validates the query against the database and prepares the

@@ -1,0 +1,208 @@
+package ppd_test
+
+import (
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"math"
+	"sort"
+	"strings"
+	"testing"
+
+	"probpref/internal/consensus"
+	"probpref/internal/dataset"
+	"probpref/internal/ppd"
+)
+
+// The sampled tier answers from seeds: a request with an explicit seed has
+// one answer, which the solve cache keeps, the coordinator merges byte for
+// byte and the benchmark's accuracy metrics are computed from. These tests
+// pin that answer across the whole stack — grounding, grouping, the
+// per-group and per-session seed derivation, the draw–match–weigh kernel,
+// the adaptive planner's routing and the consensus rows — to constants
+// recorded before the kernel replaced the allocating loops, so a change
+// below that moves a single draw or a single rounding shows here.
+
+const (
+	kernelQueryHead = `P(_, _; l; r), C(l, D, j, 20, _, _), C(r, D, j, 30, _, _)`
+	kernelQueryMid  = `P(_, _; l; r), C(l, j, _, 40, _, _), C(r, j, F, _, _, SW)`
+	// A chain two sessions satisfy so rarely that 512 rejection draws see no
+	// hit: under a starved budget the adaptive planner answers them through
+	// its MIS-AMP fallback.
+	kernelQueryRare = `P(_, _; "cand00"; "cand01"), P(_, _; "cand01"; "cand18")`
+)
+
+// kernelDigest folds everything a sampled answer reports into one string:
+// every float by its bits, the plan counters, and the consensus rows.
+func kernelDigest(resp *ppd.Response) string {
+	var b strings.Builder
+	bits := func(x float64) { fmt.Fprintf(&b, "%016x.", math.Float64bits(x)) }
+	bits(resp.Prob)
+	bits(resp.Count)
+	for _, sp := range resp.PerSession {
+		fmt.Fprintf(&b, "%s=", strings.Join(sp.Session.Key, "/"))
+		bits(sp.Prob)
+	}
+	fmt.Fprintf(&b, "|solves=%d", resp.Solves)
+	if p := resp.Plan; p != nil {
+		fmt.Fprintf(&b, "|plan=%d,%d,%d,", p.ExactGroups, p.SampledGroups, p.Samples)
+		bits(p.MaxHalfWidth)
+		bits(p.ProbHalfWidth)
+		bits(p.CountHalfWidth)
+		names := make([]string, 0, len(p.Methods))
+		for name := range p.Methods {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Fprintf(&b, "%s:%d,", name, p.Methods[name])
+		}
+	}
+	if c := resp.Consensus; c != nil {
+		fmt.Fprintf(&b, "|consensus=%v,%v,%d,%d,", c.Ranking, c.Items, c.Samples, c.Accepts)
+		bits(c.ExpectedTau)
+		for _, row := range c.Rows {
+			fmt.Fprintf(&b, "%s:%v,%d,%d,%v,%v;", strings.Join(row.Session, "/"), row.Sampled, row.Draws, row.Accepts, row.PairN, row.TopN)
+		}
+	}
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))[:16]
+}
+
+func TestSampledAnswersBitIdentical(t *testing.T) {
+	db, err := dataset.Polls(dataset.PollsConfig{Candidates: 20, Voters: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(q string, m ppd.Method, seed int64) ppd.Request {
+		return ppd.Request{Kind: ppd.KindCount, Query: q, Method: m, Seed: seed}
+	}
+	cases := []struct {
+		name   string
+		req    ppd.Request
+		budget float64 // Engine.AdaptiveBudget; 0 keeps the default
+		// Per Workers value (1, 4): the Count-Session estimate (consensus:
+		// the accepted draws), the plan's count half-width (adaptive only)
+		// and the digest of the whole response.
+		count     [2]float64
+		halfWidth [2]float64
+		digest    [2]string
+	}{
+		{name: "rejection", req: count(kernelQueryHead, ppd.MethodRejection, 11),
+			count:  [2]float64{4.7255, 4.726100000000001},
+			digest: [2]string{"d0da4dfbfda3dc3d", "cdadcebd58385ab8"}},
+		{name: "rejection-mid", req: count(kernelQueryMid, ppd.MethodRejection, 12),
+			count:  [2]float64{1.4856999999999998, 1.4833999999999998},
+			digest: [2]string{"e6ff4e4e521d483d", "8cfb540ad756370b"}},
+		{name: "mis-lite", req: count(kernelQueryHead, ppd.MethodMISLite, 13),
+			count:  [2]float64{4.8717616464415565, 4.893919347396586},
+			digest: [2]string{"eb2c0b5e62e6a7e2", "5dce712332ebcd57"}},
+		{name: "mis-lite-mid", req: count(kernelQueryMid, ppd.MethodMISLite, 14),
+			count:  [2]float64{1.9353960282636589, 1.954427517404},
+			digest: [2]string{"5c4adb299404fe85", "3d5ee70fb3109f33"}},
+		{name: "mis-adaptive", req: count(kernelQueryMid, ppd.MethodMISAdaptive, 15),
+			count:  [2]float64{1.6256586614452537, 1.7572412939817763},
+			digest: [2]string{"e21e01c3b74db10e", "3644a6c5f3550480"}},
+		{name: "adaptive", req: count(kernelQueryHead, ppd.MethodAdaptive, 16),
+			count:     [2]float64{4.7327, 4.72895},
+			halfWidth: [2]float64{0.010016765402007766, 0.01009175087117719},
+			digest:    [2]string{"0fadc22756c0d4b4", "5493bd35d0fb0bb3"}},
+		{name: "adaptive-mid", req: count(kernelQueryMid, ppd.MethodAdaptive, 17),
+			count:     [2]float64{1.4945000000000002, 1.47595},
+			halfWidth: [2]float64{0.023131362064705962, 0.023145155053745037},
+			digest:    [2]string{"234c56df033df523", "ccc57e8415ad39d7"}},
+		{name: "adaptive-rare", req: count(kernelQueryRare, ppd.MethodAdaptive, 18), budget: 1,
+			count:     [2]float64{0.8605646170162198, 0.9046552650442933},
+			halfWidth: [2]float64{0.0998365206484367, 0.10808415952330049},
+			digest:    [2]string{"51ef85e6dd5f00b8", "b4161f3e2cf10a56"}},
+		{name: "consensus-median", req: ppd.Request{Kind: ppd.KindConsensus, Query: kernelQueryHead, ConsensusTarget: consensus.TargetMedian, Seed: 19},
+			count:  [2]float64{9440, 9440},
+			digest: [2]string{"2d394a8a68265e47", "2d394a8a68265e47"}},
+		{name: "consensus-topk", req: ppd.Request{Kind: ppd.KindConsensus, Query: kernelQueryMid, ConsensusTarget: consensus.TargetTopK, K: 3, Seed: 20},
+			count:  [2]float64{2940, 2940},
+			digest: [2]string{"7b559d57bdf0f210", "7b559d57bdf0f210"}},
+	}
+	for _, c := range cases {
+		for wi, workers := range []int{1, 4} {
+			eng := &ppd.Engine{DB: db, Workers: workers, AdaptiveBudget: c.budget}
+			resp, err := eng.Do(context.Background(), &c.req)
+			if err != nil {
+				t.Fatalf("%s workers %d: %v", c.name, workers, err)
+			}
+			count, hw := resp.Count, 0.0
+			if resp.Plan != nil {
+				hw = resp.Plan.CountHalfWidth
+			}
+			if resp.Consensus != nil {
+				count = float64(resp.Consensus.Accepts)
+			}
+			if count != c.count[wi] || hw != c.halfWidth[wi] || kernelDigest(resp) != c.digest[wi] {
+				t.Errorf("%s workers %d: count %v half-width %v digest %q, recorded %v, %v, %q",
+					c.name, workers, count, hw, kernelDigest(resp), c.count[wi], c.halfWidth[wi], c.digest[wi])
+			}
+		}
+	}
+}
+
+// consensusRequest is a sampled consensus request over the 20-candidate,
+// 5-voter polls database (m = 20 is far beyond exact enumeration).
+func consensusRequest(target consensus.Target) *ppd.Request {
+	req := &ppd.Request{Kind: ppd.KindConsensus, Query: kernelQueryHead, ConsensusTarget: target, Seed: 7}
+	if target == consensus.TargetTopK {
+		req.K = 3
+	}
+	return req
+}
+
+// The consensus row builder draws, matches and counts without allocating:
+// what a request allocates (grounded rows, one generator per session, the
+// fold) does not grow with the draws per session.
+func TestConsensusRowsAllocateNothingPerDraw(t *testing.T) {
+	db, err := dataset.Polls(dataset.PollsConfig{Candidates: 20, Voters: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []consensus.Target{consensus.TargetMedian, consensus.TargetTopK} {
+		allocs := func(draws int) float64 {
+			eng := &ppd.Engine{DB: db, RejectionN: draws}
+			return testing.AllocsPerRun(3, func() {
+				if _, err := eng.Do(context.Background(), consensusRequest(target)); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		// 100 draws already leave every live session with an accepted one,
+		// so both runs build and fold the same rows. One allocation per
+		// draw would be 50 000 more; the runtime's own (the race detector's,
+		// a background collection's) are a handful either way.
+		few, many := allocs(100), allocs(10100)
+		if perDraw := (many - few) / (10000 * 5); perDraw > 0.001 {
+			t.Errorf("%v: %v allocations at 100 draws per session, %v at 10100: %v per draw", target, few, many, perDraw)
+		}
+	}
+}
+
+// BenchmarkConsensusRow times one sampled consensus request end to end —
+// 2000 draws for each of 5 sessions, matched and counted into the target's
+// rows, then folded — and reports the cost per draw.
+func BenchmarkConsensusRow(b *testing.B) {
+	db, err := dataset.Polls(dataset.PollsConfig{Candidates: 20, Voters: 5, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, target := range []consensus.Target{consensus.TargetMedian, consensus.TargetTopK} {
+		b.Run(target.String(), func(b *testing.B) {
+			eng := &ppd.Engine{DB: db}
+			req := consensusRequest(target)
+			b.ReportAllocs()
+			var samples int64
+			for i := 0; i < b.N; i++ {
+				resp, err := eng.Do(context.Background(), req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				samples += resp.Consensus.Samples
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(samples), "ns/draw")
+		})
+	}
+}

@@ -16,16 +16,22 @@ import (
 // probability proportional to phi^(i-j) over the feasible range.
 //
 // AMP exposes its exact proposal density, which is what the importance
-// samplers of package sampling need for re-weighting.
+// samplers of package sampling need for re-weighting. An AMP is immutable
+// once built and may be shared between goroutines; the working memory of a
+// draw or a density evaluation lives in a Scratch, one per goroutine.
 type AMP struct {
 	Center rank.Ranking
 	Phi    float64
 
-	cons   *rank.PartialOrder // transitively closed constraints
-	preds  map[rank.Item][]rank.Item
-	succs  map[rank.Item][]rank.Item
-	geom   []float64
-	logPhi float64
+	cons *rank.PartialOrder // transitively closed constraints
+	// preds[x] and succs[x] list the items constrained to precede and to
+	// follow x that the center inserts before x: the only ones in place,
+	// and so the only ones that bound x's position, when x is inserted.
+	preds, succs [][]rank.Item
+	tracked      []bool    // tracked[x]: some constraint mentions x
+	geom         []float64 // geom[k] = 1 + phi + ... + phi^k
+	logGeom      []float64 // logGeom[k] = log(geom[k])
+	logPhi       float64
 }
 
 // NewAMP builds an AMP sampler for MAL(center, phi) conditioned on cons.
@@ -45,21 +51,35 @@ func NewAMP(center rank.Ranking, phi float64, cons *rank.PartialOrder) (*AMP, er
 		return nil, fmt.Errorf("rim: AMP constraints contain a cycle")
 	}
 	tc := cons.TransitiveClosure()
+	m := len(center)
 	a := &AMP{
-		Center: center.Clone(),
-		Phi:    phi,
-		cons:   tc,
-		preds:  make(map[rank.Item][]rank.Item),
-		succs:  make(map[rank.Item][]rank.Item),
-		geom:   geometricSums(phi, len(center)+1),
-		logPhi: math.Log(phi),
+		Center:  center.Clone(),
+		Phi:     phi,
+		cons:    tc,
+		preds:   make([][]rank.Item, m),
+		succs:   make([][]rank.Item, m),
+		tracked: make([]bool, m),
+		geom:    geometricSums(phi, m+1),
+		logGeom: make([]float64, m+1),
+		logPhi:  math.Log(phi),
+	}
+	for k, g := range a.geom {
+		a.logGeom[k] = math.Log(g)
+	}
+	step := make([]int, m) // step[x]: when the center inserts x
+	for i, x := range center {
+		step[x] = i
 	}
 	for _, e := range tc.Edges() {
-		if int(e[0]) >= len(center) || int(e[1]) >= len(center) || e[0] < 0 || e[1] < 0 {
+		if int(e[0]) >= m || int(e[1]) >= m || e[0] < 0 || e[1] < 0 {
 			return nil, fmt.Errorf("rim: AMP constraint mentions unknown item %v", e)
 		}
-		a.succs[e[0]] = append(a.succs[e[0]], e[1])
-		a.preds[e[1]] = append(a.preds[e[1]], e[0])
+		a.tracked[e[0]], a.tracked[e[1]] = true, true
+		if step[e[1]] < step[e[0]] {
+			a.succs[e[0]] = append(a.succs[e[0]], e[1])
+		} else {
+			a.preds[e[1]] = append(a.preds[e[1]], e[0])
+		}
 	}
 	return a, nil
 }
@@ -73,66 +93,144 @@ func MustAMP(center rank.Ranking, phi float64, cons *rank.PartialOrder) *AMP {
 	return a
 }
 
-// feasible returns the inclusive feasible insertion range [lo, hi] for item
-// x given the positions of already-inserted items. pos maps item -> current
-// position; i is the number of items already inserted.
-func (a *AMP) feasible(x rank.Item, pos map[rank.Item]int, i int) (int, int) {
-	lo, hi := 0, i
-	for _, y := range a.preds[x] {
-		if p, ok := pos[y]; ok && p+1 > lo {
-			lo = p + 1
-		}
+// Scratch is the working memory of AMP draws and density evaluations over
+// m items. It belongs to one goroutine; any number of AMPs (and the Mallows
+// target) over the same m items may take turns on it, which is how a
+// multiple-importance sampler evaluates every proposal's density of one
+// sample on one position index.
+//
+// A Scratch is indexed on a ranking when pos holds that ranking's position
+// of every item. SampleInto leaves it indexed on the ranking it drew, and
+// that is the only way callers outside the package get an indexed Scratch:
+// LogDensityIndexed and LogProbIndexed trust the index to be a permutation
+// and do not check it.
+type Scratch struct {
+	tau rank.Ranking // the last ranking drawn by SampleInto
+
+	// Draw state: live lists the constrained items inserted so far and
+	// cur[x] is the current position of each (stale for every other item).
+	cur  []int
+	live []rank.Item
+
+	pos []int // pos[x] = position of item x in the indexed ranking
+	fen []int // Fenwick tree over positions, counting inserted items
+}
+
+// NewScratch returns working memory for AMPs and Mallows models over m
+// items.
+func NewScratch(m int) *Scratch {
+	return &Scratch{
+		tau:  make(rank.Ranking, 0, m),
+		cur:  make([]int, m),
+		live: make([]rank.Item, 0, m),
+		pos:  make([]int, m),
+		fen:  make([]int, m+1),
 	}
-	for _, z := range a.succs[x] {
-		if p, ok := pos[z]; ok && p < hi {
-			hi = p
-		}
+}
+
+// index validates that tau is a permutation of the scratch's items and
+// indexes the scratch on it.
+func (sc *Scratch) index(tau rank.Ranking) bool {
+	if len(tau) != len(sc.pos) {
+		return false
 	}
-	return lo, hi
+	for i := range sc.pos {
+		sc.pos[i] = -1
+	}
+	for p, it := range tau {
+		if int(it) < 0 || int(it) >= len(sc.pos) || sc.pos[it] >= 0 {
+			return false
+		}
+		sc.pos[it] = p
+	}
+	return true
+}
+
+// insert marks item x, at its indexed position, as inserted. A pass over
+// the indexed ranking starts from a cleared tree.
+func (sc *Scratch) insert(x rank.Item) {
+	for i := sc.pos[x] + 1; i < len(sc.fen); i += i & (-i) {
+		sc.fen[i]++
+	}
+}
+
+// before returns the number of inserted items the indexed ranking places
+// ahead of item x: the position x has, or would take, among them.
+func (sc *Scratch) before(x rank.Item) int {
+	s := 0
+	for i := sc.pos[x]; i > 0; i -= i & (-i) {
+		s += sc.fen[i]
+	}
+	return s
+}
+
+// distanceTo returns the Kendall tau distance between the indexed ranking
+// and sigma, a ranking of the same items: inserting sigma's items in order,
+// each one is discordant with the earlier ones that do not precede it.
+func (sc *Scratch) distanceTo(sigma rank.Ranking) int {
+	clear(sc.fen)
+	d := 0
+	for i, x := range sigma {
+		d += i - sc.before(x)
+		sc.insert(x)
+	}
+	return d
 }
 
 // Sample draws a ranking consistent with the constraints and returns it
-// together with the log of its AMP sampling probability.
+// together with the log of its AMP sampling probability. The caller owns
+// the ranking; a sampling loop uses SampleInto.
+func (a *AMP) Sample(rng *rand.Rand) (rank.Ranking, float64) {
+	return a.SampleInto(rng, NewScratch(len(a.Center)))
+}
+
+// SampleInto is Sample drawing into sc, which must come from
+// NewScratch(len(a.Center)): the returned ranking is sc's, valid until sc's
+// next draw, and sc is left indexed on it.
 //
 // Only the positions of constrained items are tracked incrementally, so each
 // insertion costs O(#constrained + memmove).
-func (a *AMP) Sample(rng *rand.Rand) (rank.Ranking, float64) {
-	m := len(a.Center)
-	tau := make(rank.Ranking, 0, m)
-	pos := make(map[rank.Item]int, len(a.preds)+len(a.succs))
+func (a *AMP) SampleInto(rng *rand.Rand, sc *Scratch) (rank.Ranking, float64) {
+	tau := sc.tau[:0]
 	logq := 0.0
 	for i, item := range a.Center {
-		lo, hi := a.feasible(item, pos, i)
+		lo, hi := 0, i
+		for _, y := range a.preds[item] {
+			if p := sc.cur[y] + 1; p > lo {
+				lo = p
+			}
+		}
+		for _, z := range a.succs[item] {
+			if p := sc.cur[z]; p < hi {
+				hi = p
+			}
+		}
 		if lo > hi {
 			// Cannot happen for transitively closed consistent constraints:
 			// every predecessor precedes every successor in the invariant.
 			panic("rim: AMP feasible range empty")
 		}
 		// Offset t = hi - j in [0, hi-lo]; weight phi^(i-j) prop. to phi^t.
-		t := sampleTruncGeom(rng, a.Phi, hi-lo, a.geom[hi-lo])
+		t := pickOffset(rng.Float64()*a.geom[hi-lo], a.geom[:hi-lo+1])
 		j := hi - t
-		logq += float64(hi-j)*a.logPhi - math.Log(a.geom[hi-lo])
-		tau = append(tau, 0)
-		copy(tau[j+1:], tau[j:])
-		tau[j] = item
-		for it, p := range pos {
-			if p >= j {
-				pos[it] = p + 1
+		logq += float64(t)*a.logPhi - a.logGeom[hi-lo]
+		tau = insertAt(tau, j, item)
+		for _, y := range sc.live {
+			if sc.cur[y] >= j {
+				sc.cur[y]++
 			}
 		}
-		if a.constrained(item) {
-			pos[item] = j
+		if a.tracked[item] {
+			sc.cur[item] = j
+			sc.live = append(sc.live, item)
 		}
 	}
-	return tau, logq
-}
-
-func (a *AMP) constrained(it rank.Item) bool {
-	if _, ok := a.preds[it]; ok {
-		return true
+	sc.live = sc.live[:0]
+	for p, it := range tau {
+		sc.pos[it] = p
 	}
-	_, ok := a.succs[it]
-	return ok
+	sc.tau = tau
+	return tau, logq
 }
 
 // LogDensity returns the log probability that AMP samples exactly tau, and
@@ -140,72 +238,43 @@ func (a *AMP) constrained(it rank.Item) bool {
 // ranks different items). Runs in O(m log m) using a Fenwick tree over final
 // positions.
 func (a *AMP) LogDensity(tau rank.Ranking) (float64, bool) {
-	m := len(a.Center)
-	if len(tau) != m {
+	sc := NewScratch(len(a.Center))
+	if !sc.index(tau) {
 		return math.Inf(-1), false
 	}
-	finalPos := make([]int, m)
-	for i := range finalPos {
-		finalPos[i] = -1
-	}
-	for p, it := range tau {
-		if int(it) < 0 || int(it) >= m || finalPos[it] >= 0 {
-			return math.Inf(-1), false
-		}
-		finalPos[it] = p
-	}
-	// fen[k] counts inserted items with final position < k; the current
-	// position of an inserted item y is fen.query(finalPos[y]).
-	fen := newFenwick(m)
-	inserted := make([]bool, m)
+	return a.LogDensityIndexed(sc)
+}
+
+// LogDensityIndexed is LogDensity of the ranking sc is indexed on — the
+// last ranking some AMP over the same items drew into sc — without
+// re-validating or re-indexing it: the O(m log m) walk alone, in no memory
+// of its own.
+func (a *AMP) LogDensityIndexed(sc *Scratch) (float64, bool) {
+	// Replaying the insertions in center order, the current position of an
+	// inserted item is the number of inserted items ahead of its final
+	// position.
+	clear(sc.fen)
 	logq := 0.0
 	for i, item := range a.Center {
-		fp := finalPos[item]
-		j := fen.query(fp)
+		j := sc.before(item)
 		lo, hi := 0, i
 		for _, y := range a.preds[item] {
-			if inserted[y] {
-				if p := fen.query(finalPos[y]) + 1; p > lo {
-					lo = p
-				}
+			if p := sc.before(y) + 1; p > lo {
+				lo = p
 			}
 		}
 		for _, z := range a.succs[item] {
-			if inserted[z] {
-				if p := fen.query(finalPos[z]); p < hi {
-					hi = p
-				}
+			if p := sc.before(z); p < hi {
+				hi = p
 			}
 		}
 		if j < lo || j > hi {
 			return math.Inf(-1), false
 		}
-		logq += float64(hi-j)*a.logPhi - math.Log(a.geom[hi-lo])
-		fen.add(fp)
-		inserted[item] = true
+		logq += float64(hi-j)*a.logPhi - a.logGeom[hi-lo]
+		sc.insert(item)
 	}
 	return logq, true
-}
-
-// fenwick is a binary indexed tree counting marked indices.
-type fenwick struct{ t []int }
-
-func newFenwick(n int) *fenwick { return &fenwick{t: make([]int, n+1)} }
-
-// add marks index i.
-func (f *fenwick) add(i int) {
-	for i++; i < len(f.t); i += i & (-i) {
-		f.t[i]++
-	}
-}
-
-// query returns the number of marked indices strictly less than i.
-func (f *fenwick) query(i int) int {
-	s := 0
-	for ; i > 0; i -= i & (-i) {
-		s += f.t[i]
-	}
-	return s
 }
 
 // Constraints returns the transitively closed constraint order.

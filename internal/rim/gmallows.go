@@ -30,7 +30,10 @@ type GeneralizedMallows struct {
 	// accepted for uniformity but has no effect: step 0 has one position.
 	Phis []float64
 
-	geoms   []float64 // geoms[i] = 1 + Phis[i] + ... + Phis[i]^i
+	// cum[i][t] = 1 + Phis[i] + ... + Phis[i]^t for t <= i: the running sums
+	// of step i's offset weights in the order a draw adds them up, so the
+	// last entry of a row is the step's normalization constant.
+	cum     [][]float64
 	logZ    float64
 	logPhis []float64
 
@@ -55,17 +58,20 @@ func NewGeneralizedMallows(sigma rank.Ranking, phis []float64) (*GeneralizedMall
 	gm := &GeneralizedMallows{
 		Sigma:   sigma.Clone(),
 		Phis:    append([]float64(nil), phis...),
-		geoms:   make([]float64, len(sigma)),
+		cum:     make([][]float64, len(sigma)),
 		logPhis: make([]float64, len(sigma)),
 	}
+	flat := make([]float64, len(sigma)*(len(sigma)+1)/2)
 	for i := range sigma {
+		gm.cum[i], flat = flat[:i+1:i+1], flat[i+1:]
 		g := 1.0
 		w := 1.0
+		gm.cum[i][0] = g
 		for t := 1; t <= i; t++ {
 			w *= phis[i]
 			g += w
+			gm.cum[i][t] = g
 		}
-		gm.geoms[i] = g
 		gm.logPhis[i] = math.Log(phis[i])
 		gm.logZ += math.Log(g)
 	}
@@ -103,7 +109,7 @@ func (gm *GeneralizedMallows) buildModel() {
 		} else {
 			w := 1.0 // phi^(i-j) for j = i
 			for j := i; j >= 0; j-- {
-				row[j] = w / gm.geoms[i]
+				row[j] = w / gm.cum[i][i]
 				w *= phi
 			}
 		}
@@ -156,21 +162,20 @@ func (gm *GeneralizedMallows) Prob(tau rank.Ranking) float64 {
 	return math.Exp(gm.LogProb(tau))
 }
 
-// Sample draws a ranking without materializing the Pi matrix: step i inserts
-// sigma[i] at offset t = i - j drawn from the truncated geometric
-// distribution with ratio Phis[i].
-func (gm *GeneralizedMallows) Sample(rng *rand.Rand) rank.Ranking {
-	m := len(gm.Sigma)
-	tau := make(rank.Ranking, 0, m)
+// Sample draws a ranking without materializing the Pi matrix.
+func (gm *GeneralizedMallows) Sample(rng *rand.Rand) rank.Ranking { return gm.SampleInto(rng, nil) }
+
+// SampleInto draws into buf: step i inserts sigma[i] at offset t = i - j
+// drawn from the truncated geometric distribution with ratio Phis[i]. A
+// step with Phis[i] = 0 inserts at the end and reads nothing from rng.
+func (gm *GeneralizedMallows) SampleInto(rng *rand.Rand, buf rank.Ranking) rank.Ranking {
+	tau := drawBuf(buf, len(gm.Sigma))
 	for i, item := range gm.Sigma {
 		t := 0
 		if gm.Phis[i] > 0 {
-			t = sampleTruncGeom(rng, gm.Phis[i], i, gm.geoms[i])
+			t = pickOffset(rng.Float64()*gm.cum[i][i], gm.cum[i])
 		}
-		j := i - t
-		tau = append(tau, 0)
-		copy(tau[j+1:], tau[j:])
-		tau[j] = item
+		tau = insertAt(tau, i-t, item)
 	}
 	return tau
 }

@@ -51,7 +51,11 @@ func MustMallows(sigma rank.Ranking, phi float64) *Mallows {
 	return m
 }
 
-// geometricSums returns s with s[k] = 1 + phi + ... + phi^k for k < n.
+// geometricSums returns s with s[k] = 1 + phi + ... + phi^k for k < n, each
+// entry the previous one plus the next power: the running sums of the
+// weights phi^t in the order a draw adds them up, which is what lets
+// pickOffset scan the table instead (and what the recorded sample streams
+// depend on, bit for bit).
 func geometricSums(phi float64, n int) []float64 {
 	s := make([]float64, n)
 	if n == 0 {
@@ -105,7 +109,19 @@ func (ml *Mallows) LogZ() float64 { return ml.logZ }
 // LogProb returns log Pr(tau | sigma, phi). For phi = 0 it returns 0 for
 // tau = sigma and -Inf otherwise.
 func (ml *Mallows) LogProb(tau rank.Ranking) float64 {
-	d := rank.KendallTau(ml.Sigma, tau)
+	return ml.logProbAt(rank.KendallTau(ml.Sigma, tau))
+}
+
+// LogProbIndexed is LogProb of the ranking sc is indexed on (see Scratch):
+// the same value from the position index the proposal densities were
+// evaluated on, without building one of its own.
+func (ml *Mallows) LogProbIndexed(sc *Scratch) float64 {
+	return ml.logProbAt(sc.distanceTo(ml.Sigma))
+}
+
+// logProbAt returns the log probability of a ranking at Kendall tau
+// distance d from the center.
+func (ml *Mallows) logProbAt(d int) float64 {
 	if ml.Phi == 0 {
 		if d == 0 {
 			return 0
@@ -121,43 +137,22 @@ func (ml *Mallows) Prob(tau rank.Ranking) float64 {
 }
 
 // Sample draws a ranking via the RIM representation.
-func (ml *Mallows) Sample(rng *rand.Rand) rank.Ranking {
-	if ml.Phi == 0 {
-		return ml.Sigma.Clone()
-	}
-	return ml.sampleDirect(rng)
-}
+func (ml *Mallows) Sample(rng *rand.Rand) rank.Ranking { return ml.SampleInto(rng, nil) }
 
-// sampleDirect draws without materializing the full Pi matrix: at step i the
+// SampleInto draws without materializing the Pi matrix: at step i the
 // insertion offset t = i - j follows the truncated geometric distribution
-// with weights phi^t / geom[i].
-func (ml *Mallows) sampleDirect(rng *rand.Rand) rank.Ranking {
-	m := len(ml.Sigma)
-	tau := make(rank.Ranking, 0, m)
+// with weights phi^t / geom[i], whose running sums are geom[0..i] itself.
+// phi = 0 returns the center and reads nothing from rng.
+func (ml *Mallows) SampleInto(rng *rand.Rand, buf rank.Ranking) rank.Ranking {
+	tau := drawBuf(buf, len(ml.Sigma))
+	if ml.Phi == 0 {
+		return append(tau, ml.Sigma...)
+	}
 	for i, item := range ml.Sigma {
-		t := sampleTruncGeom(rng, ml.Phi, i, ml.geom[i])
-		j := i - t
-		tau = append(tau, 0)
-		copy(tau[j+1:], tau[j:])
-		tau[j] = item
+		t := pickOffset(rng.Float64()*ml.geom[i], ml.geom[:i+1])
+		tau = insertAt(tau, i-t, item)
 	}
 	return tau
-}
-
-// sampleTruncGeom draws t in [0, maxT] with probability phi^t / norm where
-// norm = 1 + phi + ... + phi^maxT.
-func sampleTruncGeom(rng *rand.Rand, phi float64, maxT int, norm float64) int {
-	u := rng.Float64() * norm
-	acc := 0.0
-	w := 1.0
-	for t := 0; t <= maxT; t++ {
-		acc += w
-		if u < acc {
-			return t
-		}
-		w *= phi
-	}
-	return maxT
 }
 
 // Rehash returns a deterministic content key for grouping identical models

@@ -61,8 +61,11 @@ func (mx *Mixture) M() int { return mx.Components[0].M() }
 func (mx *Mixture) K() int { return len(mx.Components) }
 
 // Sample draws a component, then a ranking from it.
-func (mx *Mixture) Sample(rng *rand.Rand) rank.Ranking {
-	return mx.Components[mx.SampleComponent(rng)].Sample(rng)
+func (mx *Mixture) Sample(rng *rand.Rand) rank.Ranking { return mx.SampleInto(rng, nil) }
+
+// SampleInto is Sample drawing the ranking into buf.
+func (mx *Mixture) SampleInto(rng *rand.Rand, buf rank.Ranking) rank.Ranking {
+	return mx.Components[mx.SampleComponent(rng)].SampleInto(rng, buf)
 }
 
 // SampleComponent draws a component index according to the weights.

@@ -59,7 +59,11 @@ func MustPlackettLuce(weights []float64) *PlackettLuce {
 func (pl *PlackettLuce) M() int { return len(pl.Weights) }
 
 // Sample draws a ranking by sequential selection proportional to worth.
-func (pl *PlackettLuce) Sample(rng *rand.Rand) rank.Ranking {
+func (pl *PlackettLuce) Sample(rng *rand.Rand) rank.Ranking { return pl.SampleInto(rng, nil) }
+
+// SampleInto is Sample writing the ranking into buf; the pool of remaining
+// items and worths is still allocated per draw.
+func (pl *PlackettLuce) SampleInto(rng *rand.Rand, buf rank.Ranking) rank.Ranking {
 	m := len(pl.Weights)
 	remaining := make([]rank.Item, m)
 	weights := make([]float64, m)
@@ -69,7 +73,7 @@ func (pl *PlackettLuce) Sample(rng *rand.Rand) rank.Ranking {
 		weights[i] = pl.Weights[i]
 		total += pl.Weights[i]
 	}
-	tau := make(rank.Ranking, 0, m)
+	tau := drawBuf(buf, m)
 	for len(remaining) > 0 {
 		u := rng.Float64() * total
 		acc := 0.0

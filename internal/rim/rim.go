@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"probpref/internal/rank"
 )
@@ -22,6 +23,9 @@ import (
 type Model struct {
 	sigma rank.Ranking
 	pi    [][]float64
+
+	cumOnce sync.Once   // guards the lazy build of cum
+	cum     [][]float64 // cum[i][j] = Pi[i][0] + ... + Pi[i][j]
 }
 
 // New validates and constructs a RIM model. pi[i] must have i+1 entries that
@@ -111,16 +115,38 @@ func (m *Model) Pi(i, j int) float64 { return m.pi[i][j] }
 func (m *Model) PiRow(i int) []float64 { return m.pi[i] }
 
 // Sample draws a ranking using Algorithm 1 of the paper.
-func (m *Model) Sample(rng *rand.Rand) rank.Ranking {
-	tau := make(rank.Ranking, 0, len(m.sigma))
+func (m *Model) Sample(rng *rand.Rand) rank.Ranking { return m.SampleInto(rng, nil) }
+
+// SampleInto is Algorithm 1 drawing into buf. The insertion position of
+// step i is picked from the running sums of Pi[i], built on the first draw
+// (loaders adopt Pi for thousands of sessions that are never sampled) and
+// shared by concurrent samplers afterwards.
+func (m *Model) SampleInto(rng *rand.Rand, buf rank.Ranking) rank.Ranking {
+	m.cumOnce.Do(m.buildCum)
+	tau := drawBuf(buf, len(m.sigma))
 	for i, item := range m.sigma {
-		j := sampleIndex(rng, m.pi[i])
-		// In-place insert.
-		tau = append(tau, 0)
-		copy(tau[j+1:], tau[j:])
-		tau[j] = item
+		tau = insertAt(tau, pickOffset(rng.Float64(), m.cum[i]), item)
 	}
 	return tau
+}
+
+// buildCum fills cum with the running sums of every Pi row, added up from
+// position 0 as a draw would.
+func (m *Model) buildCum() {
+	total := 0
+	for _, row := range m.pi {
+		total += len(row)
+	}
+	flat := make([]float64, total)
+	m.cum = make([][]float64, len(m.pi))
+	for i, row := range m.pi {
+		m.cum[i], flat = flat[:len(row):len(row)], flat[len(row):]
+		acc := 0.0
+		for j, p := range row {
+			acc += p
+			m.cum[i][j] = acc
+		}
+	}
 }
 
 // Prob returns the probability that the model generates tau. Every ranking
@@ -185,18 +211,4 @@ func (m *Model) InsertionPositions(tau rank.Ranking) ([]int, bool) {
 		js[i] = j
 	}
 	return js, true
-}
-
-// sampleIndex draws an index from the distribution given by weights that sum
-// to 1.
-func sampleIndex(rng *rand.Rand, probs []float64) int {
-	u := rng.Float64()
-	acc := 0.0
-	for j, p := range probs {
-		acc += p
-		if u < acc {
-			return j
-		}
-	}
-	return len(probs) - 1
 }

@@ -19,8 +19,14 @@ import (
 type Sampler interface {
 	// M returns the number of items.
 	M() int
-	// Sample draws a ranking.
+	// Sample draws a ranking the caller owns: SampleInto(rng, nil).
 	Sample(rng *rand.Rand) rank.Ranking
+	// SampleInto draws a ranking into buf when buf has room for M() items
+	// (its length is ignored) and into a fresh slice otherwise. It reads
+	// rng exactly as Sample does, so the two are interchangeable draw for
+	// draw; a sampling loop that consumes each ranking before the next
+	// draw passes the previous result back in and allocates once.
+	SampleInto(rng *rand.Rand, buf rank.Ranking) rank.Ranking
 	// Prob returns the probability of tau, or 0 when tau is not a
 	// permutation of 0..M()-1.
 	Prob(tau rank.Ranking) float64
@@ -56,3 +62,36 @@ var (
 	_ SessionModel = (*GeneralizedMallows)(nil)
 	_ SessionModel = (*Model)(nil)
 )
+
+// drawBuf returns the empty ranking of capacity m that a SampleInto draws
+// into: buf's memory when it is large enough, fresh memory otherwise.
+func drawBuf(buf rank.Ranking, m int) rank.Ranking {
+	if cap(buf) < m {
+		return make(rank.Ranking, 0, m)
+	}
+	return buf[:0]
+}
+
+// insertAt inserts item at position j of tau, which must have spare
+// capacity (the draw loops size it for all m insertions up front).
+func insertAt(tau rank.Ranking, j int, item rank.Item) rank.Ranking {
+	tau = tau[:len(tau)+1]
+	copy(tau[j+1:], tau[j:])
+	tau[j] = item
+	return tau
+}
+
+// pickOffset is the insertion-offset picker of every insertion model: given
+// the running sums cum of a weight row and a uniform draw u scaled to their
+// total, it returns the first index t with u < cum[t] (the last index when
+// rounding leaves u at the total). The tables hold the partial sums in the
+// order a draw would add the weights up, so scanning them picks the offset
+// that adding them up would have picked, without the additions.
+func pickOffset(u float64, cum []float64) int {
+	for t, c := range cum {
+		if u < c {
+			return t
+		}
+	}
+	return len(cum) - 1
+}

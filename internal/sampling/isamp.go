@@ -20,10 +20,11 @@ func ISAMP(ml *rim.Mallows, psi rank.Ranking, n int, rng *rand.Rand) (float64, e
 	if err != nil {
 		return 0, err
 	}
+	sc := rim.NewScratch(ml.M())
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		x, logq := amp.Sample(rng)
-		sum += math.Exp(ml.LogProb(x) - logq)
+		_, logq := amp.SampleInto(rng, sc)
+		sum += math.Exp(ml.LogProbIndexed(sc) - logq)
 	}
 	return sum / float64(n), nil
 }
@@ -80,6 +81,10 @@ func misEstimateCI(ctx context.Context, ml *rim.Mallows, amps []*rim.AMP, n int,
 	}
 	logD := math.Log(float64(d))
 	logqs := make([]float64, d)
+	// The weigh kernel: each sample is drawn into sc, which leaves it
+	// indexed by position once; the d proposal densities and the target's
+	// Kendall tau distance are all read off that index, in sc's memory.
+	sc := rim.NewScratch(ml.M())
 	done := ctx.Done()
 	var variance float64
 	sumMeans := 0.0
@@ -103,16 +108,12 @@ sampling:
 					break sampling
 				}
 			}
-			x, _ := a.Sample(rng)
+			a.SampleInto(rng, sc)
 			for t, other := range amps {
-				lq, ok := other.LogDensity(x)
-				if !ok {
-					lq = math.Inf(-1)
-				}
-				logqs[t] = lq
+				logqs[t], _ = other.LogDensityIndexed(sc) // -Inf where unreachable
 			}
 			logMix := logSumExp(logqs) - logD
-			w := math.Exp(ml.LogProb(x) - logMix)
+			w := math.Exp(ml.LogProbIndexed(sc) - logMix)
 			nt++
 			drawn++
 			delta := w - mean

@@ -17,6 +17,7 @@ func GreedyModals(psi rank.Ranking, sigma rank.Ranking, maxModals int) []rank.Ra
 		maxModals = 64
 	}
 	inPsi := psi.ItemSet()
+	posSigma := positionsIn(sigma)
 	frontier := []rank.Ranking{psi.Clone()}
 	for _, x := range sigma {
 		if inPsi[x] {
@@ -25,7 +26,7 @@ func GreedyModals(psi rank.Ranking, sigma rank.Ranking, maxModals int) []rank.Ra
 		var next []rank.Ranking
 		seen := make(map[string]bool)
 		for _, cur := range frontier {
-			_, argmin := minInsertDistances(cur, x, sigma)
+			_, argmin := minInsertDistances(cur, x, posSigma)
 			for _, j := range argmin {
 				cand := cur.Insert(x, j)
 				k := cand.Key()
@@ -55,27 +56,36 @@ func GreedyModals(psi rank.Ranking, sigma rank.Ranking, maxModals int) []rank.Ra
 // intractable.
 func ApproximateDistance(psi rank.Ranking, sigma rank.Ranking) int {
 	inPsi := psi.ItemSet()
+	posSigma := positionsIn(sigma)
 	tau := psi.Clone()
 	for _, x := range sigma {
 		if inPsi[x] {
 			continue
 		}
-		_, argmin := minInsertDistances(tau, x, sigma)
+		_, argmin := minInsertDistances(tau, x, posSigma)
 		tau = tau.Insert(x, argmin[0])
 	}
 	return rank.KendallTau(tau, sigma)
 }
 
-// minInsertDistances returns the minimal Kendall-tau-to-sigma distance over
-// all insertion positions of x into cur, and every argmin position. The
-// incremental distance of inserting at position j differs from inserting at
-// j+1 by whether cur[j] and x agree with sigma, so a single O(k) sweep
-// suffices.
-func minInsertDistances(cur rank.Ranking, x rank.Item, sigma rank.Ranking) (int, []int) {
-	posSigma := make(map[rank.Item]int, len(sigma))
+// positionsIn returns sigma's position of every item, indexed by item, for
+// a sigma that is a permutation of 0..m-1 (a Mallows center). The modal
+// searches build it once and hand it to every minInsertDistances call — one
+// per missing item per frontier entry.
+func positionsIn(sigma rank.Ranking) []int {
+	pos := make([]int, len(sigma))
 	for p, it := range sigma {
-		posSigma[it] = p
+		pos[it] = p
 	}
+	return pos
+}
+
+// minInsertDistances returns the minimal Kendall-tau-to-sigma distance over
+// all insertion positions of x into cur, and every argmin position, given
+// posSigma = positionsIn(sigma). The incremental distance of inserting at
+// position j differs from inserting at j+1 by whether cur[j] and x agree
+// with sigma, so a single O(k) sweep suffices.
+func minInsertDistances(cur rank.Ranking, x rank.Item, posSigma []int) (int, []int) {
 	px := posSigma[x]
 	// delta[j] = number of disagreements x introduces when inserted at j:
 	// items before it that sigma places after x, plus items after it that

@@ -114,7 +114,7 @@ func TestMinInsertDistances(t *testing.T) {
 			cur[i] = rank.Item(perm[i])
 		}
 		x := rank.Item(perm[k])
-		best, argmin := minInsertDistances(cur, x, sigma)
+		best, argmin := minInsertDistances(cur, x, positionsIn(sigma))
 		wantBest := 1 << 30
 		var wantArg []int
 		for j := 0; j <= k; j++ {

@@ -7,6 +7,7 @@ import (
 
 	"probpref/internal/label"
 	"probpref/internal/pattern"
+	"probpref/internal/rank"
 	"probpref/internal/rim"
 )
 
@@ -39,6 +40,10 @@ func RejectionModelCICtx(ctx context.Context, mdl rim.Sampler, lab *label.Labeli
 		return 0, 1, nil
 	}
 	done := ctx.Done()
+	// The draw kernel: the union compiled once, one ranking buffer, and a
+	// loop that allocates nothing.
+	mt := pattern.CompileMatcher(u, lab, mdl.M())
+	var tau rank.Ranking
 	hits, drawn := 0, 0
 	for i := 0; i < n; i++ {
 		if done != nil && i&255 == 0 {
@@ -48,7 +53,8 @@ func RejectionModelCICtx(ctx context.Context, mdl rim.Sampler, lab *label.Labeli
 			}
 		}
 		drawn++
-		if u.Matches(mdl.Sample(rng), lab) {
+		tau = mdl.SampleInto(rng, tau)
+		if mt.Matches(tau) {
 			hits++
 		}
 	}

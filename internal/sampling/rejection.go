@@ -6,6 +6,7 @@ import (
 
 	"probpref/internal/label"
 	"probpref/internal/pattern"
+	"probpref/internal/rank"
 	"probpref/internal/rim"
 )
 
@@ -13,16 +14,7 @@ import (
 // the Mallows model and counting matches. Unbiased but needs EXP(m) samples
 // to resolve rare events (Section 5.1).
 func Rejection(ml *rim.Mallows, lab *label.Labeling, u pattern.Union, n int, rng *rand.Rand) float64 {
-	if n <= 0 {
-		return 0
-	}
-	hits := 0
-	for i := 0; i < n; i++ {
-		if u.Matches(ml.Sample(rng), lab) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(n)
+	return RejectionModel(ml, lab, u, n, rng)
 }
 
 // RejectionUntil reproduces the stopping rule of the Figure 9 experiment:
@@ -34,11 +26,14 @@ func RejectionUntil(ml *rim.Mallows, lab *label.Labeling, u pattern.Union, truth
 	if checkEvery <= 0 {
 		checkEvery = 1000
 	}
+	mt := pattern.CompileMatcher(u, lab, ml.M())
+	var tau rank.Ranking
 	hits, n := 0, 0
 	for n < maxN {
 		for k := 0; k < checkEvery && n < maxN; k++ {
 			n++
-			if u.Matches(ml.Sample(rng), lab) {
+			tau = ml.SampleInto(rng, tau)
+			if mt.Matches(tau) {
 				hits++
 			}
 		}

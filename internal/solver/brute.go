@@ -11,14 +11,7 @@ import (
 // (Equation 2 verbatim). O(m! * m^2): intended as ground truth in tests and
 // for tiny instances (m <= 8).
 func Brute(model *rim.Model, lab *label.Labeling, u pattern.Union) float64 {
-	total := 0.0
-	rank.ForEachPermutation(model.M(), func(tau rank.Ranking) bool {
-		if u.Matches(tau, lab) {
-			total += model.Prob(tau)
-		}
-		return true
-	})
-	return total
+	return BruteModel(model, lab, u)
 }
 
 // BruteConstraints is Brute under min/max constraint semantics

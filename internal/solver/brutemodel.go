@@ -12,9 +12,10 @@ import (
 // probabilities of the matching ones. O(m! * m^2): ground truth for models
 // outside the RIM family (e.g. Plackett-Luce) on tiny universes (m <= 8).
 func BruteModel(mdl rim.Sampler, lab *label.Labeling, u pattern.Union) float64 {
+	mt := pattern.CompileMatcher(u, lab, mdl.M())
 	total := 0.0
 	rank.ForEachPermutation(mdl.M(), func(tau rank.Ranking) bool {
-		if u.Matches(tau, lab) {
+		if mt.Matches(tau) {
 			total += mdl.Prob(tau)
 		}
 		return true
