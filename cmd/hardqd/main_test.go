@@ -367,6 +367,7 @@ func TestAPIDocEndpointsCovered(t *testing.T) {
 	// adding endpoints.
 	endpoints := []string{
 		"POST /v1/query",
+		"POST /v1/rows",
 		"POST /v1/sessions",
 		"GET /eval",
 		"POST /eval",

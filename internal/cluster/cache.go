@@ -10,8 +10,8 @@ import (
 // query results, keyed like the service's solve cache — model namespace,
 // NUL separator, then the compiled request's canonical key — so identical
 // (model, union) requests cross shard boundaries once no matter which
-// client repeats them. Entries hold the fully merged per-session form; the
-// emit layer strips rows the client did not ask for.
+// client repeats them. An entry is the merged result as emitted, so results
+// merged with and without their session rows are keyed apart (keysSuffix).
 type resultCache struct {
 	mu      sync.Mutex
 	cap     int

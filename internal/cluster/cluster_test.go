@@ -32,7 +32,7 @@ const unionQuery = demoQuery + ` | P(_, _; c1; c2), C(c1, D, _, _, JD, _), C(c2,
 // groups never span sessions and the shard-side solve/cache counters are
 // partition-additive — the precondition for byte-identical distributed
 // counters.
-func testDB(t *testing.T, n int) *ppd.DB {
+func testDB(t testing.TB, n int) *ppd.DB {
 	t.Helper()
 	cands, err := ppd.NewRelation("C",
 		[]string{"candidate", "party", "sex", "age", "edu", "reg"},

@@ -3,17 +3,19 @@
 // is split into a fixed number of contiguous session-range partitions
 // (ppd.PartitionRange); each partition is served by a shard as an ordinary
 // model named "<base>--p<i>", placed on an owner and a replica by a
-// consistent-hash ring. The coordinator fans POST /v1/query out to the
-// owning shards with per-session rows forced on, merges the partitions'
-// answers per kind by refolding the concatenated rows through the very same
-// aggregation code a single process runs — never by combining per-shard
-// aggregates, whose float additions would reassociate — and therefore
-// returns byte-identical responses to a single process over the unsplit
-// model. Slow shards are hedged to the replica after a per-shard latency
-// percentile, failed shards are excluded by consecutive-failure health
-// tracking, and a coordinator-level result cache keyed like the service's
-// solve cache answers repeated (model, union) requests without touching the
-// shards.
+// consistent-hash ring. The coordinator forwards each /v1/query request to
+// the owning shards' POST /v1/rows, which answers with a packed binary frame
+// (server.DecodeRows): a small JSON head per result, the per-session
+// probabilities as raw float64 bits, and the session keys only when the
+// client asked for per-session rows. It merges the partitions' answers per
+// kind by refolding the concatenated rows through the very same aggregation
+// code a single process runs — never by combining per-shard aggregates, whose
+// float additions would reassociate — and therefore returns byte-identical
+// responses to a single process over the unsplit model. Slow shards are
+// hedged to the replica after a per-shard latency percentile, failed shards
+// are excluded by consecutive-failure health tracking, and a
+// coordinator-level result cache keyed like the service's solve cache
+// answers repeated (model, union) requests without touching the shards.
 package cluster
 
 import (
@@ -24,7 +26,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -165,17 +167,13 @@ func (s *shard) hedgeDelay(def time.Duration) time.Duration {
 		return def
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.latN < latWarm {
+	samples, n := s.lat, s.latN // a copy of the window: sorted outside the lock
+	s.mu.Unlock()
+	if n < latWarm {
 		return def
 	}
-	samples := make([]time.Duration, s.latN)
-	copy(samples, s.lat[:s.latN])
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	if p95 := samples[(s.latN-1)*95/100]; p95 > minHedgeDelay {
-		return p95
-	}
-	return minHedgeDelay
+	slices.Sort(samples[:n])
+	return max(samples[(n-1)*95/100], minHedgeDelay)
 }
 
 // Coordinator fans unified queries out over the cluster's shards and merges
@@ -390,11 +388,11 @@ func (c *Coordinator) ProbeNow(ctx context.Context) {
 var errShardsDown = errors.New("cluster: no shard available")
 
 // fetch resolves the partition key on the ring and posts body to
-// /v1/query on the owning shard, hedging to the replica after the owner's
+// /v1/rows on the owning shard, hedging to the replica after the owner's
 // latency trigger and retrying on it when the owner fails outright. The
 // returned error is fatal (a deterministic 4xx the replica would repeat)
 // or exhausted (owner and replica both failed).
-func (c *Coordinator) fetch(ctx context.Context, key string, body []byte) (*server.V1Response, error) {
+func (c *Coordinator) fetch(ctx context.Context, key string, body []byte) (*server.RowsFrame, error) {
 	c.fanouts.Add(1)
 	shards, ring := c.members()
 	owner, replica := ring.pick(key, nil)
@@ -418,7 +416,7 @@ func (c *Coordinator) fetch(ctx context.Context, key string, body []byte) (*serv
 
 // attempt is one shard response in flight.
 type attempt struct {
-	resp  *server.V1Response
+	resp  *server.RowsFrame
 	err   error
 	fatal bool // deterministic client error; retrying cannot help
 	from  int
@@ -426,7 +424,7 @@ type attempt struct {
 
 // hedgedPost runs the hedged two-attempt protocol against primary and
 // (when >= 0) secondary.
-func (c *Coordinator) hedgedPost(ctx context.Context, shards []*shard, primary, secondary int, body []byte) (*server.V1Response, error) {
+func (c *Coordinator) hedgedPost(ctx context.Context, shards []*shard, primary, secondary int, body []byte) (*server.RowsFrame, error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ch := make(chan attempt, 2)
@@ -496,13 +494,13 @@ func (c *Coordinator) hedgedPost(ctx context.Context, shards []*shard, primary, 
 	}
 }
 
-// post sends one /v1/query attempt to a shard, recording health and
-// latency. fatal marks deterministic 4xx failures that must propagate
-// instead of triggering the replica.
-func (c *Coordinator) post(ctx context.Context, s *shard, body []byte) (resp *server.V1Response, err error, fatal bool) {
+// post sends one /v1/rows attempt to a shard, recording health and latency.
+// fatal marks deterministic 4xx failures that must propagate instead of
+// triggering the replica.
+func (c *Coordinator) post(ctx context.Context, s *shard, body []byte) (resp *server.RowsFrame, err error, fatal bool) {
 	s.requests.Add(1)
 	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.url+"/v1/query", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.url+"/v1/rows", bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: %w", s.name, err), false
 	}
@@ -526,10 +524,16 @@ func (c *Coordinator) post(ctx context.Context, s *shard, body []byte) (resp *se
 		return nil, fmt.Errorf("shard %s: reading response: %w", s.name, err), false
 	}
 	if hres.StatusCode != http.StatusOK {
-		msg := shardErrMsg(data, hres.StatusCode)
-		if hres.StatusCode >= 400 && hres.StatusCode < 500 {
+		msg, verdict := shardErrMsg(data)
+		if !verdict {
+			msg = fmt.Sprintf("status %d", hres.StatusCode)
+		}
+		if verdict && hres.StatusCode >= 400 && hres.StatusCode < 500 {
 			// The shard is alive and rejected the request deterministically;
-			// mirror its verdict to the client.
+			// mirror its verdict to the client. (A 4xx without the service's
+			// {"error": ...} body is not a verdict on the request — a shard
+			// that does not serve the route answers 404 that way — and counts
+			// as a failure below.)
 			s.recordSuccess(time.Since(start))
 			return nil, server.HTTPError(hres.StatusCode, fmt.Errorf("shard %s: %s", s.name, msg)), true
 		}
@@ -544,24 +548,25 @@ func (c *Coordinator) post(ctx context.Context, s *shard, body []byte) (resp *se
 		s.recordFailure()
 		return nil, fmt.Errorf("shard %s: %s", s.name, msg), false
 	}
-	var out server.V1Response
-	if err := json.Unmarshal(data, &out); err != nil {
+	out, err := server.DecodeRows(data)
+	if err != nil {
 		s.recordFailure()
 		return nil, fmt.Errorf("shard %s: decoding response: %w", s.name, err), false
 	}
 	s.recordSuccess(time.Since(start))
-	return &out, nil, false
+	return out, nil, false
 }
 
-// shardErrMsg extracts the {"error": ...} message of a shard failure.
-func shardErrMsg(data []byte, status int) string {
+// shardErrMsg extracts the message of a shard's {"error": ...} body; ok is
+// false when the body is not one.
+func shardErrMsg(data []byte) (msg string, ok bool) {
 	var e struct {
 		Error string `json:"error"`
 	}
-	if json.Unmarshal(data, &e) == nil && e.Error != "" {
-		return e.Error
+	if json.Unmarshal(data, &e) != nil {
+		return "", false
 	}
-	return fmt.Sprintf("status %d", status)
+	return e.Error, e.Error != ""
 }
 
 // Stats snapshots the coordinator's counters and shard health.

@@ -2,12 +2,15 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -501,6 +504,128 @@ func TestClusterAllCopiesShed502(t *testing.T) {
 	status, body := post(t, h.coordSrv.URL, boolBody())
 	if status != http.StatusBadGateway {
 		t.Fatalf("status = %d, want 502 when every copy sheds\n%s", status, body)
+	}
+}
+
+// tapTransport sits on the hop and hands every shard POST's answer to tap,
+// which may note it and returns what the coordinator is to see instead.
+// host and model, when set, restrict it to one shard URL host and to
+// requests naming one partition model.
+type tapTransport struct {
+	mu          sync.Mutex
+	host, model string
+	tap         func(path string, status int, body []byte) (int, []byte)
+}
+
+func (tt *tapTransport) set(tap func(string, int, []byte) (int, []byte), shardURL, model string) {
+	tt.mu.Lock()
+	defer tt.mu.Unlock()
+	tt.tap, tt.host, tt.model = tap, strings.TrimPrefix(shardURL, "http://"), model
+}
+
+func (tt *tapTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	tt.mu.Lock()
+	tap, host, model := tt.tap, tt.host, tt.model
+	tt.mu.Unlock()
+	hit := tap != nil && req.Method == http.MethodPost && (host == "" || host == req.URL.Host)
+	if hit && model != "" {
+		rc, err := req.GetBody()
+		if err != nil {
+			return nil, err
+		}
+		sent, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			return nil, err
+		}
+		hit = bytes.Contains(sent, []byte(model))
+	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || !hit {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.StatusCode, body = tap(req.URL.Path, resp.StatusCode, body)
+	resp.ContentLength = int64(len(body))
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
+}
+
+// frameFaults is what a broken, foreign or outdated shard can put on the
+// hop in place of a rows frame.
+var frameFaults = []struct {
+	name string
+	tap  func(path string, status int, body []byte) (int, []byte)
+}{
+	{"garbage", func(string, int, []byte) (int, []byte) { return http.StatusOK, []byte("<html>it works</html>") }},
+	{"json-hop-answer", func(string, int, []byte) (int, []byte) {
+		return http.StatusOK, []byte(`{"result":{"kind":"bool","prob":1}}`)
+	}},
+	{"truncated", func(_ string, status int, body []byte) (int, []byte) { return status, body[:len(body)-3] }},
+	{"trailing-byte", func(_ string, status int, body []byte) (int, []byte) { return status, append(body, 0) }},
+	// A shard that predates the route: net/http's mux answers its own 404.
+	{"route-404", func(string, int, []byte) (int, []byte) { return http.StatusNotFound, []byte("404 page not found\n") }},
+}
+
+// TestClusterBadFrameRetriesReplica mangles the owner's answer on the hop:
+// an undecodable frame (or a 404 that is not the service's verdict) is a
+// shard failure like any other — counted, retried on the replica — and the
+// client still reads the single process's bytes.
+func TestClusterBadFrameRetriesReplica(t *testing.T) {
+	for _, ff := range frameFaults {
+		t.Run(ff.name, func(t *testing.T) {
+			tt := &tapTransport{}
+			h := newHarness(t, testDB(t, 6), 3, 3, Config{CacheSize: -1, Transport: tt})
+			owner, replica := h.shardURLsFor(0)
+			if replica == "" {
+				t.Fatal("partition 0 has no replica")
+			}
+			tt.set(ff.tap, owner, PartitionModel(server.DefaultModel, 0))
+			h.checkEqual(boolBody())
+			stats := h.coord.Stats()
+			if stats.Retries == 0 || stats.Degraded != 0 {
+				t.Fatalf("retries = %d, degraded = %d, want the replica to have served every partition: %+v", stats.Retries, stats.Degraded, stats)
+			}
+			for _, s := range stats.Shards {
+				if s.URL == owner && s.Failures == 0 {
+					t.Fatalf("the owner's bad frames were not counted as failures: %+v", s)
+				}
+			}
+		})
+	}
+}
+
+// TestClusterBadFrameEverywhere mangles every copy: one partition's copies
+// bad is a degraded answer naming the partition, every shard bad is a 502.
+func TestClusterBadFrameEverywhere(t *testing.T) {
+	for _, ff := range frameFaults {
+		t.Run(ff.name, func(t *testing.T) {
+			tt := &tapTransport{}
+			h := newHarness(t, testDB(t, 6), 3, 3, Config{CacheSize: -1, Transport: tt})
+			tt.set(ff.tap, "", PartitionModel(server.DefaultModel, 1))
+			status, body := post(t, h.coordSrv.URL, boolBody())
+			var resp struct {
+				Result *ResultJSON `json:"result"`
+			}
+			if err := json.Unmarshal(body, &resp); status != http.StatusOK || err != nil || resp.Result == nil || resp.Result.Cluster == nil {
+				t.Fatalf("one partition's copies bad: %d %s, want a degraded 200", status, body)
+			}
+			if diag := resp.Result.Cluster; !diag.Partial || len(diag.FailedPartitions) != 1 || diag.FailedPartitions[0] != 1 {
+				t.Fatalf("cluster diag = %+v, want partial with failed partition 1", diag)
+			}
+			if resp.Result.LiveSessions != 4 {
+				t.Fatalf("degraded answer covers %d sessions, want the 4 of the surviving partitions\n%s", resp.Result.LiveSessions, body)
+			}
+
+			tt.set(ff.tap, "", "")
+			if status, body := post(t, h.coordSrv.URL, boolBody()); status != http.StatusBadGateway {
+				t.Fatalf("every shard bad: %d %s, want 502", status, body)
+			}
+		})
 	}
 }
 

@@ -139,7 +139,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return &ResponseJSON{Result: stripRows(res, body.PerSession)}, nil
+		return &ResponseJSON{Result: res}, nil
 	})
 }
 
@@ -158,31 +158,36 @@ func cacheable(cr *ppd.CompiledRequest) bool {
 	return false
 }
 
+// keysSuffix marks the result-cache entries merged with their rows: the
+// shards send session keys only for a per_session or stream request, so an
+// entry merged for one kind of caller must never answer the other.
+const keysSuffix = nsSep + "rows"
+
 // doSingle answers one request: result cache, then fan-out/merge. The
-// returned result carries the full per-session form.
+// result carries its session rows exactly when the client set per_session
+// or stream.
 func (c *Coordinator) doSingle(ctx context.Context, vr server.V1Request, cr *ppd.CompiledRequest) (*ResultJSON, error) {
 	base := vr.Model
 	if base == "" {
 		base = server.DefaultModel
 	}
+	vr.PerSession = vr.PerSession || vr.Stream
+	vr.Stream = false
 	key := base + nsSep + cr.Key()
+	if vr.PerSession {
+		key += keysSuffix
+	}
 	useCache := c.cache != nil && cacheable(cr)
 	if useCache {
 		if hit := c.cache.Get(key); hit != nil {
 			return cachedCopy(hit), nil
 		}
 	}
-	parts, diag, err := c.fanout(ctx, base, func(model string) server.V1Request {
-		pvr := vr
-		pvr.Model = model
-		pvr.PerSession = true
-		pvr.Stream = false
-		return pvr
-	})
+	parts, diag, err := c.fanout(ctx, base, vr)
 	if err != nil {
 		return nil, err
 	}
-	res, err := mergeResults(cr.Kind, cr.K, parts)
+	res, err := mergeResults(cr.Kind, cr.K, vr.PerSession, parts)
 	if err != nil {
 		return nil, err
 	}
@@ -195,48 +200,48 @@ func (c *Coordinator) doSingle(ctx context.Context, vr server.V1Request, cr *ppd
 	return res, nil
 }
 
-// fanout posts one rewritten request per partition (rewrite maps the
-// partition's model name to the request body) and collects the answers
-// indexed by partition. A deterministic shard rejection (4xx) fails the
-// whole fan-out with that status; unreachable partitions are reported in
-// the degraded-answer diagnostic unless every partition failed, which is a
-// gateway error.
-func (c *Coordinator) fanout(ctx context.Context, base string, rewrite func(model string) server.V1Request) ([]*server.V1Result, *ClusterDiagJSON, error) {
+// fanout posts vr, renamed to each partition's model, to the partition's
+// shard and collects the answers indexed by partition. A deterministic shard
+// rejection (4xx) fails the whole fan-out with that status; unreachable
+// partitions are reported in the degraded-answer diagnostic unless every
+// partition failed, which is a gateway error.
+func (c *Coordinator) fanout(ctx context.Context, base string, vr server.V1Request) ([]*server.RowsResult, *ClusterDiagJSON, error) {
 	n := c.cfg.Partitions
-	parts := make([]*server.V1Result, n)
+	parts := make([]*server.RowsResult, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for p := 0; p < n; p++ {
 		wg.Add(1)
-		go func(p int) {
+		go func(p int, pvr server.V1Request) {
 			defer wg.Done()
-			model := PartitionModel(base, p)
-			body, err := json.Marshal(rewrite(model))
+			pvr.Model = PartitionModel(base, p)
+			body, err := json.Marshal(pvr)
 			if err != nil {
 				errs[p] = err
 				return
 			}
-			resp, err := c.fetch(ctx, model, body)
+			frame, err := c.fetch(ctx, pvr.Model, body)
 			if err != nil {
 				errs[p] = err
 				return
 			}
-			if resp.Result == nil {
-				errs[p] = fmt.Errorf("shard answer for %s has no result", model)
+			if frame.Batch != nil || len(frame.Results) != 1 {
+				errs[p] = fmt.Errorf("shard answer for %s has %d results, want 1", pvr.Model, len(frame.Results))
 				return
 			}
-			parts[p] = resp.Result
-		}(p)
+			parts[p] = &frame.Results[0]
+		}(p, vr)
 	}
 	wg.Wait()
-	return collectFanout(parts, errs)
+	diag, err := collectFanout(errs)
+	return parts, diag, err
 }
 
-// collectFanout classifies per-partition outcomes: fatal rejections and
-// total failure become errors, partial failure becomes a diagnostic.
-func collectFanout(parts []*server.V1Result, errs []error) ([]*server.V1Result, *ClusterDiagJSON, error) {
+// collectFanout classifies per-partition outcomes (errs is indexed by
+// partition): fatal rejections and total failure become errors, partial
+// failure becomes a diagnostic.
+func collectFanout(errs []error) (*ClusterDiagJSON, error) {
 	var diag *ClusterDiagJSON
-	failed := 0
 	for p, err := range errs {
 		if err == nil {
 			continue
@@ -244,26 +249,19 @@ func collectFanout(parts []*server.V1Result, errs []error) ([]*server.V1Result, 
 		if status, ok := server.ErrorStatus(err); ok && status >= 400 && status < 500 {
 			// The shard rejected the request deterministically (bad query,
 			// unknown model): every partition would, so mirror it.
-			return nil, nil, err
+			return nil, err
 		}
-		failed++
 		if diag == nil {
 			diag = &ClusterDiagJSON{Partial: true}
 		}
 		diag.FailedPartitions = append(diag.FailedPartitions, p)
 		diag.Errors = append(diag.Errors, err.Error())
 	}
-	if failed == len(parts) {
-		msgs := make([]string, 0, len(errs))
-		for _, err := range errs {
-			if err != nil {
-				msgs = append(msgs, err.Error())
-			}
-		}
-		return nil, nil, server.HTTPError(http.StatusBadGateway,
-			fmt.Errorf("all %d partitions failed: %s", len(parts), strings.Join(msgs, "; ")))
+	if diag != nil && len(diag.Errors) == len(errs) {
+		return nil, server.HTTPError(http.StatusBadGateway,
+			fmt.Errorf("all %d partitions failed: %s", len(errs), strings.Join(diag.Errors, "; ")))
 	}
-	return parts, diag, nil
+	return diag, nil
 }
 
 // doBatch answers the batch form. The batch is split per distinct base
@@ -306,9 +304,9 @@ func (c *Coordinator) doBatch(ctx context.Context, body server.V1Body) (*Respons
 	}
 	n := c.cfg.Partitions
 	// results[p][i] is partition p's answer to request i (nil on failure).
-	results := make([][]*server.V1Result, n)
+	results := make([][]*server.RowsResult, n)
 	for p := range results {
-		results[p] = make([]*server.V1Result, len(body.Requests))
+		results[p] = make([]*server.RowsResult, len(body.Requests))
 	}
 	partErrs := make([]error, n)
 	batch := &server.BatchJSON{}
@@ -325,7 +323,6 @@ func (c *Coordinator) doBatch(ctx context.Context, body server.V1Body) (*Respons
 				for _, i := range idxs {
 					pvr := body.Requests[i]
 					pvr.Model = model
-					pvr.PerSession = true
 					sub.Requests = append(sub.Requests, pvr)
 				}
 				bodyBytes, err := json.Marshal(sub)
@@ -368,13 +365,7 @@ func (c *Coordinator) doBatch(ctx context.Context, body server.V1Body) (*Respons
 	// Classify per-partition failures across the whole batch the same way
 	// the single path does. (A fatal 4xx from any sub-batch rejects the
 	// batch, matching a single process rejecting the whole body.)
-	probe := make([]*server.V1Result, n)
-	for p := 0; p < n; p++ {
-		if partErrs[p] == nil {
-			probe[p] = &server.V1Result{}
-		}
-	}
-	_, diag, err := collectFanout(probe, partErrs)
+	diag, err := collectFanout(partErrs)
 	if err != nil {
 		return nil, err
 	}
@@ -383,16 +374,16 @@ func (c *Coordinator) doBatch(ctx context.Context, body server.V1Body) (*Respons
 	}
 	out := &ResponseJSON{Batch: batch}
 	for i := range body.Requests {
-		sub := make([]*server.V1Result, n)
+		sub := make([]*server.RowsResult, n)
 		for p := 0; p < n; p++ {
 			sub[p] = results[p][i]
 		}
-		m, err := mergeResults(kinds[i], body.Requests[i].K, sub)
+		m, err := mergeResults(kinds[i], body.Requests[i].K, body.Requests[i].PerSession, sub)
 		if err != nil {
 			return nil, fmt.Errorf("query %d: %w", i+1, err)
 		}
 		m.Cluster = diag
-		out.Results = append(out.Results, *stripRows(m, body.Requests[i].PerSession))
+		out.Results = append(out.Results, *m)
 	}
 	return out, nil
 }

@@ -14,48 +14,70 @@ import (
 // invariant every merge rule preserves: the merged response must be
 // byte-identical to one process serving the unsplit model. Because float
 // addition is not associative, per-shard aggregates (a partition's Prob, Sum
-// or PMF) are never combined directly; instead the coordinator always asks
-// shards for per-session rows, concatenates them in partition order — which
-// is session order, partitions being contiguous ranges — and refolds the
-// concatenation through the exact sequential aggregation code a single
-// process runs (ppd.BoolAggregate, ppd.FoldAggregateRows,
-// ppd.CountDistFromSessions). encoding/json round-trips float64 exactly, so
-// the wire hop does not perturb the rows.
+// or PMF) are never combined directly; instead every partition's frame
+// (server.RowsFrame) carries its per-session rows, the coordinator
+// concatenates them in partition order — which is session order, partitions
+// being contiguous ranges — and refolds the concatenation through the exact
+// sequential aggregation code a single process runs (ppd.BoolAggregate,
+// ppd.FoldAggregateRows, ppd.CountDistFromSessions). The probabilities and
+// aggregate terms cross the hop as float64 bit patterns, so the rows refolded
+// here are the rows the shards computed. (Consensus rows still travel inside
+// the frame's JSON head, which encoding/json round-trips exactly.)
 
 // mergeResults folds the partition answers (indexed by partition, nil =
-// failed partition, skipped) of one request into the merged result. The
-// result always carries the full per-session form; emit strips rows the
-// client did not ask for.
-func mergeResults(kind ppd.Kind, k int, parts []*server.V1Result) (*ResultJSON, error) {
+// failed partition, skipped) of one request into the merged result. rows
+// says the client asked for per-session rows — the shards were asked for
+// session keys, and the result keeps its rows — and is otherwise false: the
+// rows are folded and dropped.
+func mergeResults(kind ppd.Kind, k int, rows bool, parts []*server.RowsResult) (*ResultJSON, error) {
 	out := &ResultJSON{}
 	out.Kind = kind.String()
 	for _, p := range parts {
 		if p == nil {
 			continue
 		}
-		out.Solves += p.Solves
-		out.CacheHits += p.CacheHits
+		out.Solves += p.Head.Solves
+		out.CacheHits += p.Head.CacheHits
 	}
 	switch kind {
 	case ppd.KindBool, ppd.KindCount, ppd.KindCountDist:
-		rows := concatPerSession(parts)
-		fold := ppd.BoolAggregate(sessionProbs(rows))
-		out.Prob = fold.Prob
-		out.Count = fold.Count
-		out.LiveSessions = len(rows)
-		out.PerSession = rows
-		if kind == ppd.KindCountDist {
-			n := 0
-			for _, p := range parts {
-				if p == nil {
-					continue
+		live, n := 0, 0
+		for _, p := range parts {
+			if p != nil {
+				live += len(p.Probs)
+			}
+		}
+		sps := make([]ppd.SessionProb, 0, live)
+		if rows {
+			out.PerSession = make([]server.SessionProbJSON, 0, live)
+		}
+		for _, p := range parts {
+			if p == nil {
+				continue
+			}
+			if rows && len(p.Keys) != len(p.Probs) {
+				return nil, fmt.Errorf("cluster: partition answer carries %d session keys for %d rows", len(p.Keys), len(p.Probs))
+			}
+			for i, prob := range p.Probs {
+				sps = append(sps, ppd.SessionProb{Prob: prob})
+				if rows {
+					out.PerSession = append(out.PerSession, server.SessionProbJSON{Session: p.Keys[i], Prob: prob})
 				}
-				if p.CountDist == nil {
+			}
+			if kind == ppd.KindCountDist {
+				if p.Head.CountDist == nil {
 					return nil, fmt.Errorf("cluster: countdist partition answer missing countdist section")
 				}
-				n += p.CountDist.N
+				n += p.Head.CountDist.N
 			}
-			dist, err := ppd.CountDistFromSessions(sessionProbs(rows), n)
+		}
+		// The aggregation code reads only Prob, so the nil Sessions are safe.
+		fold := ppd.BoolAggregate(sps)
+		out.Prob = fold.Prob
+		out.Count = fold.Count
+		out.LiveSessions = len(sps)
+		if kind == ppd.KindCountDist {
+			dist, err := ppd.CountDistFromSessions(sps, n)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: merging count distribution: %w", err)
 			}
@@ -81,17 +103,17 @@ func mergeResults(kind ppd.Kind, k int, parts []*server.V1Result) (*ResultJSON, 
 				continue
 			}
 			tops = append(tops, p.Top...)
-			if p.Diag != nil {
+			if d := p.Head.Diag; d != nil {
 				if out.Diag == nil {
 					out.Diag = &server.TopKDiagJSON{}
 				}
-				out.Diag.BoundSolves += p.Diag.BoundSolves
-				out.Diag.BoundCacheHits += p.Diag.BoundCacheHits
-				out.Diag.ExactSolves += p.Diag.ExactSolves
-				out.Diag.SessionsEvaluated += p.Diag.SessionsEvaluated
-				out.Diag.CacheHits += p.Diag.CacheHits
+				out.Diag.BoundSolves += d.BoundSolves
+				out.Diag.BoundCacheHits += d.BoundCacheHits
+				out.Diag.ExactSolves += d.ExactSolves
+				out.Diag.SessionsEvaluated += d.SessionsEvaluated
+				out.Diag.CacheHits += d.CacheHits
 			}
-			out.LiveSessions += p.LiveSessions
+			out.LiveSessions += p.Head.LiveSessions
 		}
 		sort.SliceStable(tops, func(i, j int) bool { return tops[i].Prob > tops[j].Prob })
 		if len(tops) > k {
@@ -104,54 +126,53 @@ func mergeResults(kind ppd.Kind, k int, parts []*server.V1Result) (*ResultJSON, 
 		// and the coordinator re-solves them through the same fold a single
 		// process runs; the target and item domain are partition-invariant,
 		// so the first surviving partition supplies them.
-		var rows []consensus.Row
-		var target string
-		var domain []string
-		found := false
+		var crows []consensus.Row
+		var first *server.ConsensusJSON
 		for _, p := range parts {
 			if p == nil {
 				continue
 			}
-			if p.Consensus == nil {
+			if p.Head.Consensus == nil {
 				return nil, fmt.Errorf("cluster: consensus partition answer missing consensus section")
 			}
-			if !found {
-				found = true
-				target = p.Consensus.Target
-				domain = p.Consensus.Domain
+			if first == nil {
+				first = p.Head.Consensus
 			}
-			rows = append(rows, p.Consensus.Rows...)
+			crows = append(crows, p.Head.Consensus.Rows...)
 		}
-		if !found {
+		if first == nil {
 			return nil, fmt.Errorf("cluster: consensus merge has no partition answers")
 		}
-		merged, err := server.MergeConsensus(target, domain, k, rows)
+		merged, err := server.MergeConsensus(first.Target, first.Domain, k, crows)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
+		if !rows {
+			merged.Rows = nil
+		}
 		out.Consensus = merged
 	case ppd.KindAggregate:
-		var rows []ppd.AggRow
+		var terms []ppd.AggRow
 		for _, p := range parts {
 			if p == nil {
 				continue
 			}
-			if p.Aggregate == nil {
+			if p.Head.Aggregate == nil {
 				return nil, fmt.Errorf("cluster: aggregate partition answer missing aggregate section")
 			}
-			for _, r := range p.Aggregate.Rows {
-				rows = append(rows, ppd.AggRow{Prob: r.Prob, Value: r.Value})
-			}
+			terms = append(terms, p.Agg...)
 		}
-		fold := ppd.FoldAggregateRows(rows)
+		fold := ppd.FoldAggregateRows(terms)
 		out.Count = fold.Count
 		out.Aggregate = &server.AggregateJSON{Sum: fold.Sum, Count: fold.Count, Sessions: fold.Sessions}
 		if !math.IsNaN(fold.Avg) {
 			avg := fold.Avg
 			out.Aggregate.Avg = &avg
 		}
-		for _, r := range rows {
-			out.Aggregate.Rows = append(out.Aggregate.Rows, server.AggRowJSON{Prob: r.Prob, Value: r.Value})
+		if rows {
+			for _, r := range terms {
+				out.Aggregate.Rows = append(out.Aggregate.Rows, server.AggRowJSON{Prob: r.Prob, Value: r.Value})
+			}
 		}
 	default:
 		return nil, fmt.Errorf("cluster: unknown kind %v", kind)
@@ -159,40 +180,18 @@ func mergeResults(kind ppd.Kind, k int, parts []*server.V1Result) (*ResultJSON, 
 	return out, nil
 }
 
-// concatPerSession concatenates the partitions' per-session rows in
-// partition order (= session order, partitions being contiguous ranges).
-func concatPerSession(parts []*server.V1Result) []server.SessionProbJSON {
-	var rows []server.SessionProbJSON
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		rows = append(rows, p.PerSession...)
-	}
-	return rows
-}
-
-// sessionProbs adapts wire rows to ppd.SessionProb for refolding. The
-// aggregation code reads only Prob, so the nil Session is safe.
-func sessionProbs(rows []server.SessionProbJSON) []ppd.SessionProb {
-	sps := make([]ppd.SessionProb, len(rows))
-	for i, r := range rows {
-		sps[i].Prob = r.Prob
-	}
-	return sps
-}
-
 // mergePlans combines adaptive-planner reports. Unlike the answer sections,
 // a distributed plan is advisory, not bit-identical: group counts and
 // samples sum exactly, but the merged half-widths are conservative
 // combinations (max for the per-group bound, sums for the propagated ones)
 // rather than a re-derivation.
-func mergePlans(parts []*server.V1Result) *server.PlanJSON {
+func mergePlans(parts []*server.RowsResult) *server.PlanJSON {
 	var out *server.PlanJSON
-	for _, p := range parts {
-		if p == nil || p.Plan == nil {
+	for _, part := range parts {
+		if part == nil || part.Head.Plan == nil {
 			continue
 		}
+		p := &part.Head
 		if out == nil {
 			out = &server.PlanJSON{}
 		}
@@ -210,28 +209,6 @@ func mergePlans(parts []*server.V1Result) *server.PlanJSON {
 		}
 	}
 	return out
-}
-
-// stripRows returns res shaped for emission: when the client did not ask
-// for per-session rows, the merged form's rows are dropped from a shallow
-// copy (the cached entry keeps them for the next caller).
-func stripRows(res *ResultJSON, perSession bool) *ResultJSON {
-	if perSession {
-		return res
-	}
-	out := *res
-	out.PerSession = nil
-	if out.Aggregate != nil && out.Aggregate.Rows != nil {
-		agg := *out.Aggregate
-		agg.Rows = nil
-		out.Aggregate = &agg
-	}
-	if out.Consensus != nil && out.Consensus.Rows != nil {
-		cj := *out.Consensus
-		cj.Rows = nil
-		out.Consensus = &cj
-	}
-	return &out
 }
 
 // cachedCopy returns the cache hit rewritten the way the service layer

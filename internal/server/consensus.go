@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"probpref/internal/consensus"
-	"probpref/internal/ppd"
 )
 
 // This file is the wire form of the consensus query kind: the JSON shape of
@@ -63,18 +62,8 @@ type ConsensusJSON struct {
 	Rows []consensus.Row `json:"per_session,omitempty"`
 }
 
-// newConsensusJSON converts the engine's consensus result into its wire
-// form, including the per-session rows only when the client asked for them.
-func newConsensusJSON(c *ppd.ConsensusResult, perSession bool) *ConsensusJSON {
-	out := consensusJSON(&c.Result, c.Domain)
-	if perSession {
-		out.Rows = c.Rows
-	}
-	return out
-}
-
 // consensusJSON is the shared answer construction of the shard-local
-// conversion and the coordinator merge.
+// conversion and the coordinator merge; callers attach the per-session rows.
 func consensusJSON(res *consensus.Result, domain []string) *ConsensusJSON {
 	out := &ConsensusJSON{
 		Target:       res.Target.String(),

@@ -219,6 +219,9 @@ func ErrorStatus(err error) (status int, ok bool) {
 //	                               countdist) or a {"requests": [...]} batch,
 //	                               with NDJSON streaming of topk rows via
 //	                               "stream"
+//	POST   /v1/rows                the same body answered as one packed binary
+//	                               frame: the cluster coordinator's hop, not a
+//	                               client API (see rows.go)
 //	POST   /v1/sessions            append sessions to a model's p-relation
 //	                               ({"model","pref","sessions":[...]}); purges
 //	                               the model's cache namespaces and, with a
@@ -242,6 +245,7 @@ func (s *Service) Handler() http.Handler {
 	// The work-bearing endpoints run behind the admission gate (see
 	// admission.go); probe and management routes below stay ungated.
 	mux.HandleFunc("POST /v1/query", s.gated(s.handleV1Query))
+	mux.HandleFunc("POST /v1/rows", s.gated(s.handleV1Rows))
 	mux.HandleFunc("POST /v1/sessions", s.gated(func(w http.ResponseWriter, r *http.Request) {
 		serveJSON(w, func() (any, error) { return s.handleIngest(r) })
 	}))

@@ -276,6 +276,25 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
+// lazySource is rand.NewSource(seed) built at the first draw: the standard
+// source seeds 607 words (~10 µs, 4.9 KB), and a request answered by the
+// exact solvers never draws. The stream is that of rand.NewSource(seed).
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (l *lazySource) source() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64    { return l.source().Int63() }
+func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
+func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
+
 // engine builds a request-scoped engine over one opened model, sharing the
 // service cache under the model's namespace. Engines are cheap; one per
 // request keeps RNG and solver statistics unshared.
@@ -283,7 +302,7 @@ func (s *Service) engine(seed int64, h *registry.Handle) *ppd.Engine {
 	e := &ppd.Engine{
 		DB:      h.DB(),
 		Method:  s.cfg.Method,
-		Rng:     rand.New(rand.NewSource(seed)),
+		Rng:     rand.New(&lazySource{seed: seed}),
 		Workers: s.cfg.Workers,
 	}
 	if s.cache != nil {

@@ -206,14 +206,7 @@ func NewV1Result(resp *ppd.Response, perSession bool) V1Result {
 
 // v1Result converts a unified response into its wire form.
 func v1Result(resp *ppd.Response, perSession bool) V1Result {
-	out := V1Result{
-		Kind:         resp.Kind.String(),
-		Prob:         resp.Prob,
-		Count:        resp.Count,
-		LiveSessions: len(resp.PerSession),
-		Solves:       resp.Solves,
-		CacheHits:    resp.CacheHits,
-	}
+	out := v1Head(resp)
 	for _, sp := range resp.Top {
 		out.Top = append(out.Top, SessionProbJSON{Session: sp.Session.Key, Prob: sp.Prob})
 	}
@@ -221,6 +214,42 @@ func v1Result(resp *ppd.Response, perSession bool) V1Result {
 		for _, sp := range resp.PerSession {
 			out.PerSession = append(out.PerSession, SessionProbJSON{Session: sp.Session.Key, Prob: sp.Prob})
 		}
+		if a := resp.Agg; a != nil {
+			for _, r := range a.Rows {
+				out.Aggregate.Rows = append(out.Aggregate.Rows, AggRowJSON{Prob: r.Prob, Value: r.Value})
+			}
+		}
+		if c := resp.Consensus; c != nil {
+			out.Consensus.Rows = c.Rows
+		}
+	}
+	if d := resp.Dist; d != nil {
+		out.CountDist = &CountDistJSON{
+			N:      d.N(),
+			Mean:   d.Mean(),
+			StdDev: d.StdDev(),
+			Mode:   d.Mode(),
+			Median: d.Quantile(0.5),
+			Lo95:   d.Quantile(0.025),
+			Hi95:   d.Quantile(0.975),
+			PMF:    d.PMF,
+		}
+	}
+	return out
+}
+
+// v1Head converts everything of a unified response but its rows and its
+// count distribution — counters, diagnostics, plan, aggregate sums, the
+// consensus answer — into the wire form: the part the /v1/query JSON and the
+// head of a /v1/rows frame (rows.go) have in common.
+func v1Head(resp *ppd.Response) V1Result {
+	out := V1Result{
+		Kind:         resp.Kind.String(),
+		Prob:         resp.Prob,
+		Count:        resp.Count,
+		LiveSessions: len(resp.PerSession),
+		Solves:       resp.Solves,
+		CacheHits:    resp.CacheHits,
 	}
 	if d := resp.Diag; d != nil {
 		out.Diag = &TopKDiagJSON{
@@ -248,66 +277,64 @@ func v1Result(resp *ppd.Response, perSession bool) V1Result {
 			avg := a.Avg
 			out.Aggregate.Avg = &avg
 		}
-		if perSession {
-			for _, r := range a.Rows {
-				out.Aggregate.Rows = append(out.Aggregate.Rows, AggRowJSON{Prob: r.Prob, Value: r.Value})
-			}
-		}
 	}
 	if c := resp.Consensus; c != nil {
-		out.Consensus = newConsensusJSON(c, perSession)
-	}
-	if d := resp.Dist; d != nil {
-		out.CountDist = &CountDistJSON{
-			N:      d.N(),
-			Mean:   d.Mean(),
-			StdDev: d.StdDev(),
-			Mode:   d.Mode(),
-			Median: d.Quantile(0.5),
-			Lo95:   d.Quantile(0.025),
-			Hi95:   d.Quantile(0.975),
-			PMF:    d.PMF,
-		}
+		out.Consensus = consensusJSON(&c.Result, c.Domain)
 	}
 	return out
 }
 
-// handleV1Query serves POST /v1/query: the unified query endpoint. A body
-// with "requests" answers the batch through DoBatch; an inline request
-// answers through Do, as NDJSON when "stream" is set.
-func (s *Service) handleV1Query(w http.ResponseWriter, r *http.Request) {
+// v1Answer is a /v1/query body decoded, validated and — unless it asked to
+// stream — executed.
+type v1Answer struct {
+	// body is the decoded request body.
+	body V1Body
+	// resps holds the answers in request order (one for the inline form).
+	resps []*ppd.Response
+	// batch is the grouped path's dedup accounting; nil for the inline form.
+	batch *BatchJSON
+	// stream is set instead of resps when the inline request asked to
+	// stream: the request is validated but not run, because a stream's
+	// deadline covers its emission too (see v1Stream).
+	stream *ppd.Request
+}
+
+// perSession reports whether request i asked for per-session rows.
+func (a *v1Answer) perSession(i int) bool {
+	if a.batch != nil {
+		return a.body.Requests[i].PerSession
+	}
+	return a.body.PerSession
+}
+
+// answerV1 is the front half POST /v1/query and POST /v1/rows share: decode
+// the body, validate it, and answer it — a "requests" batch through DoBatch,
+// an inline request through Do. Both routes therefore reject a malformed body
+// with the same first error.
+func (s *Service) answerV1(r *http.Request) (*v1Answer, error) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	var body V1Body
-	if err := dec.Decode(&body); err != nil {
-		serveJSON(w, func() (any, error) { return nil, fmt.Errorf("decoding body: %w", err) })
-		return
+	ans := &v1Answer{}
+	body := &ans.body
+	if err := dec.Decode(body); err != nil {
+		return nil, fmt.Errorf("decoding body: %w", err)
 	}
-	if len(body.Requests) > 0 {
-		serveJSON(w, func() (any, error) { return s.v1Batch(r.Context(), body) })
-		return
-	}
-	req, err := body.V1Request.toRequest()
-	if err != nil {
-		serveJSON(w, func() (any, error) { return nil, err })
-		return
-	}
-	if body.Stream {
-		s.v1Stream(w, r, req)
-		return
-	}
-	serveJSON(w, func() (any, error) {
+	if len(body.Requests) == 0 {
+		req, err := body.V1Request.toRequest()
+		if err != nil {
+			return nil, err
+		}
+		if body.Stream {
+			ans.stream = req
+			return ans, nil
+		}
 		resp, err := s.Do(r.Context(), req)
 		if err != nil {
 			return nil, err
 		}
-		res := v1Result(resp, body.PerSession)
-		return &V1Response{Result: &res}, nil
-	})
-}
-
-// v1Batch answers the batch form of POST /v1/query.
-func (s *Service) v1Batch(ctx context.Context, body V1Body) (*V1Response, error) {
+		ans.resps = []*ppd.Response{resp}
+		return ans, nil
+	}
 	// Any inline request field alongside "requests" is rejected rather than
 	// silently ignored: a top-level model or timeout_ms that did not apply
 	// would return well-formed but wrong answers.
@@ -325,20 +352,43 @@ func (s *Service) v1Batch(ctx context.Context, body V1Body) (*V1Response, error)
 		}
 		reqs[i] = req
 	}
-	br, err := s.DoBatch(ctx, reqs)
+	br, err := s.DoBatch(r.Context(), reqs)
 	if err != nil {
 		return nil, err
 	}
-	out := &V1Response{Batch: &BatchJSON{
+	ans.resps = br.Responses
+	ans.batch = &BatchJSON{
 		Groups:    br.Groups,
 		Instances: br.Instances,
 		Solved:    br.Solved,
 		CacheHits: br.CacheHits,
-	}}
-	for i, resp := range br.Responses {
-		out.Results = append(out.Results, v1Result(resp, body.Requests[i].PerSession))
 	}
-	return out, nil
+	return ans, nil
+}
+
+// handleV1Query serves POST /v1/query: the unified query endpoint. A body
+// with "requests" answers the batch; an inline request answers alone, as
+// NDJSON when "stream" is set.
+func (s *Service) handleV1Query(w http.ResponseWriter, r *http.Request) {
+	ans, err := s.answerV1(r)
+	if err == nil && ans.stream != nil {
+		s.v1Stream(w, r, ans.stream)
+		return
+	}
+	serveJSON(w, func() (any, error) {
+		if err != nil {
+			return nil, err
+		}
+		if ans.batch == nil {
+			res := v1Result(ans.resps[0], ans.body.PerSession)
+			return &V1Response{Result: &res}, nil
+		}
+		out := &V1Response{Batch: ans.batch}
+		for i, resp := range ans.resps {
+			out.Results = append(out.Results, v1Result(resp, ans.perSession(i)))
+		}
+		return out, nil
+	})
 }
 
 // v1Stream answers one request as NDJSON: the first line is the V1Result

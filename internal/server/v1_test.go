@@ -15,7 +15,13 @@ import (
 
 func postV1(t *testing.T, srv *httptest.Server, body string) (int, []byte) {
 	t.Helper()
-	resp, err := srv.Client().Post(srv.URL+"/v1/query", "application/json", strings.NewReader(body))
+	return postTo(t, srv, "/v1/query", body)
+}
+
+// postTo posts a JSON body to path and returns status and raw response.
+func postTo(t *testing.T, srv *httptest.Server, path, body string) (int, []byte) {
+	t.Helper()
+	resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
