@@ -8,6 +8,7 @@ package probpref
 // O(m^3).
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -132,10 +133,11 @@ func BenchmarkUnionQueryEval(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	req := &Request{Kind: KindBool, Queries: uq.Disjuncts}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.EvalUnion(uq); err != nil {
+		if _, err := eng.Do(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,6 +10,7 @@ package probpref
 // Figure drivers are macro-benchmarks: prefer -benchtime=1x for them.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -239,10 +240,11 @@ func benchGrouping(b *testing.B, disable bool) {
 		b.Fatal(err)
 	}
 	eng := &ppd.Engine{DB: db, Method: ppd.MethodRelOrder, DisableGrouping: disable}
+	req := &ppd.Request{Kind: ppd.KindBool, Queries: []*ppd.Query{q}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Eval(q); err != nil {
+		if _, err := eng.Do(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,7 +266,7 @@ func BenchmarkAblationParallelWorkers(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Eval(q); err != nil {
+				if _, err := eng.Do(context.Background(), &ppd.Request{Kind: ppd.KindBool, Queries: []*ppd.Query{q}}); err != nil {
 					b.Fatal(err)
 				}
 			}

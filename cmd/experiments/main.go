@@ -1,21 +1,14 @@
 // Command experiments reproduces the tables and figures of the paper's
 // evaluation section. Each figure id maps to a driver in
-// internal/experiment that regenerates the series the paper plots. It also
-// hosts the benchmark regression harness: -bench runs the solver/planner
-// micro-benchmarks of internal/bench and emits a machine-readable JSON
-// report for CI to archive and compare across PRs, -benchcompare gates two
-// reports against the regression threshold, and -cpuprofile/-memprofile
-// capture pprof profiles of whatever the invocation runs.
+// internal/experiment that regenerates the series the paper plots;
+// -cpuprofile/-memprofile capture pprof profiles of the figure run.
 //
 // Usage:
 //
 //	experiments -list
 //	experiments -fig 4
 //	experiments -fig all -scale paper
-//	experiments -bench -benchtime 100ms -benchout BENCH_PR9.json
-//	experiments -bench -benchcompare BENCH_PR6.json            # fresh run vs old report
-//	experiments -benchcompare BENCH_PR6.json,BENCH_PR9.json    # file vs file
-//	experiments -bench -cpuprofile cpu.prof -memprofile mem.prof
+//	experiments -fig 15 -cpuprofile cpu.prof -memprofile mem.prof
 package main
 
 import (
@@ -24,38 +17,22 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
-	"probpref/internal/bench"
 	"probpref/internal/experiment"
 )
-
-// benchComparePrefixes are the case families gated by -benchcompare; the
-// rest of the registry (sampling, planner end-to-end) is archived for
-// trend-watching but too noisy for a hard gate.
-var benchComparePrefixes = []string{"solver/*", "do/*", "consensus/*"}
-
-// benchMaxRegress fails the compare when a gated case slows down (or grows
-// its allocations) by more than this fraction.
-const benchMaxRegress = 0.25
 
 func main() {
 	var (
 		fig        = flag.String("fig", "all", "figure id (4, 5, 6, 7a, 7b, 8, 9, 10a, 10b, 11, 12, 13a, 13b, 14, 15; extensions x1..x4) or 'all'")
 		scale      = flag.String("scale", "small", "experiment scale: small | paper")
 		list       = flag.Bool("list", false, "list available figures and exit")
-		runBench   = flag.Bool("bench", false, "run the benchmark regression harness instead of figures")
-		benchTime  = flag.Duration("benchtime", 100*time.Millisecond, "minimum measurement time per benchmark")
-		benchOut   = flag.String("benchout", "BENCH_PR9.json", "benchmark report path ('-' for stdout)")
-		benchCmp   = flag.String("benchcompare", "", "compare benchmark reports and fail on >25% regression of solver/*, do/* or consensus/* cases: OLD.json (against a fresh -bench run) or OLD.json,NEW.json (file vs file)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
-	// run wraps the work so profile-flushing defers execute before exit —
-	// a failed run (e.g. a compare that found regressions) is exactly the
-	// run whose profile matters.
+	// The closure wraps the work so profile-flushing defers execute before
+	// exit: a failed run is exactly the run whose profile matters.
 	code := func() int {
 		if *cpuProfile != "" {
 			f, err := os.Create(*cpuProfile)
@@ -85,24 +62,6 @@ func main() {
 					fmt.Fprintln(os.Stderr, err)
 				}
 			}()
-		}
-		switch {
-		case *runBench:
-			rep, err := runBenchmarks(*benchTime, *benchOut)
-			if err == nil && *benchCmp != "" {
-				err = compareAgainst(*benchCmp, rep)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			return 0
-		case *benchCmp != "":
-			if err := compareAgainst(*benchCmp, nil); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			return 0
 		}
 		if *list {
 			for _, id := range experiment.FigureIDs {
@@ -136,54 +95,4 @@ func main() {
 		return 0
 	}()
 	os.Exit(code)
-}
-
-// runBenchmarks measures the registered micro-benchmarks and writes the
-// JSON report, echoing a human-readable table to stdout.
-func runBenchmarks(benchTime time.Duration, out string) (*bench.Report, error) {
-	rep, err := bench.Run(benchTime)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rep.Results {
-		fmt.Printf("%-32s %12.0f ns/op %10.1f allocs/op  (n=%d)\n", r.Name, r.NsPerOp, r.AllocsPerOp, r.N)
-	}
-	if out == "-" {
-		return rep, rep.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		return nil, err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return rep, nil
-}
-
-// compareAgainst gates reports: spec is "OLD.json" (fresh must be the
-// just-measured report) or "OLD.json,NEW.json" (both loaded from disk).
-// Returns an error listing every regression beyond the threshold.
-func compareAgainst(spec string, fresh *bench.Report) error {
-	oldPath, newPath, ok := strings.Cut(spec, ",")
-	old, err := bench.ReadReport(oldPath)
-	if err != nil {
-		return err
-	}
-	newRep := fresh
-	if ok {
-		if newRep, err = bench.ReadReport(newPath); err != nil {
-			return err
-		}
-	} else if newRep == nil {
-		return fmt.Errorf("-benchcompare %s: give OLD,NEW files or combine with -bench", spec)
-	}
-	fails := bench.Compare(old, newRep, benchComparePrefixes, benchMaxRegress)
-	if len(fails) > 0 {
-		return fmt.Errorf("benchmark regressions vs %s:\n  %s", oldPath, strings.Join(fails, "\n  "))
-	}
-	fmt.Printf("benchmark compare vs %s: no regressions\n", oldPath)
-	return nil
 }

@@ -7,15 +7,14 @@
 //
 //	POST   /v1/query              unified query endpoint: one typed request
 //	                              (kind: bool | count | topk | aggregate |
-//	                              countdist) or a {"requests": [...]} batch,
-//	                              NDJSON streaming of topk rows via "stream"
-//	POST   /v1/sessions           append sessions to a model's p-relation;
-//	                              invalidates the model's cache namespaces and,
-//	                              with -snapshot-dir, persists the growth
-//	GET    /eval?q=Q[&sessions=1][&model=M]  evaluate one query (legacy)
-//	POST   /eval                  {"queries": [...], "model": M} batch with dedup (legacy)
-//	GET    /topk?q=Q&k=K&bound=B[&model=M]   Most-Probable-Session (legacy)
-//	POST   /topk                  {"queries": [{"query","k","bound"}, ...], "model": M} (legacy)
+//	                              countdist | consensus) or a {"requests":
+//	                              [...]} batch, NDJSON streaming of session
+//	                              rows via "stream"
+//	POST   /v1/rows               the same body answered as one packed binary
+//	                              frame: the coordinator's hop to a shard
+//	POST   /v1/sessions           append sessions to a model's p-relation
+//	                              (both caches stay warm); logged to -wal-dir
+//	                              and persisted to -snapshot-dir when set
 //	GET    /models                list the model catalog
 //	POST   /models                register a model at runtime
 //	GET    /models/{name}         one catalog row
@@ -39,8 +38,7 @@
 //	hardqd -coordinator "s0=http://localhost:8081,s1=http://localhost:8082" -partitions 4
 //	curl -d '{"kind":"bool","query":"P(_,_;a;b),C(a,_,F,_,_,_),C(b,_,M,_,_,_)"}' localhost:8080/v1/query
 //	curl -d '{"kind":"topk","query":"...","k":3,"stream":true}' localhost:8080/v1/query
-//	curl 'localhost:8080/eval?q=P(_,_;a;b),C(a,_,F,_,_,_),C(b,_,M,_,_,_)'
-//	curl -d '{"queries":["...","..."],"model":"polls-small"}' localhost:8080/eval
+//	curl -d '{"requests":[{"kind":"bool","query":"...","model":"polls-small"},{"kind":"count","query":"...","model":"polls-small"}]}' localhost:8080/v1/query
 //	curl localhost:8080/models
 //
 // See docs/API.md for the full endpoint reference and docs/ARCHITECTURE.md

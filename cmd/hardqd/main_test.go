@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -94,30 +93,39 @@ func TestSetupBannerGolden(t *testing.T) {
 	checkGolden(t, "banner", []byte(banner))
 }
 
-func TestEvalGolden(t *testing.T) {
-	srv, _ := testServer(t, "-dataset", "figure1")
-	b := getBody(t, srv, "/eval?q="+url.QueryEscape(demoQuery)+"&sessions=1")
-	checkGolden(t, "eval", b)
+// boolQuery is the /v1/query body of one bool request over query against
+// model ("" = default).
+func boolQuery(query, model string) []byte {
+	req := map[string]any{"kind": "bool", "query": query}
+	if model != "" {
+		req["model"] = model
+	}
+	b, _ := json.Marshal(req)
+	return b
 }
 
 func TestEvalBatchGolden(t *testing.T) {
 	srv, _ := testServer(t, "-dataset", "figure1")
-	req, _ := json.Marshal(map[string]any{"queries": []string{demoQuery, demoQuery}})
-	b := postBody(t, srv, "/eval", req)
-	checkGolden(t, "evalbatch", b)
+	one := map[string]any{"kind": "bool", "query": demoQuery}
+	req, _ := json.Marshal(map[string]any{"requests": []any{one, one}})
+	b := postBody(t, srv, "/v1/query", req)
+	checkGolden(t, "v1_query_batch", b)
 }
 
 func TestTopKGolden(t *testing.T) {
 	srv, _ := testServer(t, "-dataset", "figure1")
-	b := getBody(t, srv, "/topk?q="+url.QueryEscape(demoQuery)+"&k=2&bound=1")
-	checkGolden(t, "topk", b)
+	req, _ := json.Marshal(map[string]any{"kind": "topk", "query": demoQuery, "k": 2, "bound": 1})
+	b := postBody(t, srv, "/v1/query", req)
+	checkGolden(t, "v1_query_topk", b)
 }
 
 func TestStatsGolden(t *testing.T) {
 	srv, _ := testServer(t, "-dataset", "figure1")
-	// A fixed request sequence makes every counter deterministic.
-	getBody(t, srv, "/eval?q="+url.QueryEscape(demoQuery))
-	getBody(t, srv, "/eval?q="+url.QueryEscape(demoQuery))
+	// A fixed request sequence makes every counter deterministic: the same
+	// one-request batch twice, cold then warm.
+	batch := []byte(`{"requests":[` + string(boolQuery(demoQuery, "")) + `]}`)
+	postBody(t, srv, "/v1/query", batch)
+	postBody(t, srv, "/v1/query", batch)
 	b := getBody(t, srv, "/stats")
 	checkGolden(t, "stats", b)
 }
@@ -204,24 +212,25 @@ func TestModelsGolden(t *testing.T) {
 
 func TestEvalWithModelGolden(t *testing.T) {
 	srv := manifestServer(t)
-	b := getBody(t, srv, "/eval?q="+url.QueryEscape(pollsDemoQuery)+"&model=polls-small")
-	checkGolden(t, "eval_model_polls", b)
+	b := postBody(t, srv, "/v1/query", boolQuery(pollsDemoQuery, "polls-small"))
+	checkGolden(t, "v1_query_model_polls", b)
 }
 
 func TestTopKWithModel(t *testing.T) {
 	srv := manifestServer(t)
-	b := getBody(t, srv, "/topk?q="+url.QueryEscape(demoQuery)+"&k=2&bound=1&model=figure1")
+	req, _ := json.Marshal(map[string]any{"kind": "topk", "query": demoQuery, "k": 2, "bound": 1, "model": "figure1"})
+	b := postBody(t, srv, "/v1/query", req)
 	var resp struct {
-		Results []struct {
+		Result struct {
 			Top []struct {
 				Prob float64 `json:"prob"`
 			} `json:"top"`
-		} `json:"results"`
+		} `json:"result"`
 	}
 	if err := json.Unmarshal(b, &resp); err != nil {
 		t.Fatalf("unmarshal: %v\n%s", err, b)
 	}
-	if len(resp.Results) != 1 || len(resp.Results[0].Top) != 2 {
+	if len(resp.Result.Top) != 2 {
 		t.Fatalf("topk shape: %s", b)
 	}
 }
@@ -249,9 +258,9 @@ func statusOf(t *testing.T, srv *httptest.Server, method, path string, body []by
 func TestModelLifecycle(t *testing.T) {
 	srv := manifestServer(t)
 
-	// Unknown models are 404 on every query route.
-	if code, _ := statusOf(t, srv, "GET", "/eval?q="+url.QueryEscape(demoQuery)+"&model=ghost", nil); code != http.StatusNotFound {
-		t.Fatalf("eval on unknown model: status %d, want 404", code)
+	// Unknown models are 404 on the query route.
+	if code, _ := statusOf(t, srv, "POST", "/v1/query", boolQuery(demoQuery, "ghost")); code != http.StatusNotFound {
+		t.Fatalf("query on unknown model: status %d, want 404", code)
 	}
 	if code, _ := statusOf(t, srv, "GET", "/models/ghost", nil); code != http.StatusNotFound {
 		t.Fatalf("GET /models/ghost: status %d, want 404", code)
@@ -272,14 +281,14 @@ func TestModelLifecycle(t *testing.T) {
 	if !strings.Contains(string(b), `"loaded": true`) {
 		t.Fatalf("GET /models/f2 not loaded:\n%s", b)
 	}
-	getBody(t, srv, "/eval?q="+url.QueryEscape(demoQuery)+"&model=f2")
+	postBody(t, srv, "/v1/query", boolQuery(demoQuery, "f2"))
 
 	// Evict it; querying again is a 404, deleting again is a 404.
 	if code, b := statusOf(t, srv, "DELETE", "/models/f2", nil); code != http.StatusOK {
 		t.Fatalf("DELETE /models/f2: status %d\n%s", code, b)
 	}
-	if code, _ := statusOf(t, srv, "GET", "/eval?q="+url.QueryEscape(demoQuery)+"&model=f2", nil); code != http.StatusNotFound {
-		t.Fatalf("eval on deleted model: status %d, want 404", code)
+	if code, _ := statusOf(t, srv, "POST", "/v1/query", boolQuery(demoQuery, "f2")); code != http.StatusNotFound {
+		t.Fatalf("query on deleted model: status %d, want 404", code)
 	}
 	if code, _ := statusOf(t, srv, "DELETE", "/models/f2", nil); code != http.StatusNotFound {
 		t.Fatalf("second DELETE: status %d, want 404", code)
@@ -311,7 +320,7 @@ func TestManifestServesModelsConcurrently(t *testing.T) {
 			if i%2 == 1 {
 				q, model = pollsDemoQuery, "polls-small"
 			}
-			resp, err := srv.Client().Get(srv.URL + "/eval?q=" + url.QueryEscape(q) + "&model=" + model)
+			resp, err := srv.Client().Post(srv.URL+"/v1/query", "application/json", bytes.NewReader(boolQuery(q, model)))
 			if err != nil {
 				t.Error(err)
 				return
@@ -369,10 +378,6 @@ func TestAPIDocEndpointsCovered(t *testing.T) {
 		"POST /v1/query",
 		"POST /v1/rows",
 		"POST /v1/sessions",
-		"GET /eval",
-		"POST /eval",
-		"GET /topk",
-		"POST /topk",
 		"GET /models",
 		"POST /models",
 		"GET /models/{name}",
@@ -413,8 +418,6 @@ func TestAPIDocEndpointsCovered(t *testing.T) {
 	// Exercise the documented read paths against a manifest-backed server.
 	srv := manifestServer(t)
 	for _, path := range []string{
-		"/eval?q=" + url.QueryEscape(demoQuery) + "&sessions=1&model=figure1",
-		"/topk?q=" + url.QueryEscape(demoQuery) + "&k=2&bound=1&model=figure1",
 		"/models",
 		"/models/figure1",
 		"/stats",
@@ -474,8 +477,8 @@ func TestShardServesPartitionModels(t *testing.T) {
 		}
 	}
 	// The unsplit model is not served; queries must name a partition.
-	if code, _ := statusOf(t, srv, "GET", "/eval?q="+url.QueryEscape(demoQuery), nil); code != http.StatusNotFound {
-		t.Fatalf("eval on unsplit model: status %d, want 404", code)
+	if code, _ := statusOf(t, srv, "POST", "/v1/query", boolQuery(demoQuery, "")); code != http.StatusNotFound {
+		t.Fatalf("query on unsplit model: status %d, want 404", code)
 	}
 	req, _ := json.Marshal(map[string]any{"kind": "bool", "query": demoQuery, "model": "default--p1", "per_session": true})
 	postBody(t, srv, "/v1/query", req)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,8 +70,10 @@ func TestGenerateFigure1RoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := &ppd.Engine{DB: db, Method: ppd.MethodAuto}
-	res, err := eng.Eval(ppd.MustParse(
-		`P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)`))
+	res, err := eng.Do(context.Background(), &ppd.Request{
+		Kind:  ppd.KindBool,
+		Query: `P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)`,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package probpref_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,21 +28,20 @@ func ExamplePairwiseMatrix() {
 
 // The exact distribution of the number of sessions preferring some Democrat
 // to some Republican.
-func ExampleEngine_CountDistribution() {
+func ExampleEngine_Do_countDist() {
 	db, err := probpref.Figure1()
 	if err != nil {
 		log.Fatal(err)
 	}
 	eng := &probpref.Engine{DB: db, Method: probpref.MethodAuto}
-	q, err := probpref.ParseQuery(
-		`P(_, _; c1; c2), C(c1, D, _, _, _, _), C(c2, R, _, _, _, _)`)
+	resp, err := eng.Do(context.Background(), &probpref.Request{
+		Kind:  probpref.KindCountDist,
+		Query: `P(_, _; c1; c2), C(c1, D, _, _, _, _), C(c2, R, _, _, _, _)`,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	dist, err := eng.CountDistribution(q)
-	if err != nil {
-		log.Fatal(err)
-	}
+	dist := resp.Dist
 	fmt.Printf("mean %.4f stddev %.4f mode %d\n", dist.Mean(), dist.StdDev(), dist.Mode())
 	fmt.Printf("Pr(count >= 2) = %.4f\n", dist.Tail(2))
 	// Output:
@@ -51,19 +51,17 @@ func ExampleEngine_CountDistribution() {
 
 // Evaluate a union of conjunctive queries: either a female candidate beats
 // a male one, or a JD-educated Democrat beats a Republican.
-func ExampleEngine_EvalUnion() {
+func ExampleEngine_Do_union() {
 	db, err := probpref.Figure1()
 	if err != nil {
 		log.Fatal(err)
 	}
 	eng := &probpref.Engine{DB: db, Method: probpref.MethodAuto}
-	uq, err := probpref.ParseUnionQuery(
-		`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)` +
-			` | P(_, _; c1; c2), C(c1, D, _, _, JD, _), C(c2, R, _, _, _, _)`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := eng.EvalUnion(uq)
+	res, err := eng.Do(context.Background(), &probpref.Request{
+		Kind: probpref.KindBool,
+		Query: `P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)` +
+			` | P(_, _; c1; c2), C(c1, D, _, _, JD, _), C(c2, R, _, _, _, _)`,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,12 +88,10 @@ func ExampleSessionModel() {
 		{Key: []string{"Eve", "6/5"}, Model: gm},
 	})
 	eng := &probpref.Engine{DB: db, Method: probpref.MethodAuto}
-	q, err := probpref.ParseQuery(
-		`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := eng.Eval(q)
+	res, err := eng.Do(context.Background(), &probpref.Request{
+		Kind:  probpref.KindBool,
+		Query: `P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

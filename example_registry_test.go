@@ -45,12 +45,10 @@ func ExampleOpenDataset() {
 		panic(err)
 	}
 	eng := &probpref.Engine{DB: db, Method: probpref.MethodAuto}
-	q, err := probpref.ParseQuery(
-		`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`)
-	if err != nil {
-		panic(err)
-	}
-	res, err := eng.Eval(q)
+	res, err := eng.Do(context.Background(), &probpref.Request{
+		Kind:  probpref.KindBool,
+		Query: `P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`,
+	})
 	if err != nil {
 		panic(err)
 	}
@@ -59,10 +57,10 @@ func ExampleOpenDataset() {
 	// Pr(Q|D) = 0.999104
 }
 
-// ExampleService_EvalBatch serves two named models from one multi-model
+// ExampleService_DoBatch serves two named models from one multi-model
 // service: each batch routes to its model, and the shared solve cache
 // namespaces entries per model so tenants stay isolated.
-func ExampleService_EvalBatch() {
+func ExampleService_DoBatch() {
 	reg := probpref.NewRegistry()
 	reg.Register(probpref.ModelSpec{Name: "tenant-a", Dataset: "figure1"})
 	reg.Register(probpref.ModelSpec{Name: "tenant-b", Dataset: "figure1"})
@@ -71,14 +69,15 @@ func ExampleService_EvalBatch() {
 	ctx := context.Background()
 	q := `P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`
 	for _, model := range []string{"tenant-a", "tenant-b"} {
-		br, err := svc.EvalBatchModelCtx(ctx, model, []string{q, q})
+		req := &probpref.Request{Kind: probpref.KindBool, Query: q, Model: model}
+		br, err := svc.DoBatch(ctx, []*probpref.Request{req, req})
 		if err != nil {
 			panic(err)
 		}
 		// The two identical queries of the batch share their inference
 		// groups; the identical *other tenant* shares nothing.
 		fmt.Printf("%s: Pr = %.6f, groups=%d solved=%d cache_hits=%d\n",
-			model, br.Results[0].Prob, br.Groups, br.Solved, br.CacheHits)
+			model, br.Responses[0].Prob, br.Groups, br.Solved, br.CacheHits)
 	}
 	// Output:
 	// tenant-a: Pr = 0.999104, groups=3 solved=3 cache_hits=0

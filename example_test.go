@@ -1,6 +1,7 @@
 package probpref_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,12 +16,10 @@ func Example() {
 		log.Fatal(err)
 	}
 	eng := &probpref.Engine{DB: db, Method: probpref.MethodAuto}
-	q, err := probpref.ParseQuery(
-		`P(_, _; c1; c2), C(c1, D, _, _, e, _), C(c2, R, _, _, e, _)`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := eng.Eval(q)
+	res, err := eng.Do(context.Background(), &probpref.Request{
+		Kind:  probpref.KindBool,
+		Query: `P(_, _; c1; c2), C(c1, D, _, _, e, _), C(c2, R, _, _, e, _)`,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,22 +53,21 @@ func ExampleSolveTwoLabel() {
 
 // Ask for the sessions most likely to satisfy a query, using the
 // upper-bound top-k optimization.
-func ExampleEngine_TopK() {
+func ExampleEngine_Do_topK() {
 	db, err := probpref.Figure1()
 	if err != nil {
 		log.Fatal(err)
 	}
 	eng := &probpref.Engine{DB: db, Method: probpref.MethodAuto}
-	q, err := probpref.ParseQuery(
-		`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`)
+	resp, err := eng.Do(context.Background(), &probpref.Request{
+		Kind:  probpref.KindTopK,
+		Query: `P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`,
+		K:     1, BoundEdges: 1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	top, _, err := eng.TopK(q, 1, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s: %.4f\n", top[0].Session.Key[0], top[0].Prob)
+	fmt.Printf("%s: %.4f\n", resp.Top[0].Session.Key[0], resp.Top[0].Prob)
 	// Output:
 	// Ann: 0.9809
 }
@@ -97,21 +95,21 @@ func ExampleEngine_Explain() {
 
 // Aggregate a session attribute over satisfying sessions: the expected
 // average age of voters who prefer a Republican to a Democrat.
-func ExampleEngine_Aggregate() {
+func ExampleEngine_Do_aggregate() {
 	db, err := probpref.Figure1()
 	if err != nil {
 		log.Fatal(err)
 	}
 	eng := &probpref.Engine{DB: db, Method: probpref.MethodAuto}
-	q, err := probpref.ParseQuery(
-		`P(_, _; c1; c2), C(c1, R, _, _, _, _), C(c2, D, _, _, _, _)`)
+	resp, err := eng.Do(context.Background(), &probpref.Request{
+		Kind:   probpref.KindAggregate,
+		Query:  `P(_, _; c1; c2), C(c1, R, _, _, _, _), C(c2, D, _, _, _, _)`,
+		AggRel: "V", AggAttr: "age",
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	agg, err := eng.Aggregate(q, "V", "age")
-	if err != nil {
-		log.Fatal(err)
-	}
+	agg := resp.Agg
 	fmt.Printf("expected satisfying sessions: %.3f, average age: %.1f\n", agg.Count, agg.Avg)
 	// Output:
 	// expected satisfying sessions: 1.877, average age: 34.0

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -88,15 +89,15 @@ func main() {
 	// Count-Session distribution: among the three polled sessions, how many
 	// prefer a Democrat to a Republican?
 	eng := &probpref.Engine{DB: db, Method: probpref.MethodAuto}
-	q, err := probpref.ParseQuery(
-		`P(_, _; c1; c2), C(c1, "D", _, _, _, _), C(c2, "R", _, _, _, _)`)
+	ctx := context.Background()
+	resp, err := eng.Do(ctx, &probpref.Request{
+		Kind:  probpref.KindCountDist,
+		Query: `P(_, _; c1; c2), C(c1, "D", _, _, _, _), C(c2, "R", _, _, _, _)`,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	dist, err := eng.CountDistribution(q)
-	if err != nil {
-		log.Fatal(err)
-	}
+	dist := resp.Dist
 	fmt.Println("\ncount(Q): sessions preferring some Democrat to some Republican")
 	fmt.Printf("  mean %.3f  stddev %.3f  mode %d  median %d\n",
 		dist.Mean(), dist.StdDev(), dist.Mode(), dist.Quantile(0.5))
@@ -107,13 +108,11 @@ func main() {
 
 	// Union query: a female candidate beats a male one, OR a JD-educated
 	// Democrat beats a Republican.
-	uq, err := probpref.ParseUnionQuery(
-		`P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)` +
-			` | P(_, _; c1; c2), C(c1, "D", _, _, "JD", _), C(c2, "R", _, _, _, _)`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ru, err := eng.EvalUnion(uq)
+	ru, err := eng.Do(ctx, &probpref.Request{
+		Kind: probpref.KindBool,
+		Query: `P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)` +
+			` | P(_, _; c1; c2), C(c1, "D", _, _, "JD", _), C(c2, "R", _, _, _, _)`,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -41,7 +42,8 @@ func main() {
 
 		grouped := &probpref.Engine{DB: db, Method: probpref.MethodRelOrder}
 		start := time.Now()
-		res, err := grouped.Eval(q)
+		req := &probpref.Request{Kind: probpref.KindCount, Queries: []*probpref.Query{q}}
+		res, err := grouped.Do(context.Background(), req)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,7 +53,7 @@ func main() {
 		if workers <= 50 {
 			naive := &probpref.Engine{DB: db, Method: probpref.MethodRelOrder, DisableGrouping: true}
 			start = time.Now()
-			if _, err := naive.Eval(q); err != nil {
+			if _, err := naive.Do(context.Background(), req); err != nil {
 				log.Fatal(err)
 			}
 			naiveTime := time.Since(start)

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -100,12 +101,10 @@ func main() {
 		log.Fatal(err)
 	}
 	eng := &probpref.Engine{DB: db, Method: probpref.MethodAuto}
-	q, err := probpref.ParseQuery(
-		`P(_; b; a), M(b, "blockbuster"), M(a, "arthouse")`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := eng.Eval(q)
+	res, err := eng.Do(context.Background(), &probpref.Request{
+		Kind:  probpref.KindBool,
+		Query: `P(_; b; a), M(b, "blockbuster"), M(a, "arthouse")`,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

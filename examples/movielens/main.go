@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -25,6 +26,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("query:", q)
+	req := &probpref.Request{Kind: probpref.KindBool, Queries: []*probpref.Query{q}}
 	fmt.Println()
 
 	// Larger catalogs (up to 200 movies, as in the paper's Figure 14) are
@@ -44,7 +46,7 @@ func main() {
 			Rng: rand.New(rand.NewSource(1)),
 		}
 		start := time.Now()
-		res, err := eng.Eval(q)
+		res, err := eng.Do(context.Background(), req)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -62,7 +64,7 @@ func main() {
 		Method: probpref.MethodMISAdaptive,
 		Rng:    rand.New(rand.NewSource(2)),
 	}
-	res, err := eng.Eval(q)
+	res, err := eng.Do(context.Background(), req)
 	if err != nil {
 		log.Fatal(err)
 	}

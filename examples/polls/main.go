@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -28,11 +29,8 @@ func main() {
 	// same party? The party join variable p prevents label-pattern
 	// reduction; grounding rewrites the query into a union of two-label
 	// patterns per session (one per party).
-	q, err := probpref.ParseQuery(
-		`P(_, _; l; r), C(l, p, F, _, JD, _), C(r, p, M, _, BS, _)`)
-	if err != nil {
-		log.Fatal(err)
-	}
+	const query = `P(_, _; l; r), C(l, p, F, _, JD, _), C(r, p, M, _, BS, _)`
+	ctx := context.Background()
 
 	for _, m := range []struct {
 		name   string
@@ -53,7 +51,7 @@ func main() {
 			Rng: rand.New(rand.NewSource(1)),
 		}
 		start := time.Now()
-		res, err := eng.Eval(q)
+		res, err := eng.Do(ctx, &probpref.Request{Kind: probpref.KindBool, Query: query})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -63,30 +61,34 @@ func main() {
 
 	// Aggregation (the paper's future-work extension): the expected
 	// average age of voters whose poll satisfies the query.
-	agg, err := (&probpref.Engine{DB: db, Method: probpref.MethodAuto}).Aggregate(q, "V", "age")
+	eng := &probpref.Engine{DB: db, Method: probpref.MethodAuto}
+	resp, err := eng.Do(ctx, &probpref.Request{
+		Kind: probpref.KindAggregate, Query: query, AggRel: "V", AggAttr: "age",
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nexpected satisfying sessions: %.2f, average voter age among them: %.1f\n",
-		agg.Count, agg.Avg)
+		resp.Agg.Count, resp.Agg.Avg)
 
 	// Most-Probable-Session: which voters most strongly prefer a
 	// same-party male to a same-party female? Compare the naive strategy
 	// against the 1-edge and 2-edge upper-bound optimizations.
 	fmt.Println("\ntop-3 most supportive sessions:")
-	eng := &probpref.Engine{DB: db, Method: probpref.MethodAuto}
 	for _, mode := range []struct {
 		name  string
 		edges int
 	}{{"naive", 0}, {"1-edge bounds", 1}, {"2-edge bounds", 2}} {
 		start := time.Now()
-		top, diag, err := eng.TopK(q, 3, mode.edges)
+		resp, err := eng.Do(ctx, &probpref.Request{
+			Kind: probpref.KindTopK, Query: query, K: 3, BoundEdges: mode.edges,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-14s evaluated %3d sessions exactly in %v\n",
-			mode.name, diag.SessionsEvaluated, time.Since(start).Round(time.Millisecond))
-		for i, sp := range top {
+			mode.name, resp.Diag.SessionsEvaluated, time.Since(start).Round(time.Millisecond))
+		for i, sp := range resp.Top {
 			fmt.Printf("      %d. voter %s (poll %s)  Pr = %.4f\n",
 				i+1, sp.Session.Key[0], sp.Session.Key[1], sp.Prob)
 		}

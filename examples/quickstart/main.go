@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,14 +18,14 @@ func main() {
 		log.Fatal(err)
 	}
 	eng := &probpref.Engine{DB: db, Method: probpref.MethodAuto}
+	// Every query class is one Request answered by Do; KindBool carries the
+	// Boolean confidence, the expected count and the per-session rows.
+	ask := func(query string) (*probpref.Response, error) {
+		return eng.Do(context.Background(), &probpref.Request{Kind: probpref.KindBool, Query: query})
+	}
 
 	// Q0: does Ann (on 5/5) prefer Trump to both Clinton and Rubio?
-	q0, err := probpref.ParseQuery(
-		`P(Ann, "5/5"; Trump; Clinton), P(Ann, "5/5"; Trump; Rubio)`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := eng.Eval(q0)
+	res, err := ask(`P(Ann, "5/5"; Trump; Clinton), P(Ann, "5/5"; Trump; Rubio)`)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,12 +33,7 @@ func main() {
 
 	// Q1: is a female candidate preferred to a male candidate in any
 	// session? (itemwise: tractable)
-	q1, err := probpref.ParseQuery(
-		`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err = eng.Eval(q1)
+	res, err = ask(`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,12 +47,7 @@ func main() {
 	// the paper's running example of a provably hard (non-itemwise) query.
 	// The shared variable e is grounded over {BS, JD}, rewriting Q2 into a
 	// union of itemwise queries.
-	q2, err := probpref.ParseQuery(
-		`P(_, _; c1; c2), C(c1, D, _, _, e, _), C(c2, R, _, _, e, _)`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err = eng.Eval(q2)
+	res, err = ask(`P(_, _; c1; c2), C(c1, D, _, _, e, _), C(c2, R, _, _, e, _)`)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,13 +45,16 @@ func main() {
 	figQ := `P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`
 	pollQ := `P(_, _; l; r), C(l, p, M, _, _, _), C(r, p, F, _, _, _)`
 
-	resF, err := svc.EvalModelCtx(ctx, "figure1", figQ)
+	ask := func(model, query string) (*probpref.Response, error) {
+		return svc.Do(ctx, &probpref.Request{Kind: probpref.KindBool, Query: query, Model: model})
+	}
+	resF, err := ask("figure1", figQ)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("figure1:     Pr(Q|D) = %.6g over %d sessions\n", resF.Prob, len(resF.PerSession))
 
-	resP, err := svc.EvalModelCtx(ctx, "polls-small", pollQ)
+	resP, err := ask("polls-small", pollQ)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +69,7 @@ func main() {
 	for _, in := range reg.List() {
 		fmt.Printf("  %-15s %-10s loaded=%v\n", in.Name, in.Dataset, in.Loaded)
 	}
-	if _, err := svc.EvalModelCtx(ctx, "polls-small", pollQ); err != nil {
+	if _, err := ask("polls-small", pollQ); err != nil {
 		fmt.Println("polls-small now:", err)
 	}
 }

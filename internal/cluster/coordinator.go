@@ -181,7 +181,7 @@ func (s *shard) hedgeDelay(def time.Duration) time.Duration {
 type Coordinator struct {
 	cfg    Config
 	client *http.Client
-	cache  *resultCache
+	cache  *server.LRU[*ResultJSON]
 
 	mu     sync.Mutex
 	shards []*shard
@@ -214,7 +214,7 @@ func New(shards []ShardConfig, cfg Config) (*Coordinator, error) {
 		stop:   make(chan struct{}),
 	}
 	if cfg.CacheSize > 0 {
-		c.cache = newResultCache(cfg.CacheSize)
+		c.cache = server.NewLRU[*ResultJSON](cfg.CacheSize, 1)
 	}
 	seen := make(map[string]bool, len(shards))
 	for _, sc := range shards {
@@ -597,8 +597,8 @@ func (c *Coordinator) Stats() StatsJSON {
 		})
 	}
 	if c.cache != nil {
-		hits, misses, size := c.cache.stats()
-		out.Cache = CacheStatsJSON{Hits: hits, Misses: misses, Size: size}
+		st := c.cache.Stats()
+		out.Cache = CacheStatsJSON{Hits: st.Hits, Misses: st.Misses, Size: st.Entries}
 	}
 	return out
 }

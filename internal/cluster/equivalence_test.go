@@ -96,6 +96,16 @@ func TestClusterEquivalenceErrors(t *testing.T) {
 		fmt.Sprintf(`{"kind":"consensus","query":%q,"stream":true}`, demoQuery),
 		fmt.Sprintf(`{"kind":"consensus","query":%q,"target":"kemeny"}`, demoQuery),
 		fmt.Sprintf(`{"kind":"consensus","query":%q,"target":"median","stream":true}`, demoQuery),
+		// Batches whose second request fails at Compile ...
+		fmt.Sprintf(`{"requests":[{"kind":"bool","query":%q},{"kind":"topk","query":%q}]}`, demoQuery, demoQuery),
+		fmt.Sprintf(`{"requests":[{"kind":"bool","query":%q},{"kind":"bool","query":%q,"k":2}]}`, demoQuery, demoQuery),
+		fmt.Sprintf(`{"requests":[{"kind":"bool","query":%q},{"kind":"aggregate","query":%q}]}`, demoQuery, demoQuery),
+		// ... at ToRequest ...
+		fmt.Sprintf(`{"requests":[{"kind":"bool","query":%q},{"kind":"bool","query":%q,"method":"nope"}]}`, demoQuery, demoQuery),
+		fmt.Sprintf(`{"requests":[{"kind":"bool","query":%q},{"kind":"bool","query":%q,"timeout_ms":-1}]}`, demoQuery, demoQuery),
+		// ... and whose first fails at Compile before the second fails at
+		// ToRequest: the stages interleave per request on both tiers.
+		fmt.Sprintf(`{"requests":[{"kind":"topk","query":%q},{"kind":"bool","query":%q,"method":"nope"}]}`, demoQuery, demoQuery),
 	} {
 		h.checkEqual(body)
 	}

@@ -94,48 +94,25 @@ func (c *Coordinator) Handler() http.Handler {
 }
 
 // handleQuery serves POST /v1/query: wire-compatible with the shard
-// endpoint, answered by fanning the request out per partition and merging.
+// endpoint — the body goes through the shard's own front half,
+// server.DecodeV1Query, so both tiers reject a malformed body with the same
+// bytes — answered by fanning the request out per partition and merging.
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var body server.V1Body
-	if err := dec.Decode(&body); err != nil {
-		server.ServeJSON(w, func() (any, error) { return nil, fmt.Errorf("decoding body: %w", err) })
-		return
-	}
-	if len(body.Requests) > 0 {
-		server.ServeJSON(w, func() (any, error) { return c.doBatch(r.Context(), body) })
-		return
-	}
-	req, err := body.V1Request.ToRequest()
+	q, err := server.DecodeV1Query(r.Body)
 	if err != nil {
 		server.ServeJSON(w, func() (any, error) { return nil, err })
 		return
 	}
-	// The stream allowlist is checked before Compile, matching the shard's
-	// validation order so both tiers report the same first error.
-	if body.Stream {
-		switch req.Kind {
-		case ppd.KindTopK, ppd.KindBool, ppd.KindCount, ppd.KindCountDist:
-		default:
-			server.ServeJSON(w, func() (any, error) {
-				return nil, fmt.Errorf("stream is not valid for kind %s (topk, bool, count and countdist stream session rows)", req.Kind)
-			})
-			return
-		}
-	}
-	cr, err := req.Compile()
-	if err != nil {
-		server.ServeJSON(w, func() (any, error) { return nil, err })
-		return
-	}
-	c.queries.Add(1)
-	if body.Stream {
-		c.stream(w, r, body.V1Request, cr)
+	c.queries.Add(uint64(len(q.Compiled)))
+	if q.Body.Stream {
+		c.stream(w, r, q.Body.V1Request, q.Compiled[0])
 		return
 	}
 	server.ServeJSON(w, func() (any, error) {
-		res, err := c.doSingle(r.Context(), body.V1Request, cr)
+		if q.Batch() {
+			return c.doBatch(r.Context(), q)
+		}
+		res, err := c.doSingle(r.Context(), q.Body.V1Request, q.Compiled[0])
 		if err != nil {
 			return nil, err
 		}
@@ -179,7 +156,7 @@ func (c *Coordinator) doSingle(ctx context.Context, vr server.V1Request, cr *ppd
 	}
 	useCache := c.cache != nil && cacheable(cr)
 	if useCache {
-		if hit := c.cache.Get(key); hit != nil {
+		if hit, ok := c.cache.Get(key); ok {
 			return cachedCopy(hit), nil
 		}
 	}
@@ -268,26 +245,8 @@ func collectFanout(errs []error) (*ClusterDiagJSON, error) {
 // model — requests of one model always share placement, and inference
 // groups never span models, so splitting preserves the shard-side dedup
 // accounting — and each model's sub-batch fans out per partition.
-func (c *Coordinator) doBatch(ctx context.Context, body server.V1Body) (*ResponseJSON, error) {
-	if body.V1Request != (server.V1Request{}) {
-		return nil, fmt.Errorf("batch body must not mix inline request fields with requests; set fields per request")
-	}
-	kinds := make([]ppd.Kind, len(body.Requests))
-	for i := range body.Requests {
-		if body.Requests[i].Stream {
-			return nil, fmt.Errorf("query %d: stream is only valid for a single request", i+1)
-		}
-		req, err := body.Requests[i].ToRequest()
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i+1, err)
-		}
-		cr, err := req.Compile()
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i+1, err)
-		}
-		kinds[i] = cr.Kind
-	}
-	c.queries.Add(uint64(len(body.Requests)))
+func (c *Coordinator) doBatch(ctx context.Context, q *server.V1Query) (*ResponseJSON, error) {
+	body := &q.Body
 	// Group request indexes by base model, preserving request order within
 	// each group.
 	byModel := map[string][]int{}
@@ -378,7 +337,7 @@ func (c *Coordinator) doBatch(ctx context.Context, body server.V1Body) (*Respons
 		for p := 0; p < n; p++ {
 			sub[p] = results[p][i]
 		}
-		m, err := mergeResults(kinds[i], body.Requests[i].K, body.Requests[i].PerSession, sub)
+		m, err := mergeResults(q.Compiled[i].Kind, body.Requests[i].K, body.Requests[i].PerSession, sub)
 		if err != nil {
 			return nil, fmt.Errorf("query %d: %w", i+1, err)
 		}
@@ -489,7 +448,9 @@ func (c *Coordinator) deleteModel(ctx context.Context, name string) (*server.Del
 	wg.Wait()
 	// The purge happens regardless of shard outcomes: serving stale merged
 	// results is worse than purging for a delete that partially failed.
-	c.cache.purgeModel(name)
+	if c.cache != nil {
+		c.cache.PurgePrefix(name + nsSep)
+	}
 	var firstErr error
 	any := false
 	for i := range dels {
@@ -507,15 +468,6 @@ func (c *Coordinator) deleteModel(ctx context.Context, name string) (*server.Del
 		return nil, server.HTTPError(http.StatusNotFound, fmt.Errorf("unknown model %q", name))
 	}
 	return &server.DeleteModelResponse{Deleted: name}, nil
-}
-
-// purgeModel drops the model's cache namespace; nil-safe for a disabled
-// cache.
-func (c *resultCache) purgeModel(name string) {
-	if c == nil {
-		return
-	}
-	c.PurgePrefix(name + nsSep)
 }
 
 // mergedModels lists the cluster catalog: every shard's /models rows,

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -274,7 +275,7 @@ func TestCrowdRankSolvable(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := &ppd.Engine{DB: db, Method: ppd.MethodRelOrder}
-	res, err := eng.Eval(ppd.MustParse(CrowdRankQuery))
+	res, err := eng.Do(context.Background(), &ppd.Request{Kind: ppd.KindBool, Query: CrowdRankQuery})
 	if err != nil {
 		t.Fatal(err)
 	}

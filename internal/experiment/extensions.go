@@ -9,6 +9,7 @@ package experiment
 // estimator).
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -157,10 +158,11 @@ func RunExtX3(scale Scale) (*Table, error) {
 		return nil, err
 	}
 	eng := &ppd.Engine{DB: db, Method: ppd.MethodAuto}
-	dist, err := eng.CountDistribution(q)
+	resp, err := eng.Do(context.Background(), &ppd.Request{Kind: ppd.KindCountDist, Queries: []*ppd.Query{q}})
 	if err != nil {
 		return nil, err
 	}
+	dist := resp.Dist
 	g, err := ppd.NewGrounder(db, q)
 	if err != nil {
 		return nil, err

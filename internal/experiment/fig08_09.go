@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -52,16 +53,18 @@ func RunFig08(scale Scale) (*Table, error) {
 			name  string
 			edges int
 		}{{"full", 0}, {"1-edge", 1}, {"2-edge", 2}} {
-			var diag *ppd.TopKDiag
-			var top []ppd.SessionProb
+			var resp *ppd.Response
 			d, err := timeIt(func() error {
 				var e error
-				top, diag, e = eng.TopK(q, k, mode.edges)
+				resp, e = eng.Do(context.Background(), &ppd.Request{
+					Kind: ppd.KindTopK, Queries: []*ppd.Query{q}, K: k, BoundEdges: mode.edges,
+				})
 				return e
 			})
 			if err != nil {
 				return nil, err
 			}
+			top, diag := resp.Top, resp.Diag
 			if mode.edges == 0 {
 				naive = d
 			}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math/rand"
 	"time"
 
@@ -217,10 +218,11 @@ func RunFig15(scale Scale) (*Table, error) {
 		}
 		q := ppd.MustParse(dataset.CrowdRankQuery)
 		grouped := &ppd.Engine{DB: db, Method: ppd.MethodRelOrder}
-		var res *ppd.EvalResult
+		req := &ppd.Request{Kind: ppd.KindBool, Queries: []*ppd.Query{q}}
+		var res *ppd.Response
 		groupedTime, err := timeIt(func() error {
 			var e error
-			res, e = grouped.Eval(q)
+			res, e = grouped.Do(context.Background(), req)
 			return e
 		})
 		if err != nil {
@@ -231,7 +233,7 @@ func RunFig15(scale Scale) (*Table, error) {
 		if n <= naiveCap {
 			naive := &ppd.Engine{DB: db, Method: ppd.MethodRelOrder, DisableGrouping: true}
 			naiveTime, err = timeIt(func() error {
-				_, e := naive.Eval(q)
+				_, e := naive.Do(context.Background(), req)
 				return e
 			})
 			if err != nil {

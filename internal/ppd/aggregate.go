@@ -59,11 +59,12 @@ func FoldAggregateRows(rows []AggRow) *AggregateResult {
 	return res
 }
 
-// aggregateUnion is the aggregation core behind KindAggregate (and the
-// Aggregate compatibility wrappers): sum/avg of a numeric attribute of rel
-// over the sessions satisfying the (single-disjunct) query; see
-// Engine.Aggregate for the lookup semantics. Only the groups of sessions
-// that carry a value are solved.
+// aggregateUnion is the aggregation core behind KindAggregate: sum/avg of a
+// numeric attribute of rel over the sessions satisfying the
+// (single-disjunct) query. The row of rel whose key (first attribute)
+// equals the session's first key value provides the value of attr; sessions
+// without a matching row or with a non-numeric value are skipped, and only
+// the groups of sessions that carry a value are solved.
 func (e *Engine) aggregateUnion(ctx context.Context, uq *UnionQuery, rel, attr string) (*AggregateResult, error) {
 	r, ok := e.DB.Relations[rel]
 	if !ok {

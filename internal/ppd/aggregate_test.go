@@ -1,6 +1,7 @@
 package ppd
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -11,7 +12,7 @@ func TestAggregate(t *testing.T) {
 	db := figure1DB(t)
 	q := MustParse(`P(_, _; c1; c2), C(c1, R, _, _, _, _), C(c2, D, _, _, _, _)`)
 	eng := &Engine{DB: db, Method: MethodAuto}
-	res, err := eng.Eval(q)
+	res, err := evalBool(eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +23,7 @@ func TestAggregate(t *testing.T) {
 		wantSum += sp.Prob * ages[sp.Session.Key[0]]
 		wantCount += sp.Prob
 	}
-	agg, err := eng.Aggregate(q, "V", "age")
+	agg, err := aggregate(eng, q, "V", "age")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +42,10 @@ func TestAggregateErrors(t *testing.T) {
 	db := figure1DB(t)
 	eng := &Engine{DB: db, Method: MethodAuto}
 	q := MustParse(`P(_, _; Trump; Clinton)`)
-	if _, err := eng.Aggregate(q, "Z", "age"); err == nil {
+	if _, err := aggregate(eng, q, "Z", "age"); err == nil {
 		t.Fatal("unknown relation accepted")
 	}
-	if _, err := eng.Aggregate(q, "V", "bogus"); err == nil {
+	if _, err := aggregate(eng, q, "V", "bogus"); err == nil {
 		t.Fatal("unknown attribute accepted")
 	}
 }
@@ -56,7 +57,7 @@ func TestAggregateEmpty(t *testing.T) {
 	// Session constants that match no session: every session is filtered
 	// out during grounding.
 	q := MustParse(`P(Zed, "9/9"; Trump; Clinton)`)
-	agg, err := eng.Aggregate(q, "V", "age")
+	agg, err := aggregate(eng, q, "V", "age")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +71,12 @@ func TestEvalParallelMatchesSequential(t *testing.T) {
 	db := figure1DB(t)
 	q := MustParse(`P(_, _; c1; c2), C(c1, D, _, _, e, _), C(c2, R, _, _, e, _)`)
 	seq := &Engine{DB: db, Method: MethodAuto}
-	sres, err := seq.Eval(q)
+	sres, err := evalBool(seq, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := &Engine{DB: db, Method: MethodAuto, Workers: 4}
-	pres, err := par.Eval(q)
+	pres, err := evalBool(par, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +101,13 @@ func TestEvalParallelMatchesSequential(t *testing.T) {
 func TestEvalParallelSampler(t *testing.T) {
 	db := figure1DB(t)
 	q := MustParse(`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`)
-	exact, err := (&Engine{DB: db, Method: MethodAuto}).Eval(q)
+	exact, err := evalBool(&Engine{DB: db, Method: MethodAuto}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() *EvalResult {
+	run := func() *Response {
 		eng := &Engine{DB: db, Method: MethodMISLite, Workers: 3, LiteD: 6, LiteN: 1500}
-		res, err := eng.Eval(q)
+		res, err := evalBool(eng, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,26 +122,29 @@ func TestEvalParallelSampler(t *testing.T) {
 	}
 }
 
+// TestConvenienceWrappers checks the kinds that project one evaluation: a
+// count request reports the expectation a bool request computes beside its
+// confidence, and a topk request returns its rows best first.
 func TestConvenienceWrappers(t *testing.T) {
 	db := figure1DB(t)
 	eng := &Engine{DB: db, Method: MethodAuto}
 	q := MustParse(`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`)
-	res, err := eng.Eval(q)
+	res, err := evalBool(eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, err := eng.CountSession(q)
+	count, err := eng.Do(context.Background(), &Request{Kind: KindCount, Queries: []*Query{q}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(count-res.Count) > tol {
-		t.Fatalf("CountSession = %v, Eval.Count = %v", count, res.Count)
+	if math.Abs(count.Count-res.Count) > tol {
+		t.Fatalf("count kind = %v, bool kind's Count = %v", count.Count, res.Count)
 	}
-	top, err := eng.MostProbableSession(q, 2)
+	top, _, err := topK(eng, 2, 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(top) != 2 || top[0].Prob < top[1].Prob {
-		t.Fatalf("MostProbableSession = %v", top)
+		t.Fatalf("topk = %v", top)
 	}
 }

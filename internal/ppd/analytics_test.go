@@ -105,12 +105,12 @@ func TestTopKUnionMatchesEvalUnion(t *testing.T) {
 	uq := MustParseUnion(
 		`P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)` +
 			` | P(_, _; c1; c2), C(c1, "D", _, _, "JD", _), C(c2, "R", _, _, _, _)`)
-	res, err := eng.EvalUnion(uq)
+	res, err := evalBool(eng, uq.Disjuncts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bound := range []int{0, 1, 2} {
-		top, diag, err := eng.TopKUnion(uq, 2, bound)
+		top, diag, err := topK(eng, 2, bound, uq.Disjuncts...)
 		if err != nil {
 			t.Fatalf("bound %d: %v", bound, err)
 		}
@@ -151,7 +151,7 @@ func TestTopKUnionRejectsMismatchedPrefRelations(t *testing.T) {
 		MustParse(`P(_, _; c1; c2), C(c1, _, "F", _, _, _)`),
 		MustParse(`R(_, _; c1; c2), C(c1, _, "F", _, _, _)`),
 	}}
-	if _, _, err := eng.TopKUnion(uq, 1, 1); err == nil {
+	if _, _, err := topK(eng, 1, 1, uq.Disjuncts...); err == nil {
 		t.Fatal("want error for disjuncts over different p-relations")
 	}
 }

@@ -139,12 +139,12 @@ func TestEvalBatchedMatchesUngrouped(t *testing.T) {
 	q := MustParse(`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`)
 	for _, method := range []Method{MethodAuto, MethodTwoLabel, MethodBipartite, MethodRelOrder} {
 		batched := &Engine{DB: db, Method: method, Plans: newMapPlanCache()}
-		res, err := batched.Eval(q)
+		res, err := evalBool(batched, q)
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
 		plain := &Engine{DB: db, Method: method, DisableGrouping: true}
-		want, err := plain.Eval(q)
+		want, err := evalBool(plain, q)
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}

@@ -39,14 +39,14 @@ func TestEvalWithCacheMatchesUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := &Engine{DB: db}
-	want, err := plain.Eval(q)
+	want, err := evalBool(plain, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cache := newLockedCache()
 	eng := &Engine{DB: db, Cache: cache}
-	cold, err := eng.Eval(q)
+	cold, err := evalBool(eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestEvalWithCacheMatchesUncached(t *testing.T) {
 	if cold.CacheHits != 0 || cold.Solves != want.Solves {
 		t.Fatalf("cold eval: solves=%d hits=%d, want solves=%d hits=0", cold.Solves, cold.CacheHits, want.Solves)
 	}
-	warm, err := eng.Eval(q)
+	warm, err := evalBool(eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +76,10 @@ func TestEvalCacheIgnoredWhenGroupingDisabled(t *testing.T) {
 	}
 	cache := newLockedCache()
 	eng := &Engine{DB: db, Cache: cache, DisableGrouping: true}
-	if _, err := eng.Eval(q); err != nil {
+	if _, err := evalBool(eng, q); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Eval(q); err != nil {
+	if _, err := evalBool(eng, q); err != nil {
 		t.Fatal(err)
 	}
 	if cache.hits != 0 || cache.puts != 0 {
@@ -94,15 +94,15 @@ func TestTopKWithCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := &Engine{DB: db}
-	want, _, err := plain.TopK(q, 3, 1)
+	want, _, err := topK(plain, 3, 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := &Engine{DB: db, Cache: newLockedCache()}
-	if _, _, err := eng.TopK(q, 3, 1); err != nil {
+	if _, _, err := topK(eng, 3, 1, q); err != nil {
 		t.Fatal(err)
 	}
-	got, diag, err := eng.TopK(q, 3, 1)
+	got, diag, err := topK(eng, 3, 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestEvalCacheConcurrentRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		parsed[i] = q
-		res, err := (&Engine{DB: db}).Eval(q)
+		res, err := evalBool(&Engine{DB: db}, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestEvalCacheConcurrentRace(t *testing.T) {
 			eng := &Engine{DB: db, Workers: 4, Cache: cache}
 			for i := 0; i < 20; i++ {
 				qi := (g + i) % len(parsed)
-				res, err := eng.Eval(parsed[qi])
+				res, err := evalBool(eng, parsed[qi])
 				if err != nil {
 					t.Error(err)
 					return
@@ -178,16 +178,16 @@ func TestCacheKeysSeparateMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := (&Engine{DB: db}).Eval(q)
+	exact, err := evalBool(&Engine{DB: db}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := newLockedCache()
 	sampler := &Engine{DB: db, Method: MethodRejection, RejectionN: 50, Cache: cache}
-	if _, err := sampler.Eval(q); err != nil {
+	if _, err := evalBool(sampler, q); err != nil {
 		t.Fatal(err)
 	}
-	got, err := (&Engine{DB: db, Method: MethodAuto, Cache: cache}).Eval(q)
+	got, err := evalBool(&Engine{DB: db, Method: MethodAuto, Cache: cache}, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,14 +163,14 @@ func TestEngineCountDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := eng.CountDistribution(q)
+	d, err := countDist(eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.N() != 3 {
 		t.Fatalf("support over %d sessions, want 3", d.N())
 	}
-	res, err := eng.Eval(q)
+	res, err := evalBool(eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestEngineCountDistributionMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := eng.CountDistribution(q)
+	d, err := countDist(eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestEngineCountDistributionIncludesDeadSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := eng.CountDistribution(q)
+	d, err := countDist(eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}

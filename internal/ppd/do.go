@@ -7,9 +7,7 @@ import (
 )
 
 // Do is the engine's single entry point: it validates the request with
-// Compile and answers it according to its Kind. Every per-kind method of
-// the engine (Eval, TopK, CountSession, Aggregate, CountDistribution and
-// their Ctx/Union variants) is a thin wrapper over Do — see compat.go.
+// Compile and answers it according to its Kind.
 //
 // Request.Method and Request.Seed, when set, override the engine's
 // configured method and RNG for this call only (the engine itself is not

@@ -129,7 +129,7 @@ type Engine struct {
 	// deterministic for a fixed worker-independent seed.
 	Workers int
 	// Cache, when non-nil, memoizes solved (model, union) groups across
-	// Eval/TopK calls (and across engines sharing the cache). It is
+	// Do calls (and across engines sharing the cache). It is
 	// consulted with GroupKey keys before each solve and updated after;
 	// see SolveCache for the concurrency and sampling caveats. Ignored
 	// when DisableGrouping is set, since per-session keys are synthetic
@@ -562,10 +562,15 @@ type TopKDiag struct {
 	Plan *PlanStats
 }
 
-// topKUnion is the Most-Probable-Session core shared by every topk entry
-// point; see TopK for the bound-edge semantics. Upper bounds are resolved
-// per distinct relaxed request of the grounding (see boundSet), through
-// Engine.Cache like any other inference request.
+// topKUnion is the Most-Probable-Session core behind KindTopK: the k
+// sessions satisfying the union with the highest probability (Section 3.2).
+// With boundEdges == 0 it evaluates every session exactly and sorts; with
+// boundEdges >= 1 cheap upper bounds from the hardest boundEdges
+// transitive-closure edges of each pattern (Section 4.3.2) prioritize
+// sessions, and exact evaluation stops once k sessions are at least as
+// probable as every remaining bound. Upper bounds are resolved per distinct
+// relaxed request of the grounding (see boundSet), through Engine.Cache
+// like any other inference request.
 func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges int) ([]SessionProb, *TopKDiag, error) {
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("ppd: top-k requires k >= 1, got %d", k)

@@ -45,7 +45,7 @@ func TestEvalQ0(t *testing.T) {
 		t.Fatalf("expected exactly one live session, got %d", len(per))
 	}
 	eng := &Engine{DB: db, Method: MethodAuto}
-	res, err := eng.Eval(q)
+	res, err := evalBool(eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestEvalMethodsAgree(t *testing.T) {
 				_ = m
 			}
 			eng := &Engine{DB: db, Method: m}
-			res, err := eng.Eval(q)
+			res, err := evalBool(eng, q)
 			if err != nil {
 				t.Fatalf("%s method %v: %v", src, m, err)
 			}
@@ -95,7 +95,7 @@ func TestEvalApproximateMethods(t *testing.T) {
 	wantProb, _, _ := bruteEval(t, db, q)
 	for _, m := range []Method{MethodMISAdaptive, MethodMISLite, MethodRejection} {
 		eng := &Engine{DB: db, Method: m, Rng: rand.New(rand.NewSource(9)), RejectionN: 50000, LiteD: 8, LiteN: 2000}
-		res, err := eng.Eval(q)
+		res, err := evalBool(eng, q)
 		if err != nil {
 			t.Fatalf("method %v: %v", m, err)
 		}
@@ -119,12 +119,12 @@ func TestEvalGrouping(t *testing.T) {
 	}})
 	q := MustParse(`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`)
 	grouped := &Engine{DB: db, Method: MethodAuto}
-	res1, err := grouped.Eval(q)
+	res1, err := evalBool(grouped, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ungrouped := &Engine{DB: db, Method: MethodAuto, DisableGrouping: true}
-	res2, err := ungrouped.Eval(q)
+	res2, err := evalBool(ungrouped, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +144,12 @@ func TestTopKNaiveMatchesOptimized(t *testing.T) {
 	q := MustParse(`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`)
 	eng := &Engine{DB: db, Method: MethodAuto}
 	for _, k := range []int{1, 2, 3, 5} {
-		naive, _, err := eng.TopK(q, k, 0)
+		naive, _, err := topK(eng, k, 0, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, edges := range []int{1, 2} {
-			opt, diag, err := eng.TopK(q, k, edges)
+			opt, diag, err := topK(eng, k, edges, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,14 +174,14 @@ func TestTopKSkipsSessions(t *testing.T) {
 	db := figure1DB(t)
 	q := MustParse(`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, R, _, _, _, _)`)
 	eng := &Engine{DB: db, Method: MethodAuto}
-	opt, diag, err := eng.TopK(q, 1, 1)
+	opt, diag, err := topK(eng, 1, 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(opt) != 1 {
 		t.Fatalf("results = %d", len(opt))
 	}
-	naive, _, err := eng.TopK(q, 1, 0)
+	naive, _, err := topK(eng, 1, 0, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestTopKBoundsDominate(t *testing.T) {
 func TestEvalUnknownMethod(t *testing.T) {
 	db := figure1DB(t)
 	eng := &Engine{DB: db, Method: Method(99)}
-	if _, err := eng.Eval(MustParse(`P(_, _; Trump; Clinton)`)); err == nil {
+	if _, err := evalBool(eng, MustParse(`P(_, _; Trump; Clinton)`)); err == nil {
 		t.Fatal("expected error for unknown method")
 	}
 }

@@ -60,7 +60,7 @@ func TestExplainUnionConsistentWithEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.EvalUnion(uq)
+	res, err := evalBool(eng, uq.Disjuncts...)
 	if err != nil {
 		t.Fatal(err)
 	}

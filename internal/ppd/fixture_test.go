@@ -1,6 +1,7 @@
 package ppd
 
 import (
+	"context"
 	"testing"
 
 	"probpref/internal/rank"
@@ -54,4 +55,40 @@ func figure1DB(t *testing.T) *DB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// The helpers below phrase the common single-purpose requests of the suite
+// over Engine.Do, each over the union of qs (one query for a plain CQ).
+
+// evalBool answers a KindBool request: confidence, expected count and the
+// per-session rows.
+func evalBool(e *Engine, qs ...*Query) (*Response, error) {
+	return e.Do(context.Background(), &Request{Kind: KindBool, Queries: qs})
+}
+
+// topK answers a KindTopK request.
+func topK(e *Engine, k, boundEdges int, qs ...*Query) ([]SessionProb, *TopKDiag, error) {
+	resp, err := e.Do(context.Background(), &Request{Kind: KindTopK, Queries: qs, K: k, BoundEdges: boundEdges})
+	if err != nil {
+		return nil, nil, err
+	}
+	return resp.Top, resp.Diag, nil
+}
+
+// countDist answers a KindCountDist request.
+func countDist(e *Engine, qs ...*Query) (*CountDistribution, error) {
+	resp, err := e.Do(context.Background(), &Request{Kind: KindCountDist, Queries: qs})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Dist, nil
+}
+
+// aggregate answers a KindAggregate request.
+func aggregate(e *Engine, q *Query, rel, attr string) (*AggregateResult, error) {
+	resp, err := e.Do(context.Background(), &Request{Kind: KindAggregate, Queries: []*Query{q}, AggRel: rel, AggAttr: attr})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Agg, nil
 }

@@ -26,7 +26,7 @@ func TestGeneralizedMallowsSessionExactEval(t *testing.T) {
 	db := gmDB(t)
 	eng := &Engine{DB: db, Method: MethodAuto}
 	q := MustParse(`P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)`)
-	res, err := eng.Eval(q)
+	res, err := evalBool(eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +60,10 @@ func TestGeneralizedMallowsSessionExactEval(t *testing.T) {
 func TestGeneralizedMallowsSessionAllExactMethods(t *testing.T) {
 	db := gmDB(t)
 	q := MustParse(`P(_, _; c1; c2), C(c1, "D", _, _, e, _), C(c2, "R", _, _, e, _)`)
-	var ref *EvalResult
+	var ref *Response
 	for _, m := range []Method{MethodAuto, MethodTwoLabel, MethodBipartite, MethodGeneral, MethodRelOrder} {
 		eng := &Engine{DB: db, Method: m}
-		res, err := eng.Eval(q)
+		res, err := evalBool(eng, q)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -79,7 +79,7 @@ func TestGeneralizedMallowsSessionAllExactMethods(t *testing.T) {
 
 func TestGeneralizedMallowsSessionSamplerFallback(t *testing.T) {
 	db := gmDB(t)
-	exact, err := (&Engine{DB: db, Method: MethodAuto}).Eval(
+	exact, err := evalBool(&Engine{DB: db, Method: MethodAuto},
 		MustParse(`P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)`))
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestGeneralizedMallowsSessionSamplerFallback(t *testing.T) {
 			Rng:   rand.New(rand.NewSource(61)),
 			LiteN: 2000, RejectionN: 30000,
 		}
-		res, err := eng.Eval(
+		res, err := evalBool(eng,
 			MustParse(`P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)`))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
@@ -154,7 +154,7 @@ func TestGeneralizedMallowsSessionGrouping(t *testing.T) {
 		{Key: []string{"Finn", "6/5"}, Model: gm},
 	})
 	eng := &Engine{DB: db, Method: MethodAuto}
-	res, err := eng.Eval(MustParse(`P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)`))
+	res, err := evalBool(eng, MustParse(`P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,7 +151,7 @@ func TestExplainMatchesEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Eval(q)
+	res, err := evalBool(eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}

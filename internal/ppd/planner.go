@@ -32,7 +32,7 @@ import (
 // Re-calibrated for the packed-state DP core (PR 5): replacing the
 // string-keyed layer maps with packed integer keys, pooled arenas and
 // gap-merged expansion made every exact solver ~3.5-4x faster per unit of
-// predicted work (BENCH_PR4.json vs BENCH_PR5.json, same machine), so the
+// predicted work (measured before and after on the same machine), so the
 // same deadline now buys proportionally more exact solving and the
 // adaptive method routes correspondingly more groups to exact answers.
 const AdaptiveStatesPerSecond = 80e6

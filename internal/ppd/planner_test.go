@@ -69,7 +69,7 @@ func TestAdaptiveZeroBudgetSamples(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond) // deadline certainly expired
-	res, err := eng.EvalCtx(ctx, q)
+	res, err := eng.Do(ctx, &Request{Kind: KindBool, Queries: []*Query{q}})
 	if err != nil {
 		t.Fatalf("adaptive eval under expired deadline: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestAdaptiveZeroBudgetSamples(t *testing.T) {
 	}
 	// The estimates must still be near the exact answer (figure1 groups are
 	// high-probability events; the sample floor resolves them well).
-	exact, err := (&Engine{DB: db, Method: MethodAuto}).Eval(q)
+	exact, err := evalBool(&Engine{DB: db, Method: MethodAuto}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestAdaptiveExplicitBudgetRouting(t *testing.T) {
 	q := MustParse(`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`)
 
 	tiny := &Engine{DB: db, Method: MethodAdaptive, AdaptiveBudget: 1}
-	res, err := tiny.Eval(q)
+	res, err := evalBool(tiny, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +112,14 @@ func TestAdaptiveExplicitBudgetRouting(t *testing.T) {
 	}
 
 	big := &Engine{DB: db, Method: MethodAdaptive, AdaptiveBudget: 1e12}
-	res, err = big.Eval(q)
+	res, err = evalBool(big, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Plan.SampledGroups != 0 || res.Plan.ExactGroups == 0 {
 		t.Fatalf("budget 1e12 should go exact, plan %+v", res.Plan)
 	}
-	exact, err := (&Engine{DB: db, Method: MethodAuto}).Eval(q)
+	exact, err := evalBool(&Engine{DB: db, Method: MethodAuto}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestAdaptiveCancelAborts(t *testing.T) {
 	eng := &Engine{DB: db, Method: MethodAdaptive}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.EvalCtx(ctx, q); !errors.Is(err, context.Canceled) {
+	if _, err := eng.Do(ctx, &Request{Kind: KindBool, Queries: []*Query{q}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
@@ -150,7 +150,7 @@ func TestEvalCtxCancelExactMethods(t *testing.T) {
 		eng := &Engine{DB: db, Method: m}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := eng.EvalCtx(ctx, q); !errors.Is(err, context.Canceled) {
+		if _, err := eng.Do(ctx, &Request{Kind: KindBool, Queries: []*Query{q}}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("method %v: want context.Canceled, got %v", m, err)
 		}
 	}

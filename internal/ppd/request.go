@@ -16,8 +16,7 @@ import (
 // extensions — is one Request, validated by Compile and answered by
 // Engine.Do (or, with model routing, batching and caching, by
 // internal/server's Service.Do / Service.DoBatch and the daemon's
-// POST /v1/query). The per-kind entry points that predate it (Eval, TopK,
-// CountSession, ...) survive as one-line wrappers in compat.go.
+// POST /v1/query).
 
 // Kind selects the query class of a Request.
 type Kind int
@@ -285,10 +284,7 @@ func (cr *CompiledRequest) Key() string {
 }
 
 // Response is the unified answer of the query API: one struct carries the
-// result of any Kind, with the unused sections left zero. It replaces the
-// per-kind result types (EvalResult, TopKDiag pairs, AggregateResult,
-// CountDistribution), which remain available as projections for the
-// compatibility surface.
+// result of any Kind, with the unused sections left zero.
 type Response struct {
 	// Kind echoes the request's query class.
 	Kind Kind
@@ -341,19 +337,5 @@ func (r *Response) Sessions(ctx context.Context) iter.Seq2[SessionProb, error] {
 				return
 			}
 		}
-	}
-}
-
-// EvalResult projects the response onto the legacy evaluation result; it is
-// the bridge the compatibility wrappers (Eval, EvalUnion, ...) return
-// through.
-func (r *Response) EvalResult() *EvalResult {
-	return &EvalResult{
-		Prob:       r.Prob,
-		Count:      r.Count,
-		PerSession: r.PerSession,
-		Solves:     r.Solves,
-		CacheHits:  r.CacheHits,
-		Plan:       r.Plan,
 	}
 }

@@ -253,3 +253,28 @@ func TestEngineDoSeedAndMethodOverride(t *testing.T) {
 		t.Logf("rejection estimate happens to equal the exact answer (%v); harmless", a.Prob)
 	}
 }
+
+// TestDoTextualQueryMatchesPreParsed: a Request carrying the query text
+// must answer identically to one carrying the pre-parsed disjuncts.
+func TestDoTextualQueryMatchesPreParsed(t *testing.T) {
+	db := figure1DB(t)
+	ctx := context.Background()
+	const src = `P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`
+	textual, err := (&Engine{DB: db}).Do(ctx, &Request{Kind: KindBool, Query: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := (&Engine{DB: db}).Do(ctx, &Request{Kind: KindBool, Queries: MustParseUnion(src).Disjuncts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if textual.Prob != parsed.Prob || textual.Count != parsed.Count || textual.Solves != parsed.Solves ||
+		len(textual.PerSession) != len(parsed.PerSession) {
+		t.Fatalf("textual %+v\nparsed  %+v", textual, parsed)
+	}
+	for i, sp := range textual.PerSession {
+		if got := parsed.PerSession[i]; got.Session != sp.Session || got.Prob != sp.Prob {
+			t.Errorf("row %d: textual %v %v, parsed %v %v", i, sp.Session.Key, sp.Prob, got.Session.Key, got.Prob)
+		}
+	}
+}

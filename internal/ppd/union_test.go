@@ -67,11 +67,11 @@ func TestEvalUnionSingleDisjunctMatchesEval(t *testing.T) {
 	db := figure1DB(t)
 	eng := &Engine{DB: db, Method: MethodAuto}
 	src := `P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)`
-	want, err := eng.Eval(MustParse(src))
+	want, err := evalBool(eng, MustParse(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.EvalUnion(MustParseUnion(src))
+	got, err := evalBool(eng, MustParseUnion(src).Disjuncts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,11 @@ func TestEvalUnionIdenticalDisjunctsDeduplicate(t *testing.T) {
 	db := figure1DB(t)
 	eng := &Engine{DB: db, Method: MethodAuto}
 	src := `P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)`
-	single, err := eng.EvalUnion(MustParseUnion(src))
+	single, err := evalBool(eng, MustParseUnion(src).Disjuncts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doubled, err := eng.EvalUnion(MustParseUnion(src + " | " + src))
+	doubled, err := evalBool(eng, MustParseUnion(src+" | "+src).Disjuncts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestEvalUnionMatchesBrute(t *testing.T) {
 	uq := MustParseUnion(
 		`P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)` +
 			` | P(_, _; c1; c2), C(c1, "D", _, _, "BS", _), C(c2, "R", _, _, _, _)`)
-	res, err := eng.EvalUnion(uq)
+	res, err := evalBool(eng, uq.Disjuncts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,15 +163,15 @@ func TestEvalUnionBounds(t *testing.T) {
 	eng := &Engine{DB: db, Method: MethodAuto}
 	q1 := `P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)`
 	q2 := `P(_, _; c1; c2), C(c1, "D", _, _, _, _), C(c2, "R", _, _, _, _)`
-	r1, err := eng.Eval(MustParse(q1))
+	r1, err := evalBool(eng, MustParse(q1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := eng.Eval(MustParse(q2))
+	r2, err := evalBool(eng, MustParse(q2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ru, err := eng.EvalUnion(MustParseUnion(q1 + " | " + q2))
+	ru, err := evalBool(eng, MustParseUnion(q1+" | "+q2).Disjuncts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestEvalUnionRejectsMismatchedPrefRelations(t *testing.T) {
 		MustParse(`P(_, _; c1; c2), C(c1, _, "F", _, _, _)`),
 		MustParse(`R(_; c1; c2), C(c1, _, "F", _, _, _)`),
 	}}
-	if _, err := eng.EvalUnion(uq); err == nil {
+	if _, err := evalBool(eng, uq.Disjuncts...); err == nil {
 		t.Fatal("want error for disjuncts over different p-relations")
 	}
 }
@@ -215,14 +215,14 @@ func TestCountDistributionUnion(t *testing.T) {
 	uq := MustParseUnion(
 		`P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)` +
 			` | P(_, _; c1; c2), C(c1, "D", _, _, _, _), C(c2, "R", _, _, _, _)`)
-	d, err := eng.CountDistributionUnion(uq)
+	d, err := countDist(eng, uq.Disjuncts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.N() != 3 {
 		t.Fatalf("support over %d sessions, want 3", d.N())
 	}
-	res, err := eng.EvalUnion(uq)
+	res, err := evalBool(eng, uq.Disjuncts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +239,10 @@ func TestEvalUnionAgreesAcrossSolvers(t *testing.T) {
 	uq := MustParseUnion(
 		`P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)` +
 			` | P(_, _; c1; c2), C(c1, "D", _, _, "JD", _), C(c2, "R", _, _, _, _)`)
-	var ref *EvalResult
+	var ref *Response
 	for _, m := range []Method{MethodAuto, MethodBipartite, MethodGeneral, MethodRelOrder} {
 		eng := &Engine{DB: db, Method: m, SolverOpts: solver.Options{}}
-		res, err := eng.EvalUnion(uq)
+		res, err := evalBool(eng, uq.Disjuncts...)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}

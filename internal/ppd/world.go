@@ -34,7 +34,7 @@ func (db *DB) SampleWorld(rng *rand.Rand) *World {
 // HoldsIn reports whether the query holds in the given world: some session
 // whose grounded pattern union matches the session's ranking. It evaluates
 // the same grounding the probabilistic evaluator uses, so Monte Carlo over
-// worlds converges to Engine.Eval's Boolean answer.
+// worlds converges to the engine's Boolean (KindBool) answer.
 func (g *Grounder) HoldsIn(w *World) (bool, error) {
 	mts, err := g.worldMatchers()
 	if err != nil {

@@ -19,7 +19,7 @@ func TestPossibleWorldSemantics(t *testing.T) {
 	} {
 		q := MustParse(src)
 		eng := &Engine{DB: db, Method: MethodAuto}
-		res, err := eng.Eval(q)
+		res, err := evalBool(eng, q)
 		if err != nil {
 			t.Fatal(err)
 		}

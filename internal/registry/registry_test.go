@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -149,11 +150,7 @@ func TestDeleteWaitsForHandles(t *testing.T) {
 		t.Fatal("handle lost its DB after Delete")
 	}
 	eng := &ppd.Engine{DB: db}
-	q, err := ppd.Parse(h.DemoQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Eval(q); err != nil {
+	if _, err := eng.Do(context.Background(), &ppd.Request{Kind: ppd.KindBool, Query: h.DemoQuery()}); err != nil {
 		t.Fatalf("eval on deleted-but-open model: %v", err)
 	}
 	if h.e.db == nil {

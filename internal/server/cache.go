@@ -6,9 +6,10 @@
 package server
 
 import (
-	"container/list"
 	"strings"
 	"sync"
+
+	"probpref/internal/solver"
 )
 
 const defaultShards = 16
@@ -27,60 +28,109 @@ type CacheStats struct {
 	Capacity int `json:"capacity"`
 }
 
-// Cache is a sharded LRU map from inference-group keys (ppd.GroupKey) to
-// probabilities. It implements ppd.SolveCache and is safe for concurrent
-// use: keys hash to one of a fixed number of independently locked shards, so
-// worker goroutines solving distinct groups rarely contend.
-type Cache struct {
-	shards []*cacheShard
+// LRU is a sharded least-recently-used map from string keys to values of
+// one type, safe for concurrent use: keys hash to one of a fixed number of
+// independently locked shards, so goroutines working on distinct keys rarely
+// contend. It is the one cache container of the serving stack — the solve
+// cache (Cache), the compiled-plan cache (PlanCache) and the cluster
+// coordinator's merged-result cache are instantiations of it.
+type LRU[V any] struct {
+	shards []*lruShard[V]
 }
 
-type cacheShard struct {
-	mu        sync.Mutex
-	capacity  int
-	ll        *list.List // front = most recently used
-	items     map[string]*list.Element
+type lruShard[V any] struct {
+	mu       sync.Mutex
+	capacity int
+	items    map[string]*lruEntry[V]
+	// ring is the sentinel of the recency ring: ring.next is the most
+	// recently used entry, ring.prev the next one to evict.
+	ring      lruEntry[V]
 	hits      uint64
 	misses    uint64
 	evictions uint64
 }
 
-type cacheEntry struct {
-	key string
-	p   float64
+type lruEntry[V any] struct {
+	key        string
+	val        V
+	prev, next *lruEntry[V]
 }
 
-// NewCache builds a cache holding exactly capacity entries in total
-// (minimum 1), spread over up to 16 independently locked shards. Shard
-// capacities differ by at most one entry, so a hot shard may evict slightly
-// before the whole cache is full.
-func NewCache(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
+// unlink takes e out of the recency ring.
+func (e *lruEntry[V]) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// pushFront makes the unlinked entry e the most recently used one of s.
+func (s *lruShard[V]) pushFront(e *lruEntry[V]) {
+	e.prev, e.next = &s.ring, s.ring.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// touch refreshes the recency of the linked entry e.
+func (s *lruShard[V]) touch(e *lruEntry[V]) {
+	if s.ring.next != e {
+		e.unlink()
+		s.pushFront(e)
 	}
-	shards := defaultShards
-	if capacity < shards {
-		shards = capacity
-	}
+}
+
+// drop unlinks e and forgets its key, counting one eviction.
+func (s *lruShard[V]) drop(e *lruEntry[V]) {
+	e.unlink()
+	delete(s.items, e.key)
+	s.evictions++
+}
+
+// NewLRU builds a cache holding exactly capacity entries in total (minimum
+// 1), spread over up to shards independently locked shards. Shard capacities
+// differ by at most one entry, so a hot shard may evict slightly before the
+// whole cache is full; one shard gives a single-lock cache with exact global
+// LRU order.
+func NewLRU[V any](capacity, shards int) *LRU[V] {
+	capacity = max(capacity, 1)
+	shards = max(min(shards, capacity), 1)
 	base, extra := capacity/shards, capacity%shards
-	c := &Cache{shards: make([]*cacheShard, shards)}
+	c := &LRU[V]{shards: make([]*lruShard[V], shards)}
 	for i := range c.shards {
 		per := base
 		if i < extra {
 			per++
 		}
-		c.shards[i] = &cacheShard{
-			capacity: per,
-			ll:       list.New(),
-			items:    make(map[string]*list.Element),
-		}
+		s := &lruShard[V]{capacity: per, items: make(map[string]*lruEntry[V])}
+		s.ring.prev, s.ring.next = &s.ring, &s.ring
+		c.shards[i] = s
 	}
 	return c
 }
 
+// Cache is the solve cache: an LRU from inference-group keys (ppd.GroupKey)
+// to probabilities, implementing ppd.SolveCache.
+type Cache = LRU[float64]
+
+// NewCache builds a solve cache holding exactly capacity entries in total
+// (minimum 1), spread over up to 16 shards.
+func NewCache(capacity int) *Cache { return NewLRU[float64](capacity, defaultShards) }
+
+// PlanCache is the compiled-plan cache: an LRU from namespaced plan keys
+// (model namespace + ppd.PlanKey) to compiled union plans. Plans are
+// immutable, so one *Plan may be handed to any number of concurrent solves.
+//
+// Unlike solve-cache entries — whose ppd.GroupKey embeds the session model,
+// making stale hits impossible — a plan key does not encode the model's
+// labeling; the per-model namespace does. PurgePrefix exists so the service
+// can invalidate a model's namespace when the model is deleted (see
+// Service.DeleteModel): a later model registered under the same name must
+// never inherit plans compiled against the old labeling.
+type PlanCache = LRU[*solver.Plan]
+
+// NewPlanCache builds a plan cache holding exactly capacity entries in total
+// (minimum 1), spread over up to 16 shards.
+func NewPlanCache(capacity int) *PlanCache { return NewLRU[*solver.Plan](capacity, defaultShards) }
+
 // shard selects the key's shard by FNV-1a: deterministic across processes,
 // so eviction behavior (and the CLI stats lines) is reproducible run to run.
-func (c *Cache) shard(key string) *cacheShard {
+func (c *LRU[V]) shard(key string) *lruShard[V] {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -93,58 +143,59 @@ func (c *Cache) shard(key string) *cacheShard {
 	return c.shards[h%uint64(len(c.shards))]
 }
 
-// Get returns the cached probability for key and refreshes its recency.
-func (c *Cache) Get(key string) (float64, bool) {
+// Get returns the cached value for key and refreshes its recency.
+func (c *LRU[V]) Get(key string) (V, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.items[key]
+	e, ok := s.items[key]
 	if !ok {
 		s.misses++
-		return 0, false
+		var zero V
+		return zero, false
 	}
 	s.hits++
-	s.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).p, true
+	s.touch(e)
+	return e.val, true
 }
 
-// Put stores the probability for key, evicting the least recently used entry
-// of the key's shard when it is full.
-func (c *Cache) Put(key string, p float64) {
+// Put stores the value for key, evicting the least recently used entry of
+// the key's shard when it is full. A stored value must not be mutated
+// afterwards.
+func (c *LRU[V]) Put(key string, val V) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		el.Value.(*cacheEntry).p = p
-		s.ll.MoveToFront(el)
+	if e, ok := s.items[key]; ok {
+		e.val = val
+		s.touch(e)
 		return
 	}
-	if s.ll.Len() >= s.capacity {
-		old := s.ll.Back()
-		s.ll.Remove(old)
-		delete(s.items, old.Value.(*cacheEntry).key)
-		s.evictions++
+	if len(s.items) >= s.capacity {
+		s.drop(s.ring.prev)
 	}
-	s.items[key] = s.ll.PushFront(&cacheEntry{key: key, p: p})
+	e := &lruEntry[V]{key: key, val: val}
+	s.items[key] = e
+	s.pushFront(e)
 }
 
 // PurgePrefix drops every entry whose key starts with prefix and returns
-// how many were dropped; purged entries count as evictions in Stats. Like
-// PlanCache.PurgePrefix it scans every shard, which is fine for its one
-// caller (model deletion, a rare admin operation).
-func (c *Cache) PurgePrefix(prefix string) int {
+// how many were dropped; purged entries count as evictions in Stats. Keys
+// hash to shards individually, so a namespace's entries spread across all
+// shards and each must be scanned: purging is proportional to the cache
+// size, which is fine for its one caller (model deletion, a rare admin
+// operation).
+func (c *LRU[V]) PurgePrefix(prefix string) int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		for el := s.ll.Front(); el != nil; {
-			next := el.Next()
-			if e := el.Value.(*cacheEntry); strings.HasPrefix(e.key, prefix) {
-				s.ll.Remove(el)
-				delete(s.items, e.key)
-				s.evictions++
+		for e := s.ring.next; e != &s.ring; {
+			next := e.next
+			if strings.HasPrefix(e.key, prefix) {
+				s.drop(e)
 				n++
 			}
-			el = next
+			e = next
 		}
 		s.mu.Unlock()
 	}
@@ -152,27 +203,36 @@ func (c *Cache) PurgePrefix(prefix string) int {
 }
 
 // Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.ll.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
+func (c *LRU[V]) Len() int { return c.Stats().Entries }
 
 // Stats sums hit/miss/eviction counters across shards.
-func (c *Cache) Stats() CacheStats {
+func (c *LRU[V]) Stats() CacheStats {
 	st := CacheStats{}
 	for _, s := range c.shards {
 		s.mu.Lock()
 		st.Hits += s.hits
 		st.Misses += s.misses
 		st.Evictions += s.evictions
-		st.Entries += s.ll.Len()
+		st.Entries += len(s.items)
 		st.Capacity += s.capacity
 		s.mu.Unlock()
 	}
 	return st
 }
+
+// nsLRU namespaces cache keys by model name so two models never share
+// entries — even two models built from identical specs, whose GroupKeys
+// would otherwise collide by construction, and whose plan keys omit the
+// labeling identity altogether (see PlanCache). Over the solve cache it
+// implements ppd.SolveCache, over the plan cache ppd.PlanCache.
+type nsLRU[V any] struct {
+	prefix string
+	c      *LRU[V]
+}
+
+// nsSep separates the model namespace from the group key; model names are
+// restricted to URL-safe tokens, so the NUL byte cannot occur in a name.
+const nsSep = "\x00"
+
+func (n nsLRU[V]) Get(key string) (V, bool) { return n.c.Get(n.prefix + key) }
+func (n nsLRU[V]) Put(key string, val V)    { n.c.Put(n.prefix+key, val) }

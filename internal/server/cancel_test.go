@@ -66,7 +66,7 @@ func waitGoroutines(t *testing.T, base int, what string) {
 	}
 }
 
-// TestEvalBatchCancelDrainsPool cancels mid-EvalBatch and asserts the pool
+// TestEvalBatchCancelDrainsPool cancels mid-DoBatch and asserts the pool
 // drains without goroutine leaks and the error is the context error.
 func TestEvalBatchCancelDrainsPool(t *testing.T) {
 	svc := pollsService(t, Config{Workers: 4, CacheSize: -1})
@@ -75,7 +75,7 @@ func TestEvalBatchCancelDrainsPool(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := svc.EvalBatchCtx(ctx, pollsBatch(16))
+		_, err := boolBatch(ctx, svc, "", pollsBatch(16))
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond) // let the fan-out start
@@ -91,7 +91,7 @@ func TestEvalBatchCancelDrainsPool(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled batch did not return within 10s")
 	}
-	waitGoroutines(t, base, "after cancelled EvalBatch")
+	waitGoroutines(t, base, "after cancelled bool batch")
 }
 
 // TestEvalBatchPreCancelled asserts a batch under an already-cancelled
@@ -101,7 +101,7 @@ func TestEvalBatchPreCancelled(t *testing.T) {
 	svc := pollsService(t, Config{Workers: 4, CacheSize: -1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	br, err := svc.EvalBatchCtx(ctx, pollsBatch(4))
+	br, err := boolBatch(ctx, svc, "", pollsBatch(4))
 	if br != nil {
 		t.Fatalf("want nil result from pre-cancelled batch, got %+v", br)
 	}
@@ -120,14 +120,14 @@ func TestTopKBatchCancelDrainsPool(t *testing.T) {
 	svc := pollsService(t, Config{Workers: 4, CacheSize: -1})
 	base := runtime.NumGoroutine()
 
-	reqs := make([]TopKRequest, 8)
+	reqs := make([]*ppd.Request, 8)
 	for i, q := range pollsBatch(8) {
-		reqs[i] = TopKRequest{Query: q, K: 3, Bound: 1}
+		reqs[i] = &ppd.Request{Kind: ppd.KindTopK, Query: q, K: 3, BoundEdges: 1}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := svc.TopKBatchCtx(ctx, reqs)
+		_, err := svc.DoBatch(ctx, reqs)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -141,7 +141,7 @@ func TestTopKBatchCancelDrainsPool(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled top-k batch did not return within 10s")
 	}
-	waitGoroutines(t, base, "after cancelled TopKBatch")
+	waitGoroutines(t, base, "after cancelled topk batch")
 }
 
 // TestEvalBatchDeadlineAdaptiveDegrades asserts that with the adaptive
@@ -153,11 +153,11 @@ func TestEvalBatchDeadlineAdaptiveDegrades(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond) // ensure the deadline has passed
-	br, err := svc.EvalBatchCtx(ctx, pollsBatch(2))
+	br, err := boolBatch(ctx, svc, "", pollsBatch(2))
 	if err != nil {
 		t.Fatalf("adaptive batch under expired deadline: %v", err)
 	}
-	for qi, res := range br.Results {
+	for qi, res := range br.Responses {
 		if res.Plan == nil {
 			t.Fatalf("query %d: no plan attached", qi)
 		}
@@ -180,15 +180,15 @@ func TestEvalBatchSharedGroupPlans(t *testing.T) {
 	defer cancel()
 	time.Sleep(time.Millisecond)
 	q := pollsBatch(1)[0]
-	br, err := svc.EvalBatchCtx(ctx, []string{q, q})
+	br, err := boolBatch(ctx, svc, "", []string{q, q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, second := br.Results[0], br.Results[1]
+	first, second := br.Responses[0], br.Responses[1]
 	if first.Solves == 0 || second.Solves != 0 {
 		t.Fatalf("cost attribution changed: solves %d/%d", first.Solves, second.Solves)
 	}
-	for qi, res := range br.Results {
+	for qi, res := range br.Responses {
 		if res.Plan == nil || res.Plan.SampledGroups == 0 {
 			t.Fatalf("query %d: plan missing sampled groups: %+v", qi, res.Plan)
 		}
@@ -340,14 +340,15 @@ func TestHTTPEvalTimeoutAdaptive(t *testing.T) {
 	svc := pollsService(t, Config{Method: ppd.MethodAdaptive, Workers: 2, CacheSize: -1})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
-	var resp EvalResponse
-	if code := get(t, srv, "/eval?timeout_ms=1&q="+queryParam(pollsBatch(1)[0]), &resp); code != 200 {
+	var resp V1Response
+	body := `{"kind":"bool","timeout_ms":1,"query":` + jsonStr(pollsBatch(1)[0]) + `}`
+	if code := post(t, srv, "/v1/query", body, &resp); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if len(resp.Results) != 1 || resp.Results[0].Plan == nil {
+	if resp.Result == nil || resp.Result.Plan == nil {
 		t.Fatalf("response missing plan: %+v", resp)
 	}
-	plan := resp.Results[0].Plan
+	plan := resp.Result.Plan
 	if plan.SampledGroups == 0 || plan.MaxHalfWidth <= 0 {
 		t.Fatalf("1ms budget should sample with error bars, got %+v", plan)
 	}

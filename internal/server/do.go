@@ -12,9 +12,9 @@ import (
 // This file is the service's unified entry point: Do answers one
 // ppd.Request (routing by Request.Model through the registry) and DoBatch
 // answers many as one unit, deduplicating inference groups across the
-// requests of the batch wherever their compiled forms allow it. The legacy
-// per-kind methods in compat.go and the HTTP endpoints (legacy /eval,
-// /topk and the versioned /v1/query) all funnel through these two.
+// requests of the batch wherever their compiled forms allow it. The HTTP
+// routes compile in their front half (DecodeV1Query) and enter through the
+// compiled twins do and doBatch.
 
 // Do answers one request: the request is compiled (validated), routed to
 // its model — which stays open, immune to catalog deletion, until the
@@ -28,27 +28,21 @@ func (s *Service) Do(ctx context.Context, req *ppd.Request) (*ppd.Response, erro
 	if err != nil {
 		return nil, err
 	}
+	return s.do(ctx, cr)
+}
+
+// do is Do for an already-compiled request.
+func (s *Service) do(ctx context.Context, cr *ppd.CompiledRequest) (*ppd.Response, error) {
 	h, err := s.open(cr.Model)
 	if err != nil {
 		return nil, err
 	}
 	defer h.Close()
-	resp, err := s.doCompiled(ctx, cr, h, s.cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	s.noteResponse(resp)
-	return resp, nil
-}
-
-// doCompiled executes one compiled request against an already-open model
-// handle. fallbackSeed seeds the samplers when the request carries no seed
-// of its own (batch fan-out derives per-request fallbacks).
-func (s *Service) doCompiled(ctx context.Context, cr *ppd.CompiledRequest, h *registry.Handle, fallbackSeed int64) (*ppd.Response, error) {
-	resp, err := s.engine(fallbackSeed, h).DoCompiled(ctx, cr)
+	resp, err := s.engine(s.cfg.Seed, h).DoCompiled(ctx, cr)
 	if err != nil {
 		return nil, &evalError{err}
 	}
+	s.noteResponse(resp)
 	return resp, nil
 }
 
@@ -118,6 +112,11 @@ func (s *Service) DoBatch(ctx context.Context, reqs []*ppd.Request) (*DoBatchRes
 		}
 		crs[i] = cr
 	}
+	return s.doBatch(ctx, crs)
+}
+
+// doBatch is DoBatch for an already-compiled batch.
+func (s *Service) doBatch(ctx context.Context, crs []*ppd.CompiledRequest) (*DoBatchResult, error) {
 	clusters, fanOut := s.partitionBatch(crs)
 	br := &DoBatchResult{Responses: make([]*ppd.Response, len(crs))}
 	for _, idx := range clusters {
@@ -390,10 +389,9 @@ func (s *Service) doBatchGrouped(ctx context.Context, crs []*ppd.CompiledRequest
 // doBatchFanOut is the per-request path of DoBatch: every distinct request
 // of idx (original request indices) runs on the worker pool through the
 // same engine construction as Do, with per-request sampler seeds derived
-// from the original request index (matching the legacy TopKBatch semantics)
-// unless the request carries its own seed. Requests with identical compiled
-// keys and seeds are answered once and share the response value. Responses
-// land at their original indices in br.
+// from the original request index unless the request carries its own seed.
+// Requests with identical compiled keys and seeds are answered once and
+// share the response value. Responses land at their original indices in br.
 func (s *Service) doBatchFanOut(ctx context.Context, crs []*ppd.CompiledRequest, idx []int, br *DoBatchResult) error {
 	// Open every distinct model up front so an unknown name fails the batch
 	// with its catalog error (404), and so deletions cannot unload a model
@@ -426,9 +424,9 @@ func (s *Service) doBatchFanOut(ctx context.Context, crs []*ppd.CompiledRequest,
 		// Exact methods answer independently of the sampler seed, so
 		// identical requests share one evaluation even though their derived
 		// seeds differ; seed-sensitive methods only dedup on an explicit
-		// shared seed (matching the legacy per-index seeding). Consensus
-		// requests are always seed-suffixed: even under MethodAuto the
-		// engine routes them to sampling when the item count exceeds the
+		// shared seed (each otherwise samples with its index-derived seed).
+		// Consensus requests are always seed-suffixed: even under MethodAuto
+		// the engine routes them to sampling when the item count exceeds the
 		// exact cap, so their answers may depend on the derived seed.
 		key := cr.Key()
 		if seedSensitive(s.effMethod(cr)) || cr.Kind == ppd.KindConsensus {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"testing"
@@ -9,166 +8,39 @@ import (
 	"probpref/internal/ppd"
 )
 
-// Equivalence suite for the service layer: every legacy Service method must
-// return byte-identical results to the corresponding Do / DoBatch call on a
-// service over the same seeded database. Fresh services isolate the solve
-// cache so both sides start cold.
-
 const doDemoQuery = `P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`
 const doUnionQuery = doDemoQuery + ` | P(_, _; c1; c2), C(c1, D, _, _, JD, _), C(c2, R, _, _, _, _)`
 
-// canonJSON serializes a projection of a result for byte comparison.
+// canonJSON serializes a result for byte comparison.
 func canonJSON(t *testing.T, v any) []byte {
 	t.Helper()
-	b, err := json.Marshal(serverCanon(v))
+	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
-func serverCanon(v any) any {
-	switch x := v.(type) {
-	case []ppd.SessionProb:
-		out := make([]map[string]any, len(x))
-		for i, sp := range x {
-			out[i] = map[string]any{"key": sp.Session.Key, "prob": sp.Prob}
-		}
-		return out
-	case *ppd.EvalResult:
-		return map[string]any{
-			"prob": x.Prob, "count": x.Count, "per": serverCanon(x.PerSession),
-			"solves": x.Solves, "cacheHits": x.CacheHits, "plan": x.Plan,
-		}
-	case *ppd.TopKDiag:
-		if x == nil {
-			return nil
-		}
-		return map[string]any{
-			"bound": x.BoundSolves, "exact": x.ExactSolves,
-			"sessions": x.SessionsEvaluated, "cacheHits": x.CacheHits, "plan": x.Plan,
-		}
-	case *BatchResult:
-		results := make([]any, len(x.Results))
-		for i, r := range x.Results {
-			results[i] = serverCanon(r)
-		}
-		return map[string]any{
-			"results": results, "groups": x.Groups, "instances": x.Instances,
-			"solved": x.Solved, "cacheHits": x.CacheHits,
-		}
-	default:
-		return v
-	}
-}
-
-func mustEqual(t *testing.T, what string, legacy, unified []byte) {
-	t.Helper()
-	if !bytes.Equal(legacy, unified) {
-		t.Errorf("%s: legacy and Do results differ\n-- legacy --\n%s\n-- do --\n%s", what, legacy, unified)
-	}
-}
-
-// TestServiceLegacyMatchesDo: single-query legacy methods against Do. Both
-// sides run on fresh services (cold caches) with the same seed.
-func TestServiceLegacyMatchesDo(t *testing.T) {
-	ctx := context.Background()
-	for _, query := range []string{doDemoQuery, doUnionQuery} {
-		res, err := figure1Service(t, Config{}).Eval(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := figure1Service(t, Config{}).Do(ctx, &ppd.Request{Kind: ppd.KindBool, Query: query})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqual(t, "Eval "+query, canonJSON(t, res), canonJSON(t, resp.EvalResult()))
-
-		top, diag, err := figure1Service(t, Config{}).TopK(query, 2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topResp, err := figure1Service(t, Config{}).Do(ctx, &ppd.Request{Kind: ppd.KindTopK, Query: query, K: 2, BoundEdges: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqual(t, "TopK.top "+query, canonJSON(t, top), canonJSON(t, topResp.Top))
-		mustEqual(t, "TopK.diag "+query, canonJSON(t, diag), canonJSON(t, topResp.Diag))
-	}
-}
-
-// TestServiceEvalBatchMatchesDo: EvalBatch must be byte-identical to the
-// corresponding DoBatch of bool requests — the grouped path underneath is
-// shared — and, with the cache disabled and an exact method, each batched
-// result must also equal the standalone Do answer of its query.
+// TestServiceEvalBatchMatchesDo: with the cache disabled and an exact
+// method, each result of a batch of bool requests equals the standalone Do
+// answer of its query up to the batch-only accounting (probabilities and
+// counts are identical; Solves attribution is batch-scoped).
 func TestServiceEvalBatchMatchesDo(t *testing.T) {
 	ctx := context.Background()
 	queries := []string{doDemoQuery, doUnionQuery, doDemoQuery}
-
-	br, err := figure1Service(t, Config{}).EvalBatch(queries)
+	br, err := boolBatch(ctx, figure1Service(t, Config{}), "", queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := make([]*ppd.Request, len(queries))
-	for i, q := range queries {
-		reqs[i] = &ppd.Request{Kind: ppd.KindBool, Query: q}
-	}
-	dr, err := figure1Service(t, Config{}).DoBatch(ctx, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := &BatchResult{
-		Results:   make([]*ppd.EvalResult, len(queries)),
-		Groups:    dr.Groups,
-		Instances: dr.Instances,
-		Solved:    dr.Solved,
-		CacheHits: dr.CacheHits,
-	}
-	for i, resp := range dr.Responses {
-		legacy.Results[i] = resp.EvalResult()
-	}
-	mustEqual(t, "EvalBatch", canonJSON(t, br), canonJSON(t, legacy))
-
-	// Cold standalone Do answers match the batched per-query results up to
-	// the batch-only accounting (cache off, exact method: probabilities and
-	// per-session rows are identical; Solves attribution is batch-scoped).
 	for i, q := range queries {
 		resp, err := figure1Service(t, Config{CacheSize: -1}).Do(ctx, &ppd.Request{Kind: ppd.KindBool, Query: q})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Prob != br.Results[i].Prob || resp.Count != br.Results[i].Count {
+		if resp.Prob != br.Responses[i].Prob || resp.Count != br.Responses[i].Count {
 			t.Errorf("query %d: standalone Do (%v, %v) != batched (%v, %v)",
-				i, resp.Prob, resp.Count, br.Results[i].Prob, br.Results[i].Count)
+				i, resp.Prob, resp.Count, br.Responses[i].Prob, br.Responses[i].Count)
 		}
-	}
-}
-
-// TestServiceTopKBatchMatchesDo: TopKBatch must be byte-identical to the
-// corresponding DoBatch of topk requests (the per-request fan-out with
-// index-derived seeds underneath is shared).
-func TestServiceTopKBatchMatchesDo(t *testing.T) {
-	ctx := context.Background()
-	reqs := []TopKRequest{
-		{Query: doDemoQuery, K: 2, Bound: 1},
-		{Query: doUnionQuery, K: 3, Bound: 0},
-		{Query: doDemoQuery, K: 2, Bound: 1},
-	}
-	legacy, err := figure1Service(t, Config{}).TopKBatch(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dreqs := make([]*ppd.Request, len(reqs))
-	for i, r := range reqs {
-		dreqs[i] = &ppd.Request{Kind: ppd.KindTopK, Query: r.Query, K: r.K, BoundEdges: r.Bound}
-	}
-	dr, err := figure1Service(t, Config{}).DoBatch(ctx, dreqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range reqs {
-		mustEqual(t, "TopKBatch.top", canonJSON(t, legacy[i].Top), canonJSON(t, dr.Responses[i].Top))
-		mustEqual(t, "TopKBatch.diag", canonJSON(t, legacy[i].Diag), canonJSON(t, dr.Responses[i].Diag))
 	}
 }
 

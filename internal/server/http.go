@@ -1,15 +1,11 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"time"
 
-	"probpref/internal/ppd"
 	"probpref/internal/registry"
 )
 
@@ -40,28 +36,8 @@ type PlanJSON struct {
 	Methods map[string]int `json:"methods,omitempty"`
 }
 
-// EvalResultJSON is the wire form of one evaluation.
-type EvalResultJSON struct {
-	// Prob is the marginal probability Pr(Q|D).
-	Prob float64 `json:"prob"`
-	// Count is the expected number of sessions satisfying the query.
-	Count float64 `json:"count"`
-	// LiveSessions counts sessions with a non-empty grounded union.
-	LiveSessions int `json:"live_sessions"`
-	// Solves counts the query's freshly solved groups (batch accounting
-	// attributes each group to the first query that referenced it).
-	Solves int `json:"solves"`
-	// CacheHits counts the query's groups answered from the shared cache.
-	CacheHits int `json:"cache_hits"`
-	// PerSession lists per-session probabilities (with sessions=1 /
-	// per_session).
-	PerSession []SessionProbJSON `json:"per_session,omitempty"`
-	// Plan reports the adaptive planner's routing and confidence
-	// half-widths; present only when the service method is "adaptive".
-	Plan *PlanJSON `json:"plan,omitempty"`
-}
-
-// BatchJSON is the wire form of EvalBatch's dedup accounting.
+// BatchJSON is the wire form of DoBatch's dedup accounting (see
+// DoBatchResult).
 type BatchJSON struct {
 	// Groups counts distinct (model, union) inference groups of the batch.
 	Groups int `json:"groups"`
@@ -71,33 +47,6 @@ type BatchJSON struct {
 	Solved int `json:"solved"`
 	// CacheHits counts groups answered from the shared cache.
 	CacheHits int `json:"cache_hits"`
-}
-
-// EvalResponse is the wire form of POST /eval and GET /eval.
-type EvalResponse struct {
-	// Results holds one evaluation per query, in request order.
-	Results []EvalResultJSON `json:"results"`
-	// Batch reports the batch-level dedup accounting.
-	Batch BatchJSON `json:"batch"`
-}
-
-// EvalRequest is the body of POST /eval.
-type EvalRequest struct {
-	// Queries are the conjunctive queries (or unions of CQs) to evaluate
-	// as one deduplicated batch.
-	Queries []string `json:"queries"`
-	// Model names the registry model the batch runs against; "" selects
-	// DefaultModel. (GET /eval accepts the same value as the model query
-	// parameter.)
-	Model string `json:"model,omitempty"`
-	// PerSession includes per-session probabilities in every result.
-	PerSession bool `json:"per_session,omitempty"`
-	// TimeoutMS arms a deadline on the batch: with the adaptive method the
-	// planner budgets each group from it (degrading to sampling with error
-	// bars); with every other method the evaluation aborts when it expires.
-	// 0 means no deadline. (GET /eval accepts the same value as the
-	// timeout_ms query parameter.)
-	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
 // TopKDiagJSON is the wire form of a top-k diagnostic.
@@ -113,40 +62,6 @@ type TopKDiagJSON struct {
 	SessionsEvaluated int `json:"sessions_evaluated"`
 	// CacheHits counts solves answered from the shared cache.
 	CacheHits int `json:"cache_hits"`
-}
-
-// TopKResultJSON is the wire form of one top-k answer.
-type TopKResultJSON struct {
-	// Top lists the k most probable sessions, best first.
-	Top []SessionProbJSON `json:"top"`
-	// Diag reports the work the top-k evaluation performed.
-	Diag TopKDiagJSON `json:"diag"`
-}
-
-// TopKResponse is the wire form of /topk.
-type TopKResponse struct {
-	// Results holds one answer per query, in request order.
-	Results []TopKResultJSON `json:"results"`
-}
-
-// TopKRequestJSON is one query of a POST /topk batch.
-type TopKRequestJSON struct {
-	// Query is the conjunctive query (or union of CQs).
-	Query string `json:"query"`
-	// K is how many sessions to return (default 3).
-	K int `json:"k"`
-	// Bound is the number of upper-bound edges (0 = naive).
-	Bound int `json:"bound"`
-}
-
-// TopKBatchRequest is the body of POST /topk.
-type TopKBatchRequest struct {
-	// Queries are the top-k requests of the batch.
-	Queries []TopKRequestJSON `json:"queries"`
-	// Model names the registry model the batch runs against; "" selects
-	// DefaultModel. (GET /topk accepts the same value as the model query
-	// parameter.)
-	Model string `json:"model,omitempty"`
 }
 
 // StatsResponse is the wire form of GET /stats. Items and Sessions sum
@@ -216,20 +131,17 @@ func ErrorStatus(err error) (status int, ok bool) {
 //
 //	POST   /v1/query               unified query endpoint: one typed request
 //	                               (kind: bool | count | topk | aggregate |
-//	                               countdist) or a {"requests": [...]} batch,
-//	                               with NDJSON streaming of topk rows via
-//	                               "stream"
+//	                               countdist | consensus) or a {"requests":
+//	                               [...]} batch, with NDJSON streaming of
+//	                               session rows via "stream"
 //	POST   /v1/rows                the same body answered as one packed binary
 //	                               frame: the cluster coordinator's hop, not a
 //	                               client API (see rows.go)
 //	POST   /v1/sessions            append sessions to a model's p-relation
-//	                               ({"model","pref","sessions":[...]}); purges
-//	                               the model's cache namespaces and, with a
-//	                               snapshot directory, persists the growth
-//	GET    /eval?q=Q[&sessions=1][&model=M]   evaluate one query (legacy)
-//	POST   /eval                   {"queries": [...], "model": M} batch with dedup (legacy)
-//	GET    /topk?q=Q&k=K&bound=B[&model=M]    one Most-Probable-Session query (legacy)
-//	POST   /topk                   {"queries": [{"query","k","bound"}, ...], "model": M} (legacy)
+//	                               ({"model","pref","sessions":[...]}); both
+//	                               caches stay warm, and the growth is logged
+//	                               and snapshotted when the registry has a
+//	                               WAL or snapshot directory
 //	GET    /models                 list the model catalog
 //	POST   /models                 register a dataset-backed model (registry.Spec body)
 //	GET    /models/{name}          one catalog row
@@ -237,9 +149,7 @@ func ErrorStatus(err error) (status int, ok bool) {
 //	GET    /stats                  service, catalog and cache statistics
 //	GET    /healthz                liveness probe
 //
-// The legacy /eval and /topk endpoints are thin adapters that build
-// ppd.Requests and serve through the same Do path as /v1/query. See
-// docs/API.md for the request/response schemas with curl examples.
+// See docs/API.md for the request/response schemas with curl examples.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// The work-bearing endpoints run behind the admission gate (see
@@ -248,12 +158,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/rows", s.gated(s.handleV1Rows))
 	mux.HandleFunc("POST /v1/sessions", s.gated(func(w http.ResponseWriter, r *http.Request) {
 		serveJSON(w, func() (any, error) { return s.handleIngest(r) })
-	}))
-	mux.HandleFunc("/eval", s.gated(func(w http.ResponseWriter, r *http.Request) {
-		serveJSON(w, func() (any, error) { return s.handleEval(r) })
-	}))
-	mux.HandleFunc("/topk", s.gated(func(w http.ResponseWriter, r *http.Request) {
-		serveJSON(w, func() (any, error) { return s.handleTopK(r) })
 	}))
 	mux.HandleFunc("GET /models", func(w http.ResponseWriter, r *http.Request) {
 		serveJSON(w, func() (any, error) {
@@ -374,166 +278,4 @@ func serveJSON(w http.ResponseWriter, fn func() (any, error)) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-func (s *Service) handleEval(r *http.Request) (*EvalResponse, error) {
-	var req EvalRequest
-	switch r.Method {
-	case http.MethodGet:
-		q := r.URL.Query().Get("q")
-		if q == "" {
-			return nil, fmt.Errorf("missing q parameter")
-		}
-		req.Queries = []string{q}
-		req.Model = r.URL.Query().Get("model")
-		req.PerSession = r.URL.Query().Get("sessions") != ""
-		if v := r.URL.Query().Get("timeout_ms"); v != "" {
-			ms, err := strconv.Atoi(v)
-			if err != nil {
-				return nil, fmt.Errorf("bad timeout_ms: %w", err)
-			}
-			req.TimeoutMS = ms
-		}
-	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return nil, fmt.Errorf("decoding body: %w", err)
-		}
-		if len(req.Queries) == 0 {
-			return nil, fmt.Errorf("empty queries")
-		}
-	default:
-		return nil, &httpError{http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method)}
-	}
-	if req.TimeoutMS < 0 {
-		return nil, fmt.Errorf("timeout_ms must be non-negative")
-	}
-	// The request context cancels the batch when the client disconnects;
-	// timeout_ms additionally arms a deadline the adaptive planner budgets
-	// against.
-	ctx := r.Context()
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	// Legacy adapter: the endpoint re-expresses its queries as unified
-	// requests and serves through the same DoBatch path as /v1/query.
-	reqs := make([]*ppd.Request, len(req.Queries))
-	for i, q := range req.Queries {
-		reqs[i] = &ppd.Request{Kind: ppd.KindBool, Query: q, Model: req.Model}
-	}
-	br, err := s.DoBatch(ctx, reqs)
-	if err != nil {
-		return nil, err
-	}
-	resp := &EvalResponse{Batch: BatchJSON{
-		Groups:    br.Groups,
-		Instances: br.Instances,
-		Solved:    br.Solved,
-		CacheHits: br.CacheHits,
-	}}
-	for _, res := range br.Responses {
-		resp.Results = append(resp.Results, evalResultJSON(res.EvalResult(), req.PerSession))
-	}
-	return resp, nil
-}
-
-func evalResultJSON(res *ppd.EvalResult, perSession bool) EvalResultJSON {
-	out := EvalResultJSON{
-		Prob:         res.Prob,
-		Count:        res.Count,
-		LiveSessions: len(res.PerSession),
-		Solves:       res.Solves,
-		CacheHits:    res.CacheHits,
-	}
-	if res.Plan != nil {
-		out.Plan = &PlanJSON{
-			ExactGroups:    res.Plan.ExactGroups,
-			SampledGroups:  res.Plan.SampledGroups,
-			Samples:        res.Plan.Samples,
-			MaxHalfWidth:   res.Plan.MaxHalfWidth,
-			ProbHalfWidth:  res.Plan.ProbHalfWidth,
-			CountHalfWidth: res.Plan.CountHalfWidth,
-			Methods:        res.Plan.Methods,
-		}
-	}
-	if perSession {
-		for _, sp := range res.PerSession {
-			out.PerSession = append(out.PerSession, SessionProbJSON{Session: sp.Session.Key, Prob: sp.Prob})
-		}
-	}
-	return out
-}
-
-func (s *Service) handleTopK(r *http.Request) (*TopKResponse, error) {
-	var reqs []TopKRequest
-	var model string
-	switch r.Method {
-	case http.MethodGet:
-		q := r.URL.Query().Get("q")
-		if q == "" {
-			return nil, fmt.Errorf("missing q parameter")
-		}
-		model = r.URL.Query().Get("model")
-		req := TopKRequest{Query: q, K: 3, Bound: 1}
-		var err error
-		if v := r.URL.Query().Get("k"); v != "" {
-			if req.K, err = strconv.Atoi(v); err != nil {
-				return nil, fmt.Errorf("bad k: %w", err)
-			}
-		}
-		if v := r.URL.Query().Get("bound"); v != "" {
-			if req.Bound, err = strconv.Atoi(v); err != nil {
-				return nil, fmt.Errorf("bad bound: %w", err)
-			}
-		}
-		reqs = []TopKRequest{req}
-	case http.MethodPost:
-		var body TopKBatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			return nil, fmt.Errorf("decoding body: %w", err)
-		}
-		if len(body.Queries) == 0 {
-			return nil, fmt.Errorf("empty queries")
-		}
-		model = body.Model
-		for _, q := range body.Queries {
-			reqs = append(reqs, TopKRequest{Query: q.Query, K: q.K, Bound: q.Bound})
-		}
-	default:
-		return nil, &httpError{http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method)}
-	}
-	for i := range reqs {
-		if reqs[i].K == 0 {
-			reqs[i].K = 3 // GET and POST share the same default
-		}
-		if reqs[i].K < 0 || reqs[i].Bound < 0 {
-			return nil, fmt.Errorf("query %d: k and bound must be non-negative", i+1)
-		}
-	}
-	// Legacy adapter: the endpoint re-expresses its queries as unified
-	// requests and serves through the same DoBatch path as /v1/query.
-	dreqs := make([]*ppd.Request, len(reqs))
-	for i, tr := range reqs {
-		dreqs[i] = &ppd.Request{Kind: ppd.KindTopK, Query: tr.Query, Model: model, K: tr.K, BoundEdges: tr.Bound}
-	}
-	br, err := s.DoBatch(r.Context(), dreqs)
-	if err != nil {
-		return nil, err
-	}
-	resp := &TopKResponse{}
-	for _, res := range br.Responses {
-		rj := TopKResultJSON{Diag: TopKDiagJSON{
-			BoundSolves:       res.Diag.BoundSolves,
-			BoundCacheHits:    res.Diag.BoundCacheHits,
-			ExactSolves:       res.Diag.ExactSolves,
-			SessionsEvaluated: res.Diag.SessionsEvaluated,
-			CacheHits:         res.Diag.CacheHits,
-		}}
-		for _, sp := range res.Top {
-			rj.Top = append(rj.Top, SessionProbJSON{Session: sp.Session.Key, Prob: sp.Prob})
-		}
-		resp.Results = append(resp.Results, rj)
-	}
-	return resp, nil
 }

@@ -4,17 +4,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"testing"
 )
-
-func queryParam(q string) string { return url.QueryEscape(q) }
-
-func jsonString(s string) string {
-	b, _ := json.Marshal(s)
-	return string(b)
-}
 
 func get(t *testing.T, srv *httptest.Server, path string, out any) int {
 	t.Helper()
@@ -46,69 +38,12 @@ func post(t *testing.T, srv *httptest.Server, path, body string, out any) int {
 	return resp.StatusCode
 }
 
-func TestHTTPEval(t *testing.T) {
-	svc := figure1Service(t, Config{})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	var er EvalResponse
-	if code := get(t, srv, "/eval?q="+queryParam(q1)+"&sessions=1", &er); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if len(er.Results) != 1 || er.Results[0].Prob <= 0 || er.Results[0].Prob > 1 {
-		t.Fatalf("bad result: %+v", er)
-	}
-	if len(er.Results[0].PerSession) == 0 {
-		t.Fatal("sessions=1 should include per-session probabilities")
-	}
-
-	var batch EvalResponse
-	body, _ := json.Marshal(EvalRequest{Queries: []string{q1, q1}})
-	if code := post(t, srv, "/eval", string(body), &batch); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if len(batch.Results) != 2 {
-		t.Fatalf("got %d results", len(batch.Results))
-	}
-	if batch.Batch.Instances <= batch.Batch.Groups {
-		t.Fatalf("no dedup visible: %+v", batch.Batch)
-	}
-	if batch.Results[0].Prob != er.Results[0].Prob {
-		t.Fatalf("batch prob %v != single prob %v", batch.Results[0].Prob, er.Results[0].Prob)
-	}
-}
-
-func TestHTTPTopK(t *testing.T) {
-	svc := figure1Service(t, Config{})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	var tr TopKResponse
-	if code := get(t, srv, "/topk?q="+queryParam(q1)+"&k=2&bound=1", &tr); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if len(tr.Results) != 1 || len(tr.Results[0].Top) != 2 {
-		t.Fatalf("bad topk response: %+v", tr)
-	}
-
-	var batch TopKResponse
-	body, _ := json.Marshal(TopKBatchRequest{Queries: []TopKRequestJSON{
-		{Query: q1, K: 1, Bound: 1}, {Query: q2, K: 2, Bound: 0},
-	}})
-	if code := post(t, srv, "/topk", string(body), &batch); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if len(batch.Results) != 2 || len(batch.Results[0].Top) != 1 || len(batch.Results[1].Top) != 2 {
-		t.Fatalf("bad batch: %+v", batch)
-	}
-}
-
 func TestHTTPStatsAndHealth(t *testing.T) {
 	svc := figure1Service(t, Config{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
-	get(t, srv, "/eval?q="+queryParam(q1), nil)
+	post(t, srv, "/v1/query", `{"kind":"bool","query":`+jsonStr(q1)+`}`, nil)
 	var st StatsResponse
 	if code := get(t, srv, "/stats", &st); code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -131,40 +66,29 @@ func TestHTTPErrors(t *testing.T) {
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
-	if code := get(t, srv, "/eval", nil); code != http.StatusBadRequest {
-		t.Fatalf("missing q: status %d", code)
-	}
-	if code := get(t, srv, "/eval?q=bogus(", nil); code != http.StatusBadRequest {
-		t.Fatalf("bad query: status %d", code)
-	}
-	if code := post(t, srv, "/eval", `{"queries": []}`, nil); code != http.StatusBadRequest {
-		t.Fatalf("empty batch: status %d", code)
-	}
-	if code := get(t, srv, "/topk?q="+queryParam(q1)+"&k=zzz", nil); code != http.StatusBadRequest {
-		t.Fatalf("bad k: status %d", code)
-	}
-	if code := get(t, srv, "/topk?q="+queryParam(q1)+"&k=-1", nil); code != http.StatusBadRequest {
-		t.Fatalf("negative k: status %d", code)
-	}
-	// k omitted in a POST body must default like the GET default, not panic.
-	var tr TopKResponse
-	if code := post(t, srv, "/topk", `{"queries": [{"query": `+jsonString(q1)+`}]}`, &tr); code != http.StatusOK {
-		t.Fatalf("omitted k: status %d", code)
-	}
-	if len(tr.Results) != 1 || len(tr.Results[0].Top) != 3 {
-		t.Fatalf("omitted k should default to 3: %+v", tr)
+	boolOf := func(q string) string { return `{"kind":"bool","query":` + jsonStr(q) + `}` }
+	for what, body := range map[string]string{
+		"missing query": `{"kind":"bool"}`,
+		"bad query":     boolOf("bogus("),
+		"empty batch":   `{"requests": []}`,
+		"bad k":         `{"kind":"topk","query":` + jsonStr(q1) + `,"k":"zzz"}`,
+		"negative k":    `{"kind":"topk","query":` + jsonStr(q1) + `,"k":-1}`,
+	} {
+		if code := post(t, srv, "/v1/query", body, nil); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d", what, code)
+		}
 	}
 	// A parseable query that fails grounding (unknown relation) is a
-	// server-classified failure (500), consistently on both endpoints; a
-	// parse failure stays 400.
+	// server-classified failure (500), consistently for every kind; a parse
+	// failure stays 400.
 	bad := `P(_,_; a; b), X(a,_)`
-	if code := get(t, srv, "/eval?q="+queryParam(bad), nil); code != http.StatusInternalServerError {
-		t.Fatalf("grounding error on /eval: status %d", code)
+	if code := post(t, srv, "/v1/query", boolOf(bad), nil); code != http.StatusInternalServerError {
+		t.Fatalf("grounding error on a bool request: status %d", code)
 	}
-	if code := get(t, srv, "/topk?q="+queryParam(bad), nil); code != http.StatusInternalServerError {
-		t.Fatalf("grounding error on /topk: status %d", code)
+	if code := post(t, srv, "/v1/query", `{"kind":"topk","k":3,"query":`+jsonStr(bad)+`}`, nil); code != http.StatusInternalServerError {
+		t.Fatalf("grounding error on a topk request: status %d", code)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/eval", nil)
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/query", nil)
 	resp, err := srv.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)

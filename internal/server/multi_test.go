@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"probpref/internal/ppd"
 	"probpref/internal/registry"
 )
 
@@ -32,7 +33,7 @@ func TestCacheNamespaceIsolation(t *testing.T) {
 	svc := multiService(t, Config{})
 	ctx := context.Background()
 
-	brA, err := svc.EvalBatchModelCtx(ctx, "a", []string{q1})
+	brA, err := boolBatch(ctx, svc, "a", []string{q1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestCacheNamespaceIsolation(t *testing.T) {
 		t.Fatalf("cold model a: hits=%d solved=%d, want fresh solves", brA.CacheHits, brA.Solved)
 	}
 
-	brB, err := svc.EvalBatchModelCtx(ctx, "b", []string{q1})
+	brB, err := boolBatch(ctx, svc, "b", []string{q1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestCacheNamespaceIsolation(t *testing.T) {
 		t.Fatalf("model b solved %d groups, want %d (same dataset, own namespace)", brB.Solved, brA.Solved)
 	}
 
-	brA2, err := svc.EvalBatchModelCtx(ctx, "a", []string{q1})
+	brA2, err := boolBatch(ctx, svc, "a", []string{q1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,27 +62,27 @@ func TestCacheNamespaceIsolation(t *testing.T) {
 	}
 
 	// Both tenants answered from their own entries, so the answers agree.
-	if pa, pb := brA.Results[0].Prob, brB.Results[0].Prob; math.Abs(pa-pb) > 1e-12 {
+	if pa, pb := brA.Responses[0].Prob, brB.Responses[0].Prob; math.Abs(pa-pb) > 1e-12 {
 		t.Fatalf("identical models disagree: %v vs %v", pa, pb)
 	}
 }
 
-// TestSingleQueryPathNamespacing covers the non-batch path (EvalModelCtx),
+// TestSingleQueryPathNamespacing covers the non-batch path (Do),
 // whose engine consults the cache directly through the namespaced adapter.
 func TestSingleQueryPathNamespacing(t *testing.T) {
 	svc := multiService(t, Config{})
 	ctx := context.Background()
-	if _, err := svc.EvalModelCtx(ctx, "a", q1); err != nil {
+	if _, err := doBool(ctx, svc, "a", q1); err != nil {
 		t.Fatal(err)
 	}
-	resB, err := svc.EvalModelCtx(ctx, "b", q1)
+	resB, err := doBool(ctx, svc, "b", q1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resB.CacheHits != 0 {
 		t.Fatalf("model b saw %d cross-tenant cache hits on the single-query path", resB.CacheHits)
 	}
-	resB2, err := svc.EvalModelCtx(ctx, "b", q1)
+	resB2, err := doBool(ctx, svc, "b", q1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,17 +94,18 @@ func TestSingleQueryPathNamespacing(t *testing.T) {
 func TestUnknownModel(t *testing.T) {
 	svc := multiService(t, Config{})
 	ctx := context.Background()
-	if _, err := svc.EvalModelCtx(ctx, "ghost", q1); !errors.Is(err, registry.ErrNotFound) {
-		t.Fatalf("EvalModelCtx(ghost): %v, want ErrNotFound", err)
+	if _, err := doBool(ctx, svc, "ghost", q1); !errors.Is(err, registry.ErrNotFound) {
+		t.Fatalf("bool on ghost: %v, want ErrNotFound", err)
 	}
-	if _, err := svc.EvalBatchModelCtx(ctx, "ghost", []string{q1}); !errors.Is(err, registry.ErrNotFound) {
-		t.Fatalf("EvalBatchModelCtx(ghost): %v, want ErrNotFound", err)
+	if _, err := boolBatch(ctx, svc, "ghost", []string{q1}); !errors.Is(err, registry.ErrNotFound) {
+		t.Fatalf("bool batch on ghost: %v, want ErrNotFound", err)
 	}
-	if _, _, err := svc.TopKModelCtx(ctx, "ghost", q1, 2, 1); !errors.Is(err, registry.ErrNotFound) {
-		t.Fatalf("TopKModelCtx(ghost): %v, want ErrNotFound", err)
+	if _, err := doTopK(ctx, svc, "ghost", q1, 2, 1); !errors.Is(err, registry.ErrNotFound) {
+		t.Fatalf("topk on ghost: %v, want ErrNotFound", err)
 	}
-	if _, err := svc.TopKBatchModelCtx(ctx, "ghost", []TopKRequest{{Query: q1, K: 2}}); !errors.Is(err, registry.ErrNotFound) {
-		t.Fatalf("TopKBatchModelCtx(ghost): %v, want ErrNotFound", err)
+	topk := &ppd.Request{Kind: ppd.KindTopK, Query: q1, Model: "ghost", K: 2}
+	if _, err := svc.DoBatch(ctx, []*ppd.Request{topk}); !errors.Is(err, registry.ErrNotFound) {
+		t.Fatalf("topk batch on ghost: %v, want ErrNotFound", err)
 	}
 }
 
@@ -112,11 +114,11 @@ func TestDefaultModelCompat(t *testing.T) {
 	if svc.DB() == nil {
 		t.Fatal("single-db service lost its DB accessor")
 	}
-	res1, err := svc.Eval(q1)
+	res1, err := doBool(context.Background(), svc, "", q1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := svc.EvalModelCtx(context.Background(), DefaultModel, q1)
+	res2, err := doBool(context.Background(), svc, DefaultModel, q1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestConcurrentRegisterEvictDuringQueries(t *testing.T) {
 	svc := multiService(t, Config{Workers: 2})
 	reg := svc.Registry()
 	// Model "b" is never churned; it provides the ground-truth probability.
-	ref, err := svc.EvalModelCtx(context.Background(), "b", q1)
+	ref, err := doBool(context.Background(), svc, "b", q1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestConcurrentRegisterEvictDuringQueries(t *testing.T) {
 					return
 				default:
 				}
-				res, err := svc.EvalModelCtx(ctx, "a", q1)
+				res, err := doBool(ctx, svc, "a", q1)
 				if err != nil {
 					if !errors.Is(err, registry.ErrNotFound) {
 						t.Errorf("eval during churn: %v", err)

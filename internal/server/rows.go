@@ -80,13 +80,18 @@ type RowsFrame struct {
 	Results []RowsResult
 }
 
-// handleV1Rows serves POST /v1/rows: the /v1/query front half (answerV1)
-// with the answer framed for the cluster coordinator. per_session asks for
-// the session keys beside the probabilities; errors stay JSON.
+// handleV1Rows serves POST /v1/rows: the /v1/query front half
+// (DecodeV1Query) with the answer framed for the cluster coordinator.
+// per_session asks for the session keys beside the probabilities; errors
+// stay JSON.
 func (s *Service) handleV1Rows(w http.ResponseWriter, r *http.Request) {
-	ans, err := s.answerV1(r)
-	if err == nil && ans.stream != nil {
+	var ans *v1Answer
+	q, err := DecodeV1Query(r.Body)
+	if err == nil && q.Body.Stream {
 		err = errors.New("stream is not valid on /v1/rows (a frame carries every row at once)")
+	}
+	if err == nil {
+		ans, err = s.answer(r.Context(), q)
 	}
 	var frame []byte
 	if err == nil {
@@ -119,7 +124,7 @@ func appendRowsFrame(dst []byte, ans *v1Answer) ([]byte, error) {
 	dst = le.AppendUint32(dst, uint32(len(ans.resps)))
 	for i, resp := range ans.resps {
 		var err error
-		if dst, err = appendRowsResult(dst, resp, ans.perSession(i)); err != nil {
+		if dst, err = appendRowsResult(dst, resp, ans.q.Wire(i).PerSession); err != nil {
 			return nil, &evalError{fmt.Errorf("server: framing result %d: %w", i+1, err)}
 		}
 	}

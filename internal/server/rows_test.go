@@ -34,13 +34,14 @@ func rowsKinds() []V1Request {
 	}
 }
 
-// answerOf runs reqs through svc and wraps the responses the way answerV1
-// does: inline for one request without batch, as a batch otherwise.
+// answerOf runs reqs through svc and wraps the responses the way
+// Service.answer does: inline for one request without batch, as a batch
+// otherwise.
 func answerOf(t testing.TB, svc *Service, reqs []V1Request, batch bool) *v1Answer {
 	t.Helper()
-	ans := &v1Answer{}
+	ans := &v1Answer{q: &V1Query{}}
 	for _, vr := range reqs {
-		req, err := vr.toRequest()
+		req, err := vr.ToRequest()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,10 +52,10 @@ func answerOf(t testing.TB, svc *Service, reqs []V1Request, batch bool) *v1Answe
 		ans.resps = append(ans.resps, resp)
 	}
 	if batch {
-		ans.body.Requests = reqs
+		ans.q.Body.Requests = reqs
 		ans.batch = &BatchJSON{Groups: 7, Instances: 11, Solved: 3, CacheHits: 4}
 	} else {
-		ans.body.V1Request = reqs[0]
+		ans.q.Body.V1Request = reqs[0]
 	}
 	return ans
 }

@@ -7,6 +7,7 @@ import (
 
 	"probpref/internal/ppd"
 	"probpref/internal/registry"
+	"probpref/internal/solver"
 )
 
 // DefaultModel is the model name the single-database constructor (New)
@@ -94,12 +95,12 @@ func (e *evalError) Unwrap() error { return e.err }
 
 // Stats is a point-in-time snapshot of a Service's activity.
 type Stats struct {
-	// Evals counts single queries served by Eval plus queries served through
-	// EvalBatch.
+	// Evals counts the answered requests of every kind but topk, through Do
+	// and DoBatch alike.
 	Evals uint64 `json:"evals"`
-	// TopKs likewise counts TopK plus TopKBatch queries.
+	// TopKs likewise counts the answered topk requests.
 	TopKs uint64 `json:"topks"`
-	// Batches counts EvalBatch/TopKBatch calls.
+	// Batches counts DoBatch calls.
 	Batches uint64 `json:"batches"`
 	// Solves counts solver invocations performed on behalf of the service
 	// (exact and bound solves, after grouping, dedup and cache hits).
@@ -208,22 +209,6 @@ func (s *Service) open(model string) (*registry.Handle, error) {
 	return s.reg.Open(model)
 }
 
-// nsCache namespaces solve-cache keys by model name so two models never
-// share entries — even two models built from identical specs, whose
-// GroupKeys would otherwise collide by construction. It implements
-// ppd.SolveCache over the service's shared sharded Cache.
-type nsCache struct {
-	prefix string
-	c      *Cache
-}
-
-// nsSep separates the model namespace from the group key; model names are
-// restricted to URL-safe tokens, so the NUL byte cannot occur in a name.
-const nsSep = "\x00"
-
-func (n nsCache) Get(key string) (float64, bool) { return n.c.Get(n.prefix + key) }
-func (n nsCache) Put(key string, p float64)      { n.c.Put(n.prefix+key, p) }
-
 // Cache returns the shared solve cache (nil when disabled).
 func (s *Service) Cache() *Cache { return s.cache }
 
@@ -306,46 +291,10 @@ func (s *Service) engine(seed int64, h *registry.Handle) *ppd.Engine {
 		Workers: s.cfg.Workers,
 	}
 	if s.cache != nil {
-		e.Cache = nsCache{prefix: h.Name() + nsSep, c: s.cache}
+		e.Cache = nsLRU[float64]{prefix: h.Name() + nsSep, c: s.cache}
 	}
 	if s.plans != nil {
-		e.Plans = nsPlanCache{prefix: h.Name() + nsSep, c: s.plans}
+		e.Plans = nsLRU[*solver.Plan]{prefix: h.Name() + nsSep, c: s.plans}
 	}
 	return e
-}
-
-// BatchResult reports an EvalBatch: one EvalResult per query (in request
-// order) plus batch-level dedup accounting.
-type BatchResult struct {
-	// Results holds one evaluation per query, in request order.
-	Results []*ppd.EvalResult
-	// Groups counts distinct (model, union) inference groups across the
-	// whole batch.
-	Groups int
-	// Instances counts group references before cross-query dedup
-	// (Instances - Groups were saved by sharing within the batch).
-	Instances int
-	// Solved counts groups actually sent to a solver.
-	Solved int
-	// CacheHits counts groups answered from the shared cache.
-	// Solved + CacheHits == Groups.
-	CacheHits int
-}
-
-// TopKRequest is one query of a TopKBatch.
-type TopKRequest struct {
-	// Query is the conjunctive query (or union of CQs).
-	Query string
-	// K is how many sessions to return.
-	K int
-	// Bound is the number of upper-bound edges (0 = naive).
-	Bound int
-}
-
-// TopKResult is one answer of a TopKBatch.
-type TopKResult struct {
-	// Top lists the k most probable sessions, best first.
-	Top []ppd.SessionProb
-	// Diag reports the work the top-k evaluation performed.
-	Diag *ppd.TopKDiag
 }

@@ -25,14 +25,36 @@ func figure1Service(t *testing.T, cfg Config) *Service {
 	return New(db, cfg)
 }
 
+// The helpers below phrase the suite's common requests over Do / DoBatch;
+// model "" is DefaultModel.
+
+// doBool answers one bool request.
+func doBool(ctx context.Context, svc *Service, model, query string) (*ppd.Response, error) {
+	return svc.Do(ctx, &ppd.Request{Kind: ppd.KindBool, Query: query, Model: model})
+}
+
+// doTopK answers one topk request.
+func doTopK(ctx context.Context, svc *Service, model, query string, k, bound int) (*ppd.Response, error) {
+	return svc.Do(ctx, &ppd.Request{Kind: ppd.KindTopK, Query: query, Model: model, K: k, BoundEdges: bound})
+}
+
+// boolBatch answers the queries as one batch of bool requests.
+func boolBatch(ctx context.Context, svc *Service, model string, queries []string) (*DoBatchResult, error) {
+	reqs := make([]*ppd.Request, len(queries))
+	for i, q := range queries {
+		reqs[i] = &ppd.Request{Kind: ppd.KindBool, Query: q, Model: model}
+	}
+	return svc.DoBatch(ctx, reqs)
+}
+
 func TestEvalMatchesEngine(t *testing.T) {
 	svc := figure1Service(t, Config{})
 	eng := &ppd.Engine{DB: svc.DB()}
-	want, err := eng.EvalUnion(ppd.MustParseUnion(q1))
+	want, err := eng.Do(context.Background(), &ppd.Request{Kind: ppd.KindBool, Query: q1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := svc.Eval(q1)
+	got, err := doBool(context.Background(), svc, "", q1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +63,7 @@ func TestEvalMatchesEngine(t *testing.T) {
 			got.Prob, got.Count, want.Prob, want.Count)
 	}
 	// The second identical query is answered entirely from the cache.
-	again, err := svc.Eval(q1)
+	again, err := doBool(context.Background(), svc, "", q1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +82,13 @@ func TestEvalMatchesEngine(t *testing.T) {
 func TestEvalBatchDedupBeatsIndependentEvals(t *testing.T) {
 	svc := figure1Service(t, Config{})
 	eng := &ppd.Engine{DB: svc.DB()}
-	want, err := eng.EvalUnion(ppd.MustParseUnion(q1))
+	want, err := eng.Do(context.Background(), &ppd.Request{Kind: ppd.KindBool, Query: q1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	independent := 2 * want.Solves // two separate uncached Eval calls
 
-	br, err := svc.EvalBatch([]string{q1, q1})
+	br, err := boolBatch(context.Background(), svc, "", []string{q1, q1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,27 +98,27 @@ func TestEvalBatchDedupBeatsIndependentEvals(t *testing.T) {
 	if br.Instances <= br.Groups {
 		t.Fatalf("no cross-query dedup: instances=%d groups=%d", br.Instances, br.Groups)
 	}
-	for i, res := range br.Results {
+	for i, res := range br.Responses {
 		if res.Prob != want.Prob || res.Count != want.Count {
 			t.Fatalf("result %d: prob=%v count=%v, want prob=%v count=%v",
 				i, res.Prob, res.Count, want.Prob, want.Count)
 		}
 	}
-	if br.Results[0].Solves != want.Solves || br.Results[1].Solves != 0 {
+	if br.Responses[0].Solves != want.Solves || br.Responses[1].Solves != 0 {
 		t.Fatalf("attribution: q0 solves=%d (want %d), q1 solves=%d (want 0)",
-			br.Results[0].Solves, want.Solves, br.Results[1].Solves)
+			br.Responses[0].Solves, want.Solves, br.Responses[1].Solves)
 	}
 
 	// A second batch over the same queries is answered from the cache alone.
-	br2, err := svc.EvalBatch([]string{q1, q1})
+	br2, err := boolBatch(context.Background(), svc, "", []string{q1, q1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if br2.Solved != 0 || br2.CacheHits != br.Groups {
 		t.Fatalf("warm batch: solved=%d cacheHits=%d, want 0 and %d", br2.Solved, br2.CacheHits, br.Groups)
 	}
-	if br2.Results[0].Prob != want.Prob {
-		t.Fatalf("warm prob %v != %v", br2.Results[0].Prob, want.Prob)
+	if br2.Responses[0].Prob != want.Prob {
+		t.Fatalf("warm prob %v != %v", br2.Responses[0].Prob, want.Prob)
 	}
 }
 
@@ -104,15 +126,15 @@ func TestEvalBatchMixedQueries(t *testing.T) {
 	svc := figure1Service(t, Config{})
 	eng := &ppd.Engine{DB: svc.DB()}
 	for _, q := range []string{q1, q2} {
-		want, err := eng.EvalUnion(ppd.MustParseUnion(q))
+		want, err := eng.Do(context.Background(), &ppd.Request{Kind: ppd.KindBool, Query: q})
 		if err != nil {
 			t.Fatal(err)
 		}
-		br, err := svc.EvalBatch([]string{q})
+		br, err := boolBatch(context.Background(), svc, "", []string{q})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := br.Results[0]; math.Abs(got.Prob-want.Prob) > 1e-12 {
+		if got := br.Responses[0]; math.Abs(got.Prob-want.Prob) > 1e-12 {
 			t.Fatalf("query %q: %v != %v", q, got.Prob, want.Prob)
 		}
 	}
@@ -120,30 +142,32 @@ func TestEvalBatchMixedQueries(t *testing.T) {
 
 func TestEvalBatchErrors(t *testing.T) {
 	svc := figure1Service(t, Config{})
-	if _, err := svc.EvalBatch([]string{"not a query("}); err == nil {
+	if _, err := boolBatch(context.Background(), svc, "", []string{"not a query("}); err == nil {
 		t.Fatal("want parse error")
 	}
-	if _, err := svc.Eval("nope("); err == nil {
+	if _, err := doBool(context.Background(), svc, "", "nope("); err == nil {
 		t.Fatal("want parse error")
 	}
-	if _, _, err := svc.TopK("nope(", 1, 1); err == nil {
+	if _, err := doTopK(context.Background(), svc, "", "nope(", 1, 1); err == nil {
 		t.Fatal("want parse error")
 	}
 }
 
 func TestTopKSharesCacheAcrossRequests(t *testing.T) {
 	svc := figure1Service(t, Config{})
-	top1, diag1, err := svc.TopK(q1, 3, 0)
+	cold, err := doTopK(context.Background(), svc, "", q1, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	top1, diag1 := cold.Top, cold.Diag
 	if diag1.ExactSolves == 0 {
 		t.Fatal("cold top-k should solve")
 	}
-	top2, diag2, err := svc.TopK(q1, 3, 0)
+	warm, err := doTopK(context.Background(), svc, "", q1, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	top2, diag2 := warm.Top, warm.Diag
 	if diag2.ExactSolves != 0 || diag2.CacheHits == 0 {
 		t.Fatalf("warm top-k: exact=%d cacheHits=%d", diag2.ExactSolves, diag2.CacheHits)
 	}
@@ -194,11 +218,15 @@ func TestWarmBoundTopKSolvesNothing(t *testing.T) {
 
 func TestTopKBatch(t *testing.T) {
 	svc := figure1Service(t, Config{})
-	reqs := []TopKRequest{{Query: q1, K: 2, Bound: 1}, {Query: q1, K: 2, Bound: 1}, {Query: q2, K: 3, Bound: 0}}
-	out, err := svc.TopKBatch(reqs)
+	br, err := svc.DoBatch(context.Background(), []*ppd.Request{
+		{Kind: ppd.KindTopK, Query: q1, K: 2, BoundEdges: 1},
+		{Kind: ppd.KindTopK, Query: q1, K: 2, BoundEdges: 1},
+		{Kind: ppd.KindTopK, Query: q2, K: 3},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := br.Responses
 	if len(out) != 3 {
 		t.Fatalf("got %d results", len(out))
 	}
@@ -217,11 +245,11 @@ func TestCacheDisabled(t *testing.T) {
 	if svc.Cache() != nil {
 		t.Fatal("cache should be disabled")
 	}
-	res, err := svc.Eval(q1)
+	res, err := doBool(context.Background(), svc, "", q1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := svc.Eval(q1)
+	res2, err := doBool(context.Background(), svc, "", q1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,13 +260,13 @@ func TestCacheDisabled(t *testing.T) {
 
 func TestServiceStats(t *testing.T) {
 	svc := figure1Service(t, Config{})
-	if _, err := svc.Eval(q1); err != nil {
+	if _, err := doBool(context.Background(), svc, "", q1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.EvalBatch([]string{q1, q2}); err != nil {
+	if _, err := boolBatch(context.Background(), svc, "", []string{q1, q2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := svc.TopK(q1, 2, 1); err != nil {
+	if _, err := doTopK(context.Background(), svc, "", q1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	st := svc.Stats()
@@ -258,7 +286,7 @@ func TestServiceConcurrentRace(t *testing.T) {
 	eng := &ppd.Engine{DB: svc.DB()}
 	want := make(map[string]float64)
 	for _, q := range []string{q1, q2} {
-		res, err := eng.EvalUnion(ppd.MustParseUnion(q))
+		res, err := eng.Do(context.Background(), &ppd.Request{Kind: ppd.KindBool, Query: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +304,7 @@ func TestServiceConcurrentRace(t *testing.T) {
 				}
 				switch i % 3 {
 				case 0:
-					res, err := svc.Eval(q)
+					res, err := doBool(context.Background(), svc, "", q)
 					if err != nil {
 						t.Error(err)
 						return
@@ -286,17 +314,17 @@ func TestServiceConcurrentRace(t *testing.T) {
 						return
 					}
 				case 1:
-					br, err := svc.EvalBatch([]string{q1, q2, q})
+					br, err := boolBatch(context.Background(), svc, "", []string{q1, q2, q})
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					if br.Results[2].Prob != want[q] {
-						t.Errorf("EvalBatch(%q) = %v, want %v", q, br.Results[2].Prob, want[q])
+					if br.Responses[2].Prob != want[q] {
+						t.Errorf("batch with %q = %v, want %v", q, br.Responses[2].Prob, want[q])
 						return
 					}
 				case 2:
-					if _, _, err := svc.TopK(q, 2, 1); err != nil {
+					if _, err := doTopK(context.Background(), svc, "", q, 2, 1); err != nil {
 						t.Error(err)
 						return
 					}
@@ -315,11 +343,11 @@ func BenchmarkEngineEvalUncached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	uq := ppd.MustParseUnion(q1)
+	req := &ppd.Request{Kind: ppd.KindBool, Queries: ppd.MustParseUnion(q1).Disjuncts}
 	eng := &ppd.Engine{DB: db}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.EvalUnion(uq); err != nil {
+		if _, err := eng.Do(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -331,12 +359,12 @@ func BenchmarkServiceEvalCached(b *testing.B) {
 		b.Fatal(err)
 	}
 	svc := New(db, Config{})
-	if _, err := svc.Eval(q1); err != nil { // warm the cache
+	if _, err := doBool(context.Background(), svc, "", q1); err != nil { // warm the cache
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svc.Eval(q1); err != nil {
+		if _, err := doBool(context.Background(), svc, "", q1); err != nil {
 			b.Fatal(err)
 		}
 	}

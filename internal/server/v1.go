@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"time"
@@ -14,9 +15,10 @@ import (
 
 // This file is the versioned HTTP surface: POST /v1/query accepts the wire
 // form of the unified ppd.Request — one endpoint for every query kind,
-// single or batch, with NDJSON streaming of top-k session rows — and the
-// legacy /eval and /topk endpoints are thin adapters over the same path
-// (see http.go).
+// single or batch, with NDJSON streaming of session rows. DecodeV1Query is
+// its front half — body in, validated compiled requests out — shared with
+// POST /v1/rows and with the cluster coordinator's /v1/query, so every tier
+// rejects a malformed body with the same first error.
 
 // V1Request is the wire form of one unified query request (the body of
 // POST /v1/query, or one element of its "requests" batch).
@@ -157,15 +159,10 @@ type V1Response struct {
 	Batch *BatchJSON `json:"batch,omitempty"`
 }
 
-// ToRequest converts the wire request into the typed ppd.Request, with the
-// same validation (and error texts) the /v1/query handler applies. The
-// cluster coordinator validates incoming requests through it so a malformed
-// request is rejected identically whether it hits a shard or the
-// coordinator.
-func (vr *V1Request) ToRequest() (*ppd.Request, error) { return vr.toRequest() }
-
-// toRequest converts the wire request into the typed ppd.Request.
-func (vr *V1Request) toRequest() (*ppd.Request, error) {
+// ToRequest converts the wire request into the typed ppd.Request: the first
+// validation stage of DecodeV1Query (names and ranges the wire form can get
+// wrong; Compile checks the field combination).
+func (vr *V1Request) ToRequest() (*ppd.Request, error) {
 	kind, err := ppd.ParseKind(vr.Kind)
 	if err != nil {
 		return nil, err
@@ -284,108 +281,143 @@ func v1Head(resp *ppd.Response) V1Result {
 	return out
 }
 
-// v1Answer is a /v1/query body decoded, validated and — unless it asked to
-// stream — executed.
-type v1Answer struct {
-	// body is the decoded request body.
-	body V1Body
-	// resps holds the answers in request order (one for the inline form).
-	resps []*ppd.Response
-	// batch is the grouped path's dedup accounting; nil for the inline form.
-	batch *BatchJSON
-	// stream is set instead of resps when the inline request asked to
-	// stream: the request is validated but not run, because a stream's
-	// deadline covers its emission too (see v1Stream).
-	stream *ppd.Request
+// V1Query is a POST /v1/query body decoded, validated and compiled.
+type V1Query struct {
+	// Body is the decoded body.
+	Body V1Body
+	// Compiled holds the compiled requests in request order: the elements of
+	// Body.Requests for the batch form, the one inline request otherwise.
+	Compiled []*ppd.CompiledRequest
 }
 
-// perSession reports whether request i asked for per-session rows.
-func (a *v1Answer) perSession(i int) bool {
-	if a.batch != nil {
-		return a.body.Requests[i].PerSession
+// Batch reports whether the body used the "requests" form.
+func (q *V1Query) Batch() bool { return len(q.Body.Requests) > 0 }
+
+// Wire returns the wire form of request i.
+func (q *V1Query) Wire(i int) *V1Request {
+	if q.Batch() {
+		return &q.Body.Requests[i]
 	}
-	return a.body.PerSession
+	return &q.Body.V1Request
 }
 
-// answerV1 is the front half POST /v1/query and POST /v1/rows share: decode
-// the body, validate it, and answer it — a "requests" batch through DoBatch,
-// an inline request through Do. Both routes therefore reject a malformed body
-// with the same first error.
-func (s *Service) answerV1(r *http.Request) (*v1Answer, error) {
-	dec := json.NewDecoder(r.Body)
+// DecodeV1Query is the one front half of POST /v1/query: it decodes the body
+// (unknown fields rejected), checks the batch shape, and takes every request
+// through ToRequest, the stream allowlist and Compile, in request order. The
+// shard's /v1/query and /v1/rows routes and the cluster coordinator all call
+// it, so the first error of a malformed body is the same bytes on every
+// tier, and each request is compiled exactly once. Errors of a batch element
+// carry a "query N: " prefix (N counts from 1).
+func DecodeV1Query(body io.Reader) (*V1Query, error) {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	ans := &v1Answer{}
-	body := &ans.body
-	if err := dec.Decode(body); err != nil {
+	q := &V1Query{}
+	if err := dec.Decode(&q.Body); err != nil {
 		return nil, fmt.Errorf("decoding body: %w", err)
 	}
-	if len(body.Requests) == 0 {
-		req, err := body.V1Request.toRequest()
+	if !q.Batch() {
+		cr, err := q.Body.V1Request.compile()
 		if err != nil {
 			return nil, err
 		}
-		if body.Stream {
-			ans.stream = req
-			return ans, nil
-		}
-		resp, err := s.Do(r.Context(), req)
-		if err != nil {
-			return nil, err
-		}
-		ans.resps = []*ppd.Response{resp}
-		return ans, nil
+		q.Compiled = []*ppd.CompiledRequest{cr}
+		return q, nil
 	}
 	// Any inline request field alongside "requests" is rejected rather than
 	// silently ignored: a top-level model or timeout_ms that did not apply
 	// would return well-formed but wrong answers.
-	if body.V1Request != (V1Request{}) {
+	if q.Body.V1Request != (V1Request{}) {
 		return nil, fmt.Errorf("batch body must not mix inline request fields with requests; set fields per request")
 	}
-	reqs := make([]*ppd.Request, len(body.Requests))
-	for i := range body.Requests {
-		if body.Requests[i].Stream {
+	q.Compiled = make([]*ppd.CompiledRequest, len(q.Body.Requests))
+	for i := range q.Body.Requests {
+		vr := &q.Body.Requests[i]
+		if vr.Stream {
 			return nil, fmt.Errorf("query %d: stream is only valid for a single request", i+1)
 		}
-		req, err := body.Requests[i].toRequest()
+		cr, err := vr.compile()
 		if err != nil {
 			return nil, fmt.Errorf("query %d: %w", i+1, err)
 		}
-		reqs[i] = req
+		q.Compiled[i] = cr
 	}
-	br, err := s.DoBatch(r.Context(), reqs)
+	return q, nil
+}
+
+// compile validates one wire request: ToRequest, then the stream allowlist,
+// then Compile.
+func (vr *V1Request) compile() (*ppd.CompiledRequest, error) {
+	req, err := vr.ToRequest()
 	if err != nil {
 		return nil, err
 	}
-	ans.resps = br.Responses
-	ans.batch = &BatchJSON{
+	if vr.Stream {
+		switch req.Kind {
+		case ppd.KindTopK, ppd.KindBool, ppd.KindCount, ppd.KindCountDist:
+		default:
+			return nil, fmt.Errorf("stream is not valid for kind %s (topk, bool, count and countdist stream session rows)", req.Kind)
+		}
+	}
+	return req.Compile()
+}
+
+// v1Answer is an executed /v1/query body: what the JSON response and the
+// /v1/rows frame are both rendered from.
+type v1Answer struct {
+	// q is the decoded body.
+	q *V1Query
+	// resps holds the answers in request order (one for the inline form).
+	resps []*ppd.Response
+	// batch is the grouped path's dedup accounting; nil for the inline form.
+	batch *BatchJSON
+}
+
+// answer executes a decoded non-streaming body: a "requests" batch through
+// the DoBatch path, an inline request through the Do path.
+func (s *Service) answer(ctx context.Context, q *V1Query) (*v1Answer, error) {
+	if !q.Batch() {
+		resp, err := s.do(ctx, q.Compiled[0])
+		if err != nil {
+			return nil, err
+		}
+		return &v1Answer{q: q, resps: []*ppd.Response{resp}}, nil
+	}
+	br, err := s.doBatch(ctx, q.Compiled)
+	if err != nil {
+		return nil, err
+	}
+	return &v1Answer{q: q, resps: br.Responses, batch: &BatchJSON{
 		Groups:    br.Groups,
 		Instances: br.Instances,
 		Solved:    br.Solved,
 		CacheHits: br.CacheHits,
-	}
-	return ans, nil
+	}}, nil
 }
 
 // handleV1Query serves POST /v1/query: the unified query endpoint. A body
 // with "requests" answers the batch; an inline request answers alone, as
 // NDJSON when "stream" is set.
 func (s *Service) handleV1Query(w http.ResponseWriter, r *http.Request) {
-	ans, err := s.answerV1(r)
-	if err == nil && ans.stream != nil {
-		s.v1Stream(w, r, ans.stream)
+	q, err := DecodeV1Query(r.Body)
+	if err == nil && q.Body.Stream {
+		s.v1Stream(w, r, q.Compiled[0])
 		return
 	}
 	serveJSON(w, func() (any, error) {
 		if err != nil {
 			return nil, err
 		}
+		ans, err := s.answer(r.Context(), q)
+		if err != nil {
+			return nil, err
+		}
 		if ans.batch == nil {
-			res := v1Result(ans.resps[0], ans.body.PerSession)
+			res := v1Result(ans.resps[0], q.Body.PerSession)
 			return &V1Response{Result: &res}, nil
 		}
 		out := &V1Response{Batch: ans.batch}
 		for i, resp := range ans.resps {
-			out.Results = append(out.Results, v1Result(resp, ans.perSession(i)))
+			out.Results = append(out.Results, v1Result(resp, q.Wire(i).PerSession))
 		}
 		return out, nil
 	})
@@ -397,29 +429,21 @@ func (s *Service) handleV1Query(w http.ResponseWriter, r *http.Request) {
 // per-session probabilities otherwise — flushed as produced so consumers
 // read results incrementally. A client disconnect (or the request deadline)
 // stops the stream between rows with a final {"error": ...} line.
-func (s *Service) v1Stream(w http.ResponseWriter, r *http.Request, req *ppd.Request) {
-	switch req.Kind {
-	case ppd.KindTopK, ppd.KindBool, ppd.KindCount, ppd.KindCountDist:
-	default:
-		serveJSON(w, func() (any, error) {
-			return nil, fmt.Errorf("stream is not valid for kind %s (topk, bool, count and countdist stream session rows)", req.Kind)
-		})
-		return
-	}
+func (s *Service) v1Stream(w http.ResponseWriter, r *http.Request, cr *ppd.CompiledRequest) {
 	// One deadline covers the whole exchange — evaluation and emission —
-	// so the budget is armed here instead of inside Do (whose internal
+	// so the budget is armed here instead of inside do (whose internal
 	// deadline would end when the evaluation returns, leaving the
 	// streaming phase ungoverned).
 	ctx := r.Context()
-	if req.Deadline > 0 {
+	if cr.Deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.Deadline)
+		ctx, cancel = context.WithTimeout(ctx, cr.Deadline)
 		defer cancel()
-		detached := *req
+		detached := *cr
 		detached.Deadline = 0
-		req = &detached
+		cr = &detached
 	}
-	resp, err := s.Do(ctx, req)
+	resp, err := s.do(ctx, cr)
 	if err != nil {
 		serveJSON(w, func() (any, error) { return nil, err })
 		return

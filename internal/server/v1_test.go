@@ -117,6 +117,33 @@ func TestV1QueryBatch(t *testing.T) {
 	if out.Results[1].CountDist == nil {
 		t.Errorf("countdist result missing distribution:\n%s", raw)
 	}
+
+	// Two identical requests share their inference groups, and the batched
+	// answer is the standalone one.
+	var single, twice V1Response
+	one := `{"kind":"bool","query":` + jsonStr(q2) + `}`
+	if code := post(t, srv, "/v1/query", one, &single); code != 200 {
+		t.Fatalf("status %d", code)
+	}
+	if code := post(t, srv, "/v1/query", `{"requests":[`+one+`,`+one+`]}`, &twice); code != 200 {
+		t.Fatalf("status %d", code)
+	}
+	if len(twice.Results) != 2 || twice.Batch.Instances <= twice.Batch.Groups {
+		t.Fatalf("no dedup visible: %+v", twice)
+	}
+	if twice.Results[0].Prob != single.Result.Prob {
+		t.Fatalf("batch prob %v != single prob %v", twice.Results[0].Prob, single.Result.Prob)
+	}
+
+	// A batch of topk requests answers each with its own k.
+	var tops V1Response
+	body = `{"requests":[{"kind":"topk","query":` + jsonStr(q1) + `,"k":1,"bound":1},{"kind":"topk","query":` + jsonStr(q2) + `,"k":2}]}`
+	if code := post(t, srv, "/v1/query", body, &tops); code != 200 {
+		t.Fatalf("status %d", code)
+	}
+	if len(tops.Results) != 2 || len(tops.Results[0].Top) != 1 || len(tops.Results[1].Top) != 2 {
+		t.Fatalf("bad topk batch: %+v", tops)
+	}
 }
 
 func TestV1QueryModelRouting(t *testing.T) {
@@ -221,52 +248,6 @@ func TestV1QueryStreamNDJSON(t *testing.T) {
 	for i := 1; i < len(rows); i++ {
 		if rows[i].Prob > rows[i-1].Prob {
 			t.Errorf("rows out of order: %v after %v", rows[i].Prob, rows[i-1].Prob)
-		}
-	}
-}
-
-// TestV1MatchesLegacyEndpoints: the legacy /eval and /topk adapters and
-// /v1/query answer the same query with the same numbers.
-func TestV1MatchesLegacyEndpoints(t *testing.T) {
-	svc := figure1Service(t, Config{})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	var legacy EvalResponse
-	if code := get(t, srv, "/eval?q="+queryParam(doDemoQuery), &legacy); code != 200 {
-		t.Fatalf("legacy eval status %d", code)
-	}
-	code, raw := postV1(t, srv, `{"kind":"bool","query":`+jsonStr(doDemoQuery)+`}`)
-	if code != 200 {
-		t.Fatalf("v1 status %d", code)
-	}
-	var v1 V1Response
-	if err := json.Unmarshal(raw, &v1); err != nil {
-		t.Fatal(err)
-	}
-	if v1.Result.Prob != legacy.Results[0].Prob || v1.Result.Count != legacy.Results[0].Count {
-		t.Errorf("v1 (%v, %v) != legacy /eval (%v, %v)",
-			v1.Result.Prob, v1.Result.Count, legacy.Results[0].Prob, legacy.Results[0].Count)
-	}
-
-	var legacyTopK TopKResponse
-	if code := get(t, srv, "/topk?q="+queryParam(doDemoQuery)+"&k=2&bound=1", &legacyTopK); code != 200 {
-		t.Fatalf("legacy topk status %d", code)
-	}
-	code, raw = postV1(t, srv, `{"kind":"topk","query":`+jsonStr(doDemoQuery)+`,"k":2,"bound":1}`)
-	if code != 200 {
-		t.Fatalf("v1 topk status %d", code)
-	}
-	var v1top V1Response
-	if err := json.Unmarshal(raw, &v1top); err != nil {
-		t.Fatal(err)
-	}
-	if len(v1top.Result.Top) != len(legacyTopK.Results[0].Top) {
-		t.Fatalf("row counts differ: %d vs %d", len(v1top.Result.Top), len(legacyTopK.Results[0].Top))
-	}
-	for i := range v1top.Result.Top {
-		if v1top.Result.Top[i].Prob != legacyTopK.Results[0].Top[i].Prob {
-			t.Errorf("row %d: %v != %v", i, v1top.Result.Top[i].Prob, legacyTopK.Results[0].Top[i].Prob)
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // Allocation-aware solver microbenchmarks. The fixtures mirror the shapes
-// of the internal/bench registry cases (which cannot be imported here —
-// internal/dataset depends on this package); the per-op alloc counts are
-// the interesting number: after the first iteration warms the arena pool,
+// of dataset.BenchmarkD (which cannot be imported here — internal/dataset
+// depends on this package); the per-op alloc counts are the interesting
+// number: after the first iteration warms the arena pool,
 // the DP inner loop must not allocate, so allocs/op stays flat at the
 // small per-solve setup count no matter how many transitions a solve
 // expands.

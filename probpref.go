@@ -32,8 +32,9 @@
 //   - exact marginal analytics — position distributions, pairwise
 //     preference matrices, Condorcet/Copeland/Borda summaries
 //     (PairwiseMatrix, RankMarginals, CondorcetWinner);
-//   - Count-Session distributions (Engine.CountDistribution), union
-//     queries (ParseUnionQuery, Engine.EvalUnion, Engine.TopKUnion);
+//   - Count-Session distributions (KindCountDist) and union queries — a
+//     "|"-separated Request.Query, or ParseUnionQuery's disjuncts as
+//     Request.Queries;
 //   - preference models beyond plain Mallows — GeneralizedMallows (a RIM;
 //     exact solvers apply) and PlackettLuce (queried through sampling);
 //   - learning: FitMallows and FitMixture recover Mallows models and
@@ -43,25 +44,22 @@
 //     Service with batch APIs that deduplicate inference groups across the
 //     queries of a batch and serve an HTTP/JSON front end (NewService,
 //     Service.Handler, cmd/hardqd);
-//   - deadline-aware adaptive planning: context-accepting variants of every
-//     evaluation entry point (Engine.EvalCtx, Service.EvalBatchCtx, ...)
-//     thread cancellation down to solver DP layers and sampling rounds, and
+//   - deadline-aware adaptive planning: the context of every Do call
+//     threads cancellation down to solver DP layers and sampling rounds, and
 //     MethodAdaptive routes each inference group to the cheapest adequate
 //     exact solver or — when the predicted cost exceeds the remaining
 //     deadline budget — to sampling with reported confidence half-widths
-//     (EstimateCost, PlanStats, EvalResult.Plan);
+//     (EstimateCost, PlanStats, Response.Plan);
 //   - the model registry: a concurrent named catalog of dataset-backed
 //     models with lazy builds, startup manifests and reference-counted
 //     eviction, served simultaneously by a multi-model Service whose
 //     shared solve cache namespaces keys per model (NewRegistry,
 //     OpenDataset, NewMultiService, cmd/hardqd -manifest);
-//   - the unified query API: one typed Request (Kind: bool | count | topk |
-//     aggregate | countdist) validated by Request.Compile and answered
-//     through a single entry point per layer — Engine.Do, Service.Do and
-//     Service.DoBatch, and the daemon's versioned POST /v1/query endpoint
-//     with NDJSON streaming of top-k rows. The per-kind methods (Eval,
-//     TopK, CountSession, ...) remain as the documented compatibility
-//     surface, each a thin wrapper over Do with byte-identical results
+//   - the query API: one typed Request (Kind: bool | count | topk |
+//     aggregate | countdist | consensus) validated by Request.Compile and
+//     answered through the one entry point of each layer — Engine.Do,
+//     Service.Do and Service.DoBatch, and the daemon's versioned
+//     POST /v1/query endpoint with NDJSON streaming of session rows
 //     (Request, Response, Kind, ParseKind).
 //
 // # Quick start
@@ -231,8 +229,6 @@ type (
 	Query = ppd.Query
 	// Engine evaluates queries.
 	Engine = ppd.Engine
-	// EvalResult reports an evaluation.
-	EvalResult = ppd.EvalResult
 	// SessionProb pairs a session with its probability.
 	SessionProb = ppd.SessionProb
 	// Method selects the per-session solver.
@@ -241,7 +237,7 @@ type (
 	// grouping, recommended method).
 	Explanation = ppd.Explanation
 	// PlanStats reports MethodAdaptive's routing decisions and confidence
-	// half-widths (EvalResult.Plan / TopKDiag.Plan).
+	// half-widths (Response.Plan / TopKDiag.Plan).
 	PlanStats = ppd.PlanStats
 	// SolveReport describes how one inference group was answered
 	// (Engine.SolveUnionCtx).
@@ -383,12 +379,6 @@ type (
 	ServiceConfig = server.Config
 	// ServiceStats snapshots a Service's counters.
 	ServiceStats = server.Stats
-	// BatchResult reports a Service.EvalBatch.
-	BatchResult = server.BatchResult
-	// TopKRequest is one query of a Service.TopKBatch.
-	TopKRequest = server.TopKRequest
-	// TopKResult is one answer of a Service.TopKBatch.
-	TopKResult = server.TopKResult
 	// DoBatchResult reports a Service.DoBatch: unified responses plus the
 	// grouped path's inference-dedup accounting.
 	DoBatchResult = server.DoBatchResult

@@ -1,6 +1,7 @@
 package probpref
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -151,19 +152,19 @@ func TestFacadeCountDistributionAndUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.EvalUnion(uq)
+	res, err := eng.Do(context.Background(), &Request{Kind: KindBool, Queries: uq.Disjuncts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Prob <= 0 || res.Prob > 1 {
 		t.Fatalf("union Prob = %v", res.Prob)
 	}
-	top, _, err := eng.TopKUnion(uq, 1, 1)
+	top, err := eng.Do(context.Background(), &Request{Kind: KindTopK, Queries: uq.Disjuncts, K: 1, BoundEdges: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(top) != 1 {
-		t.Fatalf("top-1 returned %d sessions", len(top))
+	if len(top.Top) != 1 {
+		t.Fatalf("top-1 returned %d sessions", len(top.Top))
 	}
 
 	pm, err := PopulationPairwise(db, "P")

@@ -1,6 +1,9 @@
 package probpref
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 const serviceQ = `P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`
 
@@ -10,17 +13,19 @@ func TestServiceFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := NewService(db, ServiceConfig{Method: MethodAuto, Workers: 2})
-	br, err := svc.EvalBatch([]string{serviceQ, serviceQ})
+	ctx := context.Background()
+	req := &Request{Kind: KindBool, Query: serviceQ}
+	br, err := svc.DoBatch(ctx, []*Request{req, req})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if br.Instances <= br.Groups || br.Solved != br.Groups {
 		t.Fatalf("batch accounting: %+v", br)
 	}
-	if br.Results[0].Prob != br.Results[1].Prob {
-		t.Fatalf("identical queries disagree: %v != %v", br.Results[0].Prob, br.Results[1].Prob)
+	if br.Responses[0].Prob != br.Responses[1].Prob {
+		t.Fatalf("identical queries disagree: %v != %v", br.Responses[0].Prob, br.Responses[1].Prob)
 	}
-	if _, _, err := svc.TopK(serviceQ, 2, 1); err != nil {
+	if _, err := svc.Do(ctx, &Request{Kind: KindTopK, Query: serviceQ, K: 2, BoundEdges: 1}); err != nil {
 		t.Fatal(err)
 	}
 	st := svc.Stats()
@@ -34,17 +39,14 @@ func TestEngineCacheFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := ParseQuery(serviceQ)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cache := NewSolveCache(64)
 	eng := &Engine{DB: db, Method: MethodAuto, Cache: cache}
-	cold, err := eng.Eval(q)
+	req := &Request{Kind: KindBool, Query: serviceQ}
+	cold, err := eng.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := eng.Eval(q)
+	warm, err := eng.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package probpref
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -16,7 +17,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Eval(q)
+	res, err := eng.Do(context.Background(), &Request{Kind: KindBool, Queries: []*Query{q}})
 	if err != nil {
 		t.Fatal(err)
 	}
