@@ -187,6 +187,23 @@ func TestRunDeadlineAdaptive(t *testing.T) {
 	}
 }
 
+// TestRunStockDatasetSizes: without -movies each dataset builds its own
+// default — CrowdRank the paper's 20-movie HIT, not MovieLens's catalog
+// size.
+func TestRunStockDatasetSizes(t *testing.T) {
+	for ds, want := range map[string]string{
+		"crowdrank": "dataset : crowdrank (m=20 items, 500 sessions)\n",
+		"movielens": "dataset : movielens (m=120 items, 16 sessions)\n",
+	} {
+		if out := runOut(t, "-dataset", ds, "-explain"); !strings.HasPrefix(out, want) {
+			t.Errorf("-dataset %s: output does not start with %q:\n%s", ds, want, out)
+		}
+	}
+	if out := runOut(t, "-dataset", "crowdrank", "-movies", "8", "-explain"); !strings.HasPrefix(out, "dataset : crowdrank (m=8 items,") {
+		t.Errorf("-movies 8 not honoured for crowdrank:\n%s", out)
+	}
+}
+
 // TestRunDeadlineKeepsForcedMethod: -deadline only implies adaptive when no
 // method was forced.
 func TestRunDeadlineKeepsForcedMethod(t *testing.T) {

@@ -178,7 +178,7 @@ func setup(args []string, out io.Writer) (*daemon, error) {
 		seed     = fs.Int64("seed", 1, "generator and sampler seed")
 		cands    = fs.Int("candidates", 20, "polls: number of candidates")
 		voters   = fs.Int("voters", 100, "polls: number of voters")
-		movies   = fs.Int("movies", 120, "movielens: catalog size")
+		movies   = fs.Int("movies", 0, "movielens: catalog size (default 120); crowdrank: HIT size (default 20)")
 		workers  = fs.Int("workers", 500, "crowdrank: number of workers")
 
 		walDir  = fs.String("wal-dir", "", "write-ahead-log directory: ingest batches are logged and fsynced before they are acknowledged, and replayed over snapshots on startup")

@@ -47,7 +47,7 @@ func run(args []string, out io.Writer) error {
 		seed    = fs.Int64("seed", 1, "generator seed")
 		cands   = fs.Int("candidates", 20, "polls: number of candidates")
 		voters  = fs.Int("voters", 100, "polls: number of voters")
-		movies  = fs.Int("movies", 120, "movielens: catalog size")
+		movies  = fs.Int("movies", 0, "movielens: catalog size (default 120); crowdrank: HIT size (default 20)")
 		workers = fs.Int("workers", 500, "crowdrank: number of workers")
 	)
 	fs.SetOutput(out)

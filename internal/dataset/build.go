@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -22,7 +23,7 @@ type BuildConfig struct {
 	Seed       int64  // generator seed
 	Candidates int    // polls
 	Voters     int    // polls
-	Movies     int    // movielens catalog size / crowdrank HIT size
+	Movies     int    // movielens catalog size (0: 120) / crowdrank HIT size (0: the paper's 20)
 	Workers    int    // crowdrank
 }
 
@@ -42,7 +43,7 @@ var builders = []struct {
 		return db, PollsQuery, err
 	}},
 	{"movielens", func(cfg BuildConfig) (*ppd.DB, string, error) {
-		db, err := MovieLens(MovieLensConfig{Movies: cfg.Movies, Seed: cfg.Seed})
+		db, err := MovieLens(MovieLensConfig{Movies: cmp.Or(cfg.Movies, 120), Seed: cfg.Seed})
 		return db, MovieLensQueryText(), err
 	}},
 	{"crowdrank", func(cfg BuildConfig) (*ppd.DB, string, error) {

@@ -182,37 +182,6 @@ func TestPlanAlgoRouting(t *testing.T) {
 	}
 }
 
-// EstimateBatchedCost: one lane is a solo solve, and per-session cost
-// strictly improves with the batch while total cost still grows.
-func TestEstimateBatchedCost(t *testing.T) {
-	est := CostEstimate{Solver: MethodTwoLabel, States: 1e6}
-	if got := EstimateBatchedCost(est, 1); got != est {
-		t.Fatalf("one lane must be a solo solve: %+v", got)
-	}
-	prevTotal := est.States
-	for _, lanes := range []int{2, 8, 64} {
-		got := EstimateBatchedCost(est, lanes)
-		if got.States <= prevTotal {
-			t.Fatalf("total batched cost must grow with lanes: %v at %d lanes", got.States, lanes)
-		}
-		perSession := got.States / float64(lanes)
-		if perSession >= est.States {
-			t.Fatalf("per-session batched cost %v not below solo %v at %d lanes",
-				perSession, est.States, lanes)
-		}
-		prevTotal = got.States
-	}
-	// At large batches the per-session cost approaches the lane fraction.
-	big := EstimateBatchedCost(est, 1024)
-	if ratio := big.States / float64(1024) / est.States; ratio > BatchedLaneFraction+0.01 {
-		t.Fatalf("amortized per-session ratio %v exceeds lane fraction", ratio)
-	}
-	none := CostEstimate{Solver: methodNone, States: math.Inf(1)}
-	if got := EstimateBatchedCost(none, 64); got.Solver != methodNone {
-		t.Fatalf("no-solver estimate must pass through, got %+v", got)
-	}
-}
-
 // Satellite regression: an already-expired deadline must degrade an
 // adaptive solve to the minimum sampling estimate with a confidence
 // interval — never a zero-draw result or an error. (adaptiveBudget clamps

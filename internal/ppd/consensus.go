@@ -83,7 +83,10 @@ func (e *Engine) consensusUnion(ctx context.Context, cr *CompiledRequest) (*Resp
 // consensus evaluates all m! rankings per session, so it is capped at
 // consensus.MaxExactM items: an explicitly exact method beyond the cap is
 // an error, MethodAuto degrades to sampling, and MethodAdaptive
-// additionally compares EstimateConsensusCost against its budget.
+// additionally compares EstimateConsensusCost against its budget — without
+// a deadline or an explicit budget, the price of the sampled rows the
+// request would otherwise get (DefaultConsensusDraws, or Engine.RejectionN,
+// draws for each session).
 func (e *Engine) consensusRoute(ctx context.Context, m, sessions int) (bool, error) {
 	switch e.Method {
 	case MethodTwoLabel, MethodBipartite, MethodGeneral, MethodRelOrder:
@@ -97,7 +100,8 @@ func (e *Engine) consensusRoute(ctx context.Context, m, sessions int) (bool, err
 		if m > consensus.MaxExactM {
 			return false, nil
 		}
-		return EstimateConsensusCost(m, sessions).States <= e.adaptiveBudget(ctx), nil
+		sampled := float64(sessions) * drawPrice(e.drawsOr(DefaultConsensusDraws), m)
+		return EstimateConsensusCost(m, sessions).States <= e.adaptiveBudget(ctx, sampled), nil
 	}
 	// MethodAuto (and anything Compile would have rejected).
 	return m <= consensus.MaxExactM, nil
@@ -182,10 +186,7 @@ func (e *Engine) consensusExactRows(ctx context.Context, gr *Grounded, cr *Compi
 func (e *Engine) consensusSampledRows(ctx context.Context, gr *Grounded, cr *CompiledRequest) ([]consensus.Row, error) {
 	m := e.DB.M()
 	matchers := groupMatchers(gr, e.DB.Labeling(), m)
-	draws := e.RejectionN
-	if draws <= 0 {
-		draws = DefaultConsensusDraws
-	}
+	draws := e.drawsOr(DefaultConsensusDraws)
 	baseSeed := e.rng().Int63()
 	var rows []consensus.Row
 	var tau rank.Ranking // one draw buffer for every session

@@ -118,4 +118,3 @@ func (d *CountDistribution) Mode() int {
 	}
 	return best
 }
-

@@ -35,10 +35,10 @@ const (
 	// MethodRejection uses rejection sampling with Engine.RejectionN samples.
 	MethodRejection
 	// MethodAdaptive is the deadline-aware cost-based planner: per group it
-	// routes to the cheapest adequate exact solver when the predicted work
-	// fits the budget (Engine.AdaptiveBudget or the context deadline), and
-	// to sampling with a reported confidence half-width otherwise (see
-	// planner.go).
+	// solves the cheapest exact solver's compiled plan when the plan's
+	// predicted work fits the budget (Engine.AdaptiveBudget, the context
+	// deadline, or else the price of the sampled answer), and samples with
+	// a reported confidence half-width otherwise (see planner.go).
 	MethodAdaptive
 )
 
@@ -137,8 +137,9 @@ type Engine struct {
 	Cache SolveCache
 	// AdaptiveBudget is MethodAdaptive's per-group work budget in predicted
 	// solver state-transitions. 0 derives the budget from the context
-	// deadline (remaining time at AdaptiveStatesPerSecond) and falls back
-	// to DefaultAdaptiveBudget when the context has none.
+	// deadline (remaining time at AdaptiveStatesPerSecond) and, when the
+	// context has none, from the price of the sampled answer the group
+	// would otherwise get (DefaultAdaptiveBudget on a 20-item model).
 	AdaptiveBudget float64
 	// Plans, when non-nil, caches compiled union plans across evaluations
 	// (see PlanCache); exact-method groups sharing a union shape then skip

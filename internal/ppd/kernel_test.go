@@ -28,7 +28,9 @@ const (
 	kernelQueryMid  = `P(_, _; l; r), C(l, j, _, 40, _, _), C(r, j, F, _, _, SW)`
 	// A chain two sessions satisfy so rarely that 512 rejection draws see no
 	// hit: under a starved budget the adaptive planner answers them through
-	// its MIS-AMP fallback.
+	// its MIS-AMP fallback. (Every adaptive case runs under a starved budget:
+	// at the default one the planner solves these groups exactly, and the
+	// cases are here for the sampled route's random stream.)
 	kernelQueryRare = `P(_, _; "cand00"; "cand01"), P(_, _; "cand01"; "cand18")`
 )
 
@@ -102,14 +104,14 @@ func TestSampledAnswersBitIdentical(t *testing.T) {
 		{name: "mis-adaptive", req: count(kernelQueryMid, ppd.MethodMISAdaptive, 15),
 			count:  [2]float64{1.6256586614452537, 1.7572412939817763},
 			digest: [2]string{"e21e01c3b74db10e", "3644a6c5f3550480"}},
-		{name: "adaptive", req: count(kernelQueryHead, ppd.MethodAdaptive, 16),
-			count:     [2]float64{4.7327, 4.72895},
-			halfWidth: [2]float64{0.010016765402007766, 0.01009175087117719},
-			digest:    [2]string{"0fadc22756c0d4b4", "5493bd35d0fb0bb3"}},
-		{name: "adaptive-mid", req: count(kernelQueryMid, ppd.MethodAdaptive, 17),
-			count:     [2]float64{1.4945000000000002, 1.47595},
-			halfWidth: [2]float64{0.023131362064705962, 0.023145155053745037},
-			digest:    [2]string{"234c56df033df523", "ccc57e8415ad39d7"}},
+		{name: "adaptive", req: count(kernelQueryHead, ppd.MethodAdaptive, 16), budget: 1,
+			count:     [2]float64{4.7421875, 4.71484375},
+			halfWidth: [2]float64{0.06584230953813153, 0.06844597159579101},
+			digest:    [2]string{"bbc06fe3e7782e8f", "8730db588d4a2840"}},
+		{name: "adaptive-mid", req: count(kernelQueryMid, ppd.MethodAdaptive, 17), budget: 1,
+			count:     [2]float64{1.517578125, 1.5234375},
+			halfWidth: [2]float64{0.14339353541874672, 0.1445858963122553},
+			digest:    [2]string{"fd165698fa558f30", "8088b83b0b180468"}},
 		{name: "adaptive-rare", req: count(kernelQueryRare, ppd.MethodAdaptive, 18), budget: 1,
 			count:     [2]float64{0.8605646170162198, 0.9046552650442933},
 			halfWidth: [2]float64{0.0998365206484367, 0.10808415952330049},

@@ -14,33 +14,42 @@ import (
 	"probpref/internal/solver"
 )
 
-// This file implements the deadline-aware adaptive planner behind
-// MethodAdaptive: a per-(session-model, union) cost estimator routes each
-// inference group to the cheapest adequate exact solver when its predicted
-// work fits the remaining budget, and to Monte Carlo sampling with a
-// reported confidence half-width otherwise. The budget derives from the
-// caller's context deadline, so a request that cannot afford exact
-// inference degrades to an estimate with error bars instead of timing out
-// with nothing.
+// This file implements the adaptive planner behind MethodAdaptive. Per
+// (session-model, union) group it compiles the exact solvers that accept the
+// union, asks each compiled plan what its layer walk will cost
+// (solver.Plan.Cost), and solves the cheapest one exactly when that price
+// fits the group's budget; otherwise the group is answered by Monte Carlo
+// sampling with a reported confidence half-width. Both sides are priced in
+// one unit, DP state-transitions: a budget is a context deadline converted
+// at AdaptiveStatesPerSecond, an explicit Engine.AdaptiveBudget, or — when
+// the caller gives neither — the price of the sampled answer the group would
+// otherwise get, so exact inference is bought exactly when it is predicted
+// to be no dearer. A request that cannot afford exact inference degrades to
+// an estimate with error bars instead of timing out with nothing.
 
-// AdaptiveStatesPerSecond converts wall-clock budget into predicted solver
-// work: the exact DP solvers process state-transitions at very roughly this
-// rate on commodity hardware. The constant only needs order-of-magnitude
-// accuracy — it decides which side of exact-vs-sampling a group lands on,
-// not a precise schedule.
-//
-// Re-calibrated for the packed-state DP core (PR 5): replacing the
-// string-keyed layer maps with packed integer keys, pooled arenas and
-// gap-merged expansion made every exact solver ~3.5-4x faster per unit of
-// predicted work (measured before and after on the same machine), so the
-// same deadline now buys proportionally more exact solving and the
-// adaptive method routes correspondingly more groups to exact answers.
-const AdaptiveStatesPerSecond = 80e6
+// AdaptiveStatesPerSecond converts wall-clock time into solver work: the
+// exact DP solvers generate about this many state-transitions per second,
+// 62 ns each. Measured on the 2-core reference box (Xeon 2.1 GHz, go1.24,
+// 2026-10-04): BenchmarkTwoLabelSelective 36 ns a transition (0.40 ms /
+// 11 101), BenchmarkBipartiteSelective 70 ns (1.51 ms / 21 546), and a
+// median 57 ns (p10 38, p90 121, the small solves paying their fixed set-up)
+// over the 3 760 groups of TestCostCalibration's polls fixture. The constant
+// sits at the slow end so that a deadline is not oversold.
+const AdaptiveStatesPerSecond = 16e6
 
-// DefaultAdaptiveBudget is the per-group work budget used by MethodAdaptive
-// when neither Engine.AdaptiveBudget nor a context deadline supplies one:
-// about one second of exact solving per group.
-const DefaultAdaptiveBudget = AdaptiveStatesPerSecond
+// adaptiveDrawStates is what one rejection draw costs per item of the model,
+// in state-transitions: a draw and its union match take 26 ns an item —
+// BenchmarkRejectionDraw's 522 ns at m = 20, linear in m from 7 to 200
+// items at phi = 0.5 (13 ns an item at phi = 0.1, 31 at 0.9; the benchmark's
+// traced sampling.rejection.ns_per_draw reads 600 at m = 20), same box and
+// date as AdaptiveStatesPerSecond.
+const adaptiveDrawStates = 26e-9 * AdaptiveStatesPerSecond
+
+// drawPrice is the price of n rejection draws from a model over m items, in
+// state-transitions.
+func drawPrice(n, m int) float64 {
+	return float64(n) * float64(m) * adaptiveDrawStates
+}
 
 // adaptiveSampleFloor is the minimum number of Monte Carlo draws for a
 // sampled group: even a fully exhausted budget reports an estimate with a
@@ -49,6 +58,25 @@ const adaptiveSampleFloor = 512
 
 // adaptiveSampleCeil caps the draws spent on one sampled group.
 const adaptiveSampleCeil = 20000
+
+// DefaultAdaptiveBudget is the per-group budget MethodAdaptive works under
+// when neither Engine.AdaptiveBudget nor a context deadline supplies one,
+// for a model over 20 items (the polls and CrowdRank item counts): the price
+// of the adaptiveSampleCeil draws the group would otherwise be answered
+// with. The engine prices those draws at the group's own item count
+// (drawPrice); tools that mirror the no-deadline rule on a 20-item model
+// compare EstimateCost(...).States against this value.
+const DefaultAdaptiveBudget = adaptiveSampleCeil * 20 * adaptiveDrawStates
+
+// adaptiveLayerShare derives the layer bound an exact attempt runs under
+// from its budget: MaxStates = budget / adaptiveLayerShare. A layer of w
+// states took at least w transitions to emit, and over TestCostCalibration's
+// fixture a walk spends a median 23 transitions per state of its widest
+// layer (8 at the first percentile of the walks wider than 50 states), so a
+// walk that grows a layer beyond an eighth of its budget has already shown
+// its price wrong — it is stopped there (solver.ErrTooLarge) and the group
+// sampled, instead of walking on to whatever the union really costs.
+const adaptiveLayerShare = 8
 
 // methodNone marks "no exact solver applies" in a CostEstimate.
 const methodNone = Method(-1)
@@ -59,109 +87,72 @@ type CostEstimate struct {
 	// Solver is the cheapest adequate exact solver, or -1 when none applies
 	// within the engine's structural limits.
 	Solver Method
-	// States is the predicted work of that solver in DP state-transitions
-	// (+Inf when no exact solver applies). The prediction is a deliberately
-	// simple upper-bound shape — layer width times insertion steps — not a
-	// tight count; it only has to order groups and compare against a budget.
+	// States is the predicted work of that solver in DP state-transitions,
+	// the unit solver.Stats.Transitions counts (+Inf when no exact solver
+	// applies). It is the compiled plan's own price, solver.Plan.Cost: an
+	// upper-leaning bound that TestCostCalibration holds against real walks.
 	States float64
 }
 
-// EstimateCost predicts the cheapest exact route for a group. The features
-// are the ones the solvers' complexity bounds depend on: the model size m,
-// the number of patterns z, the number of distinct (label set, role)
-// trackers (TwoLabel/Bipartite layer width), and the number of involved
-// items (RelOrder layer width).
+// EstimateCost predicts the cheapest exact route for a group: it compiles
+// the union for every exact solver that accepts its shape — TwoLabel or
+// Bipartite by pattern family, RelOrder while the involved items stay
+// within maxInvolved — and keeps the plan that prices itself lowest.
 func EstimateCost(sm rim.SessionModel, lab *label.Labeling, u pattern.Union, maxInvolved int) CostEstimate {
-	best := CostEstimate{Solver: methodNone, States: math.Inf(1)}
-	if len(u) == 0 {
-		return CostEstimate{Solver: MethodAuto, States: 0}
-	}
-	m := float64(sm.M())
-	consider := func(s Method, states float64) {
-		if states < best.States {
-			best = CostEstimate{Solver: s, States: states}
-		}
-	}
-	// TwoLabel and Bipartite: layers hold one position (or "absent") per
-	// tracker, so width <= (m+2)^trackers; each of the m insertion steps
-	// expands every state into up to m slots.
-	if u.AllTwoLabel() {
-		consider(MethodTwoLabel, layerCost(m, trackerCount(u)))
-	}
-	if u.AllBipartite() {
-		consider(MethodBipartite, layerCost(m, trackerCount(u)))
-	}
-	// RelOrder: layers hold the positions of the involved items, width
-	// <= C(m, t)*t! <= m^t.
-	if t := len(pattern.InvolvedItems(u, lab, sm.M())); t <= maxInvolved {
-		consider(MethodRelOrder, layerCost(m, t))
-	}
-	return best
-}
-
-// layerCost returns m^2 * (m+2)^width clamped to avoid overflow: predicted
-// layer width times insertion steps times per-state expansion.
-func layerCost(m float64, width int) float64 {
-	logCost := 2*math.Log(m+1) + float64(width)*math.Log(m+2)
-	if logCost > 600 { // beyond any budget; avoid Inf arithmetic surprises
-		return math.MaxFloat64
-	}
-	return math.Exp(logCost)
-}
-
-// BatchedWalkFraction and BatchedLaneFraction model the throughput of the
-// compiled-plan batched executors (solver.SolveSessions): a batched solve
-// pays the structural layer walk — state hashing, successor construction,
-// matching — once for all lanes, and only the per-lane multiply-accumulate
-// scales with the session count. The fractions are calibrated against the
-// solver/batched-* benchmarks: walk bookkeeping is roughly 60% of a
-// single-session solve and the per-lane fold the remaining 40%, so per
-// session the batched cost approaches 40% of a solo solve as the batch
-// grows (and degenerates to exactly one solo solve at one lane).
-const (
-	BatchedWalkFraction = 0.6
-	BatchedLaneFraction = 0.4
-)
-
-// EstimateBatchedCost predicts the total exact work of solving one union
-// shape against lanes sessions in a single batched walk. The planner uses
-// it to compare "one batched walk over the class" against "lanes
-// independent solves" (est.States * lanes) when budgeting grouped requests.
-func EstimateBatchedCost(est CostEstimate, lanes int) CostEstimate {
-	if lanes <= 1 || est.Solver == methodNone {
-		return est
-	}
-	est.States = est.States * (BatchedWalkFraction + BatchedLaneFraction*float64(lanes))
+	est, _ := cheapestPlan(sm, lab, u, maxInvolved)
 	return est
 }
 
-// EstimateConsensusCost predicts the exact-enumeration work of a
-// consensus request alongside EstimateCost/EstimateBatchedCost: every
-// live session scores all m! rankings at O(m) insertion probabilities
-// each, so the predicted work is sessions * m! * m — comparable against
-// the same budgets (AdaptiveStatesPerSecond) the solver estimates use.
-// Solver is MethodAuto as a stand-in: exact consensus is enumeration, not
-// one of the DP solvers.
+// cheapestPlan is EstimateCost returning the compiled plan the price was
+// read from, so the planner solves the plan it priced. The plan is nil when
+// no solver applies.
+func cheapestPlan(sm rim.SessionModel, lab *label.Labeling, u pattern.Union, maxInvolved int) (CostEstimate, *solver.Plan) {
+	sigma := sm.Reference()
+	if len(u) == 0 {
+		// Matches nothing under any solver: a constant plan, at no cost.
+		pl, _ := solver.CompilePlan(solver.AlgoFor(u), sigma, lab, u, solver.Options{})
+		return CostEstimate{Solver: MethodAuto, States: 0}, pl
+	}
+	best := CostEstimate{Solver: methodNone, States: math.Inf(1)}
+	var bestPlan *solver.Plan
+	consider := func(s Method, algo solver.Algo) {
+		// A compile error is the solver refusing the union (shape caps,
+		// involved-item limit): it is simply not a candidate.
+		pl, err := solver.CompilePlan(algo, sigma, lab, u, solver.Options{MaxInvolved: maxInvolved})
+		if err != nil {
+			return
+		}
+		if states, _ := pl.Cost(); states < best.States {
+			best, bestPlan = CostEstimate{Solver: s, States: states}, pl
+		}
+	}
+	// Bipartite walks a two-label union over TwoLabel's trackers without
+	// its gap merging, so it never prices one lower: the most specific
+	// tracker solver is the only one compiled.
+	switch {
+	case u.AllTwoLabel():
+		consider(MethodTwoLabel, solver.AlgoTwoLabel)
+	case u.AllBipartite():
+		consider(MethodBipartite, solver.AlgoBipartite)
+	}
+	if maxInvolved > 0 {
+		consider(MethodRelOrder, solver.AlgoRelOrder)
+	}
+	return best, bestPlan
+}
+
+// EstimateConsensusCost predicts the exact-enumeration work of a consensus
+// request in the unit of EstimateCost: every live session scores all m!
+// rankings at O(m) insertion probabilities each, so the predicted work is
+// sessions * m! * m (measured: 60-76 ns a unit at m = 5..7, a DP
+// transition's cost). Solver is MethodAuto as a stand-in: exact consensus is
+// enumeration, not one of the DP solvers.
 func EstimateConsensusCost(m, sessions int) CostEstimate {
 	if m > 20 { // rank.Factorial's range; far beyond any budget anyway
 		return CostEstimate{Solver: methodNone, States: math.Inf(1)}
 	}
 	states := float64(sessions) * float64(rank.Factorial(m)) * float64(m)
 	return CostEstimate{Solver: MethodAuto, States: states}
-}
-
-// trackerCount counts the distinct (label set, role) slots the
-// TwoLabel/Bipartite DP would track for the union, mirroring their slot
-// deduplication.
-func trackerCount(u pattern.Union) int {
-	seen := make(map[string]bool)
-	for _, g := range u {
-		for _, e := range g.Edges() {
-			seen["min|"+g.Node(e[0]).Labels.Key()] = true
-			seen["max|"+g.Node(e[1]).Labels.Key()] = true
-		}
-	}
-	return len(seen)
 }
 
 // SolveReport describes how one inference group was answered.
@@ -181,12 +172,14 @@ type SolveReport struct {
 	Cost float64
 }
 
-// adaptiveBudget resolves the work budget for one group: the explicit
+// adaptiveBudget resolves a work budget in state-transitions: the explicit
 // Engine.AdaptiveBudget when set, otherwise the remaining time before the
-// context deadline converted at AdaptiveStatesPerSecond, otherwise
-// DefaultAdaptiveBudget. An already-expired deadline yields 0 (everything
-// routes to the sampling floor).
-func (e *Engine) adaptiveBudget(ctx context.Context) float64 {
+// context deadline converted at AdaptiveStatesPerSecond, otherwise sampled —
+// the price of the sampled answer the caller would give instead, so that
+// without a deadline exact inference is bought exactly when it is predicted
+// to be no dearer. An already-expired deadline yields 0 (everything routes
+// to the sampling floor).
+func (e *Engine) adaptiveBudget(ctx context.Context, sampled float64) float64 {
 	if e.AdaptiveBudget > 0 {
 		return e.AdaptiveBudget
 	}
@@ -197,42 +190,46 @@ func (e *Engine) adaptiveBudget(ctx context.Context) float64 {
 		}
 		return remaining * AdaptiveStatesPerSecond
 	}
-	return DefaultAdaptiveBudget
+	return sampled
 }
 
-// solveAdaptive routes one group. Exact routes run under the caller's
-// context, so a mis-predicted solve aborts at the deadline; the fallback
-// sampling pass then runs with the deadline detached — the whole point of
-// the planner is to return an estimate instead of nothing — while an
-// outright cancellation (client disconnect) still aborts it.
+// drawsOr is the draw count Engine.RejectionN sets for every sampler that
+// takes one — a sampled adaptive group's cap, a sampled consensus row — or
+// def when it is unset.
+func (e *Engine) drawsOr(def int) int {
+	if e.RejectionN > 0 {
+		return e.RejectionN
+	}
+	return def
+}
+
+// solveAdaptive routes one group. The plan the price was read from is the
+// plan that is solved. The exact attempt runs under the caller's context, so
+// a mis-predicted solve aborts at the deadline, and under a layer bound
+// derived from the budget (adaptiveLayerShare), so one without a deadline
+// cannot walk far past its price either; in both cases the group falls
+// through to sampling. The sampling pass runs with the deadline detached —
+// the whole point of the planner is to return an estimate instead of
+// nothing — while an outright cancellation (client disconnect) still aborts
+// it.
 func (e *Engine) solveAdaptive(ctx context.Context, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
-	lab := e.DB.Labeling()
-	est := EstimateCost(sm, lab, u, e.SolverOpts.MaxInvolvedLimit())
-	budget := e.adaptiveBudget(ctx)
+	est, pl := cheapestPlan(sm, e.DB.Labeling(), u, e.SolverOpts.MaxInvolvedLimit())
+	budget := e.adaptiveBudget(ctx, drawPrice(e.drawsOr(adaptiveSampleCeil), sm.M()))
 	rep := SolveReport{Method: est.Solver, Cost: est.States}
-	if est.Solver != methodNone && est.States <= budget {
+	if pl != nil && est.States <= budget {
 		opts := e.SolverOpts
 		opts.Ctx = ctx
-		var (
-			p   float64
-			err error
-		)
-		switch est.Solver {
-		case MethodTwoLabel:
-			p, err = solver.TwoLabel(sm.Model(), lab, u, opts)
-		case MethodBipartite:
-			p, err = solver.Bipartite(sm.Model(), lab, u, opts)
-		default:
-			p, err = solver.RelOrder(sm.Model(), lab, u, opts)
+		bound := int(math.Min(math.Max(budget/adaptiveLayerShare, 1), math.MaxInt32))
+		if opts.MaxStates == 0 || bound < opts.MaxStates {
+			opts.MaxStates = bound
 		}
+		p, err := pl.Solve(sm.Model(), opts)
 		if err == nil {
 			return p, rep, nil
 		}
-		// A blown deadline or a structural rejection (state-space bound,
-		// pattern-shape cap the cost model cannot see) degrades to sampling
+		// A blown deadline or a layer past the bound degrades to sampling
 		// below; anything else (including a true cancellation) propagates.
-		if !errors.Is(err, context.DeadlineExceeded) &&
-			!errors.Is(err, solver.ErrTooLarge) && !errors.Is(err, solver.ErrShape) {
+		if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, solver.ErrTooLarge) {
 			return 0, rep, err
 		}
 	}
@@ -247,17 +244,14 @@ func (e *Engine) solveAdaptive(ctx context.Context, sm rim.SessionModel, u patte
 // MIS-AMP pass whose proposals concentrate on the satisfying set.
 func (e *Engine) sampleAdaptive(ctx context.Context, sm rim.SessionModel, u pattern.Union, budget float64) (float64, SolveReport, error) {
 	lab := e.DB.Labeling()
-	m := float64(sm.M())
-	// A rejection draw costs about one model sample plus a union match:
-	// O(m) work, charged here at 4m transitions-equivalent.
-	n := int(budget / (4 * m))
+	// As many draws as the budget pays for (rounded: the default budget is
+	// the price of exactly the cap), within the floor and the cap.
+	n := int(math.Min(math.Round(budget/drawPrice(1, sm.M())), math.MaxInt32))
 	if n < adaptiveSampleFloor {
 		n = adaptiveSampleFloor
 	}
-	if max := e.RejectionN; max > 0 && n > max {
+	if max := e.drawsOr(adaptiveSampleCeil); n > max {
 		n = max
-	} else if n > adaptiveSampleCeil {
-		n = adaptiveSampleCeil
 	}
 	rep := SolveReport{Method: MethodRejection, Sampled: true, Samples: n}
 	p, hw, err := sampling.RejectionModelCICtx(ctx, sm, lab, u, n, 1.96, e.rng())

@@ -249,3 +249,19 @@ func TestParseMethodAdaptiveAndErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestAdaptiveEmptyUnion: a union without patterns matches nothing, exactly
+// and for free, under any budget — an expired deadline included.
+func TestAdaptiveEmptyUnion(t *testing.T) {
+	db := figure1DB(t)
+	s := db.Prefs["P"].Sessions.At(0)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	time.Sleep(time.Millisecond)
+	for _, c := range []context.Context{context.Background(), ctx} {
+		p, rep, err := (&Engine{DB: db, Method: MethodAdaptive}).SolveUnionCtx(c, s.Model, nil)
+		if err != nil || p != 0 || rep.Sampled || rep.Method != MethodAuto || rep.Cost != 0 {
+			t.Fatalf("empty union: p %v report %+v err %v, want an exact 0", p, rep, err)
+		}
+	}
+}

@@ -10,6 +10,7 @@ package rank
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -163,28 +164,24 @@ func (r Ranking) Equal(o Ranking) bool {
 
 // Key returns a compact string key identifying the ranking, suitable for use
 // as a map key (e.g. for deduplicating sub-rankings).
-func (r Ranking) Key() string {
-	var b strings.Builder
-	b.Grow(len(r) * 3)
-	for i, it := range r {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", int(it))
-	}
-	return b.String()
-}
+func (r Ranking) Key() string { return r.join("", ",", "") }
 
 // String renders the ranking as <a, b, c>.
-func (r Ranking) String() string {
+func (r Ranking) String() string { return r.join("<", ", ", ">") }
+
+// join writes the items in decimal into one buffer: Key runs once per
+// inference group on the serving path (plan keys, walk schedules).
+func (r Ranking) join(open, sep, close string) string {
 	var b strings.Builder
-	b.WriteByte('<')
+	b.Grow(len(open) + len(r)*(len(sep)+3) + len(close))
+	b.WriteString(open)
+	var digits [20]byte
 	for i, it := range r {
 		if i > 0 {
-			b.WriteString(", ")
+			b.WriteString(sep)
 		}
-		fmt.Fprintf(&b, "%d", int(it))
+		b.Write(strconv.AppendInt(digits[:0], int64(it), 10))
 	}
-	b.WriteByte('>')
+	b.WriteString(close)
 	return b.String()
 }

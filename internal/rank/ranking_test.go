@@ -1,7 +1,9 @@
 package rank
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -225,5 +227,30 @@ func TestRankingKeyString(t *testing.T) {
 	}
 	if r.String() != "<2, 0, 1>" {
 		t.Errorf("String = %q", r.String())
+	}
+	// Key strings are cache keys and String is printed into goldens: both
+	// stay byte for byte what fmt's %d made of them, on any ranking —
+	// empty, long, multi-digit and (never produced, still formatted)
+	// negative items included.
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		r := make(Ranking, rng.Intn(40))
+		for i := range r {
+			r[i] = Item(rng.Intn(3000) - 5)
+		}
+		var key, str strings.Builder
+		str.WriteByte('<')
+		for i, it := range r {
+			if i > 0 {
+				key.WriteByte(',')
+				str.WriteString(", ")
+			}
+			fmt.Fprintf(&key, "%d", int(it))
+			fmt.Fprintf(&str, "%d", int(it))
+		}
+		str.WriteByte('>')
+		if r.Key() != key.String() || r.String() != str.String() {
+			t.Fatalf("ranking %v: Key %q String %q, fmt gives %q and %q", []Item(r), r.Key(), r.String(), key.String(), str.String())
+		}
 	}
 }

@@ -45,8 +45,8 @@ var nameRE = regexp.MustCompile(`^[A-Za-z0-9._-]+$`)
 
 // Spec describes one named, dataset-backed model: which generator of
 // internal/dataset builds it and with which parameters. Fields irrelevant
-// to the chosen dataset are ignored, zero-valued fields take the
-// generator's defaults. A Spec is the unit of the startup manifest and of
+// to the chosen dataset are ignored, zero-valued fields take the defaults
+// of dataset.Build — what the commands build without the flag. A Spec is the unit of the startup manifest and of
 // the POST /models body.
 type Spec struct {
 	// Name is the catalog name of the model (letters, digits, ".", "_",
@@ -60,7 +60,8 @@ type Spec struct {
 	Candidates int `json:"candidates,omitempty"`
 	// Voters is the polls voter count.
 	Voters int `json:"voters,omitempty"`
-	// Movies is the movielens catalog size (or the crowdrank HIT size).
+	// Movies is the movielens catalog size (default 120) or the crowdrank
+	// HIT size (default 20).
 	Movies int `json:"movies,omitempty"`
 	// Workers is the crowdrank worker count.
 	Workers int `json:"workers,omitempty"`

@@ -175,6 +175,29 @@ func benchSelectiveSolve(b *testing.B, f solveFn) {
 func BenchmarkTwoLabelSelective(b *testing.B)  { benchSelectiveSolve(b, TwoLabel) }
 func BenchmarkBipartiteSelective(b *testing.B) { benchSelectiveSolve(b, Bipartite) }
 
+// BenchmarkPlanCost prices the selective union's compiled plan under each of
+// the three solvers: what the adaptive planner pays per candidate on top of
+// CompilePlan. Must report 0 allocs/op, and the predicted transitions beside
+// the *Selective pair's measured ones.
+func BenchmarkPlanCost(b *testing.B) {
+	mdl, lab, u := benchSelective()
+	for _, algo := range []Algo{AlgoTwoLabel, AlgoBipartite, AlgoRelOrder} {
+		b.Run(algo.String(), func(b *testing.B) {
+			pl, err := CompilePlan(algo, mdl.Sigma(), lab, u, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var transitions float64
+			for i := 0; i < b.N; i++ {
+				transitions, _ = pl.Cost()
+			}
+			b.ReportMetric(transitions, "transitions/op")
+		})
+	}
+}
+
 // Layer add/merge microbenchmarks: the DP inner-loop primitives. Both must
 // report 0 allocs/op — every buffer is recycled across resets.
 

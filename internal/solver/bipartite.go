@@ -451,8 +451,7 @@ func runBipartite(ar *arena, pl *bipPlan, model *rim.Model, opts Options) (float
 		if err != nil {
 			return 0, err
 		}
-		opts.note(nxt.len())
-		if err := opts.checkStates(nxt.len()); err != nil {
+		if err := opts.layer(nxt.len()); err != nil {
 			return 0, err
 		}
 		cur, nxt = nxt, cur
@@ -627,8 +626,7 @@ func runBipartiteVec(ar *arena, pl *bipPlan, models []*rim.Model, opts Options, 
 		if err := runStepVec(ctx, ar, cur, nxt, words, S, opts, out, expand); err != nil {
 			return err
 		}
-		opts.note(nxt.len())
-		if err := opts.checkStates(nxt.len()); err != nil {
+		if err := opts.layer(nxt.len()); err != nil {
 			return err
 		}
 		cur, nxt = nxt, cur

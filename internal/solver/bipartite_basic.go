@@ -207,8 +207,7 @@ func runBipartiteBasic(ar *arena, pl *basicPlan, model *rim.Model, opts Options)
 		if _, err := runStep(ctx, ar, cur, nxt, n, opts, 0, expand); err != nil {
 			return 0, err
 		}
-		opts.note(nxt.len())
-		if err := opts.checkStates(nxt.len()); err != nil {
+		if err := opts.layer(nxt.len()); err != nil {
 			return 0, err
 		}
 		cur, nxt = nxt, cur
@@ -295,8 +294,7 @@ func runBipartiteBasicVec(ar *arena, pl *basicPlan, models []*rim.Model, opts Op
 		if err := runStepVec(ctx, ar, cur, nxt, n, S, opts, nil, expand); err != nil {
 			return err
 		}
-		opts.note(nxt.len())
-		if err := opts.checkStates(nxt.len()); err != nil {
+		if err := opts.layer(nxt.len()); err != nil {
 			return err
 		}
 		cur, nxt = nxt, cur

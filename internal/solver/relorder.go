@@ -492,8 +492,7 @@ func runRelOrder(ar *arena, pl *relPlan, model *rim.Model, opts Options) (float6
 		if isInvolved {
 			ins++
 		}
-		opts.note(nxt.len())
-		if err := opts.checkStates(nxt.len()); err != nil {
+		if err := opts.layer(nxt.len()); err != nil {
 			return 0, err
 		}
 		cur, nxt = nxt, cur
@@ -704,8 +703,7 @@ func relOrderVecWalk(ar *arena, pl *relPlan, models []*rim.Model, opts Options, 
 		if isInvolved {
 			ins++
 		}
-		opts.note(nxt.len())
-		if err := opts.checkStates(nxt.len()); err != nil {
+		if err := opts.layer(nxt.len()); err != nil {
 			return nil, err
 		}
 		cur, nxt = nxt, cur

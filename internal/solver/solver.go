@@ -97,19 +97,17 @@ func (o Options) maxInvolved() int {
 // predict whether RelOrder would accept an instance.
 func (o Options) MaxInvolvedLimit() int { return o.maxInvolved() }
 
-func (o Options) note(layer int) {
-	if o.Stats == nil {
-		return
+// layer closes an insertion step: a layer beyond MaxStates is refused, any
+// other is recorded — so Stats never reports a layer the limit refused.
+func (o Options) layer(n int) error {
+	if o.MaxStates > 0 && n > o.MaxStates {
+		return fmt.Errorf("%w: %d states (limit %d)", ErrTooLarge, n, o.MaxStates)
 	}
-	o.Stats.TotalStates += layer
-	if layer > o.Stats.PeakStates {
-		o.Stats.PeakStates = layer
-	}
-}
-
-func (o Options) checkStates(layer int) error {
-	if o.MaxStates > 0 && layer > o.MaxStates {
-		return fmt.Errorf("%w: %d states (limit %d)", ErrTooLarge, layer, o.MaxStates)
+	if o.Stats != nil {
+		o.Stats.TotalStates += n
+		if n > o.Stats.PeakStates {
+			o.Stats.PeakStates = n
+		}
 	}
 	return nil
 }

@@ -57,6 +57,12 @@ type twoLabelPlan struct {
 	// it — there it is set for that step's check only; in between it stays
 	// absent. Marginalising a position nothing reads is exact.
 	retire [][]int
+	// lastRead is, per slot, the last step whose item feeds the other slot
+	// of a pattern using it (-1: none does): the slot holds a position in
+	// the emitted layers of the steps from its first feed up to, but not
+	// including, that one. Plan.Cost reads the live trackers of a layer
+	// off it.
+	lastRead []int
 }
 
 func compileTwoLabel(pl *twoLabelPlan, a planAlloc, sigma rank.Ranking, lab *label.Labeling, u pattern.Union) error {
@@ -153,6 +159,7 @@ func compileTwoLabel(pl *twoLabelPlan, a planAlloc, sigma rank.Ranking, lab *lab
 	pl.slotIsMin = slotIsMin
 	pl.feeds = feeds
 	pl.retire = retire
+	pl.lastRead = lastRead
 	return nil
 }
 
@@ -315,8 +322,7 @@ func runTwoLabel(ar *arena, pl *twoLabelPlan, model *rim.Model, opts Options) (f
 		if _, err := runStep(ctx, ar, cur, nxt, n, opts, 0, expand); err != nil {
 			return 0, err
 		}
-		opts.note(nxt.len())
-		if err := opts.checkStates(nxt.len()); err != nil {
+		if err := opts.layer(nxt.len()); err != nil {
 			return 0, err
 		}
 		cur, nxt = nxt, cur
@@ -503,8 +509,7 @@ func runTwoLabelVec(ar *arena, pl *twoLabelPlan, models []*rim.Model, opts Optio
 		if err := runStepVec(ctx, ar, cur, nxt, n, S, opts, nil, expand); err != nil {
 			return err
 		}
-		opts.note(nxt.len())
-		if err := opts.checkStates(nxt.len()); err != nil {
+		if err := opts.layer(nxt.len()); err != nil {
 			return err
 		}
 		cur, nxt = nxt, cur

@@ -46,9 +46,10 @@
 //     Service.Handler, cmd/hardqd);
 //   - deadline-aware adaptive planning: the context of every Do call
 //     threads cancellation down to solver DP layers and sampling rounds, and
-//     MethodAdaptive routes each inference group to the cheapest adequate
-//     exact solver or — when the predicted cost exceeds the remaining
-//     deadline budget — to sampling with reported confidence half-widths
+//     MethodAdaptive prices each inference group's exact solve off its
+//     compiled plan and buys it when the price fits the budget — the
+//     remaining deadline, or without one the price of the sampled answer —
+//     and otherwise samples with reported confidence half-widths
 //     (EstimateCost, PlanStats, Response.Plan);
 //   - the model registry: a concurrent named catalog of dataset-backed
 //     models with lazy builds, startup manifests and reference-counted
@@ -242,7 +243,8 @@ type (
 	// SolveReport describes how one inference group was answered
 	// (Engine.SolveUnionCtx).
 	SolveReport = ppd.SolveReport
-	// CostEstimate predicts the exact-inference work of one group.
+	// CostEstimate predicts the exact-inference work of one group, in DP
+	// state-transitions.
 	CostEstimate = ppd.CostEstimate
 	// AggregateResult reports an aggregation over satisfying sessions.
 	AggregateResult = ppd.AggregateResult
@@ -356,9 +358,9 @@ func ParseConsensusTarget(s string) (ConsensusTarget, error) { return consensus.
 // ParseConsensusTarget accepts.
 func ConsensusTargetNames() []string { return consensus.TargetNames() }
 
-// EstimateCost predicts the cheapest adequate exact solver and its work for
-// one (session model, pattern union) inference group; MethodAdaptive's
-// planner routes on it.
+// EstimateCost predicts the cheapest exact solver for one (session model,
+// pattern union) inference group and its work in DP state-transitions, read
+// off that solver's compiled plan; MethodAdaptive's planner routes on it.
 func EstimateCost(sm SessionModel, lab *Labeling, u Union, maxInvolved int) CostEstimate {
 	return ppd.EstimateCost(sm, lab, u, maxInvolved)
 }
