@@ -184,7 +184,7 @@ func BenchmarkAMPSampleAndDensity(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (design choices called out in DESIGN.md) ---
+// --- Ablation benchmarks (the solver design choices of docs/ARCHITECTURE.md) ---
 
 // BenchmarkAblationTrackerDropOn measures the bipartite solver with the
 // only-track-uncertain-labels optimization (Algorithm 4 as published) and

@@ -8,11 +8,11 @@ import (
 	"probpref/internal/rim"
 )
 
-// CrowdRankConfig parameterizes the CrowdRank-like generator (DESIGN.md,
-// substitution S3: the Mechanical-Turk rankings and the DataSynthesizer
-// profile generator are replaced by a seeded synthesizer producing the same
-// shape — one HIT of 20 movies, 7 Mallows models, and synthetic worker
-// profiles statistically tied to the models).
+// CrowdRankConfig parameterizes the CrowdRank-like generator (substitution
+// S3 of docs/ARCHITECTURE.md: the Mechanical-Turk rankings and the
+// DataSynthesizer profile generator are replaced by a seeded synthesizer of
+// the same shape — one HIT of 20 movies, 7 Mallows models, and synthetic
+// worker profiles statistically tied to the models).
 type CrowdRankConfig struct {
 	// Workers is the number of synthetic worker profiles (paper: 200,000).
 	// Default 1000.

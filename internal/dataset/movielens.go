@@ -8,10 +8,10 @@ import (
 	"probpref/internal/rim"
 )
 
-// MovieLensConfig parameterizes the MovieLens-like generator (DESIGN.md,
-// substitution S2: the raw MovieLens ratings and the external mixture
-// learner are unavailable offline, so the catalog and the 16-component
-// Mallows mixture are synthesized with matching shapes).
+// MovieLensConfig parameterizes the MovieLens-like generator (substitution
+// S2 of docs/ARCHITECTURE.md: the raw MovieLens ratings and the external
+// mixture learner are unavailable offline, so the catalog and the
+// 16-component Mallows mixture are synthesized with matching shapes).
 type MovieLensConfig struct {
 	// Movies is the catalog size (paper: the 200 most-rated movies).
 	// Default 200.

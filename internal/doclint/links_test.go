@@ -1,6 +1,8 @@
 package doclint
 
 import (
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -65,5 +67,54 @@ func TestMarkdownLinksResolve(t *testing.T) {
 				t.Errorf("%s: broken link %q (resolved %s)", rel, m[1], resolved)
 			}
 		}
+	}
+}
+
+// mdNameRE matches a markdown file named in running text, with or without
+// a directory in front.
+var mdNameRE = regexp.MustCompile(`[A-Za-z0-9_./-]+\.md\b`)
+
+// TestGoCommentsNameExistingDocs fails on a Go comment that sends the reader
+// to a markdown file nobody has written. A name resolves against the
+// repository root, the Go file's own directory, or docs/.
+func TestGoCommentsNameExistingDocs(t *testing.T) {
+	root := repoRoot()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", "testdata", "node_modules":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(d.Name(), ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, name := range mdNameRE.FindAllString(cg.Text(), -1) {
+				found := false
+				for _, base := range []string{root, filepath.Dir(path), filepath.Join(root, "docs")} {
+					if _, err := os.Stat(filepath.Join(base, name)); err == nil {
+						found = true
+						break
+					}
+				}
+				if !found {
+					t.Errorf("%s: comment names %s, which does not exist", fset.Position(cg.Pos()), name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,8 +4,8 @@
 //
 // Absolute running times differ from the paper (different hardware and
 // implementation language); the reproduction targets are the shapes: which
-// solver wins, growth rates, crossovers, and speedup factors. EXPERIMENTS.md
-// records the measured outcomes next to the paper's.
+// solver wins, growth rates, crossovers, and speedup factors; each driver
+// states its target shape in its table's Notes line.
 package experiment
 
 import (

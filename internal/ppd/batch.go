@@ -2,7 +2,6 @@ package ppd
 
 import (
 	"context"
-	"strings"
 
 	"probpref/internal/pattern"
 	"probpref/internal/rim"
@@ -13,10 +12,10 @@ import (
 // internal/solver/plan.go) into query evaluation. Grounded (model, union)
 // groups that share a canonical union shape — the same solver algorithm,
 // reference ranking and union — differ only in their sessions' insertion
-// probabilities, so one compiled Plan serves all of them and one batched
-// layer walk solves them together. Compiled plans optionally persist in a
-// PlanCache across evaluations; the service layer namespaces cache keys per
-// registry model so deleting a model invalidates its plans.
+// probabilities, so one compiled Plan serves all of them and one layer walk
+// solves them together, a lane per group. Compiled plans optionally persist
+// in a PlanCache across evaluations; the service layer namespaces cache keys
+// per registry model so deleting a model invalidates its plans.
 
 // PlanCache caches compiled union plans across evaluations. Implementations
 // must be safe for concurrent use; the service layer's sharded LRU is the
@@ -56,29 +55,22 @@ func PlanKey(algo solver.Algo, sigma interface{ Key() string }, u pattern.Union)
 	return algo.String() + "|" + sigma.Key() + "|" + u.Key()
 }
 
-// plan returns the compiled plan for the union shape, consulting the
-// engine's PlanCache when configured. ok is false when the method does not
-// use compiled plans.
-func (e *Engine) plan(sm rim.SessionModel, u pattern.Union) (*solver.Plan, bool, error) {
-	algo, ok := PlanAlgo(e.Method, u)
-	if !ok {
-		return nil, false, nil
-	}
-	sigma := sm.Reference()
-	key := PlanKey(algo, sigma, u)
+// plan returns the compiled plan for the union shape whose PlanKey is key,
+// consulting the engine's PlanCache when configured.
+func (e *Engine) plan(algo solver.Algo, key string, sm rim.SessionModel, u pattern.Union) (*solver.Plan, error) {
 	if e.Plans != nil {
 		if p, ok := e.Plans.Get(key); ok {
-			return p, true, nil
+			return p, nil
 		}
 	}
-	p, err := solver.CompilePlan(algo, sigma, e.DB.Labeling(), u, e.SolverOpts)
+	p, err := solver.CompilePlan(algo, sm.Reference(), e.DB.Labeling(), u, e.SolverOpts)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if e.Plans != nil {
 		e.Plans.Put(key, p)
 	}
-	return p, true, nil
+	return p, nil
 }
 
 // BatchGroup is one deduplicated (session model, grounded union) group of a
@@ -91,13 +83,11 @@ type BatchGroup struct {
 	U pattern.Union
 }
 
-// BatchSolveGroups solves many groups with the engine's configured method,
-// batching where the compiled-plan layer allows it: groups sharing a union
-// shape (same algorithm, reference ranking and union, differing only in
-// insertion probabilities) solve through one SolveSessions walk, and shapes
-// over the same session list whose plans share a walk schedule additionally
-// share their walk prefix (SolveSessionsShared). Groups outside the
-// compiled-plan methods fall back to per-group solves. Results are
+// BatchSolveGroups solves many groups with the engine's configured method:
+// groups sharing a union shape (same algorithm, reference ranking and union,
+// differing only in insertion probabilities) are one plan class, and a class
+// solves through one SolveSessions walk with a lane per group. Groups outside
+// the compiled-plan methods fall back to per-group solves. Results are
 // positionally aligned with groups and bit-identical to solving each group
 // alone with SolveUnionCtx.
 func (e *Engine) BatchSolveGroups(ctx context.Context, groups []BatchGroup) ([]float64, []SolveReport, error) {
@@ -108,7 +98,7 @@ func (e *Engine) BatchSolveGroups(ctx context.Context, groups []BatchGroup) ([]f
 		opts.Ctx = ctx
 	}
 
-	// Partition into plan classes: one compiled plan (and one batched walk)
+	// Partition into plan classes: one compiled plan (and one layer walk)
 	// per canonical union shape.
 	type class struct {
 		plan    *solver.Plan
@@ -130,12 +120,9 @@ func (e *Engine) BatchSolveGroups(ctx context.Context, groups []BatchGroup) ([]f
 		key := PlanKey(algo, g.SM.Reference(), g.U)
 		ci, seen := classOf[key]
 		if !seen {
-			pl, ok, err := e.plan(g.SM, g.U)
+			pl, err := e.plan(algo, key, g.SM, g.U)
 			if err != nil {
 				return nil, nil, err
-			}
-			if !ok { // unreachable: PlanAlgo succeeded above
-				continue
 			}
 			ci = len(classes)
 			classOf[key] = ci
@@ -145,81 +132,19 @@ func (e *Engine) BatchSolveGroups(ctx context.Context, groups []BatchGroup) ([]f
 		reports[gi] = SolveReport{Method: e.Method}
 	}
 
-	// Classes over the same session list whose plans share a walk schedule
-	// run through SolveSessionsShared; sessionsKey identifies the lane list.
-	sessionsKey := func(members []int) string {
-		var b strings.Builder
-		for _, gi := range members {
-			b.WriteString(groups[gi].SM.Rehash())
-			b.WriteByte('\x00')
+	var models []*rim.Model // the class's lanes; SolveSessions does not keep it
+	for _, cl := range classes {
+		models = models[:0]
+		for _, gi := range cl.members {
+			models = append(models, groups[gi].SM.Model())
 		}
-		return b.String()
-	}
-	type sharedGroup struct {
-		plans   []*solver.Plan
-		classes []int
-	}
-	shared := make(map[string]*sharedGroup)
-	var soloClasses []int
-	for ci := range classes {
-		p := classes[ci].plan
-		if k := p.SharedKey(); k != "" {
-			sk := k + "\x00" + sessionsKey(classes[ci].members)
-			sg, ok := shared[sk]
-			if !ok {
-				sg = &sharedGroup{}
-				shared[sk] = sg
-			}
-			sg.plans = append(sg.plans, p)
-			sg.classes = append(sg.classes, ci)
-			continue
+		out, err := solver.SolveSessions(cl.plan, models, opts)
+		if err != nil {
+			return nil, nil, err
 		}
-		soloClasses = append(soloClasses, ci)
-	}
-
-	// Class results write disjoint probs entries and no class's result
-	// depends on another's, so the order classes solve in is immaterial
-	// (the shared map's iteration order included).
-	solveClass := func(ci int, out []float64) {
-		for mi, gi := range classes[ci].members {
+		for mi, gi := range cl.members {
 			probs[gi] = out[mi]
 		}
-	}
-	models := func(ci int) []*rim.Model {
-		ms := make([]*rim.Model, len(classes[ci].members))
-		for mi, gi := range classes[ci].members {
-			ms[mi] = groups[gi].SM.Model()
-		}
-		return ms
-	}
-	for _, sg := range shared {
-		if len(sg.plans) < 2 {
-			soloClasses = append(soloClasses, sg.classes...)
-			continue
-		}
-		outs, err := solver.SolveSessionsShared(sg.plans, models(sg.classes[0]), opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		for i, ci := range sg.classes {
-			solveClass(ci, outs[i])
-		}
-	}
-	for _, ci := range soloClasses {
-		cl := &classes[ci]
-		if len(cl.members) == 1 {
-			p, err := cl.plan.Solve(groups[cl.members[0]].SM.Model(), opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			probs[cl.members[0]] = p
-			continue
-		}
-		out, err := solver.SolveSessions(cl.plan, models(ci), opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		solveClass(ci, out)
 	}
 	return probs, reports, nil
 }

@@ -62,6 +62,15 @@ func (r *Registry) walLog() *wal.Log {
 	return r.wal
 }
 
+// WALErr returns the attached log's sticky failure: non-nil once an fsync
+// has failed, from when on every ingest is refused. nil without a log.
+func (r *Registry) WALErr() error {
+	if l := r.walLog(); l != nil {
+		return l.Err()
+	}
+	return nil
+}
+
 // addPending marks seq as acknowledged but not yet durably snapshotted
 // for the model. Seqs arrive in increasing order per model (Append holds
 // the entry's buildMu across the log write).

@@ -147,7 +147,7 @@ func ErrorStatus(err error) (status int, ok bool) {
 //	GET    /models/{name}          one catalog row
 //	DELETE /models/{name}          evict a model (in-flight queries finish first)
 //	GET    /stats                  service, catalog and cache statistics
-//	GET    /healthz                liveness probe
+//	GET    /healthz                liveness probe; 503 once the WAL failed closed
 //
 // See docs/API.md for the request/response schemas with curl examples.
 func (s *Service) Handler() http.Handler {
@@ -201,6 +201,13 @@ func (s *Service) Handler() http.Handler {
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		// A log that failed closed refuses every later ingest: the process
+		// is up, but a coordinator must stop counting it as a healthy shard.
+		if err := s.reg.WALErr(); err != nil {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			fmt.Fprintln(w, err)
+			return
+		}
 		fmt.Fprintln(w, "ok")
 	})
 	return mux

@@ -15,11 +15,12 @@ import (
 	"probpref/internal/rim"
 )
 
-// Equivalence suite for the compile-once / solve-many layer: SolveSessions
-// must reproduce N independent single-session solves bit-for-bit for every
-// DP solver, across worker counts and GOMAXPROCS, and the shared-prefix
-// relorder path must match the unshared batched path exactly. The batched
-// executors rely on the layer walk being structural (independent of the
+// Lane-count independence suite for the compile-once / solve-many layer:
+// every solve is the one layer walk per solver, and lane l of an S-lane walk
+// (SolveSessions) must answer the bits of the one-lane walk of session l
+// (Plan.Solve, the single-shot solvers) for every DP solver, across worker
+// counts and GOMAXPROCS; TestSolverBitsPinned holds both to recorded bits.
+// The executors rely on the layer walk being structural (independent of the
 // sessions' Pi values), so the session models here deliberately include
 // exact-zero insertion probabilities — the lanes where zero-mass emissions
 // happen must still see the very same walk.
@@ -97,7 +98,7 @@ func batchCases(t *testing.T, seed int64, lanes int) []batchCase {
 }
 
 // Plan.Solve must be bit-identical to the public compile-and-run solvers:
-// the split into compile and execute halves moves no float operation.
+// compiling onto the heap or into the arena moves no float operation.
 func TestPlanSolveMatchesPublicSolvers(t *testing.T) {
 	opts := Options{MaxInvolved: 16}
 	for _, c := range batchCases(t, 601, 4) {
@@ -122,14 +123,14 @@ func TestPlanSolveMatchesPublicSolvers(t *testing.T) {
 	}
 }
 
-// SolveSessions must reproduce N independent single-session solves
+// Lane l of an S-lane walk must reproduce the one-lane walk of session l
 // bit-for-bit under the same expansion configuration — the chunk schedule is
-// a function of the layer's state count, which the batched and single walks
-// share, so sequential batched solves match sequential singles and chunked
-// batched solves match chunked singles at every worker count. (Chunked and
+// a function of the layer's state count, which does not depend on the lane
+// count, so sequential S-lane solves match sequential one-lane solves and
+// chunked ones match chunked ones at every worker count. (Chunked and
 // sequential folds associate floats differently, so bits are only promised
-// within a configuration; the scalar determinism suite bounds the drift
-// across configurations.)
+// within a configuration; the determinism suite bounds the drift across
+// configurations.)
 func TestSolveSessionsMatchesSingleSolvesBitwise(t *testing.T) {
 	opts := Options{MaxInvolved: 16}
 	cases := batchCases(t, 602, 7)
@@ -210,110 +211,6 @@ func TestSolveSessionsGOMAXPROCSInvariance(t *testing.T) {
 					t.Fatalf("%s lane %d: GOMAXPROCS=%d differs from 1",
 						c.name, li, procs)
 				}
-			}
-		}
-	}
-}
-
-// sharedPrefixFixture builds several relorder plans over the same reference
-// ranking and involved items (same node labels, different edge structure) so
-// they carry the same non-empty SharedKey, plus session models.
-func sharedPrefixFixture(t *testing.T, seed int64, lanes int) ([]*Plan, []*rim.Model, *label.Labeling) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	m := 8
-	sigma := make(rank.Ranking, m)
-	for i, v := range rng.Perm(m) {
-		sigma[i] = rank.Item(v)
-	}
-	models := randSessionModels(rng, sigma, lanes)
-	lab := randWorld(rng, m, 3)
-	mkNodes := func() []pattern.Node {
-		nodes := make([]pattern.Node, 4)
-		for i := range nodes {
-			nodes[i].Labels = label.NewSet(label.Label(i % 3))
-		}
-		return nodes
-	}
-	edgeSets := [][][2]int{
-		{{0, 1}, {1, 2}, {2, 3}},
-		{{0, 1}, {0, 2}, {0, 3}},
-		{{0, 3}, {1, 3}, {2, 3}},
-		{{0, 2}, {1, 3}},
-	}
-	plans := make([]*Plan, 0, len(edgeSets))
-	opts := Options{MaxInvolved: 16}
-	for _, es := range edgeSets {
-		u := pattern.Union{pattern.MustNew(mkNodes(), es)}
-		p, err := CompilePlan(AlgoRelOrder, sigma, lab, u, opts)
-		if err != nil {
-			t.Fatalf("compile: %v", err)
-		}
-		plans = append(plans, p)
-	}
-	key := plans[0].SharedKey()
-	if key == "" {
-		t.Fatal("fixture plans are not shareable (empty SharedKey)")
-	}
-	for i, p := range plans[1:] {
-		if p.SharedKey() != key {
-			t.Fatalf("fixture plan %d has SharedKey %q, want %q", i+1, p.SharedKey(), key)
-		}
-	}
-	return plans, models, lab
-}
-
-// SolveSessionsShared must match per-plan SolveSessions bit-for-bit: the
-// shared matcher-free walk prefix and the snapshot/restore of the layer at
-// the activation depth change no emission and no fold order.
-func TestSolveSessionsSharedMatchesIndependentBitwise(t *testing.T) {
-	plans, models, _ := sharedPrefixFixture(t, 604, 6)
-	opts := Options{MaxInvolved: 16}
-	check := func(label string) {
-		outs, err := SolveSessionsShared(plans, models, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		for i, p := range plans {
-			want, err := SolveSessions(p, models, opts)
-			if err != nil {
-				t.Fatalf("%s: plan %d: %v", label, i, err)
-			}
-			for li, v := range outs[i] {
-				if math.Float64bits(v) != math.Float64bits(want[li]) {
-					t.Fatalf("%s: plan %d lane %d: shared %v differs from independent %v",
-						label, i, li, v, want[li])
-				}
-			}
-		}
-	}
-	check("sequential")
-	for _, workers := range []int{1, 3, 8} {
-		func() {
-			defer forceParallel(workers)()
-			check("workers=" + string(rune('0'+workers)))
-		}()
-	}
-}
-
-// The shared result must also agree with the single-session public solver —
-// guarding against the shared and unshared batched paths being consistently
-// wrong together.
-func TestSolveSessionsSharedMatchesScalarSolver(t *testing.T) {
-	plans, models, lab := sharedPrefixFixture(t, 605, 3)
-	opts := Options{MaxInvolved: 16}
-	outs, err := SolveSessionsShared(plans, models, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range plans {
-		for li, mdl := range models {
-			want, err := RelOrder(mdl, lab, p.rel.u, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(outs[i][li]) != math.Float64bits(want) {
-				t.Fatalf("plan %d lane %d: shared %v, scalar %v", i, li, outs[i][li], want)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -198,8 +199,50 @@ func BenchmarkPlanCost(b *testing.B) {
 	}
 }
 
-// Layer add/merge microbenchmarks: the DP inner-loop primitives. Both must
-// report 0 allocs/op — every buffer is recycled across resets.
+// BenchmarkSolveSessions walks one compiled plan for 1, 2 and 16 sessions —
+// Mallows models over the plan's reference ranking, one dispersion per lane
+// — and reports the time per lane beside the time per walk. One lane is
+// Plan.Solve's walk; serving traffic measures 2.0-2.2 lanes per walk.
+func BenchmarkSolveSessions(b *testing.B) {
+	twoM, twoL, twoU := benchTwoLabel(20, 2, 3)
+	bipM, bipL, bipU := benchDAG(10, 3, 3, 3, true)
+	relM, relL, relU := benchDAG(10, 1, 2, 3, false)
+	for _, f := range []struct {
+		algo Algo
+		mdl  *rim.Model
+		lab  *label.Labeling
+		u    pattern.Union
+	}{
+		{AlgoTwoLabel, twoM, twoL, twoU},
+		{AlgoBipartite, bipM, bipL, bipU},
+		{AlgoRelOrder, relM, relL, relU},
+	} {
+		pl, err := CompilePlan(f.algo, f.mdl.Sigma(), f.lab, f.u, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, lanes := range []int{1, 2, 16} {
+			b.Run(fmt.Sprintf("%s/lanes=%d", f.algo, lanes), func(b *testing.B) {
+				models := make([]*rim.Model, lanes)
+				for l := range models {
+					models[l] = rim.MustMallows(f.mdl.Sigma(), 0.1+0.05*float64(l)).Model()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := SolveSessions(pl, models, Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/lane")
+			})
+		}
+	}
+}
+
+// Layer add/merge microbenchmarks: the DP inner-loop primitives at one
+// lane. Both must report 0 allocs/op — every buffer is recycled across
+// resets.
 
 func BenchmarkLayerAddPacked(b *testing.B) {
 	const states = 4096
@@ -208,11 +251,11 @@ func BenchmarkLayerAddPacked(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.reset(4, states)
+		l.reset(4, states, 1)
 		for s := 0; s < states; s++ {
 			w[0], w[1] = int16(s), int16(s>>4)
 			w[2], w[3] = int16(s&15), -1
-			l.addWords(w[:], 1.0/states)
+			l.vals[l.slotWords(w[:])] += 1.0 / states
 		}
 		if l.len() == 0 {
 			b.Fatal("empty layer")
@@ -227,12 +270,12 @@ func BenchmarkLayerAddWide(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.reset(9, states)
+		l.reset(9, states, 1)
 		for s := 0; s < states; s++ {
 			for k := range w {
 				w[k] = int16(s >> uint(k&3))
 			}
-			l.addWords(w[:], 1.0/states)
+			l.vals[l.slotWords(w[:])] += 1.0 / states
 		}
 		if l.len() == 0 {
 			b.Fatal("empty layer")
@@ -243,16 +286,16 @@ func BenchmarkLayerAddWide(b *testing.B) {
 func BenchmarkLayerMerge(b *testing.B) {
 	const states = 4096
 	var src, dst layerTable
-	src.reset(4, states)
+	src.reset(4, states, 1)
 	var w [4]int16
 	for s := 0; s < states; s++ {
 		w[0], w[1], w[2] = int16(s), int16(s>>4), int16(s&7)
-		src.addWords(w[:], 1.0/states)
+		src.vals[src.slotWords(w[:])] += 1.0 / states
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst.reset(4, states)
+		dst.reset(4, states, 1)
 		dst.mergeFrom(&src)
 		if dst.len() != src.len() {
 			b.Fatalf("merge lost states: %d != %d", dst.len(), src.len())
@@ -267,10 +310,10 @@ func TestLayerOpsAllocFree(t *testing.T) {
 	var l, src, dst layerTable
 	var w [4]int16
 	fill := func(l *layerTable) {
-		l.reset(4, states)
+		l.reset(4, states, 1)
 		for s := 0; s < states; s++ {
 			w[0], w[1], w[2] = int16(s), int16(s>>3), int16(s&31)
-			l.addWords(w[:], 0.5)
+			l.vals[l.slotWords(w[:])] += 0.5
 		}
 	}
 	fill(&l) // warm up
@@ -278,10 +321,10 @@ func TestLayerOpsAllocFree(t *testing.T) {
 		t.Fatalf("layer add allocates %v allocs/op in steady state, want 0", n)
 	}
 	fill(&src)
-	dst.reset(4, states)
+	dst.reset(4, states, 1)
 	dst.mergeFrom(&src) // warm up
 	if n := testing.AllocsPerRun(10, func() {
-		dst.reset(4, states)
+		dst.reset(4, states, 1)
 		dst.mergeFrom(&src)
 	}); n != 0 {
 		t.Fatalf("layer merge allocates %v allocs/op in steady state, want 0", n)

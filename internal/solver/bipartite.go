@@ -32,7 +32,7 @@ import (
 // small unions solve in a few microseconds, so even setup must not churn
 // the heap. The solver is split into a session-independent compile half
 // (constraint tables, census matrices, per-step feed lists) and an executor
-// that only reads the session's Pi rows; see plan.go.
+// that only reads the sessions' Pi rows — one lane here; see plan.go.
 //
 // The solver accepts any DAG pattern and evaluates it under constraint
 // semantics; for non-bipartite patterns the result is the upper bound used
@@ -51,7 +51,11 @@ func Bipartite(model *rim.Model, lab *label.Labeling, u pattern.Union, opts Opti
 	if pl.constOne {
 		return 1, nil // some pattern is empty: it matches every ranking
 	}
-	return runBipartite(ar, &pl, model, opts)
+	models, out := [1]*rim.Model{model}, [1]float64{}
+	if err := runBipartite(ar, &pl, models[:], opts, out[:]); err != nil {
+		return 0, err
+	}
+	return out[0], nil
 }
 
 // bipPlan is the session-independent compilation of a bipartite union:
@@ -288,17 +292,17 @@ func (pl *bipPlan) unpackHeader(src []int16) (sat uint64, dead uint32) {
 	return sat, dead
 }
 
-// runBipartite executes a compiled bipartite plan against one session. The
-// layer walk is structural: the constraint re-evaluation, absorption,
-// dead-state and tracker-drop decisions all depend on the state and plan
-// alone, never on the Pi values, and successors are emitted even with zero
-// mass — adding a zero contribution is bitwise neutral (all mass is
-// non-negative, so x + 0.0 == x exactly), and keeping the walk
-// Pi-independent is what lets the batched executor walk identical layers
-// for every session lane.
-func runBipartite(ar *arena, pl *bipPlan, model *rim.Model, opts Options) (float64, error) {
+// runBipartite executes a compiled bipartite plan against the sessions of
+// models in one layer walk, a mass value per lane per state; out[l] is
+// session l's answer, its lane's absorbed mass. The walk is structural: the
+// constraint re-evaluation, absorption, dead-state and tracker-drop
+// decisions all depend on the state and plan alone, never on the Pi values,
+// and successors are emitted even with zero mass — adding a zero
+// contribution is bitwise neutral (all mass is non-negative, so x + 0.0 == x
+// exactly) — so the lanes share every layer.
+func runBipartite(ar *arena, pl *bipPlan, models []*rim.Model, opts Options, out []float64) error {
 	ctx := opts.ctx()
-	m, hw, words := pl.m, pl.hw, pl.words
+	m, hw, words, S := pl.m, pl.hw, pl.words, len(models)
 	nSlots := pl.nSlots
 	slotIsMin := pl.slotIsMin
 	consEdge, consL, consR, consSet := pl.consEdge, pl.consL, pl.consR, pl.consSet
@@ -307,31 +311,35 @@ func runBipartite(ar *arena, pl *bipPlan, model *rim.Model, opts Options) (float
 	nPats := pl.nPats
 
 	cur, nxt := &ar.layers[0], &ar.layers[1]
-	cur.reset(words, 1)
 	init := ar.workspaces(1, words, words)[0].next
 	pl.packHeader(init, 0, 0)
 	for s := 0; s < nSlots; s++ {
 		init[hw+s] = bipAbsent
 	}
-	cur.addWords(init, 1)
+	cur.start(init, S)
 
-	prob := 0.0
+	// The lanes' running absorbed mass lives in arena memory and is copied
+	// to out at the end: the emitter that folds it escapes to the heap, and
+	// out — a stack array under the single-shot solvers — must not follow.
+	wbuf := ar.floats(S * (m + 1))
+	probs, wbuf := wbuf[:S], wbuf[S:]
+	clear(probs)
 	// The expand closure is built once; the step loop only rebinds the
 	// per-step state, held in one struct so the closure boxes a single
 	// pointer.
 	var stp struct {
-		piRow       []float64
+		wj          []float64 // the step's laneWeights
 		feed        []int
 		steps       int
-		itemMatches []bool // match row of the inserted item
-		remNow      []int  // remaining row after this step
+		itemMatches []bool
+		remNow      []int
 	}
-	expand := func(ws *workspace, key []int16, q float64, em *emitter) {
+	expand := func(ws *workspace, key []int16, q []float64, em *emitter) {
 		sat, dead := pl.unpackHeader(key)
 		vals := key[hw:]
 		next := ws.next[hw:]
 		itemMatches, remNow := stp.itemMatches, stp.remNow
-		piRow, feed, steps := stp.piRow, stp.feed, stp.steps
+		wj, feed, steps := stp.wj, stp.feed, stp.steps
 		for j := 0; j < steps; j++ {
 			jj := int16(j)
 			for s, v := range vals {
@@ -392,11 +400,14 @@ func runBipartite(ar *arena, pl *bipPlan, model *rim.Model, opts Options) (float
 					}
 				}
 			}
-			p := q * piRow[j]
+			wrow := wj[j*S : (j+1)*S]
 			done := false
 			for pi := 0; pi < nPats; pi++ {
 				if nDead&(1<<uint(pi)) == 0 && nSat&allSat[pi] == allSat[pi] {
-					em.absorb(p)
+					aw := em.absorbWindow()
+					for l, ql := range q {
+						aw[l] += ql * wrow[l]
+					}
 					done = true
 					break
 				}
@@ -436,172 +447,6 @@ func runBipartite(ar *arena, pl *bipPlan, model *rim.Model, opts Options) (float
 				}
 			}
 			pl.packHeader(ws.next, nSat, nDead)
-			em.emit(ws.next, p)
-		}
-	}
-	for i := 0; i < m; i++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		stp.piRow, stp.feed, stp.steps = model.PiRow(i), pl.slotMatch[i], i+1
-		stp.itemMatches = pl.match[i*pl.nSets : (i+1)*pl.nSets]
-		stp.remNow = pl.remaining[(i+1)*pl.nSets : (i+2)*pl.nSets]
-		var err error
-		prob, err = runStep(ctx, ar, cur, nxt, words, opts, prob, expand)
-		if err != nil {
-			return 0, err
-		}
-		if err := opts.layer(nxt.len()); err != nil {
-			return 0, err
-		}
-		cur, nxt = nxt, cur
-	}
-	return prob, nil
-}
-
-// runBipartiteVec executes a compiled bipartite plan against many sessions
-// in one batched layer walk; out accumulates each lane's absorbed mass and
-// holds the per-session answers on return.
-func runBipartiteVec(ar *arena, pl *bipPlan, models []*rim.Model, opts Options, out []float64) error {
-	ctx := opts.ctx()
-	m, hw, words, S := pl.m, pl.hw, pl.words, len(models)
-	nSlots := pl.nSlots
-	slotIsMin := pl.slotIsMin
-	consEdge, consL, consR, consSet := pl.consEdge, pl.consL, pl.consR, pl.consSet
-	slotCensus, patBits := pl.slotCensus, pl.patBits
-	allSat, allDead := pl.allSat, pl.allDead
-	nPats := pl.nPats
-
-	cur, nxt := &ar.layers[0], &ar.layers[1]
-	cur.resetStride(words, 1, S)
-	init := ar.workspaces(1, words, words)[0].next
-	pl.packHeader(init, 0, 0)
-	for s := 0; s < nSlots; s++ {
-		init[hw+s] = bipAbsent
-	}
-	for l, w := 0, cur.valsAt(cur.slotWords(init)); l < S; l++ {
-		w[l] = 1
-	}
-	clear(out)
-
-	wbuf := ar.floats(S * (m + 1))
-	var stp struct {
-		wj          []float64 // j-major per-lane weights
-		feed        []int
-		steps       int
-		itemMatches []bool
-		remNow      []int
-	}
-	expand := func(ws *workspace, key []int16, q []float64, em *vecEmitter) {
-		sat, dead := pl.unpackHeader(key)
-		vals := key[hw:]
-		next := ws.next[hw:]
-		itemMatches, remNow := stp.itemMatches, stp.remNow
-		wj, feed, steps := stp.wj, stp.feed, stp.steps
-		for j := 0; j < steps; j++ {
-			jj := int16(j)
-			for s, v := range vals {
-				if v >= 0 && v >= jj {
-					v++
-				}
-				next[s] = v
-			}
-			for _, s := range feed {
-				if next[s] == bipDropped {
-					continue
-				}
-				if slotIsMin[s] {
-					if next[s] == bipAbsent || jj < next[s] {
-						next[s] = jj
-					}
-				} else {
-					if next[s] == bipAbsent || jj > next[s] {
-						next[s] = jj
-					}
-				}
-			}
-			nSat, nDead := sat, dead
-			for pi, bits := range patBits {
-				if nDead&(1<<uint(pi)) != 0 {
-					continue
-				}
-				for _, bi := range bits {
-					if nSat&(1<<uint(bi)) != 0 {
-						continue
-					}
-					if !consEdge[bi] {
-						if itemMatches[consSet[bi]] {
-							nSat |= 1 << uint(bi)
-						} else if remNow[consSet[bi]] == 0 {
-							nDead |= 1 << uint(pi)
-							break
-						}
-						continue
-					}
-					va, vb := next[consL[bi]], next[consR[bi]]
-					setL, setR := slotCensus[consL[bi]], slotCensus[consR[bi]]
-					remL, remR := remNow[setL], remNow[setR]
-					switch {
-					// The last two cases cover a retired (no longer fed)
-					// tracker: the inserted item itself stands in for it.
-					case va >= 0 && vb >= 0 && va < vb,
-						itemMatches[setL] && vb >= 0 && jj < vb,
-						itemMatches[setR] && va >= 0 && va < jj:
-						nSat |= 1 << uint(bi)
-					case va < 0 && remL == 0, vb < 0 && remR == 0,
-						va >= 0 && vb >= 0 && remL == 0 && remR == 0:
-						nDead |= 1 << uint(pi)
-					}
-					if nDead&(1<<uint(pi)) != 0 {
-						break
-					}
-				}
-			}
-			wrow := wj[j*S : (j+1)*S]
-			done := false
-			for pi := 0; pi < nPats; pi++ {
-				if nDead&(1<<uint(pi)) == 0 && nSat&allSat[pi] == allSat[pi] {
-					aw := em.absorbWindow()
-					for l, ql := range q {
-						aw[l] += ql * wrow[l]
-					}
-					done = true
-					break
-				}
-			}
-			if done {
-				continue
-			}
-			if nDead == allDead {
-				continue
-			}
-			if !opts.NoTrackerDrop {
-				var live [64]bool
-				for pi, bits := range patBits {
-					if nDead&(1<<uint(pi)) != 0 {
-						continue
-					}
-					for _, bi := range bits {
-						if nSat&(1<<uint(bi)) != 0 || !consEdge[bi] {
-							continue
-						}
-						// A tracker is only read when an item of the
-						// edge's other side is inserted.
-						if remNow[slotCensus[consR[bi]]] > 0 {
-							live[consL[bi]] = true
-						}
-						if remNow[slotCensus[consL[bi]]] > 0 {
-							live[consR[bi]] = true
-						}
-					}
-				}
-				for s := range next {
-					if !live[s] {
-						next[s] = bipDropped
-					}
-				}
-			}
-			pl.packHeader(ws.next, nSat, nDead)
 			dst := em.window(ws.next)
 			for l, ql := range q {
 				dst[l] += ql * wrow[l]
@@ -612,18 +457,10 @@ func runBipartiteVec(ar *arena, pl *bipPlan, models []*rim.Model, opts Options, 
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		steps := i + 1
-		wj := wbuf[:steps*S]
-		for l := 0; l < S; l++ {
-			row := models[l].PiRow(i)
-			for j := 0; j < steps; j++ {
-				wj[j*S+l] = row[j]
-			}
-		}
-		stp.wj, stp.feed, stp.steps = wj, pl.slotMatch[i], steps
+		stp.wj, stp.feed, stp.steps = laneWeights(wbuf, models, i), pl.slotMatch[i], i+1
 		stp.itemMatches = pl.match[i*pl.nSets : (i+1)*pl.nSets]
 		stp.remNow = pl.remaining[(i+1)*pl.nSets : (i+2)*pl.nSets]
-		if err := runStepVec(ctx, ar, cur, nxt, words, S, opts, out, expand); err != nil {
+		if err := runStep(ctx, ar, cur, nxt, words, opts, probs, expand); err != nil {
 			return err
 		}
 		if err := opts.layer(nxt.len()); err != nil {
@@ -631,5 +468,6 @@ func runBipartiteVec(ar *arena, pl *bipPlan, models []*rim.Model, opts Options, 
 		}
 		cur, nxt = nxt, cur
 	}
+	copy(out, probs)
 	return nil
 }

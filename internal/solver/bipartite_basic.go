@@ -32,7 +32,11 @@ func BipartiteBasic(model *rim.Model, lab *label.Labeling, u pattern.Union, opts
 	if pl.constOne {
 		return 1, nil
 	}
-	return runBipartiteBasic(ar, &pl, model, opts)
+	models, out := [1]*rim.Model{model}, [1]float64{}
+	if err := runBipartiteBasic(ar, &pl, models[:], opts, out[:]); err != nil {
+		return 0, err
+	}
+	return out[0], nil
 }
 
 // basicPlan is the session-independent compilation of a union for the basic
@@ -156,93 +160,21 @@ func (pl *basicPlan) satisfiedAt(vals []int16) bool {
 	return false
 }
 
-func runBipartiteBasic(ar *arena, pl *basicPlan, model *rim.Model, opts Options) (float64, error) {
-	ctx := opts.ctx()
-	n, m := pl.n, pl.m
-	slotIsMin := pl.slotIsMin
-
-	const absent = int16(-1)
-	cur, nxt := &ar.layers[0], &ar.layers[1]
-	cur.reset(n, 1)
-	init := ar.workspaces(1, n, n)[0].next
-	for i := range init {
-		init[i] = absent
-	}
-	cur.addWords(init, 1)
-
-	var (
-		piRow []float64
-		feed  []int
-		steps int
-	)
-	expand := func(ws *workspace, vals []int16, q float64, em *emitter) {
-		next := ws.next
-		for j := 0; j < steps; j++ {
-			jj := int16(j)
-			for s, v := range vals {
-				if v >= 0 && v >= jj {
-					v++
-				}
-				next[s] = v
-			}
-			for _, s := range feed {
-				if slotIsMin[s] {
-					if next[s] == absent || jj < next[s] {
-						next[s] = jj
-					}
-				} else {
-					if next[s] == absent || jj > next[s] {
-						next[s] = jj
-					}
-				}
-			}
-			em.emit(next, q*piRow[j])
-		}
-	}
-	for i := 0; i < m; i++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		piRow, feed, steps = model.PiRow(i), pl.slotMatch[i], i+1
-		if _, err := runStep(ctx, ar, cur, nxt, n, opts, 0, expand); err != nil {
-			return 0, err
-		}
-		if err := opts.layer(nxt.len()); err != nil {
-			return 0, err
-		}
-		cur, nxt = nxt, cur
-	}
-
-	// Enumerate the final states: satisfied iff some pattern has every edge
-	// alpha(l) < beta(r) and every isolated node present.
-	prob := 0.0
-	dec := ar.workspaces(1, n, n)[0].dec
-	for ki := 0; ki < cur.len(); ki++ {
-		if pl.satisfiedAt(cur.key(ki, dec)) {
-			prob += cur.vals[ki]
-		}
-	}
-	return prob, nil
-}
-
-// runBipartiteBasicVec is the batched executor: identical structural walk,
-// per-lane mass vectors, per-lane final-state enumeration in the same
-// insertion order as the scalar executor.
-func runBipartiteBasicVec(ar *arena, pl *basicPlan, models []*rim.Model, opts Options, out []float64) error {
+// runBipartiteBasic executes a compiled basic plan against the sessions of
+// models in one layer walk, a mass value per lane per state, and enumerates
+// the final states in insertion order; out[l] is session l's answer.
+func runBipartiteBasic(ar *arena, pl *basicPlan, models []*rim.Model, opts Options, out []float64) error {
 	ctx := opts.ctx()
 	n, m, S := pl.n, pl.m, len(models)
 	slotIsMin := pl.slotIsMin
 
 	const absent = int16(-1)
 	cur, nxt := &ar.layers[0], &ar.layers[1]
-	cur.resetStride(n, 1, S)
 	init := ar.workspaces(1, n, n)[0].next
 	for i := range init {
 		init[i] = absent
 	}
-	for l, w := 0, cur.valsAt(cur.slotWords(init)); l < S; l++ {
-		w[l] = 1
-	}
+	cur.start(init, S)
 
 	wbuf := ar.floats(S * m)
 	var (
@@ -250,7 +182,7 @@ func runBipartiteBasicVec(ar *arena, pl *basicPlan, models []*rim.Model, opts Op
 		feed  []int
 		steps int
 	)
-	expand := func(ws *workspace, vals []int16, q []float64, em *vecEmitter) {
+	expand := func(ws *workspace, vals []int16, q []float64, em *emitter) {
 		next := ws.next
 		for j := 0; j < steps; j++ {
 			jj := int16(j)
@@ -282,16 +214,8 @@ func runBipartiteBasicVec(ar *arena, pl *basicPlan, models []*rim.Model, opts Op
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		steps = i + 1
-		wj = wbuf[:steps*S]
-		for l := 0; l < S; l++ {
-			row := models[l].PiRow(i)
-			for j := 0; j < steps; j++ {
-				wj[j*S+l] = row[j]
-			}
-		}
-		feed = pl.slotMatch[i]
-		if err := runStepVec(ctx, ar, cur, nxt, n, S, opts, nil, expand); err != nil {
+		wj, feed, steps = laneWeights(wbuf, models, i), pl.slotMatch[i], i+1
+		if err := runStep(ctx, ar, cur, nxt, n, opts, nil, expand); err != nil {
 			return err
 		}
 		if err := opts.layer(nxt.len()); err != nil {
@@ -300,6 +224,8 @@ func runBipartiteBasicVec(ar *arena, pl *basicPlan, models []*rim.Model, opts Op
 		cur, nxt = nxt, cur
 	}
 
+	// Enumerate the final states: satisfied iff some pattern has every edge
+	// alpha(l) < beta(r) and every isolated node present.
 	clear(out)
 	dec := ar.workspaces(1, n, n)[0].dec
 	nStates := cur.len()

@@ -13,8 +13,9 @@ import (
 // conjunction of a subset is the pattern containing all nodes and edges of
 // its members. Each conjunction is solved by the most specific
 // single-pattern solver available: Bipartite when the conjunction is
-// bipartite, RelOrder otherwise (DESIGN.md, substitution S1). Complexity is
-// dominated by the largest conjunction, O((2m)^(qz)) in the paper's terms.
+// bipartite, RelOrder otherwise (substitution S1 of docs/ARCHITECTURE.md).
+// Complexity is dominated by the largest conjunction, O((2m)^(qz)) in the
+// paper's terms.
 func General(model *rim.Model, lab *label.Labeling, u pattern.Union, opts Options) (float64, error) {
 	if len(u) == 0 {
 		return 0, nil

@@ -8,17 +8,18 @@ import (
 
 	"probpref/internal/label"
 	"probpref/internal/rank"
+	"probpref/internal/rim"
 )
 
-// This file implements the shared layer-expansion driver: every DP solver's
+// This file implements the one layer-expansion driver: every DP solver's
 // insertion step is "for each state of the current layer, in order, emit
-// weighted successors (and absorb finished mass)". runStep executes that
-// fold sequentially for small layers and in parallel for large ones, with a
-// chunked schedule whose result is bit-for-bit identical to the sequential
-// fold at every worker count — see the determinism argument on runStep. All
-// buffers (the ping-pong layers, per-worker scratch, per-chunk sublayers)
-// live in a pooled arena so steady-state solves allocate nothing in the
-// inner loop.
+// weighted successors (and absorb finished mass)", with one mass value per
+// session lane — a single-session solve is the one-lane case. runStep
+// executes that fold sequentially for small layers and in parallel for
+// large ones, on a chunked schedule whose result is bit-for-bit the same at
+// every worker count — see the determinism argument on runStep. All buffers
+// (the ping-pong layers, per-worker scratch, per-chunk sublayers) live in a
+// pooled arena so steady-state solves allocate nothing in the inner loop.
 
 // Deterministic parallel-expansion schedule. Probability mass is folded in
 // a fixed tree: per-chunk left folds whose subtotals merge in chunk order.
@@ -80,8 +81,9 @@ func (ws *workspace) ensure(srcWords, dstWords int) {
 }
 
 // chunkBuf holds one parallel chunk's output: the successor sublayer, the
-// absorbed contributions in emission order (recorded individually so the
-// merge can replay the sequential fold exactly), and the transition count.
+// absorbed contributions in emission order (one value per lane per event,
+// recorded individually so the merge can replay the sequential fold
+// exactly), and the transition count.
 type chunkBuf struct {
 	l           layerTable
 	absorbed    []float64
@@ -117,11 +119,10 @@ func (b *bump[T]) take(n int) []T {
 // scratch and the setup bump allocators. Arenas are pooled; a steady-state
 // solve reuses a previous solve's buffers end to end.
 type arena struct {
-	layers   [2]layerTable
-	ws       []workspace
-	chunks   []chunkBuf
-	piPrefix []float64
-	vecw     []float64 // batched per-step weight matrix / prefix sums
+	layers [2]layerTable
+	ws     []workspace
+	chunks []chunkBuf
+	fbuf   []float64 // lane scratch: running answers, per-step weight matrix
 
 	ints      bump[int]
 	bools     bump[bool]
@@ -167,231 +168,124 @@ func (ar *arena) workspaces(n, srcWords, dstWords int) []workspace {
 	return ws
 }
 
-// emitter receives one chunk's successors. In sequential mode it targets
-// the next layer directly and folds absorbed mass inline; in parallel mode
-// it targets the chunk sublayer and records absorbed contributions for the
-// ordered merge.
-type emitter struct {
-	dst         *layerTable
-	seq         bool
-	prob        float64   // sequential absorbed fold
-	absorbed    []float64 // parallel absorbed recording
-	transitions int
-}
-
-// emit folds mass p into the successor state with word vector w.
-func (e *emitter) emit(w []int16, p float64) {
-	e.dst.addWords(w, p)
-	e.transitions++
-}
-
-// emit64 folds mass p into the successor with pre-packed key k. Only valid
-// when the destination layer is packed (dstWords <= packedWords); solvers
-// that pack inline use it to skip the addWords dispatch.
-func (e *emitter) emit64(k uint64, p float64) {
-	e.dst.add64(k, p)
-	e.transitions++
-}
-
-// absorb removes mass p from the DP: the state has satisfied the union
-// (or is otherwise finished) and its probability goes straight to the
-// answer.
-func (e *emitter) absorb(p float64) {
-	e.transitions++
-	if e.seq {
-		e.prob += p
-		return
-	}
-	e.absorbed = append(e.absorbed, p)
-}
-
-// expandFn expands one source state: decode key (srcWords wide, read-only),
-// generate successors into em using ws scratch. It must be pure given
-// (key, q) — workers run it concurrently on disjoint states.
-type expandFn func(ws *workspace, key []int16, q float64, em *emitter)
-
-// runStep expands every state of cur into nxt (reset to dstWords-wide
-// states) and returns the running absorbed probability: probIn with every
-// absorbed contribution folded in, in source order. Layers at or above
-// parallelThreshold expand through the chunked fold: the source is split
-// into fixed-size contiguous chunks, each chunk fills a private sublayer
-// (successor mass folded within the chunk), and the sublayers merge in
-// chunk order, folding each chunk's per-state subtotal into the merged
-// layer. The resulting float association — per-chunk left folds combined
-// left-to-right — is fully determined by the layer size and the chunk
-// constants, so results are bit-for-bit reproducible and independent of
-// worker count and GOMAXPROCS; the workers only decide who computes which
-// chunk, never how the numbers combine. (The path choice itself is also
-// size-gated, never worker-gated: a 1-core machine runs the same chunked
-// fold for large layers that a 64-core machine does.) Absorbed
-// contributions are recorded individually per chunk and replayed in order
-// at merge time, giving them the exact sequential ((probIn+a1)+a2)+...
-// association on every path. Stats are accumulated per-chunk and reduced
-// at merge time on the calling goroutine, never incremented from workers.
-func runStep(ctx context.Context, ar *arena, cur, nxt *layerTable, dstWords int, opts Options, probIn float64, fn expandFn) (float64, error) {
-	n := cur.len()
-	nxt.reset(dstWords, n)
-	if n < parallelThreshold {
-		ws := &ar.workspaces(1, cur.words, dstWords)[0]
-		em := emitter{dst: nxt, seq: true, prob: probIn}
-		for i := 0; i < n; i++ {
-			if i&1023 == 1023 {
-				if err := ctx.Err(); err != nil {
-					return 0, err
-				}
-			}
-			fn(ws, cur.key(i, ws.dec), cur.vals[i], &em)
-		}
-		if opts.Stats != nil {
-			opts.Stats.Transitions += em.transitions
-		}
-		return em.prob, nil
-	}
-
-	nChunks := (n + expandChunk - 1) / expandChunk
-	workers := expandWorkers()
-	if workers > nChunks {
-		workers = nChunks
-	}
-	for len(ar.chunks) < nChunks {
-		ar.chunks = append(ar.chunks, chunkBuf{})
-	}
-	wss := ar.workspaces(workers, cur.words, dstWords)
-	var (
-		wg       sync.WaitGroup
-		nextC    atomic.Int64
-		stopped  atomic.Bool
-		hintPerC = 2 * expandChunk
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(ws *workspace) {
-			defer wg.Done()
-			for {
-				c := int(nextC.Add(1)) - 1
-				if c >= nChunks || stopped.Load() {
-					return
-				}
-				if ctx.Err() != nil {
-					stopped.Store(true)
-					return
-				}
-				cb := &ar.chunks[c]
-				cb.l.reset(dstWords, hintPerC)
-				em := emitter{dst: &cb.l, absorbed: cb.absorbed[:0]}
-				lo := c * expandChunk
-				hi := lo + expandChunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(ws, cur.key(i, ws.dec), cur.vals[i], &em)
-				}
-				cb.absorbed = em.absorbed
-				cb.transitions = em.transitions
-			}
-		}(&wss[w])
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	prob := probIn
-	for c := 0; c < nChunks; c++ {
-		cb := &ar.chunks[c]
-		for _, a := range cb.absorbed {
-			prob += a
-		}
-		nxt.mergeFrom(&cb.l)
-		if opts.Stats != nil {
-			opts.Stats.Transitions += cb.transitions
-		}
-	}
-	return prob, nil
-}
-
-// piRow exposes the arena's prefix-sum buffer sized for row length n.
-func (ar *arena) prefix(n int) []float64 {
-	if cap(ar.piPrefix) < n {
-		ar.piPrefix = make([]float64, n)
-	}
-	return ar.piPrefix[:n]
-}
-
-// floats exposes the arena's batched weight buffer sized for n values
-// (contents undefined; callers overwrite before reading).
+// floats exposes the arena's float scratch sized for n values (contents
+// undefined; callers overwrite before reading).
 func (ar *arena) floats(n int) []float64 {
-	if cap(ar.vecw) < n {
-		ar.vecw = make([]float64, n)
+	if cap(ar.fbuf) < n {
+		ar.fbuf = make([]float64, n)
 	}
-	return ar.vecw[:n]
+	return ar.fbuf[:n]
 }
 
-// vecEmitter is the batched counterpart of emitter: successors carry one
-// mass value per session lane, and the expansion folds dst[l] += q[l]*w[l]
-// into the successor's value window. The window methods return the window
-// so the solver's expand closure performs the per-lane multiply-accumulate
-// itself — the fold into each lane happens at exactly the points, and in
-// exactly the order, that the scalar emitter folds the single session's
-// mass, which is what makes every lane of a batched solve bit-identical to
-// its single-session solve.
-type vecEmitter struct {
-	dst         *layerTable
-	lanes       int
+// laneWeights gathers step i's insertion probabilities of every lane into
+// buf, j-major: w[j*S+l] = Pi_l(i, j) for j <= i.
+func laneWeights(buf []float64, models []*rim.Model, i int) []float64 {
+	S := len(models)
+	w := buf[:(i+1)*S]
+	for l, mdl := range models {
+		row := mdl.PiRow(i)
+		for j := 0; j <= i; j++ {
+			w[j*S+l] = row[j]
+		}
+	}
+	return w
+}
+
+// lanePrefixes gathers the prefix sums of step i's insertion probabilities,
+// which weigh a merged gap of insertion slots: w[j*S+l] = Pi_l(i, 0) + ... +
+// Pi_l(i, j-1) for j <= i+1.
+func lanePrefixes(buf []float64, models []*rim.Model, i int) []float64 {
+	S := len(models)
+	w := buf[:(i+2)*S]
+	clear(w[:S])
+	for l, mdl := range models {
+		row := mdl.PiRow(i)
+		for j := 0; j <= i; j++ {
+			w[(j+1)*S+l] = w[j*S+l] + row[j]
+		}
+	}
+	return w
+}
+
+// emitter receives one chunk's successors. Every state carries one mass
+// value per session lane, and the solver's expand closure folds
+// dst[l] += q[l]*w[l] into the window the emitter hands back, so the fold
+// into each lane happens at the same points and in the same order whatever
+// the lane count: lane l of an S-lane walk answers the bits of the one-lane
+// walk of session l. In sequential mode the emitter targets the next layer
+// directly and absorbed mass folds into the running answer vector; in
+// parallel mode it targets the chunk sublayer and records absorbed
+// contributions for the ordered merge.
+type emitter struct {
+	dst         *layerTable // its stride is the lane count
 	seq         bool
 	probs       []float64 // sequential absorbed fold, one accumulator per lane
 	absorbed    []float64 // parallel absorbed recording, lanes values per event
 	transitions int
 }
 
-// window returns the successor state's per-lane value window, appending a
-// zeroed window on first touch.
-func (e *vecEmitter) window(w []int16) []float64 {
+// window returns the per-lane value window of the successor state with word
+// vector w, appending a zeroed window on first touch.
+func (e *emitter) window(w []int16) []float64 {
 	e.transitions++
-	i := e.dst.slotWords(w)
-	return e.dst.vals[i*e.lanes : (i+1)*e.lanes]
+	return e.dst.valsAt(e.dst.slotWords(w))
 }
 
-// window64 is window for a pre-packed key (destination layer packed).
-func (e *vecEmitter) window64(k uint64) []float64 {
+// window64 is window for a pre-packed key. Only valid when the destination
+// layer is packed (dstWords <= packedWords); solvers that pack inline use it
+// to skip the slotWords dispatch.
+func (e *emitter) window64(k uint64) []float64 {
 	e.transitions++
-	i := e.dst.slot64(k)
-	return e.dst.vals[i*e.lanes : (i+1)*e.lanes]
+	return e.dst.valsAt(e.dst.slot64(k))
 }
 
-// absorbWindow returns the per-lane accumulator for absorbed mass: the
-// running answer vector in sequential mode, or a fresh per-event record in
-// parallel mode (replayed in chunk order at merge time, reproducing the
-// sequential fold per lane).
-func (e *vecEmitter) absorbWindow() []float64 {
+// absorbWindow returns the per-lane accumulator for mass leaving the DP: the
+// state has satisfied the union (or is otherwise finished) and its
+// probability goes straight to the answer. It is the running answer vector
+// in sequential mode, or a fresh per-event record in parallel mode (replayed
+// in chunk order at merge time, reproducing the sequential fold per lane).
+func (e *emitter) absorbWindow() []float64 {
 	e.transitions++
 	if e.seq {
 		return e.probs
 	}
 	n := len(e.absorbed)
-	for s := 0; s < e.lanes; s++ {
+	for s := 0; s < e.dst.stride; s++ {
 		e.absorbed = append(e.absorbed, 0)
 	}
-	return e.absorbed[n : n+e.lanes]
+	return e.absorbed[n:]
 }
 
-// expandVecFn is the batched expandFn: one source state with a per-lane
-// mass vector q (read-only). It must be pure given (key, q).
-type expandVecFn func(ws *workspace, key []int16, q []float64, em *vecEmitter)
+// expandFn expands one source state: decode key (srcWords wide, read-only)
+// and its per-lane mass vector q (read-only), generate successors into em
+// using ws scratch. It must be pure given (key, q) — workers run it
+// concurrently on disjoint states.
+type expandFn func(ws *workspace, key []int16, q []float64, em *emitter)
 
-// runStepVec drives one batched insertion step: identical chunk schedule,
-// merge order and fold points as runStep (the schedule is gated on the
-// source layer's state count, not state count x lanes), but every state
-// carries a lanes-wide mass vector and absorbed mass folds into the probs
-// vector. Per lane, the float operations and their association are exactly
-// runStep's, so lane l of the batched walk is bit-for-bit the single-session
-// walk of session l.
-func runStepVec(ctx context.Context, ar *arena, cur, nxt *layerTable, dstWords, lanes int, opts Options, probs []float64, fn expandVecFn) error {
-	n := cur.len()
-	nxt.resetStride(dstWords, n, lanes)
+// runStep expands every state of cur into nxt (reset to dstWords-wide
+// states of cur's stride) and folds every absorbed contribution into probs,
+// per lane, in source order. Layers at or above parallelThreshold expand
+// through the chunked fold: the source is split into fixed-size contiguous
+// chunks, each chunk fills a private sublayer (successor mass folded within
+// the chunk), and the sublayers merge in chunk order, folding each chunk's
+// per-state subtotal into the merged layer. The resulting float association
+// — per-chunk left folds combined left-to-right — is fully determined by the
+// layer's state count (not state count x lanes) and the chunk constants, so
+// results are bit-for-bit reproducible and independent of lane count, worker
+// count and GOMAXPROCS; the workers only decide who computes which chunk,
+// never how the numbers combine. (The path choice itself is also size-gated,
+// never worker-gated: a 1-core machine runs the same chunked fold for large
+// layers that a 64-core machine does.) Absorbed contributions are recorded
+// individually per chunk and replayed in order at merge time, giving them
+// the exact sequential ((probs+a1)+a2)+... association on every path. Stats
+// are accumulated per-chunk and reduced at merge time on the calling
+// goroutine, never incremented from workers.
+func runStep(ctx context.Context, ar *arena, cur, nxt *layerTable, dstWords int, opts Options, probs []float64, fn expandFn) error {
+	n, lanes := cur.len(), cur.stride
+	nxt.reset(dstWords, n, lanes)
 	if n < parallelThreshold {
 		ws := &ar.workspaces(1, cur.words, dstWords)[0]
-		em := vecEmitter{dst: nxt, lanes: lanes, seq: true, probs: probs}
+		em := emitter{dst: nxt, seq: true, probs: probs}
 		for i := 0; i < n; i++ {
 			if i&1023 == 1023 {
 				if err := ctx.Err(); err != nil {
@@ -435,8 +329,8 @@ func runStepVec(ctx context.Context, ar *arena, cur, nxt *layerTable, dstWords, 
 					return
 				}
 				cb := &ar.chunks[c]
-				cb.l.resetStride(dstWords, hintPerC, lanes)
-				em := vecEmitter{dst: &cb.l, lanes: lanes, absorbed: cb.absorbed[:0]}
+				cb.l.reset(dstWords, hintPerC, lanes)
+				em := emitter{dst: &cb.l, absorbed: cb.absorbed[:0]}
 				lo := c * expandChunk
 				hi := lo + expandChunk
 				if hi > n {
@@ -461,7 +355,7 @@ func runStepVec(ctx context.Context, ar *arena, cur, nxt *layerTable, dstWords, 
 				probs[l] += a
 			}
 		}
-		nxt.mergeFromVec(&cb.l)
+		nxt.mergeFrom(&cb.l)
 		if opts.Stats != nil {
 			opts.Stats.Transitions += cb.transitions
 		}

@@ -14,17 +14,17 @@ import (
 // ranking and labeling — the tracker/constraint tables, item bitmasks, the
 // per-step feed and gap schedule, the state width, everything the DP layer
 // walk needs except the sessions' insertion probabilities. A Plan compiled
-// once serves any number of sessions sharing the reference ranking: Solve
-// runs the single-session executor, SolveSessions drives many sessions' Pi
-// rows through one layer walk with a per-lane mass vector per state, and
-// SolveSessionsShared additionally shares the walk prefix between plans
-// whose absorption cannot trigger before a known insertion step.
+// once serves any number of sessions sharing the reference ranking:
+// SolveSessions drives their Pi rows through one layer walk, one lane per
+// session and a per-lane mass vector per state, and Solve is its one-lane
+// case.
 //
 // Each of the four DP solvers is split into a compile half (compileTwoLabel,
-// compileBipartite, compileBipartiteBasic, compileRelOrder) and execute
-// halves; the public single-shot entry points (TwoLabel, Bipartite, ...)
-// compile into the pooled arena and run immediately, staying allocation-free
-// in steady state, while CompilePlan compiles onto the heap so the plan can
+// compileBipartite, compileBipartiteBasic, compileRelOrder) and one executor
+// (runTwoLabel, ...) that walks the layers for a list of lanes; the public
+// single-shot entry points (TwoLabel, Bipartite, ...) compile into the
+// pooled arena and run one lane immediately, staying allocation-free in
+// steady state, while CompilePlan compiles onto the heap so the plan can
 // outlive the solve in a cache.
 
 // planAlloc selects where compiled-plan setup memory comes from: the pooled
@@ -119,8 +119,6 @@ type Plan struct {
 	bip   *bipPlan
 	basic *basicPlan
 	rel   *relPlan
-
-	sharedKey string // non-empty iff eligible for shared-prefix solving
 }
 
 // Algo returns the solver the plan compiles to.
@@ -132,13 +130,6 @@ func (p *Plan) M() int { return p.m }
 // Sigma returns the reference ranking the plan was compiled against.
 // Callers must not mutate it.
 func (p *Plan) Sigma() rank.Ranking { return p.sigma }
-
-// SharedKey identifies the plan's shareable walk schedule: plans with the
-// same non-empty key (necessarily RelOrder plans over the same reference
-// ranking and involved-item schedule) can solve the same session list
-// through SolveSessionsShared with a common walk prefix. An empty key means
-// the plan is not eligible for prefix sharing.
-func (p *Plan) SharedKey() string { return p.sharedKey }
 
 // CompilePlan compiles the union once for the given algorithm, reference
 // ranking and labeling. The result is heap-allocated (independent of the
@@ -180,8 +171,6 @@ func CompilePlan(algo Algo, sigma rank.Ranking, lab *label.Labeling, u pattern.U
 		}
 		if p.rel.constOne {
 			p.isConst, p.constVal = true, 1
-		} else if p.rel.useMasks && p.rel.activation > 0 {
-			p.sharedKey = p.rel.scheduleKey(sigma)
 		}
 	default:
 		return nil, fmt.Errorf("solver: unknown algorithm %v", algo)
@@ -205,9 +194,24 @@ func (p *Plan) check(mdl *rim.Model) error {
 	return nil
 }
 
-// Solve evaluates the plan against one session's insertion probabilities.
-// The result is bit-identical to the corresponding single-shot solver on the
-// same inputs.
+// run walks the plan's layers for the sessions of models: out[l] is session
+// l's answer.
+func (p *Plan) run(ar *arena, models []*rim.Model, opts Options, out []float64) error {
+	switch p.algo {
+	case AlgoTwoLabel:
+		return runTwoLabel(ar, p.two, models, opts, out)
+	case AlgoBipartite:
+		return runBipartite(ar, p.bip, models, opts, out)
+	case AlgoBipartiteBasic:
+		return runBipartiteBasic(ar, p.basic, models, opts, out)
+	default:
+		return runRelOrder(ar, p.rel, models, opts, out)
+	}
+}
+
+// Solve evaluates the plan against one session's insertion probabilities:
+// the one-lane case of SolveSessions' walk. The result is bit-identical to
+// the corresponding single-shot solver on the same inputs.
 func (p *Plan) Solve(mdl *rim.Model, opts Options) (float64, error) {
 	if err := p.check(mdl); err != nil {
 		return 0, err
@@ -217,16 +221,11 @@ func (p *Plan) Solve(mdl *rim.Model, opts Options) (float64, error) {
 	}
 	ar := getArena()
 	defer putArena(ar)
-	switch p.algo {
-	case AlgoTwoLabel:
-		return runTwoLabel(ar, p.two, mdl, opts)
-	case AlgoBipartite:
-		return runBipartite(ar, p.bip, mdl, opts)
-	case AlgoBipartiteBasic:
-		return runBipartiteBasic(ar, p.basic, mdl, opts)
-	default:
-		return runRelOrder(ar, p.rel, mdl, opts)
+	models, out := [1]*rim.Model{mdl}, [1]float64{}
+	if err := p.run(ar, models[:], opts, out[:]); err != nil {
+		return 0, err
 	}
+	return out[0], nil
 }
 
 // SolveSessions evaluates the plan against many sessions in one layer walk.
@@ -237,7 +236,7 @@ func (p *Plan) Solve(mdl *rim.Model, opts Options) (float64, error) {
 // serves all sessions, folding a per-lane mass vector at each emission.
 // out[l] is bit-identical to p.Solve(models[l], opts): per lane the float
 // operations, their order, and the deterministic chunked parallel schedule
-// are exactly the single-session solver's.
+// do not depend on how many lanes the walk carries.
 func SolveSessions(p *Plan, models []*rim.Model, opts Options) ([]float64, error) {
 	out := make([]float64, len(models))
 	if len(models) == 0 {
@@ -256,117 +255,8 @@ func SolveSessions(p *Plan, models []*rim.Model, opts Options) ([]float64, error
 	}
 	ar := getArena()
 	defer putArena(ar)
-	var err error
-	switch p.algo {
-	case AlgoTwoLabel:
-		err = runTwoLabelVec(ar, p.two, models, opts, out)
-	case AlgoBipartite:
-		err = runBipartiteVec(ar, p.bip, models, opts, out)
-	case AlgoBipartiteBasic:
-		err = runBipartiteBasicVec(ar, p.basic, models, opts, out)
-	default:
-		err = runRelOrderVec(ar, p.rel, models, opts, out)
-	}
-	if err != nil {
+	if err := p.run(ar, models, opts, out); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// SolveSessionsShared solves several plans against the same session list,
-// sharing work where the plans allow it. Plans with the same non-empty
-// SharedKey — RelOrder plans over the same reference ranking whose unions
-// differ but walk the same involved-item insertion schedule, e.g. unions
-// differing only in a suffix of constraints — run one common batched walk up
-// to the earliest step at which any plan's pattern could first match (its
-// activation step), snapshot the layer there, and continue separately.
-// Before its activation step a plan's walk performs no absorption and its
-// expansion does not consult the union at all, so the shared prefix is
-// bit-identical to each plan's own walk. Remaining plans are solved
-// independently. outs[i] matches SolveSessions(plans[i], models, opts)
-// bit-for-bit.
-func SolveSessionsShared(plans []*Plan, models []*rim.Model, opts Options) ([][]float64, error) {
-	outs := make([][]float64, len(plans))
-	byKey := make(map[string][]int)
-	for i, p := range plans {
-		if k := p.SharedKey(); k != "" {
-			byKey[k] = append(byKey[k], i)
-		}
-	}
-	solo := func(i int) error {
-		res, err := SolveSessions(plans[i], models, opts)
-		outs[i] = res
-		return err
-	}
-	done := make([]bool, len(plans))
-	for _, idxs := range byKey {
-		if len(idxs) < 2 {
-			continue
-		}
-		group := make([]*relPlan, len(idxs))
-		for gi, i := range idxs {
-			for _, mdl := range models {
-				if err := plans[i].check(mdl); err != nil {
-					return nil, err
-				}
-			}
-			group[gi] = plans[i].rel
-		}
-		groupOuts := make([][]float64, len(idxs))
-		for gi := range groupOuts {
-			groupOuts[gi] = make([]float64, len(models))
-		}
-		if err := solveSharedRelOrder(group, models, opts, groupOuts); err != nil {
-			return nil, err
-		}
-		for gi, i := range idxs {
-			outs[i] = groupOuts[gi]
-			done[i] = true
-		}
-	}
-	for i := range plans {
-		if !done[i] {
-			if err := solo(i); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return outs, nil
-}
-
-// layerSnapshot captures a layer's full contents (keys in insertion order
-// plus per-state value windows) so a shared walk prefix can be restored as
-// the starting layer of several continuation walks.
-type layerSnapshot struct {
-	words  int
-	stride int
-	packed bool
-	keys64 []uint64
-	keysW  []int16
-	vals   []float64
-}
-
-func snapshotLayer(l *layerTable) *layerSnapshot {
-	s := &layerSnapshot{words: l.words, stride: l.stride, packed: l.packed}
-	s.keys64 = append(s.keys64, l.keys64...)
-	s.keysW = append(s.keysW, l.keysW...)
-	s.vals = append(s.vals, l.vals...)
-	return s
-}
-
-// restore rebuilds the snapshot into l: states re-added in their original
-// insertion order with their exact values (each key is distinct within a
-// layer, so re-adding reproduces both the order and the bits).
-func (s *layerSnapshot) restore(l *layerTable) {
-	n := len(s.vals) / s.stride
-	l.resetStride(s.words, n, s.stride)
-	for i := 0; i < n; i++ {
-		var idx int
-		if s.packed {
-			idx = l.slot64(s.keys64[i])
-		} else {
-			idx = l.slotWords(s.keysW[i*s.words : (i+1)*s.words])
-		}
-		copy(l.vals[idx*s.stride:(idx+1)*s.stride], s.vals[i*s.stride:(i+1)*s.stride])
-	}
 }

@@ -17,8 +17,8 @@
 //     the paper's baseline.
 //   - RelOrder: exact inference for arbitrary DAG patterns by dynamic
 //     programming over the relative order of the items involved in the
-//     union; substitutes for the LTM engine of Cohen et al. (see DESIGN.md,
-//     substitution S1).
+//     union; substitutes for the LTM engine of Cohen et al. (substitution
+//     S1 of docs/ARCHITECTURE.md, "Deviations from the paper").
 package solver
 
 import (
@@ -131,7 +131,9 @@ func Auto(model *rim.Model, lab *label.Labeling, u pattern.Union, opts Options) 
 // The DP layer representation shared by the solvers lives in state.go
 // (packed integer state keys over an insertion-ordered open-addressing
 // table) and layer.go (pooled arenas plus the sequential/parallel
-// expansion driver). Insertion order is deterministic by induction (the
+// expansion driver). Each solver has one executor, which walks the layers
+// for a list of session lanes (plan.go); a single-session solve is its
+// one-lane case. Insertion order is deterministic by induction (the
 // initial layer has one state, and each expansion step visits states and
 // insertion slots in a fixed order), so every solver's answer is
 // bit-for-bit reproducible — the property the unified query API's

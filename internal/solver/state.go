@@ -4,13 +4,14 @@ package solver
 // exact solver: a state is a fixed-width vector of int16 words (tracker
 // positions, packed constraint bits, or (item, position) entries depending
 // on the solver), and a DP layer is an insertion-ordered open-addressing
-// table from state vectors to probability mass. Narrow states — at most
-// packedWords words, which covers the benchmark fixtures and most serving
-// traffic — pack into a single uint64 key, so the hot path hashes and
-// compares one machine word instead of allocating a string per successor
-// the way the previous map[string]int layer did. Wider states fall back to
-// a flat []int16 arena (still allocation-free in steady state: the arena is
-// one slice shared by all states of the layer).
+// table from state vectors to probability mass, one value per session lane
+// of the walk. Narrow states — at most packedWords words, which covers the
+// benchmark fixtures and most serving traffic — pack into a single uint64
+// key, so the hot path hashes and compares one machine word instead of
+// allocating a string per successor the way the previous map[string]int
+// layer did. Wider states fall back to a flat []int16 arena (still
+// allocation-free in steady state: the arena is one slice shared by all
+// states of the layer).
 
 // packedWords is the widest state (in int16 words) that packs into a
 // single uint64 key.
@@ -70,10 +71,10 @@ func hashWords(w []int16) uint64 {
 type layerTable struct {
 	words  int  // int16 words per state key
 	packed bool // words <= packedWords: keys stored as uint64
-	// stride is the number of float64 values per state: 1 for single-session
-	// layers (vals[i] is state i's mass), S for batched multi-session layers
-	// (vals[i*stride:(i+1)*stride] is state i's per-session mass vector).
+	// stride is the number of float64 values per state, one per session lane
+	// of the walk: vals[i*stride:(i+1)*stride] is state i's per-lane mass.
 	stride int
+	n      int // states in the layer
 	// tab slots hold generation<<32 | state-index+1. A slot whose
 	// generation differs from gen is empty: reset just bumps gen instead of
 	// clearing the table, so recycling a layer is O(1) regardless of the
@@ -85,16 +86,14 @@ type layerTable struct {
 	vals   []float64 // probability mass, insertion order, stride per state
 }
 
-// reset reconfigures the layer for single-session states (stride 1).
-func (l *layerTable) reset(words, hint int) { l.resetStride(words, hint, 1) }
-
-// resetStride reconfigures the layer for a new width and value stride,
-// keeping capacity. The table is sized for about hint states before the
-// first growth.
-func (l *layerTable) resetStride(words, hint, stride int) {
+// reset reconfigures the layer for a new width and value stride, keeping
+// capacity. The table is sized for about hint states before the first
+// growth.
+func (l *layerTable) reset(words, hint, stride int) {
 	l.words = words
 	l.packed = words <= packedWords
 	l.stride = stride
+	l.n = 0
 	l.gen += 1 << 32
 	if l.gen == 0 { // generation counter wrapped: stale slots could alias
 		clear(l.tab)
@@ -116,21 +115,21 @@ func (l *layerTable) resetStride(words, hint, stride int) {
 	l.vals = l.vals[:0]
 }
 
-// len returns the number of states in the layer.
-func (l *layerTable) len() int {
-	if l.stride > 1 {
-		return len(l.vals) / l.stride
+// start resets the layer to the single state w carrying mass 1 in each of
+// the lanes: the initial layer of a walk.
+func (l *layerTable) start(w []int16, lanes int) {
+	l.reset(len(w), 1, lanes)
+	for s, v := 0, l.valsAt(l.slotWords(w)); s < lanes; s++ {
+		v[s] = 1
 	}
-	return len(l.vals)
 }
 
-// valsAt returns state i's value window (one float for stride-1 layers, one
-// per session lane for strided layers).
+// len returns the number of states in the layer.
+func (l *layerTable) len() int { return l.n }
+
+// valsAt returns state i's value window, one float per session lane.
 func (l *layerTable) valsAt(i int) []float64 {
-	if l.stride > 1 {
-		return l.vals[i*l.stride : (i+1)*l.stride]
-	}
-	return l.vals[i : i+1]
+	return l.vals[i*l.stride : (i+1)*l.stride]
 }
 
 // keyW returns the wide key of state i as a window into the arena.
@@ -154,10 +153,10 @@ func (l *layerTable) key(i int, buf []int16) []int16 {
 const genMask = ^uint64(0xFFFFFFFF)
 
 // slot64 returns the value-window index of the packed state k, appending a
-// zeroed window on first touch. It is the strided counterpart of add64:
-// batched solvers fold per-lane mass into the returned window themselves.
+// zeroed window on first touch; the solvers fold per-lane mass into the
+// window themselves.
 func (l *layerTable) slot64(k uint64) int {
-	if l.len() >= len(l.tab)-len(l.tab)/4 {
+	if l.n >= len(l.tab)-len(l.tab)/4 {
 		l.grow()
 	}
 	mask := uint32(len(l.tab) - 1)
@@ -165,7 +164,8 @@ func (l *layerTable) slot64(k uint64) int {
 	for {
 		e := l.tab[i]
 		if e&genMask != l.gen {
-			idx := l.len()
+			idx := l.n
+			l.n++
 			l.tab[i] = l.gen | uint64(idx+1)
 			l.keys64 = append(l.keys64, k)
 			for s := 0; s < l.stride; s++ {
@@ -187,7 +187,7 @@ func (l *layerTable) slotWords(w []int16) int {
 	if l.packed {
 		return l.slot64(packWords(w))
 	}
-	if l.len() >= len(l.tab)-len(l.tab)/4 {
+	if l.n >= len(l.tab)-len(l.tab)/4 {
 		l.grow()
 	}
 	mask := uint32(len(l.tab) - 1)
@@ -195,7 +195,8 @@ func (l *layerTable) slotWords(w []int16) int {
 	for {
 		e := l.tab[i]
 		if e&genMask != l.gen {
-			idx := l.len()
+			idx := l.n
+			l.n++
 			l.tab[i] = l.gen | uint64(idx+1)
 			l.keysW = append(l.keysW, w...)
 			for s := 0; s < l.stride; s++ {
@@ -205,58 +206,6 @@ func (l *layerTable) slotWords(w []int16) int {
 		}
 		if idx := uint32(e) - 1; wordsEqual(l.keyW(int(idx)), w) {
 			return int(idx)
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// add64 folds mass p into the packed state k, appending it on first touch.
-// Only valid on stride-1 layers; strided layers use slot64.
-func (l *layerTable) add64(k uint64, p float64) {
-	if len(l.vals) >= len(l.tab)-len(l.tab)/4 {
-		l.grow()
-	}
-	mask := uint32(len(l.tab) - 1)
-	i := uint32(hash64(k)) & mask
-	for {
-		e := l.tab[i]
-		if e&genMask != l.gen {
-			l.tab[i] = l.gen | uint64(len(l.vals)+1)
-			l.keys64 = append(l.keys64, k)
-			l.vals = append(l.vals, p)
-			return
-		}
-		if idx := uint32(e) - 1; l.keys64[idx] == k {
-			l.vals[idx] += p
-			return
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// addWords folds mass p into the state with word vector w, appending it on
-// first touch. Packed layers delegate to add64.
-func (l *layerTable) addWords(w []int16, p float64) {
-	if l.packed {
-		l.add64(packWords(w), p)
-		return
-	}
-	if len(l.vals) >= len(l.tab)-len(l.tab)/4 {
-		l.grow()
-	}
-	mask := uint32(len(l.tab) - 1)
-	i := uint32(hashWords(w)) & mask
-	for {
-		e := l.tab[i]
-		if e&genMask != l.gen {
-			l.tab[i] = l.gen | uint64(len(l.vals)+1)
-			l.keysW = append(l.keysW, w...)
-			l.vals = append(l.vals, p)
-			return
-		}
-		if idx := uint32(e) - 1; wordsEqual(l.keyW(int(idx)), w) {
-			l.vals[idx] += p
-			return
 		}
 		i = (i + 1) & mask
 	}
@@ -284,8 +233,7 @@ func (l *layerTable) grow() {
 		l.tab = make([]uint64, sz)
 	}
 	mask := uint32(sz - 1)
-	n := l.len()
-	for idx := 0; idx < n; idx++ {
+	for idx := 0; idx < l.n; idx++ {
 		var h uint64
 		if l.packed {
 			h = hash64(l.keys64[idx])
@@ -300,7 +248,8 @@ func (l *layerTable) grow() {
 	}
 }
 
-// mergeFrom folds every state of src into l in src's insertion order.
+// mergeFrom folds every state of src into l in src's insertion order, each
+// per-lane value window element-wise; both layers share the same stride.
 // Because parallel expansion splits the source layer into contiguous
 // chunks, merging the chunk sublayers in chunk order reproduces the
 // sequential first-touch order exactly — the merged layer's state order is
@@ -308,33 +257,15 @@ func (l *layerTable) grow() {
 // association (per-chunk subtotals folded in chunk order), which is fixed
 // by the deterministic chunk boundaries; see runStep.
 func (l *layerTable) mergeFrom(src *layerTable) {
-	if src.packed {
-		for i, k := range src.keys64 {
-			l.add64(k, src.vals[i])
-		}
-		return
-	}
-	for i := range src.vals {
-		l.addWords(src.keyW(i), src.vals[i])
-	}
-}
-
-// mergeFromVec is the strided counterpart of mergeFrom: every state of src
-// folds its per-lane value window into l element-wise, in src's insertion
-// order. Both layers must share the same stride. The per-lane fold order is
-// identical to mergeFrom's scalar fold order, so each session lane of a
-// batched solve reproduces the single-session bits exactly.
-func (l *layerTable) mergeFromVec(src *layerTable) {
-	n := src.len()
-	for i := 0; i < n; i++ {
+	for i := 0; i < src.n; i++ {
 		var idx int
 		if src.packed {
 			idx = l.slot64(src.keys64[i])
 		} else {
 			idx = l.slotWords(src.keyW(i))
 		}
-		dst := l.vals[idx*l.stride : (idx+1)*l.stride]
-		for s, v := range src.vals[i*src.stride : (i+1)*src.stride] {
+		dst := l.valsAt(idx)
+		for s, v := range src.valsAt(i) {
 			dst[s] += v
 		}
 	}

@@ -20,7 +20,7 @@ import (
 //
 // States are vectors of one position word per tracker slot (absent = -1),
 // held in the packed layer representation of state.go and expanded through
-// the shared (and, for large layers, parallel) driver of layer.go. A
+// the (for large layers, parallel) driver of layer.go. A
 // tracker's position is only ever read when an item of the other side of one
 // of its patterns is inserted, so a tracker is retired — reset to absent
 // before the successor is emitted, which merges the states that differed
@@ -28,7 +28,7 @@ import (
 // in twoLabelPlan; Options.NoTrackerDrop keeps every tracker to the end).
 // The solver is split into a session-independent compile half (tracker
 // slots, pattern slot pairs, per-step feed and retire lists) and an executor
-// that only reads the session's Pi rows; see plan.go.
+// that only reads the sessions' Pi rows — one lane here; see plan.go.
 func TwoLabel(model *rim.Model, lab *label.Labeling, u pattern.Union, opts Options) (float64, error) {
 	if len(u) == 0 {
 		return 0, nil
@@ -39,7 +39,11 @@ func TwoLabel(model *rim.Model, lab *label.Labeling, u pattern.Union, opts Optio
 	if err := compileTwoLabel(&pl, planAlloc{ar}, model.Sigma(), lab, u); err != nil {
 		return 0, err
 	}
-	return runTwoLabel(ar, &pl, model, opts)
+	models, out := [1]*rim.Model{model}, [1]float64{}
+	if err := runTwoLabel(ar, &pl, models[:], opts, out[:]); err != nil {
+		return 0, err
+	}
+	return out[0], nil
 }
 
 // twoLabelPlan is the session-independent compilation of a two-label union:
@@ -163,35 +167,36 @@ func compileTwoLabel(pl *twoLabelPlan, a planAlloc, sigma rank.Ranking, lab *lab
 	return nil
 }
 
-// runTwoLabel executes a compiled two-label plan against one session. The
-// layer walk is structural — which successors are emitted depends only on
-// the plan, never on the Pi values — so the batched executor below can walk
-// the identical layers with a mass vector per state.
-func runTwoLabel(ar *arena, pl *twoLabelPlan, model *rim.Model, opts Options) (float64, error) {
+// runTwoLabel executes a compiled two-label plan against the sessions of
+// models in one layer walk, a mass value per lane per state; out[l] is
+// session l's answer. The walk is structural — which successors are emitted
+// depends only on the plan, never on the Pi values — so the lanes share
+// every layer. Per-step weights are gathered into a j-major matrix, and
+// each lane's arithmetic is the same whatever S is.
+func runTwoLabel(ar *arena, pl *twoLabelPlan, models []*rim.Model, opts Options, out []float64) error {
 	ctx := opts.ctx()
-	n, m := pl.n, pl.m
+	n, m, S := pl.n, pl.m, len(models)
 	patL, patR, slotIsMin := pl.patL, pl.patR, pl.slotIsMin
 
 	const absent = int16(-1)
 	cur, nxt := &ar.layers[0], &ar.layers[1]
-	cur.reset(n, 1)
 	init := ar.workspaces(1, n, n)[0].next
 	for i := range init {
 		init[i] = absent
 	}
-	cur.addWords(init, 1)
+	cur.start(init, S)
 
-	// The expand closure is built once; the step loop only rebinds the
-	// per-step variables it captures.
 	var (
-		piRow  []float64
 		feed   []int
 		retire []int
 		steps  int
+		w      []float64 // laneWeights on a feed step, lanePrefixes on a gap step
 	)
 	packed := n <= packedWords
-	piPrefix := ar.prefix(m + 2)
-	expand := func(ws *workspace, vals []int16, q float64, em *emitter) {
+	wbuf := ar.floats(S * (m + 2))
+	// The expand closure is built once; the step loop only rebinds the
+	// per-step variables it captures.
+	expand := func(ws *workspace, vals []int16, q []float64, em *emitter) {
 		next := ws.next
 		if len(feed) == 0 {
 			// The inserted item feeds no tracker, so the successor depends
@@ -251,11 +256,15 @@ func runTwoLabel(ar *arena, pl *twoLabelPlan, model *rim.Model, opts Options) (f
 				if satisfied {
 					continue
 				}
-				w := q * (piPrefix[hi+1] - piPrefix[jj])
+				var dst []float64
 				if packed {
-					em.emit64(packWords(next), w)
+					dst = em.window64(packWords(next))
 				} else {
-					em.emit(next, w)
+					dst = em.window(next)
+				}
+				hiRow, loRow := w[(hi+1)*S:(hi+2)*S], w[int(jj)*S:(int(jj)+1)*S]
+				for l, ql := range q {
+					dst[l] += ql * (hiRow[l] - loRow[l])
 				}
 			}
 			return
@@ -297,184 +306,13 @@ func runTwoLabel(ar *arena, pl *twoLabelPlan, model *rim.Model, opts Options) (f
 			for _, s := range retire {
 				next[s] = absent
 			}
-			if packed {
-				em.emit64(packWords(next), q*piRow[j])
-			} else {
-				em.emit(next, q*piRow[j])
-			}
-		}
-	}
-	for i := 0; i < m; i++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		piRow, feed, steps = model.PiRow(i), pl.feeds[i], i+1
-		if !opts.NoTrackerDrop {
-			retire = pl.retire[i]
-		}
-		if len(feed) == 0 {
-			// Prefix sums of the insertion row for gap merging.
-			piPrefix[0] = 0
-			for j := 0; j < steps; j++ {
-				piPrefix[j+1] = piPrefix[j] + piRow[j]
-			}
-		}
-		if _, err := runStep(ctx, ar, cur, nxt, n, opts, 0, expand); err != nil {
-			return 0, err
-		}
-		if err := opts.layer(nxt.len()); err != nil {
-			return 0, err
-		}
-		cur, nxt = nxt, cur
-	}
-	violate := 0.0
-	for _, q := range cur.vals {
-		violate += q
-	}
-	p := 1 - violate
-	if p < 0 {
-		p = 0
-	}
-	return p, nil
-}
-
-// runTwoLabelVec executes a compiled two-label plan against many sessions in
-// one batched layer walk: the same structural walk as runTwoLabel with a
-// per-lane mass vector per state. Per-step weights are gathered lane-major
-// into j-major matrices (wj[j*S+l] = Pi_l(i, j), prefix sums likewise) so
-// the per-lane arithmetic reproduces the scalar executor's bits exactly.
-func runTwoLabelVec(ar *arena, pl *twoLabelPlan, models []*rim.Model, opts Options, out []float64) error {
-	ctx := opts.ctx()
-	n, m, S := pl.n, pl.m, len(models)
-	patL, patR, slotIsMin := pl.patL, pl.patR, pl.slotIsMin
-
-	const absent = int16(-1)
-	cur, nxt := &ar.layers[0], &ar.layers[1]
-	cur.resetStride(n, 1, S)
-	init := ar.workspaces(1, n, n)[0].next
-	for i := range init {
-		init[i] = absent
-	}
-	for l, w := 0, cur.valsAt(cur.slotWords(init)); l < S; l++ {
-		w[l] = 1
-	}
-
-	var (
-		feed   []int
-		retire []int
-		steps  int
-		wj     []float64 // j-major per-lane weights for feed steps
-		pp     []float64 // j-major per-lane Pi prefix sums for gap steps
-	)
-	packed := n <= packedWords
-	wbuf := ar.floats(S * (m + 2))
-	expand := func(ws *workspace, vals []int16, q []float64, em *vecEmitter) {
-		next := ws.next
-		if len(feed) == 0 {
-			if cap(ws.gaps) < n {
-				ws.gaps = make([]int16, n)
-			}
-			gaps := ws.gaps[:0]
-			for _, v := range vals {
-				if v == absent {
-					continue
-				}
-				at := len(gaps)
-				for at > 0 && gaps[at-1] >= v {
-					if gaps[at-1] == v {
-						at = -1
-						break
-					}
-					at--
-				}
-				if at < 0 {
-					continue // duplicate
-				}
-				gaps = append(gaps, 0)
-				copy(gaps[at+1:], gaps[at:])
-				gaps[at] = v
-			}
-			lo := 0
-			for g := 0; g <= len(gaps); g++ {
-				hi := steps - 1
-				if g < len(gaps) {
-					hi = int(gaps[g])
-				}
-				if lo > hi {
-					continue
-				}
-				jj := int16(lo)
-				for s, v := range vals {
-					if v != absent && v >= jj {
-						v++
-					}
-					next[s] = v
-				}
-				satisfied := false
-				for pi := range patL {
-					a, b := next[patL[pi]], next[patR[pi]]
-					if a != absent && b != absent && a < b {
-						satisfied = true
-						break
-					}
-				}
-				lo = hi + 1
-				if satisfied {
-					continue
-				}
-				var dst []float64
-				if packed {
-					dst = em.window64(packWords(next))
-				} else {
-					dst = em.window(next)
-				}
-				hiRow, loRow := pp[(hi+1)*S:(hi+2)*S], pp[int(jj)*S:(int(jj)+1)*S]
-				for l, ql := range q {
-					dst[l] += ql * (hiRow[l] - loRow[l])
-				}
-			}
-			return
-		}
-		for j := 0; j < steps; j++ {
-			jj := int16(j)
-			for s, v := range vals {
-				if v != absent && v >= jj {
-					v++
-				}
-				next[s] = v
-			}
-			for _, s := range feed {
-				if slotIsMin[s] {
-					if next[s] == absent || jj < next[s] {
-						next[s] = jj
-					}
-				} else {
-					if next[s] == absent || jj > next[s] {
-						next[s] = jj
-					}
-				}
-			}
-			satisfied := false
-			for pi := range patL {
-				a, b := next[patL[pi]], next[patR[pi]]
-				if a != absent && b != absent && a < b {
-					satisfied = true
-					break
-				}
-			}
-			if satisfied {
-				continue
-			}
-			for _, s := range retire {
-				next[s] = absent
-			}
 			var dst []float64
 			if packed {
 				dst = em.window64(packWords(next))
 			} else {
 				dst = em.window(next)
 			}
-			wrow := wj[j*S : (j+1)*S]
+			wrow := w[j*S : (j+1)*S]
 			for l, ql := range q {
 				dst[l] += ql * wrow[l]
 			}
@@ -489,24 +327,11 @@ func runTwoLabelVec(ar *arena, pl *twoLabelPlan, models []*rim.Model, opts Optio
 			retire = pl.retire[i]
 		}
 		if len(feed) == 0 {
-			pp = wbuf[:(steps+1)*S]
-			clear(pp[:S])
-			for l := 0; l < S; l++ {
-				row := models[l].PiRow(i)
-				for j := 0; j < steps; j++ {
-					pp[(j+1)*S+l] = pp[j*S+l] + row[j]
-				}
-			}
+			w = lanePrefixes(wbuf, models, i)
 		} else {
-			wj = wbuf[:steps*S]
-			for l := 0; l < S; l++ {
-				row := models[l].PiRow(i)
-				for j := 0; j < steps; j++ {
-					wj[j*S+l] = row[j]
-				}
-			}
+			w = laneWeights(wbuf, models, i)
 		}
-		if err := runStepVec(ctx, ar, cur, nxt, n, S, opts, nil, expand); err != nil {
+		if err := runStep(ctx, ar, cur, nxt, n, opts, nil, expand); err != nil {
 			return err
 		}
 		if err := opts.layer(nxt.len()); err != nil {

@@ -2,11 +2,16 @@ package wal_test
 
 import (
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"probpref/internal/ppd"
 	"probpref/internal/registry"
+	"probpref/internal/server"
 	"probpref/internal/wal"
 )
 
@@ -60,5 +65,49 @@ func TestIngestOverFailedFsyncIsNeverPublished(t *testing.T) {
 	}
 	if got := sessions().Len(); got != before {
 		t.Fatalf("batch published over a failed log: %d sessions, want %d", got, before)
+	}
+}
+
+// /healthz must stop answering ok once the log has failed closed: the
+// daemon still serves reads, but it can no longer ingest, and a
+// coordinator's prober trusts this probe.
+func TestHealthzTurnsRedAfterFailedFsync(t *testing.T) {
+	l, err := wal.Open(filepath.Join(t.TempDir(), "wal"), wal.Options{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	r := registry.New()
+	if err := r.SetWAL(l); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(server.NewMulti(r, server.Config{}).Handler())
+	defer srv.Close()
+	healthz := func() (int, string) {
+		resp, err := srv.Client().Get(srv.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	if code, body := healthz(); code != http.StatusOK || body != "ok\n" {
+		t.Fatalf("healthz over a healthy log: %d %q", code, body)
+	}
+
+	eio := errors.New("injected EIO")
+	wal.FailSyncs(t, 1, eio)
+	if _, err := l.Append([]byte("lost")); !errors.Is(err, eio) {
+		t.Fatalf("append over a failing fsync: err = %v, want the injected failure", err)
+	}
+	if err := l.Err(); !errors.Is(err, wal.ErrSyncFailed) || !errors.Is(err, eio) {
+		t.Fatalf("Err after a failed fsync = %v, want the sticky failure", err)
+	}
+	if code, body := healthz(); code != http.StatusServiceUnavailable || !strings.Contains(body, eio.Error()) {
+		t.Fatalf("healthz over a log that failed closed: %d %q, want 503 naming the cause", code, body)
 	}
 }

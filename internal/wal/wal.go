@@ -396,6 +396,14 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
+// Err returns the failure that failed the log closed (it wraps
+// ErrSyncFailed), or nil while the log still accepts appends.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.failed
+}
+
 // Sync forces pending writes to disk regardless of the sync policy.
 func (l *Log) Sync() error {
 	l.mu.Lock()
