@@ -14,7 +14,9 @@
 //	                              frame: the coordinator's hop to a shard
 //	POST   /v1/sessions           append sessions to a model's p-relation
 //	                              (both caches stay warm); logged to -wal-dir
-//	                              and persisted to -snapshot-dir when set
+//	                              before the ack, and checkpointed into
+//	                              -snapshot-dir behind it (before it, with
+//	                              no log)
 //	GET    /models                list the model catalog
 //	POST   /models                register a model at runtime
 //	GET    /models/{name}         one catalog row
@@ -108,8 +110,9 @@ func run(args []string, out io.Writer) error {
 
 // serve runs the HTTP server until it fails or a signal arrives, then walks
 // the drain ladder: stop accepting connections, let in-flight requests and
-// streams finish (bounded by -drain-timeout), write a final snapshot
-// checkpoint, compact and close the WAL. Split from run so shutdown tests
+// streams finish (bounded by -drain-timeout), checkpoint every model whose
+// snapshot lags the log (waiting out a checkpoint an ingest left running),
+// compact and close the WAL. Split from run so shutdown tests
 // can deliver signals on a plain channel.
 func serve(d *daemon, ln net.Listener, sigc <-chan os.Signal, out io.Writer) error {
 	srv := &http.Server{
@@ -138,10 +141,13 @@ func serve(d *daemon, ln net.Listener, sigc <-chan os.Signal, out io.Writer) err
 	return d.shutdown(out)
 }
 
-// shutdown flushes durability state after the listener is closed: a final
-// snapshot checkpoint (which compacts the WAL behind it) and a WAL close.
-// Checkpoint failures are reported but not fatal — the closed WAL still
-// holds every acked batch for the next start's replay.
+// shutdown flushes durability state after the listener is closed, in this
+// order: the registry's Checkpoint — which first waits for any checkpoint an
+// ingest started off its ack path, then brings every lagging snapshot up to
+// the log and compacts behind it — and only then the WAL close, so nothing
+// of the catalog touches a closed log. Checkpoint failures are reported but
+// not fatal — the closed WAL still holds every acked batch for the next
+// start's replay.
 func (d *daemon) shutdown(out io.Writer) error {
 	var firstErr error
 	if d.cl != nil {
@@ -171,7 +177,7 @@ func setup(args []string, out io.Writer) (*daemon, error) {
 		addr     = fs.String("addr", "127.0.0.1:8080", "listen address")
 		ds       = fs.String("dataset", "figure1", "dataset: "+strings.Join(dataset.Names(), " | ")+" (served as model \"default\")")
 		manifest = fs.String("manifest", "", "model manifest file; serves every named model of the catalog (overrides -dataset)")
-		snapDir  = fs.String("snapshot-dir", "", "directory of columnar model snapshots (<model>.ppds): models cold-start from their snapshot when present, and generator builds and session ingests persist back")
+		snapDir  = fs.String("snapshot-dir", "", "directory of columnar model snapshots (<model>.ppds): models cold-start from their snapshot when present, and generator builds persist back. Session ingests reach it by checkpoint: before every ack without -wal-dir; with it, off the ack path once a model's unsnapshotted log reaches the size of its snapshot (at least 256 KiB), and at graceful shutdown")
 		method   = fs.String("method", "auto", "solver: "+strings.Join(ppd.MethodNames(), " | "))
 		cache    = fs.Int("cache", server.DefaultCacheSize, "solve-cache capacity in entries (0 disables); keys are namespaced per model")
 		par      = fs.Int("parallel", 4, "worker goroutines for batch fan-out and group solving")

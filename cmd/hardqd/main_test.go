@@ -120,12 +120,15 @@ func TestTopKGolden(t *testing.T) {
 }
 
 func TestStatsGolden(t *testing.T) {
-	srv, _ := testServer(t, "-dataset", "figure1")
+	srv, _ := testServer(t, "-dataset", "figure1",
+		"-wal-dir", filepath.Join(t.TempDir(), "wal"), "-snapshot-dir", t.TempDir())
 	// A fixed request sequence makes every counter deterministic: the same
-	// one-request batch twice, cold then warm.
+	// one-request batch twice, cold then warm, then one ingest — acked from
+	// the log, so the wal block shows it pending behind the build's snapshot.
 	batch := []byte(`{"requests":[` + string(boolQuery(demoQuery, "")) + `]}`)
 	postBody(t, srv, "/v1/query", batch)
 	postBody(t, srv, "/v1/query", batch)
+	postBody(t, srv, "/v1/sessions", []byte(`{"pref":"P","sessions":[{"key":["Eve","7/7"],"sigma":[0,1,2,3],"phi":0.4}]}`))
 	b := getBody(t, srv, "/stats")
 	checkGolden(t, "stats", b)
 }
@@ -409,6 +412,8 @@ func TestAPIDocEndpointsCovered(t *testing.T) {
 		"excluded", "hedge_wins", "degraded",
 		// durability & overload surface
 		"retry_after", "sheds", "in_flight", "queued", "snapshot_errors",
+		"wal", "last_seq", "pending_records", "pending_bytes", "checkpoints",
+		"last_checkpoint_seq", "err",
 	} {
 		if !strings.Contains(text, "`"+field+"`") {
 			t.Errorf("docs/API.md: field %q not documented", field)

@@ -8,18 +8,22 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"probpref/internal/ppd"
+	"probpref/internal/store"
 	"probpref/internal/wal"
 )
 
 // This file is the crash-injection harness of the durable-ingest path: it
 // kills a registry (by copying its on-disk state: WAL directory + snapshot
 // directory) at every stage of Append — after the log sync, after the
-// publish, after the snapshot — plus torn and bit-flipped WAL tails, and
-// proves the recovery contract on restart: every acknowledged batch is
-// present, every batch whose log record never completed is absent.
+// publish, after the ack with no checkpoint yet — and of the checkpoint
+// behind it — temp file written, renamed, compacted — plus torn and
+// bit-flipped WAL tails, and proves the recovery contract on restart: every
+// acknowledged batch is present exactly once, every batch whose log record
+// never completed is absent.
 
 // copyTree copies the file tree rooted at src into dst (which must not
 // exist). It is the harness's "kill -9": whatever bytes the OS holds at
@@ -124,9 +128,17 @@ func newSession(db *ppd.DB, name string) *ppd.Session {
 // directories, the model built, and a capture callback wired into Append.
 func walGrown(t *testing.T) (*Registry, *wal.Log, string, string) {
 	t.Helper()
-	walDir := filepath.Join(t.TempDir(), "wal")
 	snapDir := t.TempDir()
-	l, err := wal.Open(walDir, wal.Options{Sync: wal.SyncAlways})
+	r, l, walDir := walGrownWith(t, snapDir, wal.Options{Sync: wal.SyncAlways})
+	return r, l, walDir, snapDir
+}
+
+// walGrownWith is walGrown over the given log options and snapshot
+// directory ("" for none).
+func walGrownWith(t *testing.T, snapDir string, opts wal.Options) (*Registry, *wal.Log, string) {
+	t.Helper()
+	walDir := filepath.Join(t.TempDir(), "wal")
+	l, err := wal.Open(walDir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +151,29 @@ func walGrown(t *testing.T) (*Registry, *wal.Log, string, string) {
 	if err := r.Register(Spec{Name: "fig", Dataset: "figure1", Preload: true}); err != nil {
 		t.Fatal(err)
 	}
-	return r, l, walDir, snapDir
+	return r, l, walDir
+}
+
+// snapshotOnDisk reports the wal_seq stamp and session count of the fig
+// snapshot in dir.
+func snapshotOnDisk(t *testing.T, dir string) (seq uint64, sessions int) {
+	t.Helper()
+	s, err := store.Open(filepath.Join(dir, "fig.ppds"))
+	if err != nil {
+		t.Fatalf("opening snapshot: %v", err)
+	}
+	defer s.Close()
+	return s.WALSeq(), s.Sessions()
 }
 
 // TestCrashAtEveryAppendStage kills the process at each stage of two
-// consecutive ingests and requires every batch whose log record was synced
-// (the precondition of the ack) to be present after restart. At "logged"
-// the snapshot still predates the batch, so recovery exercises replay; at
-// "snapshotted" it exercises the stamp that makes replay idempotent.
+// consecutive ingests and of the checkpoint that follows them, and requires
+// every batch whose log record was synced (the precondition of the ack) to
+// be present exactly once after restart. Up to "acked" the snapshot still
+// predates both batches, so recovery is replay alone; "tempfile" adds the
+// checkpoint's finished but unrenamed temporary file, which recovery must
+// ignore; at "renamed" the stamped snapshot and the records it covers are
+// both on disk, which exercises the stamp that makes replay idempotent.
 func TestCrashAtEveryAppendStage(t *testing.T) {
 	r, _, walDir, snapDir := walGrown(t)
 	captures := t.TempDir()
@@ -154,7 +181,22 @@ func TestCrashAtEveryAppendStage(t *testing.T) {
 	states := make(map[string]diskState)
 	var batch string
 	r.appendHook = func(stage string) {
-		states[batch+"-"+stage] = capture(t, walDir, snapDir, captures, batch+"-"+stage)
+		label := batch + "-" + stage
+		states[label] = capture(t, walDir, snapDir, captures, label)
+		if stage != "captured" {
+			return
+		}
+		// A kill between the temp file's fsync and its rename leaves the
+		// whole new snapshot under the temporary name beside the old one.
+		h, err := r.Open("fig")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		tmp := filepath.Join(states[label].snapDir, ".ppds-tmp-killed")
+		if err := store.WriteFileSeq(tmp, h.DB(), h.DemoQuery(), 2); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	h, err := r.Open("fig")
@@ -163,28 +205,42 @@ func TestCrashAtEveryAppendStage(t *testing.T) {
 	}
 	db := h.DB()
 	h.Close()
-	batch = "eve"
-	if _, err := r.Append("fig", "P", []*ppd.Session{newSession(db, "Eve")}); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"Eve", "Frank"} {
+		batch = strings.ToLower(name)
+		if _, err := r.Append("fig", "P", []*ppd.Session{newSession(db, name)}); err != nil {
+			t.Fatal(err)
+		}
+		states[batch+"-acked"] = capture(t, walDir, snapDir, captures, batch+"-acked")
 	}
-	batch = "frank"
-	if _, err := r.Append("fig", "P", []*ppd.Session{newSession(db, "Frank")}); err != nil {
+	batch = "ckpt"
+	if err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 
-	want := map[string][]string{
-		"eve-logged":        {"Ann", "Bob", "Dave", "Eve"},
-		"eve-published":     {"Ann", "Bob", "Dave", "Eve"},
-		"eve-snapshotted":   {"Ann", "Bob", "Dave", "Eve"},
-		"frank-logged":      {"Ann", "Bob", "Dave", "Eve", "Frank"},
-		"frank-published":   {"Ann", "Bob", "Dave", "Eve", "Frank"},
-		"frank-snapshotted": {"Ann", "Bob", "Dave", "Eve", "Frank"},
+	eve := []string{"Ann", "Bob", "Dave", "Eve"}
+	frank := []string{"Ann", "Bob", "Dave", "Eve", "Frank"}
+	want := map[string]struct {
+		keys    []string
+		snapSeq uint64 // the stamp of the snapshot the restart starts from
+	}{
+		"eve-logged":        {eve, 0},
+		"eve-published":     {eve, 0},
+		"eve-acked":         {eve, 0},
+		"frank-logged":      {frank, 0},
+		"frank-published":   {frank, 0},
+		"frank-acked":       {frank, 0},
+		"ckpt-captured":     {frank, 0}, // + the unrenamed temp file
+		"ckpt-renamed":      {frank, 2},
+		"ckpt-checkpointed": {frank, 2},
 	}
 	for label, st := range states {
+		if seq, n := snapshotOnDisk(t, st.snapDir); seq != want[label].snapSeq || n != 3+int(seq) {
+			t.Errorf("crash at %s: snapshot stamped %d with %d sessions, want stamp %d", label, seq, n, want[label].snapSeq)
+		}
 		r2, l2 := restart(t, st)
 		got := sessionKeys(t, r2)
-		if fmt.Sprint(got) != fmt.Sprint(want[label]) {
-			t.Errorf("crash at %s: restart sees %v, want %v", label, got, want[label])
+		if fmt.Sprint(got) != fmt.Sprint(want[label].keys) {
+			t.Errorf("crash at %s: restart sees %v, want %v", label, got, want[label].keys)
 		}
 		l2.Close()
 	}
@@ -201,9 +257,9 @@ func TestCrashedUnackedBatchAbsent(t *testing.T) {
 	r, _, walDir, snapDir := walGrown(t)
 	captures := t.TempDir()
 
-	// Batch 1 (Eve) completes: logged, published, snapshotted. Batch 2
-	// (Frank) reaches the log; the capture at "logged" then gets its record
-	// damaged to simulate the write never finishing.
+	// Batch 1 (Eve) completes: logged, published, acked. Batch 2 (Frank)
+	// reaches the log; the capture at "logged" then gets its record damaged
+	// to simulate the write never finishing.
 	var logged diskState
 	h, err := r.Open("fig")
 	if err != nil {
@@ -326,67 +382,231 @@ func TestRestartReplayIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestCheckpointCompactsLog grows the model across several small segments,
-// checkpoints, and requires the sealed, durably-snapshotted segments to be
-// deleted while the acked history survives a restart.
-func TestCheckpointCompactsLog(t *testing.T) {
-	walDir := filepath.Join(t.TempDir(), "wal")
-	snapDir := t.TempDir()
-	l, err := wal.Open(walDir, wal.Options{Sync: wal.SyncAlways, SegmentBytes: 256})
+// smallSegments is walGrown over 256-byte log segments, so a handful of
+// appends seals several, optionally without a snapshot directory.
+func smallSegments(t *testing.T, snapDir string) (*Registry, *wal.Log, string) {
+	t.Helper()
+	r, l, walDir := walGrownWith(t, snapDir, wal.Options{Sync: wal.SyncAlways, SegmentBytes: 256})
+	h, err := r.Open("fig")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	r := New()
-	r.SetSnapshotDir(snapDir)
-	if err := r.SetWAL(l); err != nil {
+	defer h.Close()
+	for i := 0; i < 6; i++ {
+		if _, err := r.Append("fig", "P", []*ppd.Session{newSession(h.DB(), fmt.Sprintf("G%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r, l, walDir
+}
+
+// restartCopy restarts from a copy of the live directories: recovery reads
+// the same bytes a crashed process would have left, while the live log
+// stays open.
+func restartCopy(t *testing.T, walDir, snapDir string) (*Registry, *wal.Log) {
+	t.Helper()
+	return restart(t, capture(t, walDir, snapDir, t.TempDir(), "copy"))
+}
+
+// TestCheckpointCompactsLog grows the model across several small segments:
+// the appends alone write no snapshot, so every record stays pending and
+// every sealed segment stays; the checkpoint then stamps one snapshot with
+// the last record, retires them all and deletes the sealed segments, and
+// the acked history survives a restart.
+func TestCheckpointCompactsLog(t *testing.T) {
+	snapDir := t.TempDir()
+	r, l, walDir := smallSegments(t, snapDir)
+	sealed := l.Segments()
+	if sealed < 3 {
+		t.Fatalf("six appends over 256-byte segments left %d segments, want several", sealed)
+	}
+	if st := r.WALStats(); st.PendingRecords != 6 || st.PendingBytes == 0 || st.Checkpoints != 1 || st.LastCheckpointSeq != 0 {
+		t.Fatalf("before the checkpoint: %+v, want 6 pending records and the build's snapshot alone", st)
+	}
+	if seq, n := snapshotOnDisk(t, snapDir); seq != 0 || n != 3 {
+		t.Fatalf("an append wrote a snapshot: stamp %d, %d sessions", seq, n)
+	}
+	if err := r.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if n := l.Segments(); n != 1 {
+		t.Errorf("after the checkpoint: %d segments, want 1 (compaction lagging)", n)
+	}
+	if st := r.WALStats(); st.LastSeq != 6 || st.PendingRecords != 0 || st.PendingBytes != 0 || st.Checkpoints != 2 || st.LastCheckpointSeq != 6 {
+		t.Errorf("after the checkpoint: %+v", st)
+	}
+	if seq, n := snapshotOnDisk(t, snapDir); seq != 6 || n != 9 {
+		t.Errorf("checkpoint wrote stamp %d with %d sessions, want 6 and 9", seq, n)
+	}
+	r2, l2 := restartCopy(t, walDir, snapDir)
+	defer l2.Close()
+	if keys := sessionKeys(t, r2); len(keys) != 9 {
+		t.Fatalf("restart sees %d sessions, want 9: %v", len(keys), keys)
+	}
+}
+
+// TestLogWithoutSnapshotDirKeepsItsRecords is the regression test for acked
+// data lost under -wal-dir alone: a checkpoint that has nowhere to write a
+// snapshot wrote nothing, so it must mark nothing durable — the log is the
+// only copy, and compaction may not delete a segment of it.
+func TestLogWithoutSnapshotDirKeepsItsRecords(t *testing.T) {
+	r, l, walDir := smallSegments(t, "")
+	sealed := l.Segments()
+	if err := r.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if n := l.Segments(); n != sealed {
+		t.Errorf("checkpoint without a snapshot directory compacted the log: %d segments, had %d", n, sealed)
+	}
+	if st := r.WALStats(); st.PendingRecords != 6 || st.Checkpoints != 0 {
+		t.Errorf("after the checkpoint: %+v, want 6 pending records and no checkpoint counted", st)
+	}
+	emptySnap := t.TempDir()
+	r2, l2 := restartCopy(t, walDir, emptySnap)
+	defer l2.Close()
+	if keys := sessionKeys(t, r2); len(keys) != 9 {
+		t.Fatalf("restart sees %d sessions, want 9 (acked batches compacted away): %v", len(keys), keys)
+	}
+}
+
+// TestAppendStartsCheckpointAtThreshold drives the automatic rule: an
+// append that takes the model's unsnapshotted log past checkpointFloor
+// returns with a checkpoint running behind it, which stamps the snapshot
+// with that record and retires it; the next small append is far below the
+// new threshold and starts nothing.
+func TestAppendStartsCheckpointAtThreshold(t *testing.T) {
+	r, _, _, snapDir := walGrown(t)
+	h, err := r.Open("fig")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Register(Spec{Name: "fig", Dataset: "figure1", Preload: true}); err != nil {
+	defer h.Close()
+	if _, err := r.Append("fig", "P", []*ppd.Session{newSession(h.DB(), "Eve")}); err != nil {
 		t.Fatal(err)
 	}
+	if st := r.WALStats(); st.PendingRecords != 1 || st.Checkpoints != 1 {
+		t.Fatalf("a small append: %+v, want it pending and no checkpoint started", st)
+	}
+	var big []*ppd.Session
+	for i := 0; i < checkpointFloor/40; i++ { // a session is over 40 bytes of log
+		big = append(big, newSession(h.DB(), fmt.Sprintf("B%d", i)))
+	}
+	if _, err := r.Append("fig", "P", big); err != nil {
+		t.Fatal(err)
+	}
+	// Append took ckptMu for the goroutine it started before returning, so
+	// taking it here waits for exactly that checkpoint.
+	h.e.ckptMu.Lock()
+	h.e.ckptMu.Unlock()
+	if st := r.WALStats(); st.PendingRecords != 0 || st.Checkpoints != 2 || st.LastCheckpointSeq != 2 {
+		t.Fatalf("after the threshold append: %+v, want nothing pending and a checkpoint stamped 2", st)
+	}
+	if seq, n := snapshotOnDisk(t, snapDir); seq != 2 || n != 4+len(big) {
+		t.Fatalf("snapshot stamped %d with %d sessions, want 2 and %d", seq, n, 4+len(big))
+	}
+	if _, err := r.Append("fig", "P", []*ppd.Session{newSession(h.DB(), "Frank")}); err != nil {
+		t.Fatal(err)
+	}
+	h.e.ckptMu.Lock()
+	h.e.ckptMu.Unlock()
+	if st := r.WALStats(); st.PendingRecords != 1 || st.Checkpoints != 2 {
+		t.Fatalf("a small append after the checkpoint: %+v, want it pending", st)
+	}
+}
+
+// TestCheckpointRacesAppends runs appends against forced checkpoints (under
+// -race in CI). A checkpoint captures one version and writes it outside the
+// entry's lock, so whatever the interleaving a snapshot stamped s must hold
+// exactly the records up to s — one session each here — and a restart from
+// the final state every acked batch once.
+func TestCheckpointRacesAppends(t *testing.T) {
+	r, _, walDir, snapDir := walGrown(t)
 	h, err := r.Open("fig")
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := h.DB()
 	h.Close()
-	for i := 0; i < 6; i++ {
-		if _, err := r.Append("fig", "P", []*ppd.Session{newSession(db, fmt.Sprintf("G%d", i))}); err != nil {
-			t.Fatal(err)
+	const appends = 200
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < appends; i++ {
+			if _, err := r.Append("fig", "P", []*ppd.Session{newSession(db, fmt.Sprintf("G%03d", i))}); err != nil {
+				t.Errorf("append %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if err := r.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+		if seq, n := snapshotOnDisk(t, snapDir); n != 3+int(seq) {
+			t.Fatalf("snapshot stamped %d holds %d sessions, want %d", seq, n, 3+seq)
 		}
 	}
-	// Every append snapshotted durably, so compaction should have pruned all
-	// sealed segments already; at most the active one remains.
-	if n := l.Segments(); n != 1 {
-		t.Errorf("after snapshotted appends: %d segments, want 1 (compaction lagging)", n)
+	if seq, _ := snapshotOnDisk(t, snapDir); seq != appends {
+		t.Fatalf("final checkpoint stamped %d, want %d", seq, appends)
+	}
+	r2, l2 := restartCopy(t, walDir, snapDir)
+	defer l2.Close()
+	if keys := sessionKeys(t, r2); len(keys) != 3+appends {
+		t.Fatalf("restart sees %d sessions, want %d", len(keys), 3+appends)
+	}
+}
+
+// TestDeleteDuringCheckpoint deletes a snapshot-backed model, with no other
+// handle open, while a checkpoint holds its captured version: the
+// checkpoint's own reference must keep the mapped snapshot that version
+// reads from until the new file is written.
+func TestDeleteDuringCheckpoint(t *testing.T) {
+	r0, l0, walDir, snapDir := walGrown(t)
+	h, err := r0.Open("fig")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eve := newSession(h.DB(), "Eve")
+	h.Close()
+	l0.Close()
+	// The restarted model serves from the mapped snapshot.
+	r, l := restart(t, diskState{walDir: walDir, snapDir: snapDir})
+	defer l.Close()
+	if _, err := r.Append("fig", "P", []*ppd.Session{eve}); err != nil {
+		t.Fatal(err)
+	}
+	r.appendHook = func(stage string) {
+		if stage == "captured" {
+			if err := r.Delete("fig"); err != nil {
+				t.Errorf("delete during checkpoint: %v", err)
+			}
+		}
 	}
 	if err := r.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	st := diskState{walDir: walDir, snapDir: snapDir}
-	// The live log stays open — recovery reads the same bytes a crashed
-	// process would have left, which Open on a second handle tolerates only
-	// after the first closes; copy instead.
-	cp := diskState{
-		walDir:  filepath.Join(t.TempDir(), "wal"),
-		snapDir: filepath.Join(t.TempDir(), "snap"),
+	if seq, n := snapshotOnDisk(t, snapDir); seq != 1 || n != 4 {
+		t.Fatalf("snapshot stamped %d with %d sessions, want 1 and 4", seq, n)
 	}
-	copyTree(t, st.walDir, cp.walDir)
-	copyTree(t, st.snapDir, cp.snapDir)
-	r2, l2 := restart(t, cp)
-	defer l2.Close()
-	keys := sessionKeys(t, r2)
-	if len(keys) != 9 {
-		t.Fatalf("restart sees %d sessions, want 9: %v", len(keys), keys)
+	if _, err := r.Open("fig"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("open after delete: %v, want ErrNotFound", err)
 	}
 }
 
 // TestSnapshotErrorsSurfaceAndIngestSurvives is the regression test for the
 // silent writeSnapshot failure: with an unwritable snapshot location every
 // failed write must count (SnapshotErrors) and log, the ingest must still
-// be acknowledged, and — with the WAL holding the only durable copy — a
-// restart must recover the acked batch from the log alone.
+// be acknowledged without trying the directory again, and — with the WAL
+// holding the only durable copy — a restart must recover the acked batch
+// from the log alone.
 func TestSnapshotErrorsSurfaceAndIngestSurvives(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "wal")
 	// A regular file where the snapshot directory should be: every write
@@ -428,14 +648,20 @@ func TestSnapshotErrorsSurfaceAndIngestSurvives(t *testing.T) {
 	if total != 4 {
 		t.Fatalf("append total = %d, want 4", total)
 	}
-	if n := r.SnapshotErrors(); n != 2 {
-		t.Fatalf("SnapshotErrors after failed append snapshot = %d, want 2", n)
-	}
-	if len(logged) < 2 || !strings.Contains(logged[0], "snapshot fig") {
-		t.Fatalf("snapshot failures not logged: %q", logged)
+	if n := r.SnapshotErrors(); n != 1 {
+		t.Fatalf("SnapshotErrors after a logged append = %d, want 1 (the ack retried the directory)", n)
 	}
 	if err := r.Checkpoint(); err == nil {
 		t.Fatal("Checkpoint with unwritable snapshot dir: want error")
+	}
+	if n := r.SnapshotErrors(); n != 2 {
+		t.Fatalf("SnapshotErrors after failed checkpoint = %d, want 2", n)
+	}
+	if len(logged) != 2 || !strings.Contains(logged[0], "snapshot fig") {
+		t.Fatalf("snapshot failures not logged: %q", logged)
+	}
+	if st := r.WALStats(); st.PendingRecords != 1 || st.Checkpoints != 0 {
+		t.Fatalf("a failed checkpoint marked something durable: %+v", st)
 	}
 
 	// Recovery needs only the log: restart with a *writable* snapshot dir
@@ -517,7 +743,7 @@ func TestReplayPoisonsBuildOnUndecodableRecord(t *testing.T) {
 	}
 	if _, err := r2.Open("fig"); err == nil {
 		t.Fatal("open served a model that failed to replay an acked batch")
-	} else if errors.Is(err, ErrNotFound) {
-		t.Fatalf("unexpected error class: %v", err)
+	} else if errors.Is(err, ErrNotFound) || !strings.Contains(err.Error(), "wal record 1") {
+		t.Fatalf("want the record at fault named, got: %v", err)
 	}
 }

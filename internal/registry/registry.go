@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -158,7 +159,8 @@ type Info struct {
 
 // entry is one catalog slot. The registry mutex guards refs/removed and
 // the map membership; buildMu serializes the lazy build so concurrent
-// Opens of the same cold model build it once.
+// Opens of the same cold model build it once. Lock order: ckptMu before
+// buildMu.
 type entry struct {
 	spec Spec
 
@@ -181,6 +183,17 @@ type entry struct {
 	// includes: the snapshot's wal_seq stamp at build, advanced by replay
 	// and by each logged Append. Guarded by buildMu.
 	walSeq uint64
+	// logBytes counts the log payload bytes e.db holds beyond the version
+	// the last checkpoint captured (replayed or appended), snapBytes is the
+	// size of the model's last durable snapshot; a checkpoint is due when
+	// the first reaches the second (see checkpointFloor). Guarded by buildMu.
+	logBytes, snapBytes int64
+
+	// ckptMu admits one checkpoint of the model at a time, so the wal_seq
+	// stamps landing on disk only grow. Append hands it, locked, to the
+	// goroutine it starts; whoever takes it afterwards has waited for that
+	// checkpoint to finish.
+	ckptMu sync.Mutex
 }
 
 // Registry is the concurrent catalog. The zero value is not usable; call
@@ -190,13 +203,15 @@ type Registry struct {
 	models  map[string]*entry
 	snapDir string
 
-	// walMu guards the attached write-ahead log and the pending map
-	// (model → sorted seqs acked but not yet durably snapshotted). Lock
-	// ordering: r.mu and buildMu may be held when taking walMu, never the
-	// reverse.
-	walMu      sync.Mutex
-	wal        *wal.Log
-	walPending map[string][]uint64
+	// walMu guards the attached write-ahead log, the pending map (model →
+	// records acked but not yet durably snapshotted, in seq order) and the
+	// checkpoint counters of WALStats. Lock ordering: r.mu and buildMu may
+	// be held when taking walMu, never the reverse.
+	walMu       sync.Mutex
+	wal         *wal.Log
+	walPending  map[string][]pendingRec
+	checkpoints uint64
+	lastCkptSeq uint64
 
 	// snapErrs counts failed snapshot writes (snapshot_errors in /stats).
 	snapErrs atomic.Uint64
@@ -205,9 +220,11 @@ type Registry struct {
 	logf  func(format string, args ...any)
 
 	// appendHook, when non-nil, is called at the named stages of Append
-	// ("logged", "published", "snapshotted"). Test-only: the crash-injection
-	// harness copies the on-disk state at each stage to simulate a kill
-	// there. Set before any concurrent use.
+	// ("logged", "published") and of a checkpoint ("captured" with the
+	// version in hand and nothing written yet, "renamed" with the snapshot in
+	// place and nothing marked durable, "checkpointed"). Test-only: the
+	// crash-injection harness copies the on-disk state at each stage to
+	// simulate a kill there. Set before any concurrent use.
 	appendHook func(stage string)
 }
 
@@ -219,9 +236,11 @@ func New() *Registry {
 // SetSnapshotDir points the catalog at a .ppds snapshot directory (see
 // internal/store). With a directory set, a model build first tries to mmap
 // dir/<name>.ppds — cold-starting without running its generator — and
-// every successful generator build or session append writes the snapshot
-// back (best-effort, atomically), so the directory behaves as a warm cache
-// across daemon restarts. An empty dir disables snapshotting.
+// every successful generator build writes the snapshot back (best-effort,
+// atomically), so the directory behaves as a warm cache across daemon
+// restarts. Session appends reach it through checkpoints: before every ack
+// without a write-ahead log, behind the ack once enough log has piled up
+// with one (see checkpointFloor). An empty dir disables snapshotting.
 func (r *Registry) SetSnapshotDir(dir string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -244,9 +263,10 @@ func (r *Registry) snapshotPath(name string) string {
 // must be a partition file of the matching slice (a stale or whole-model
 // file under the same name is discarded and the generator rebuilds); a
 // generator build constructs the full dataset, persists this slice's
-// partition snapshot, and serves the slice. The entry's buildMu must be
-// held.
-func (r *Registry) buildLocked(name string, e *entry) {
+// partition snapshot, and serves the slice. A generator build of a whole
+// model has no snapshot yet: buildLocked reports it, and the caller
+// checkpoints once buildMu is released. The entry's buildMu must be held.
+func (r *Registry) buildLocked(name string, e *entry) (needSnapshot bool) {
 	defer func() { e.built = true }()
 	part, parts := e.spec.Partition, e.spec.Partitions
 	if path := r.snapshotPath(name); path != "" {
@@ -255,9 +275,10 @@ func (r *Registry) buildLocked(name string, e *entry) {
 			if parts == 0 && !ok || parts > 0 && ok && pi == part && pc == parts {
 				e.db, e.demo, e.closer = s.DB(), s.Demo(), s
 				e.walSeq = s.WALSeq()
+				e.snapBytes = fileSize(path)
 				e.items, e.sessions = dbSize(e.db)
 				r.replayWAL(name, e)
-				return
+				return false
 			}
 			s.Close() // wrong slice for this spec
 		}
@@ -266,7 +287,7 @@ func (r *Registry) buildLocked(name string, e *entry) {
 	full, e.demo, e.buildErr = dataset.Build(e.spec.buildConfig())
 	if e.buildErr != nil {
 		e.buildErr = fmt.Errorf("registry: building model %q: %w", name, e.buildErr)
-		return
+		return false
 	}
 	if parts > 0 {
 		if path := r.snapshotPath(name); path != "" {
@@ -277,41 +298,116 @@ func (r *Registry) buildLocked(name string, e *entry) {
 		e.db, e.buildErr = ppd.PartitionDB(full, part, parts)
 		if e.buildErr != nil {
 			e.buildErr = fmt.Errorf("registry: partitioning model %q: %w", name, e.buildErr)
-			return
+			return false
 		}
-		r.replayWAL(name, e)
 	} else {
 		e.db = full
-		r.replayWAL(name, e)
-		if e.buildErr != nil {
-			return
-		}
-		// Snapshot after replay, stamped with the covered seq, so the
-		// replayed batches become durably snapshotted in the same pass.
-		if err := r.writeSnapshot(name, e.db, e.demo, e.walSeq); err == nil && e.walSeq > 0 {
-			r.markDurable(name, e.walSeq)
-		}
 	}
+	r.replayWAL(name, e)
 	e.items, e.sessions = dbSize(e.db)
+	// The checkpoint runs after replay, so its stamp covers the replayed
+	// batches and they become durably snapshotted in the same pass.
+	return parts == 0 && e.buildErr == nil
+}
+
+// checkpointFloor is the least log a model accumulates before a checkpoint
+// is due, so a model smaller than its own ingest traffic does not rewrite
+// its snapshot every few batches. Above the floor the rule is the
+// snapshot's own size: a checkpoint is due when the log bytes since the
+// last durable snapshot reach that snapshot's bytes, which spaces
+// checkpoints geometrically in the model's growth (a snapshot byte is
+// rewritten a bounded number of times over the model's life, not once per
+// append) and never lets a restart replay more log than it maps snapshot.
+//
+// The floor trades replay time against checkpoints per append; measured on
+// the reference box with the harness's ingest shape (eight-session batches
+// of 20-item sessions, 0.8 KiB of log each): replay runs at ~80 ms per MiB
+// (BenchmarkReplayWAL: 1 000 batches, 0.8 MiB, 60-70 ms), an append costs
+// ~0.06 ms beside a 0.19 ms fsync (BenchmarkRegistryAppend; wal.fsync.us),
+// and a checkpoint of a model below the floor ~1 ms, mostly waiting for its
+// own fsync (store.write.ms 0.99). At 256 KiB a restart replays at most
+// ~20 ms of log — about what a recovery of the 16-voter model costs with
+// nothing to replay (hardqd.recovery_ms 12-14) — and a checkpoint every
+// ~320 appends adds ~1 % to what they cost. At 64 KiB the checkpoints would
+// be 5 %, at 1 MiB the replay 85 ms.
+const checkpointFloor = 256 << 10
+
+// checkpoint persists the entry's current version: the one function through
+// which a whole model's snapshot is written. It captures (db, demo, walSeq)
+// under buildMu and writes after releasing it — database versions are
+// immutable, so reads and appends go on against the entry while the file is
+// assembled — then retires the log records the file covers (markDurable)
+// and compacts the log behind them. A checkpoint that wrote no file (no
+// snapshot directory) marks nothing durable: the log stays the only copy.
+// A failed write is counted (snapshot_errors) and logged by writeSnapshot,
+// marks nothing, and is not retried until another threshold's worth of log
+// arrives (logBytes restarts at the capture either way) or the daemon
+// drains. The caller holds e.ckptMu and a reference on the entry, so a
+// Delete cannot unmap the snapshot the captured version still reads.
+func (r *Registry) checkpoint(name string, e *entry) error {
+	e.buildMu.Lock()
+	ok := e.built && e.buildErr == nil && e.db != nil && e.spec.Partitions == 0
+	db, demo, seq := e.db, e.demo, e.walSeq
+	e.logBytes = 0
+	e.buildMu.Unlock()
+	if !ok {
+		return nil
+	}
+	if r.appendHook != nil {
+		r.appendHook("captured")
+	}
+	n, err := r.writeSnapshot(name, db, demo, seq)
+	if err != nil || n == 0 {
+		return err
+	}
+	if r.appendHook != nil {
+		r.appendHook("renamed")
+	}
+	e.buildMu.Lock()
+	e.snapBytes = n
+	e.buildMu.Unlock()
+	r.noteCheckpoint(name, seq)
+	if r.appendHook != nil {
+		r.appendHook("checkpointed")
+	}
+	return nil
+}
+
+// checkpointNow runs a checkpoint on the caller's goroutine, after any one
+// already in flight for the model. The caller holds a reference on e.
+func (r *Registry) checkpointNow(name string, e *entry) error {
+	e.ckptMu.Lock()
+	defer e.ckptMu.Unlock()
+	return r.checkpoint(name, e)
 }
 
 // writeSnapshot persists a model snapshot when a snapshot directory is
 // configured, stamped (when walSeq > 0) with the last write-ahead-log
-// sequence the database includes. Serving or acking must not fail because
-// the cache file cannot be written — with a WAL attached the acked
+// sequence the database includes, and returns the size of the file written
+// (0 when there is no directory to write to). Serving or acking must not
+// fail because the file cannot be written — with a WAL attached the acked
 // batches are already durable, and without one the snapshot was always
 // best-effort — so callers treat the error as advisory; it is counted
 // (snapshot_errors in /stats) and logged here, never dropped silently.
-func (r *Registry) writeSnapshot(name string, db *ppd.DB, demo string, walSeq uint64) error {
+func (r *Registry) writeSnapshot(name string, db *ppd.DB, demo string, walSeq uint64) (int64, error) {
 	path := r.snapshotPath(name)
 	if path == "" {
-		return nil
+		return 0, nil
 	}
-	err := store.WriteFileSeq(path, db, demo, walSeq)
-	if err != nil {
+	if err := store.WriteFileSeq(path, db, demo, walSeq); err != nil {
 		r.noteSnapshotErr(name, err)
+		return 0, err
 	}
-	return err
+	return fileSize(path), nil
+}
+
+// fileSize returns the size of the file at path, 0 if it cannot be read.
+func fileSize(path string) int64 {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return 0
+	}
+	return fi.Size()
 }
 
 // noteSnapshotErr counts and logs one failed snapshot write.
@@ -332,10 +428,13 @@ func (r *Registry) Register(spec Spec) error {
 	e := &entry{spec: spec}
 	if spec.Preload {
 		e.buildMu.Lock()
-		r.buildLocked(spec.Name, e)
+		needSnapshot := r.buildLocked(spec.Name, e)
 		e.buildMu.Unlock()
 		if e.buildErr != nil {
 			return e.buildErr
+		}
+		if needSnapshot {
+			_ = r.checkpointNow(spec.Name, e) // advisory: counted and logged
 		}
 	}
 	if err := r.add(spec.Name, e); err != nil {
@@ -389,11 +488,12 @@ func (r *Registry) Open(name string) (*Handle, error) {
 
 	var db *ppd.DB
 	var demo string
+	needSnapshot := false
 	err := func() error {
 		e.buildMu.Lock()
 		defer e.buildMu.Unlock() // defer: a panicking builder must not wedge the entry
 		if !e.built {
-			r.buildLocked(name, e)
+			needSnapshot = r.buildLocked(name, e)
 		}
 		if e.buildErr == nil {
 			// Capture under buildMu: Append swaps e.db for later opens, and
@@ -405,6 +505,9 @@ func (r *Registry) Open(name string) (*Handle, error) {
 	if err != nil {
 		r.release(e)
 		return nil, err
+	}
+	if needSnapshot {
+		_ = r.checkpointNow(name, e) // advisory: counted and logged
 	}
 	return &Handle{r: r, e: e, name: name, db: db, demo: demo}, nil
 }
@@ -465,13 +568,15 @@ func unload(e *entry) {
 // new sessions.
 //
 // With a write-ahead log attached (SetWAL) the batch is logged and synced
-// *before* the swap publishes it, so by the time the caller can
-// acknowledge the ingest it is durable; the snapshot rewrite behind it is
-// then an optimization that lets replay — and eventually compaction —
-// skip the batch. Without a log the snapshot rewrite is the only
-// persistence and remains best-effort (its failure is counted and logged,
-// not returned). A failed log write rejects the append: nothing was
-// published, nothing may be acked.
+// *before* the swap publishes it, and that is all the ack waits for: the
+// snapshot lags the log by design, and a restart recovers the model as
+// snapshot + replay. When the model's unsnapshotted log reaches the
+// checkpoint threshold (checkpointFloor), Append starts a checkpoint on
+// its own goroutine and returns without it. A failed log write rejects the
+// append: nothing was published, nothing may be acked. Without a log the
+// snapshot is the only persistence, so the checkpoint runs before Append
+// returns and remains best-effort (its failure is counted and logged, not
+// returned).
 func (r *Registry) Append(name, pref string, sessions []*ppd.Session) (int, error) {
 	h, err := r.Open(name) // holds a ref: a concurrent Delete cannot unload mid-append
 	if err != nil {
@@ -479,42 +584,60 @@ func (r *Registry) Append(name, pref string, sessions []*ppd.Session) (int, erro
 	}
 	defer h.Close()
 	e := h.e
+	total, logged, err := r.appendLocked(name, e, pref, sessions)
+	if err != nil {
+		return 0, err
+	}
+	// A partitioned entry serves a slice; persisting it with WriteFile would
+	// produce a whole-model snapshot that misdescribes the slice (and would
+	// be discarded on restart anyway), so only whole models re-persist.
+	if !logged && e.spec.Partitions == 0 {
+		_ = r.checkpointNow(name, e) // advisory: counted and logged
+	}
+	return total, nil
+}
+
+// appendLocked is Append under the entry's buildMu: validate, log, swap,
+// and — with a log — start the checkpoint that has come due. It reports
+// the new session total and whether the batch went to a log.
+func (r *Registry) appendLocked(name string, e *entry, pref string, sessions []*ppd.Session) (total int, logged bool, err error) {
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
 	// Validate by building the grown database first: a batch the model
 	// rejects must never reach the log, or replay would fail on it forever.
 	ndb, err := e.db.AppendSessions(pref, sessions)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	seq, err := r.logBatch(name, pref, sessions)
+	seq, n, err := r.logBatch(name, pref, sessions)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	if r.appendHook != nil {
 		r.appendHook("logged")
 	}
 	e.db = ndb
+	e.items, e.sessions = dbSize(ndb)
 	if seq > 0 {
 		e.walSeq = seq
+		e.logBytes += int64(n)
 	}
-	e.items, e.sessions = dbSize(ndb)
 	if r.appendHook != nil {
 		r.appendHook("published")
 	}
-	// A partitioned entry serves a slice; persisting it with WriteFile would
-	// produce a whole-model snapshot that misdescribes the slice (and would
-	// be discarded on restart anyway), so only whole models re-persist.
-	if e.spec.Partitions == 0 {
-		if err := r.writeSnapshot(name, ndb, e.demo, e.walSeq); err == nil && seq > 0 {
-			r.markDurable(name, seq)
-			r.compactWAL()
-		}
+	if e.spec.Partitions == 0 && e.logBytes >= max(e.snapBytes, checkpointFloor) && e.ckptMu.TryLock() {
+		// The goroutine owns ckptMu and its own reference until it is done;
+		// Registry.Checkpoint (the drain) waits for it on that mutex.
+		r.mu.Lock()
+		e.refs++
+		r.mu.Unlock()
+		go func() {
+			defer r.release(e)
+			defer e.ckptMu.Unlock()
+			_ = r.checkpoint(name, e) // advisory: counted and logged
+		}()
 	}
-	if r.appendHook != nil {
-		r.appendHook("snapshotted")
-	}
-	return e.sessions, nil
+	return e.sessions, seq > 0, nil
 }
 
 // List snapshots the catalog sorted by name.

@@ -81,6 +81,11 @@ type StatsResponse struct {
 	// the write-ahead log (or, without one, that ingest durability is
 	// degraded).
 	SnapshotErrors uint64 `json:"snapshot_errors"`
+	// WAL is the write-ahead log's account — how far it has got, how much
+	// of it no durable snapshot covers yet (what a restart would replay),
+	// the checkpoints retiring it, and its sticky failure. Omitted when the
+	// registry has no log attached.
+	WAL *registry.WALStats `json:"wal,omitempty"`
 }
 
 // ModelsResponse is the wire form of GET /models: the catalog listing,
@@ -139,9 +144,10 @@ func ErrorStatus(err error) (status int, ok bool) {
 //	                               client API (see rows.go)
 //	POST   /v1/sessions            append sessions to a model's p-relation
 //	                               ({"model","pref","sessions":[...]}); both
-//	                               caches stay warm, and the growth is logged
-//	                               and snapshotted when the registry has a
-//	                               WAL or snapshot directory
+//	                               caches stay warm; the growth is logged
+//	                               before the ack when the registry has a
+//	                               WAL (its snapshot then follows by
+//	                               checkpoint), else snapshotted before it
 //	GET    /models                 list the model catalog
 //	POST   /models                 register a dataset-backed model (registry.Spec body)
 //	GET    /models/{name}          one catalog row
@@ -196,6 +202,7 @@ func (s *Service) Handler() http.Handler {
 			return &StatsResponse{
 				Items: items, Sessions: sessions, Models: models,
 				Service: s.Stats(), SnapshotErrors: s.reg.SnapshotErrors(),
+				WAL: s.reg.WALStats(),
 			}, nil
 		})
 	})
@@ -234,8 +241,9 @@ func (s *Service) handleRegisterModel(r *http.Request) (*ModelResponse, error) {
 }
 
 // handleIngest serves POST /v1/sessions: the body is one IngestRequest; a
-// 200 means the sessions are durably part of the model (and of its snapshot
-// when a snapshot directory is configured).
+// 200 means the sessions are durably part of the model — in the fsynced
+// write-ahead log when one is attached, else in the snapshot when a snapshot
+// directory is configured.
 func (s *Service) handleIngest(r *http.Request) (*IngestResponse, error) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
