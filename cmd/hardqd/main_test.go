@@ -104,7 +104,9 @@ func boolQuery(query, model string) []byte {
 	return b
 }
 
-func TestEvalBatchGolden(t *testing.T) {
+// TestV1QueryBatchGolden pins a two-request batch's wire shape, its
+// inference-group dedup counters included.
+func TestV1QueryBatchGolden(t *testing.T) {
 	srv, _ := testServer(t, "-dataset", "figure1")
 	one := map[string]any{"kind": "bool", "query": demoQuery}
 	req, _ := json.Marshal(map[string]any{"requests": []any{one, one}})
@@ -213,7 +215,9 @@ func TestModelsGolden(t *testing.T) {
 	checkGolden(t, "models", b)
 }
 
-func TestEvalWithModelGolden(t *testing.T) {
+// TestV1QueryModelGolden pins a bool request routed to a named manifest
+// model.
+func TestV1QueryModelGolden(t *testing.T) {
 	srv := manifestServer(t)
 	b := postBody(t, srv, "/v1/query", boolQuery(pollsDemoQuery, "polls-small"))
 	checkGolden(t, "v1_query_model_polls", b)

@@ -72,9 +72,7 @@ func mergeResults(kind ppd.Kind, k int, rows bool, parts []*server.RowsResult) (
 			}
 		}
 		// The aggregation code reads only Prob, so the nil Sessions are safe.
-		fold := ppd.BoolAggregate(sps)
-		out.Prob = fold.Prob
-		out.Count = fold.Count
+		out.Prob, out.Count = ppd.BoolAggregate(sps)
 		out.LiveSessions = len(sps)
 		if kind == ppd.KindCountDist {
 			dist, err := ppd.CountDistFromSessions(sps, n)

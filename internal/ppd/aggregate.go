@@ -87,7 +87,7 @@ func (e *Engine) aggregateUnion(ctx context.Context, uq *UnionQuery, rel, attr s
 		return nil, err
 	}
 	var rows []AggRow
-	probs := e.newGroupProbs(gr)
+	probs := e.newGroupProbs(gr.Groups)
 	for _, ls := range gr.Live {
 		if len(ls.Session.Key) == 0 {
 			continue

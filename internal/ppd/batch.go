@@ -83,14 +83,14 @@ type BatchGroup struct {
 	U pattern.Union
 }
 
-// BatchSolveGroups solves many groups with the engine's configured method:
-// groups sharing a union shape (same algorithm, reference ranking and union,
-// differing only in insertion probabilities) are one plan class, and a class
-// solves through one SolveSessions walk with a lane per group. Groups outside
-// the compiled-plan methods fall back to per-group solves. Results are
-// positionally aligned with groups and bit-identical to solving each group
-// alone with SolveUnionCtx.
-func (e *Engine) BatchSolveGroups(ctx context.Context, groups []BatchGroup) ([]float64, []SolveReport, error) {
+// batchSolveGroups solves many groups with the engine's configured method,
+// which must be a batchableMethod: groups sharing a union shape (same
+// algorithm, reference ranking and union, differing only in insertion
+// probabilities) are one plan class, and a class solves through one
+// SolveSessions walk with a lane per group. Results are positionally
+// aligned with groups and bit-identical to solving each group alone with
+// SolveUnionCtx.
+func (e *Engine) batchSolveGroups(ctx context.Context, groups []BatchGroup) ([]float64, []SolveReport, error) {
 	probs := make([]float64, len(groups))
 	reports := make([]SolveReport, len(groups))
 	opts := e.SolverOpts
@@ -107,16 +107,7 @@ func (e *Engine) BatchSolveGroups(ctx context.Context, groups []BatchGroup) ([]f
 	var classes []class
 	classOf := make(map[string]int)
 	for gi, g := range groups {
-		algo, ok := PlanAlgo(e.Method, g.U)
-		if !ok {
-			// Method outside the compiled-plan layer: solve the group alone.
-			p, rep, err := e.solve(ctx, g.SM, g.U)
-			if err != nil {
-				return nil, nil, err
-			}
-			probs[gi], reports[gi] = p, rep
-			continue
-		}
+		algo, _ := PlanAlgo(e.Method, g.U) // a batchableMethod always plans
 		key := PlanKey(algo, g.SM.Reference(), g.U)
 		ci, seen := classOf[key]
 		if !seen {
@@ -149,17 +140,15 @@ func (e *Engine) BatchSolveGroups(ctx context.Context, groups []BatchGroup) ([]f
 	return probs, reports, nil
 }
 
-// BatchableMethod reports whether a method's grounded groups may route
-// through BatchSolveGroups: exact compiled-plan methods give bit-identical
+// batchableMethod reports whether a method's grounded groups may route
+// through batchSolveGroups: exact compiled-plan methods give bit-identical
 // results batched or alone, so batching is purely a performance decision
 // there. Sampler methods consume RNG streams per group and the adaptive
 // planner budgets per group, so they keep the per-group path.
-func BatchableMethod(m Method) bool {
+func batchableMethod(m Method) bool {
 	switch m {
 	case MethodAuto, MethodTwoLabel, MethodBipartite, MethodRelOrder:
 		return true
 	}
 	return false
 }
-
-func (e *Engine) batchableMethod() bool { return BatchableMethod(e.Method) }

@@ -2,6 +2,7 @@ package ppd
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -39,7 +40,7 @@ func (c *mapPlanCache) Put(key string, p *solver.Plan) {
 	c.m[key] = p
 }
 
-// BatchSolveGroups must match per-group SolveUnionCtx bit-for-bit for the
+// batchSolveGroups must match per-group SolveUnionCtx bit-for-bit for the
 // exact compiled-plan methods — the grouped/batched path is a pure
 // performance optimization.
 func TestBatchSolveGroupsMatchesPerGroupBitwise(t *testing.T) {
@@ -66,7 +67,7 @@ func TestBatchSolveGroupsMatchesPerGroupBitwise(t *testing.T) {
 	for _, method := range []Method{MethodAuto, MethodTwoLabel, MethodBipartite, MethodRelOrder} {
 		eng := &Engine{DB: db, Method: method, Plans: newMapPlanCache(),
 			SolverOpts: solver.Options{MaxInvolved: 16}}
-		probs, reps, err := eng.BatchSolveGroups(context.Background(), groups)
+		probs, reps, err := eng.batchSolveGroups(context.Background(), groups)
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -107,7 +108,7 @@ func TestBatchSolveGroupsUsesPlanCache(t *testing.T) {
 	}
 	cache := newMapPlanCache()
 	eng := &Engine{DB: db, Method: MethodAuto, Plans: cache}
-	first, _, err := eng.BatchSolveGroups(context.Background(), groups)
+	first, _, err := eng.batchSolveGroups(context.Background(), groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestBatchSolveGroupsUsesPlanCache(t *testing.T) {
 		t.Fatal("no plans cached on first batch")
 	}
 	putsAfterFirst := cache.puts
-	second, _, err := eng.BatchSolveGroups(context.Background(), groups)
+	second, _, err := eng.batchSolveGroups(context.Background(), groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,6 +153,55 @@ func TestEvalBatchedMatchesUngrouped(t *testing.T) {
 			math.Float64bits(res.Count) != math.Float64bits(want.Count) {
 			t.Fatalf("%v: batched eval (%v, %v) != ungrouped (%v, %v)",
 				method, res.Prob, res.Count, want.Prob, want.Count)
+		}
+	}
+}
+
+// DoGrouped dedups groups across its requests, and does not under
+// DisableGrouping, where every session is its own group; the answers are the
+// same bits either way.
+func TestDoGroupedDedupsAcrossRequests(t *testing.T) {
+	db := figure1DB(t)
+	cr := (&Request{Kind: KindBool, Query: `P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`}).MustCompile()
+	crs := []*CompiledRequest{cr, cr}
+	grouped, err := (&Engine{DB: db}).DoGrouped(context.Background(), crs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := (&Engine{DB: db, DisableGrouping: true}).DoGrouped(context.Background(), crs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grouped.Groups >= grouped.Instances || grouped.Solved != grouped.Groups {
+		t.Errorf("grouped: %d groups, %d solved over %d instances", grouped.Groups, grouped.Solved, grouped.Instances)
+	}
+	if grouped.Responses[0].Solves != grouped.Groups || grouped.Responses[1].Solves != 0 {
+		t.Errorf("grouped solves %d/%d, want %d/0", grouped.Responses[0].Solves, grouped.Responses[1].Solves, grouped.Groups)
+	}
+	if plain.Groups != plain.Instances || plain.Instances != grouped.Instances {
+		t.Errorf("ungrouped: %d groups over %d instances, want one per instance of %d", plain.Groups, plain.Instances, grouped.Instances)
+	}
+	for qi := range crs {
+		if g, p := grouped.Responses[qi].Prob, plain.Responses[qi].Prob; math.Float64bits(g) != math.Float64bits(p) {
+			t.Errorf("request %d: grouped %v != ungrouped %v", qi, g, p)
+		}
+	}
+}
+
+// A DoGrouped failure is a RequestError naming the request it came from;
+// kinds other than bool, count and countdist are refused.
+func TestDoGroupedNamesFailingRequest(t *testing.T) {
+	eng := &Engine{DB: figure1DB(t)}
+	q := `P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`
+	good := (&Request{Kind: KindBool, Query: q}).MustCompile()
+	for _, bad := range []*Request{
+		{Kind: KindCount, Query: `P(_, _; c1; c2), X(c1)`},
+		{Kind: KindTopK, Query: q, K: 1},
+	} {
+		_, err := eng.DoGrouped(context.Background(), []*CompiledRequest{good, bad.MustCompile()})
+		var re *RequestError
+		if !errors.As(err, &re) || re.Index != 1 {
+			t.Errorf("%v request: error %v, want a RequestError for request 1", bad.Kind, err)
 		}
 	}
 }

@@ -49,8 +49,8 @@ type SolveCache interface {
 // GroupKey returns the memoization key of one inference request: the solver
 // method joined with the model's parameter hash and the canonical key of
 // the grounded union. It is the key of SolveCache lookups across
-// evaluations; Grounded.GroupKey returns the same string for a grounded
-// group without rehashing anything.
+// evaluations; a grounded group keeps the parts it is built from, so the
+// engine looks groups up without rehashing anything.
 func GroupKey(m Method, sm rim.SessionModel, u pattern.Union) string {
 	return groupID{model: sm.Rehash(), union: u.Key()}.key(m)
 }

@@ -260,7 +260,7 @@ func TestAdaptiveRoutesPoolExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
 		}
-		want, err := auto.SolveUnion(g.sm, g.u)
+		want, _, err := auto.SolveUnionCtx(context.Background(), g.sm, g.u)
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
 		}

@@ -44,12 +44,12 @@ func (e *Engine) DoCompiled(ctx context.Context, cr *CompiledRequest) (*Response
 		defer cancel()
 	}
 	switch cr.Kind {
-	case KindBool, KindCount:
-		res, _, err := eng.evalUnion(ctx, cr.Union)
+	case KindBool, KindCount, KindCountDist:
+		res, err := eng.DoGrouped(ctx, []*CompiledRequest{cr})
 		if err != nil {
 			return nil, err
 		}
-		return evalResponse(cr.Kind, res), nil
+		return res.Responses[0], nil
 	case KindTopK:
 		top, diag, err := eng.topKUnion(ctx, cr.Union, cr.K, cr.BoundEdges)
 		if err != nil {
@@ -69,47 +69,10 @@ func (e *Engine) DoCompiled(ctx context.Context, cr *CompiledRequest) (*Response
 			return nil, err
 		}
 		return &Response{Kind: KindAggregate, Agg: agg, Count: agg.Count}, nil
-	case KindCountDist:
-		dist, res, err := eng.countDistUnion(ctx, cr.Union)
-		if err != nil {
-			return nil, err
-		}
-		resp := evalResponse(KindCountDist, res)
-		resp.Dist = dist
-		return resp, nil
 	case KindConsensus:
 		return eng.consensusUnion(ctx, cr)
 	}
 	return nil, fmt.Errorf("ppd: unknown kind %v", cr.Kind)
-}
-
-// evalResponse builds the unified response of an evaluation-backed kind.
-func evalResponse(k Kind, res *EvalResult) *Response {
-	return &Response{
-		Kind:       k,
-		Prob:       res.Prob,
-		Count:      res.Count,
-		PerSession: res.PerSession,
-		Solves:     res.Solves,
-		CacheHits:  res.CacheHits,
-		Plan:       res.Plan,
-	}
-}
-
-// countDistUnion is the count-distribution core: it evaluates the union and
-// extends the per-session probabilities into the exact Poisson-binomial
-// distribution of count(Q); see CountDistFromSessions for the padding
-// semantics.
-func (e *Engine) countDistUnion(ctx context.Context, uq *UnionQuery) (*CountDistribution, *EvalResult, error) {
-	res, gr, err := e.evalUnion(ctx, uq)
-	if err != nil {
-		return nil, nil, err
-	}
-	dist, err := CountDistFromSessions(res.PerSession, gr.Sessions)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dist, res, nil
 }
 
 // CountDistFromSessions builds the exact count(Q) distribution from the
@@ -117,7 +80,7 @@ func (e *Engine) countDistUnion(ctx context.Context, uq *UnionQuery) (*CountDist
 // structurally-unsatisfiable sessions (empty grounded union, absent from
 // PerSession) with probability zero so the support is the full session
 // count of the queried p-relation. It is the shared construction of the
-// engine's countdist kind and the service layer's grouped batch path.
+// engine's countdist kind and the coordinator's merge (internal/cluster).
 func CountDistFromSessions(per []SessionProb, sessions int) (*CountDistribution, error) {
 	probs := make([]float64, 0, sessions)
 	for _, sp := range per {

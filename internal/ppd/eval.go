@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -164,26 +165,6 @@ type SessionProb struct {
 	Prob float64
 }
 
-// EvalResult reports a full evaluation.
-type EvalResult struct {
-	// Prob is Pr(Q | D) = 1 - prod_s (1 - Pr(Q | s)) over the independent
-	// sessions (Boolean semantics).
-	Prob float64
-	// Count is the Count-Session expectation sum_s Pr(Q | s).
-	Count float64
-	// PerSession holds the per-session probabilities in p-relation order.
-	PerSession []SessionProb
-	// Solves counts actual inference invocations: live sessions, minus
-	// identical-request grouping, minus Cache hits.
-	Solves int
-	// CacheHits counts groups answered from Engine.Cache without solving
-	// (always 0 when no cache is configured).
-	CacheHits int
-	// Plan reports MethodAdaptive's routing decisions and confidence
-	// half-widths; nil for every other method.
-	Plan *PlanStats
-}
-
 // loopContext returns the context an evaluation's grounding pass, group
 // loop and fan-out run under. With the adaptive planner an expired deadline
 // must not abort the evaluation — the planner's contract is to degrade the
@@ -212,224 +193,301 @@ func (e *Engine) ground(ctx context.Context, uq *UnionQuery) (*Grounded, error) 
 // the ablation bypasses the content-addressed cache as well.
 func (e *Engine) useCache() bool { return e.Cache != nil && !e.DisableGrouping }
 
-// evalUnion is the evaluation core shared by every Boolean / Count-Session
-// entry point: the query's grounding, cache resolution of its groups,
-// optional batched or parallel solving of the misses, and the Boolean /
-// Count-Session aggregation. A done ctx aborts grounding, in-flight solver
-// layers and sampling rounds with ctx's error, and MethodAdaptive budgets
-// each group from the ctx deadline. The grounding is returned alongside
-// for callers that need the relation's session count.
-func (e *Engine) evalUnion(ctx context.Context, uq *UnionQuery) (*EvalResult, *Grounded, error) {
+// GroupedResult reports a DoGrouped call.
+type GroupedResult struct {
+	// Responses holds one response per request, in request order. Their
+	// Solves and CacheHits count each group once, on the first request
+	// that references it.
+	Responses []*Response
+	// Groups, Instances, Solved and CacheHits account for the call's
+	// inference groups: the distinct (model, union) groups of all the
+	// requests, the group references before dedup (their live sessions),
+	// the groups sent to a solver or sampler, and those answered from
+	// Engine.Cache (Solved + CacheHits == Groups).
+	Groups, Instances, Solved, CacheHits int
+}
+
+// RequestError attributes a DoGrouped failure to one of its requests. Its
+// text is the cause's.
+type RequestError struct {
+	// Index is the position of the request whose grounding or fold failed,
+	// or of the first request referencing the group whose solve failed.
+	Index int
+	// Err is the cause.
+	Err error
+}
+
+// Error returns the cause's text.
+func (e *RequestError) Error() string { return e.Err.Error() }
+
+// Unwrap returns the cause.
+func (e *RequestError) Unwrap() error { return e.Err }
+
+// DoGrouped answers bool, count and countdist requests over the engine's
+// database as one unit; Do answers each such request as a call of one. The
+// (model, union) inference groups of all the requests are deduplicated (the
+// cross-query generalization of the paper's Section 6.4 grouping) and each
+// is resolved once, from Engine.Cache or by a solve, so exact answers are
+// bit-identical to asking alone. The requests run under the engine's Method
+// and RNG and under ctx; their own Method, Seed and Deadline are the
+// caller's to apply, as Do does. A done ctx aborts with ctx's error, but
+// MethodAdaptive budgets each group from the ctx deadline instead.
+func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*GroupedResult, error) {
 	loopCtx, cancel := e.loopContext(ctx)
 	defer cancel()
-	gr, err := e.ground(loopCtx, uq)
-	if err != nil {
-		return nil, nil, err
-	}
-	groups, live := gr.Groups, gr.Live
+	res := &GroupedResult{Responses: make([]*Response, len(crs))}
 
-	// Resolve groups against the shared cache first; only misses are solved.
-	// With Workers > 1, pending keeps the original group indices and the
-	// parallel branch is entered whenever a cold run would enter it, so
-	// per-group sampler seeds do not depend on which groups happened to hit
-	// and a warm parallel run reproduces the cold one exactly. The serial
-	// path draws from the engine's single RNG stream, so there sampling
-	// estimates for the solved groups do depend on how many groups hit.
-	probs := make([]float64, len(groups))
-	reports := make([]SolveReport, len(groups))
-	cacheHits := 0
-	useCache := e.useCache()
-	var pending []int
-	var keys []string
-	if useCache {
-		keys = make([]string, len(groups))
+	// Ground every request and number its groups across the call: of[qi]
+	// maps request qi's groups into groups, and first[gi] is the first
+	// request referencing group gi. One request has nothing to dedup and
+	// keeps its grounding's groups, and without grouping every session is
+	// its own group.
+	grs := make([]*Grounded, len(crs))
+	of := make([][]int, len(crs))
+	var (
+		groups []Group
+		first  []int
+		index  map[groupID]int
+	)
+	if len(crs) > 1 && !e.DisableGrouping {
+		index = make(map[groupID]int)
 	}
-	for gi := range groups {
-		if useCache {
-			keys[gi] = gr.GroupKey(e.Method, gi)
-			if p, ok := e.Cache.Get(keys[gi]); ok {
-				probs[gi] = p
-				cacheHits++
-				continue
+	for qi, cr := range crs {
+		if err := loopCtx.Err(); err != nil {
+			return nil, context.Cause(loopCtx)
+		}
+		if cr.Kind != KindBool && cr.Kind != KindCount && cr.Kind != KindCountDist {
+			return nil, &RequestError{Index: qi, Err: fmt.Errorf("ppd: grouped evaluation answers bool, count and countdist, not %s", cr.Kind)}
+		}
+		gr, err := e.ground(loopCtx, cr.Union)
+		if err != nil {
+			return nil, &RequestError{Index: qi, Err: err}
+		}
+		grs[qi], of[qi] = gr, make([]int, len(gr.Groups))
+		first = slices.Grow(first, len(gr.Groups))
+		for lgi, g := range gr.Groups {
+			gi, seen := index[g.id]
+			if !seen {
+				gi = len(first)
+				if index != nil {
+					index[g.id] = gi
+				}
+				first = append(first, qi)
+				if len(crs) > 1 {
+					groups = append(groups, g)
+				}
 			}
+			of[qi][lgi] = gi
 		}
-		pending = append(pending, gi)
+		res.Instances += len(gr.Live)
 	}
-	finish := func(gi int, p float64, rep SolveReport) {
-		probs[gi] = p
-		reports[gi] = rep
-		if useCache {
-			e.Cache.Put(keys[gi], p)
-		}
+	if len(crs) == 1 {
+		groups = grs[0].Groups
 	}
 
-	if len(pending) > 1 && e.Plans != nil && e.batchableMethod() && !e.DisableGrouping {
-		// Exact compiled-plan methods: pending groups sharing a union shape
-		// solve through one batched layer walk, bit-identical to per-group
-		// solves, so this path changes only the work done, never the answer.
-		// Gated on a configured PlanCache: without one every evaluation
-		// would recompile its plans from scratch, which costs more than
-		// batching saves on small groups (engines built by the service layer
-		// always carry the shared cache).
+	// Sweep the cache, then solve the misses. The pool is entered whenever
+	// a cold run would enter it and seeds group gi baseSeed+gi, so a warm
+	// parallel run reproduces the cold one; the serial path draws from the
+	// engine's one RNG stream.
+	gp := e.newGroupProbs(groups)
+	var pending []int
+	for gi := range groups {
+		if !gp.lookup(gi) {
+			pending = append(pending, gi)
+		}
+	}
+	gp.swept = true
+	res.Groups, res.Solved, res.CacheHits = len(groups), len(pending), gp.cacheHits
+	fail := func(gi int, err error) error { return &RequestError{Index: first[gi], Err: err} }
+	switch {
+	case len(pending) > 1 && e.Plans != nil && batchableMethod(e.Method) && !e.DisableGrouping:
+		// Exact compiled-plan methods: groups sharing a union shape solve as
+		// the lanes of one layer walk, bit-identical to per-group solves.
+		// Gated on a PlanCache: without one every evaluation would recompile
+		// its plans, which costs more than batching saves on small groups.
 		bg := make([]BatchGroup, len(pending))
 		for pi, gi := range pending {
 			bg[pi] = BatchGroup{SM: groups[gi].Model, U: groups[gi].Union}
 		}
-		bprobs, breps, err := e.BatchSolveGroups(ctx, bg)
+		probs, reps, err := e.batchSolveGroups(ctx, bg)
 		if err != nil {
-			return nil, nil, err
+			return nil, fail(pending[0], err)
 		}
 		for pi, gi := range pending {
-			finish(gi, bprobs[pi], breps[pi])
+			gp.record(gi, probs[pi], reps[pi])
 		}
-	} else if workers := e.Workers; workers > 1 && len(groups) > 1 && len(pending) > 0 {
+	case e.Workers > 1 && len(groups) > 1 && len(pending) > 0:
 		baseSeed := int64(1)
 		if e.Rng != nil {
 			baseSeed = e.Rng.Int63()
 		}
-		err := pool.RunCtx(loopCtx, len(pending), workers, func(pi int) error {
+		err := pool.RunCtx(loopCtx, len(pending), e.Workers, func(pi int) error {
 			gi := pending[pi]
-			sub := e.withRng(rand.New(rand.NewSource(baseSeed + int64(gi))))
+			sub := *e // own RNG; solver statistics are not aggregated across workers
+			sub.Rng, sub.SolverOpts.Stats = rand.New(rand.NewSource(baseSeed+int64(gi))), nil
 			p, rep, err := sub.solve(ctx, groups[gi].Model, groups[gi].Union)
 			if err != nil {
-				return err
+				return fail(gi, err)
 			}
-			finish(gi, p, rep)
+			gp.record(gi, p, rep)
 			return nil
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-	} else {
+	default:
 		for _, gi := range pending {
 			if err := loopCtx.Err(); err != nil {
-				return nil, nil, context.Cause(loopCtx)
+				return nil, context.Cause(loopCtx)
 			}
-			p, rep, err := e.solve(ctx, groups[gi].Model, groups[gi].Union)
-			if err != nil {
-				return nil, nil, err
+			if _, err := gp.prob(ctx, gi); err != nil {
+				return nil, fail(gi, err)
 			}
-			finish(gi, p, rep)
 		}
 	}
 
-	per := make([]SessionProb, len(live))
-	for i, ls := range live {
-		per[i] = SessionProb{Session: ls.Session, Prob: probs[ls.Group]}
-	}
-	res := BoolAggregate(per)
-	res.Solves, res.CacheHits = len(pending), cacheHits
-	if e.Method == MethodAdaptive {
-		plan := &PlanStats{}
-		solved := make([]bool, len(groups))
-		for _, gi := range pending {
-			solved[gi] = true
-			plan.Note(reports[gi])
+	// Fold every request. An adaptive plan notes each freshly solved group
+	// its request references, matching the propagated half-widths; a cache
+	// hit replays a point answer and contributes no width.
+	for qi, cr := range crs {
+		gr, gidx := grs[qi], of[qi]
+		per := make([]SessionProb, len(gr.Live))
+		for i, ls := range gr.Live {
+			per[i] = SessionProb{Session: ls.Session, Prob: gp.probs[gidx[ls.Group]]}
 		}
-		// Per-session half-widths for error propagation; cache hits replay
-		// earlier answers and contribute no width.
-		hw := make([]float64, len(live))
-		for i, ls := range live {
-			if solved[ls.Group] {
-				hw[i] = reports[ls.Group].HalfWidth
+		resp := &Response{Kind: cr.Kind, PerSession: per}
+		resp.Prob, resp.Count = BoolAggregate(per)
+		if e.Method == MethodAdaptive {
+			resp.Plan = &PlanStats{}
+			for _, gi := range gidx {
+				if gp.solved[gi] {
+					resp.Plan.note(gp.reports[gi])
+				}
 			}
+			hw := make([]float64, len(per))
+			for i, ls := range gr.Live {
+				if gi := gidx[ls.Group]; gp.solved[gi] {
+					hw[i] = gp.reports[gi].HalfWidth
+				}
+			}
+			resp.Plan.propagate(per, hw)
 		}
-		plan.propagate(per, hw)
-		res.Plan = plan
+		if cr.Kind == KindCountDist {
+			dist, err := CountDistFromSessions(per, gr.Sessions)
+			if err != nil {
+				return nil, &RequestError{Index: qi, Err: err}
+			}
+			resp.Dist = dist
+		}
+		res.Responses[qi] = resp
 	}
-	return res, gr, nil
+	for gi, qi := range first {
+		if gp.solved[gi] {
+			res.Responses[qi].Solves++
+		} else {
+			res.Responses[qi].CacheHits++
+		}
+	}
+	return res, nil
 }
 
-// BoolAggregate builds an EvalResult from per-session probabilities: the
-// Boolean confidence 1 - prod(1 - p) over the independent sessions and the
-// Count-Session expectation sum(p). It is the shared aggregation of
-// evalUnion and the service layer's batch planner.
-func BoolAggregate(per []SessionProb) *EvalResult {
-	res := &EvalResult{PerSession: per}
+// BoolAggregate folds per-session probabilities into the Boolean
+// confidence Pr(Q | D) = 1 - prod(1 - p) over the independent sessions and
+// the Count-Session expectation sum(p). It is the shared aggregation of
+// DoGrouped and the coordinator's merge (internal/cluster).
+func BoolAggregate(per []SessionProb) (prob, count float64) {
 	oneMinus := 1.0
 	for _, sp := range per {
-		res.Count += sp.Prob
+		count += sp.Prob
 		oneMinus *= 1 - sp.Prob
 	}
-	res.Prob = 1 - oneMinus
-	return res
+	return 1 - oneMinus, count
 }
 
-// withRng returns a shallow copy of the engine using the given RNG; used by
-// parallel workers so sampler and statistics state is not shared.
-func (e *Engine) withRng(rng *rand.Rand) *Engine {
-	clone := *e
-	clone.Rng = rng
-	clone.SolverOpts.Stats = nil // not aggregated across workers
-	return &clone
-}
-
-// groupProbs resolves the groups of one grounding lazily, one at a time and
-// in the order its caller asks — the top-k loop, which stops at the first
-// dominated bound, and aggregation, which skips sessions without a value —
-// so a sampling method draws from the engine's RNG stream for exactly the
-// groups the answer needs, in session order. Each group is resolved at
-// most once: from Engine.Cache when it holds the group, by a solve
-// otherwise.
+// groupProbs resolves the probabilities of distinct groups, each at most
+// once: from Engine.Cache when it holds the group, by a solve otherwise.
+// DoGrouped looks every group up before it solves the misses (swept). The
+// top-k loop, which stops at the first dominated bound, and aggregation,
+// which skips sessions without a value, resolve lazily instead, one group
+// at a time in the order they ask, so a sampling method draws from the
+// engine's RNG stream for exactly the groups the answer needs.
 type groupProbs struct {
-	e     *Engine
-	gr    *Grounded
-	probs []float64
-	done  []bool
+	e       *Engine
+	groups  []Group
+	keys    []string // cache keys, set by lookup; nil without a cache
+	probs   []float64
+	reports []SolveReport // of the solved groups, for MethodAdaptive's plans; else nil
+	done    []bool        // resolved, from the cache or by a solve
+	solved  []bool        // resolved by a solve
+	swept   bool          // every group has been looked up
 
 	solves, cacheHits int
-	plan              *PlanStats // MethodAdaptive's routing of the solved groups, else nil
+	plan              *PlanStats // MethodAdaptive's routing of the groups prob solved, else nil
 }
 
-func (e *Engine) newGroupProbs(gr *Grounded) *groupProbs {
-	return &groupProbs{e: e, gr: gr, probs: make([]float64, len(gr.Groups)), done: make([]bool, len(gr.Groups))}
+func (e *Engine) newGroupProbs(groups []Group) *groupProbs {
+	n := len(groups)
+	gp := &groupProbs{e: e, groups: groups, probs: make([]float64, n), done: make([]bool, n), solved: make([]bool, n)}
+	if e.useCache() {
+		gp.keys = make([]string, n)
+	}
+	if e.Method == MethodAdaptive {
+		gp.reports = make([]SolveReport, n)
+	}
+	return gp
 }
 
-// prob returns the probability of group gi.
+// lookup answers group gi from Engine.Cache when the cache holds it.
+func (gp *groupProbs) lookup(gi int) bool {
+	if gp.keys == nil {
+		return false
+	}
+	gp.keys[gi] = gp.groups[gi].id.key(gp.e.Method)
+	p, ok := gp.e.Cache.Get(gp.keys[gi])
+	if ok {
+		gp.probs[gi], gp.done[gi] = p, true
+		gp.cacheHits++
+	}
+	return ok
+}
+
+// record stores group gi's solved answer and caches it. Calls for distinct
+// groups may run concurrently.
+func (gp *groupProbs) record(gi int, p float64, rep SolveReport) {
+	gp.probs[gi], gp.done[gi], gp.solved[gi] = p, true, true
+	if gp.reports != nil {
+		gp.reports[gi] = rep
+	}
+	if gp.keys != nil {
+		gp.e.Cache.Put(gp.keys[gi], p)
+	}
+}
+
+// prob returns the probability of group gi, resolving it on first use.
 func (gp *groupProbs) prob(ctx context.Context, gi int) (float64, error) {
-	if gp.done[gi] {
+	if gp.done[gi] || !gp.swept && gp.lookup(gi) {
 		return gp.probs[gi], nil
 	}
-	e, g := gp.e, gp.gr.Groups[gi]
-	var key string
-	if e.useCache() {
-		key = gp.gr.GroupKey(e.Method, gi)
-		if p, ok := e.Cache.Get(key); ok {
-			gp.cacheHits++
-			gp.probs[gi], gp.done[gi] = p, true
-			return p, nil
-		}
-	}
-	p, rep, err := e.solve(ctx, g.Model, g.Union)
+	g := gp.groups[gi]
+	p, rep, err := gp.e.solve(ctx, g.Model, g.Union)
 	if err != nil {
 		return 0, err
 	}
 	gp.solves++
-	if e.Method == MethodAdaptive {
+	if gp.e.Method == MethodAdaptive {
 		if gp.plan == nil {
 			gp.plan = &PlanStats{}
 		}
-		gp.plan.Note(rep)
+		gp.plan.note(rep)
 	}
-	if key != "" {
-		e.Cache.Put(key, p)
-	}
-	gp.probs[gi], gp.done[gi] = p, true
+	gp.record(gi, p, rep)
 	return p, nil
 }
 
-// SolveUnion computes Pr(union | model) with the engine's configured method,
-// bypassing grounding, grouping and Engine.Cache. It is the single-group
-// primitive used by batch planners (see internal/server) that deduplicate
-// groups themselves before fanning out.
-func (e *Engine) SolveUnion(sm rim.SessionModel, u pattern.Union) (float64, error) {
-	p, _, err := e.solve(context.Background(), sm, u)
-	return p, err
-}
-
-// SolveUnionCtx is SolveUnion with cancellation and deadline awareness,
-// reporting how the group was answered (routed solver, sample count,
-// confidence half-width) alongside the probability.
+// SolveUnionCtx computes Pr(union | model) with the engine's configured
+// method, bypassing grounding, grouping and Engine.Cache, and reports how
+// the group was answered (routed solver, sample count, confidence
+// half-width) alongside the probability.
 func (e *Engine) SolveUnionCtx(ctx context.Context, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
 	return e.solve(ctx, sm, u)
 }
@@ -630,7 +688,7 @@ func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges in
 	cands := append([]LiveSession(nil), gr.Live...)
 	sort.SliceStable(cands, func(i, j int) bool { return ub[cands[i].Group] > ub[cands[j].Group] })
 
-	exact := e.newGroupProbs(gr)
+	exact := e.newGroupProbs(gr.Groups)
 	var out []SessionProb
 	for _, c := range cands {
 		if err := loopCtx.Err(); err != nil {

@@ -87,12 +87,6 @@ type Grounded struct {
 	boundSets map[int]*boundSet // top-k relaxations by bound-edge count, filled on demand
 }
 
-// GroupKey returns GroupKey(m, Model, Union) of group gi from the parts
-// built at grounding time, without rehashing the model or the union.
-func (gr *Grounded) GroupKey(m Method, gi int) string {
-	return gr.Groups[gi].id.key(m)
-}
-
 // maxBoundSets caps the distinct bound-edge counts one Grounded keeps
 // relaxations for. The count comes from the request, so without a cap a
 // client walking bound = 1, 2, 3, ... would grow an entry without limit;

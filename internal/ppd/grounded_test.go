@@ -232,7 +232,7 @@ func TestGroundedGroupKeyAndIdentity(t *testing.T) {
 	}
 	for gi, g := range gr.Groups {
 		for _, m := range []Method{MethodAuto, MethodBipartite, MethodRejection, MethodAdaptive} {
-			if got, want := gr.GroupKey(m, gi), GroupKey(m, g.Model, g.Union); got != want {
+			if got, want := g.id.key(m), GroupKey(m, g.Model, g.Union); got != want {
 				t.Fatalf("group %d under %v: key %q, want %q", gi, m, got, want)
 			}
 		}

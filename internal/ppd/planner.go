@@ -294,7 +294,7 @@ func (e *Engine) sampleAdaptive(ctx context.Context, sm rim.SessionModel, u patt
 // sampling pass and its surrounding evaluation loop run under it so an
 // evaluation can finish past the deadline (returning estimates with error
 // bars instead of nothing) while a client disconnect still aborts it; the
-// service batch planner uses it the same way. (If the parent is already done
+// service's batch fan-out uses it the same way. (If the parent is already done
 // from its deadline, later cancellations are unobservable — acceptable for
 // the short, bounded sampling pass this guards.)
 func DetachDeadline(parent context.Context) (context.Context, context.CancelFunc) {
@@ -314,7 +314,7 @@ func DetachDeadline(parent context.Context) (context.Context, context.CancelFunc
 }
 
 // PlanStats reports MethodAdaptive's routing decisions across one
-// evaluation. It is attached to EvalResult.Plan (nil for other methods).
+// evaluation. It is attached to Response.Plan (nil for other methods).
 type PlanStats struct {
 	// ExactGroups counts the solved groups routed to exact solvers.
 	ExactGroups int
@@ -334,9 +334,8 @@ type PlanStats struct {
 	Methods map[string]int
 }
 
-// Note records one solved group's report into the plan counters; the
-// service batch planner calls it when attributing group solves to queries.
-func (ps *PlanStats) Note(rep SolveReport) {
+// note records one solved group's report into the plan counters.
+func (ps *PlanStats) note(rep SolveReport) {
 	if ps.Methods == nil {
 		ps.Methods = make(map[string]int)
 	}
@@ -374,14 +373,4 @@ func (ps *PlanStats) propagate(per []SessionProb, hw []float64) {
 		}
 		prefix *= 1 - per[s].Prob
 	}
-}
-
-// BatchPlan builds a PlanStats carrying the propagated half-widths for a
-// query whose groups were solved by an external batch planner (see
-// internal/server): per-session probabilities and the matching group
-// half-widths go in, routing counters are attributed separately via Note.
-func BatchPlan(per []SessionProb, hw []float64) *PlanStats {
-	ps := &PlanStats{}
-	ps.propagate(per, hw)
-	return ps
 }

@@ -23,7 +23,7 @@ import (
 
 // pollsService builds a service over a polls database large enough that a
 // batch has many distinct inference groups to fan out.
-func pollsService(t *testing.T, cfg Config) *Service {
+func pollsService(t testing.TB, cfg Config) *Service {
 	t.Helper()
 	db, err := dataset.Polls(dataset.PollsConfig{Candidates: 12, Voters: 60, Seed: 7})
 	if err != nil {
@@ -66,9 +66,10 @@ func waitGoroutines(t *testing.T, base int, what string) {
 	}
 }
 
-// TestEvalBatchCancelDrainsPool cancels mid-DoBatch and asserts the pool
-// drains without goroutine leaks and the error is the context error.
-func TestEvalBatchCancelDrainsPool(t *testing.T) {
+// TestGroupedBatchCancelStopsWithoutLeaks cancels mid-DoBatch and asserts
+// the pool drains without goroutine leaks and the error is the context
+// error.
+func TestGroupedBatchCancelStopsWithoutLeaks(t *testing.T) {
 	svc := pollsService(t, Config{Workers: 4, CacheSize: -1})
 	base := runtime.NumGoroutine()
 
@@ -94,10 +95,10 @@ func TestEvalBatchCancelDrainsPool(t *testing.T) {
 	waitGoroutines(t, base, "after cancelled bool batch")
 }
 
-// TestEvalBatchPreCancelled asserts a batch under an already-cancelled
-// context returns the context error immediately, not a partial result or a
-// panic.
-func TestEvalBatchPreCancelled(t *testing.T) {
+// TestGroupedBatchPreCancelledReturnsContextError asserts a batch under an
+// already-cancelled context returns the context error immediately, not a
+// partial result or a panic.
+func TestGroupedBatchPreCancelledReturnsContextError(t *testing.T) {
 	svc := pollsService(t, Config{Workers: 4, CacheSize: -1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -115,8 +116,8 @@ func TestEvalBatchPreCancelled(t *testing.T) {
 	}
 }
 
-// TestTopKBatchCancelDrainsPool does the same for the top-k fan-out.
-func TestTopKBatchCancelDrainsPool(t *testing.T) {
+// TestFanOutBatchCancelStopsWithoutLeaks does the same for the top-k fan-out.
+func TestFanOutBatchCancelStopsWithoutLeaks(t *testing.T) {
 	svc := pollsService(t, Config{Workers: 4, CacheSize: -1})
 	base := runtime.NumGoroutine()
 
@@ -144,11 +145,11 @@ func TestTopKBatchCancelDrainsPool(t *testing.T) {
 	waitGoroutines(t, base, "after cancelled topk batch")
 }
 
-// TestEvalBatchDeadlineAdaptiveDegrades asserts that with the adaptive
-// method an (effectively expired) deadline yields sampled answers with
-// non-zero reported half-widths instead of an error — the planner's
+// TestGroupedBatchExpiredDeadlineAdaptiveSamples asserts that with the
+// adaptive method an (effectively expired) deadline yields sampled answers
+// with non-zero reported half-widths instead of an error — the planner's
 // degrade-gracefully contract — while the exact methods abort.
-func TestEvalBatchDeadlineAdaptiveDegrades(t *testing.T) {
+func TestGroupedBatchExpiredDeadlineAdaptiveSamples(t *testing.T) {
 	svc := pollsService(t, Config{Method: ppd.MethodAdaptive, Workers: 2, CacheSize: -1})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
@@ -170,11 +171,11 @@ func TestEvalBatchDeadlineAdaptiveDegrades(t *testing.T) {
 	}
 }
 
-// TestEvalBatchSharedGroupPlans: a group shared by several queries must
-// appear in every referencing query's plan — the batch Solves accounting
-// attributes a shared group to its first query, but each query's plan has
-// to stay consistent with its own half-widths.
-func TestEvalBatchSharedGroupPlans(t *testing.T) {
+// TestGroupedBatchSharedGroupInEveryPlan: a group shared by several queries
+// must appear in every referencing query's plan — the batch Solves
+// accounting attributes a shared group to its first query, but each query's
+// plan has to stay consistent with its own half-widths.
+func TestGroupedBatchSharedGroupInEveryPlan(t *testing.T) {
 	svc := pollsService(t, Config{Method: ppd.MethodAdaptive, Workers: 2, CacheSize: -1})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()

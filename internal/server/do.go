@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"probpref/internal/pool"
@@ -57,9 +58,10 @@ func (s *Service) noteResponse(resp *ppd.Response) {
 }
 
 // DoBatchResult reports a DoBatch: one Response per request (in request
-// order) plus the batch-level inference-group dedup accounting of the
-// grouped evaluation path (all four counters stay zero when the batch ran
-// on the per-request fan-out path instead).
+// order) plus the batch-level inference-group dedup accounting of its
+// grouped clusters, summed over their ppd.Engine.DoGrouped calls (all four
+// counters stay zero when the batch ran on the per-request fan-out path
+// instead).
 type DoBatchResult struct {
 	// Responses holds one response per request, in request order.
 	Responses []*ppd.Response
@@ -81,18 +83,17 @@ type DoBatchResult struct {
 // The batch is partitioned per request, not all-or-nothing: every
 // evaluation-backed request (bool, count or countdist) without a
 // per-request seed or deadline joins a grouped cluster keyed by its (model,
-// effective method) pair, and each cluster takes the grouped path — every
-// request of the cluster is grounded, the
-// per-session inference groups are deduplicated across the cluster (the
-// cross-query generalization of the paper's Section 6.4 grouping), cached
-// results come from the shared solve cache, and only the remaining distinct
-// groups are solved: through one compiled-plan batched walk for the exact
-// methods, or on the bounded worker pool otherwise. For the exact methods
-// per-request probabilities are identical to answering each request alone;
-// for the sampling methods each group's seed derives from its cluster-wide
-// group index, so answers are deterministic per batch+seed but can differ
-// from a standalone evaluation. A request's Solves / CacheHits attribute
-// each group to the first request of its cluster that needed it.
+// effective method) pair, and each cluster is one ppd.Engine.DoGrouped call,
+// the grouped evaluation Engine.Do runs for a single request: every request
+// of the cluster is grounded, the inference groups are deduplicated across
+// the cluster (the cross-query generalization of the paper's Section 6.4
+// grouping), cached results come from the shared solve cache, and only the
+// remaining distinct groups are solved. Exact answers are identical to
+// answering each request alone. Sampled answers follow the engine's seed
+// rule under one seed per cluster, so they are deterministic per batch,
+// Config.Seed and Config.Workers but can differ from a standalone
+// evaluation. A request's Solves / CacheHits attribute each group to the
+// first request of its cluster that needed it.
 //
 // Every other request — topk or aggregate kinds, and the carve-outs
 // carrying their own seed or deadline — fans out
@@ -135,8 +136,8 @@ func (s *Service) doBatch(ctx context.Context, crs []*ppd.CompiledRequest) (*DoB
 
 // groupEligible reports whether one request may join a grouped cluster:
 // evaluation-backed kinds only, and no per-request seed or deadline (the
-// grouped path seeds each group from its cluster-wide index and runs under
-// the batch context).
+// grouped path samples under one seed per cluster and runs under the batch
+// context).
 func groupEligible(cr *ppd.CompiledRequest) bool {
 	switch cr.Kind {
 	case ppd.KindBool, ppd.KindCount, ppd.KindCountDist:
@@ -158,7 +159,7 @@ func (s *Service) partitionBatch(crs []*ppd.CompiledRequest) (clusters [][]int, 
 			fanOut = append(fanOut, ri)
 			continue
 		}
-		key := cr.Model + nsSep + s.effMethod(cr).String()
+		key := modelName(cr.Model) + nsSep + s.effMethod(cr).String()
 		ci, ok := clusterOf[key]
 		if !ok {
 			ci = len(clusters)
@@ -190,199 +191,41 @@ func seedSensitive(m ppd.Method) bool {
 	return false
 }
 
-// doBatchGrouped is the grouped evaluation path of DoBatch, run per
-// cluster: take the grounding of every request of idx (original request
-// indices, one model and effective method) from the model's database,
-// deduplicate the (model, union) inference groups across the cluster,
-// resolve cache hits inside the model's namespace, and solve the misses —
-// through one compiled-plan batched walk (ppd.BatchSolveGroups) for the
-// exact methods, or fanned out to the worker pool otherwise. Responses land
-// at their original indices in br and the dedup counters accumulate into
-// it.
+// doBatchGrouped answers one cluster of DoBatch — original request indices
+// idx, one model and effective method — as one Engine.DoGrouped call. The
+// engine's sampler seed is the cluster's first request index past
+// Config.Seed, so distinct clusters sample from distinct seeds. Responses
+// land at their original indices in br and the dedup counters accumulate
+// into it.
 func (s *Service) doBatchGrouped(ctx context.Context, crs []*ppd.CompiledRequest, idx []int, br *DoBatchResult) error {
 	h, err := s.open(crs[idx[0]].Model)
 	if err != nil {
 		return err
 	}
 	defer h.Close()
-	method := s.effMethod(crs[idx[0]])
-	type batchGroup struct {
-		ppd.Group
-		key   string
-		first int // position in idx of the first request referencing the group
+	eng := s.engine(s.cfg.Seed+int64(idx[0]), h)
+	eng.Method = s.effMethod(crs[idx[0]])
+	cluster := make([]*ppd.CompiledRequest, len(idx))
+	for qi, ri := range idx {
+		cluster[qi] = crs[ri]
 	}
-	var (
-		groupOf = make(map[string]int)
-		groups  []batchGroup
-		// grounded holds each request's grounding and groupIdx maps its
-		// groups to their cluster-wide indices.
-		grounded = make([]*ppd.Grounded, len(idx))
-		groupIdx = make([][]int, len(idx))
-	)
-	// With the adaptive method an expired deadline degrades remaining groups
-	// to sampling instead of aborting the batch: the grounding loop and the
-	// pool fan-out run deadline-detached (cancellation still aborts), while
-	// each group's solve sees the original ctx for budgeting.
-	adaptive := method == ppd.MethodAdaptive
-	loopCtx := ctx
-	if adaptive {
-		var cancel context.CancelFunc
-		loopCtx, cancel = ppd.DetachDeadline(ctx)
-		defer cancel()
+	res, err := eng.DoGrouped(ctx, cluster)
+	var re *ppd.RequestError
+	if errors.As(err, &re) {
+		err = fmt.Errorf("server: query %d: %w", idx[re.Index]+1, re.Err)
+	}
+	if err != nil {
+		return &evalError{err}
 	}
 	for qi, ri := range idx {
-		if err := loopCtx.Err(); err != nil {
-			return &evalError{context.Cause(loopCtx)}
-		}
-		gr, err := h.DB().Ground(loopCtx, crs[ri].Union)
-		if err != nil {
-			return &evalError{fmt.Errorf("server: query %d: %w", ri+1, err)}
-		}
-		grounded[qi], groupIdx[qi] = gr, make([]int, len(gr.Groups))
-		for lgi, g := range gr.Groups {
-			key := gr.GroupKey(method, lgi)
-			gi, ok := groupOf[key]
-			if !ok {
-				gi = len(groups)
-				groupOf[key] = gi
-				groups = append(groups, batchGroup{Group: g, key: key, first: qi})
-			}
-			groupIdx[qi][lgi] = gi
-		}
-		br.Instances += len(gr.Live)
+		br.Responses[ri] = res.Responses[qi]
 	}
-	br.Groups += len(groups)
-
-	// Resolve groups from the shared cache (inside the model's namespace),
-	// then solve the misses. Sampler seeds derive from the cluster-wide
-	// group index (offset by the cluster's first request index, so a batch
-	// with one cluster keeps the historical seeds and distinct clusters
-	// never share a stream) and answers are deterministic for a fixed
-	// Config.Seed regardless of pool scheduling.
-	ns := h.Name() + nsSep
-	probs := make([]float64, len(groups))
-	reports := make([]ppd.SolveReport, len(groups))
-	cached := make([]bool, len(groups))
-	var pending []int
-	for gi := range groups {
-		if s.cache != nil {
-			if p, ok := s.cache.Get(ns + groups[gi].key); ok {
-				probs[gi] = p
-				cached[gi] = true
-				br.CacheHits++
-				continue
-			}
-		}
-		pending = append(pending, gi)
-	}
-	br.Solved += len(pending)
-	seedBase := s.cfg.Seed + int64(idx[0])
-	if len(pending) > 1 && ppd.BatchableMethod(method) {
-		// Exact compiled-plan methods: solve every pending group through one
-		// compile-once / solve-many pass. Plans come from (and fill) the
-		// model's plan-cache namespace, groups sharing a union shape fold
-		// through one batched layer walk, and results are bit-identical to
-		// per-group solves, so this changes only the cost, never the answer.
-		eng := s.engine(seedBase, h)
-		eng.Method = method
-		bgs := make([]ppd.BatchGroup, len(pending))
-		for pi, gi := range pending {
-			bgs[pi] = ppd.BatchGroup{SM: groups[gi].Model, U: groups[gi].Union}
-		}
-		bprobs, breps, err := eng.BatchSolveGroups(ctx, bgs)
-		if err != nil {
-			return &evalError{fmt.Errorf("server: query %d: %w", idx[groups[pending[0]].first]+1, err)}
-		}
-		for pi, gi := range pending {
-			probs[gi], reports[gi] = bprobs[pi], breps[pi]
-			if s.cache != nil {
-				s.cache.Put(ns+groups[gi].key, bprobs[pi])
-			}
-		}
-	} else {
-		err = pool.RunCtx(loopCtx, len(pending), s.cfg.Workers, func(pi int) error {
-			gi := pending[pi]
-			eng := s.engine(seedBase+int64(gi), h)
-			eng.Method = method
-			eng.Workers = 1 // the pool is the parallelism
-			p, rep, err := eng.SolveUnionCtx(ctx, groups[gi].Model, groups[gi].Union)
-			if err != nil {
-				return fmt.Errorf("server: query %d: %w", idx[groups[gi].first]+1, err)
-			}
-			probs[gi] = p
-			reports[gi] = rep
-			if s.cache != nil {
-				s.cache.Put(ns+groups[gi].key, p)
-			}
-			return nil
-		})
-		if err != nil {
-			return &evalError{err}
-		}
-	}
-
-	// Aggregate per request with the engine's own aggregation. Solves and
-	// CacheHits attribute each group's cost to the first request that
-	// referenced it (batch accounting); the adaptive plan instead reflects
-	// each request's own view — every distinct freshly-solved group the
-	// request references counts toward its routing totals, matching the
-	// propagated half-widths, so shared groups appear in every referencing
-	// request's plan (cache hits replay a point answer and contribute no
-	// width).
-	solves := make([]int, len(idx))
-	cacheHits := make([]int, len(idx))
-	for gi, g := range groups {
-		if cached[gi] {
-			cacheHits[g.first]++
-		} else {
-			solves[g.first]++
-		}
-	}
-	for qi, ri := range idx {
-		cr := crs[ri]
-		live, gidx := grounded[qi].Live, groupIdx[qi]
-		per := make([]ppd.SessionProb, len(live))
-		hw := make([]float64, len(live))
-		for i, ls := range live {
-			gi := gidx[ls.Group]
-			per[i] = ppd.SessionProb{Session: ls.Session, Prob: probs[gi]}
-			if !cached[gi] {
-				hw[i] = reports[gi].HalfWidth
-			}
-		}
-		res := ppd.BoolAggregate(per)
-		if adaptive {
-			// The request's groups are distinct cluster-wide too: its own
-			// grouping already merged equal keys.
-			plan := ppd.BatchPlan(per, hw)
-			for _, gi := range gidx {
-				if !cached[gi] {
-					plan.Note(reports[gi])
-				}
-			}
-			res.Plan = plan
-		}
-		res.Solves, res.CacheHits = solves[qi], cacheHits[qi]
-		resp := &ppd.Response{
-			Kind:       cr.Kind,
-			Prob:       res.Prob,
-			Count:      res.Count,
-			PerSession: res.PerSession,
-			Solves:     res.Solves,
-			CacheHits:  res.CacheHits,
-			Plan:       res.Plan,
-		}
-		if cr.Kind == ppd.KindCountDist {
-			dist, err := ppd.CountDistFromSessions(res.PerSession, grounded[qi].Sessions)
-			if err != nil {
-				return &evalError{fmt.Errorf("server: query %d: %w", ri+1, err)}
-			}
-			resp.Dist = dist
-		}
-		br.Responses[ri] = resp
-	}
+	br.Groups += res.Groups
+	br.Instances += res.Instances
+	br.Solved += res.Solved
+	br.CacheHits += res.CacheHits
 	s.evals.Add(uint64(len(idx)))
-	s.solves.Add(uint64(len(pending)))
+	s.solves.Add(uint64(res.Solved))
 	return nil
 }
 
@@ -403,12 +246,12 @@ func (s *Service) doBatchFanOut(ctx context.Context, crs []*ppd.CompiledRequest,
 		}
 	}()
 	for _, ri := range idx {
-		if _, ok := handles[crs[ri].Model]; !ok {
-			h, err := s.open(crs[ri].Model)
+		if name := modelName(crs[ri].Model); handles[name] == nil {
+			h, err := s.open(name)
 			if err != nil {
 				return err
 			}
-			handles[crs[ri].Model] = h
+			handles[name] = h
 		}
 	}
 	seeds := make([]int64, len(crs))
@@ -457,7 +300,7 @@ func (s *Service) doBatchFanOut(ctx context.Context, crs []*ppd.CompiledRequest,
 	}
 	err := pool.RunCtx(loopCtx, len(unique), s.cfg.Workers, func(pi int) error {
 		ri := unique[pi]
-		eng := s.engine(seeds[ri], handles[crs[ri].Model])
+		eng := s.engine(seeds[ri], handles[modelName(crs[ri].Model)])
 		eng.Workers = 1 // the pool is the parallelism
 		resp, err := eng.DoCompiled(ctx, crs[ri])
 		if err != nil {

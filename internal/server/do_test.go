@@ -3,7 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
+	"time"
 
 	"probpref/internal/ppd"
 )
@@ -21,26 +25,152 @@ func canonJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-// TestServiceEvalBatchMatchesDo: with the cache disabled and an exact
-// method, each result of a batch of bool requests equals the standalone Do
-// answer of its query up to the batch-only accounting (probabilities and
-// counts are identical; Solves attribution is batch-scoped).
-func TestServiceEvalBatchMatchesDo(t *testing.T) {
+// TestGroupedBatchMatchesEngineDoBitwise: every answer of a grouped batch
+// — bool, count and countdist requests over two models, with repeats —
+// equals a bare engine's standalone Do answer bit for bit, for each exact
+// method, through each of the engine's three solve paths (the batched walk
+// with a plan cache, the worker pool and the serial loop without one), with
+// the solve cache cold and then warm. A cold batch charges a query's solves
+// to its first request; a warm one solves nothing.
+func TestGroupedBatchMatchesEngineDoBitwise(t *testing.T) {
 	ctx := context.Background()
-	queries := []string{doDemoQuery, doUnionQuery, doDemoQuery}
-	br, err := boolBatch(ctx, figure1Service(t, Config{}), "", queries)
+	reqs := []*ppd.Request{
+		{Kind: ppd.KindBool, Query: doDemoQuery, Model: "a"},
+		{Kind: ppd.KindCount, Query: doUnionQuery, Model: "a"},
+		{Kind: ppd.KindCountDist, Query: doDemoQuery, Model: "b"},
+		{Kind: ppd.KindCountDist, Query: doDemoQuery, Model: "a"},
+		{Kind: ppd.KindBool, Query: q2, Model: "b"},
+		{Kind: ppd.KindCount, Query: doUnionQuery, Model: "a"},
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, method := range []ppd.Method{ppd.MethodAuto, ppd.MethodBipartite, ppd.MethodRelOrder} {
+		for _, workers := range []int{1, 4} {
+			for _, plans := range []int{0, -1} {
+				name := fmt.Sprintf("%v/workers=%d/plans=%d", method, workers, plans)
+				t.Run(name, func(t *testing.T) {
+					svc := multiService(t, Config{Method: method, Workers: workers, PlanCacheSize: plans})
+					for _, pass := range []string{"cold", "warm"} {
+						br, err := svc.DoBatch(ctx, reqs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						seen := make(map[string]bool)
+						for ri, req := range reqs {
+							h, err := svc.Registry().Open(req.Model)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want, err := (&ppd.Engine{DB: h.DB(), Method: method}).Do(ctx, req)
+							h.Close()
+							if err != nil {
+								t.Fatal(err)
+							}
+							got := br.Responses[ri]
+							ok := same(got.Prob, want.Prob) && same(got.Count, want.Count) &&
+								len(got.PerSession) == len(want.PerSession) && (got.Dist == nil) == (want.Dist == nil)
+							for i := 0; ok && i < len(got.PerSession); i++ {
+								ok = got.PerSession[i].Session == want.PerSession[i].Session &&
+									same(got.PerSession[i].Prob, want.PerSession[i].Prob)
+							}
+							if ok && got.Dist != nil {
+								ok = reflect.DeepEqual(got.Dist.PMF, want.Dist.PMF)
+							}
+							if !ok {
+								t.Errorf("%s request %d: batched %+v != standalone %+v", pass, ri, got, want)
+							}
+							wantSolves := 0
+							if key := req.Model + "|" + req.Query; pass == "cold" && !seen[key] {
+								seen[key], wantSolves = true, want.Solves
+							}
+							if got.Solves != wantSolves {
+								t.Errorf("%s request %d: %d solves, want %d", pass, ri, got.Solves, wantSolves)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestGroupedBatchSampledDeterministic: an unseeded sampling batch answers
+// the same bits twice on fresh services, with the worker pool and without.
+// The adaptive batch runs under an expired deadline so that it samples.
+func TestGroupedBatchSampledDeterministic(t *testing.T) {
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for _, tc := range []struct {
+		method ppd.Method
+		ctx    context.Context
+	}{{ppd.MethodRejection, context.Background()}, {ppd.MethodAdaptive, expired}} {
+		for _, workers := range []int{1, 4} {
+			var runs [2]*DoBatchResult
+			for i := range runs {
+				svc := figure1Service(t, Config{Method: tc.method, Workers: workers, CacheSize: -1})
+				br, err := boolBatch(tc.ctx, svc, "", []string{q1, q2, q1})
+				if err != nil {
+					t.Fatalf("%v workers=%d: %v", tc.method, workers, err)
+				}
+				runs[i] = br
+			}
+			for ri, a := range runs[0].Responses {
+				b := runs[1].Responses[ri]
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("%v workers=%d request %d: runs differ: %+v vs %+v", tc.method, workers, ri, a, b)
+				}
+			}
+			if tc.method == ppd.MethodAdaptive && runs[0].Responses[0].Plan.SampledGroups == 0 {
+				t.Errorf("adaptive workers=%d: nothing sampled under an expired deadline", workers)
+			}
+		}
+	}
+}
+
+// TestDoBatchDefaultModelNameSharesGroups: "" and DefaultModel name one
+// model, so a batch spelling it both ways is one cluster whose groups dedup
+// across both requests.
+func TestDoBatchDefaultModelNameSharesGroups(t *testing.T) {
+	ctx := context.Background()
+	svc := figure1Service(t, Config{CacheSize: -1})
+	want, err := boolBatch(ctx, svc, "", []string{q1, q1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, q := range queries {
-		resp, err := figure1Service(t, Config{CacheSize: -1}).Do(ctx, &ppd.Request{Kind: ppd.KindBool, Query: q})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Prob != br.Responses[i].Prob || resp.Count != br.Responses[i].Count {
-			t.Errorf("query %d: standalone Do (%v, %v) != batched (%v, %v)",
-				i, resp.Prob, resp.Count, br.Responses[i].Prob, br.Responses[i].Count)
-		}
+	br, err := svc.DoBatch(ctx, []*ppd.Request{
+		{Kind: ppd.KindBool, Query: q1},
+		{Kind: ppd.KindBool, Query: q1, Model: DefaultModel},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Groups != want.Groups || br.Solved != want.Solved {
+		t.Fatalf("mixed spellings: groups=%d solved=%d, want %d and %d", br.Groups, br.Solved, want.Groups, want.Solved)
+	}
+}
+
+// BenchmarkDoBatchGrouped times one grouped cluster of eight distinct polls
+// bool requests through DoBatch: cold with the solve cache off, so every
+// group is solved on each iteration, and warm with every group cached.
+func BenchmarkDoBatchGrouped(b *testing.B) {
+	ctx := context.Background()
+	queries := pollsBatch(8)
+	for _, bc := range []struct {
+		name      string
+		cacheSize int
+	}{{"cold", -1}, {"warm", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			svc := pollsService(b, Config{CacheSize: bc.cacheSize})
+			if _, err := boolBatch(ctx, svc, "", queries); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := boolBatch(ctx, svc, "", queries); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

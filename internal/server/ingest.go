@@ -55,10 +55,7 @@ type IngestResponse struct {
 // preserving the grouping behavior of the evaluator, exactly like
 // ppd.LoadPrefJSON.
 func (s *Service) IngestSessions(req *IngestRequest) (*IngestResponse, error) {
-	model := req.Model
-	if model == "" {
-		model = DefaultModel
-	}
+	model := modelName(req.Model)
 	if req.Pref == "" {
 		return nil, fmt.Errorf("missing pref")
 	}

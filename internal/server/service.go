@@ -30,9 +30,9 @@ type Config struct {
 	// Plans are per union shape, not per session, so a modest capacity
 	// covers a large working set of queries.
 	PlanCacheSize int
-	// Seed is the base seed for the sampling methods; per inference group
-	// the engines derive seed+groupIndex, so batch answers are deterministic
-	// for a fixed seed (default 1).
+	// Seed is the base seed for the sampling methods (default 1): a batch
+	// request or grouped cluster samples from Seed plus its first request's
+	// index, so batch answers are deterministic per seed and Workers.
 	Seed int64
 	// MaxInFlight bounds the concurrently admitted query and ingest
 	// requests of the HTTP handler; 0 means DefaultMaxInFlight, a negative
@@ -199,14 +199,18 @@ func (s *Service) DB() *ppd.DB {
 	return h.DB()
 }
 
-// open resolves a request's model name ("" means DefaultModel) to a
-// reference-counted handle; the caller must Close it when the evaluation
-// finishes.
+// open resolves a request's model name to a reference-counted handle; the
+// caller must Close it when the evaluation finishes.
 func (s *Service) open(model string) (*registry.Handle, error) {
+	return s.reg.Open(modelName(model))
+}
+
+// modelName resolves a request's model name: "" means DefaultModel.
+func modelName(model string) string {
 	if model == "" {
-		model = DefaultModel
+		return DefaultModel
 	}
-	return s.reg.Open(model)
+	return model
 }
 
 // Cache returns the shared solve cache (nil when disabled).

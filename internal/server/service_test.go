@@ -75,11 +75,11 @@ func TestEvalMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestEvalBatchDedupBeatsIndependentEvals is the acceptance check of the
+// TestGroupedBatchDedupSolvesFewerGroups is the acceptance check of the
 // service layer: a repeated-query batch performs strictly fewer solver
 // invocations than the same queries evaluated by independent engines, with
 // identical probabilities (exact method).
-func TestEvalBatchDedupBeatsIndependentEvals(t *testing.T) {
+func TestGroupedBatchDedupSolvesFewerGroups(t *testing.T) {
 	svc := figure1Service(t, Config{})
 	eng := &ppd.Engine{DB: svc.DB()}
 	want, err := eng.Do(context.Background(), &ppd.Request{Kind: ppd.KindBool, Query: q1})
@@ -122,7 +122,9 @@ func TestEvalBatchDedupBeatsIndependentEvals(t *testing.T) {
 	}
 }
 
-func TestEvalBatchMixedQueries(t *testing.T) {
+// TestOneRequestBatchMatchesEngine: a batch of one bool request answers
+// what a bare engine's Do answers.
+func TestOneRequestBatchMatchesEngine(t *testing.T) {
 	svc := figure1Service(t, Config{})
 	eng := &ppd.Engine{DB: svc.DB()}
 	for _, q := range []string{q1, q2} {
@@ -140,10 +142,21 @@ func TestEvalBatchMixedQueries(t *testing.T) {
 	}
 }
 
-func TestEvalBatchErrors(t *testing.T) {
+// TestDoBatchErrorsNameTheRequest: a batch error names the request it came
+// from, counted from 1 in the whole batch, whether compiling or grounding
+// failed.
+func TestDoBatchErrorsNameTheRequest(t *testing.T) {
 	svc := figure1Service(t, Config{})
 	if _, err := boolBatch(context.Background(), svc, "", []string{"not a query("}); err == nil {
 		t.Fatal("want parse error")
+	}
+	_, err := svc.DoBatch(context.Background(), []*ppd.Request{
+		{Kind: ppd.KindTopK, Query: q1, K: 1},
+		{Kind: ppd.KindBool, Query: q1},
+		{Kind: ppd.KindBool, Query: `P(_, _; c1; c2), X(c1)`},
+	})
+	if want := `server: query 3: ppd: unknown relation "X"`; err == nil || err.Error() != want {
+		t.Fatalf("grounding error %v, want %s", err, want)
 	}
 	if _, err := doBool(context.Background(), svc, "", "nope("); err == nil {
 		t.Fatal("want parse error")
@@ -216,7 +229,9 @@ func TestWarmBoundTopKSolvesNothing(t *testing.T) {
 	}
 }
 
-func TestTopKBatch(t *testing.T) {
+// TestFanOutTopKBatchHonorsK: top-k requests fan out, each answering its
+// own k, and identical requests agree.
+func TestFanOutTopKBatchHonorsK(t *testing.T) {
 	svc := figure1Service(t, Config{})
 	br, err := svc.DoBatch(context.Background(), []*ppd.Request{
 		{Kind: ppd.KindTopK, Query: q1, K: 2, BoundEdges: 1},

@@ -382,7 +382,7 @@ type (
 	// ServiceStats snapshots a Service's counters.
 	ServiceStats = server.Stats
 	// DoBatchResult reports a Service.DoBatch: unified responses plus the
-	// grouped path's inference-dedup accounting.
+	// dedup accounting of its grouped clusters (Engine.DoGrouped calls).
 	DoBatchResult = server.DoBatchResult
 )
 
