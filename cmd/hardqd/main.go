@@ -179,7 +179,7 @@ func setup(args []string, out io.Writer) (*daemon, error) {
 		manifest = fs.String("manifest", "", "model manifest file; serves every named model of the catalog (overrides -dataset)")
 		snapDir  = fs.String("snapshot-dir", "", "directory of columnar model snapshots (<model>.ppds): models cold-start from their snapshot when present, and generator builds persist back. Session ingests reach it by checkpoint: before every ack without -wal-dir; with it, off the ack path once a model's unsnapshotted log reaches the size of its snapshot (at least 256 KiB), and at graceful shutdown")
 		method   = fs.String("method", "auto", "solver: "+strings.Join(ppd.MethodNames(), " | "))
-		cache    = fs.Int("cache", server.DefaultCacheSize, "solve-cache capacity in entries (0 disables); keys are namespaced per model")
+		cache    = fs.Int("cache", server.DefaultCacheSize, "solve-cache capacity in entries (0 disables); keys are namespaced per model. On the coordinator it sizes the merged-result cache, keyed by model and request only: it never sees an ingest sent to a shard, so use 0 there when shards take /v1/sessions")
 		par      = fs.Int("parallel", 4, "worker goroutines for batch fan-out and group solving")
 		seed     = fs.Int64("seed", 1, "generator and sampler seed")
 		cands    = fs.Int("candidates", 20, "polls: number of candidates")
@@ -208,19 +208,26 @@ func setup(args []string, out io.Writer) (*daemon, error) {
 	if size <= 0 {
 		size = -1 // flag semantics: 0 (or negative) disables, matching hardq
 	}
+	// given lists which of the named flags were set explicitly (whatever
+	// their value), so a flag that does not apply fails loudly instead of
+	// being ignored.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	given := func(names ...string) (out []string) {
+		for _, name := range names {
+			if set[name] {
+				out = append(out, "-"+name)
+			}
+		}
+		return out
+	}
 
 	if *coord != "" {
 		// Everything that shapes local model serving is meaningless on the
 		// coordinator, which holds no models; reject it rather than ignore.
-		var conflict []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "dataset", "manifest", "snapshot-dir", "method", "parallel",
-				"seed", "candidates", "voters", "movies", "workers", "shard",
-				"wal-dir", "wal-sync", "max-inflight", "max-queue":
-				conflict = append(conflict, "-"+f.Name)
-			}
-		})
+		conflict := given("candidates", "dataset", "manifest", "max-inflight", "max-queue",
+			"method", "movies", "parallel", "seed", "shard", "snapshot-dir", "voters",
+			"wal-dir", "wal-sync", "workers")
 		if len(conflict) > 0 {
 			return nil, fmt.Errorf("%s cannot be combined with -coordinator: the coordinator serves no local models", strings.Join(conflict, ", "))
 		}
@@ -248,8 +255,8 @@ func setup(args []string, out io.Writer) (*daemon, error) {
 		}
 		return &daemon{handler: cl.Handler(), addr: *addr, drain: *drain, cl: cl}, nil
 	}
-	if *parts != 0 || *hedge != cluster.DefaultHedgeAfter {
-		return nil, fmt.Errorf("-partitions and -hedge-after require -coordinator")
+	if only := given("hedge-after", "partitions", "probe-every"); len(only) > 0 {
+		return nil, fmt.Errorf("%s requires -coordinator", strings.Join(only, ", "))
 	}
 
 	m, err := ppd.ParseMethod(*method)
@@ -289,7 +296,7 @@ func setup(args []string, out io.Writer) (*daemon, error) {
 		if n := wlog.TornRepairs(); n > 0 {
 			fmt.Fprintf(out, "wal     : repaired %d torn segment tail(s)\n", n)
 		}
-	} else if walSet(fs) {
+	} else if set["wal-sync"] {
 		return nil, fmt.Errorf("-wal-sync requires -wal-dir")
 	}
 	var svc *server.Service
@@ -297,14 +304,7 @@ func setup(args []string, out io.Writer) (*daemon, error) {
 		// Dataset-generator flags would be silently overridden by the
 		// manifest specs; reject the combination. (-seed stays legal: it
 		// also seeds the samplers via Config.Seed.)
-		var conflict []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "dataset", "candidates", "voters", "movies", "workers":
-				conflict = append(conflict, "-"+f.Name)
-			}
-		})
-		if len(conflict) > 0 {
+		if conflict := given("candidates", "dataset", "movies", "voters", "workers"); len(conflict) > 0 {
 			return nil, fmt.Errorf("%s cannot be combined with -manifest: dataset parameters come from the manifest", strings.Join(conflict, ", "))
 		}
 		man, err := registry.LoadManifest(*manifest)
@@ -373,18 +373,6 @@ func setup(args []string, out io.Writer) (*daemon, error) {
 		fmt.Fprintf(out, "wal     : %s (sync %s, last seq %d)\n", *walDir, *walSync, wlog.LastSeq())
 	}
 	return &daemon{handler: svc.Handler(), addr: *addr, drain: *drain, reg: svc.Registry(), wlog: wlog}, nil
-}
-
-// walSet reports whether -wal-sync was given explicitly, so a policy
-// without a directory fails loudly instead of being ignored.
-func walSet(fs *flag.FlagSet) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "wal-sync" {
-			set = true
-		}
-	})
-	return set
 }
 
 // newRegistry builds the model registry shared by the -dataset and

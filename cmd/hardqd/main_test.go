@@ -168,6 +168,9 @@ func TestSetupErrors(t *testing.T) {
 		// Coordinator flags are meaningless without (or against) the role.
 		{"-partitions", "2"},
 		{"-hedge-after", "10ms"},
+		{"-hedge-after", "50ms"}, // the default value, still not a shard's flag
+		{"-probe-every", "1s"},
+		{"-dataset", "figure1", "-shard", "0/2", "-probe-every", "1s"},
 		{"-coordinator", "nourl"},
 		{"-coordinator", "s0=http://localhost:1", "-dataset", "polls"},
 		{"-coordinator", "s0=http://localhost:1", "-shard", "0/2"},

@@ -26,6 +26,13 @@ import (
 const demoQuery = `P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`
 const unionQuery = demoQuery + ` | P(_, _; c1; c2), C(c1, D, _, _, JD, _), C(c2, R, _, _, _, _)`
 
+// secondModel names the model every harness serves beside the default one,
+// over testDB(t, secondSessions), so batches can interleave two models.
+const (
+	secondModel    = "second"
+	secondSessions = 5
+)
+
 // testDB builds a synthetic RIM-PPD with n sessions shaped like figure1
 // (candidates C, voters V with a numeric age, one poll session per voter).
 // Every session gets a distinct Mallows model (distinct phi), so inference
@@ -159,10 +166,11 @@ func (ft *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return ft.base.RoundTrip(req)
 }
 
-// harness is one single-process/cluster pair over the same database.
+// harness is one single-process/cluster pair over the same databases: db
+// as the default model and a second one as secondModel.
 type harness struct {
 	t         *testing.T
-	db        *ppd.DB
+	dbs       map[string]*ppd.DB // by base model name
 	single    *httptest.Server
 	singleSvc *server.Service
 	coord     *Coordinator
@@ -172,18 +180,23 @@ type harness struct {
 	ft        *faultTransport
 }
 
-// newHarness builds a single-process server over db and a cluster of
-// `shards` shard servers behind a coordinator splitting every model into
-// `partitions` partitions. Each partition is provisioned (as an in-memory
-// session slice of the same db) on its owner and replica per the
+// newHarness builds a single-process server over db (and secondModel) and
+// a cluster of `shards` shard servers behind a coordinator splitting every
+// model into `partitions` partitions. Each partition is provisioned (as an
+// in-memory session slice of the same db) on its owner and replica per the
 // coordinator's placement.
 func newHarness(t *testing.T, db *ppd.DB, shards, partitions int, cfg Config) *harness {
 	t.Helper()
-	h := &harness{t: t, db: db, ft: newFaultTransport()}
+	h := &harness{t: t, ft: newFaultTransport(), dbs: map[string]*ppd.DB{
+		server.DefaultModel: db,
+		secondModel:         testDB(t, secondSessions),
+	}}
 
 	reg := registry.New()
-	if err := reg.RegisterDB(server.DefaultModel, db, ""); err != nil {
-		t.Fatal(err)
+	for name, mdb := range h.dbs {
+		if err := reg.RegisterDB(name, mdb, ""); err != nil {
+			t.Fatal(err)
+		}
 	}
 	h.singleSvc = server.NewMulti(reg, server.Config{})
 	h.single = httptest.NewServer(h.singleSvc.Handler())
@@ -217,7 +230,9 @@ func newHarness(t *testing.T, db *ppd.DB, shards, partitions int, cfg Config) *h
 	}
 	h.coord = coord
 	t.Cleanup(coord.Close)
-	h.provision(server.DefaultModel)
+	for name := range h.dbs {
+		h.provision(name)
+	}
 	h.coordSrv = httptest.NewServer(coord.Handler())
 	t.Cleanup(h.coordSrv.Close)
 	return h
@@ -232,7 +247,7 @@ func (h *harness) provision(base string) {
 		byName[fmt.Sprintf("s%d", i)] = i
 	}
 	for _, row := range h.coord.Placement(base) {
-		pdb, err := ppd.PartitionDB(h.db, row.Partition, h.coord.Partitions())
+		pdb, err := ppd.PartitionDB(h.dbs[base], row.Partition, h.coord.Partitions())
 		if err != nil {
 			h.t.Fatal(err)
 		}

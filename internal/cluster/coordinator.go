@@ -66,7 +66,9 @@ type Config struct {
 	// routing (default 2; a later success re-admits it).
 	FailAfter int
 	// CacheSize is the merged-result cache capacity in entries; 0 means the
-	// default (1024) and a negative value disables the cache.
+	// default (1024) and a negative value disables the cache. The cache is
+	// keyed by model and request only and never sees an ingest sent to a
+	// shard: disable it when shards take /v1/sessions.
 	CacheSize int
 	// ProbeEvery starts a background health prober hitting each shard's
 	// /healthz at this period; 0 disables it (ProbeNow still works).
@@ -313,9 +315,7 @@ func PartitionModel(base string, part int) string {
 // back to. Provisioning follows it — a shard must hold "<base>--p<i>" for
 // every partition it owns or replicates.
 func (c *Coordinator) Placement(base string) []PlacementJSON {
-	if base == "" {
-		base = server.DefaultModel
-	}
+	base = server.ModelName(base)
 	shards, ring := c.members()
 	out := make([]PlacementJSON, c.cfg.Partitions)
 	for i := range out {
@@ -354,34 +354,24 @@ func (c *Coordinator) probeLoop() {
 // directly to make exclusion and recovery deterministic.
 func (c *Coordinator) ProbeNow(ctx context.Context) {
 	shards, _ := c.members()
-	var wg sync.WaitGroup
-	for _, s := range shards {
-		wg.Add(1)
-		go func(s *shard) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-			defer cancel()
-			start := time.Now()
-			req, err := http.NewRequestWithContext(pctx, http.MethodGet, s.url+"/healthz", nil)
-			if err != nil {
-				s.recordFailure()
-				return
-			}
-			res, err := c.client.Do(req)
-			if err != nil {
-				s.recordFailure()
-				return
-			}
-			io.Copy(io.Discard, res.Body)
-			res.Body.Close()
-			if res.StatusCode != http.StatusOK {
-				s.recordFailure()
-				return
-			}
-			s.recordSuccess(time.Since(start))
-		}(s)
+	calls := make([]shardCall, len(shards))
+	for i, s := range shards {
+		calls[i] = shardCall{s, http.MethodGet, "/healthz"}
 	}
-	wg.Wait()
+	start := time.Now()
+	errs := c.callShards(ctx, 5*time.Second, calls, func(i int, res *http.Response) error {
+		io.Copy(io.Discard, res.Body)
+		if res.StatusCode != http.StatusOK {
+			return fmt.Errorf("status %d", res.StatusCode)
+		}
+		shards[i].recordSuccess(time.Since(start))
+		return nil
+	})
+	for i, err := range errs {
+		if err != nil {
+			shards[i].recordFailure()
+		}
+	}
 }
 
 // errShardsDown reports a partition with no reachable owner or replica.

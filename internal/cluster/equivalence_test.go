@@ -19,7 +19,8 @@ import (
 // distributions re-convolved, NDJSON streams interleaved in session order.
 
 // equivalenceBodies is the request matrix checked for byte identity: all
-// six kinds, per-session variants, union queries, and a batch. Consensus
+// six kinds, per-session variants, union queries, a batch, and a batch
+// interleaving the default model with secondModel. Consensus
 // covers all three targets; the sampled variant carries a seed, because the
 // per-session sampling streams are derived from the request seed and only a
 // seeded request is reproducible across tiers at all.
@@ -41,6 +42,7 @@ func equivalenceBodies() []string {
 		fmt.Sprintf(`{"kind":"consensus","query":%q,"target":"median","method":"rejection","seed":5}`, q),
 		fmt.Sprintf(`{"kind":"consensus","query":%q,"target":"topk","k":2,"method":"rejection","seed":11,"per_session":true}`, q),
 		fmt.Sprintf(`{"requests":[{"kind":"bool","query":%q},{"kind":"topk","query":%q,"k":2},{"kind":"count","query":%q},{"kind":"aggregate","query":%q,"agg_rel":"V","agg_attr":"age"},{"kind":"countdist","query":%q},{"kind":"consensus","query":%q,"target":"median"}]}`, q, u, q, q, u, q),
+		fmt.Sprintf(`{"requests":[{"kind":"bool","query":%[1]q,"model":%[3]q},{"kind":"bool","query":%[1]q},{"kind":"topk","query":%[2]q,"k":2,"model":%[3]q},{"kind":"countdist","query":%[1]q,"per_session":true},{"kind":"countdist","query":%[2]q,"model":%[3]q},{"kind":"topk","query":%[1]q,"k":3},{"kind":"consensus","query":%[1]q,"target":"median","model":%[3]q},{"kind":"bool","query":%[2]q,"model":%[3]q,"per_session":true},{"kind":"consensus","query":%[2]q,"target":"map"}]}`, q, u, secondModel),
 	}
 }
 
@@ -108,6 +110,15 @@ func TestClusterEquivalenceErrors(t *testing.T) {
 		fmt.Sprintf(`{"requests":[{"kind":"topk","query":%q},{"kind":"bool","query":%q,"method":"nope"}]}`, demoQuery, demoQuery),
 	} {
 		h.checkEqual(body)
+	}
+	// A batch naming a model no shard holds fails whole with the catalog's
+	// 404 on both tiers. The cluster's message names the partition model
+	// the shard missed, so only the status and the name are compared.
+	body := fmt.Sprintf(`{"requests":[{"kind":"bool","query":%[1]q},{"kind":"bool","query":%[1]q,"model":"missing"},{"kind":"topk","query":%[1]q,"k":2,"model":%[2]q}]}`, demoQuery, secondModel)
+	ss, sb := post(t, h.single.URL, body)
+	cs, cb := post(t, h.coordSrv.URL, body)
+	if ss != http.StatusNotFound || cs != http.StatusNotFound || !strings.Contains(string(cb), "missing") {
+		t.Fatalf("statuses = %d, %d, want 404 naming the model on both\nsingle: %s\ncluster: %s", ss, cs, sb, cb)
 	}
 }
 
@@ -186,7 +197,7 @@ func TestClusterStreamIsNDJSON(t *testing.T) {
 }
 
 // TestClusterModelsMerge checks GET /models regroups partition rows under
-// the base model with summed session counts.
+// their base models with summed session counts.
 func TestClusterModelsMerge(t *testing.T) {
 	db := testDB(t, 7)
 	h := newHarness(t, db, 3, 3, Config{})
@@ -199,12 +210,16 @@ func TestClusterModelsMerge(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
 		t.Fatal(err)
 	}
-	if len(mr.Models) != 1 {
-		t.Fatalf("models = %+v, want exactly the regrouped base model", mr.Models)
+	if len(mr.Models) != 2 {
+		t.Fatalf("models = %+v, want exactly the two regrouped base models", mr.Models)
 	}
-	got := mr.Models[0]
-	if got.Name != server.DefaultModel || got.Sessions != 7 || !got.Loaded {
-		t.Fatalf("merged model row = %+v, want name=%s sessions=7 loaded", got, server.DefaultModel)
+	for i, want := range []struct {
+		name     string
+		sessions int
+	}{{server.DefaultModel, 7}, {secondModel, secondSessions}} {
+		if got := mr.Models[i]; got.Name != want.name || got.Sessions != want.sessions || !got.Loaded {
+			t.Fatalf("merged model row %d = %+v, want name=%s sessions=%d loaded", i, got, want.name, want.sessions)
+		}
 	}
 }
 

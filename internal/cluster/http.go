@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"probpref/internal/ppd"
@@ -54,10 +56,7 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /cluster/placement", func(w http.ResponseWriter, r *http.Request) {
 		server.ServeJSON(w, func() (any, error) {
-			base := r.URL.Query().Get("model")
-			if base == "" {
-				base = server.DefaultModel
-			}
+			base := server.ModelName(r.URL.Query().Get("model"))
 			return &PlacementResponse{Model: base, Partitions: c.Placement(base)}, nil
 		})
 	})
@@ -144,13 +143,9 @@ const keysSuffix = nsSep + "rows"
 // result carries its session rows exactly when the client set per_session
 // or stream.
 func (c *Coordinator) doSingle(ctx context.Context, vr server.V1Request, cr *ppd.CompiledRequest) (*ResultJSON, error) {
-	base := vr.Model
-	if base == "" {
-		base = server.DefaultModel
-	}
 	vr.PerSession = vr.PerSession || vr.Stream
 	vr.Stream = false
-	key := base + nsSep + cr.Key()
+	key := server.ModelName(vr.Model) + nsSep + cr.Key()
 	if vr.PerSession {
 		key += keysSuffix
 	}
@@ -160,16 +155,16 @@ func (c *Coordinator) doSingle(ctx context.Context, vr server.V1Request, cr *ppd
 			return cachedCopy(hit), nil
 		}
 	}
-	parts, diag, err := c.fanout(ctx, base, vr)
+	f, err := c.fanout(ctx, []server.V1Request{vr}, false)
 	if err != nil {
 		return nil, err
 	}
-	res, err := mergeResults(cr.Kind, cr.K, vr.PerSession, parts)
+	res, err := mergeResults(cr.Kind, cr.K, vr.PerSession, f.parts[0])
 	if err != nil {
 		return nil, err
 	}
-	res.Cluster = diag
-	if diag != nil {
+	res.Cluster = f.diag
+	if f.diag != nil {
 		c.degraded.Add(1)
 	} else if useCache {
 		c.cache.Put(key, res)
@@ -177,56 +172,138 @@ func (c *Coordinator) doSingle(ctx context.Context, vr server.V1Request, cr *ppd
 	return res, nil
 }
 
-// fanout posts vr, renamed to each partition's model, to the partition's
-// shard and collects the answers indexed by partition. A deterministic shard
-// rejection (4xx) fails the whole fan-out with that status; unreachable
-// partitions are reported in the degraded-answer diagnostic unless every
-// partition failed, which is a gateway error.
-func (c *Coordinator) fanout(ctx context.Context, base string, vr server.V1Request) ([]*server.RowsResult, *ClusterDiagJSON, error) {
-	n := c.cfg.Partitions
-	parts := make([]*server.RowsResult, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
-		wg.Add(1)
-		go func(p int, pvr server.V1Request) {
-			defer wg.Done()
-			pvr.Model = PartitionModel(base, p)
-			body, err := json.Marshal(pvr)
-			if err != nil {
-				errs[p] = err
-				return
-			}
-			frame, err := c.fetch(ctx, pvr.Model, body)
-			if err != nil {
-				errs[p] = err
-				return
-			}
-			if frame.Batch != nil || len(frame.Results) != 1 {
-				errs[p] = fmt.Errorf("shard answer for %s has %d results, want 1", pvr.Model, len(frame.Results))
-				return
-			}
-			parts[p] = &frame.Results[0]
-		}(p, vr)
+// doBatch answers the batch form: one fan-out, then each request's merge.
+func (c *Coordinator) doBatch(ctx context.Context, q *server.V1Query) (*ResponseJSON, error) {
+	f, err := c.fanout(ctx, q.Body.Requests, true)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	diag, err := collectFanout(errs)
-	return parts, diag, err
+	if f.diag != nil {
+		c.degraded.Add(1)
+	}
+	out := &ResponseJSON{Batch: f.batch}
+	for i, vr := range q.Body.Requests {
+		m, err := mergeResults(q.Compiled[i].Kind, vr.K, vr.PerSession, f.parts[i])
+		if err != nil {
+			return nil, fmt.Errorf("query %d: %w", i+1, err)
+		}
+		m.Cluster = f.diag
+		out.Results = append(out.Results, *m)
+	}
+	return out, nil
 }
 
-// collectFanout classifies per-partition outcomes (errs is indexed by
-// partition): fatal rejections and total failure become errors, partial
-// failure becomes a diagnostic.
-func collectFanout(errs []error) (*ClusterDiagJSON, error) {
-	var diag *ClusterDiagJSON
-	for p, err := range errs {
+// fanned is what one fan-out collected: parts[i][p] is partition p's answer
+// to request i (nil when p failed), batch the shards' summed dedup
+// accounting (batch form only), diag the degraded-answer diagnostic.
+type fanned struct {
+	parts [][]*server.RowsResult
+	batch *server.BatchJSON
+	diag  *ClusterDiagJSON
+}
+
+// fanout posts the client's requests to every partition: one /v1/rows body
+// per (base model, partition), each request renamed to the partition's
+// model, all concurrently. The body has the inline form for a lone inline
+// request and the requests form for a batch — the bodies a single process
+// would take for its slice, so shard seeds, counters and dedup stay those
+// of the unsplit answer (requests of one model share placement, and
+// inference groups never span models). Failures are classified by
+// collectFanout.
+func (c *Coordinator) fanout(ctx context.Context, reqs []server.V1Request, batch bool) (*fanned, error) {
+	n := c.cfg.Partitions
+	var models []string
+	byModel := map[string][]int{} // request indexes per base model, in order
+	for i, vr := range reqs {
+		base := server.ModelName(vr.Model)
+		if _, ok := byModel[base]; !ok {
+			models = append(models, base)
+		}
+		byModel[base] = append(byModel[base], i)
+	}
+	// Job j posts model j/n's requests to partition j%n.
+	frames := make([]*server.RowsFrame, len(models)*n)
+	errs := make([]error, len(frames))
+	var wg sync.WaitGroup
+	for j := range frames {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			idxs, model := byModel[models[j/n]], PartitionModel(models[j/n], j%n)
+			var body server.V1Body
+			for _, i := range idxs {
+				vr := reqs[i]
+				vr.Model = model
+				if !batch {
+					body.V1Request = vr
+				} else {
+					body.Requests = append(body.Requests, vr)
+				}
+			}
+			data, err := json.Marshal(body)
+			if err == nil {
+				frames[j], err = c.fetch(ctx, model, data)
+			}
+			if err == nil && len(frames[j].Results) != len(idxs) {
+				err = fmt.Errorf("partition %d answered %d results for %d requests", j%n, len(frames[j].Results), len(idxs))
+			}
+			errs[j] = err
+		}()
+	}
+	wg.Wait()
+	diag, err := collectFanout(errs, n)
+	if err != nil {
+		return nil, err
+	}
+	f := &fanned{parts: make([][]*server.RowsResult, len(reqs)), diag: diag}
+	for i := range f.parts {
+		f.parts[i] = make([]*server.RowsResult, n)
+	}
+	if batch {
+		f.batch = &server.BatchJSON{}
+	}
+	for j, frame := range frames {
+		if errs[j] != nil {
+			continue
+		}
+		for k, i := range byModel[models[j/n]] {
+			f.parts[i][j%n] = &frame.Results[k]
+		}
+		if b := frame.Batch; b != nil && batch {
+			f.batch.Groups += b.Groups
+			f.batch.Instances += b.Instances
+			f.batch.Solved += b.Solved
+			f.batch.CacheHits += b.CacheHits
+		}
+	}
+	return f, nil
+}
+
+// collectFanout classifies the fan-out's job outcomes (errs[j] is job j's,
+// on partition j%n): a deterministic shard rejection (4xx) fails the whole
+// fan-out with that status, as a single process rejects the whole body; a
+// partition any of whose jobs failed is reported in the degraded-answer
+// diagnostic, unless every partition failed, which is a gateway error.
+func collectFanout(errs []error, n int) (*ClusterDiagJSON, error) {
+	var failed []error
+	for j, err := range errs {
 		if err == nil {
 			continue
 		}
 		if status, ok := server.ErrorStatus(err); ok && status >= 400 && status < 500 {
-			// The shard rejected the request deterministically (bad query,
-			// unknown model): every partition would, so mirror it.
 			return nil, err
+		}
+		if failed == nil {
+			failed = make([]error, n)
+		}
+		if failed[j%n] == nil {
+			failed[j%n] = err
+		}
+	}
+	var diag *ClusterDiagJSON
+	for p, err := range failed {
+		if err == nil {
+			continue
 		}
 		if diag == nil {
 			diag = &ClusterDiagJSON{Partial: true}
@@ -234,125 +311,17 @@ func collectFanout(errs []error) (*ClusterDiagJSON, error) {
 		diag.FailedPartitions = append(diag.FailedPartitions, p)
 		diag.Errors = append(diag.Errors, err.Error())
 	}
-	if diag != nil && len(diag.Errors) == len(errs) {
+	if diag != nil && len(diag.Errors) == n {
 		return nil, server.HTTPError(http.StatusBadGateway,
-			fmt.Errorf("all %d partitions failed: %s", len(errs), strings.Join(diag.Errors, "; ")))
+			fmt.Errorf("all %d partitions failed: %s", n, strings.Join(diag.Errors, "; ")))
 	}
 	return diag, nil
 }
 
-// doBatch answers the batch form. The batch is split per distinct base
-// model — requests of one model always share placement, and inference
-// groups never span models, so splitting preserves the shard-side dedup
-// accounting — and each model's sub-batch fans out per partition.
-func (c *Coordinator) doBatch(ctx context.Context, q *server.V1Query) (*ResponseJSON, error) {
-	body := &q.Body
-	// Group request indexes by base model, preserving request order within
-	// each group.
-	byModel := map[string][]int{}
-	var models []string
-	for i, vr := range body.Requests {
-		base := vr.Model
-		if base == "" {
-			base = server.DefaultModel
-		}
-		if _, ok := byModel[base]; !ok {
-			models = append(models, base)
-		}
-		byModel[base] = append(byModel[base], i)
-	}
-	n := c.cfg.Partitions
-	// results[p][i] is partition p's answer to request i (nil on failure).
-	results := make([][]*server.RowsResult, n)
-	for p := range results {
-		results[p] = make([]*server.RowsResult, len(body.Requests))
-	}
-	partErrs := make([]error, n)
-	batch := &server.BatchJSON{}
-	var batchMu sync.Mutex
-	var wg sync.WaitGroup
-	for _, base := range models {
-		idxs := byModel[base]
-		for p := 0; p < n; p++ {
-			wg.Add(1)
-			go func(base string, idxs []int, p int) {
-				defer wg.Done()
-				model := PartitionModel(base, p)
-				sub := server.V1Body{}
-				for _, i := range idxs {
-					pvr := body.Requests[i]
-					pvr.Model = model
-					sub.Requests = append(sub.Requests, pvr)
-				}
-				bodyBytes, err := json.Marshal(sub)
-				if err != nil {
-					batchMu.Lock()
-					partErrs[p] = err
-					batchMu.Unlock()
-					return
-				}
-				resp, err := c.fetch(ctx, model, bodyBytes)
-				if err != nil {
-					batchMu.Lock()
-					if partErrs[p] == nil {
-						partErrs[p] = err
-					}
-					batchMu.Unlock()
-					return
-				}
-				batchMu.Lock()
-				defer batchMu.Unlock()
-				if len(resp.Results) != len(idxs) {
-					if partErrs[p] == nil {
-						partErrs[p] = fmt.Errorf("partition %d answered %d results for a %d-request sub-batch", p, len(resp.Results), len(idxs))
-					}
-					return
-				}
-				for j, i := range idxs {
-					results[p][i] = &resp.Results[j]
-				}
-				if resp.Batch != nil {
-					batch.Groups += resp.Batch.Groups
-					batch.Instances += resp.Batch.Instances
-					batch.Solved += resp.Batch.Solved
-					batch.CacheHits += resp.Batch.CacheHits
-				}
-			}(base, idxs, p)
-		}
-	}
-	wg.Wait()
-	// Classify per-partition failures across the whole batch the same way
-	// the single path does. (A fatal 4xx from any sub-batch rejects the
-	// batch, matching a single process rejecting the whole body.)
-	diag, err := collectFanout(partErrs)
-	if err != nil {
-		return nil, err
-	}
-	if diag != nil {
-		c.degraded.Add(1)
-	}
-	out := &ResponseJSON{Batch: batch}
-	for i := range body.Requests {
-		sub := make([]*server.RowsResult, n)
-		for p := 0; p < n; p++ {
-			sub[p] = results[p][i]
-		}
-		m, err := mergeResults(q.Compiled[i].Kind, body.Requests[i].K, body.Requests[i].PerSession, sub)
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i+1, err)
-		}
-		m.Cluster = diag
-		out.Results = append(out.Results, *m)
-	}
-	return out, nil
-}
-
-// stream answers one request as NDJSON, byte-compatible with a shard's
-// stream: the merged summary line first (session rows elided), then one
-// session row per line. The merged answer is computed up front — the
-// partitions stream nothing to the coordinator — so the coordinator's
-// incremental value is emission, not evaluation; a client disconnect stops
-// the stream between rows with a final {"error": ...} line.
+// stream answers one request as NDJSON through the shard's own emitter. The
+// merged answer is computed up front — the partitions stream nothing to the
+// coordinator — so the coordinator's incremental value is emission, not
+// evaluation.
 func (c *Coordinator) stream(w http.ResponseWriter, r *http.Request, vr server.V1Request, cr *ppd.CompiledRequest) {
 	// Mirror the shard: one deadline governs the whole exchange, so the
 	// per-request timeout is armed here and not forwarded downstream.
@@ -368,35 +337,53 @@ func (c *Coordinator) stream(w http.ResponseWriter, r *http.Request, vr server.V
 		server.ServeJSON(w, func() (any, error) { return nil, err })
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	rows := res.PerSession
+	head := *res // res may be the cache's: split the rows off a copy
+	rows := head.PerSession
 	if cr.Kind == ppd.KindTopK {
-		rows = res.Top
+		rows = head.Top
 	}
-	head := *res
-	head.Top = nil
-	head.PerSession = nil
-	enc.Encode(&head)
-	flush()
-	for _, row := range rows {
-		if err := ctx.Err(); err != nil {
-			enc.Encode(map[string]string{"error": context.Cause(ctx).Error()})
-			flush()
-			return
-		}
-		if err := enc.Encode(row); err != nil {
-			return // client gone; stop emitting
-		}
-		flush()
-	}
+	head.Top, head.PerSession = nil, nil
+	server.StreamNDJSON(ctx, w, &head, rows, nil)
 }
+
+// shardCall is one request of callShards: method on path of shard s.
+type shardCall struct {
+	s            *shard
+	method, path string
+}
+
+// callShards issues calls in parallel, each under timeout, and hands each
+// response to read on the call's goroutine (the body is closed after it).
+// errs[i] is call i's transport or read error, naming its shard.
+func (c *Coordinator) callShards(ctx context.Context, timeout time.Duration, calls []shardCall, read func(i int, res *http.Response) error) []error {
+	errs := make([]error, len(calls))
+	var wg sync.WaitGroup
+	for i, call := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cctx, cancel := context.WithTimeout(ctx, timeout)
+			defer cancel()
+			req, err := http.NewRequestWithContext(cctx, call.method, call.s.url+call.path, nil)
+			if err == nil {
+				var res *http.Response
+				if res, err = c.client.Do(req); err == nil {
+					err = read(i, res)
+					res.Body.Close()
+				}
+			}
+			if err != nil {
+				errs[i] = fmt.Errorf("shard %s: %w", call.s.name, err)
+			}
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// adminTimeout bounds each shard request of a catalog call (deleteModel,
+// mergedModels).
+const adminTimeout = 30 * time.Second
 
 // deleteModel evicts a base model cluster-wide: every shard is asked to
 // delete every partition (owner and replica copies alike; absent copies
@@ -405,66 +392,35 @@ func (c *Coordinator) stream(w http.ResponseWriter, r *http.Request, vr server.V
 // name could be answered from its predecessor's merged results.
 func (c *Coordinator) deleteModel(ctx context.Context, name string) (*server.DeleteModelResponse, error) {
 	shards, _ := c.members()
-	type del struct {
-		shard *shard
-		model string
-	}
-	var dels []del
+	var calls []shardCall
 	for _, s := range shards {
 		for p := 0; p < c.cfg.Partitions; p++ {
-			dels = append(dels, del{s, PartitionModel(name, p)})
+			calls = append(calls, shardCall{s, http.MethodDelete, "/models/" + PartitionModel(name, p)})
 		}
 	}
-	deleted := make([]bool, len(dels))
-	errs := make([]error, len(dels))
-	var wg sync.WaitGroup
-	for i, d := range dels {
-		wg.Add(1)
-		go func(i int, d del) {
-			defer wg.Done()
-			dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-			defer cancel()
-			req, err := http.NewRequestWithContext(dctx, http.MethodDelete, d.shard.url+"/models/"+d.model, nil)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			res, err := c.client.Do(req)
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %s: %w", d.shard.name, err)
-				return
-			}
-			defer res.Body.Close()
-			switch {
-			case res.StatusCode == http.StatusOK:
-				deleted[i] = true
-			case res.StatusCode == http.StatusNotFound:
-				// This shard never held the partition; fine.
-			default:
-				errs[i] = fmt.Errorf("shard %s: delete %s: status %d", d.shard.name, d.model, res.StatusCode)
-			}
-		}(i, d)
-	}
-	wg.Wait()
+	var deleted atomic.Bool
+	errs := c.callShards(ctx, adminTimeout, calls, func(i int, res *http.Response) error {
+		switch res.StatusCode {
+		case http.StatusOK:
+			deleted.Store(true)
+		case http.StatusNotFound:
+			// This shard never held the partition; fine.
+		default:
+			return fmt.Errorf("delete %s: status %d", strings.TrimPrefix(calls[i].path, "/models/"), res.StatusCode)
+		}
+		return nil
+	})
 	// The purge happens regardless of shard outcomes: serving stale merged
 	// results is worse than purging for a delete that partially failed.
 	if c.cache != nil {
 		c.cache.PurgePrefix(name + nsSep)
 	}
-	var firstErr error
-	any := false
-	for i := range dels {
-		if deleted[i] {
-			any = true
-		}
-		if errs[i] != nil && firstErr == nil {
-			firstErr = errs[i]
+	for _, err := range errs {
+		if err != nil {
+			return nil, server.HTTPError(http.StatusBadGateway, err)
 		}
 	}
-	if firstErr != nil {
-		return nil, server.HTTPError(http.StatusBadGateway, firstErr)
-	}
-	if !any {
+	if !deleted.Load() {
 		return nil, server.HTTPError(http.StatusNotFound, fmt.Errorf("unknown model %q", name))
 	}
 	return &server.DeleteModelResponse{Deleted: name}, nil
@@ -476,46 +432,21 @@ func (c *Coordinator) deleteModel(ctx context.Context, name string) (*server.Del
 // across partitions, the item domain is shared.
 func (c *Coordinator) mergedModels(ctx context.Context) (*server.ModelsResponse, error) {
 	shards, _ := c.members()
-	lists := make([]*server.ModelsResponse, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
+	calls := make([]shardCall, len(shards))
 	for i, s := range shards {
-		wg.Add(1)
-		go func(i int, s *shard) {
-			defer wg.Done()
-			lctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-			defer cancel()
-			req, err := http.NewRequestWithContext(lctx, http.MethodGet, s.url+"/models", nil)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			res, err := c.client.Do(req)
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %s: %w", s.name, err)
-				return
-			}
-			defer res.Body.Close()
-			var out server.ModelsResponse
-			if err := json.NewDecoder(res.Body).Decode(&out); err != nil {
-				errs[i] = fmt.Errorf("shard %s: decoding models: %w", s.name, err)
-				return
-			}
-			lists[i] = &out
-		}(i, s)
+		calls[i] = shardCall{s, http.MethodGet, "/models"}
 	}
-	wg.Wait()
-	ok := false
-	var firstErr error
-	for i := range shards {
-		if errs[i] == nil {
-			ok = true
-		} else if firstErr == nil {
-			firstErr = errs[i]
+	lists := make([]*server.ModelsResponse, len(shards))
+	errs := c.callShards(ctx, adminTimeout, calls, func(i int, res *http.Response) error {
+		var out server.ModelsResponse
+		if err := json.NewDecoder(res.Body).Decode(&out); err != nil {
+			return fmt.Errorf("decoding models: %w", err)
 		}
-	}
-	if !ok {
-		return nil, server.HTTPError(http.StatusBadGateway, fmt.Errorf("no shard answered /models: %v", firstErr))
+		lists[i] = &out
+		return nil
+	})
+	if slices.Index(errs, nil) < 0 {
+		return nil, server.HTTPError(http.StatusBadGateway, fmt.Errorf("no shard answered /models: %v", errs[0]))
 	}
 	return regroupModels(lists), nil
 }

@@ -79,16 +79,7 @@ func mergeResults(kind ppd.Kind, k int, rows bool, parts []*server.RowsResult) (
 			if err != nil {
 				return nil, fmt.Errorf("cluster: merging count distribution: %w", err)
 			}
-			out.CountDist = &server.CountDistJSON{
-				N:      dist.N(),
-				Mean:   dist.Mean(),
-				StdDev: dist.StdDev(),
-				Mode:   dist.Mode(),
-				Median: dist.Quantile(0.5),
-				Lo95:   dist.Quantile(0.025),
-				Hi95:   dist.Quantile(0.975),
-				PMF:    dist.PMF,
-			}
+			out.CountDist = server.NewCountDistJSON(dist)
 		}
 		out.Plan = mergePlans(parts)
 	case ppd.KindTopK:
@@ -162,16 +153,7 @@ func mergeResults(kind ppd.Kind, k int, rows bool, parts []*server.RowsResult) (
 		}
 		fold := ppd.FoldAggregateRows(terms)
 		out.Count = fold.Count
-		out.Aggregate = &server.AggregateJSON{Sum: fold.Sum, Count: fold.Count, Sessions: fold.Sessions}
-		if !math.IsNaN(fold.Avg) {
-			avg := fold.Avg
-			out.Aggregate.Avg = &avg
-		}
-		if rows {
-			for _, r := range terms {
-				out.Aggregate.Rows = append(out.Aggregate.Rows, server.AggRowJSON{Prob: r.Prob, Value: r.Value})
-			}
-		}
+		out.Aggregate = server.NewAggregateJSON(fold, rows)
 	default:
 		return nil, fmt.Errorf("cluster: unknown kind %v", kind)
 	}

@@ -576,7 +576,9 @@ func unload(e *entry) {
 // append: nothing was published, nothing may be acked. Without a log the
 // snapshot is the only persistence, so the checkpoint runs before Append
 // returns and remains best-effort (its failure is counted and logged, not
-// returned).
+// returned) — except on a partition model, whose partition file cannot
+// describe a grown slice: with snapshots on and no log it refuses the append
+// rather than ack sessions a restart would lose.
 func (r *Registry) Append(name, pref string, sessions []*ppd.Session) (int, error) {
 	h, err := r.Open(name) // holds a ref: a concurrent Delete cannot unload mid-append
 	if err != nil {
@@ -584,13 +586,14 @@ func (r *Registry) Append(name, pref string, sessions []*ppd.Session) (int, erro
 	}
 	defer h.Close()
 	e := h.e
+	if e.spec.Partitions > 0 && r.walLog() == nil && r.snapshotPath(name) != "" {
+		return 0, fmt.Errorf("registry: model %q is a partition: appending to it without a write-ahead log (-wal-dir) would not persist", name)
+	}
 	total, logged, err := r.appendLocked(name, e, pref, sessions)
 	if err != nil {
 		return 0, err
 	}
-	// A partitioned entry serves a slice; persisting it with WriteFile would
-	// produce a whole-model snapshot that misdescribes the slice (and would
-	// be discarded on restart anyway), so only whole models re-persist.
+	// Only whole models re-persist: a partition's growth lives in the log.
 	if !logged && e.spec.Partitions == 0 {
 		_ = r.checkpointNow(name, e) // advisory: counted and logged
 	}

@@ -3,10 +3,12 @@ package registry
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"probpref/internal/ppd"
 	"probpref/internal/store"
+	"probpref/internal/wal"
 )
 
 // TestSnapshotWrittenOnBuild checks that a generator build persists a
@@ -206,5 +208,48 @@ func TestAppendPersistsThroughSnapshot(t *testing.T) {
 	}
 	if got := h2.DB().Prefs["P"].Sessions.At(3).Key[0]; got != "Eve" {
 		t.Fatalf("restored appended session key %q, want Eve", got)
+	}
+}
+
+// TestAppendRefusesUnloggedPartition checks that a partition model with
+// snapshots on and no write-ahead log refuses an append, naming -wal-dir,
+// instead of acking sessions its partition file cannot carry across a
+// restart; with a log attached the same append is accepted.
+func TestAppendRefusesUnloggedPartition(t *testing.T) {
+	spec := Spec{Name: "fig--p0", Dataset: "figure1", Partition: 0, Partitions: 2}
+	r := New()
+	r.SetSnapshotDir(t.TempDir())
+	if err := r.Register(spec); err != nil {
+		t.Fatal(err)
+	}
+	h, err := r.Open(spec.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	before := h.DB().Prefs["P"].Sessions.Len()
+	_, err = r.Append(spec.Name, "P", []*ppd.Session{appendSession(t, h.DB())})
+	if err == nil || !strings.Contains(err.Error(), "-wal-dir") {
+		t.Fatalf("append to an unlogged partition: err = %v, want a refusal naming -wal-dir", err)
+	}
+	if in, _ := r.Lookup(spec.Name); in.Sessions != before {
+		t.Fatalf("refused append changed the model: %d sessions, want %d", in.Sessions, before)
+	}
+
+	logged := New()
+	logged.SetSnapshotDir(t.TempDir())
+	l, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := logged.SetWAL(l); err != nil {
+		t.Fatal(err)
+	}
+	if err := logged.Register(spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := logged.Append(spec.Name, "P", []*ppd.Session{appendSession(t, h.DB())}); err != nil {
+		t.Fatalf("append to a logged partition: %v", err)
 	}
 }

@@ -159,7 +159,7 @@ func (s *Service) partitionBatch(crs []*ppd.CompiledRequest) (clusters [][]int, 
 			fanOut = append(fanOut, ri)
 			continue
 		}
-		key := modelName(cr.Model) + nsSep + s.effMethod(cr).String()
+		key := ModelName(cr.Model) + nsSep + s.effMethod(cr).String()
 		ci, ok := clusterOf[key]
 		if !ok {
 			ci = len(clusters)
@@ -246,7 +246,7 @@ func (s *Service) doBatchFanOut(ctx context.Context, crs []*ppd.CompiledRequest,
 		}
 	}()
 	for _, ri := range idx {
-		if name := modelName(crs[ri].Model); handles[name] == nil {
+		if name := ModelName(crs[ri].Model); handles[name] == nil {
 			h, err := s.open(name)
 			if err != nil {
 				return err
@@ -300,7 +300,7 @@ func (s *Service) doBatchFanOut(ctx context.Context, crs []*ppd.CompiledRequest,
 	}
 	err := pool.RunCtx(loopCtx, len(unique), s.cfg.Workers, func(pi int) error {
 		ri := unique[pi]
-		eng := s.engine(seeds[ri], handles[modelName(crs[ri].Model)])
+		eng := s.engine(seeds[ri], handles[ModelName(crs[ri].Model)])
 		eng.Workers = 1 // the pool is the parallelism
 		resp, err := eng.DoCompiled(ctx, crs[ri])
 		if err != nil {

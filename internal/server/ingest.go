@@ -55,7 +55,7 @@ type IngestResponse struct {
 // preserving the grouping behavior of the evaluator, exactly like
 // ppd.LoadPrefJSON.
 func (s *Service) IngestSessions(req *IngestRequest) (*IngestResponse, error) {
-	model := modelName(req.Model)
+	model := ModelName(req.Model)
 	if req.Pref == "" {
 		return nil, fmt.Errorf("missing pref")
 	}

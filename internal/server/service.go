@@ -202,11 +202,11 @@ func (s *Service) DB() *ppd.DB {
 // open resolves a request's model name to a reference-counted handle; the
 // caller must Close it when the evaluation finishes.
 func (s *Service) open(model string) (*registry.Handle, error) {
-	return s.reg.Open(modelName(model))
+	return s.reg.Open(ModelName(model))
 }
 
-// modelName resolves a request's model name: "" means DefaultModel.
-func modelName(model string) string {
+// ModelName resolves a request's model name: "" means DefaultModel.
+func ModelName(model string) string {
 	if model == "" {
 		return DefaultModel
 	}

@@ -194,15 +194,9 @@ func (vr *V1Request) ToRequest() (*ppd.Request, error) {
 	return req, nil
 }
 
-// NewV1Result converts a unified response into its wire form, the same
-// conversion the /v1/query handler applies. The cluster coordinator reuses
-// it so shard-local and merged answers share one serialization.
+// NewV1Result converts a unified response into its wire form; the cluster
+// coordinator's merge shares its countdist and aggregate converters.
 func NewV1Result(resp *ppd.Response, perSession bool) V1Result {
-	return v1Result(resp, perSession)
-}
-
-// v1Result converts a unified response into its wire form.
-func v1Result(resp *ppd.Response, perSession bool) V1Result {
 	out := v1Head(resp)
 	for _, sp := range resp.Top {
 		out.Top = append(out.Top, SessionProbJSON{Session: sp.Session.Key, Prob: sp.Prob})
@@ -212,24 +206,43 @@ func v1Result(resp *ppd.Response, perSession bool) V1Result {
 			out.PerSession = append(out.PerSession, SessionProbJSON{Session: sp.Session.Key, Prob: sp.Prob})
 		}
 		if a := resp.Agg; a != nil {
-			for _, r := range a.Rows {
-				out.Aggregate.Rows = append(out.Aggregate.Rows, AggRowJSON{Prob: r.Prob, Value: r.Value})
-			}
+			out.Aggregate = NewAggregateJSON(a, true)
 		}
 		if c := resp.Consensus; c != nil {
 			out.Consensus.Rows = c.Rows
 		}
 	}
 	if d := resp.Dist; d != nil {
-		out.CountDist = &CountDistJSON{
-			N:      d.N(),
-			Mean:   d.Mean(),
-			StdDev: d.StdDev(),
-			Mode:   d.Mode(),
-			Median: d.Quantile(0.5),
-			Lo95:   d.Quantile(0.025),
-			Hi95:   d.Quantile(0.975),
-			PMF:    d.PMF,
+		out.CountDist = NewCountDistJSON(d)
+	}
+	return out
+}
+
+// NewCountDistJSON converts a count distribution into its wire form.
+func NewCountDistJSON(d *ppd.CountDistribution) *CountDistJSON {
+	return &CountDistJSON{
+		N:      d.N(),
+		Mean:   d.Mean(),
+		StdDev: d.StdDev(),
+		Mode:   d.Mode(),
+		Median: d.Quantile(0.5),
+		Lo95:   d.Quantile(0.025),
+		Hi95:   d.Quantile(0.975),
+		PMF:    d.PMF,
+	}
+}
+
+// NewAggregateJSON converts an aggregation answer into its wire form, with
+// its per-session terms when rows is set.
+func NewAggregateJSON(a *ppd.AggregateResult, rows bool) *AggregateJSON {
+	out := &AggregateJSON{Sum: a.Sum, Count: a.Count, Sessions: a.Sessions}
+	if !math.IsNaN(a.Avg) {
+		avg := a.Avg
+		out.Avg = &avg
+	}
+	if rows {
+		for _, r := range a.Rows {
+			out.Rows = append(out.Rows, AggRowJSON{Prob: r.Prob, Value: r.Value})
 		}
 	}
 	return out
@@ -269,11 +282,7 @@ func v1Head(resp *ppd.Response) V1Result {
 		}
 	}
 	if a := resp.Agg; a != nil {
-		out.Aggregate = &AggregateJSON{Sum: a.Sum, Count: a.Count, Sessions: a.Sessions}
-		if !math.IsNaN(a.Avg) {
-			avg := a.Avg
-			out.Aggregate.Avg = &avg
-		}
+		out.Aggregate = NewAggregateJSON(a, false)
 	}
 	if c := resp.Consensus; c != nil {
 		out.Consensus = consensusJSON(&c.Result, c.Domain)
@@ -412,27 +421,22 @@ func (s *Service) handleV1Query(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		if ans.batch == nil {
-			res := v1Result(ans.resps[0], q.Body.PerSession)
+			res := NewV1Result(ans.resps[0], q.Body.PerSession)
 			return &V1Response{Result: &res}, nil
 		}
 		out := &V1Response{Batch: ans.batch}
 		for i, resp := range ans.resps {
-			out.Results = append(out.Results, v1Result(resp, q.Wire(i).PerSession))
+			out.Results = append(out.Results, NewV1Result(resp, q.Wire(i).PerSession))
 		}
 		return out, nil
 	})
 }
 
-// v1Stream answers one request as NDJSON: the first line is the V1Result
-// summary (diagnostics and plan included, session rows elided), each
-// following line is one session row — the topk rows for kind topk, the
-// per-session probabilities otherwise — flushed as produced so consumers
-// read results incrementally. A client disconnect (or the request deadline)
-// stops the stream between rows with a final {"error": ...} line.
+// v1Stream answers one request through StreamNDJSON: the summary with its
+// rows elided, then the topk or per-session rows one per line.
 func (s *Service) v1Stream(w http.ResponseWriter, r *http.Request, cr *ppd.CompiledRequest) {
-	// One deadline covers the whole exchange — evaluation and emission —
-	// so the budget is armed here instead of inside do (whose internal
-	// deadline would end when the evaluation returns, leaving the
+	// One deadline covers evaluation and emission, so it is armed here, not
+	// inside do (whose deadline would end with the evaluation and leave the
 	// streaming phase ungoverned).
 	ctx := r.Context()
 	if cr.Deadline > 0 {
@@ -448,30 +452,36 @@ func (s *Service) v1Stream(w http.ResponseWriter, r *http.Request, cr *ppd.Compi
 		serveJSON(w, func() (any, error) { return nil, err })
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
+	head := NewV1Result(resp, true)
+	rows := head.PerSession
+	if resp.Kind == ppd.KindTopK {
+		rows = head.Top
 	}
-	head := v1Result(resp, false)
-	head.Top = nil // rows follow line by line
+	head.Top, head.PerSession = nil, nil // rows follow line by line
+	StreamNDJSON(ctx, w, head, rows, s.streamRowHook)
+}
+
+// StreamNDJSON writes the NDJSON answer of shard and coordinator alike: head,
+// then one session row per line, each flushed as written. Once ctx ends
+// (client gone, deadline) it stops between rows with a final {"error": ...}
+// line. hook, when non-nil, runs after every row.
+func StreamNDJSON(ctx context.Context, w http.ResponseWriter, head any, rows []SessionProbJSON, hook func(context.Context)) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	enc, rc := json.NewEncoder(w), http.NewResponseController(w)
 	enc.Encode(head)
-	flush()
-	for sp, err := range resp.Sessions(ctx) {
-		if err != nil {
-			enc.Encode(map[string]string{"error": err.Error()})
-			flush()
+	rc.Flush()
+	for _, row := range rows {
+		if ctx.Err() != nil {
+			enc.Encode(map[string]string{"error": context.Cause(ctx).Error()})
+			rc.Flush()
 			return
 		}
-		if err := enc.Encode(SessionProbJSON{Session: sp.Session.Key, Prob: sp.Prob}); err != nil {
+		if err := enc.Encode(row); err != nil {
 			return // client gone; stop emitting
 		}
-		flush()
-		if s.streamRowHook != nil {
-			s.streamRowHook(ctx)
+		rc.Flush()
+		if hook != nil {
+			hook(ctx)
 		}
 	}
 }
