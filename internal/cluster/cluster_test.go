@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -310,6 +311,8 @@ func post(t *testing.T, srvURL, body string) (int, []byte) {
 
 // checkEqual posts body to the single process and the coordinator and
 // requires byte-identical responses (status and payload, NDJSON included).
+// Both tiers write a JSON answer through one appender, so a single-process
+// answer is also held to what encoding/json writes for its decoded value.
 func (h *harness) checkEqual(body string) {
 	h.t.Helper()
 	ss, sb := post(h.t, h.single.URL, body)
@@ -319,5 +322,21 @@ func (h *harness) checkEqual(body string) {
 	}
 	if !bytes.Equal(sb, cb) {
 		h.t.Errorf("response differs for %s:\n-- single --\n%s\n-- cluster --\n%s", body, sb, cb)
+	}
+	if q, err := server.DecodeV1Query(strings.NewReader(body)); ss != http.StatusOK || err != nil || q.Body.Stream {
+		return
+	}
+	var v server.V1Response
+	if err := json.Unmarshal(sb, &v); err != nil {
+		h.t.Fatalf("decoding the single-process answer to %s: %v", body, err)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(&v); err != nil {
+		h.t.Fatal(err)
+	}
+	if !bytes.Equal(sb, want.Bytes()) {
+		h.t.Errorf("answer to %s differs from encoding/json's:\n-- appender --\n%s\n-- encoding/json --\n%s", body, sb, want.Bytes())
 	}
 }

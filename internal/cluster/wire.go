@@ -42,6 +42,24 @@ type ResponseJSON struct {
 	Batch *server.BatchJSON `json:"batch,omitempty"`
 }
 
+// AppendJSON appends the response's indented JSON to dst through the
+// shard's writer (server.AppendV1Response): each result is a V1Result's
+// members, then the cluster diagnostic when the answer is degraded.
+func (r *ResponseJSON) AppendJSON(dst []byte) ([]byte, error) {
+	return server.AppendV1Response(dst, r.Result, r.Results, r.Batch, appendResult)
+}
+
+func appendResult(w *server.JSONWriter, r *ResultJSON) {
+	w.V1ResultFields(&r.V1Result)
+	if d := r.Cluster; d != nil {
+		w.Field("cluster").BeginObject()
+		w.Field("partial").Bool(d.Partial)
+		w.Field("failed_partitions").Ints(d.FailedPartitions)
+		w.Field("errors").Strings(d.Errors)
+		w.EndObject()
+	}
+}
+
 // ShardStatsJSON is one shard's row in GET /cluster/stats.
 type ShardStatsJSON struct {
 	// Name is the shard's cluster-unique name.

@@ -87,7 +87,7 @@ func (e *Engine) aggregateUnion(ctx context.Context, uq *UnionQuery, rel, attr s
 		return nil, err
 	}
 	var rows []AggRow
-	probs := e.newGroupProbs(gr.Groups)
+	probs := e.newGroupProbs(gr.Groups, e.cacheKeys(gr))
 	for _, ls := range gr.Live {
 		if len(ls.Session.Key) == 0 {
 			continue

@@ -15,6 +15,11 @@ import (
 // the key an exact bipartite solve of that union would use, and a warm
 // bound-1 top-k solves nothing.
 //
+// A key is built once per grounding, not per lookup: a Grounded memoises
+// its groups' keys per method (Grounded.cacheKeys) and its top-k
+// relaxations' bipartite keys (boundSet), and a grounding extended by an
+// append inherits them, so a warm query hands Get strings it already holds.
+//
 // Keys are content-addressed — method, model parameters, union — so an
 // entry can never be wrong for a database it was not computed on, and
 // nothing ever needs to invalidate one: appending sessions to a model
@@ -49,8 +54,8 @@ type SolveCache interface {
 // GroupKey returns the memoization key of one inference request: the solver
 // method joined with the model's parameter hash and the canonical key of
 // the grounded union. It is the key of SolveCache lookups across
-// evaluations; a grounded group keeps the parts it is built from, so the
-// engine looks groups up without rehashing anything.
+// evaluations; the engine looks grounded groups up under the same strings,
+// built once per grounding (see SolveCache).
 func GroupKey(m Method, sm rim.SessionModel, u pattern.Union) string {
 	return groupID{model: sm.Rehash(), union: u.Key()}.key(m)
 }

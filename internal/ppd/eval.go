@@ -193,6 +193,15 @@ func (e *Engine) ground(ctx context.Context, uq *UnionQuery) (*Grounded, error) 
 // the ablation bypasses the content-addressed cache as well.
 func (e *Engine) useCache() bool { return e.Cache != nil && !e.DisableGrouping }
 
+// cacheKeys returns the cache keys of gr's groups under the engine's
+// method, or nil when groups do not resolve through Engine.Cache.
+func (e *Engine) cacheKeys(gr *Grounded) []string {
+	if !e.useCache() {
+		return nil
+	}
+	return gr.cacheKeys(e.Method)
+}
+
 // GroupedResult reports a DoGrouped call.
 type GroupedResult struct {
 	// Responses holds one response per request, in request order. Their
@@ -246,6 +255,7 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 	of := make([][]int, len(crs))
 	var (
 		groups []Group
+		keys   []string // the groups' cache keys; nil without a cache
 		first  []int
 		index  map[groupID]int
 	)
@@ -265,6 +275,10 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 		}
 		grs[qi], of[qi] = gr, make([]int, len(gr.Groups))
 		first = slices.Grow(first, len(gr.Groups))
+		grKeys := e.cacheKeys(gr)
+		if len(crs) == 1 {
+			groups, keys = gr.Groups, grKeys
+		}
 		for lgi, g := range gr.Groups {
 			gi, seen := index[g.id]
 			if !seen {
@@ -275,21 +289,21 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 				first = append(first, qi)
 				if len(crs) > 1 {
 					groups = append(groups, g)
+					if grKeys != nil {
+						keys = append(keys, grKeys[lgi])
+					}
 				}
 			}
 			of[qi][lgi] = gi
 		}
 		res.Instances += len(gr.Live)
 	}
-	if len(crs) == 1 {
-		groups = grs[0].Groups
-	}
 
 	// Sweep the cache, then solve the misses. The pool is entered whenever
 	// a cold run would enter it and seeds group gi baseSeed+gi, so a warm
 	// parallel run reproduces the cold one; the serial path draws from the
 	// engine's one RNG stream.
-	gp := e.newGroupProbs(groups)
+	gp := e.newGroupProbs(groups, keys)
 	var pending []int
 	for gi := range groups {
 		if !gp.lookup(gi) {
@@ -414,7 +428,7 @@ func BoolAggregate(per []SessionProb) (prob, count float64) {
 type groupProbs struct {
 	e       *Engine
 	groups  []Group
-	keys    []string // cache keys, set by lookup; nil without a cache
+	keys    []string // the groups' cache keys (shared, read-only); nil without a cache
 	probs   []float64
 	reports []SolveReport // of the solved groups, for MethodAdaptive's plans; else nil
 	done    []bool        // resolved, from the cache or by a solve
@@ -425,12 +439,11 @@ type groupProbs struct {
 	plan              *PlanStats // MethodAdaptive's routing of the groups prob solved, else nil
 }
 
-func (e *Engine) newGroupProbs(groups []Group) *groupProbs {
+// newGroupProbs resolves groups, whose cache keys are keys (nil without a
+// cache; see cacheKeys).
+func (e *Engine) newGroupProbs(groups []Group, keys []string) *groupProbs {
 	n := len(groups)
-	gp := &groupProbs{e: e, groups: groups, probs: make([]float64, n), done: make([]bool, n), solved: make([]bool, n)}
-	if e.useCache() {
-		gp.keys = make([]string, n)
-	}
+	gp := &groupProbs{e: e, groups: groups, keys: keys, probs: make([]float64, n), done: make([]bool, n), solved: make([]bool, n)}
 	if e.Method == MethodAdaptive {
 		gp.reports = make([]SolveReport, n)
 	}
@@ -442,7 +455,6 @@ func (gp *groupProbs) lookup(gi int) bool {
 	if gp.keys == nil {
 		return false
 	}
-	gp.keys[gi] = gp.groups[gi].id.key(gp.e.Method)
 	p, ok := gp.e.Cache.Get(gp.keys[gi])
 	if ok {
 		gp.probs[gi], gp.done[gi] = p, true
@@ -657,10 +669,8 @@ func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges in
 		bs := gr.bounds(boundEdges, lab)
 		vals := make([]float64, len(bs.relaxed))
 		for bi, b := range bs.relaxed {
-			var key string
 			if useCache {
-				key = b.id.key(MethodBipartite)
-				if p, ok := e.Cache.Get(key); ok {
+				if p, ok := e.Cache.Get(bs.keys[bi]); ok {
 					vals[bi] = p
 					diag.BoundCacheHits++
 					continue
@@ -676,8 +686,8 @@ func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges in
 			}
 			vals[bi] = p
 			diag.BoundSolves++
-			if key != "" {
-				e.Cache.Put(key, p)
+			if useCache {
+				e.Cache.Put(bs.keys[bi], p)
 			}
 		}
 		for gi := range ub {
@@ -688,7 +698,7 @@ func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges in
 	cands := append([]LiveSession(nil), gr.Live...)
 	sort.SliceStable(cands, func(i, j int) bool { return ub[cands[i].Group] > ub[cands[j].Group] })
 
-	exact := e.newGroupProbs(gr.Groups)
+	exact := e.newGroupProbs(gr.Groups, e.cacheKeys(gr))
 	var out []SessionProb
 	for _, c := range cands {
 		if err := loopCtx.Err(); err != nil {

@@ -84,7 +84,30 @@ type Grounded struct {
 	pref string // name of the queried p-relation
 
 	mu        sync.Mutex
-	boundSets map[int]*boundSet // top-k relaxations by bound-edge count, filled on demand
+	boundSets map[int]*boundSet   // top-k relaxations by bound-edge count, filled on demand
+	keys      map[Method][]string // solve-cache keys of Groups by method, filled on demand
+}
+
+// cacheKeys returns the solve-cache key of every group under method m,
+// GroupKey(m, g.Model, g.Union) for g in Groups. Each key is built once per
+// grounding, and an extension inherits the keys of the prefix it extends,
+// so a repeated query looks its groups up without building a string. The
+// returned slice is shared and must not be modified.
+func (gr *Grounded) cacheKeys(m Method) []string {
+	gr.mu.Lock()
+	defer gr.mu.Unlock()
+	keys := gr.keys[m]
+	if len(keys) == len(gr.Groups) {
+		return keys
+	}
+	for _, g := range gr.Groups[len(keys):] {
+		keys = append(keys, g.id.key(m))
+	}
+	if gr.keys == nil {
+		gr.keys = make(map[Method][]string)
+	}
+	gr.keys[m] = keys
+	return keys
 }
 
 // maxBoundSets caps the distinct bound-edge counts one Grounded keeps
@@ -100,8 +123,9 @@ const maxBoundSets = 4
 // top-k evaluation resolves before it ranks the sessions. Immutable once
 // built.
 type boundSet struct {
-	of      []int   // group index -> index into relaxed
-	relaxed []Group // Model, pattern.BoundUnion of the group's union, and its id
+	of      []int    // group index -> index into relaxed
+	relaxed []Group  // Model, pattern.BoundUnion of the group's union, and its id
+	keys    []string // relaxed[i]'s solve-cache key, under MethodBipartite
 }
 
 // bounds returns the relaxations of every group for the bound-edge count,
@@ -131,6 +155,7 @@ func (prev *boundSet) extend(groups []Group, edges int, lab *label.Labeling) *bo
 	if prev != nil {
 		bs.of = append(bs.of, prev.of...)
 		bs.relaxed = prev.relaxed[:len(prev.relaxed):len(prev.relaxed)]
+		bs.keys = prev.keys[:len(prev.keys):len(prev.keys)]
 		for bi, b := range prev.relaxed {
 			index[b.id] = bi
 		}
@@ -143,6 +168,7 @@ func (prev *boundSet) extend(groups []Group, edges int, lab *label.Labeling) *bo
 			bi = len(bs.relaxed)
 			index[id] = bi
 			bs.relaxed = append(bs.relaxed, Group{Model: g.Model, Union: bu, id: id})
+			bs.keys = append(bs.keys, id.key(MethodBipartite))
 		}
 		bs.of = append(bs.of, bi)
 	}
@@ -206,6 +232,12 @@ func groundUnion(ctx context.Context, db *DB, uq *UnionQuery, prev *Grounded, gr
 		}
 		prev.mu.Lock()
 		gr.boundSets = maps.Clone(prev.boundSets)
+		if prev.keys != nil {
+			gr.keys = make(map[Method][]string, len(prev.keys))
+		}
+		for m, keys := range prev.keys {
+			gr.keys[m] = keys[:len(keys):len(keys)]
+		}
 		prev.mu.Unlock()
 	}
 	// Sessions in a row mostly ground to the very same patterns (all of

@@ -8,8 +8,10 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"probpref/internal/consensus"
+	"probpref/internal/label"
 	"probpref/internal/rank"
 	"probpref/internal/rim"
 )
@@ -244,6 +246,87 @@ func TestGroundedGroupKeyAndIdentity(t *testing.T) {
 	if again != gr {
 		t.Fatal("a repeated query was grounded again instead of served from the memo")
 	}
+}
+
+// allMethods lists every Method.
+var allMethods = []Method{MethodAuto, MethodTwoLabel, MethodBipartite, MethodGeneral, MethodRelOrder,
+	MethodMISAdaptive, MethodMISLite, MethodRejection, MethodAdaptive}
+
+// checkCacheKeys requires gr's memoised keys to be GroupKey's: every group
+// under every method, and every bound-1 relaxation under MethodBipartite.
+func checkCacheKeys(t *testing.T, what string, gr *Grounded, lab *label.Labeling) {
+	t.Helper()
+	for _, m := range allMethods {
+		keys := gr.cacheKeys(m)
+		if len(keys) != len(gr.Groups) {
+			t.Fatalf("%s: %d keys under %v for %d groups", what, len(keys), m, len(gr.Groups))
+		}
+		for gi, g := range gr.Groups {
+			if want := GroupKey(m, g.Model, g.Union); keys[gi] != want {
+				t.Fatalf("%s: group %d under %v: key %q, want %q", what, gi, m, keys[gi], want)
+			}
+		}
+	}
+	bs := gr.bounds(1, lab)
+	for bi, b := range bs.relaxed {
+		if want := GroupKey(MethodBipartite, b.Model, b.Union); bs.keys[bi] != want {
+			t.Fatalf("%s: relaxation %d: key %q, want %q", what, bi, bs.keys[bi], want)
+		}
+	}
+}
+
+// A Grounded's cache keys are GroupKey's, on a fresh grounding and on one
+// extended by an append, whose prefix keys are inherited rather than built
+// again; concurrent readers of one grounding agree (run with -race).
+func TestGroundedCacheKeys(t *testing.T) {
+	w := randomSmallWorld(rand.New(rand.NewSource(11)))
+	uq := MustParseUnion(worldJoin + " | " + worldPlain)
+	cut := len(w.sessions) / 2
+	db := w.db(t, w.sessions[:cut])
+	ground := func(db *DB) *Grounded {
+		t.Helper()
+		gr, err := db.Ground(context.Background(), uq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gr
+	}
+	prefix := ground(db)
+	checkCacheKeys(t, "prefix", prefix, db.Labeling())
+
+	grown, err := db.AppendSessions("P", w.sessions[cut:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr := ground(grown)
+	if gr == prefix || len(gr.Groups) <= len(prefix.Groups) {
+		t.Fatalf("the append left %d groups (prefix %d): the world should add groups", len(gr.Groups), len(prefix.Groups))
+	}
+	for _, m := range allMethods {
+		old, keys := prefix.cacheKeys(m), gr.cacheKeys(m)
+		for gi := range old {
+			if unsafe.StringData(keys[gi]) != unsafe.StringData(old[gi]) {
+				t.Fatalf("group %d under %v: the extension built its key again", gi, m)
+			}
+		}
+	}
+	checkCacheKeys(t, "extension", gr, grown.Labeling())
+
+	fresh := w.db(t, w.sessions)
+	gr = ground(fresh)
+	var wg sync.WaitGroup
+	for r := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, m := range allMethods[r%3:] {
+				gr.cacheKeys(m)
+				gr.bounds(1+r%2, fresh.Labeling())
+			}
+		}()
+	}
+	wg.Wait()
+	checkCacheKeys(t, "after concurrent readers", gr, fresh.Labeling())
 }
 
 // A warm bound-1 top-k on an engine with a solve cache solves nothing:

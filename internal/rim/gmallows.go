@@ -190,7 +190,8 @@ func (gm *GeneralizedMallows) Rehash() string {
 	b.WriteString("gm|")
 	b.WriteString(gm.Sigma.Key())
 	for _, phi := range gm.Phis {
-		fmt.Fprintf(&b, "|%.12g", phi)
+		b.WriteByte('|')
+		writeParam(&b, phi)
 	}
 	return b.String()
 }

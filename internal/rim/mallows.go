@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 
 	"probpref/internal/rank"
@@ -158,7 +159,11 @@ func (ml *Mallows) SampleInto(rng *rand.Rand, buf rank.Ranking) rank.Ranking {
 // Rehash returns a deterministic content key for grouping identical models
 // (same center and dispersion) during query evaluation.
 func (ml *Mallows) Rehash() string {
-	return fmt.Sprintf("%s|%.12g", ml.Sigma.Key(), ml.Phi)
+	var b strings.Builder
+	b.WriteString(ml.Sigma.Key())
+	b.WriteByte('|')
+	writeParam(&b, ml.Phi)
+	return b.String()
 }
 
 // Reference returns the center ranking (shared; do not modify).

@@ -156,7 +156,8 @@ func (pl *PlackettLuce) Rehash() string {
 	var b strings.Builder
 	b.WriteString("pl")
 	for _, w := range pl.Weights {
-		fmt.Fprintf(&b, "|%.12g", w)
+		b.WriteByte('|')
+		writeParam(&b, w)
 	}
 	return b.String()
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -93,18 +94,46 @@ func (m *Model) Model() *Model { return m }
 // insertion matrix, for grouping identical models during query evaluation.
 func (m *Model) Rehash() string {
 	var b strings.Builder
+	n := len(m.sigma)
+	b.Grow(4 + 4*n + n + 8*n*(n+1)) // "rim|", sigma's key, per row a '|', 16 digits an entry
 	b.WriteString("rim|")
 	b.WriteString(m.sigma.Key())
 	for _, row := range m.pi {
 		b.WriteByte('|')
-		for j, p := range row {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%.12g", p)
+		for _, p := range row {
+			writeBits(&b, p)
 		}
 	}
 	return b.String()
+}
+
+// Rehash keys are exact: two models that differ in any bit of any parameter
+// never share a key, and so never share an inference group. A generic RIM's
+// key carries each of its m(m+1)/2 insertion probabilities as the 16 hex
+// digits of its bits (writeBits), five times cheaper to write than decimal;
+// a parametric model's key carries its few parameters in decimal
+// (writeParam), the text a 12-digit key gave wherever 12 digits are exact.
+
+// writeBits writes f's exact bits as 16 hex digits.
+func writeBits(b *strings.Builder, f float64) {
+	const hex = "0123456789abcdef"
+	var d [16]byte
+	u := math.Float64bits(f)
+	for i := range d {
+		d[i] = hex[u>>(60-4*i)&0xf]
+	}
+	b.Write(d[:])
+}
+
+// writeParam writes f as %.12g does when that text parses back to f, and
+// as the shortest decimal that does otherwise.
+func writeParam(b *strings.Builder, f float64) {
+	var d [32]byte
+	text := strconv.AppendFloat(d[:0], f, 'g', 12, 64)
+	if back, err := strconv.ParseFloat(string(text), 64); err != nil || back != f {
+		text = strconv.AppendFloat(d[:0], f, 'g', -1, 64)
+	}
+	b.Write(text)
 }
 
 // Pi returns the insertion probability Pi[i][j] (0-based).

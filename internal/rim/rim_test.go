@@ -1,8 +1,11 @@
 package rim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 
 	"probpref/internal/rank"
@@ -119,5 +122,58 @@ func TestInsertionPositionsRoundTrip(t *testing.T) {
 		if !rebuilt.Equal(tau) {
 			t.Fatalf("replay %v != original %v", rebuilt, tau)
 		}
+	}
+}
+
+// TestRehashExactBits: a generic RIM's key tells apart insertion matrices
+// that differ in the last bit of one entry, where a key printed at 12 digits
+// collided.
+func TestRehashExactBits(t *testing.T) {
+	pi := randomPi(rand.New(rand.NewSource(3)), 6)
+	a := MustNew(rank.Identity(6), pi)
+	next := make([][]float64, len(pi)) // the model keeps pi's rows
+	for i, row := range pi {
+		next[i] = slices.Clone(row)
+	}
+	next[4][2] = math.Nextafter(next[4][2], 1)
+	if b := MustNew(rank.Identity(6), next); a.Rehash() == b.Rehash() {
+		t.Fatal("Rehash ignores the last bit of Pi[4][2]")
+	}
+}
+
+// TestRehashParamsKeepTwelveDigits: a parametric model's key spells a
+// parameter as %.12g did wherever those 12 digits are the parameter's
+// exact value (so such keys, and the cache shards and goldens that hash
+// them, did not move), and otherwise in as many digits as tell it apart.
+func TestRehashParamsKeepTwelveDigits(t *testing.T) {
+	sigma := rank.Ranking{2, 0, 1}
+	for _, phi := range []float64{0, 1, 0.3, 0.5, 0.125, 1e-5, 2.5e-7, 0.123456789012, 0.999999999999} {
+		if got, want := MustMallows(sigma, phi).Rehash(), fmt.Sprintf("%s|%.12g", sigma.Key(), phi); got != want {
+			t.Errorf("phi %v: key %q, want %q", phi, got, want)
+		}
+	}
+	for _, w := range []float64{1e6, 1234567, 1e11, 3.5} {
+		if got, want := MustPlackettLuce([]float64{w, 1, 2}).Rehash(), fmt.Sprintf("pl|%.12g|1|2", w); got != want {
+			t.Errorf("weight %v: key %q, want %q", w, got, want)
+		}
+	}
+	near := MustMallows(sigma, 0.3+1e-13)
+	if key := near.Rehash(); key == MustMallows(sigma, 0.3).Rehash() || key != sigma.Key()+"|"+strconv.FormatFloat(near.Phi, 'g', -1, 64) {
+		t.Errorf("phi 0.3+1e-13: key %q", key)
+	}
+	gm := MustGeneralizedMallows(sigma, []float64{0.3, 0.3 + 1e-13, 0.7})
+	if got, want := gm.Rehash(), "gm|"+sigma.Key()+"|0.3|0.3000000000001|0.7"; got != want {
+		t.Errorf("generalized Mallows key %q, want %q", got, want)
+	}
+}
+
+// BenchmarkRehash times the grouping key of a generic RIM at m = 20 (210
+// insertion probabilities): what every snapshot-backed session costs per
+// grounding.
+func BenchmarkRehash(b *testing.B) {
+	m := MustNew(rank.Identity(20), randomPi(rand.New(rand.NewSource(1)), 20))
+	b.ReportAllocs()
+	for range b.N {
+		_ = m.Rehash()
 	}
 }

@@ -48,6 +48,8 @@ type lruShard[V any] struct {
 	hits      uint64
 	misses    uint64
 	evictions uint64
+	// scratch spells a namespaced key for a lookup (see find).
+	scratch []byte
 }
 
 type lruEntry[V any] struct {
@@ -73,6 +75,19 @@ func (s *lruShard[V]) touch(e *lruEntry[V]) {
 		e.unlink()
 		s.pushFront(e)
 	}
+}
+
+// find returns the entry of the key ns+key. A namespaced key is spelled
+// out in the shard's scratch buffer, which a map index reads without
+// allocating a string.
+func (s *lruShard[V]) find(ns, key string) (*lruEntry[V], bool) {
+	if ns == "" {
+		e, ok := s.items[key]
+		return e, ok
+	}
+	s.scratch = append(append(s.scratch[:0], ns...), key...)
+	e, ok := s.items[string(s.scratch)]
+	return e, ok
 }
 
 // drop unlinks e and forgets its key, counting one eviction.
@@ -128,27 +143,39 @@ type PlanCache = LRU[*solver.Plan]
 // (minimum 1), spread over up to 16 shards.
 func NewPlanCache(capacity int) *PlanCache { return NewLRU[*solver.Plan](capacity, defaultShards) }
 
-// shard selects the key's shard by FNV-1a: deterministic across processes,
+// shard selects the shard of the key ns+key by FNV-1a over ns and then
+// key, which is FNV-1a over the joined key: deterministic across processes,
 // so eviction behavior (and the CLI stats lines) is reproducible run to run.
-func (c *LRU[V]) shard(key string) *lruShard[V] {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
+func (c *LRU[V]) shard(ns, key string) *lruShard[V] {
+	const offset64 = 14695981039346656037
+	h := fnv1a(fnv1a(offset64, ns), key)
 	return c.shards[h%uint64(len(c.shards))]
 }
 
+// fnv1a continues an FNV-1a hash h over the bytes of s.
+func fnv1a(h uint64, s string) uint64 {
+	const prime64 = 1099511628211
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return h
+}
+
 // Get returns the cached value for key and refreshes its recency.
-func (c *LRU[V]) Get(key string) (V, bool) {
-	s := c.shard(key)
+func (c *LRU[V]) Get(key string) (V, bool) { return c.get("", key) }
+
+// Put stores the value for key, evicting the least recently used entry of
+// the key's shard when it is full. A stored value must not be mutated
+// afterwards.
+func (c *LRU[V]) Put(key string, val V) { c.put("", key, val) }
+
+// get is Get of the key ns+key, which it does not build.
+func (c *LRU[V]) get(ns, key string) (V, bool) {
+	s := c.shard(ns, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.items[key]
+	e, ok := s.find(ns, key)
 	if !ok {
 		s.misses++
 		var zero V
@@ -159,14 +186,12 @@ func (c *LRU[V]) Get(key string) (V, bool) {
 	return e.val, true
 }
 
-// Put stores the value for key, evicting the least recently used entry of
-// the key's shard when it is full. A stored value must not be mutated
-// afterwards.
-func (c *LRU[V]) Put(key string, val V) {
-	s := c.shard(key)
+// put is Put of the key ns+key, which it builds only for a new entry.
+func (c *LRU[V]) put(ns, key string, val V) {
+	s := c.shard(ns, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.items[key]; ok {
+	if e, ok := s.find(ns, key); ok {
 		e.val = val
 		s.touch(e)
 		return
@@ -174,8 +199,8 @@ func (c *LRU[V]) Put(key string, val V) {
 	if len(s.items) >= s.capacity {
 		s.drop(s.ring.prev)
 	}
-	e := &lruEntry[V]{key: key, val: val}
-	s.items[key] = e
+	e := &lruEntry[V]{key: ns + key, val: val}
+	s.items[e.key] = e
 	s.pushFront(e)
 }
 
@@ -224,7 +249,11 @@ func (c *LRU[V]) Stats() CacheStats {
 // entries — even two models built from identical specs, whose GroupKeys
 // would otherwise collide by construction, and whose plan keys omit the
 // labeling identity altogether (see PlanCache). Over the solve cache it
-// implements ppd.SolveCache, over the plan cache ppd.PlanCache.
+// implements ppd.SolveCache, over the plan cache ppd.PlanCache. An entry's
+// key in the underlying LRU is prefix+key, but a lookup hashes and finds
+// the pair without joining it: only a new entry builds the joined string.
+// So an entry lands in the shard the joined key hashes to, and
+// PurgePrefix(prefix) drops exactly the namespace.
 type nsLRU[V any] struct {
 	prefix string
 	c      *LRU[V]
@@ -234,5 +263,5 @@ type nsLRU[V any] struct {
 // restricted to URL-safe tokens, so the NUL byte cannot occur in a name.
 const nsSep = "\x00"
 
-func (n nsLRU[V]) Get(key string) (V, bool) { return n.c.Get(n.prefix + key) }
-func (n nsLRU[V]) Put(key string, val V)    { n.c.Put(n.prefix+key, val) }
+func (n nsLRU[V]) Get(key string) (V, bool) { return n.c.get(n.prefix, key) }
+func (n nsLRU[V]) Put(key string, val V)    { n.c.put(n.prefix, key, val) }

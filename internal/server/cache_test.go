@@ -92,3 +92,62 @@ func TestCacheExactCapacity(t *testing.T) {
 		t.Errorf("NewCache(0): total capacity %d, want 1", got)
 	}
 }
+
+// joinedShard is the shard a joined key hashed to before namespaced
+// lookups stopped joining it: FNV-1a over the whole key.
+func joinedShard(c *Cache, key string) *lruShard[float64] {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	return c.shards[h%uint64(len(c.shards))]
+}
+
+// TestNamespacedEntriesKeepTheirShard: an entry put through a namespace is
+// stored under the joined key, in the shard the joined key hashes to, and
+// a plain lookup of the joined key finds it.
+func TestNamespacedEntriesKeepTheirShard(t *testing.T) {
+	c := NewCache(4096)
+	for i := range 200 {
+		ns := nsLRU[float64]{prefix: fmt.Sprintf("model%d", i%7) + nsSep, c: c}
+		key := fmt.Sprintf("auto|%d,%d|0.%d||union%d", i%5, i%3, i, i%11)
+		ns.Put(key, float64(i))
+		joined := ns.prefix + key
+		if _, ok := joinedShard(c, joined).items[joined]; !ok {
+			t.Fatalf("%q is not in the shard its joined key hashes to", joined)
+		}
+		if p, ok := c.Get(joined); !ok || p != float64(i) {
+			t.Fatalf("Get(%q) = %v, %v", joined, p, ok)
+		}
+		if p, ok := ns.Get(key); !ok || p != float64(i) {
+			t.Fatalf("namespaced Get(%q) = %v, %v", key, p, ok)
+		}
+	}
+	if st := c.Stats(); st.Entries != 200 || st.Hits != 400 || st.Misses != 0 {
+		t.Fatalf("stats %+v, want 200 entries, 400 hits", st)
+	}
+}
+
+// TestPurgePrefixDropsOneNamespace: purging a model's namespace drops
+// exactly its entries, none of a model whose name extends it.
+func TestPurgePrefixDropsOneNamespace(t *testing.T) {
+	c := NewCache(1024)
+	a := nsLRU[float64]{prefix: "m" + nsSep, c: c}
+	b := nsLRU[float64]{prefix: "mx" + nsSep, c: c}
+	for i := range 50 {
+		a.Put(fmt.Sprint("k", i), 1)
+		b.Put(fmt.Sprint("k", i), 2)
+	}
+	if n := c.PurgePrefix(a.prefix); n != 50 {
+		t.Fatalf("purged %d entries, want 50", n)
+	}
+	for i := range 50 {
+		if _, ok := a.Get(fmt.Sprint("k", i)); ok {
+			t.Fatalf("k%d of model m survived its purge", i)
+		}
+		if p, ok := b.Get(fmt.Sprint("k", i)); !ok || p != 2 {
+			t.Fatalf("k%d of model mx: %v, %v after purging m", i, p, ok)
+		}
+	}
+}

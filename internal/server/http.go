@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"probpref/internal/registry"
 )
@@ -258,19 +261,51 @@ func (s *Service) handleIngest(r *http.Request) (*IngestResponse, error) {
 // to statuses: parse/validation failures are the client's fault (400),
 // failures while evaluating an accepted request are ours (500), catalog
 // misses and collisions get their idiomatic REST statuses, and HTTPError
-// overrides win. Every JSON endpoint of the service — and of the cluster
+// overrides win. A result that cannot be encoded (a NaN or infinite float)
+// is a 500 too. Every JSON endpoint of the service — and of the cluster
 // coordinator, which must stay byte-identical to it — responds through this
 // one function.
 func ServeJSON(w http.ResponseWriter, fn func() (any, error)) {
 	serveJSON(w, fn)
 }
 
+// jsonAppender is a result that writes its own indented JSON: the /v1/query
+// envelopes of shard and coordinator (see encode.go). Anything else goes
+// through encoding/json.
+type jsonAppender interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// jsonBufs pools the response buffers; one grown past maxPooledJSON is
+// dropped rather than kept for the next answer.
+var jsonBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledJSON = 1 << 20
+
 func serveJSON(w http.ResponseWriter, fn func() (any, error)) {
 	v, err := fn()
+	bp := jsonBufs.Get().(*[]byte)
+	body := (*bp)[:0]
+	if err == nil {
+		if a, ok := v.(jsonAppender); ok {
+			body, err = a.AppendJSON(body)
+		} else {
+			buf := bytes.NewBuffer(body)
+			enc := json.NewEncoder(buf)
+			enc.SetIndent("", "  ")
+			err = enc.Encode(v)
+			body = buf.Bytes()
+		}
+		if err != nil {
+			err = &evalError{fmt.Errorf("encoding answer: %w", err)}
+		}
+	}
+	w.Header().Set("Content-Type", "application/json")
 	if err != nil {
 		// Parse/validation failures are the client's fault (400); failures
-		// while evaluating an accepted request are ours (500); catalog
-		// misses and collisions get their idiomatic REST statuses.
+		// while evaluating an accepted request (or encoding its answer) are
+		// ours (500); catalog misses and collisions get their idiomatic REST
+		// statuses.
 		status := http.StatusBadRequest
 		var he *httpError
 		var ee *evalError
@@ -284,13 +319,14 @@ func serveJSON(w http.ResponseWriter, fn func() (any, error)) {
 		case errors.As(err, &ee):
 			status = http.StatusInternalServerError
 		}
-		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)
 		json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-		return
+	} else {
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	if cap(body) <= maxPooledJSON {
+		*bp = body[:0]
+		jsonBufs.Put(bp)
+	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -382,5 +383,66 @@ func BenchmarkServiceEvalCached(b *testing.B) {
 		if _, err := doBool(context.Background(), svc, "", q1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// warmPolls returns a service over a polls model of the given voter count
+// and a count request whose every group it has solved once.
+func warmPolls(t testing.TB, voters int) (*Service, *ppd.Request) {
+	t.Helper()
+	db, err := dataset.Polls(dataset.PollsConfig{Candidates: 10, Voters: voters, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(db, Config{})
+	req := &ppd.Request{Kind: ppd.KindCount, Query: pollsBatch(1)[0]}
+	if _, err := svc.Do(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	return svc, req
+}
+
+// TestWarmDoAllocsFlat: a warm request builds no string per inference
+// group, so its allocations do not grow with the groups it looks up.
+func TestWarmDoAllocsFlat(t *testing.T) {
+	allocs := func(voters int) float64 {
+		svc, req := warmPolls(t, voters)
+		var (
+			resp *ppd.Response
+			err  error
+		)
+		n := testing.AllocsPerRun(20, func() {
+			if resp, err = svc.Do(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if resp.Solves != 0 || resp.CacheHits == 0 {
+			t.Fatalf("%d voters: warm request solved %d groups, %d cache hits", voters, resp.Solves, resp.CacheHits)
+		}
+		return n
+	}
+	// Without the race detector the two counts are equal. A string per
+	// group would be ~1 000 more at 1 000 voters; the race detector's own
+	// allocations (it drops pooled objects at random) are a handful either
+	// way.
+	if small, large := allocs(10), allocs(1000); large > small+8 {
+		t.Fatalf("a warm count allocates %v times at 10 voters and %v at 1000", small, large)
+	}
+}
+
+// BenchmarkWarmDo times one warm count request through Service.Do, every
+// group answered from the solve cache, at 10 and 1000 voters: the cost of
+// the lookups and the fold, not of any solve.
+func BenchmarkWarmDo(b *testing.B) {
+	for _, voters := range []int{10, 1000} {
+		b.Run(fmt.Sprintf("voters=%d", voters), func(b *testing.B) {
+			svc, req := warmPolls(b, voters)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := svc.Do(context.Background(), req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
