@@ -145,6 +145,16 @@ func (s *shard) recordSuccess(d time.Duration) {
 	s.fails = 0
 }
 
+// recordAlive clears the failure streak without a latency sample: a health
+// probe shows the shard is reachable, but a /healthz round trip says
+// nothing about how long a partition fetch takes, so it must not move the
+// hedge trigger.
+func (s *shard) recordAlive() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.fails = 0
+}
+
 // recordFailure extends the failure streak.
 func (s *shard) recordFailure() {
 	s.failures.Add(1)
@@ -348,23 +358,23 @@ func (c *Coordinator) probeLoop() {
 }
 
 // ProbeNow actively checks every shard's /healthz once, in parallel,
-// feeding the same health tracking as query traffic: a probe failure
+// feeding the same failure streak as query traffic: a probe failure
 // extends the shard's failure streak toward exclusion, a success re-admits
-// it. The background prober calls this on its ticker; tests call it
-// directly to make exclusion and recovery deterministic.
+// it. Probes record no latency sample; the hedge trigger is sized from
+// partition fetches alone. The background prober calls this on its ticker;
+// tests call it directly to make exclusion and recovery deterministic.
 func (c *Coordinator) ProbeNow(ctx context.Context) {
 	shards, _ := c.members()
 	calls := make([]shardCall, len(shards))
 	for i, s := range shards {
 		calls[i] = shardCall{s, http.MethodGet, "/healthz"}
 	}
-	start := time.Now()
 	errs := c.callShards(ctx, 5*time.Second, calls, func(i int, res *http.Response) error {
 		io.Copy(io.Discard, res.Body)
 		if res.StatusCode != http.StatusOK {
 			return fmt.Errorf("status %d", res.StatusCode)
 		}
-		shards[i].recordSuccess(time.Since(start))
+		shards[i].recordAlive()
 		return nil
 	})
 	for i, err := range errs {

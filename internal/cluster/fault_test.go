@@ -294,6 +294,23 @@ func TestClusterProbeExclusionRecovery(t *testing.T) {
 	h.checkEqual(boolBody())
 }
 
+// TestClusterProbesLeaveHedgeTrigger: health probes clear failure streaks
+// but record no latency sample, so an idle coordinator probed for longer
+// than the latency window warms up keeps the configured hedge trigger
+// rather than flooring it at a /healthz round trip.
+func TestClusterProbesLeaveHedgeTrigger(t *testing.T) {
+	db := testDB(t, 4)
+	h := newHarness(t, db, 2, 2, Config{HedgeAfter: DefaultHedgeAfter})
+	for range 2 * latWarm {
+		h.coord.ProbeNow(t.Context())
+	}
+	for _, s := range h.coord.Stats().Shards {
+		if s.HedgeDelayMicros != DefaultHedgeAfter.Microseconds() {
+			t.Fatalf("shard %s: hedge delay %d µs after probes only, want the %v default", s.Name, s.HedgeDelayMicros, DefaultHedgeAfter)
+		}
+	}
+}
+
 // TestClusterExcludedOwnerRoutesToReplica excludes one shard via probes and
 // checks queries route around it (replica promoted to primary) without
 // degradation.

@@ -99,39 +99,56 @@ func TestPopulationRankMarginals(t *testing.T) {
 	}
 }
 
+// Top-k over a union query ranks by the probabilities the full evaluation
+// computes. A union of two-label patterns is its own bound, so a bounded
+// top-k solves each group exactly once and relaxes nothing; a union with a
+// chain disjunct is bounded by relaxation solves.
 func TestTopKUnionMatchesEvalUnion(t *testing.T) {
 	db := figure1DB(t)
 	eng := &Engine{DB: db, Method: MethodAuto}
-	uq := MustParseUnion(
-		`P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)` +
-			` | P(_, _; c1; c2), C(c1, "D", _, _, "JD", _), C(c2, "R", _, _, _, _)`)
-	res, err := evalBool(eng, uq.Disjuncts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bound := range []int{0, 1, 2} {
-		top, diag, err := topK(eng, 2, bound, uq.Disjuncts...)
+	for _, tc := range []struct {
+		name, q  string
+		twoLabel bool
+	}{
+		{"two-label", `P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)` +
+			` | P(_, _; c1; c2), C(c1, "D", _, _, "JD", _), C(c2, "R", _, _, _, _)`, true},
+		{"chain", figure1Chain + ` | P(_, _; c1; c2), C(c1, "D", _, _, "JD", _), C(c2, "R", _, _, _, _)`, false},
+	} {
+		uq := MustParseUnion(tc.q)
+		res, err := evalBool(eng, uq.Disjuncts...)
 		if err != nil {
-			t.Fatalf("bound %d: %v", bound, err)
+			t.Fatal(err)
 		}
-		if len(top) != 2 {
-			t.Fatalf("bound %d: got %d sessions, want 2", bound, len(top))
-		}
-		if top[0].Prob < top[1].Prob {
-			t.Fatalf("bound %d: results not sorted", bound)
-		}
-		// The winner's probability must match the full evaluation.
-		best := 0.0
-		for _, sp := range res.PerSession {
-			if sp.Prob > best {
-				best = sp.Prob
+		for _, bound := range []int{0, 1, 2} {
+			top, diag, err := topK(eng, 2, bound, uq.Disjuncts...)
+			if err != nil {
+				t.Fatalf("%s bound %d: %v", tc.name, bound, err)
 			}
-		}
-		if math.Abs(top[0].Prob-best) > 1e-9 {
-			t.Fatalf("bound %d: top prob %v, eval best %v", bound, top[0].Prob, best)
-		}
-		if bound > 0 && diag.BoundSolves == 0 {
-			t.Fatalf("bound %d: no bound solves recorded", bound)
+			if len(top) != 2 {
+				t.Fatalf("%s bound %d: got %d sessions, want 2", tc.name, bound, len(top))
+			}
+			if top[0].Prob < top[1].Prob {
+				t.Fatalf("%s bound %d: results not sorted", tc.name, bound)
+			}
+			// The winner's probability must match the full evaluation.
+			best := 0.0
+			for _, sp := range res.PerSession {
+				if sp.Prob > best {
+					best = sp.Prob
+				}
+			}
+			if math.Abs(top[0].Prob-best) > 1e-9 {
+				t.Fatalf("%s bound %d: top prob %v, eval best %v", tc.name, bound, top[0].Prob, best)
+			}
+			switch {
+			case bound == 0:
+			case tc.twoLabel:
+				if diag.BoundSolves != 0 || diag.ExactSolves != res.Solves {
+					t.Fatalf("%s bound %d: diag %+v, want no bound solves and the %d groups solved exactly", tc.name, bound, diag, res.Solves)
+				}
+			case diag.BoundSolves == 0:
+				t.Fatalf("%s bound %d: no bound solves recorded", tc.name, bound)
+			}
 		}
 	}
 }

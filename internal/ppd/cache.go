@@ -10,10 +10,12 @@ import (
 // (model, union) group and stores the result afterwards, so a process-wide
 // cache turns the per-call identical-request grouping of Section 6.4 into
 // cross-query memoization. The upper bounds of a top-k evaluation go
-// through it too, under GroupKey(MethodBipartite, model, relaxed union):
-// a bound is Pr(relaxed union) under the bipartite solver, so its key is
-// the key an exact bipartite solve of that union would use, and a warm
-// bound-1 top-k solves nothing.
+// through it too. A relaxation's bound is stored under
+// GroupKey(MethodBipartite, model, relaxed union): it is Pr(relaxed union)
+// under the bipartite solver, so its key is the key an exact bipartite
+// solve of that union would use. A two-label group that is its own bound
+// is looked up and stored under its exact key like any other group. So a
+// warm bound-1 top-k solves nothing.
 //
 // A key is built once per grounding, not per lookup: a Grounded memoises
 // its groups' keys per method (Grounded.cacheKeys) and its top-k

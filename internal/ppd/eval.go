@@ -1,11 +1,11 @@
 package ppd
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 
 	"probpref/internal/pattern"
@@ -299,66 +299,13 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 		res.Instances += len(gr.Live)
 	}
 
-	// Sweep the cache, then solve the misses. The pool is entered whenever
-	// a cold run would enter it and seeds group gi baseSeed+gi, so a warm
-	// parallel run reproduces the cold one; the serial path draws from the
-	// engine's one RNG stream.
 	gp := e.newGroupProbs(groups, keys)
-	var pending []int
-	for gi := range groups {
-		if !gp.lookup(gi) {
-			pending = append(pending, gi)
-		}
+	if err := gp.resolve(ctx, loopCtx, nil, func(gi int, err error) error {
+		return &RequestError{Index: first[gi], Err: err}
+	}); err != nil {
+		return nil, err
 	}
-	gp.swept = true
-	res.Groups, res.Solved, res.CacheHits = len(groups), len(pending), gp.cacheHits
-	fail := func(gi int, err error) error { return &RequestError{Index: first[gi], Err: err} }
-	switch {
-	case len(pending) > 1 && e.Plans != nil && batchableMethod(e.Method) && !e.DisableGrouping:
-		// Exact compiled-plan methods: groups sharing a union shape solve as
-		// the lanes of one layer walk, bit-identical to per-group solves.
-		// Gated on a PlanCache: without one every evaluation would recompile
-		// its plans, which costs more than batching saves on small groups.
-		bg := make([]BatchGroup, len(pending))
-		for pi, gi := range pending {
-			bg[pi] = BatchGroup{SM: groups[gi].Model, U: groups[gi].Union}
-		}
-		probs, reps, err := e.batchSolveGroups(ctx, bg)
-		if err != nil {
-			return nil, fail(pending[0], err)
-		}
-		for pi, gi := range pending {
-			gp.record(gi, probs[pi], reps[pi])
-		}
-	case e.Workers > 1 && len(groups) > 1 && len(pending) > 0:
-		baseSeed := int64(1)
-		if e.Rng != nil {
-			baseSeed = e.Rng.Int63()
-		}
-		err := pool.RunCtx(loopCtx, len(pending), e.Workers, func(pi int) error {
-			gi := pending[pi]
-			sub := *e // own RNG; solver statistics are not aggregated across workers
-			sub.Rng, sub.SolverOpts.Stats = rand.New(rand.NewSource(baseSeed+int64(gi))), nil
-			p, rep, err := sub.solve(ctx, groups[gi].Model, groups[gi].Union)
-			if err != nil {
-				return fail(gi, err)
-			}
-			gp.record(gi, p, rep)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	default:
-		for _, gi := range pending {
-			if err := loopCtx.Err(); err != nil {
-				return nil, context.Cause(loopCtx)
-			}
-			if _, err := gp.prob(ctx, gi); err != nil {
-				return nil, fail(gi, err)
-			}
-		}
-	}
+	res.Groups, res.Solved, res.CacheHits = len(groups), gp.solves, gp.cacheHits
 
 	// Fold every request. An adaptive plan notes each freshly solved group
 	// its request references, matching the propagated half-widths; a cache
@@ -420,11 +367,13 @@ func BoolAggregate(per []SessionProb) (prob, count float64) {
 
 // groupProbs resolves the probabilities of distinct groups, each at most
 // once: from Engine.Cache when it holds the group, by a solve otherwise.
-// DoGrouped looks every group up before it solves the misses (swept). The
-// top-k loop, which stops at the first dominated bound, and aggregation,
-// which skips sessions without a value, resolve lazily instead, one group
-// at a time in the order they ask, so a sampling method draws from the
-// engine's RNG stream for exactly the groups the answer needs.
+// DoGrouped, and top-k for the groups that are their own bound, resolve a
+// set of groups up front (resolve): every group is looked up once, then the
+// misses are solved together. The top-k loop, which stops at the first
+// dominated bound, and aggregation, which skips sessions without a value,
+// resolve the rest lazily instead, one group at a time in the order they
+// ask, so a sampling method draws from the engine's RNG stream for exactly
+// the groups the answer needs.
 type groupProbs struct {
 	e       *Engine
 	groups  []Group
@@ -433,10 +382,9 @@ type groupProbs struct {
 	reports []SolveReport // of the solved groups, for MethodAdaptive's plans; else nil
 	done    []bool        // resolved, from the cache or by a solve
 	solved  []bool        // resolved by a solve
-	swept   bool          // every group has been looked up
 
 	solves, cacheHits int
-	plan              *PlanStats // MethodAdaptive's routing of the groups prob solved, else nil
+	plan              *PlanStats // MethodAdaptive's routing of the groups solved one at a time, else nil
 }
 
 // newGroupProbs resolves groups, whose cache keys are keys (nil without a
@@ -448,6 +396,76 @@ func (e *Engine) newGroupProbs(groups []Group, keys []string) *groupProbs {
 		gp.reports = make([]SolveReport, n)
 	}
 	return gp
+}
+
+// resolve resolves the groups want selects (every group when want is nil),
+// none of them resolved yet: it sweeps the cache, then solves the misses.
+// fail attributes a failed solve to its group. The pool is entered whenever
+// a cold run would enter it and seeds group gi baseSeed+gi, so a warm
+// parallel run reproduces the cold one; the serial path draws from the
+// engine's one RNG stream. Solves run under ctx, the loop under loopCtx.
+func (gp *groupProbs) resolve(ctx, loopCtx context.Context, want func(gi int) bool, fail func(gi int, err error) error) error {
+	e := gp.e
+	wanted := 0
+	var pending []int
+	for gi := range gp.groups {
+		if want != nil && !want(gi) {
+			continue
+		}
+		wanted++
+		if !gp.lookup(gi) {
+			pending = append(pending, gi)
+		}
+	}
+	switch {
+	case len(pending) > 1 && e.Plans != nil && batchableMethod(e.Method) && !e.DisableGrouping:
+		// Exact compiled-plan methods: groups sharing a union shape solve as
+		// the lanes of one layer walk, bit-identical to per-group solves.
+		// Gated on a PlanCache: without one every evaluation would recompile
+		// its plans, which costs more than batching saves on small groups.
+		bg := make([]BatchGroup, len(pending))
+		for pi, gi := range pending {
+			bg[pi] = BatchGroup{SM: gp.groups[gi].Model, U: gp.groups[gi].Union}
+		}
+		probs, reps, err := e.batchSolveGroups(ctx, bg)
+		if err != nil {
+			return fail(pending[0], err)
+		}
+		for pi, gi := range pending {
+			gp.record(gi, probs[pi], reps[pi])
+		}
+		gp.solves += len(pending)
+	case e.Workers > 1 && wanted > 1 && len(pending) > 0:
+		baseSeed := int64(1)
+		if e.Rng != nil {
+			baseSeed = e.Rng.Int63()
+		}
+		err := pool.RunCtx(loopCtx, len(pending), e.Workers, func(pi int) error {
+			gi := pending[pi]
+			sub := *e // own RNG; solver statistics are not aggregated across workers
+			sub.Rng, sub.SolverOpts.Stats = rand.New(rand.NewSource(baseSeed+int64(gi))), nil
+			p, rep, err := sub.solve(ctx, gp.groups[gi].Model, gp.groups[gi].Union)
+			if err != nil {
+				return fail(gi, err)
+			}
+			gp.record(gi, p, rep)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		gp.solves += len(pending)
+	default:
+		for _, gi := range pending {
+			if err := loopCtx.Err(); err != nil {
+				return context.Cause(loopCtx)
+			}
+			if _, err := gp.solve(ctx, gi); err != nil {
+				return fail(gi, err)
+			}
+		}
+	}
+	return nil
 }
 
 // lookup answers group gi from Engine.Cache when the cache holds it.
@@ -477,9 +495,14 @@ func (gp *groupProbs) record(gi int, p float64, rep SolveReport) {
 
 // prob returns the probability of group gi, resolving it on first use.
 func (gp *groupProbs) prob(ctx context.Context, gi int) (float64, error) {
-	if gp.done[gi] || !gp.swept && gp.lookup(gi) {
+	if gp.done[gi] || gp.lookup(gi) {
 		return gp.probs[gi], nil
 	}
+	return gp.solve(ctx, gi)
+}
+
+// solve resolves group gi by a solve.
+func (gp *groupProbs) solve(ctx context.Context, gi int) (float64, error) {
 	g := gp.groups[gi]
 	p, rep, err := gp.e.solve(ctx, g.Model, g.Union)
 	if err != nil {
@@ -613,24 +636,37 @@ func clamp01(p float64) float64 {
 
 // TopKDiag reports the work done by a Most-Probable-Session evaluation.
 type TopKDiag struct {
-	// BoundSolves counts upper-bound inference calls (0 for the naive
-	// strategy, and for a repeated query whose bounds are all cached).
+	// BoundSolves counts upper-bound relaxation solves (0 for the naive
+	// strategy, for a repeated query whose bounds are all cached, and for
+	// groups that are their own bound; see topKUnion).
 	BoundSolves int
-	// BoundCacheHits counts upper bounds answered from Engine.Cache.
+	// BoundCacheHits counts relaxation bounds answered from Engine.Cache.
 	// BoundSolves + BoundCacheHits is the number of distinct relaxed
 	// requests the query's groups bound to.
 	BoundCacheHits int
-	// ExactSolves counts exact per-session inference calls (after
-	// grouping).
+	// ExactSolves counts exact inference calls (after grouping), including
+	// those of groups that are their own bound.
 	ExactSolves int
-	// SessionsEvaluated counts sessions whose exact probability was
-	// computed.
+	// SessionsEvaluated counts the sessions the candidate loop took an
+	// exact probability for before every remaining bound was dominated.
 	SessionsEvaluated int
-	// CacheHits counts exact evaluations answered from Engine.Cache.
+	// CacheHits counts exact probabilities answered from Engine.Cache.
 	CacheHits int
 	// Plan reports MethodAdaptive's routing decisions for the per-session
 	// solves; nil for every other method.
 	Plan *PlanStats
+}
+
+// ownBound reports whether, under method m, a group whose union is all
+// two-label is its own top-k bound: the methods whose exact solve of such a
+// union is TwoLabel's (one batched lane) or the bipartite solve a
+// relaxation would run anyway. The other methods keep the relaxation.
+func ownBound(m Method) bool {
+	switch m {
+	case MethodAuto, MethodTwoLabel, MethodBipartite:
+		return true
+	}
+	return false
 }
 
 // topKUnion is the Most-Probable-Session core behind KindTopK: the k
@@ -641,7 +677,11 @@ type TopKDiag struct {
 // sessions, and exact evaluation stops once k sessions are at least as
 // probable as every remaining bound. Upper bounds are resolved per distinct
 // relaxed request of the grounding (see boundSet), through Engine.Cache
-// like any other inference request.
+// like any other inference request. Relaxing a two-label pattern keeps it
+// whole, so under an ownBound method a group whose union is all two-label
+// is bounded by its exact probability: those groups are resolved up front,
+// the cache swept and the misses solved together as DoGrouped does, and no
+// relaxation is built or solved for them.
 func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges int) ([]SessionProb, *TopKDiag, error) {
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("ppd: top-k requires k >= 1, got %d", k)
@@ -656,17 +696,22 @@ func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges in
 	}
 	diag := &TopKDiag{}
 	useCache := e.useCache()
+	exact := e.newGroupProbs(gr.Groups, e.cacheKeys(gr))
 	ub := make([]float64, len(gr.Groups)) // upper bound per group
 	for gi := range ub {
 		ub[gi] = 1
 	}
 	if boundEdges > 0 {
+		lab := e.DB.Labeling()
+		bs := gr.bounds(boundMode{edges: boundEdges, own: ownBound(e.Method)}, lab)
+		own := func(gi int) bool { return bs.of[gi] < 0 }
+		if err := exact.resolve(ctx, loopCtx, own, func(_ int, err error) error { return err }); err != nil {
+			return nil, nil, err
+		}
 		boundOpts := e.SolverOpts
 		if boundOpts.Ctx == nil {
 			boundOpts.Ctx = loopCtx
 		}
-		lab := e.DB.Labeling()
-		bs := gr.bounds(boundEdges, lab)
 		vals := make([]float64, len(bs.relaxed))
 		for bi, b := range bs.relaxed {
 			if useCache {
@@ -676,10 +721,9 @@ func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges in
 					continue
 				}
 			}
-			// Bound patterns are constraint sets; the bipartite solver
-			// evaluates them directly and its satisfied-state pruning
-			// makes it the cheapest choice for the (easy-to-satisfy)
-			// relaxations, including the two-label case.
+			// Bound patterns are constraint sets, which the bipartite
+			// solver evaluates directly; its satisfied-state pruning suits
+			// the easy-to-satisfy relaxations of multi-edge patterns.
 			p, err := solver.Bipartite(b.Model.Model(), lab, b.Union, boundOpts)
 			if err != nil {
 				return nil, nil, err
@@ -690,15 +734,18 @@ func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges in
 				e.Cache.Put(bs.keys[bi], p)
 			}
 		}
-		for gi := range ub {
-			ub[gi] = vals[bs.of[gi]]
+		for gi, bi := range bs.of {
+			if bi < 0 {
+				ub[gi] = exact.probs[gi]
+			} else {
+				ub[gi] = vals[bi]
+			}
 		}
 	}
 	// Highest upper bound first.
 	cands := append([]LiveSession(nil), gr.Live...)
-	sort.SliceStable(cands, func(i, j int) bool { return ub[cands[i].Group] > ub[cands[j].Group] })
+	slices.SortStableFunc(cands, func(a, b LiveSession) int { return cmp.Compare(ub[b.Group], ub[a.Group]) })
 
-	exact := e.newGroupProbs(gr.Groups, e.cacheKeys(gr))
 	var out []SessionProb
 	for _, c := range cands {
 		if err := loopCtx.Err(); err != nil {
@@ -714,7 +761,7 @@ func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges in
 		}
 		diag.SessionsEvaluated++
 		out = append(out, SessionProb{Session: c.Session, Prob: p})
-		sort.SliceStable(out, func(a, b int) bool { return out[a].Prob > out[b].Prob })
+		slices.SortStableFunc(out, func(a, b SessionProb) int { return cmp.Compare(b.Prob, a.Prob) })
 		if len(out) > k {
 			out = out[:k]
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"probpref/internal/pattern"
@@ -139,30 +140,50 @@ func TestEvalGrouping(t *testing.T) {
 	}
 }
 
+// Bounded top-k returns the naive ranking. On a two-label query, whose
+// groups are their own bounds, it returns the naive ranking bit for bit and
+// solves no relaxation; on a chain it ranks by relaxation bounds.
 func TestTopKNaiveMatchesOptimized(t *testing.T) {
 	db := figure1DB(t)
-	q := MustParse(`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`)
 	eng := &Engine{DB: db, Method: MethodAuto}
-	for _, k := range []int{1, 2, 3, 5} {
-		naive, _, err := topK(eng, k, 0, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, edges := range []int{1, 2} {
-			opt, diag, err := topK(eng, k, edges, q)
+	for _, tc := range []struct {
+		q        string
+		twoLabel bool
+	}{
+		{`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`, true},
+		{figure1Chain, false},
+	} {
+		q := MustParse(tc.q)
+		for _, k := range []int{1, 2, 3, 5} {
+			naive, naiveDiag, err := topK(eng, k, 0, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(opt) != len(naive) {
-				t.Fatalf("k=%d edges=%d: %d results vs %d", k, edges, len(opt), len(naive))
-			}
-			for i := range opt {
-				if math.Abs(opt[i].Prob-naive[i].Prob) > tol {
-					t.Fatalf("k=%d edges=%d pos=%d: prob %v vs %v", k, edges, i, opt[i].Prob, naive[i].Prob)
+			for _, edges := range []int{1, 2} {
+				opt, diag, err := topK(eng, k, edges, q)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if diag.BoundSolves == 0 {
-				t.Fatal("optimized run did not compute bounds")
+				if len(opt) != len(naive) {
+					t.Fatalf("k=%d edges=%d: %d results vs %d", k, edges, len(opt), len(naive))
+				}
+				for i := range opt {
+					if math.Abs(opt[i].Prob-naive[i].Prob) > tol {
+						t.Fatalf("k=%d edges=%d pos=%d: prob %v vs %v", k, edges, i, opt[i].Prob, naive[i].Prob)
+					}
+				}
+				if !tc.twoLabel {
+					if diag.BoundSolves == 0 {
+						t.Fatalf("%s: optimized run did not compute bounds", tc.q)
+					}
+					continue
+				}
+				if !reflect.DeepEqual(opt, naive) {
+					t.Fatalf("k=%d edges=%d: %v, naive %v", k, edges, opt, naive)
+				}
+				if diag.BoundSolves != 0 || diag.ExactSolves != naiveDiag.ExactSolves {
+					t.Fatalf("k=%d edges=%d: diag %+v, want no bound solves and the naive run's %d exact solves", k, edges, diag, naiveDiag.ExactSolves)
+				}
 			}
 		}
 	}

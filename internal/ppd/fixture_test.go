@@ -66,6 +66,10 @@ func evalBool(e *Engine, qs ...*Query) (*Response, error) {
 	return e.Do(context.Background(), &Request{Kind: KindBool, Queries: qs})
 }
 
+// figure1Chain is a chain query over figure1DB: a multi-edge pattern, so
+// bounded top-k relaxes it and solves the relaxation with Bipartite.
+const figure1Chain = `P(_, _; c1; c2), P(_, _; c2; c3), C(c1, _, F, _, _, _), C(c2, D, _, _, _, _), C(c3, R, _, _, _, _)`
+
 // topK answers a KindTopK request.
 func topK(e *Engine, k, boundEdges int, qs ...*Query) ([]SessionProb, *TopKDiag, error) {
 	resp, err := e.Do(context.Background(), &Request{Kind: KindTopK, Queries: qs, K: k, BoundEdges: boundEdges})

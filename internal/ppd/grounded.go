@@ -84,8 +84,8 @@ type Grounded struct {
 	pref string // name of the queried p-relation
 
 	mu        sync.Mutex
-	boundSets map[int]*boundSet   // top-k relaxations by bound-edge count, filled on demand
-	keys      map[Method][]string // solve-cache keys of Groups by method, filled on demand
+	boundSets map[boundMode]*boundSet // top-k relaxations by bound mode, filled on demand
+	keys      map[Method][]string     // solve-cache keys of Groups by method, filled on demand
 }
 
 // cacheKeys returns the solve-cache key of every group under method m,
@@ -110,46 +110,55 @@ func (gr *Grounded) cacheKeys(m Method) []string {
 	return keys
 }
 
-// maxBoundSets caps the distinct bound-edge counts one Grounded keeps
-// relaxations for. The count comes from the request, so without a cap a
-// client walking bound = 1, 2, 3, ... would grow an entry without limit;
-// counts past the cap are relaxed per call.
+// maxBoundSets caps the distinct bound modes one Grounded keeps
+// relaxations for. The bound-edge count comes from the request, so without
+// a cap a client walking bound = 1, 2, 3, ... would grow an entry without
+// limit; modes past the cap are relaxed per call.
 const maxBoundSets = 4
 
+// boundMode selects a boundSet: the bound-edge count, and whether groups
+// whose union is all two-label are their own bound (see boundSet).
+type boundMode struct {
+	edges int
+	own   bool
+}
+
 // boundSet holds the top-k upper-bound relaxations (Section 4.3.2) of a
-// Grounded's groups for one bound-edge count: the distinct relaxed
-// requests in first-seen order, and which of them bounds each group.
-// Distinct groups often relax to the same request, so this is the set a
-// top-k evaluation resolves before it ranks the sessions. Immutable once
-// built.
+// Grounded's groups for one bound mode: the distinct relaxed requests in
+// first-seen order, and which of them bounds each group. Distinct groups
+// often relax to the same request, so this is the set a top-k evaluation
+// resolves before it ranks the sessions. In an own mode a group whose
+// union is all two-label gets no relaxation (of -1): keeping the hardest
+// edges of a one-edge pattern keeps the pattern, so such a group's exact
+// probability is its bound. Immutable once built.
 type boundSet struct {
-	of      []int    // group index -> index into relaxed
+	of      []int    // group index -> index into relaxed, or -1 for a group that is its own bound
 	relaxed []Group  // Model, pattern.BoundUnion of the group's union, and its id
 	keys    []string // relaxed[i]'s solve-cache key, under MethodBipartite
 }
 
-// bounds returns the relaxations of every group for the bound-edge count,
+// bounds returns the relaxations of every group for the bound mode,
 // relaxing the groups an inherited set does not cover yet.
-func (gr *Grounded) bounds(edges int, lab *label.Labeling) *boundSet {
+func (gr *Grounded) bounds(mode boundMode, lab *label.Labeling) *boundSet {
 	gr.mu.Lock()
 	defer gr.mu.Unlock()
-	bs, kept := gr.boundSets[edges]
+	bs, kept := gr.boundSets[mode]
 	if kept && len(bs.of) == len(gr.Groups) {
 		return bs
 	}
-	bs = bs.extend(gr.Groups, edges, lab)
+	bs = bs.extend(gr.Groups, mode, lab)
 	if kept || len(gr.boundSets) < maxBoundSets {
 		if gr.boundSets == nil {
-			gr.boundSets = make(map[int]*boundSet)
+			gr.boundSets = make(map[boundMode]*boundSet)
 		}
-		gr.boundSets[edges] = bs
+		gr.boundSets[mode] = bs
 	}
 	return bs
 }
 
 // extend returns a set covering all of groups, reusing prev (which covers
 // a prefix of them, or is nil) without modifying it.
-func (prev *boundSet) extend(groups []Group, edges int, lab *label.Labeling) *boundSet {
+func (prev *boundSet) extend(groups []Group, mode boundMode, lab *label.Labeling) *boundSet {
 	bs := &boundSet{of: make([]int, 0, len(groups))}
 	index := make(map[groupID]int)
 	if prev != nil {
@@ -161,7 +170,11 @@ func (prev *boundSet) extend(groups []Group, edges int, lab *label.Labeling) *bo
 		}
 	}
 	for _, g := range groups[len(bs.of):] {
-		bu := pattern.BoundUnion(g.Union, g.Model.Reference(), lab, edges)
+		if mode.own && g.Union.AllTwoLabel() {
+			bs.of = append(bs.of, -1)
+			continue
+		}
+		bu := pattern.BoundUnion(g.Union, g.Model.Reference(), lab, mode.edges)
 		id := groupID{model: g.id.model, union: bu.Key()}
 		bi, ok := index[id]
 		if !ok {

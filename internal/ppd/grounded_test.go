@@ -253,7 +253,8 @@ var allMethods = []Method{MethodAuto, MethodTwoLabel, MethodBipartite, MethodGen
 	MethodMISAdaptive, MethodMISLite, MethodRejection, MethodAdaptive}
 
 // checkCacheKeys requires gr's memoised keys to be GroupKey's: every group
-// under every method, and every bound-1 relaxation under MethodBipartite.
+// under every method, and every bound-1 relaxation under MethodBipartite;
+// in the own mode exactly the all-two-label groups are left unrelaxed.
 func checkCacheKeys(t *testing.T, what string, gr *Grounded, lab *label.Labeling) {
 	t.Helper()
 	for _, m := range allMethods {
@@ -267,10 +268,17 @@ func checkCacheKeys(t *testing.T, what string, gr *Grounded, lab *label.Labeling
 			}
 		}
 	}
-	bs := gr.bounds(1, lab)
-	for bi, b := range bs.relaxed {
-		if want := GroupKey(MethodBipartite, b.Model, b.Union); bs.keys[bi] != want {
-			t.Fatalf("%s: relaxation %d: key %q, want %q", what, bi, bs.keys[bi], want)
+	for _, own := range []bool{false, true} {
+		bs := gr.bounds(boundMode{edges: 1, own: own}, lab)
+		for gi, bi := range bs.of {
+			if self := own && gr.Groups[gi].Union.AllTwoLabel(); self != (bi < 0) {
+				t.Fatalf("%s: own %v: group %d relaxes to %d", what, own, gi, bi)
+			}
+		}
+		for bi, b := range bs.relaxed {
+			if want := GroupKey(MethodBipartite, b.Model, b.Union); bs.keys[bi] != want {
+				t.Fatalf("%s: relaxation %d: key %q, want %q", what, bi, bs.keys[bi], want)
+			}
 		}
 	}
 }
@@ -321,7 +329,7 @@ func TestGroundedCacheKeys(t *testing.T) {
 			defer wg.Done()
 			for _, m := range allMethods[r%3:] {
 				gr.cacheKeys(m)
-				gr.bounds(1+r%2, fresh.Labeling())
+				gr.bounds(boundMode{edges: 1 + r%2, own: r%2 == 0}, fresh.Labeling())
 			}
 		}()
 	}
@@ -330,36 +338,51 @@ func TestGroundedCacheKeys(t *testing.T) {
 }
 
 // A warm bound-1 top-k on an engine with a solve cache solves nothing:
-// every relaxation and every exact group comes from the cache, and the
-// answer does not change.
+// every bound and every exact group comes from the cache, and the answer
+// does not change. A two-label query's groups are their own bounds, so its
+// cold run solves each group once, exactly; a multi-edge query's bounds are
+// relaxations, solved cold and cached.
 func TestTopKBoundsGoThroughTheCache(t *testing.T) {
 	w := randomSmallWorld(rand.New(rand.NewSource(5)))
 	db := w.db(t, w.sessions)
-	cache := &mapCache{m: make(map[string]float64)}
-	req := &Request{Kind: KindTopK, Query: worldPlain, K: 3, BoundEdges: 1}
-	do := func() *Response {
-		t.Helper()
-		resp, err := (&Engine{DB: db, Cache: cache}).Do(context.Background(), req)
+	for _, q := range []string{worldPlain, worldShared} {
+		cache := &mapCache{m: make(map[string]float64)}
+		req := &Request{Kind: KindTopK, Query: q, K: 3, BoundEdges: 1}
+		do := func() *Response {
+			t.Helper()
+			resp, err := (&Engine{DB: db, Cache: cache}).Do(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp
+		}
+		cold, warm := do(), do()
+		gr, err := db.Ground(context.Background(), MustParseUnion(q))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp
-	}
-	cold, warm := do(), do()
-	if cold.Diag.BoundSolves == 0 || cold.Diag.BoundCacheHits != 0 {
-		t.Fatalf("cold diag %+v: want bound solves and no bound hits", cold.Diag)
-	}
-	if warm.Solves != 0 || warm.Diag.BoundSolves != 0 || warm.Diag.ExactSolves != 0 {
-		t.Fatalf("warm top-k still solves: %+v (solves %d)", warm.Diag, warm.Solves)
-	}
-	if warm.Diag.BoundCacheHits != cold.Diag.BoundSolves {
-		t.Fatalf("warm top-k hit %d bounds, want the %d the cold one solved", warm.Diag.BoundCacheHits, cold.Diag.BoundSolves)
-	}
-	if warm.CacheHits != warm.Diag.BoundCacheHits+warm.Diag.CacheHits {
-		t.Fatalf("CacheHits = %d, want bound hits %d + exact hits %d", warm.CacheHits, warm.Diag.BoundCacheHits, warm.Diag.CacheHits)
-	}
-	if !reflect.DeepEqual(cold.Top, warm.Top) {
-		t.Fatalf("warm top-k answers %v, cold %v", warm.Top, cold.Top)
+		if q == worldPlain {
+			if cold.Diag.BoundSolves != 0 || cold.Diag.BoundCacheHits != 0 || cold.Diag.ExactSolves != len(gr.Groups) {
+				t.Fatalf("two-label cold diag %+v: want the %d groups solved exactly and no bounds", cold.Diag, len(gr.Groups))
+			}
+			if warm.Diag.CacheHits != len(gr.Groups) {
+				t.Fatalf("two-label warm diag %+v: want %d exact hits", warm.Diag, len(gr.Groups))
+			}
+		} else if cold.Diag.BoundSolves == 0 || cold.Diag.BoundCacheHits != 0 {
+			t.Fatalf("%s: cold diag %+v: want bound solves and no bound hits", q, cold.Diag)
+		}
+		if warm.Solves != 0 || warm.Diag.BoundSolves != 0 || warm.Diag.ExactSolves != 0 {
+			t.Fatalf("%s: warm top-k still solves: %+v (solves %d)", q, warm.Diag, warm.Solves)
+		}
+		if warm.Diag.BoundCacheHits != cold.Diag.BoundSolves {
+			t.Fatalf("%s: warm top-k hit %d bounds, want the %d the cold one solved", q, warm.Diag.BoundCacheHits, cold.Diag.BoundSolves)
+		}
+		if warm.CacheHits != warm.Diag.BoundCacheHits+warm.Diag.CacheHits {
+			t.Fatalf("%s: CacheHits = %d, want bound hits %d + exact hits %d", q, warm.CacheHits, warm.Diag.BoundCacheHits, warm.Diag.CacheHits)
+		}
+		if !reflect.DeepEqual(cold.Top, warm.Top) {
+			t.Fatalf("%s: warm top-k answers %v, cold %v", q, warm.Top, cold.Top)
+		}
 	}
 }
 

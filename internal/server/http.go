@@ -276,8 +276,9 @@ type jsonAppender interface {
 	AppendJSON(dst []byte) ([]byte, error)
 }
 
-// jsonBufs pools the response buffers; one grown past maxPooledJSON is
-// dropped rather than kept for the next answer.
+// jsonBufs pools the response buffers of JSON answers and /v1/rows frames;
+// one grown past maxPooledJSON is dropped rather than kept for the next
+// answer.
 var jsonBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledJSON = 1 << 20

@@ -93,9 +93,10 @@ func (s *Service) handleV1Rows(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		ans, err = s.answer(r.Context(), q)
 	}
-	var frame []byte
+	bp := jsonBufs.Get().(*[]byte)
+	frame := (*bp)[:0]
 	if err == nil {
-		frame, err = appendRowsFrame(nil, ans)
+		frame, err = appendRowsFrame(frame, ans)
 	}
 	if err != nil {
 		serveJSON(w, func() (any, error) { return nil, err })
@@ -104,6 +105,10 @@ func (s *Service) handleV1Rows(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", rowsContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	w.Write(frame)
+	if cap(frame) <= maxPooledJSON {
+		*bp = frame[:0]
+		jsonBufs.Put(bp)
+	}
 }
 
 // appendRowsFrame appends the frame of an executed answer to dst.

@@ -192,41 +192,62 @@ func TestTopKSharesCacheAcrossRequests(t *testing.T) {
 	}
 }
 
-// A repeated bound-1 top-k solves nothing: its upper bounds come from the
-// shared solve cache like any other inference request, one hit per distinct
-// relaxation, and neither the answer nor the service's solve counter moves.
+// pollsStar is a star query over pollsService's database: a multi-edge
+// pattern, so bounded top-k relaxes it and solves the relaxation. (A chain
+// is multi-edge too, but its exact relative-order solves take minutes on
+// this database.)
+const pollsStar = `P(_, _; a; b), P(_, _; a; c), C(a, D, M, _, _, _), C(b, R, _, _, _, _), C(c, D, F, 20, _, _)`
+
+// A repeated bound-1 top-k solves nothing: its bounds come from the shared
+// solve cache like any other inference request, and neither the answer nor
+// the service's solve counter moves. A two-label query's groups are their
+// own bounds, solved exactly once cold; a star's bounds are relaxations,
+// one cache hit per distinct relaxation warm.
 func TestWarmBoundTopKSolvesNothing(t *testing.T) {
-	svc := pollsService(t, Config{})
-	req := &ppd.Request{Kind: ppd.KindTopK, Query: pollsBatch(1)[0], K: 5, BoundEdges: 1}
-	cold, err := svc.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Diag.BoundSolves == 0 || cold.Diag.ExactSolves == 0 || cold.Diag.BoundCacheHits != 0 {
-		t.Fatalf("cold top-k diag %+v: want bound and exact solves and no bound hits", cold.Diag)
-	}
-	if cold.Solves != cold.Diag.BoundSolves+cold.Diag.ExactSolves {
-		t.Fatalf("cold Solves = %d, want %d bound + %d exact", cold.Solves, cold.Diag.BoundSolves, cold.Diag.ExactSolves)
-	}
-	solved := svc.Stats().Solves
-	warm, err := svc.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Solves != 0 || warm.Diag.BoundSolves != 0 || warm.Diag.ExactSolves != 0 {
-		t.Fatalf("warm top-k still solves: Solves %d, diag %+v", warm.Solves, warm.Diag)
-	}
-	if warm.Diag.BoundCacheHits != cold.Diag.BoundSolves {
-		t.Fatalf("warm top-k hit %d bounds, want the %d distinct relaxations the cold one solved", warm.Diag.BoundCacheHits, cold.Diag.BoundSolves)
-	}
-	if warm.CacheHits != warm.Diag.BoundCacheHits+warm.Diag.CacheHits {
-		t.Fatalf("warm CacheHits = %d, want %d bound + %d exact", warm.CacheHits, warm.Diag.BoundCacheHits, warm.Diag.CacheHits)
-	}
-	if got := svc.Stats().Solves; got != solved {
-		t.Fatalf("service solve counter moved from %d to %d on a warm top-k", solved, got)
-	}
-	if !reflect.DeepEqual(cold.Top, warm.Top) {
-		t.Fatalf("warm top-k answers\n%v\ncold\n%v", warm.Top, cold.Top)
+	for _, q := range []string{pollsBatch(1)[0], pollsStar} {
+		svc := pollsService(t, Config{})
+		req := &ppd.Request{Kind: ppd.KindTopK, Query: q, K: 5, BoundEdges: 1}
+		cold, err := svc.Do(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q == pollsStar {
+			if cold.Diag.BoundSolves == 0 || cold.Diag.ExactSolves == 0 || cold.Diag.BoundCacheHits != 0 {
+				t.Fatalf("star cold top-k diag %+v: want bound and exact solves and no bound hits", cold.Diag)
+			}
+		} else {
+			count, err := svc.Do(context.Background(), &ppd.Request{Kind: ppd.KindCount, Query: q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.Diag.BoundSolves != 0 || cold.Diag.BoundCacheHits != 0 || cold.Diag.ExactSolves != count.CacheHits || count.Solves != 0 {
+				t.Fatalf("two-label cold top-k diag %+v, then count solves %d hits %d: want every group solved once, exactly, by the top-k",
+					cold.Diag, count.Solves, count.CacheHits)
+			}
+		}
+		if cold.Solves != cold.Diag.BoundSolves+cold.Diag.ExactSolves {
+			t.Fatalf("cold Solves = %d, want %d bound + %d exact", cold.Solves, cold.Diag.BoundSolves, cold.Diag.ExactSolves)
+		}
+		solved := svc.Stats().Solves
+		warm, err := svc.Do(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Solves != 0 || warm.Diag.BoundSolves != 0 || warm.Diag.ExactSolves != 0 {
+			t.Fatalf("warm top-k still solves: Solves %d, diag %+v", warm.Solves, warm.Diag)
+		}
+		if warm.Diag.BoundCacheHits != cold.Diag.BoundSolves {
+			t.Fatalf("warm top-k hit %d bounds, want the %d distinct relaxations the cold one solved", warm.Diag.BoundCacheHits, cold.Diag.BoundSolves)
+		}
+		if warm.CacheHits != warm.Diag.BoundCacheHits+warm.Diag.CacheHits {
+			t.Fatalf("warm CacheHits = %d, want %d bound + %d exact", warm.CacheHits, warm.Diag.BoundCacheHits, warm.Diag.CacheHits)
+		}
+		if got := svc.Stats().Solves; got != solved {
+			t.Fatalf("service solve counter moved from %d to %d on a warm top-k", solved, got)
+		}
+		if !reflect.DeepEqual(cold.Top, warm.Top) {
+			t.Fatalf("warm top-k answers\n%v\ncold\n%v", warm.Top, cold.Top)
+		}
 	}
 }
 
