@@ -2,6 +2,7 @@ package ppd
 
 import (
 	"context"
+	"fmt"
 
 	"probpref/internal/pattern"
 	"probpref/internal/rim"
@@ -31,10 +32,14 @@ type PlanCache interface {
 }
 
 // PlanAlgo maps an evaluation method to the DP algorithm its exact solves
-// compile to, or reports that the method does not solve through compiled
-// plans (the inclusion-exclusion baseline, the samplers, and the adaptive
-// planner, whose routing is budget- and deadline-dependent).
+// compile to, or reports that the method does not solve u through compiled
+// plans: the inclusion-exclusion baseline, the samplers, the adaptive
+// planner (whose routing is budget- and deadline-dependent), and a forced
+// method that would not answer u exactly (see shapeErr).
 func PlanAlgo(m Method, u pattern.Union) (solver.Algo, bool) {
+	if shapeErr(m, u) != nil {
+		return 0, false
+	}
 	switch m {
 	case MethodAuto:
 		return solver.AlgoFor(u), true
@@ -48,11 +53,29 @@ func PlanAlgo(m Method, u pattern.Union) (solver.Algo, bool) {
 	return 0, false
 }
 
+// shapeErr refuses, with solver.ErrShape, a union the forced method m would
+// not answer exactly. The bipartite solver evaluates any DAG pattern under
+// constraint semantics, which for a pattern that is not bipartite gives the
+// top-k upper bound (Section 4.3.2), not the match probability; the other
+// solvers refuse a union outside their family themselves. Engine.solve,
+// PlanAlgo and the batched path all ask here.
+func shapeErr(m Method, u pattern.Union) error {
+	if m == MethodBipartite && !u.AllBipartite() {
+		return fmt.Errorf("%w: Bipartite requires bipartite patterns", solver.ErrShape)
+	}
+	return nil
+}
+
 // PlanKey is the canonical cache key of a compiled union shape: algorithm,
 // reference ranking and union. Everything else a Plan depends on — the
 // labeling — is pinned by the cache's own identity (see PlanCache).
 func PlanKey(algo solver.Algo, sigma interface{ Key() string }, u pattern.Union) string {
-	return algo.String() + "|" + sigma.Key() + "|" + u.Key()
+	return planKey(algo, sigma, u.Key())
+}
+
+// planKey is PlanKey for a union whose key is already built.
+func planKey(algo solver.Algo, sigma interface{ Key() string }, unionKey string) string {
+	return algo.String() + "|" + sigma.Key() + "|" + unionKey
 }
 
 // plan returns the compiled plan for the union shape whose PlanKey is key,
@@ -87,10 +110,11 @@ type BatchGroup struct {
 // which must be a batchableMethod: groups sharing a union shape (same
 // algorithm, reference ranking and union, differing only in insertion
 // probabilities) are one plan class, and a class solves through one
-// SolveSessions walk with a lane per group. Results are positionally
-// aligned with groups and bit-identical to solving each group alone with
-// SolveUnionCtx.
-func (e *Engine) batchSolveGroups(ctx context.Context, groups []BatchGroup) ([]float64, []SolveReport, error) {
+// SolveSessions walk with a lane per group. unionKeys[i] is
+// groups[i].U.Key(), which the grounding has already built (groupID.union).
+// Results are positionally aligned with groups and bit-identical to solving
+// each group alone with SolveUnionCtx.
+func (e *Engine) batchSolveGroups(ctx context.Context, groups []BatchGroup, unionKeys []string) ([]float64, []SolveReport, error) {
 	probs := make([]float64, len(groups))
 	reports := make([]SolveReport, len(groups))
 	opts := e.SolverOpts
@@ -107,8 +131,11 @@ func (e *Engine) batchSolveGroups(ctx context.Context, groups []BatchGroup) ([]f
 	var classes []class
 	classOf := make(map[string]int)
 	for gi, g := range groups {
-		algo, _ := PlanAlgo(e.Method, g.U) // a batchableMethod always plans
-		key := PlanKey(algo, g.SM.Reference(), g.U)
+		algo, ok := PlanAlgo(e.Method, g.U) // a batchableMethod plans every union it solves exactly
+		if !ok {
+			return nil, nil, shapeErr(e.Method, g.U)
+		}
+		key := planKey(algo, g.SM.Reference(), unionKeys[gi])
 		ci, seen := classOf[key]
 		if !seen {
 			pl, err := e.plan(algo, key, g.SM, g.U)

@@ -40,6 +40,15 @@ func (c *mapPlanCache) Put(key string, p *solver.Plan) {
 	c.m[key] = p
 }
 
+// unionKeys returns the union key of every group, as a grounding builds it.
+func unionKeys(groups []BatchGroup) []string {
+	keys := make([]string, len(groups))
+	for i, g := range groups {
+		keys[i] = g.U.Key()
+	}
+	return keys
+}
+
 // batchSolveGroups must match per-group SolveUnionCtx bit-for-bit for the
 // exact compiled-plan methods — the grouped/batched path is a pure
 // performance optimization.
@@ -67,7 +76,7 @@ func TestBatchSolveGroupsMatchesPerGroupBitwise(t *testing.T) {
 	for _, method := range []Method{MethodAuto, MethodTwoLabel, MethodBipartite, MethodRelOrder} {
 		eng := &Engine{DB: db, Method: method, Plans: newMapPlanCache(),
 			SolverOpts: solver.Options{MaxInvolved: 16}}
-		probs, reps, err := eng.batchSolveGroups(context.Background(), groups)
+		probs, reps, err := eng.batchSolveGroups(context.Background(), groups, unionKeys(groups))
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -108,7 +117,7 @@ func TestBatchSolveGroupsUsesPlanCache(t *testing.T) {
 	}
 	cache := newMapPlanCache()
 	eng := &Engine{DB: db, Method: MethodAuto, Plans: cache}
-	first, _, err := eng.batchSolveGroups(context.Background(), groups)
+	first, _, err := eng.batchSolveGroups(context.Background(), groups, unionKeys(groups))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +125,7 @@ func TestBatchSolveGroupsUsesPlanCache(t *testing.T) {
 		t.Fatal("no plans cached on first batch")
 	}
 	putsAfterFirst := cache.puts
-	second, _, err := eng.batchSolveGroups(context.Background(), groups)
+	second, _, err := eng.batchSolveGroups(context.Background(), groups, unionKeys(groups))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,6 +293,59 @@ func TestAdaptiveExpiredDeadlineMinimumSamplingEstimate(t *testing.T) {
 			if p < 0 || p > 1 || math.IsNaN(p) {
 				t.Fatalf("%s deadline, session %v: estimate %v out of range", name, s.Key, p)
 			}
+		}
+	}
+}
+
+// TestBipartiteRefusesNonBipartite: on a union that is not bipartite the
+// bipartite solver answers the constraint relaxation, the top-k upper
+// bound, not the match probability. A forced bipartite method refuses such
+// a union with ErrShape on every route — a solve, the plan route and the
+// batched walk — as a forced two-label method refuses a union that is not
+// two-label.
+func TestBipartiteRefusesNonBipartite(t *testing.T) {
+	db := figure1DB(t)
+	// A three-node chain, Democrat > Republican > southern: its middle node
+	// has an edge in and an edge out.
+	q := MustParse(`P(_, _; a; b), P(_, _; b; c), C(a, D, _, _, _, _), C(b, R, _, _, _, _), C(c, _, _, _, _, S)`)
+	req := &Request{Kind: KindCount, Queries: []*Query{q}}
+	ctx := context.Background()
+	s := db.Prefs["P"].Sessions.At(0)
+	g, err := NewGrounder(db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gq, err := g.GroundSession(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gq.Union) == 0 || gq.Union.AllBipartite() {
+		t.Fatalf("fixture union %v is not a non-bipartite chain", gq.Union)
+	}
+	if _, ok := PlanAlgo(MethodBipartite, gq.Union); ok {
+		t.Error("PlanAlgo plans a forced bipartite solve of a chain")
+	}
+	eng := &Engine{DB: db, Method: MethodBipartite}
+	if p, _, err := eng.SolveUnionCtx(ctx, s.Model, gq.Union); !errors.Is(err, solver.ErrShape) {
+		t.Errorf("forced bipartite solve of a chain = %v, %v; want ErrShape", p, err)
+	}
+	for _, plans := range []PlanCache{nil, newMapPlanCache()} {
+		eng := &Engine{DB: db, Method: MethodBipartite, Plans: plans}
+		if resp, err := eng.Do(ctx, req); !errors.Is(err, solver.ErrShape) {
+			t.Errorf("forced bipartite count (plan cache %v) = %+v, %v; want ErrShape", plans != nil, resp, err)
+		}
+	}
+	// The exact methods still answer it, and agree.
+	var want float64
+	for i, m := range []Method{MethodAuto, MethodRelOrder} {
+		resp, err := (&Engine{DB: db, Method: m}).Do(ctx, req)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if i == 0 {
+			want = resp.Count
+		} else if math.Abs(resp.Count-want) > 1e-12 {
+			t.Errorf("%v count %v, auto %v", m, resp.Count, want)
 		}
 	}
 }

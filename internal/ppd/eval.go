@@ -424,10 +424,12 @@ func (gp *groupProbs) resolve(ctx, loopCtx context.Context, want func(gi int) bo
 		// Gated on a PlanCache: without one every evaluation would recompile
 		// its plans, which costs more than batching saves on small groups.
 		bg := make([]BatchGroup, len(pending))
+		keys := make([]string, len(pending))
 		for pi, gi := range pending {
-			bg[pi] = BatchGroup{SM: gp.groups[gi].Model, U: gp.groups[gi].Union}
+			g := gp.groups[gi]
+			bg[pi], keys[pi] = BatchGroup{SM: g.Model, U: g.Union}, g.id.union
 		}
-		probs, reps, err := e.batchSolveGroups(ctx, bg)
+		probs, reps, err := e.batchSolveGroups(ctx, bg, keys)
 		if err != nil {
 			return fail(pending[0], err)
 		}
@@ -540,6 +542,9 @@ func (e *Engine) solve(ctx context.Context, sm rim.SessionModel, u pattern.Union
 	}
 	exact := func(p float64, err error) (float64, SolveReport, error) {
 		return p, rep, err
+	}
+	if err := shapeErr(e.Method, u); err != nil {
+		return 0, rep, err
 	}
 	switch e.Method {
 	case MethodAuto:

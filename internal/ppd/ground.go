@@ -1,7 +1,9 @@
 package ppd
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -14,6 +16,19 @@ import (
 // DecomposeQuery): variables that prevent label-pattern reduction (V+) are
 // instantiated over their active domains, rewriting the query into a union
 // of itemwise CQs, each of which reduces to one label pattern.
+//
+// Grounding a session has two halves. The session half binds the session
+// terms, tests the session comparisons and joins the context atoms; the
+// instantiation half (V+ domains, their Cartesian product, one pattern per
+// instantiation) reads only the joined environments' values of the
+// variables the item atoms read — the session's signature. Sessions with
+// equal signatures ground to the same union, so a Grounder runs the
+// instantiation once per signature and hands every later session of that
+// signature the same *GroundedQuery. The memo lives as long as the
+// Grounder, which is one grounding pass for DB.Ground.
+//
+// A Grounder is not safe for concurrent use, and a GroundedQuery it returns
+// is shared by every session of its signature and must not be modified.
 type Grounder struct {
 	db   *DB
 	q    *Query
@@ -34,6 +49,14 @@ type Grounder struct {
 	// spells out its nodes and edges, so equal keys mean identical
 	// patterns and sharing cannot change an answer.
 	patterns map[string]*pattern.Pattern
+	// sigVars lists the variables the item atoms read that a session's
+	// terms or context atoms can bind: a session's signature is its joined
+	// environments projected onto them (see signature).
+	sigVars []string
+	// bySig memoises the instantiation half by signature; sigBuf is the
+	// reused buffer a signature is encoded into.
+	bySig  map[string]*GroundedQuery
+	sigBuf []byte
 	// world is the per-session matcher table of the possible-world helpers
 	// (see worldMatchers); nil until HoldsIn or CountIn first runs.
 	world []*pattern.Matcher
@@ -62,6 +85,7 @@ func NewGrounder(db *DB, q *Query) (*Grounder, error) {
 		varComps:    make(map[string][]Compare),
 		keyIndexes:  make(map[string]map[string][]int),
 		patterns:    make(map[string]*pattern.Pattern),
+		bySig:       make(map[string]*GroundedQuery),
 	}
 	for i, t := range q.Prefs[0].Session {
 		if t.Kind == Var {
@@ -151,6 +175,27 @@ func NewGrounder(db *DB, q *Query) (*Grounder, error) {
 		}
 		g.varComps[c.Left.Value] = append(g.varComps[c.Left.Value], c)
 	}
+	// The signature variables: read by an item atom past its item argument
+	// (domains and buildPattern read nothing else of an environment), and
+	// bound by a session term or a context atom (nothing else binds one).
+	binds := make(map[string]bool)
+	for v := range g.sessionVars {
+		binds[v] = true
+	}
+	for _, a := range g.contextAtoms {
+		for _, t := range a.Args {
+			if t.Kind == Var {
+				binds[t.Value] = true
+			}
+		}
+	}
+	for _, a := range g.itemAtoms {
+		for _, t := range a.Args[1:] {
+			if t.Kind == Var && binds[t.Value] && !slices.Contains(g.sigVars, t.Value) {
+				g.sigVars = append(g.sigVars, t.Value)
+			}
+		}
+	}
 	return g, nil
 }
 
@@ -170,20 +215,42 @@ type GroundedQuery struct {
 	Itemwise bool
 }
 
-// GroundSession reduces the query on one session.
+// GroundSession reduces the query on one session. Sessions of one
+// signature share the returned value, which must not be modified.
 func (g *Grounder) GroundSession(s *Session) (*GroundedQuery, error) {
+	envs := g.joinSession(s)
+	if len(envs) == 0 {
+		return &GroundedQuery{}, nil
+	}
+	sig := g.signature(envs)
+	if gq, ok := g.bySig[string(sig)]; ok {
+		return gq, nil
+	}
+	gq, err := g.instantiate(envs)
+	if err != nil {
+		return nil, err
+	}
+	g.bySig[string(sig)] = gq
+	return gq, nil
+}
+
+// joinSession is the session half of a grounding: it binds the session
+// terms, tests the session comparisons and joins the context atoms,
+// returning the joined environments (none when the session is filtered
+// out).
+func (g *Grounder) joinSession(s *Session) []map[string]string {
 	env := make(map[string]string)
 	// Bind session terms.
 	for i, t := range g.q.Prefs[0].Session {
 		switch t.Kind {
 		case Const:
 			if s.Key[i] != t.Value {
-				return &GroundedQuery{}, nil
+				return nil
 			}
 		case Var:
 			if prev, ok := env[t.Value]; ok {
 				if prev != s.Key[i] {
-					return &GroundedQuery{}, nil
+					return nil
 				}
 			} else {
 				env[t.Value] = s.Key[i]
@@ -192,7 +259,7 @@ func (g *Grounder) GroundSession(s *Session) (*GroundedQuery, error) {
 	}
 	for _, c := range g.sessionComps {
 		if !evalCompare(env[c.Left.Value], c.Op, c.Right.Value) {
-			return &GroundedQuery{}, nil
+			return nil
 		}
 	}
 	// Join context atoms.
@@ -224,10 +291,38 @@ func (g *Grounder) GroundSession(s *Session) (*GroundedQuery, error) {
 		}
 		envs = next
 		if len(envs) == 0 {
-			return &GroundedQuery{}, nil
+			return nil
 		}
 	}
+	return envs
+}
 
+// signature encodes the joined environments projected onto sigVars, in
+// order: the environment count, then per environment and variable either
+// 0 (unbound) or the value's length plus one and the value. Equal
+// signatures make instantiate read equal inputs. The result aliases
+// g.sigBuf.
+func (g *Grounder) signature(envs []map[string]string) []byte {
+	b := binary.AppendUvarint(g.sigBuf[:0], uint64(len(envs)))
+	for _, e := range envs {
+		for _, v := range g.sigVars {
+			val, bound := e[v]
+			if !bound {
+				b = append(b, 0)
+				continue
+			}
+			b = binary.AppendUvarint(b, uint64(len(val))+1)
+			b = append(b, val...)
+		}
+	}
+	g.sigBuf = b
+	return b
+}
+
+// instantiate is the signature half of a grounding: per joined
+// environment, it instantiates V+ over its active domains and builds one
+// pattern per instantiation, interned on the Grounder.
+func (g *Grounder) instantiate(envs []map[string]string) (*GroundedQuery, error) {
 	res := &GroundedQuery{}
 	seen := make(map[string]bool)
 	totalGroundVars := 0

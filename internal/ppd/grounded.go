@@ -253,13 +253,18 @@ func groundUnion(ctx context.Context, db *DB, uq *UnionQuery, prev *Grounded, gr
 		}
 		prev.mu.Unlock()
 	}
-	// Sessions in a row mostly ground to the very same patterns (all of
-	// them do when the query does not mention the session). The grounders
-	// intern patterns, so such unions are equal pointer for pointer and
-	// share one slice and one key, neither rebuilt nor kept per session.
+	// Sessions mostly ground to one of a few unions (all to one when the
+	// query does not mention the session): a Grounder hands every session
+	// of a signature the same union, and interns patterns, so unions of
+	// equal content are equal pointer for pointer. The last few distinct
+	// unions keep their slice and key, so neither is rebuilt nor kept per
+	// session.
 	var (
-		last    pattern.Union
-		lastKey string
+		recent [8]struct {
+			u   pattern.Union
+			key string
+		}
+		next int
 	)
 	for si, s := range RangeSessions(pref.Sessions, from, gr.Sessions).All() {
 		if si&63 == 0 {
@@ -274,15 +279,20 @@ func groundUnion(ctx context.Context, db *DB, uq *UnionQuery, prev *Grounded, gr
 		if len(u) == 0 {
 			continue
 		}
-		if !slices.Equal(u, last) {
-			last, lastKey = u, u.Key()
+		ri := 0
+		for ri < len(recent) && !slices.Equal(u, recent[ri].u) {
+			ri++
 		}
-		id := groupID{model: s.Model.Rehash(), union: lastKey}
+		if ri == len(recent) {
+			ri, next = next, (next+1)%len(recent)
+			recent[ri].u, recent[ri].key = u, u.Key()
+		}
+		id := groupID{model: s.Model.Rehash(), union: recent[ri].key}
 		gi, known := groupOf[id]
 		if !known || !grouping {
 			gi = len(gr.Groups)
 			groupOf[id] = gi
-			gr.Groups = append(gr.Groups, Group{Model: s.Model, Union: last, id: id})
+			gr.Groups = append(gr.Groups, Group{Model: s.Model, Union: recent[ri].u, id: id})
 		}
 		gr.Live = append(gr.Live, LiveSession{Session: s, Group: gi})
 	}

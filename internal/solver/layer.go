@@ -80,14 +80,15 @@ func (ws *workspace) ensure(srcWords, dstWords int) {
 	ws.next = ws.next[:dstWords]
 }
 
-// chunkBuf holds one parallel chunk's output: the successor sublayer, the
-// absorbed contributions in emission order (one value per lane per event,
-// recorded individually so the merge can replay the sequential fold
-// exactly), and the transition count.
+// chunkBuf holds one parallel chunk's output: the successor sublayer and
+// the emitter that filled it, which keeps the absorbed contributions in
+// emission order (one value per lane per event, recorded individually so
+// the merge can replay the sequential fold exactly) and the transition
+// count. The emitter lives here, not on a worker's stack, because the
+// expand closure it is handed to makes it escape.
 type chunkBuf struct {
-	l           layerTable
-	absorbed    []float64
-	transitions int
+	l  layerTable
+	em emitter
 }
 
 // bump is a typed bump allocator for per-solve setup scratch: take carves
@@ -121,6 +122,7 @@ func (b *bump[T]) take(n int) []T {
 type arena struct {
 	layers [2]layerTable
 	ws     []workspace
+	em     emitter // the sequential step's (see chunkBuf)
 	chunks []chunkBuf
 	fbuf   []float64 // lane scratch: running answers, per-step weight matrix
 
@@ -285,14 +287,15 @@ func runStep(ctx context.Context, ar *arena, cur, nxt *layerTable, dstWords int,
 	nxt.reset(dstWords, n, lanes)
 	if n < parallelThreshold {
 		ws := &ar.workspaces(1, cur.words, dstWords)[0]
-		em := emitter{dst: nxt, seq: true, probs: probs}
+		em := &ar.em
+		*em = emitter{dst: nxt, seq: true, probs: probs}
 		for i := 0; i < n; i++ {
 			if i&1023 == 1023 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			fn(ws, cur.key(i, ws.dec), cur.valsAt(i), &em)
+			fn(ws, cur.key(i, ws.dec), cur.valsAt(i), em)
 		}
 		if opts.Stats != nil {
 			opts.Stats.Transitions += em.transitions
@@ -330,17 +333,15 @@ func runStep(ctx context.Context, ar *arena, cur, nxt *layerTable, dstWords int,
 				}
 				cb := &ar.chunks[c]
 				cb.l.reset(dstWords, hintPerC, lanes)
-				em := emitter{dst: &cb.l, absorbed: cb.absorbed[:0]}
+				cb.em = emitter{dst: &cb.l, absorbed: cb.em.absorbed[:0]}
 				lo := c * expandChunk
 				hi := lo + expandChunk
 				if hi > n {
 					hi = n
 				}
 				for i := lo; i < hi; i++ {
-					fn(ws, cur.key(i, ws.dec), cur.valsAt(i), &em)
+					fn(ws, cur.key(i, ws.dec), cur.valsAt(i), &cb.em)
 				}
-				cb.absorbed = em.absorbed
-				cb.transitions = em.transitions
 			}
 		}(&wss[w])
 	}
@@ -350,14 +351,14 @@ func runStep(ctx context.Context, ar *arena, cur, nxt *layerTable, dstWords int,
 	}
 	for c := 0; c < nChunks; c++ {
 		cb := &ar.chunks[c]
-		for off := 0; off < len(cb.absorbed); off += lanes {
-			for l, a := range cb.absorbed[off : off+lanes] {
+		for off := 0; off < len(cb.em.absorbed); off += lanes {
+			for l, a := range cb.em.absorbed[off : off+lanes] {
 				probs[l] += a
 			}
 		}
 		nxt.mergeFrom(&cb.l)
 		if opts.Stats != nil {
-			opts.Stats.Transitions += cb.transitions
+			opts.Stats.Transitions += cb.em.transitions
 		}
 	}
 	return nil

@@ -173,6 +173,15 @@ func compileTwoLabel(pl *twoLabelPlan, a planAlloc, sigma rank.Ranking, lab *lab
 // depends only on the plan, never on the Pi values — so the lanes share
 // every layer. Per-step weights are gathered into a j-major matrix, and
 // each lane's arithmetic is the same whatever S is.
+//
+// A feed step over a state of at most packedWords trackers runs on the
+// state's packed key, one 16-bit lane per tracker: per insertion point j,
+// one masked subtract finds the lanes at or after j, one masked add shifts
+// the present ones, one masked select feeds the inserted item's trackers,
+// the satisfaction test reads two lanes per pattern, and one OR retires the
+// step's dead trackers. It emits the successors of the word loop wider
+// states keep, in the same order and with the same weights, so the answer
+// keeps its bits.
 func runTwoLabel(ar *arena, pl *twoLabelPlan, models []*rim.Model, opts Options, out []float64) error {
 	ctx := opts.ctx()
 	n, m, S := pl.n, pl.m, len(models)
@@ -186,18 +195,29 @@ func runTwoLabel(ar *arena, pl *twoLabelPlan, models []*rim.Model, opts Options,
 	}
 	cur.start(init, S)
 
-	var (
+	// The step loop rebinds the per-step variables the expand closure reads;
+	// they share one struct so that the closure, built once, captures (and
+	// moves to the heap) a single variable.
+	var st struct {
 		feed   []int
 		retire []int
 		steps  int
 		w      []float64 // laneWeights on a feed step, lanePrefixes on a gap step
-	)
+		// The packed feed step's masks: the sign bit of the lanes the step
+		// feeds as a minimum and as a maximum, and every bit of the lanes
+		// it retires.
+		minHi, maxHi, retireAll uint64
+	}
 	packed := n <= packedWords
+	var laneHi uint64 // the sign bit of every tracker's lane of a packed key
+	for s := 0; s < n && packed; s++ {
+		laneHi |= 0x8000 << (16 * s)
+	}
+	laneLo := laneHi >> 15
 	wbuf := ar.floats(S * (m + 2))
-	// The expand closure is built once; the step loop only rebinds the
-	// per-step variables it captures.
 	expand := func(ws *workspace, vals []int16, q []float64, em *emitter) {
 		next := ws.next
+		feed, retire, steps, w := st.feed, st.retire, st.steps, st.w
 		if len(feed) == 0 {
 			// The inserted item feeds no tracker, so the successor depends
 			// on the insertion point j only through which positions shift —
@@ -269,6 +289,44 @@ func runTwoLabel(ar *arena, pl *twoLabelPlan, models []*rim.Model, opts Options,
 			}
 			return
 		}
+		if packed {
+			// The same step on the packed key, every lane at once. A
+			// position is at most m < 0x8000 and absent is 0xFFFF, so a
+			// lane's sign bit tells the two apart, and subtracting j from
+			// the lane with its sign bit forced on borrows from no other
+			// lane and leaves the sign bit on exactly where the lane is j
+			// or more (absent included).
+			k := packWords(vals)
+			absentHi := k & laneHi
+			minHi, maxHi, retireAll := st.minHi, st.maxHi, st.retireAll
+			for j := 0; j < steps; j++ {
+				jj := uint64(j) * laneLo
+				geHi := ((k | laneHi) - jj) & laneHi
+				// Shift the present positions at or after j.
+				succ := k + (geHi&^absentHi)>>15
+				// Feed: a minimum takes j where it was absent or at or after
+				// j, a maximum where it was absent or before j.
+				set := (geHi&minHi | (absentHi|^geHi)&maxHi) >> 15 * 0xFFFF
+				succ = succ&^set | jj&set
+				satisfied := false
+				for pi := range patL {
+					a, b := uint16(succ>>(16*patL[pi])), uint16(succ>>(16*patR[pi]))
+					if b != 0xFFFF && a < b {
+						satisfied = true
+						break
+					}
+				}
+				if satisfied {
+					continue
+				}
+				dst := em.window64(succ | retireAll)
+				wrow := w[j*S : (j+1)*S]
+				for l, ql := range q {
+					dst[l] += ql * wrow[l]
+				}
+			}
+			return
+		}
 		for j := 0; j < steps; j++ {
 			jj := int16(j)
 			// Copy the state, shifting positions at or after the insertion
@@ -322,14 +380,27 @@ func runTwoLabel(ar *arena, pl *twoLabelPlan, models []*rim.Model, opts Options,
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		feed, steps = pl.feeds[i], i+1
+		st.feed, st.steps = pl.feeds[i], i+1
 		if !opts.NoTrackerDrop {
-			retire = pl.retire[i]
+			st.retire = pl.retire[i]
 		}
-		if len(feed) == 0 {
-			w = lanePrefixes(wbuf, models, i)
+		if len(st.feed) == 0 {
+			st.w = lanePrefixes(wbuf, models, i)
 		} else {
-			w = laneWeights(wbuf, models, i)
+			st.w = laneWeights(wbuf, models, i)
+		}
+		if packed {
+			st.minHi, st.maxHi, st.retireAll = 0, 0, 0
+			for _, s := range st.feed {
+				if slotIsMin[s] {
+					st.minHi |= 0x8000 << (16 * s)
+				} else {
+					st.maxHi |= 0x8000 << (16 * s)
+				}
+			}
+			for _, s := range st.retire {
+				st.retireAll |= 0xFFFF << (16 * s)
+			}
 		}
 		if err := runStep(ctx, ar, cur, nxt, n, opts, nil, expand); err != nil {
 			return err
