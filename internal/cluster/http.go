@@ -124,14 +124,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 // or deadline qualify (a sampled or deadline-shaped answer is not a pure
 // function of the request).
 func cacheable(cr *ppd.CompiledRequest) bool {
-	if cr.Deadline != 0 || cr.Seed != 0 {
-		return false
-	}
-	switch cr.Method {
-	case ppd.MethodAuto, ppd.MethodTwoLabel, ppd.MethodBipartite, ppd.MethodGeneral, ppd.MethodRelOrder:
-		return true
-	}
-	return false
+	return cr.Deadline == 0 && cr.Seed == 0 && cr.Method.Exact()
 }
 
 // keysSuffix marks the result-cache entries merged with their rows: the

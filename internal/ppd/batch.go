@@ -37,20 +37,11 @@ type PlanCache interface {
 // planner (whose routing is budget- and deadline-dependent), and a forced
 // method that would not answer u exactly (see shapeErr).
 func PlanAlgo(m Method, u pattern.Union) (solver.Algo, bool) {
-	if shapeErr(m, u) != nil {
+	plan := m.row().plan
+	if plan == nil || shapeErr(m, u) != nil {
 		return 0, false
 	}
-	switch m {
-	case MethodAuto:
-		return solver.AlgoFor(u), true
-	case MethodTwoLabel:
-		return solver.AlgoTwoLabel, true
-	case MethodBipartite:
-		return solver.AlgoBipartite, true
-	case MethodRelOrder:
-		return solver.AlgoRelOrder, true
-	}
-	return 0, false
+	return plan(u), true
 }
 
 // shapeErr refuses, with solver.ErrShape, a union the forced method m would
@@ -107,16 +98,15 @@ type BatchGroup struct {
 }
 
 // batchSolveGroups solves many groups with the engine's configured method,
-// which must be a batchableMethod: groups sharing a union shape (same
+// which must plan through PlanAlgo: groups sharing a union shape (same
 // algorithm, reference ranking and union, differing only in insertion
 // probabilities) are one plan class, and a class solves through one
 // SolveSessions walk with a lane per group. unionKeys[i] is
 // groups[i].U.Key(), which the grounding has already built (groupID.union).
 // Results are positionally aligned with groups and bit-identical to solving
 // each group alone with SolveUnionCtx.
-func (e *Engine) batchSolveGroups(ctx context.Context, groups []BatchGroup, unionKeys []string) ([]float64, []SolveReport, error) {
+func (e *Engine) batchSolveGroups(ctx context.Context, groups []BatchGroup, unionKeys []string) ([]float64, error) {
 	probs := make([]float64, len(groups))
-	reports := make([]SolveReport, len(groups))
 	opts := e.SolverOpts
 	if opts.Ctx == nil {
 		opts.Ctx = ctx
@@ -131,23 +121,22 @@ func (e *Engine) batchSolveGroups(ctx context.Context, groups []BatchGroup, unio
 	var classes []class
 	classOf := make(map[string]int)
 	for gi, g := range groups {
-		algo, ok := PlanAlgo(e.Method, g.U) // a batchableMethod plans every union it solves exactly
+		algo, ok := PlanAlgo(e.Method, g.U) // a planning method plans every union it solves exactly
 		if !ok {
-			return nil, nil, shapeErr(e.Method, g.U)
+			return nil, shapeErr(e.Method, g.U)
 		}
 		key := planKey(algo, g.SM.Reference(), unionKeys[gi])
 		ci, seen := classOf[key]
 		if !seen {
 			pl, err := e.plan(algo, key, g.SM, g.U)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			ci = len(classes)
 			classOf[key] = ci
 			classes = append(classes, class{plan: pl})
 		}
 		classes[ci].members = append(classes[ci].members, gi)
-		reports[gi] = SolveReport{Method: e.Method}
 	}
 
 	var models []*rim.Model // the class's lanes; SolveSessions does not keep it
@@ -158,24 +147,11 @@ func (e *Engine) batchSolveGroups(ctx context.Context, groups []BatchGroup, unio
 		}
 		out, err := solver.SolveSessions(cl.plan, models, opts)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for mi, gi := range cl.members {
 			probs[gi] = out[mi]
 		}
 	}
-	return probs, reports, nil
-}
-
-// batchableMethod reports whether a method's grounded groups may route
-// through batchSolveGroups: exact compiled-plan methods give bit-identical
-// results batched or alone, so batching is purely a performance decision
-// there. Sampler methods consume RNG streams per group and the adaptive
-// planner budgets per group, so they keep the per-group path.
-func batchableMethod(m Method) bool {
-	switch m {
-	case MethodAuto, MethodTwoLabel, MethodBipartite, MethodRelOrder:
-		return true
-	}
-	return false
+	return probs, nil
 }

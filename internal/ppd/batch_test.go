@@ -76,20 +76,17 @@ func TestBatchSolveGroupsMatchesPerGroupBitwise(t *testing.T) {
 	for _, method := range []Method{MethodAuto, MethodTwoLabel, MethodBipartite, MethodRelOrder} {
 		eng := &Engine{DB: db, Method: method, Plans: newMapPlanCache(),
 			SolverOpts: solver.Options{MaxInvolved: 16}}
-		probs, reps, err := eng.batchSolveGroups(context.Background(), groups, unionKeys(groups))
+		probs, err := eng.batchSolveGroups(context.Background(), groups, unionKeys(groups))
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
 		for gi, bg := range groups {
-			want, wrep, err := eng.SolveUnionCtx(context.Background(), bg.SM, bg.U)
+			want, _, err := eng.SolveUnionCtx(context.Background(), bg.SM, bg.U)
 			if err != nil {
 				t.Fatalf("%v group %d: %v", method, gi, err)
 			}
 			if math.Float64bits(probs[gi]) != math.Float64bits(want) {
 				t.Fatalf("%v group %d: batched %v != per-group %v", method, gi, probs[gi], want)
-			}
-			if reps[gi].Method != wrep.Method {
-				t.Fatalf("%v group %d: report method %v != %v", method, gi, reps[gi].Method, wrep.Method)
 			}
 		}
 	}
@@ -117,7 +114,7 @@ func TestBatchSolveGroupsUsesPlanCache(t *testing.T) {
 	}
 	cache := newMapPlanCache()
 	eng := &Engine{DB: db, Method: MethodAuto, Plans: cache}
-	first, _, err := eng.batchSolveGroups(context.Background(), groups, unionKeys(groups))
+	first, err := eng.batchSolveGroups(context.Background(), groups, unionKeys(groups))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +122,7 @@ func TestBatchSolveGroupsUsesPlanCache(t *testing.T) {
 		t.Fatal("no plans cached on first batch")
 	}
 	putsAfterFirst := cache.puts
-	second, _, err := eng.batchSolveGroups(context.Background(), groups, unionKeys(groups))
+	second, err := eng.batchSolveGroups(context.Background(), groups, unionKeys(groups))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,8 +79,9 @@ func (e *Engine) consensusUnion(ctx context.Context, cr *CompiledRequest) (*Resp
 	}, nil
 }
 
-// consensusRoute decides exact enumeration vs rejection sampling. Exact
-// consensus evaluates all m! rankings per session, so it is capped at
+// consensusRoute decides exact enumeration vs rejection sampling: a method
+// that may sample samples, and an exact one enumerates. Exact consensus
+// evaluates all m! rankings per session, so it is capped at
 // consensus.MaxExactM items: an explicitly exact method beyond the cap is
 // an error, MethodAuto degrades to sampling, and MethodAdaptive
 // additionally compares EstimateConsensusCost against its budget — without
@@ -88,23 +89,24 @@ func (e *Engine) consensusUnion(ctx context.Context, cr *CompiledRequest) (*Resp
 // request would otherwise get (DefaultConsensusDraws, or Engine.RejectionN,
 // draws for each session).
 func (e *Engine) consensusRoute(ctx context.Context, m, sessions int) (bool, error) {
-	switch e.Method {
-	case MethodTwoLabel, MethodBipartite, MethodGeneral, MethodRelOrder:
-		if m > consensus.MaxExactM {
-			return false, fmt.Errorf("ppd: exact consensus enumerates m! rankings and m = %d exceeds the exact limit %d; use a sampling method or adaptive", m, consensus.MaxExactM)
-		}
-		return true, nil
-	case MethodMISAdaptive, MethodMISLite, MethodRejection:
-		return false, nil
-	case MethodAdaptive:
+	r := e.Method.row()
+	switch {
+	case e.Method == MethodAdaptive:
 		if m > consensus.MaxExactM {
 			return false, nil
 		}
 		sampled := float64(sessions) * drawPrice(e.drawsOr(DefaultConsensusDraws), m)
 		return EstimateConsensusCost(m, sessions).States <= e.adaptiveBudget(ctx, sampled), nil
+	case r.sampled != nil:
+		return false, nil
+	case r.exact == nil:
+		return false, e.Method.errUnknown()
+	case m <= consensus.MaxExactM:
+		return true, nil
+	case e.Method == MethodAuto:
+		return false, nil
 	}
-	// MethodAuto (and anything Compile would have rejected).
-	return m <= consensus.MaxExactM, nil
+	return false, fmt.Errorf("ppd: exact consensus enumerates m! rankings and m = %d exceeds the exact limit %d; use a sampling method or adaptive", m, consensus.MaxExactM)
 }
 
 // consensusExactRows enumerates every ranking of every live session,

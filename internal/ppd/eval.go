@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 
 	"probpref/internal/pattern"
 	"probpref/internal/pool"
@@ -14,95 +13,6 @@ import (
 	"probpref/internal/sampling"
 	"probpref/internal/solver"
 )
-
-// Method selects the inference solver used per session.
-type Method int
-
-const (
-	// MethodAuto dispatches to the most specific exact solver.
-	MethodAuto Method = iota
-	// MethodTwoLabel forces Algorithm 3 (two-label unions only).
-	MethodTwoLabel
-	// MethodBipartite forces Algorithm 4.
-	MethodBipartite
-	// MethodGeneral forces the inclusion-exclusion baseline.
-	MethodGeneral
-	// MethodRelOrder forces the relative-order solver.
-	MethodRelOrder
-	// MethodMISAdaptive uses MIS-AMP-adaptive.
-	MethodMISAdaptive
-	// MethodMISLite uses MIS-AMP-lite with Engine.LiteD proposals.
-	MethodMISLite
-	// MethodRejection uses rejection sampling with Engine.RejectionN samples.
-	MethodRejection
-	// MethodAdaptive is the deadline-aware cost-based planner: per group it
-	// solves the cheapest exact solver's compiled plan when the plan's
-	// predicted work fits the budget (Engine.AdaptiveBudget, the context
-	// deadline, or else the price of the sampled answer), and samples with
-	// a reported confidence half-width otherwise (see planner.go).
-	MethodAdaptive
-)
-
-// String returns the canonical method name (the form ParseMethod accepts
-// and the CLIs print).
-func (m Method) String() string {
-	switch m {
-	case MethodAuto:
-		return "auto"
-	case MethodTwoLabel:
-		return "two-label"
-	case MethodBipartite:
-		return "bipartite"
-	case MethodGeneral:
-		return "general"
-	case MethodRelOrder:
-		return "relorder"
-	case MethodMISAdaptive:
-		return "mis-amp-adaptive"
-	case MethodMISLite:
-		return "mis-amp-lite"
-	case MethodRejection:
-		return "rejection"
-	case MethodAdaptive:
-		return "adaptive"
-	}
-	return fmt.Sprintf("method(%d)", int(m))
-}
-
-// MethodNames lists the canonical method names ParseMethod accepts, in the
-// order the CLIs document them. (ParseMethod also accepts a few aliases and
-// the exact Method.String forms.)
-func MethodNames() []string {
-	return []string{"auto", "twolabel", "bipartite", "general", "relorder",
-		"adaptive", "mis-adaptive", "mis-lite", "rejection"}
-}
-
-// ParseMethod resolves a method name (as printed by Method.String, plus the
-// CLI short forms) to its Method; it is the shared flag parser of the cmd
-// binaries.
-func ParseMethod(s string) (Method, error) {
-	switch strings.ToLower(s) {
-	case "auto":
-		return MethodAuto, nil
-	case "twolabel", "two-label":
-		return MethodTwoLabel, nil
-	case "bipartite":
-		return MethodBipartite, nil
-	case "general":
-		return MethodGeneral, nil
-	case "relorder":
-		return MethodRelOrder, nil
-	case "mis-adaptive", "mis-amp-adaptive":
-		return MethodMISAdaptive, nil
-	case "mis-lite", "lite", "mis-amp-lite":
-		return MethodMISLite, nil
-	case "rejection", "rs":
-		return MethodRejection, nil
-	case "adaptive", "planner":
-		return MethodAdaptive, nil
-	}
-	return 0, fmt.Errorf("unknown method %q (valid: %s)", s, strings.Join(MethodNames(), " | "))
-}
 
 // Engine evaluates queries over a RIM-PPD.
 type Engine struct {
@@ -418,7 +328,7 @@ func (gp *groupProbs) resolve(ctx, loopCtx context.Context, want func(gi int) bo
 		}
 	}
 	switch {
-	case len(pending) > 1 && e.Plans != nil && batchableMethod(e.Method) && !e.DisableGrouping:
+	case len(pending) > 1 && e.Plans != nil && e.Method.row().plan != nil && !e.DisableGrouping:
 		// Exact compiled-plan methods: groups sharing a union shape solve as
 		// the lanes of one layer walk, bit-identical to per-group solves.
 		// Gated on a PlanCache: without one every evaluation would recompile
@@ -429,12 +339,12 @@ func (gp *groupProbs) resolve(ctx, loopCtx context.Context, want func(gi int) bo
 			g := gp.groups[gi]
 			bg[pi], keys[pi] = BatchGroup{SM: g.Model, U: g.Union}, g.id.union
 		}
-		probs, reps, err := e.batchSolveGroups(ctx, bg, keys)
+		probs, err := e.batchSolveGroups(ctx, bg, keys)
 		if err != nil {
 			return fail(pending[0], err)
 		}
 		for pi, gi := range pending {
-			gp.record(gi, probs[pi], reps[pi])
+			gp.record(gi, probs[pi], SolveReport{Method: e.Method})
 		}
 		gp.solves += len(pending)
 	case e.Workers > 1 && wanted > 1 && len(pending) > 0:
@@ -534,86 +444,86 @@ func (e *Engine) SolveUnionCtx(ctx context.Context, sm rim.SessionModel, u patte
 // estimators are Mallows-specific and fall back to the model-generic MISRIM
 // estimator for other session models (e.g. Generalized Mallows).
 func (e *Engine) solve(ctx context.Context, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
-	lab := e.DB.Labeling()
 	rep := SolveReport{Method: e.Method}
+	if err := shapeErr(e.Method, u); err != nil {
+		return 0, rep, err
+	}
+	r := e.Method.row()
+	if r.exact == nil {
+		if r.sampled == nil {
+			return 0, rep, e.Method.errUnknown()
+		}
+		return r.sampled(e, ctx, sm, u)
+	}
 	opts := e.SolverOpts
 	if opts.Ctx == nil {
 		opts.Ctx = ctx
 	}
-	exact := func(p float64, err error) (float64, SolveReport, error) {
-		return p, rep, err
+	p, err := r.exact(sm.Model(), e.DB.Labeling(), u, opts)
+	return p, rep, err
+}
+
+// solveMISAdaptive answers a group with MIS-AMP-adaptive.
+func (e *Engine) solveMISAdaptive(ctx context.Context, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
+	rep := SolveReport{Method: MethodMISAdaptive, Sampled: true}
+	ml, ok := sm.(*rim.Mallows)
+	if !ok {
+		return e.solveMISRIM(ctx, sm, u, rep)
 	}
-	if err := shapeErr(e.Method, u); err != nil {
+	est, err := sampling.NewEstimator(ml, e.DB.Labeling(), u, e.SamplerCfg)
+	if err != nil {
 		return 0, rep, err
 	}
-	switch e.Method {
-	case MethodAuto:
-		return exact(solver.Auto(sm.Model(), lab, u, opts))
-	case MethodTwoLabel:
-		return exact(solver.TwoLabel(sm.Model(), lab, u, opts))
-	case MethodBipartite:
-		return exact(solver.Bipartite(sm.Model(), lab, u, opts))
-	case MethodGeneral:
-		return exact(solver.General(sm.Model(), lab, u, opts))
-	case MethodRelOrder:
-		return exact(solver.RelOrder(sm.Model(), lab, u, opts))
-	case MethodAdaptive:
-		return e.solveAdaptive(ctx, sm, u)
-	case MethodMISAdaptive:
-		rep.Sampled = true
-		ml, ok := sm.(*rim.Mallows)
-		if !ok {
-			return e.solveMISRIM(ctx, sm, u, rep)
-		}
-		est, err := sampling.NewEstimator(ml, lab, u, e.SamplerCfg)
-		if err != nil {
-			return 0, rep, err
-		}
-		cfg := e.Adaptive
-		cfg.Compensate = true
-		r, err := est.EstimateAdaptiveCtx(ctx, cfg, e.rng())
-		if err != nil {
-			return 0, rep, err
-		}
-		return clamp01(r.Estimate), rep, nil
-	case MethodMISLite:
-		rep.Sampled = true
-		ml, ok := sm.(*rim.Mallows)
-		if !ok {
-			return e.solveMISRIM(ctx, sm, u, rep)
-		}
-		est, err := sampling.NewEstimator(ml, lab, u, e.SamplerCfg)
-		if err != nil {
-			return 0, rep, err
-		}
-		d, n := e.LiteD, e.LiteN
-		if d == 0 {
-			d = 5
-		}
-		if n == 0 {
-			n = 500
-		}
-		p, hw, drawn, err := est.EstimateCI(ctx, d, n, e.rng(), true, 1.96)
-		if err != nil {
-			return 0, rep, err
-		}
-		rep.Samples, rep.HalfWidth = drawn, hw
-		return clamp01(p), rep, nil
-	case MethodRejection:
-		rep.Sampled = true
-		n := e.RejectionN
-		if n == 0 {
-			n = 10000
-		}
-		rep.Samples = n
-		p, hw, err := sampling.RejectionModelCICtx(ctx, sm, lab, u, n, 1.96, e.rng())
-		if err != nil {
-			return 0, rep, err
-		}
-		rep.HalfWidth = hw
-		return p, rep, nil
+	cfg := e.Adaptive
+	cfg.Compensate = true
+	r, err := est.EstimateAdaptiveCtx(ctx, cfg, e.rng())
+	if err != nil {
+		return 0, rep, err
 	}
-	return 0, rep, fmt.Errorf("ppd: unknown method %v", e.Method)
+	return clamp01(r.Estimate), rep, nil
+}
+
+// solveMISLite answers a group with MIS-AMP-lite: Engine.LiteD proposals
+// (default 5) of Engine.LiteN samples each (default 500).
+func (e *Engine) solveMISLite(ctx context.Context, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
+	rep := SolveReport{Method: MethodMISLite, Sampled: true}
+	ml, ok := sm.(*rim.Mallows)
+	if !ok {
+		return e.solveMISRIM(ctx, sm, u, rep)
+	}
+	est, err := sampling.NewEstimator(ml, e.DB.Labeling(), u, e.SamplerCfg)
+	if err != nil {
+		return 0, rep, err
+	}
+	d, n := e.LiteD, e.LiteN
+	if d == 0 {
+		d = 5
+	}
+	if n == 0 {
+		n = 500
+	}
+	p, hw, drawn, err := est.EstimateCI(ctx, d, n, e.rng(), true, 1.96)
+	if err != nil {
+		return 0, rep, err
+	}
+	rep.Samples, rep.HalfWidth = drawn, hw
+	return clamp01(p), rep, nil
+}
+
+// solveRejection answers a group by rejection sampling with
+// Engine.RejectionN draws (default 10 000).
+func (e *Engine) solveRejection(ctx context.Context, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
+	n := e.RejectionN
+	if n == 0 {
+		n = 10000
+	}
+	rep := SolveReport{Method: MethodRejection, Sampled: true, Samples: n}
+	p, hw, err := sampling.RejectionModelCICtx(ctx, sm, e.DB.Labeling(), u, n, 1.96, e.rng())
+	if err != nil {
+		return 0, rep, err
+	}
+	rep.HalfWidth = hw
+	return p, rep, nil
 }
 
 // solveMISRIM is the sampling fallback for non-Mallows session models.
@@ -662,18 +572,6 @@ type TopKDiag struct {
 	Plan *PlanStats
 }
 
-// ownBound reports whether, under method m, a group whose union is all
-// two-label is its own top-k bound: the methods whose exact solve of such a
-// union is TwoLabel's (one batched lane) or the bipartite solve a
-// relaxation would run anyway. The other methods keep the relaxation.
-func ownBound(m Method) bool {
-	switch m {
-	case MethodAuto, MethodTwoLabel, MethodBipartite:
-		return true
-	}
-	return false
-}
-
 // topKUnion is the Most-Probable-Session core behind KindTopK: the k
 // sessions satisfying the union with the highest probability (Section 3.2).
 // With boundEdges == 0 it evaluates every session exactly and sorts; with
@@ -683,10 +581,10 @@ func ownBound(m Method) bool {
 // probable as every remaining bound. Upper bounds are resolved per distinct
 // relaxed request of the grounding (see boundSet), through Engine.Cache
 // like any other inference request. Relaxing a two-label pattern keeps it
-// whole, so under an ownBound method a group whose union is all two-label
-// is bounded by its exact probability: those groups are resolved up front,
-// the cache swept and the misses solved together as DoGrouped does, and no
-// relaxation is built or solved for them.
+// whole, so under a method whose row is ownTopKBound a group whose union is
+// all two-label is bounded by its exact probability: those groups are
+// resolved up front, the cache swept and the misses solved together as
+// DoGrouped does, and no relaxation is built or solved for them.
 func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges int) ([]SessionProb, *TopKDiag, error) {
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("ppd: top-k requires k >= 1, got %d", k)
@@ -708,7 +606,7 @@ func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges in
 	}
 	if boundEdges > 0 {
 		lab := e.DB.Labeling()
-		bs := gr.bounds(boundMode{edges: boundEdges, own: ownBound(e.Method)}, lab)
+		bs := gr.bounds(boundMode{edges: boundEdges, own: e.Method.row().ownTopKBound}, lab)
 		own := func(gi int) bool { return bs.of[gi] < 0 }
 		if err := exact.resolve(ctx, loopCtx, own, func(_ int, err error) error { return err }); err != nil {
 			return nil, nil, err

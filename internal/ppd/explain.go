@@ -56,6 +56,7 @@ func (e *Engine) Explain(q *Query) (*Explanation, error) {
 	}
 	groundVars := map[string]bool{}
 	groups := map[string]bool{}
+	wide := false
 	for _, s := range g.Pref().Sessions.All() {
 		gq, err := g.GroundSession(s)
 		if err != nil {
@@ -65,21 +66,14 @@ func (e *Engine) Explain(q *Query) (*Explanation, error) {
 			continue
 		}
 		ex.LiveSessions++
-		if !gq.Itemwise {
-			ex.Itemwise = false
-		}
+		ex.Itemwise = ex.Itemwise && gq.Itemwise
 		if ex.MinUnion == 0 || len(gq.Union) < ex.MinUnion {
 			ex.MinUnion = len(gq.Union)
 		}
-		if len(gq.Union) > ex.MaxUnion {
-			ex.MaxUnion = len(gq.Union)
-		}
-		if !gq.Union.AllTwoLabel() {
-			ex.AllTwoLabel = false
-		}
-		if !gq.Union.AllBipartite() {
-			ex.AllBipartite = false
-		}
+		ex.MaxUnion = max(ex.MaxUnion, len(gq.Union))
+		ex.AllTwoLabel = ex.AllTwoLabel && gq.Union.AllTwoLabel()
+		ex.AllBipartite = ex.AllBipartite && gq.Union.AllBipartite()
+		wide = wide || e.wide(gq.Union)
 		groups[s.Model.Rehash()+"||"+gq.Union.Key()] = true
 		for v := range g.varComps {
 			groundVars[v] = true
@@ -97,27 +91,41 @@ func (e *Engine) Explain(q *Query) (*Explanation, error) {
 		ex.GroundVars = append(ex.GroundVars, v)
 	}
 	sort.Strings(ex.GroundVars)
-	switch {
-	case ex.AllTwoLabel:
-		ex.Recommended = MethodTwoLabel
-	case ex.AllBipartite:
-		ex.Recommended = MethodBipartite
-	default:
-		ex.Recommended = MethodRelOrder
-		// Large involved-item sets make exact relative-order inference
-		// infeasible; recommend sampling instead.
-		for _, s := range g.Pref().Sessions.All() {
-			gq, err := g.GroundSession(s)
-			if err != nil || len(gq.Union) == 0 {
-				continue
-			}
-			if len(pattern.InvolvedItems(gq.Union, e.DB.Labeling(), e.DB.M())) > 10 {
-				ex.Recommended = MethodMISAdaptive
-			}
-			break
-		}
-	}
+	ex.Recommended = recommend(ex.AllTwoLabel, ex.AllBipartite, wide)
 	return ex, nil
+}
+
+// wide reports whether exact relative-order inference over u is infeasible:
+// u involves more than 10 items.
+func (e *Engine) wide(u pattern.Union) bool {
+	return len(pattern.InvolvedItems(u, e.DB.Labeling(), e.DB.M())) > 10
+}
+
+// recommend maps the shape of a query's grounded unions to the method
+// Explain and ExplainUnion suggest: the exact solver specialised to the
+// shape, or for a general shape relative-order inference, unless some live
+// session's union is wide and only sampling is feasible.
+func recommend(allTwoLabel, allBipartite, wide bool) Method {
+	switch {
+	case allTwoLabel:
+		return MethodTwoLabel
+	case allBipartite:
+		return MethodBipartite
+	case wide:
+		return MethodMISAdaptive
+	}
+	return MethodRelOrder
+}
+
+// shapeName names the shape of a query's grounded unions.
+func shapeName(allTwoLabel, allBipartite bool) string {
+	switch {
+	case allTwoLabel:
+		return "two-label"
+	case allBipartite:
+		return "bipartite"
+	}
+	return "general"
 }
 
 // String renders the explanation.
@@ -134,13 +142,7 @@ func (ex *Explanation) String() string {
 		fmt.Fprintf(&b, "grounded vars: %s\n", strings.Join(ex.GroundVars, ", "))
 	}
 	fmt.Fprintf(&b, "union sizes  : %d..%d patterns/session\n", ex.MinUnion, ex.MaxUnion)
-	shape := "general"
-	if ex.AllTwoLabel {
-		shape = "two-label"
-	} else if ex.AllBipartite {
-		shape = "bipartite"
-	}
-	fmt.Fprintf(&b, "shape        : %s\n", shape)
+	fmt.Fprintf(&b, "shape        : %s\n", shapeName(ex.AllTwoLabel, ex.AllBipartite))
 	fmt.Fprintf(&b, "groups       : %d distinct (model, union) requests\n", ex.DistinctGroups)
 	fmt.Fprintf(&b, "recommended  : %s\n", ex.Recommended)
 	return b.String()

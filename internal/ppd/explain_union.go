@@ -56,7 +56,7 @@ func (e *Engine) ExplainUnion(uq *UnionQuery) (*UnionExplanation, error) {
 	sessions := grounders[0].Pref().Sessions
 	ex.Sessions = sessions.Len()
 	groups := map[string]bool{}
-	sampling := false
+	wide := false
 	for _, s := range sessions.All() {
 		unions := make([]pattern.Union, 0, len(grounders))
 		for _, g := range grounders {
@@ -74,31 +74,14 @@ func (e *Engine) ExplainUnion(uq *UnionQuery) (*UnionExplanation, error) {
 		if ex.MinUnion == 0 || len(merged) < ex.MinUnion {
 			ex.MinUnion = len(merged)
 		}
-		if len(merged) > ex.MaxUnion {
-			ex.MaxUnion = len(merged)
-		}
-		if !merged.AllTwoLabel() {
-			ex.AllTwoLabel = false
-		}
-		if !merged.AllBipartite() {
-			ex.AllBipartite = false
-		}
-		if !sampling && len(pattern.InvolvedItems(merged, e.DB.Labeling(), e.DB.M())) > 10 {
-			sampling = true
-		}
+		ex.MaxUnion = max(ex.MaxUnion, len(merged))
+		ex.AllTwoLabel = ex.AllTwoLabel && merged.AllTwoLabel()
+		ex.AllBipartite = ex.AllBipartite && merged.AllBipartite()
+		wide = wide || e.wide(merged)
 		groups[s.Model.Rehash()+"||"+merged.Key()] = true
 	}
 	ex.DistinctGroups = len(groups)
-	switch {
-	case ex.AllTwoLabel:
-		ex.Recommended = MethodTwoLabel
-	case ex.AllBipartite:
-		ex.Recommended = MethodBipartite
-	case sampling:
-		ex.Recommended = MethodMISAdaptive
-	default:
-		ex.Recommended = MethodRelOrder
-	}
+	ex.Recommended = recommend(ex.AllTwoLabel, ex.AllBipartite, wide)
 	return ex, nil
 }
 
@@ -110,15 +93,9 @@ func (ex *UnionExplanation) String() string {
 	for i, sub := range ex.Disjuncts {
 		fmt.Fprintf(&b, "-- disjunct %d --\n%s", i+1, sub)
 	}
-	shape := "general"
-	if ex.AllTwoLabel {
-		shape = "two-label"
-	} else if ex.AllBipartite {
-		shape = "bipartite"
-	}
 	fmt.Fprintf(&b, "-- merged --\n")
 	fmt.Fprintf(&b, "union sizes  : %d..%d patterns/session\n", ex.MinUnion, ex.MaxUnion)
-	fmt.Fprintf(&b, "shape        : %s\n", shape)
+	fmt.Fprintf(&b, "shape        : %s\n", shapeName(ex.AllTwoLabel, ex.AllBipartite))
 	fmt.Fprintf(&b, "groups       : %d distinct (model, union) requests\n", ex.DistinctGroups)
 	fmt.Fprintf(&b, "recommended  : %s\n", ex.Recommended)
 	return b.String()

@@ -1,8 +1,12 @@
 package ppd
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"probpref/internal/rank"
+	"probpref/internal/rim"
 )
 
 func TestExplainUnion(t *testing.T) {
@@ -84,5 +88,61 @@ func TestExplainUnionErrors(t *testing.T) {
 	}}
 	if _, err := eng.ExplainUnion(uq); err == nil {
 		t.Error("unknown p-relation accepted")
+	}
+}
+
+// Explain and ExplainUnion recommend one method for one query: sampling as
+// soon as any live session's union is too wide for relative-order
+// inference, not only when the first one is. Of 14 items, 3 are in group A
+// and 11 in group B; ann (group A, narrow) precedes bob (group B, wide).
+func TestExplainRecommendsLikeExplainUnion(t *testing.T) {
+	items := make([][]string, 14)
+	for i := range items {
+		g := "B"
+		if i < 3 {
+			g = "A"
+		}
+		items[i] = []string{fmt.Sprintf("i%d", i), g}
+	}
+	cat, err := NewRelation("C", []string{"item", "g"}, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := NewDB(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	voters, err := NewRelation("V", []string{"voter", "g"}, [][]string{{"ann", "A"}, {"bob", "B"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddRelation(voters); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddPrefRelation(&PrefRelation{
+		Name:         "P",
+		SessionAttrs: []string{"voter"},
+		Sessions: SessionSlice{
+			{Key: []string{"ann"}, Model: rim.MustMallows(rank.Identity(14), 0.5)},
+			{Key: []string{"bob"}, Model: rim.MustMallows(rank.Identity(14), 0.5)},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	eng := &Engine{DB: db}
+	q := MustParse(`P(v; x; y), P(v; y; z), V(v, g), C(x, g), C(y, g), C(z, g)`)
+	ex, err := eng.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uex, err := eng.ExplainUnion(&UnionQuery{Disjuncts: []*Query{q}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.LiveSessions != 2 || ex.AllBipartite {
+		t.Fatalf("fixture: %d live sessions, bipartite %v; want 2 general", ex.LiveSessions, ex.AllBipartite)
+	}
+	if ex.Recommended != MethodMISAdaptive || uex.Recommended != MethodMISAdaptive {
+		t.Fatalf("Explain recommends %v, ExplainUnion %v; want %v from both", ex.Recommended, uex.Recommended, MethodMISAdaptive)
 	}
 }

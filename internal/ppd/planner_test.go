@@ -3,11 +3,15 @@ package ppd
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"probpref/internal/consensus"
+	"probpref/internal/label"
+	"probpref/internal/pattern"
 	"probpref/internal/solver"
 )
 
@@ -223,20 +227,39 @@ func TestDetachDeadline(t *testing.T) {
 	}
 }
 
-// TestParseMethodAdaptiveAndErrors: the new method name parses, and the
-// error of an unknown name enumerates the valid ones.
+// TestParseMethodAdaptiveAndErrors holds the method table to its readers:
+// every method's canonical name round-trips through ParseMethod, every
+// listed name and alias parses, the error of an unknown name enumerates the
+// valid ones, PlanAlgo and Exact hold for exactly the methods that compile
+// plans and answer exactly, and a value outside the table is refused by
+// every kind of request the engine answers.
 func TestParseMethodAdaptiveAndErrors(t *testing.T) {
-	m, err := ParseMethod("adaptive")
-	if err != nil || m != MethodAdaptive {
-		t.Fatalf("ParseMethod(adaptive) = %v, %v", m, err)
+	names := []string{"auto", "two-label", "bipartite", "general", "relorder",
+		"mis-amp-adaptive", "mis-amp-lite", "rejection", "adaptive"}
+	for i, name := range names {
+		m := Method(i)
+		if m.String() != name {
+			t.Errorf("Method(%d).String() = %q, want %q", i, m.String(), name)
+		}
+		if got, err := ParseMethod(m.String()); err != nil || got != m {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
 	}
-	if m.String() != "adaptive" {
-		t.Fatalf("MethodAdaptive.String() = %q", m.String())
+	for _, m := range []Method{-1, Method(len(names))} {
+		if got, want := m.String(), fmt.Sprintf("method(%d)", int(m)); got != want {
+			t.Errorf("Method(%d).String() = %q, want %q", int(m), got, want)
+		}
 	}
-	if m, err := ParseMethod("mis-adaptive"); err != nil || m != MethodMISAdaptive {
-		t.Fatalf("ParseMethod(mis-adaptive) = %v, %v", m, err)
+	for alias, want := range map[string]Method{
+		"twolabel": MethodTwoLabel, "mis-adaptive": MethodMISAdaptive,
+		"mis-lite": MethodMISLite, "lite": MethodMISLite, "rs": MethodRejection,
+		"planner": MethodAdaptive, "Adaptive": MethodAdaptive,
+	} {
+		if got, err := ParseMethod(alias); err != nil || got != want {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", alias, got, err, want)
+		}
 	}
-	_, err = ParseMethod("bogus")
+	_, err := ParseMethod("bogus")
 	if err == nil {
 		t.Fatal("want error for bogus method")
 	}
@@ -246,6 +269,48 @@ func TestParseMethodAdaptiveAndErrors(t *testing.T) {
 		}
 		if _, perr := ParseMethod(name); perr != nil {
 			t.Fatalf("listed name %q does not parse: %v", name, perr)
+		}
+	}
+
+	// Exactness and compiled plans.
+	two := pattern.Union{pattern.TwoLabel(label.NewSet(0), label.NewSet(1))}
+	chain := pattern.Union{pattern.MustNew(
+		[]pattern.Node{{Labels: label.NewSet(0)}, {Labels: label.NewSet(1)}, {Labels: label.NewSet(2)}},
+		[][2]int{{0, 1}, {1, 2}})}
+	for i := range names {
+		m := Method(i)
+		exact := m <= MethodRelOrder
+		if m.Exact() != exact {
+			t.Errorf("%v.Exact() = %v, want %v", m, m.Exact(), exact)
+		}
+		planned := m == MethodAuto || m == MethodTwoLabel || m == MethodBipartite || m == MethodRelOrder
+		if _, ok := PlanAlgo(m, two); ok != planned {
+			t.Errorf("PlanAlgo(%v, two-label) ok = %v, want %v", m, ok, planned)
+		}
+		if _, ok := PlanAlgo(m, chain); ok != (planned && m != MethodBipartite) {
+			t.Errorf("PlanAlgo(%v, chain) ok = %v", m, ok)
+		}
+	}
+	if Method(42).Exact() {
+		t.Error("Method(42).Exact() = true")
+	}
+	if _, ok := PlanAlgo(Method(42), two); ok {
+		t.Error("PlanAlgo(Method(42)) ok")
+	}
+
+	// A value outside the table answers nothing.
+	db := figure1DB(t)
+	eng := &Engine{DB: db, Method: Method(42)}
+	q := `P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`
+	for _, req := range []*Request{
+		{Kind: KindBool, Query: q},
+		{Kind: KindTopK, Query: q, K: 1},
+		{Kind: KindAggregate, Query: q, AggRel: "V", AggAttr: "age"},
+		{Kind: KindConsensus, Query: q, ConsensusTarget: consensus.TargetMedian},
+	} {
+		_, err := eng.Do(context.Background(), req)
+		if err == nil || err.Error() != "ppd: unknown method method(42)" {
+			t.Errorf("%v under Method(42): err %v", req.Kind, err)
 		}
 	}
 }

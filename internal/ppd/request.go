@@ -146,7 +146,7 @@ func (r *Request) Compile() (*CompiledRequest, error) {
 	if r.Kind < KindBool || r.Kind > KindConsensus {
 		return nil, fmt.Errorf("ppd: unknown kind %d (valid: %s)", int(r.Kind), strings.Join(KindNames(), " | "))
 	}
-	if r.Method < MethodAuto || r.Method > MethodAdaptive {
+	if r.Method.row().name == "" {
 		return nil, fmt.Errorf("ppd: unknown method %d (valid: %s)", int(r.Method), strings.Join(MethodNames(), " | "))
 	}
 	var uq *UnionQuery

@@ -180,17 +180,6 @@ func (s *Service) effMethod(cr *ppd.CompiledRequest) ppd.Method {
 	return s.cfg.Method
 }
 
-// seedSensitive reports whether a method's answers depend on the sampler
-// seed. Exact methods are deterministic whatever the seed, so identical
-// requests can share one answer even when their derived seeds differ.
-func seedSensitive(m ppd.Method) bool {
-	switch m {
-	case ppd.MethodMISAdaptive, ppd.MethodMISLite, ppd.MethodRejection, ppd.MethodAdaptive:
-		return true
-	}
-	return false
-}
-
 // doBatchGrouped answers one cluster of DoBatch — original request indices
 // idx, one model and effective method — as one Engine.DoGrouped call. The
 // engine's sampler seed is the cluster's first request index past
@@ -266,13 +255,13 @@ func (s *Service) doBatchFanOut(ctx context.Context, crs []*ppd.CompiledRequest,
 		}
 		// Exact methods answer independently of the sampler seed, so
 		// identical requests share one evaluation even though their derived
-		// seeds differ; seed-sensitive methods only dedup on an explicit
+		// seeds differ; methods that may sample only dedup on an explicit
 		// shared seed (each otherwise samples with its index-derived seed).
 		// Consensus requests are always seed-suffixed: even under MethodAuto
 		// the engine routes them to sampling when the item count exceeds the
 		// exact cap, so their answers may depend on the derived seed.
 		key := cr.Key()
-		if seedSensitive(s.effMethod(cr)) || cr.Kind == ppd.KindConsensus {
+		if !s.effMethod(cr).Exact() || cr.Kind == ppd.KindConsensus {
 			key = fmt.Sprintf("%s#%d", key, seeds[ri])
 		}
 		if first, ok := firstOf[key]; ok {

@@ -66,6 +66,40 @@ type batchCase struct {
 	single func(*rim.Model, *label.Labeling, pattern.Union, Options) (float64, error)
 }
 
+// algoBipartiteBasic marks the BipartiteBasic ablation's case: it compiles
+// to no Plan, so its lanes walk through runBipartiteBasic directly.
+const algoBipartiteBasic Algo = -1
+
+// solveLanes answers c's sessions as the lanes of one layer walk: through
+// the case's compiled Plan, or runBipartiteBasic for the ablation.
+func (c batchCase) solveLanes(opts Options) ([]float64, error) {
+	sigma := c.models[0].Sigma()
+	if c.algo != algoBipartiteBasic {
+		p, err := CompilePlan(c.algo, sigma, c.lab, c.u, opts)
+		if err != nil {
+			return nil, err
+		}
+		return SolveSessions(p, c.models, opts)
+	}
+	var pl basicPlan
+	if err := compileBipartiteBasic(&pl, planAlloc{}, sigma, c.lab, c.u); err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(c.models))
+	if pl.constOne {
+		for l := range out {
+			out[l] = 1
+		}
+		return out, nil
+	}
+	ar := getArena()
+	defer putArena(ar)
+	if err := runBipartiteBasic(ar, &pl, c.models, opts, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func batchCases(t *testing.T, seed int64, lanes int) []batchCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -88,7 +122,7 @@ func batchCases(t *testing.T, seed int64, lanes int) []batchCase {
 		cases = append(cases,
 			batchCase{"twolabel", AlgoTwoLabel, lab, two, models, TwoLabel},
 			batchCase{"bipartite", AlgoBipartite, lab, bip, models, Bipartite},
-			batchCase{"bipartite-basic", AlgoBipartiteBasic, lab, bip, models, BipartiteBasic},
+			batchCase{"bipartite-basic", algoBipartiteBasic, lab, bip, models, BipartiteBasic},
 			batchCase{"relorder", AlgoRelOrder, lab, dag, models, RelOrder},
 			batchCase{"twolabel-retiring", AlgoTwoLabel, rlab, rtwo, models, TwoLabel},
 			batchCase{"bipartite-retiring", AlgoBipartite, rlab, rbip, models, Bipartite},
@@ -102,6 +136,9 @@ func batchCases(t *testing.T, seed int64, lanes int) []batchCase {
 func TestPlanSolveMatchesPublicSolvers(t *testing.T) {
 	opts := Options{MaxInvolved: 16}
 	for _, c := range batchCases(t, 601, 4) {
+		if c.algo == algoBipartiteBasic {
+			continue // compiles to no Plan
+		}
 		p, err := CompilePlan(c.algo, c.models[0].Sigma(), c.lab, c.u, opts)
 		if err != nil {
 			t.Fatalf("%s: compile: %v", c.name, err)
@@ -134,17 +171,9 @@ func TestPlanSolveMatchesPublicSolvers(t *testing.T) {
 func TestSolveSessionsMatchesSingleSolvesBitwise(t *testing.T) {
 	opts := Options{MaxInvolved: 16}
 	cases := batchCases(t, 602, 7)
-	plans := make([]*Plan, len(cases))
-	for i, c := range cases {
-		p, err := CompilePlan(c.algo, c.models[0].Sigma(), c.lab, c.u, opts)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", c.name, err)
-		}
-		plans[i] = p
-	}
 	check := func(label string) {
-		for i, c := range cases {
-			out, err := SolveSessions(plans[i], c.models, opts)
+		for _, c := range cases {
+			out, err := c.solveLanes(opts)
 			if err != nil {
 				t.Fatalf("%s (%s): %v", c.name, label, err)
 			}
@@ -173,14 +202,6 @@ func TestSolveSessionsMatchesSingleSolvesBitwise(t *testing.T) {
 func TestSolveSessionsGOMAXPROCSInvariance(t *testing.T) {
 	opts := Options{MaxInvolved: 16}
 	cases := batchCases(t, 603, 5)
-	plans := make([]*Plan, len(cases))
-	for i, c := range cases {
-		p, err := CompilePlan(c.algo, c.models[0].Sigma(), c.lab, c.u, opts)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", c.name, err)
-		}
-		plans[i] = p
-	}
 	savedT, savedC := parallelThreshold, expandChunk
 	parallelThreshold, expandChunk = 1, 3
 	defer func() { parallelThreshold, expandChunk = savedT, savedC }()
@@ -189,7 +210,7 @@ func TestSolveSessionsGOMAXPROCSInvariance(t *testing.T) {
 
 	base := make([][]uint64, len(cases))
 	for i, c := range cases {
-		out, err := SolveSessions(plans[i], c.models, opts)
+		out, err := c.solveLanes(opts)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -202,7 +223,7 @@ func TestSolveSessionsGOMAXPROCSInvariance(t *testing.T) {
 	for _, procs := range []int{2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for i, c := range cases {
-			out, err := SolveSessions(plans[i], c.models, opts)
+			out, err := c.solveLanes(opts)
 			if err != nil {
 				t.Fatalf("%s (GOMAXPROCS=%d): %v", c.name, procs, err)
 			}

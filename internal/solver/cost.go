@@ -28,8 +28,8 @@ const maxPricedSlots = 64
 // (what Stats.Transitions counts) and its widest layer (Stats.PeakStates),
 // both for the retiring walk, not the NoTrackerDrop ablation. It reads the
 // compiled tables in O(m · slots) and allocates nothing. A plan outside the
-// model — the BipartiteBasic ablation, or more than 64 trackers — is priced
-// +Inf; a constant plan costs nothing.
+// model — more than 64 trackers — is priced +Inf; a constant plan costs
+// nothing.
 func (p *Plan) Cost() (transitions, peak float64) {
 	switch {
 	case p.isConst:
@@ -38,10 +38,8 @@ func (p *Plan) Cost() (transitions, peak float64) {
 		return p.two.cost()
 	case p.bip != nil:
 		return p.bip.cost()
-	case p.rel != nil:
-		return p.rel.cost()
 	}
-	return math.Inf(1), math.Inf(1)
+	return p.rel.cost()
 }
 
 // slotRange is the number of positions a live tracker can take after k

@@ -117,7 +117,6 @@ func TestPlanCostOutsideTheModel(t *testing.T) {
 		lab.Add(rank.Item(it), label.Label(it%2))
 	}
 	set := func(l int) label.Set { return label.NewSet(label.Label(l)) }
-	one := pattern.Union{pattern.TwoLabel(set(0), set(1))}
 	cost := func(algo Algo, u pattern.Union) float64 {
 		t.Helper()
 		pl, err := CompilePlan(algo, sigma, lab, u, Options{})
@@ -129,9 +128,6 @@ func TestPlanCostOutsideTheModel(t *testing.T) {
 	}
 	if c := cost(AlgoTwoLabel, nil); c != 0 {
 		t.Errorf("empty union priced %v, want 0", c)
-	}
-	if c := cost(AlgoBipartiteBasic, one); !math.IsInf(c, 1) {
-		t.Errorf("BipartiteBasic priced %v, want +Inf", c)
 	}
 	// 33 patterns over 66 distinct label sets: one tracker too many.
 	var wide pattern.Union

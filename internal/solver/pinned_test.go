@@ -73,11 +73,7 @@ func TestSolverBitsPinned(t *testing.T) {
 			opts := Options{MaxInvolved: 16, NoTrackerDrop: cfg.noDrop}
 			i := 0
 			for _, c := range batchCases(t, 638, 2) {
-				p, err := CompilePlan(c.algo, c.models[0].Sigma(), c.lab, c.u, opts)
-				if err != nil {
-					t.Fatalf("%s: compile: %v", c.name, err)
-				}
-				batched, err := SolveSessions(p, c.models, opts)
+				batched, err := c.solveLanes(opts)
 				if err != nil {
 					t.Fatalf("%s: batched: %v", c.name, err)
 				}

@@ -19,8 +19,8 @@ import (
 // session and a per-lane mass vector per state, and Solve is its one-lane
 // case.
 //
-// Each of the four DP solvers is split into a compile half (compileTwoLabel,
-// compileBipartite, compileBipartiteBasic, compileRelOrder) and one executor
+// Each of the three DP solvers is split into a compile half (compileTwoLabel,
+// compileBipartite, compileRelOrder) and one executor
 // (runTwoLabel, ...) that walks the layers for a list of lanes; the public
 // single-shot entry points (TwoLabel, Bipartite, ...) compile into the
 // pooled arena and run one lane immediately, staying allocation-free in
@@ -73,7 +73,6 @@ type Algo int
 const (
 	AlgoTwoLabel Algo = iota
 	AlgoBipartite
-	AlgoBipartiteBasic
 	AlgoRelOrder
 )
 
@@ -83,8 +82,6 @@ func (a Algo) String() string {
 		return "twolabel"
 	case AlgoBipartite:
 		return "bipartite"
-	case AlgoBipartiteBasic:
-		return "bipartite-basic"
 	case AlgoRelOrder:
 		return "relorder"
 	}
@@ -115,10 +112,9 @@ type Plan struct {
 	isConst  bool
 	constVal float64
 
-	two   *twoLabelPlan
-	bip   *bipPlan
-	basic *basicPlan
-	rel   *relPlan
+	two *twoLabelPlan
+	bip *bipPlan
+	rel *relPlan
 }
 
 // Algo returns the solver the plan compiles to.
@@ -154,14 +150,6 @@ func CompilePlan(algo Algo, sigma rank.Ranking, lab *label.Labeling, u pattern.U
 			return nil, err
 		}
 		if p.bip.constOne {
-			p.isConst, p.constVal = true, 1
-		}
-	case AlgoBipartiteBasic:
-		p.basic = new(basicPlan)
-		if err := compileBipartiteBasic(p.basic, heap, sigma, lab, u); err != nil {
-			return nil, err
-		}
-		if p.basic.constOne {
 			p.isConst, p.constVal = true, 1
 		}
 	case AlgoRelOrder:
@@ -202,8 +190,6 @@ func (p *Plan) run(ar *arena, models []*rim.Model, opts Options, out []float64) 
 		return runTwoLabel(ar, p.two, models, opts, out)
 	case AlgoBipartite:
 		return runBipartite(ar, p.bip, models, opts, out)
-	case AlgoBipartiteBasic:
-		return runBipartiteBasic(ar, p.basic, models, opts, out)
 	default:
 		return runRelOrder(ar, p.rel, models, opts, out)
 	}
