@@ -21,9 +21,9 @@ import (
 // equivalenceBodies is the request matrix checked for byte identity: all
 // six kinds, per-session variants, union queries, a batch, and a batch
 // interleaving the default model with secondModel. Consensus
-// covers all three targets; the sampled variant carries a seed, because the
-// per-session sampling streams are derived from the request seed and only a
-// seeded request is reproducible across tiers at all.
+// covers all three targets. The sampled variants carry a seed: a sampled
+// group's (consensus: a session's) stream is seeded from the request seed
+// and what draws from it, so it is the same on every tier.
 func equivalenceBodies() []string {
 	q := demoQuery
 	u := unionQuery
@@ -41,7 +41,17 @@ func equivalenceBodies() []string {
 		fmt.Sprintf(`{"kind":"consensus","query":%q,"target":"topk","k":2}`, u),
 		fmt.Sprintf(`{"kind":"consensus","query":%q,"target":"median","method":"rejection","seed":5}`, q),
 		fmt.Sprintf(`{"kind":"consensus","query":%q,"target":"topk","k":2,"method":"rejection","seed":11,"per_session":true}`, q),
+		// Seeded sampled answers: every sampled group draws from a stream
+		// keyed by the seed, its model and its union, so a partition draws
+		// what the single process draws for the same group.
+		fmt.Sprintf(`{"kind":"bool","query":%q,"method":"rejection","seed":3}`, q),
+		fmt.Sprintf(`{"kind":"bool","query":%q,"method":"mis-lite","seed":4}`, u),
+		fmt.Sprintf(`{"kind":"count","query":%q,"method":"rejection","seed":6,"per_session":true}`, u),
+		fmt.Sprintf(`{"kind":"count","query":%q,"method":"mis-lite","seed":8,"per_session":true}`, q),
+		fmt.Sprintf(`{"kind":"countdist","query":%q,"method":"rejection","seed":9}`, q),
+		fmt.Sprintf(`{"kind":"countdist","query":%q,"method":"mis-lite","seed":10,"per_session":true}`, u),
 		fmt.Sprintf(`{"requests":[{"kind":"bool","query":%q},{"kind":"topk","query":%q,"k":2},{"kind":"count","query":%q},{"kind":"aggregate","query":%q,"agg_rel":"V","agg_attr":"age"},{"kind":"countdist","query":%q},{"kind":"consensus","query":%q,"target":"median"}]}`, q, u, q, q, u, q),
+		fmt.Sprintf(`{"requests":[{"kind":"bool","query":%[1]q,"method":"rejection","seed":3},{"kind":"count","query":%[2]q,"method":"mis-lite","seed":4,"per_session":true},{"kind":"countdist","query":%[2]q,"method":"rejection","seed":3},{"kind":"bool","query":%[1]q,"method":"mis-lite"},{"kind":"count","query":%[1]q}]}`, q, u),
 		fmt.Sprintf(`{"requests":[{"kind":"bool","query":%[1]q,"model":%[3]q},{"kind":"bool","query":%[1]q},{"kind":"topk","query":%[2]q,"k":2,"model":%[3]q},{"kind":"countdist","query":%[1]q,"per_session":true},{"kind":"countdist","query":%[2]q,"model":%[3]q},{"kind":"topk","query":%[1]q,"k":3},{"kind":"consensus","query":%[1]q,"target":"median","model":%[3]q},{"kind":"bool","query":%[2]q,"model":%[3]q,"per_session":true},{"kind":"consensus","query":%[2]q,"target":"map"}]}`, q, u, secondModel),
 	}
 }

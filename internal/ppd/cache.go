@@ -32,20 +32,10 @@ import (
 // the engine calls Get and Put from multiple goroutines, and a single cache
 // is typically shared by many engines (see internal/server).
 //
-// Correctness caveats: entries are keyed by the solver method, the model
-// parameters and the grounded pattern union — engines with different
-// Methods can therefore safely share one cache — but sampler and solver
-// tuning (SamplerCfg, LiteD/LiteN, RejectionN, SolverOpts) is NOT part of
-// the key, so engines sharing a cache should agree on those. For the exact
-// solvers a hit is always exact; for the sampling methods (MIS-AMP,
-// rejection) a hit replays an earlier estimate instead of re-sampling, so
-// estimates become sticky for the cache lifetime. That is usually desirable
-// (stable answers, no re-inference) but means repeated queries no longer
-// average over fresh samples. MethodAdaptive keys its entries under
-// "adaptive|...": the budget (and hence whether an entry is an exact answer
-// or an estimate) is not part of the key, so engines sharing a cache across
-// different deadlines replay whichever answer landed first — fix
-// Engine.AdaptiveBudget (or skip the cache) when that matters.
+// The cache holds exact answers only (a sampled group is never stored), so
+// a hit is exact whatever seed, deadline or budget the engine runs under;
+// engines sharing a cache may differ in Method but should agree on
+// SolverOpts, which is not part of the key.
 type SolveCache interface {
 	// Get returns the cached probability for key, if present.
 	Get(key string) (float64, bool)

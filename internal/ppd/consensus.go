@@ -3,7 +3,6 @@ package ppd
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 
 	"probpref/internal/consensus"
@@ -179,12 +178,12 @@ func (e *Engine) consensusExactRows(ctx context.Context, gr *Grounded, cr *Compi
 // consensusSampledRows estimates each live session's statistics by
 // rejection sampling: fixed draws per session (Engine.RejectionN, default
 // DefaultConsensusDraws) from the session's model, accepting rankings
-// that match its grounded union. Each session's RNG is seeded from a hash
-// of its key XORed with one base draw from the engine RNG, so the
-// counters depend only on (engine seed, session key) — not on which
-// process, partition or iteration order evaluates the session. That is
-// what makes sampled consensus answers byte-identical between a single
-// process and the sharded coordinator.
+// that match its grounded union. Each session draws from its own stream,
+// seeded from one base draw from the engine RNG and the session key
+// (streamSeed), so the counters depend only on (engine seed, session key) —
+// not on which process, partition or iteration order evaluates the
+// session. That is what makes sampled consensus answers byte-identical
+// between a single process and the sharded coordinator.
 func (e *Engine) consensusSampledRows(ctx context.Context, gr *Grounded, cr *CompiledRequest) ([]consensus.Row, error) {
 	m := e.DB.M()
 	matchers := groupMatchers(gr, e.DB.Labeling(), m)
@@ -197,7 +196,7 @@ func (e *Engine) consensusSampledRows(ctx context.Context, gr *Grounded, cr *Com
 			return nil, context.Cause(ctx)
 		}
 		s, mt := ls.Session, matchers[ls.Group]
-		rng := rand.New(rand.NewSource(sessionSeed(baseSeed, s.Key)))
+		rng := rand.New(rand.NewSource(streamSeed(baseSeed, s.Key...)))
 		row := consensus.Row{Session: s.Key, Sampled: true, Draws: int64(draws)}
 		switch cr.Target {
 		case consensus.TargetMedian:
@@ -256,17 +255,4 @@ func groupMatchers(gr *Grounded, lab *label.Labeling, m int) []*pattern.Matcher 
 		mts[g] = mt
 	}
 	return mts
-}
-
-// sessionSeed derives a session's sampling seed from the request-level
-// base seed and the session key (FNV-1a over the NUL-joined key parts):
-// position-independent, so partitioned evaluation reproduces the
-// single-process draw streams exactly.
-func sessionSeed(baseSeed int64, key []string) int64 {
-	h := fnv.New64a()
-	for _, part := range key {
-		h.Write([]byte(part))
-		h.Write([]byte{0})
-	}
-	return baseSeed ^ int64(h.Sum64())
 }

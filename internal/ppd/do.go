@@ -3,7 +3,6 @@ package ppd
 import (
 	"context"
 	"fmt"
-	"math/rand"
 )
 
 // Do is the engine's single entry point: it validates the request with
@@ -26,17 +25,15 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 // once and execute many times (possibly against several engines).
 func (e *Engine) DoCompiled(ctx context.Context, cr *CompiledRequest) (*Response, error) {
 	eng := e
-	if cr.Method != MethodAuto && cr.Method != e.Method {
+	if cr.Method != MethodAuto || cr.Seed != 0 {
 		clone := *e
-		clone.Method = cr.Method
-		eng = &clone
-	}
-	if cr.Seed != 0 {
-		if eng == e {
-			clone := *e
-			eng = &clone
+		if cr.Method != MethodAuto {
+			clone.Method = cr.Method
 		}
-		eng.Rng = rand.New(rand.NewSource(cr.Seed))
+		if cr.Seed != 0 {
+			clone.Rng, clone.seed = nil, cr.Seed
+		}
+		eng = &clone
 	}
 	if cr.Deadline > 0 {
 		var cancel context.CancelFunc

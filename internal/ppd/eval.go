@@ -31,20 +31,21 @@ type Engine struct {
 	LiteD, LiteN int
 	// RejectionN configures MethodRejection.
 	RejectionN int
-	// Rng seeds the samplers; nil uses a fixed seed.
+	// Rng seeds the samplers (nil: seed 1): an evaluation under a method that
+	// may sample draws one base Int63 from it, and each sampled group draws
+	// from its own stream keyed by that base, its model and union (streamSeed).
 	Rng *rand.Rand
 	// DisableGrouping turns off identical-request grouping (Section 6.4).
 	DisableGrouping bool
-	// Workers > 1 solves distinct session groups concurrently. Sampler
-	// methods derive an independent seeded RNG per group so results stay
-	// deterministic for a fixed worker-independent seed.
+	// Workers > 1 solves distinct session groups concurrently (serially
+	// while SolverOpts.Stats is set). Answers do not depend on it: every
+	// sampled group draws from its own stream (see Rng).
 	Workers int
-	// Cache, when non-nil, memoizes solved (model, union) groups across
-	// Do calls (and across engines sharing the cache). It is
-	// consulted with GroupKey keys before each solve and updated after;
-	// see SolveCache for the concurrency and sampling caveats. Ignored
-	// when DisableGrouping is set, since per-session keys are synthetic
-	// then.
+	// Cache, when non-nil, memoizes exactly solved (model, union) groups
+	// across Do calls (and across engines sharing the cache). It is
+	// consulted with GroupKey keys before each solve and updated after an
+	// exact one; see SolveCache. Ignored when DisableGrouping is set, since
+	// per-session keys are synthetic then.
 	Cache SolveCache
 	// AdaptiveBudget is MethodAdaptive's per-group work budget in predicted
 	// solver state-transitions. 0 derives the budget from the context
@@ -57,13 +58,54 @@ type Engine struct {
 	// recompilation and solve through one batched layer walk. Must not be
 	// shared between engines with different databases.
 	Plans PlanCache
+
+	// seed seeds Rng at its first use while Rng is nil (0 means 1), so a
+	// request's or group's engine copy that never draws builds no source.
+	seed int64
 }
 
 func (e *Engine) rng() *rand.Rand {
 	if e.Rng == nil {
-		e.Rng = rand.New(rand.NewSource(1))
+		e.Rng = rand.New(rand.NewSource(cmp.Or(e.seed, 1)))
 	}
 	return e.Rng
+}
+
+// NewRand returns a generator with rand.NewSource(seed)'s stream, seeded at
+// its first draw (607 words, ~10 µs, 4.9 KB) at one more indirection a draw:
+// for an Engine.Rng that only seeds evaluations, as a service's does.
+func NewRand(seed int64) *rand.Rand { return rand.New(&lazySource{seed: seed}) }
+
+// lazySource is rand.NewSource(seed) built at the first draw.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (l *lazySource) source() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64    { return l.source().Int63() }
+func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
+func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
+
+// streamSeed seeds a stream from an evaluation's base seed and the parts
+// naming what draws from it (a group's model and union, a consensus row's
+// session key): the base XORed with FNV-1a over the NUL-terminated parts.
+func streamSeed(base int64, parts ...string) int64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for _, part := range parts {
+		for i := 0; i < len(part); i++ {
+			h = (h ^ uint64(part[i])) * prime
+		}
+		h *= prime // the NUL terminator
+	}
+	return base ^ int64(h)
 }
 
 // SessionProb pairs a session with the probability that the query holds on
@@ -219,7 +261,7 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 
 	// Fold every request. An adaptive plan notes each freshly solved group
 	// its request references, matching the propagated half-widths; a cache
-	// hit replays a point answer and contributes no width.
+	// hit is an exact answer and contributes no width.
 	for qi, cr := range crs {
 		gr, gidx := grs[qi], of[qi]
 		per := make([]SessionProb, len(gr.Live))
@@ -235,11 +277,9 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 					resp.Plan.note(gp.reports[gi])
 				}
 			}
-			hw := make([]float64, len(per))
+			hw := make([]float64, len(per)) // a cache hit's report is zero: exact, no width
 			for i, ls := range gr.Live {
-				if gi := gidx[ls.Group]; gp.solved[gi] {
-					hw[i] = gp.reports[gi].HalfWidth
-				}
+				hw[i] = gp.reports[gidx[ls.Group]].HalfWidth
 			}
 			resp.Plan.propagate(per, hw)
 		}
@@ -278,30 +318,31 @@ func BoolAggregate(per []SessionProb) (prob, count float64) {
 // groupProbs resolves the probabilities of distinct groups, each at most
 // once: from Engine.Cache when it holds the group, by a solve otherwise.
 // DoGrouped, and top-k for the groups that are their own bound, resolve a
-// set of groups up front (resolve): every group is looked up once, then the
-// misses are solved together. The top-k loop, which stops at the first
-// dominated bound, and aggregation, which skips sessions without a value,
-// resolve the rest lazily instead, one group at a time in the order they
-// ask, so a sampling method draws from the engine's RNG stream for exactly
-// the groups the answer needs.
+// set up front (resolve: one cache sweep, then the misses solved together);
+// the top-k loop and aggregation resolve the rest one group at a time, as
+// they need them (prob). Either way solve is where a group is solved.
 type groupProbs struct {
 	e       *Engine
 	groups  []Group
 	keys    []string // the groups' cache keys (shared, read-only); nil without a cache
+	base    int64    // the evaluation's base seed, under a method that may sample
 	probs   []float64
 	reports []SolveReport // of the solved groups, for MethodAdaptive's plans; else nil
 	done    []bool        // resolved, from the cache or by a solve
 	solved  []bool        // resolved by a solve
 
 	solves, cacheHits int
-	plan              *PlanStats // MethodAdaptive's routing of the groups solved one at a time, else nil
 }
 
 // newGroupProbs resolves groups, whose cache keys are keys (nil without a
-// cache; see cacheKeys).
+// cache; see cacheKeys). Under a method that may sample it draws the
+// evaluation's base seed from the engine's RNG.
 func (e *Engine) newGroupProbs(groups []Group, keys []string) *groupProbs {
 	n := len(groups)
 	gp := &groupProbs{e: e, groups: groups, keys: keys, probs: make([]float64, n), done: make([]bool, n), solved: make([]bool, n)}
+	if !e.Method.Exact() {
+		gp.base = e.rng().Int63()
+	}
 	if e.Method == MethodAdaptive {
 		gp.reports = make([]SolveReport, n)
 	}
@@ -309,26 +350,22 @@ func (e *Engine) newGroupProbs(groups []Group, keys []string) *groupProbs {
 }
 
 // resolve resolves the groups want selects (every group when want is nil),
-// none of them resolved yet: it sweeps the cache, then solves the misses.
-// fail attributes a failed solve to its group. The pool is entered whenever
-// a cold run would enter it and seeds group gi baseSeed+gi, so a warm
-// parallel run reproduces the cold one; the serial path draws from the
-// engine's one RNG stream. Solves run under ctx, the loop under loopCtx.
+// none of them resolved yet: it sweeps the cache, then solves the misses,
+// concurrently on Engine.Workers. fail attributes a failed solve to its
+// group. Solves run under ctx, the loop under loopCtx.
 func (gp *groupProbs) resolve(ctx, loopCtx context.Context, want func(gi int) bool, fail func(gi int, err error) error) error {
 	e := gp.e
-	wanted := 0
 	var pending []int
 	for gi := range gp.groups {
-		if want != nil && !want(gi) {
-			continue
-		}
-		wanted++
-		if !gp.lookup(gi) {
+		if (want == nil || want(gi)) && !gp.lookup(gi) {
 			pending = append(pending, gi)
 		}
 	}
-	switch {
-	case len(pending) > 1 && e.Plans != nil && e.Method.row().plan != nil && !e.DisableGrouping:
+	if len(pending) == 0 {
+		return nil
+	}
+	gp.solves += len(pending)
+	if len(pending) > 1 && e.Plans != nil && e.Method.row().plan != nil && !e.DisableGrouping {
 		// Exact compiled-plan methods: groups sharing a union shape solve as
 		// the lanes of one layer walk, bit-identical to per-group solves.
 		// Gated on a PlanCache: without one every evaluation would recompile
@@ -346,38 +383,19 @@ func (gp *groupProbs) resolve(ctx, loopCtx context.Context, want func(gi int) bo
 		for pi, gi := range pending {
 			gp.record(gi, probs[pi], SolveReport{Method: e.Method})
 		}
-		gp.solves += len(pending)
-	case e.Workers > 1 && wanted > 1 && len(pending) > 0:
-		baseSeed := int64(1)
-		if e.Rng != nil {
-			baseSeed = e.Rng.Int63()
-		}
-		err := pool.RunCtx(loopCtx, len(pending), e.Workers, func(pi int) error {
-			gi := pending[pi]
-			sub := *e // own RNG; solver statistics are not aggregated across workers
-			sub.Rng, sub.SolverOpts.Stats = rand.New(rand.NewSource(baseSeed+int64(gi))), nil
-			p, rep, err := sub.solve(ctx, gp.groups[gi].Model, gp.groups[gi].Union)
-			if err != nil {
-				return fail(gi, err)
-			}
-			gp.record(gi, p, rep)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		gp.solves += len(pending)
-	default:
-		for _, gi := range pending {
-			if err := loopCtx.Err(); err != nil {
-				return context.Cause(loopCtx)
-			}
-			if _, err := gp.solve(ctx, gi); err != nil {
-				return fail(gi, err)
-			}
-		}
+		return nil
 	}
-	return nil
+	workers := e.Workers
+	if e.SolverOpts.Stats != nil {
+		workers = 1 // one Stats must not be shared across concurrent solves
+	}
+	return pool.RunCtx(loopCtx, len(pending), workers, func(pi int) error {
+		gi := pending[pi]
+		if _, err := gp.solve(ctx, gi); err != nil {
+			return fail(gi, err)
+		}
+		return nil
+	})
 }
 
 // lookup answers group gi from Engine.Cache when the cache holds it.
@@ -393,14 +411,14 @@ func (gp *groupProbs) lookup(gi int) bool {
 	return ok
 }
 
-// record stores group gi's solved answer and caches it. Calls for distinct
-// groups may run concurrently.
+// record stores group gi's solved answer, and caches it when it is exact.
+// Calls for distinct groups may run concurrently.
 func (gp *groupProbs) record(gi int, p float64, rep SolveReport) {
 	gp.probs[gi], gp.done[gi], gp.solved[gi] = p, true, true
 	if gp.reports != nil {
 		gp.reports[gi] = rep
 	}
-	if gp.keys != nil {
+	if gp.keys != nil && !rep.Sampled {
 		gp.e.Cache.Put(gp.keys[gi], p)
 	}
 }
@@ -410,22 +428,23 @@ func (gp *groupProbs) prob(ctx context.Context, gi int) (float64, error) {
 	if gp.done[gi] || gp.lookup(gi) {
 		return gp.probs[gi], nil
 	}
+	gp.solves++
 	return gp.solve(ctx, gi)
 }
 
-// solve resolves group gi by a solve.
+// solve resolves group gi by a solve; under a method that may sample, from
+// the group's own stream (see streamSeed), whoever resolves it and whenever.
+// Calls for distinct groups may run concurrently.
 func (gp *groupProbs) solve(ctx context.Context, gi int) (float64, error) {
-	g := gp.groups[gi]
-	p, rep, err := gp.e.solve(ctx, g.Model, g.Union)
+	g, e := gp.groups[gi], gp.e
+	if !e.Method.Exact() {
+		sub := *e
+		sub.Rng, sub.seed = nil, streamSeed(gp.base, g.id.model, g.id.union)
+		e = &sub
+	}
+	p, rep, err := e.solve(ctx, g.Model, g.Union)
 	if err != nil {
 		return 0, err
-	}
-	gp.solves++
-	if gp.e.Method == MethodAdaptive {
-		if gp.plan == nil {
-			gp.plan = &PlanStats{}
-		}
-		gp.plan.note(rep)
 	}
 	gp.record(gi, p, rep)
 	return p, nil
@@ -671,6 +690,13 @@ func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges in
 	}
 	diag.ExactSolves = exact.solves
 	diag.CacheHits = exact.cacheHits
-	diag.Plan = exact.plan
+	if exact.reports != nil && exact.solves > 0 {
+		diag.Plan = &PlanStats{}
+		for gi, solved := range exact.solved {
+			if solved {
+				diag.Plan.note(exact.reports[gi])
+			}
+		}
+	}
 	return out, diag, nil
 }

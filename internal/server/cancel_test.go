@@ -14,6 +14,7 @@ import (
 
 	"probpref/internal/dataset"
 	"probpref/internal/ppd"
+	"probpref/internal/solver"
 )
 
 // Cancellation tests for the end-to-end context plumbing: a cancelled batch
@@ -336,13 +337,27 @@ func TestV1StreamCompletesWithoutDeadline(t *testing.T) {
 
 // TestHTTPEvalTimeoutAdaptive drives the degrade path through the HTTP
 // front end: timeout_ms with the adaptive method returns 200 with a plan
-// reporting sampled groups.
+// reporting sampled groups. The route is decided by price, not by how fast
+// the box solves: every group of the query is priced far above what the
+// whole 1 ms budget buys, so none is attempted exactly.
 func TestHTTPEvalTimeoutAdaptive(t *testing.T) {
 	svc := pollsService(t, Config{Method: ppd.MethodAdaptive, Workers: 2, CacheSize: -1})
+	const query = `P(_, _; a; b), P(_, _; b; c), C(a, D, _, _, _, _), C(b, R, _, _, _, _), C(c, D, _, _, _, _)`
+	db := svc.DB()
+	gr, err := db.Ground(context.Background(), ppd.MustParseUnion(query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := time.Millisecond.Seconds() * ppd.AdaptiveStatesPerSecond
+	for _, g := range gr.Groups {
+		if est := ppd.EstimateCost(g.Model, db.Labeling(), g.Union, solver.Options{}.MaxInvolvedLimit()); est.States <= budget {
+			t.Fatalf("a group is priced %.3g transitions, within the 1 ms budget %.3g: pick a dearer query", est.States, budget)
+		}
+	}
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	var resp V1Response
-	body := `{"kind":"bool","timeout_ms":1,"query":` + jsonStr(pollsBatch(1)[0]) + `}`
+	body := `{"kind":"bool","timeout_ms":1,"query":` + jsonStr(query) + `}`
 	if code := post(t, srv, "/v1/query", body, &resp); code != 200 {
 		t.Fatalf("status %d", code)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"probpref/internal/pool"
 	"probpref/internal/ppd"
@@ -81,29 +82,25 @@ type DoBatchResult struct {
 // DoBatch answers a batch of requests as one unit.
 //
 // The batch is partitioned per request, not all-or-nothing: every
-// evaluation-backed request (bool, count or countdist) without a
-// per-request seed or deadline joins a grouped cluster keyed by its (model,
-// effective method) pair, and each cluster is one ppd.Engine.DoGrouped call,
-// the grouped evaluation Engine.Do runs for a single request: every request
-// of the cluster is grounded, the inference groups are deduplicated across
-// the cluster (the cross-query generalization of the paper's Section 6.4
-// grouping), cached results come from the shared solve cache, and only the
-// remaining distinct groups are solved. Exact answers are identical to
-// answering each request alone. Sampled answers follow the engine's seed
-// rule under one seed per cluster, so they are deterministic per batch,
-// Config.Seed and Config.Workers but can differ from a standalone
-// evaluation. A request's Solves / CacheHits attribute each group to the
-// first request of its cluster that needed it.
+// evaluation-backed request (bool, count or countdist) without a deadline
+// joins a grouped cluster keyed by its model, effective method and
+// effective seed (its own, else Config.Seed), and each cluster is one
+// ppd.Engine.DoGrouped call, the grouped evaluation Engine.Do runs for a
+// single request: every request of the cluster is grounded, the inference
+// groups are deduplicated across the cluster (the cross-query
+// generalization of the paper's Section 6.4 grouping), cached results come
+// from the shared solve cache, and only the remaining distinct groups are
+// solved. Every answer, sampled ones included, is identical to answering
+// the request alone: a sampled group draws from a stream keyed by its
+// seed, model and union (see ppd.Engine.Rng). A request's Solves /
+// CacheHits attribute each group to the first request of its cluster that
+// needed it.
 //
-// Every other request — topk or aggregate kinds, and the carve-outs
-// carrying their own seed or deadline — fans out
-// request-by-request on the worker pool; one seeded request no longer
-// forces the groupable majority off the grouped path. Identical fan-out
-// requests (equal compiled Keys) are answered once and share the response
-// when their method is exact (seed-independent); under a sampling method
-// they additionally need an explicit shared seed, since each request
-// otherwise samples with its own index-derived seed. Cross-request sharing
-// between the two paths still happens through the shared solve cache.
+// Every other request — topk, aggregate and consensus kinds, and those
+// carrying a deadline — fans out request-by-request on the worker pool.
+// Identical fan-out requests (equal compiled Keys, which carry the seed)
+// are answered once and share the response. Cross-request sharing between
+// the two paths still happens through the shared solve cache.
 func (s *Service) DoBatch(ctx context.Context, reqs []*ppd.Request) (*DoBatchResult, error) {
 	crs := make([]*ppd.CompiledRequest, len(reqs))
 	for i, r := range reqs {
@@ -135,20 +132,19 @@ func (s *Service) doBatch(ctx context.Context, crs []*ppd.CompiledRequest) (*DoB
 }
 
 // groupEligible reports whether one request may join a grouped cluster:
-// evaluation-backed kinds only, and no per-request seed or deadline (the
-// grouped path samples under one seed per cluster and runs under the batch
-// context).
+// evaluation-backed kinds only, and no per-request deadline (the grouped
+// path runs under the batch context).
 func groupEligible(cr *ppd.CompiledRequest) bool {
 	switch cr.Kind {
 	case ppd.KindBool, ppd.KindCount, ppd.KindCountDist:
 	default:
 		return false
 	}
-	return cr.Seed == 0 && cr.Deadline == 0
+	return cr.Deadline == 0
 }
 
 // partitionBatch splits a compiled batch into grouped clusters (eligible
-// requests sharing a model and effective method, in request order; a
+// requests sharing a model, effective method and seed, in request order; a
 // singleton cluster still profits from per-session group dedup and cache
 // accounting) and the fan-out remainder (ineligible requests, in request
 // order). Every request lands in exactly one partition.
@@ -159,7 +155,7 @@ func (s *Service) partitionBatch(crs []*ppd.CompiledRequest) (clusters [][]int, 
 			fanOut = append(fanOut, ri)
 			continue
 		}
-		key := ModelName(cr.Model) + nsSep + s.effMethod(cr).String()
+		key := ModelName(cr.Model) + nsSep + s.effMethod(cr).String() + nsSep + strconv.FormatInt(s.effSeed(cr), 10)
 		ci, ok := clusterOf[key]
 		if !ok {
 			ci = len(clusters)
@@ -180,19 +176,26 @@ func (s *Service) effMethod(cr *ppd.CompiledRequest) ppd.Method {
 	return s.cfg.Method
 }
 
+// effSeed resolves a request's effective sampler seed: its own, or
+// Config.Seed when it leaves the seed at 0.
+func (s *Service) effSeed(cr *ppd.CompiledRequest) int64 {
+	if cr.Seed != 0 {
+		return cr.Seed
+	}
+	return s.cfg.Seed
+}
+
 // doBatchGrouped answers one cluster of DoBatch — original request indices
-// idx, one model and effective method — as one Engine.DoGrouped call. The
-// engine's sampler seed is the cluster's first request index past
-// Config.Seed, so distinct clusters sample from distinct seeds. Responses
-// land at their original indices in br and the dedup counters accumulate
-// into it.
+// idx, one model, effective method and seed — as one Engine.DoGrouped call.
+// Responses land at their original indices in br and the dedup counters
+// accumulate into it.
 func (s *Service) doBatchGrouped(ctx context.Context, crs []*ppd.CompiledRequest, idx []int, br *DoBatchResult) error {
 	h, err := s.open(crs[idx[0]].Model)
 	if err != nil {
 		return err
 	}
 	defer h.Close()
-	eng := s.engine(s.cfg.Seed+int64(idx[0]), h)
+	eng := s.engine(s.effSeed(crs[idx[0]]), h)
 	eng.Method = s.effMethod(crs[idx[0]])
 	cluster := make([]*ppd.CompiledRequest, len(idx))
 	for qi, ri := range idx {
@@ -220,10 +223,9 @@ func (s *Service) doBatchGrouped(ctx context.Context, crs []*ppd.CompiledRequest
 
 // doBatchFanOut is the per-request path of DoBatch: every distinct request
 // of idx (original request indices) runs on the worker pool through the
-// same engine construction as Do, with per-request sampler seeds derived
-// from the original request index unless the request carries its own seed.
-// Requests with identical compiled keys and seeds are answered once and
-// share the response value. Responses land at their original indices in br.
+// same engine construction as Do. Requests with identical compiled keys are
+// answered once and share the response value. Responses land at their
+// original indices in br.
 func (s *Service) doBatchFanOut(ctx context.Context, crs []*ppd.CompiledRequest, idx []int, br *DoBatchResult) error {
 	// Open every distinct model up front so an unknown name fails the batch
 	// with its catalog error (404), and so deletions cannot unload a model
@@ -243,27 +245,11 @@ func (s *Service) doBatchFanOut(ctx context.Context, crs []*ppd.CompiledRequest,
 			handles[name] = h
 		}
 	}
-	seeds := make([]int64, len(crs))
 	firstOf := make(map[string]int)
 	dupOf := make([]int, len(crs)) // -1 = unique, else index answered for us
 	var unique []int
 	for _, ri := range idx {
-		cr := crs[ri]
-		seeds[ri] = s.cfg.Seed + int64(ri)
-		if cr.Seed != 0 {
-			seeds[ri] = cr.Seed
-		}
-		// Exact methods answer independently of the sampler seed, so
-		// identical requests share one evaluation even though their derived
-		// seeds differ; methods that may sample only dedup on an explicit
-		// shared seed (each otherwise samples with its index-derived seed).
-		// Consensus requests are always seed-suffixed: even under MethodAuto
-		// the engine routes them to sampling when the item count exceeds the
-		// exact cap, so their answers may depend on the derived seed.
-		key := cr.Key()
-		if !s.effMethod(cr).Exact() || cr.Kind == ppd.KindConsensus {
-			key = fmt.Sprintf("%s#%d", key, seeds[ri])
-		}
+		key := crs[ri].Key()
 		if first, ok := firstOf[key]; ok {
 			dupOf[ri] = first
 			continue
@@ -289,7 +275,7 @@ func (s *Service) doBatchFanOut(ctx context.Context, crs []*ppd.CompiledRequest,
 	}
 	err := pool.RunCtx(loopCtx, len(unique), s.cfg.Workers, func(pi int) error {
 		ri := unique[pi]
-		eng := s.engine(seeds[ri], handles[ModelName(crs[ri].Model)])
+		eng := s.engine(s.cfg.Seed, handles[ModelName(crs[ri].Model)])
 		eng.Workers = 1 // the pool is the parallelism
 		resp, err := eng.DoCompiled(ctx, crs[ri])
 		if err != nil {

@@ -285,10 +285,10 @@ func TestDoRequestOverrides(t *testing.T) {
 	}
 }
 
-// TestDoBatchRequestDedup: identical exact-method requests are answered
-// once and share the response (their answers are seed-independent);
-// sampling-method requests dedup only on an explicit shared seed, since
-// each otherwise samples with its own index-derived seed.
+// TestDoBatchRequestDedup: identical requests are answered once and share
+// the response, under a sampling method too: an unseeded request samples
+// under Config.Seed wherever it sits in the batch, so identical requests
+// have identical answers.
 func TestDoBatchRequestDedup(t *testing.T) {
 	ctx := context.Background()
 	topk := func(seed int64) *ppd.Request {
@@ -311,8 +311,8 @@ func TestDoBatchRequestDedup(t *testing.T) {
 		t.Error("identical seeded requests should share one response")
 	}
 
-	// Sampling method, no explicit seed: each request keeps its own
-	// index-derived seed, so no sharing.
+	// Sampling method, no explicit seed: both sample under Config.Seed, so
+	// they share one answer.
 	rej := func() *ppd.Request {
 		return &ppd.Request{Kind: ppd.KindTopK, Query: doDemoQuery, K: 2, BoundEdges: 1, Method: ppd.MethodRejection}
 	}
@@ -320,7 +320,63 @@ func TestDoBatchRequestDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if br.Responses[0] == br.Responses[1] {
-		t.Error("unseeded sampling requests must not share a response")
+	if br.Responses[0] != br.Responses[1] {
+		t.Error("identical unseeded sampling requests should share one response")
+	}
+}
+
+// TestDoSeedNotAnsweredFromAnotherSeed: a seeded sampled request through a
+// service that just answered another seed gets its own seed's answer, the
+// one a fresh service gives. (The solve cache holds exact answers only.)
+func TestDoSeedNotAnsweredFromAnotherSeed(t *testing.T) {
+	ctx := context.Background()
+	count := func(seed int64) *ppd.Request {
+		return &ppd.Request{Kind: ppd.KindCount, Query: doDemoQuery, Method: ppd.MethodRejection, Seed: seed}
+	}
+	svc := figure1Service(t, Config{})
+	if _, err := svc.Do(ctx, count(5)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := svc.Do(ctx, count(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := figure1Service(t, Config{}).Do(ctx, count(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got.Count) != math.Float64bits(want.Count) || got.CacheHits != 0 {
+		t.Errorf("seed 7 after seed 5: count %v with %d cache hits, a fresh service answers %v", got.Count, got.CacheHits, want.Count)
+	}
+}
+
+// TestDoEstimateNotReplayedAsExact: the estimates an adaptive request
+// samples under an expired deadline are not cached, so the next request,
+// with no deadline, solves its groups exactly and says so in its plan.
+func TestDoEstimateNotReplayedAsExact(t *testing.T) {
+	req := &ppd.Request{Kind: ppd.KindCount, Query: doDemoQuery, Method: ppd.MethodAdaptive}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	svc := figure1Service(t, Config{})
+	est, err := svc.Do(expired, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Plan.SampledGroups == 0 || est.Plan.ExactGroups != 0 {
+		t.Fatalf("expired deadline: plan %+v, want every group sampled", est.Plan)
+	}
+	got, err := svc.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := figure1Service(t, Config{}).Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Plan.SampledGroups != 0 {
+		t.Fatalf("no deadline: plan %+v, want every group exact", want.Plan)
+	}
+	if math.Float64bits(got.Count) != math.Float64bits(want.Count) || !reflect.DeepEqual(got.Plan, want.Plan) {
+		t.Errorf("after an expired-deadline request: count %v plan %+v, a fresh service answers %v plan %+v", got.Count, got.Plan, want.Count, want.Plan)
 	}
 }

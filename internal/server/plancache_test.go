@@ -44,18 +44,19 @@ func TestPlanCacheLRUAndPurge(t *testing.T) {
 	}
 }
 
-// TestDoBatchSeededCarveOutKeepsGroupedPath is the satellite regression for
-// the all-or-nothing grouping bug: one request carrying its own seed must
-// not kick the groupable majority off the grouped/dedup path. The unseeded
-// bool/count requests still report grouped accounting and every answer is
-// bit-identical to asking alone.
+// TestDoBatchSeededCarveOutKeepsGroupedPath is the regression for the
+// all-or-nothing grouping bug: one request carrying its own seed must not
+// kick the groupable majority off the grouped/dedup path. A seed is no
+// carve-out at all now: the seeded request forms its own cluster (the
+// cluster key carries the effective seed), every request reports grouped
+// accounting and every answer is bit-identical to asking alone.
 func TestDoBatchSeededCarveOutKeepsGroupedPath(t *testing.T) {
 	ctx := context.Background()
 	svc := figure1Service(t, Config{})
 	reqs := []*ppd.Request{
 		{Kind: ppd.KindBool, Query: q1},
 		{Kind: ppd.KindBool, Query: q2},
-		{Kind: ppd.KindBool, Query: q1, Seed: 42}, // carve-out
+		{Kind: ppd.KindBool, Query: q1, Seed: 42}, // a cluster of its own
 		{Kind: ppd.KindCount, Query: q2},
 	}
 	br, err := svc.DoBatch(ctx, reqs)
@@ -65,17 +66,20 @@ func TestDoBatchSeededCarveOutKeepsGroupedPath(t *testing.T) {
 	if br.Groups == 0 || br.Instances == 0 {
 		t.Fatalf("grouped accounting lost to the seeded carve-out: %+v", br)
 	}
-	// The carve-out itself must do no grouped accounting but still answer:
-	// exact methods ignore the seed, so its probability matches the grouped
-	// answer bit for bit (the fan-out engine may even serve it from the
-	// solve cache the cluster just filled).
+	// Exact methods ignore the seed, so the seeded request's probability
+	// matches the unseeded one bit for bit; its cluster answers every group
+	// from the solve cache the first cluster just filled.
 	if a, b := br.Responses[0].Prob, br.Responses[2].Prob; math.Float64bits(a) != math.Float64bits(b) {
-		t.Fatalf("seeded carve-out answer %v != grouped answer %v", b, a)
+		t.Fatalf("seeded request's answer %v != unseeded answer %v", b, a)
 	}
-	// Cluster counters live on the cluster requests, not the carve-out.
+	if r := br.Responses[2]; r.Solves != 0 || r.CacheHits == 0 {
+		t.Fatalf("seeded request: solves %d, cache hits %d; want its cluster answered from the cache", r.Solves, r.CacheHits)
+	}
+	// Every request is on the grouped path: the clusters' counters add up
+	// to the batch's.
 	clusterWork := 0
-	for _, ri := range []int{0, 1, 3} {
-		clusterWork += br.Responses[ri].Solves + br.Responses[ri].CacheHits
+	for _, resp := range br.Responses {
+		clusterWork += resp.Solves + resp.CacheHits
 	}
 	if clusterWork != br.Groups {
 		t.Fatalf("cluster requests account %d groups, batch reports %d", clusterWork, br.Groups)

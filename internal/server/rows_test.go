@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
@@ -364,33 +363,6 @@ func TestRowsRouteIsGated(t *testing.T) {
 	shedAssert(t, resp)
 	release()
 	done.Wait()
-}
-
-// TestLazySourceStream checks the request engines' lazily seeded source
-// against the eager one it replaces: same seed, same stream, through every
-// rand.Rand entry point the samplers use.
-func TestLazySourceStream(t *testing.T) {
-	for _, seed := range []int64{1, 2, 1 << 40, -7} {
-		lazy, eager := rand.New(&lazySource{seed: seed}), rand.New(rand.NewSource(seed))
-		for i := 0; i < 200; i++ {
-			var a, b any
-			switch i % 5 {
-			case 0:
-				a, b = lazy.Int63(), eager.Int63()
-			case 1:
-				a, b = lazy.Float64(), eager.Float64()
-			case 2:
-				a, b = lazy.Uint64(), eager.Uint64()
-			case 3:
-				a, b = lazy.Intn(1000), eager.Intn(1000)
-			case 4:
-				a, b = lazy.Perm(5), eager.Perm(5)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("seed %d draw %d: lazy %v, eager %v", seed, i, a, b)
-			}
-		}
-	}
 }
 
 // pollsAnswers builds the BenchmarkRowsFrame inputs over a 75-voter polls

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"math/rand"
 	"sync/atomic"
 
 	"probpref/internal/ppd"
@@ -30,9 +29,9 @@ type Config struct {
 	// Plans are per union shape, not per session, so a modest capacity
 	// covers a large working set of queries.
 	PlanCacheSize int
-	// Seed is the base seed for the sampling methods (default 1): a batch
-	// request or grouped cluster samples from Seed plus its first request's
-	// index, so batch answers are deterministic per seed and Workers.
+	// Seed is the base seed for the sampling methods (default 1) of every
+	// request without its own seed (see ppd.Engine.Rng): identical requests
+	// get identical answers, alone or in a batch, whatever Workers.
 	Seed int64
 	// MaxInFlight bounds the concurrently admitted query and ingest
 	// requests of the HTTP handler; 0 means DefaultMaxInFlight, a negative
@@ -265,25 +264,6 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// lazySource is rand.NewSource(seed) built at the first draw: the standard
-// source seeds 607 words (~10 µs, 4.9 KB), and a request answered by the
-// exact solvers never draws. The stream is that of rand.NewSource(seed).
-type lazySource struct {
-	seed int64
-	src  rand.Source64
-}
-
-func (l *lazySource) source() rand.Source64 {
-	if l.src == nil {
-		l.src = rand.NewSource(l.seed).(rand.Source64)
-	}
-	return l.src
-}
-
-func (l *lazySource) Int63() int64    { return l.source().Int63() }
-func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
-func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
-
 // engine builds a request-scoped engine over one opened model, sharing the
 // service cache under the model's namespace. Engines are cheap; one per
 // request keeps RNG and solver statistics unshared.
@@ -291,7 +271,7 @@ func (s *Service) engine(seed int64, h *registry.Handle) *ppd.Engine {
 	e := &ppd.Engine{
 		DB:      h.DB(),
 		Method:  s.cfg.Method,
-		Rng:     rand.New(&lazySource{seed: seed}),
+		Rng:     ppd.NewRand(seed),
 		Workers: s.cfg.Workers,
 	}
 	if s.cache != nil {
