@@ -32,8 +32,9 @@ import (
 // the engine calls Get and Put from multiple goroutines, and a single cache
 // is typically shared by many engines (see internal/server).
 //
-// The cache holds exact answers only (a sampled group is never stored), so
-// a hit is exact whatever seed, deadline or budget the engine runs under;
+// The cache holds exact answers only (a sampled group is never stored, and
+// under a method that only samples no group is looked up either), so a hit
+// is exact whatever seed, deadline or budget the engine runs under;
 // engines sharing a cache may differ in Method but should agree on
 // SolverOpts, which is not part of the key.
 type SolveCache interface {

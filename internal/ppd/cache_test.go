@@ -1,6 +1,7 @@
 package ppd
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -9,6 +10,7 @@ import (
 type lockedCache struct {
 	mu   sync.Mutex
 	m    map[string]float64
+	gets int
 	hits int
 	puts int
 }
@@ -18,6 +20,7 @@ func newLockedCache() *lockedCache { return &lockedCache{m: make(map[string]floa
 func (c *lockedCache) Get(key string) (float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gets++
 	p, ok := c.m[key]
 	if ok {
 		c.hits++
@@ -196,5 +199,58 @@ func TestCacheKeysSeparateMethods(t *testing.T) {
 	}
 	if got.Prob != exact.Prob {
 		t.Fatalf("exact prob %v contaminated, want %v", got.Prob, exact.Prob)
+	}
+}
+
+// A method that only samples never stores an answer, so its groups are not
+// looked up either; a method with exact answers looks up and stores every
+// group it solves exactly. Top-k relaxation bounds are exact bipartite
+// solves and go through the cache under every method.
+func TestSolveCacheOnlyForStoredAnswers(t *testing.T) {
+	db := figure1DB(t)
+	q := MustParse(figure1Chain)
+	gr, err := db.Ground(context.Background(), &UnionQuery{Disjuncts: []*Query{q}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := len(gr.Groups)
+	for _, m := range []Method{MethodRejection, MethodMISLite, MethodMISAdaptive, MethodAuto, MethodAdaptive} {
+		sampler := !m.Exact() && m != MethodAdaptive
+		for _, kind := range []Kind{KindBool, KindCount} {
+			cache := newLockedCache()
+			eng := &Engine{DB: db, Method: m, Cache: cache, RejectionN: 200, LiteN: 50}
+			resp, err := eng.Do(context.Background(), &Request{Kind: kind, Queries: []*Query{q}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0 // gets and puts of a sampler
+			if !sampler {
+				// Every group is looked up; figure1's chain groups all
+				// route exact under adaptive, so every one is stored.
+				want = groups
+				if resp.Plan != nil && resp.Plan.ExactGroups != groups {
+					t.Fatalf("fixture: %d of %d groups route exact under adaptive", resp.Plan.ExactGroups, groups)
+				}
+			}
+			if cache.gets != want || cache.puts != want {
+				t.Errorf("%v %v: %d gets, %d puts; want %d each", m, kind, cache.gets, cache.puts, want)
+			}
+		}
+		cache := newLockedCache()
+		eng := &Engine{DB: db, Method: m, Cache: cache, RejectionN: 200, LiteN: 50}
+		for run := range 2 {
+			cache.gets, cache.puts = 0, 0
+			_, diag, err := topK(eng, 1, 1, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bounds := diag.BoundSolves + diag.BoundCacheHits
+			if bounds == 0 || run == 1 && diag.BoundCacheHits != bounds {
+				t.Fatalf("%v top-k run %d: %d bound solves, %d bound cache hits", m, run, diag.BoundSolves, diag.BoundCacheHits)
+			}
+			if sampler && (cache.gets != bounds || cache.puts != diag.BoundSolves) {
+				t.Errorf("%v top-k run %d: %d gets, %d puts; want %d and %d (bounds only)", m, run, cache.gets, cache.puts, bounds, diag.BoundSolves)
+			}
+		}
 	}
 }

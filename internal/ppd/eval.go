@@ -45,7 +45,8 @@ type Engine struct {
 	// across Do calls (and across engines sharing the cache). It is
 	// consulted with GroupKey keys before each solve and updated after an
 	// exact one; see SolveCache. Ignored when DisableGrouping is set, since
-	// per-session keys are synthetic then.
+	// per-session keys are synthetic then, and for the groups of a method
+	// that only samples, since it would never hold them.
 	Cache SolveCache
 	// AdaptiveBudget is MethodAdaptive's per-group work budget in predicted
 	// solver state-transitions. 0 derives the budget from the context
@@ -146,9 +147,10 @@ func (e *Engine) ground(ctx context.Context, uq *UnionQuery) (*Grounded, error) 
 func (e *Engine) useCache() bool { return e.Cache != nil && !e.DisableGrouping }
 
 // cacheKeys returns the cache keys of gr's groups under the engine's
-// method, or nil when groups do not resolve through Engine.Cache.
+// method, or nil when groups do not resolve through Engine.Cache: without a
+// usable cache, or under a method whose answers it never stores.
 func (e *Engine) cacheKeys(gr *Grounded) []string {
-	if !e.useCache() {
+	if !e.useCache() || !e.Method.cached() {
 		return nil
 	}
 	return gr.cacheKeys(e.Method)

@@ -1,17 +1,16 @@
 package ppd
 
 import (
+	"cmp"
+	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-
-	"probpref/internal/pattern"
 )
 
-// Explanation reports how a query will be evaluated: its classification
-// (itemwise vs. hard), the variables that force grounding, per-session
-// pattern-union sizes, and the distinct request groups the solvers will
-// actually process.
+// Explanation reports how a query will be evaluated, read off the grounding
+// its evaluation uses (DB.Ground) and the route MethodAdaptive takes for
+// each of its groups, without solving any inference problem.
 type Explanation struct {
 	// Query is the parsed query text.
 	Query string
@@ -19,113 +18,110 @@ type Explanation struct {
 	PrefRelation string
 	// Sessions is the total number of sessions.
 	Sessions int
-	// LiveSessions is the number of sessions passing session filters.
+	// LiveSessions counts the sessions whose grounded union is non-empty.
 	LiveSessions int
-	// Itemwise reports whether every live session reduced to a single
-	// pattern without grounding (the tractable class).
+	// Itemwise reports the tractable class: GroundVars is empty and every
+	// group's union is a single pattern.
 	Itemwise bool
-	// GroundVars lists the variables instantiated by Algorithm 2 (V+),
-	// unioned over sessions.
+	// GroundVars lists the variables instantiated by Algorithm 2 (V+): the
+	// item-attribute variables that no session term or context atom binds
+	// and that occur twice or carry a comparison.
 	GroundVars []string
 	// MinUnion and MaxUnion are the smallest and largest per-session
 	// pattern-union sizes.
 	MinUnion, MaxUnion int
-	// DistinctGroups is the number of distinct (model, union) requests
-	// after grouping.
+	// DistinctGroups counts the distinct (model, union) requests.
 	DistinctGroups int
 	// AllTwoLabel and AllBipartite classify the grounded unions.
 	AllTwoLabel, AllBipartite bool
-	// Recommended is the suggested evaluation method.
+	// Recommended is where MethodAdaptive routes with no deadline: the exact
+	// solver of every group when all route to one, MethodAdaptive when they
+	// differ or some group is sampled, MethodAuto when no session is live.
+	Recommended Method
+}
+
+// UnionExplanation reports how a union query will be evaluated: one
+// explanation per disjunct, plus the statistics of the merged per-session
+// unions the evaluator actually solves.
+type UnionExplanation struct {
+	// Disjuncts holds the per-disjunct explanations.
+	Disjuncts []*Explanation
+	// Sessions is the total number of sessions of the shared p-relation.
+	Sessions int
+	// LiveSessions counts sessions whose merged union is non-empty.
+	LiveSessions int
+	// MinUnion and MaxUnion are the smallest and largest merged
+	// per-session union sizes.
+	MinUnion, MaxUnion int
+	// DistinctGroups counts the distinct (model, merged union) requests.
+	DistinctGroups int
+	// AllTwoLabel and AllBipartite classify the merged unions.
+	AllTwoLabel, AllBipartite bool
+	// Recommended is Explanation.Recommended for the merged unions.
 	Recommended Method
 }
 
 // Explain analyzes the query against the database without solving any
 // inference problem.
 func (e *Engine) Explain(q *Query) (*Explanation, error) {
-	g, err := NewGrounder(e.DB, q)
+	return e.explain(&UnionQuery{Disjuncts: []*Query{q}})
+}
+
+// ExplainUnion analyzes a union query, and each of its disjuncts alone,
+// without solving any inference problem.
+func (e *Engine) ExplainUnion(uq *UnionQuery) (*UnionExplanation, error) {
+	m, err := e.explain(uq)
 	if err != nil {
 		return nil, err
 	}
-	ex := &Explanation{
-		Query:        q.String(),
-		PrefRelation: g.Pref().Name,
-		Sessions:     g.Pref().Sessions.Len(),
-		Itemwise:     true,
-		AllTwoLabel:  true,
-		AllBipartite: true,
+	ex := &UnionExplanation{
+		Sessions: m.Sessions, LiveSessions: m.LiveSessions,
+		MinUnion: m.MinUnion, MaxUnion: m.MaxUnion, DistinctGroups: m.DistinctGroups,
+		AllTwoLabel: m.AllTwoLabel, AllBipartite: m.AllBipartite, Recommended: m.Recommended,
 	}
-	groundVars := map[string]bool{}
-	groups := map[string]bool{}
-	wide := false
-	for _, s := range g.Pref().Sessions.All() {
-		gq, err := g.GroundSession(s)
+	for i, q := range uq.Disjuncts {
+		sub, err := e.Explain(q)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("ppd: disjunct %d: %w", i+1, err)
 		}
-		if len(gq.Union) == 0 {
-			continue
-		}
-		ex.LiveSessions++
-		ex.Itemwise = ex.Itemwise && gq.Itemwise
-		if ex.MinUnion == 0 || len(gq.Union) < ex.MinUnion {
-			ex.MinUnion = len(gq.Union)
-		}
-		ex.MaxUnion = max(ex.MaxUnion, len(gq.Union))
-		ex.AllTwoLabel = ex.AllTwoLabel && gq.Union.AllTwoLabel()
-		ex.AllBipartite = ex.AllBipartite && gq.Union.AllBipartite()
-		wide = wide || e.wide(gq.Union)
-		groups[s.Model.Rehash()+"||"+gq.Union.Key()] = true
-		for v := range g.varComps {
-			groundVars[v] = true
-		}
-		env := map[string]string{}
-		vplus, _, err := g.domains(env)
-		if err == nil {
-			for _, v := range vplus {
-				groundVars[v] = true
-			}
-		}
+		ex.Disjuncts = append(ex.Disjuncts, sub)
 	}
-	ex.DistinctGroups = len(groups)
-	for v := range groundVars {
-		ex.GroundVars = append(ex.GroundVars, v)
-	}
-	sort.Strings(ex.GroundVars)
-	ex.Recommended = recommend(ex.AllTwoLabel, ex.AllBipartite, wide)
 	return ex, nil
 }
 
-// wide reports whether exact relative-order inference over u is infeasible:
-// u involves more than 10 items.
-func (e *Engine) wide(u pattern.Union) bool {
-	return len(pattern.InvolvedItems(u, e.DB.Labeling(), e.DB.M())) > 10
-}
-
-// recommend maps the shape of a query's grounded unions to the method
-// Explain and ExplainUnion suggest: the exact solver specialised to the
-// shape, or for a general shape relative-order inference, unless some live
-// session's union is wide and only sampling is feasible.
-func recommend(allTwoLabel, allBipartite, wide bool) Method {
-	switch {
-	case allTwoLabel:
-		return MethodTwoLabel
-	case allBipartite:
-		return MethodBipartite
-	case wide:
-		return MethodMISAdaptive
+// explain is Explain over a union: the engine's grounding of uq, its
+// grounders' static analysis, and the adaptive route of every group.
+func (e *Engine) explain(uq *UnionQuery) (*Explanation, error) {
+	grounders, err := UnionGrounders(e.DB, uq)
+	if err != nil {
+		return nil, err
 	}
-	return MethodRelOrder
-}
-
-// shapeName names the shape of a query's grounded unions.
-func shapeName(allTwoLabel, allBipartite bool) string {
-	switch {
-	case allTwoLabel:
-		return "two-label"
-	case allBipartite:
-		return "bipartite"
+	gr, err := e.ground(context.TODO(), uq)
+	if err != nil {
+		return nil, err
 	}
-	return "general"
+	ex := &Explanation{Query: uq.String(), PrefRelation: gr.pref, Sessions: gr.Sessions,
+		LiveSessions: len(gr.Live), DistinctGroups: len(gr.Groups), AllTwoLabel: true, AllBipartite: true}
+	for _, g := range grounders {
+		ex.GroundVars = append(ex.GroundVars, g.vplus...)
+	}
+	slices.Sort(ex.GroundVars)
+	ex.GroundVars = slices.Compact(ex.GroundVars)
+	ex.Itemwise = len(ex.GroundVars) == 0
+	for gi, g := range gr.Groups {
+		n := len(g.Union)
+		ex.Itemwise = ex.Itemwise && n == 1
+		ex.MinUnion, ex.MaxUnion = min(cmp.Or(ex.MinUnion, n), n), max(ex.MaxUnion, n)
+		ex.AllTwoLabel = ex.AllTwoLabel && g.Union.AllTwoLabel()
+		ex.AllBipartite = ex.AllBipartite && g.Union.AllBipartite()
+		switch est, pl, _ := e.adaptiveRoute(context.Background(), g.Model, g.Union); {
+		case pl == nil || gi > 0 && est.Solver != ex.Recommended:
+			ex.Recommended = MethodAdaptive
+		case gi == 0:
+			ex.Recommended = est.Solver
+		}
+	}
+	return ex, nil
 }
 
 // String renders the explanation.
@@ -141,9 +137,34 @@ func (ex *Explanation) String() string {
 	if len(ex.GroundVars) > 0 {
 		fmt.Fprintf(&b, "grounded vars: %s\n", strings.Join(ex.GroundVars, ", "))
 	}
-	fmt.Fprintf(&b, "union sizes  : %d..%d patterns/session\n", ex.MinUnion, ex.MaxUnion)
-	fmt.Fprintf(&b, "shape        : %s\n", shapeName(ex.AllTwoLabel, ex.AllBipartite))
-	fmt.Fprintf(&b, "groups       : %d distinct (model, union) requests\n", ex.DistinctGroups)
-	fmt.Fprintf(&b, "recommended  : %s\n", ex.Recommended)
+	writeRoute(&b, ex.MinUnion, ex.MaxUnion, ex.AllTwoLabel, ex.AllBipartite, ex.DistinctGroups, ex.Recommended)
 	return b.String()
+}
+
+// String renders the union explanation.
+func (ex *UnionExplanation) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "union of %d disjuncts over %d sessions (%d live after merging)\n",
+		len(ex.Disjuncts), ex.Sessions, ex.LiveSessions)
+	for i, sub := range ex.Disjuncts {
+		fmt.Fprintf(&b, "-- disjunct %d --\n%s", i+1, sub)
+	}
+	fmt.Fprintf(&b, "-- merged --\n")
+	writeRoute(&b, ex.MinUnion, ex.MaxUnion, ex.AllTwoLabel, ex.AllBipartite, ex.DistinctGroups, ex.Recommended)
+	return b.String()
+}
+
+// writeRoute renders the lines both explanations share: union sizes,
+// shape, groups and the recommended method.
+func writeRoute(b *strings.Builder, minU, maxU int, allTwoLabel, allBipartite bool, groups int, rec Method) {
+	shape := "general"
+	if allTwoLabel {
+		shape = "two-label"
+	} else if allBipartite {
+		shape = "bipartite"
+	}
+	fmt.Fprintf(b, "union sizes  : %d..%d patterns/session\n", minU, maxU)
+	fmt.Fprintf(b, "shape        : %s\n", shape)
+	fmt.Fprintf(b, "groups       : %d distinct (model, union) requests\n", groups)
+	fmt.Fprintf(b, "recommended  : %s\n", rec)
 }

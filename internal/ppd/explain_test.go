@@ -1,12 +1,14 @@
 package ppd
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"probpref/internal/rank"
 	"probpref/internal/rim"
+	"probpref/internal/solver"
 )
 
 func TestExplainUnion(t *testing.T) {
@@ -91,10 +93,11 @@ func TestExplainUnionErrors(t *testing.T) {
 	}
 }
 
-// Explain and ExplainUnion recommend one method for one query: sampling as
-// soon as any live session's union is too wide for relative-order
-// inference, not only when the first one is. Of 14 items, 3 are in group A
-// and 11 in group B; ann (group A, narrow) precedes bob (group B, wide).
+// Explain and ExplainUnion recommend one method for one query, read off the
+// adaptive route of every group, not only the first one's. Of 14 items, 3
+// are in group A and 11 in group B; ann (group A, narrow) precedes bob
+// (group B, wide), whose group no exact plan prices within the default
+// budget, so the route samples it and both recommend adaptive.
 func TestExplainRecommendsLikeExplainUnion(t *testing.T) {
 	items := make([][]string, 14)
 	for i := range items {
@@ -131,6 +134,15 @@ func TestExplainRecommendsLikeExplainUnion(t *testing.T) {
 	}
 	eng := &Engine{DB: db}
 	q := MustParse(`P(v; x; y), P(v; y; z), V(v, g), C(x, g), C(y, g), C(z, g)`)
+	gr, err := db.Ground(context.Background(), &UnionQuery{Disjuncts: []*Query{q}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob := gr.Groups[gr.Live[1].Group]
+	budget := drawPrice(adaptiveSampleCeil, db.M())
+	if est := EstimateCost(bob.Model, db.Labeling(), bob.Union, solver.Options{}.MaxInvolvedLimit()); est.States <= budget {
+		t.Fatalf("fixture: bob's group is priced %g by %v, within the default budget %g", est.States, est.Solver, budget)
+	}
 	ex, err := eng.Explain(q)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +154,30 @@ func TestExplainRecommendsLikeExplainUnion(t *testing.T) {
 	if ex.LiveSessions != 2 || ex.AllBipartite {
 		t.Fatalf("fixture: %d live sessions, bipartite %v; want 2 general", ex.LiveSessions, ex.AllBipartite)
 	}
-	if ex.Recommended != MethodMISAdaptive || uex.Recommended != MethodMISAdaptive {
-		t.Fatalf("Explain recommends %v, ExplainUnion %v; want %v from both", ex.Recommended, uex.Recommended, MethodMISAdaptive)
+	if ex.Recommended != MethodAdaptive || uex.Recommended != MethodAdaptive {
+		t.Fatalf("Explain recommends %v, ExplainUnion %v; want %v from both", ex.Recommended, uex.Recommended, MethodAdaptive)
+	}
+}
+
+// GroundVars lists V+ only: a variable that a context atom binds is never
+// grounded, whether it carries a comparison (a) or occurs twice among the
+// item atoms (s), and neither makes the query hard.
+func TestExplainGroundVarsExcludeBoundVariables(t *testing.T) {
+	eng := &Engine{DB: figure1DB(t)}
+	for _, text := range []string{
+		`P(v, _; c1; c2), V(v, _, a, _), a > 25, C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`,
+		`P(v, _; c1; c2), V(v, s, _, _), C(c1, _, s, _, _, _), C(c2, D, s, _, _, _)`,
+	} {
+		ex, err := eng.Explain(MustParse(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ex.GroundVars) != 0 || !ex.Itemwise || ex.LiveSessions == 0 {
+			t.Errorf("%s: grounded vars %v, itemwise %v, %d live; want none, itemwise, some live",
+				text, ex.GroundVars, ex.Itemwise, ex.LiveSessions)
+		}
+		if s := ex.String(); strings.Contains(s, "grounded vars") {
+			t.Errorf("%s: String() lists grounded vars:\n%s", text, s)
+		}
 	}
 }

@@ -53,6 +53,10 @@ type Grounder struct {
 	// terms or context atoms can bind: a session's signature is its joined
 	// environments projected onto them (see signature).
 	sigVars []string
+	// vplus is V+ (Algorithm 2), sorted, and doms its active domains:
+	// the same for every session (see NewGrounder).
+	vplus []string
+	doms  map[string][]string
 	// bySig memoises the instantiation half by signature; sigBuf is the
 	// reused buffer a signature is encoded into.
 	bySig  map[string]*GroundedQuery
@@ -196,6 +200,33 @@ func NewGrounder(db *DB, q *Query) (*Grounder, error) {
 			}
 		}
 	}
+	// V+: the item-attribute variables nothing binds that appear more than
+	// once or in comparisons; any other unbound one is projected out and
+	// acts as a wildcard. Every joined environment binds exactly the
+	// variables in binds, so V+ and its active domains — the values of the
+	// column at the variable's first occurrence that pass its comparisons
+	// — are the same for every session.
+	occurrences := make(map[string]int)
+	firstCol := make(map[string]int)
+	for _, a := range g.itemAtoms {
+		for ai, t := range a.Args[1:] {
+			if _, isItem := g.itemIdx[t.Value]; t.Kind != Var || binds[t.Value] || isItem {
+				continue
+			}
+			if occurrences[t.Value] == 0 {
+				firstCol[t.Value] = ai + 1
+			}
+			occurrences[t.Value]++
+		}
+	}
+	g.doms = make(map[string][]string)
+	for v, n := range occurrences {
+		if n > 1 || len(g.varComps[v]) > 0 {
+			g.vplus = append(g.vplus, v)
+			g.doms[v] = g.activeDomain(firstCol[v], g.varComps[v])
+		}
+	}
+	sort.Strings(g.vplus)
 	return g, nil
 }
 
@@ -226,10 +257,7 @@ func (g *Grounder) GroundSession(s *Session) (*GroundedQuery, error) {
 	if gq, ok := g.bySig[string(sig)]; ok {
 		return gq, nil
 	}
-	gq, err := g.instantiate(envs)
-	if err != nil {
-		return nil, err
-	}
+	gq := g.instantiate(envs)
 	g.bySig[string(sig)] = gq
 	return gq, nil
 }
@@ -322,17 +350,11 @@ func (g *Grounder) signature(envs []map[string]string) []byte {
 // instantiate is the signature half of a grounding: per joined
 // environment, it instantiates V+ over its active domains and builds one
 // pattern per instantiation, interned on the Grounder.
-func (g *Grounder) instantiate(envs []map[string]string) (*GroundedQuery, error) {
+func (g *Grounder) instantiate(envs []map[string]string) *GroundedQuery {
 	res := &GroundedQuery{}
 	seen := make(map[string]bool)
-	totalGroundVars := 0
 	for _, e := range envs {
-		vplus, doms, err := g.domains(e)
-		if err != nil {
-			return nil, err
-		}
-		totalGroundVars += len(vplus)
-		g.cartesian(e, vplus, doms, 0, func(full map[string]string) {
+		g.cartesian(e, g.vplus, g.doms, 0, func(full map[string]string) {
 			res.Groundings++
 			pat := g.buildPattern(full)
 			k := pat.Key()
@@ -347,8 +369,8 @@ func (g *Grounder) instantiate(envs []map[string]string) (*GroundedQuery, error)
 			}
 		})
 	}
-	res.Itemwise = len(envs) == 1 && totalGroundVars == 0 && len(res.Union) <= 1
-	return res, nil
+	res.Itemwise = len(envs) == 1 && len(g.vplus) == 0 && len(res.Union) <= 1
+	return res
 }
 
 // matchRows returns the tuples of rel compatible with atom a under env,
@@ -426,59 +448,23 @@ func (g *Grounder) compsHold(env map[string]string) bool {
 	return true
 }
 
-// domains computes V+ — the unbound attribute variables of item atoms that
-// appear more than once or in comparisons — and their active domains.
-func (g *Grounder) domains(env map[string]string) ([]string, map[string][]string, error) {
-	occurrences := make(map[string]int)
-	positions := make(map[string][][2]int) // var -> (itemAtom idx, arg idx)
-	for i, a := range g.itemAtoms {
-		for ai, t := range a.Args {
-			if ai == 0 || t.Kind != Var {
-				continue
-			}
-			if _, bound := env[t.Value]; bound {
-				continue
-			}
-			if _, isItem := g.itemIdx[t.Value]; isItem {
-				continue
-			}
-			occurrences[t.Value]++
-			positions[t.Value] = append(positions[t.Value], [2]int{i, ai})
+// activeDomain returns the sorted distinct values of the item relation's
+// column col that pass comps.
+func (g *Grounder) activeDomain(col int, comps []Compare) []string {
+	set := make(map[string]bool)
+	var vals []string
+	for _, row := range g.db.ItemRelation.Tuples {
+		val := row[col]
+		if set[val] {
+			continue
+		}
+		set[val] = true
+		if !slices.ContainsFunc(comps, func(c Compare) bool { return !evalCompare(val, c.Op, c.Right.Value) }) {
+			vals = append(vals, val)
 		}
 	}
-	var vplus []string
-	doms := make(map[string][]string)
-	for v, n := range occurrences {
-		if n == 1 && len(g.varComps[v]) == 0 {
-			continue // projected out: acts as a wildcard
-		}
-		vplus = append(vplus, v)
-		// Active domain: values of the attribute column at the first
-		// occurrence, filtered by the variable's comparisons.
-		pos := positions[v][0]
-		col := pos[1]
-		set := make(map[string]bool)
-		for _, row := range g.db.ItemRelation.Tuples {
-			set[row[col]] = true
-		}
-		var vals []string
-		for val := range set {
-			ok := true
-			for _, c := range g.varComps[v] {
-				if !evalCompare(val, c.Op, c.Right.Value) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				vals = append(vals, val)
-			}
-		}
-		sort.Strings(vals)
-		doms[v] = vals
-	}
-	sort.Strings(vplus)
-	return vplus, doms, nil
+	sort.Strings(vals)
+	return vals
 }
 
 // cartesian enumerates the Cartesian product of the V+ domains (the loop of

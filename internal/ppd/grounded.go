@@ -13,10 +13,10 @@ import (
 
 // This file is the one grounding-and-grouping implementation of the
 // package. Every query kind, through Engine.Do and through the service
-// layer's Do and DoBatch, evaluates over a Grounded; nothing else walks a
-// p-relation to ground a query for evaluation. (Explain and the possible-
-// world helpers keep their own walks: they need per-session details a
-// Grounded does not carry.)
+// layer's Do and DoBatch, evaluates over a Grounded, and Explain reads the
+// same one; nothing else walks a p-relation to ground a query. (Only the
+// possible-world helpers keep their own walk: they need per-session
+// matchers a Grounded does not carry.)
 //
 // A Grounded depends on the query and the sessions only — not on the
 // method, the seed or the kind — so it is memoised per database version

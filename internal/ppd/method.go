@@ -59,6 +59,10 @@ type methodRow struct {
 	// lane) or the bipartite solve a relaxation would run anyway (see
 	// topKUnion).
 	ownTopKBound bool
+	// routesExact: the sampled solve answers a group exactly when it can
+	// afford to (the adaptive planner), so it caches those answers as an
+	// exact method does (see cached).
+	routesExact bool
 }
 
 // methods is the method table, indexed by Method.
@@ -71,7 +75,7 @@ var methods = [...]methodRow{
 	MethodMISAdaptive: {name: "mis-amp-adaptive", names: []string{"mis-adaptive"}, sampled: (*Engine).solveMISAdaptive},
 	MethodMISLite:     {name: "mis-amp-lite", names: []string{"mis-lite", "lite"}, sampled: (*Engine).solveMISLite},
 	MethodRejection:   {name: "rejection", names: []string{"rejection", "rs"}, sampled: (*Engine).solveRejection},
-	MethodAdaptive:    {name: "adaptive", names: []string{"adaptive", "planner"}, sampled: (*Engine).solveAdaptive},
+	MethodAdaptive:    {name: "adaptive", names: []string{"adaptive", "planner"}, sampled: (*Engine).solveAdaptive, routesExact: true},
 }
 
 // fixedAlgo is the plan of a method forced to one solver.
@@ -104,6 +108,11 @@ func (m Method) String() string {
 // function of the query and the database alone, whatever the sampler seed,
 // deadline or budget, so identical requests may share one answer.
 func (m Method) Exact() bool { return m.row().exact != nil }
+
+// cached reports whether m's groups resolve through Engine.Cache: only an
+// exact answer is stored, so a method that only samples neither stores nor
+// looks up.
+func (m Method) cached() bool { r := m.row(); return r.exact != nil || r.routesExact }
 
 // MethodNames lists the canonical method names ParseMethod accepts, in the
 // order the CLIs document them: the exact methods in table order, then the

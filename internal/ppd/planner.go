@@ -203,6 +203,20 @@ func (e *Engine) drawsOr(def int) int {
 	return def
 }
 
+// adaptiveRoute is MethodAdaptive's route for one group under ctx: the
+// cheapest exact plan and its price, the group's budget, and the plan to
+// solve — nil when no exact solver applies or the price exceeds the
+// budget, and the group is sampled. solveAdaptive takes the route and
+// Explain reads it.
+func (e *Engine) adaptiveRoute(ctx context.Context, sm rim.SessionModel, u pattern.Union) (CostEstimate, *solver.Plan, float64) {
+	est, pl := cheapestPlan(sm, e.DB.Labeling(), u, e.SolverOpts.MaxInvolvedLimit())
+	budget := e.adaptiveBudget(ctx, drawPrice(e.drawsOr(adaptiveSampleCeil), sm.M()))
+	if est.States > budget {
+		pl = nil
+	}
+	return est, pl, budget
+}
+
 // solveAdaptive routes one group. The plan the price was read from is the
 // plan that is solved. The exact attempt runs under the caller's context, so
 // a mis-predicted solve aborts at the deadline, and under a layer bound
@@ -213,10 +227,9 @@ func (e *Engine) drawsOr(def int) int {
 // nothing — while an outright cancellation (client disconnect) still aborts
 // it.
 func (e *Engine) solveAdaptive(ctx context.Context, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
-	est, pl := cheapestPlan(sm, e.DB.Labeling(), u, e.SolverOpts.MaxInvolvedLimit())
-	budget := e.adaptiveBudget(ctx, drawPrice(e.drawsOr(adaptiveSampleCeil), sm.M()))
+	est, pl, budget := e.adaptiveRoute(ctx, sm, u)
 	rep := SolveReport{Method: est.Solver, Cost: est.States}
-	if pl != nil && est.States <= budget {
+	if pl != nil {
 		opts := e.SolverOpts
 		opts.Ctx = ctx
 		bound := int(math.Min(math.Max(budget/adaptiveLayerShare, 1), math.MaxInt32))
