@@ -656,3 +656,53 @@ func postJSON(t *testing.T, url, body string) int {
 	resp.Body.Close()
 	return resp.StatusCode
 }
+
+// A seeded sampled answer is a function of the request, so the result cache
+// serves a repeat of it: the same bytes, but for the counters, which report
+// the groups as cache hits as an exact hit does. An unseeded one and one
+// with a deadline are not, and the cache does not serve them.
+func TestClusterCachesSeededSampledAnswers(t *testing.T) {
+	h := newHarness(t, testDB(t, 6), 3, 3, Config{})
+	cases := []struct {
+		name, body string
+		hit        bool
+	}{
+		{"seeded rejection", fmt.Sprintf(`{"kind":"bool","query":%q,"method":"rejection","seed":7}`, demoQuery), true},
+		{"unseeded rejection", fmt.Sprintf(`{"kind":"bool","query":%q,"method":"rejection"}`, demoQuery), false},
+		{"adaptive with a deadline", fmt.Sprintf(`{"kind":"bool","query":%q,"method":"adaptive","seed":7,"timeout_ms":60000}`, demoQuery), false},
+	}
+	for _, c := range cases {
+		status, first := post(t, h.coordSrv.URL, c.body)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.name, status, first)
+		}
+		before := h.coord.Stats().Cache
+		status, again := post(t, h.coordSrv.URL, c.body)
+		if status != http.StatusOK {
+			t.Fatalf("%s: repeat status %d: %s", c.name, status, again)
+		}
+		after := h.coord.Stats().Cache
+		if hit := after.Hits > before.Hits; hit != c.hit {
+			t.Errorf("%s: cache hit %v, want %v (%+v then %+v)", c.name, hit, c.hit, before, after)
+		}
+		if c.hit && !bytes.Equal(asCacheHit(t, first), again) {
+			t.Errorf("%s: the hit answered\n%s\nthe first request\n%s", c.name, again, first)
+		}
+	}
+}
+
+// asCacheHit rewrites a single answer's counters as a result-cache hit
+// reports them: every solve counted as a cache hit.
+func asCacheHit(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var resp ResponseJSON
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		t.Fatal(err)
+	}
+	resp.Result = cachedCopy(resp.Result)
+	out, err := json.MarshalIndent(&resp, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, '\n')
+}

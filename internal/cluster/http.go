@@ -120,11 +120,14 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // cacheable reports whether the request's merged answer may be cached and
-// served again: only deterministic exact methods with no per-request seed
-// or deadline qualify (a sampled or deadline-shaped answer is not a pure
-// function of the request).
+// served again: whether it is a function of the request. An exact answer
+// is; a sampled one is when it carries a seed, because every sampled group
+// (consensus: every session) draws from a stream keyed by that seed and by
+// what it samples, wherever it runs. A deadline makes any answer depend on
+// how far the solve got, and an unseeded sampled answer on the engine's
+// generator.
 func cacheable(cr *ppd.CompiledRequest) bool {
-	return cr.Deadline == 0 && cr.Seed == 0 && cr.Method.Exact()
+	return cr.Deadline == 0 && (cr.Method.Exact() || cr.Seed != 0)
 }
 
 // keysSuffix marks the result-cache entries merged with their rows: the

@@ -27,19 +27,45 @@ type matchPattern struct {
 // CompileMatcher compiles u against lab for rankings over the items 0..m-1
 // (sub-rankings included). An item outside that range matches no node.
 func CompileMatcher(u Union, lab *label.Labeling, m int) *Matcher {
-	mt := &Matcher{pats: make([]matchPattern, len(u)), maxNodes: u.MaxNodes()}
-	for gi, g := range u {
+	mt := &Matcher{pats: make([]matchPattern, 0, len(u)), maxNodes: u.MaxNodes()}
+	// A member with a node no item can take never matches: it is not
+	// compiled, so that Prefix reads no item for it.
+members:
+	for _, g := range u {
 		rows := make([]bool, len(g.nodes)*m)
 		has := make([][]bool, len(g.nodes))
 		for v, n := range g.nodes {
 			has[v], rows = rows[:m:m], rows[m:]
+			some := false
 			for x := range has[v] {
 				has[v][x] = lab.HasAll(rank.Item(x), n.Labels)
+				some = some || has[v][x]
+			}
+			if !some {
+				continue members
 			}
 		}
-		mt.pats[gi] = matchPattern{topo: g.topo, preds: g.preds, has: has}
+		mt.pats = append(mt.pats, matchPattern{topo: g.topo, preds: g.preds, has: has})
 	}
 	return mt
+}
+
+// Prefix returns how long a prefix of ref holds every item some node of the
+// union can take: one past the last such item, 0 when there is none. Matches
+// reads no other item, so it answers the same for a ranking and for the
+// relative order of its items in ref[:Prefix(ref)].
+func (mt *Matcher) Prefix(ref rank.Ranking) int {
+	for k := len(ref); k > 0; k-- {
+		x := ref[k-1]
+		for _, g := range mt.pats {
+			for _, has := range g.has {
+				if uint(x) < uint(len(has)) && has[x] {
+					return k
+				}
+			}
+		}
+	}
+	return 0
 }
 
 // Matches reports whether tau matches at least one pattern of the compiled

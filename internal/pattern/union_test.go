@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -135,4 +136,88 @@ func TestMustNewPanics(t *testing.T) {
 	}()
 	MustNew([]Node{{Labels: label.NewSet(0)}, {Labels: label.NewSet(1)}},
 		[][2]int{{0, 1}, {1, 0}})
+}
+
+// Prefix stops at the last item of the reference that a node of a
+// matchable member takes, and Matches gives the same answer on a ranking
+// and on the relative order of its items in that prefix. A member with a
+// node no item takes adds nothing to the prefix and never matches; a
+// member with no nodes needs no item and matches every ranking.
+func TestMatcherPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 400; trial++ {
+		m := 1 + rng.Intn(12)
+		w := randomWorld(rng, m, 6)
+		var u Union
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			u = append(u, randomPattern(rng, 1+rng.Intn(3), 6))
+		}
+		mt := CompileMatcher(u, w.lab, m)
+		ref := make(rank.Ranking, m)
+		for i, v := range rng.Perm(m) {
+			ref[i] = rank.Item(v)
+		}
+		want := 0
+		for i, x := range ref {
+			for _, g := range u {
+				if !allNodesTakeSome(g, w.lab, m) {
+					continue
+				}
+				for _, n := range g.nodes {
+					if w.lab.HasAll(x, n.Labels) {
+						want = i + 1
+					}
+				}
+			}
+		}
+		k := mt.Prefix(ref)
+		if k != want {
+			t.Fatalf("trial %d: Prefix = %d, want %d (union %v)", trial, k, want, u)
+		}
+		for draw := 0; draw < 10; draw++ {
+			tau := make(rank.Ranking, m)
+			for i, v := range rng.Perm(m) {
+				tau[i] = rank.Item(v)
+			}
+			var head rank.Ranking
+			for _, x := range tau {
+				for _, y := range ref[:k] {
+					if x == y {
+						head = append(head, x)
+					}
+				}
+			}
+			matches := false
+			for _, g := range u {
+				matches = matches || matchByEnumeration(g, tau, w.lab)
+			}
+			if full, part := mt.Matches(tau), mt.Matches(head); full != matches || part != matches {
+				t.Fatalf("trial %d: Matches %v on %v, %v on its prefix %v, enumeration %v", trial, full, tau, part, head, matches)
+			}
+		}
+	}
+
+	lab := label.NewLabeling()
+	lab.Add(0, 0)
+	lab.Add(1, 1)
+	ref := rank.Ranking{1, 0, 2}
+	dead := CompileMatcher(Union{TwoLabel(label.NewSet(0), label.NewSet(5))}, lab, 3)
+	if k := dead.Prefix(ref); k != 0 || dead.Matches(rank.Ranking{0, 1, 2}) {
+		t.Errorf("unmatchable node: Prefix %d, matches %v", k, dead.Matches(rank.Ranking{0, 1, 2}))
+	}
+	empty := CompileMatcher(Union{MustNew(nil, nil)}, lab, 3)
+	if k := empty.Prefix(ref); k != 0 || !empty.Matches(nil) || !empty.Matches(ref) {
+		t.Errorf("empty pattern: Prefix %d, matches %v, %v", k, empty.Matches(nil), empty.Matches(ref))
+	}
+}
+
+// allNodesTakeSome reports whether every node of g has an item among
+// 0..m-1 that carries its labels.
+func allNodesTakeSome(g *Pattern, lab *label.Labeling, m int) bool {
+	for _, n := range g.nodes {
+		if len(lab.ItemsWith(n.Labels, m)) == 0 {
+			return false
+		}
+	}
+	return true
 }

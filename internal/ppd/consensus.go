@@ -219,9 +219,10 @@ func (e *Engine) consensusSampledRows(ctx context.Context, gr *Grounded, cr *Com
 			row.Accepts++
 			switch cr.Target {
 			case consensus.TargetMedian:
-				for i := 0; i < m; i++ {
-					for j := i + 1; j < m; j++ {
-						row.PairN[int(tau[i])*m+int(tau[j])]++
+				for i, x := range tau {
+					ahead := row.PairN[int(x)*m : int(x)*m+m]
+					for _, y := range tau[i+1:] {
+						ahead[y]++
 					}
 				}
 			case consensus.TargetTopK:

@@ -3,6 +3,7 @@ package rim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"probpref/internal/rank"
@@ -113,7 +114,10 @@ type Scratch struct {
 	live []rank.Item
 
 	pos []int // pos[x] = position of item x in the indexed ranking
-	fen []int // Fenwick tree over positions, counting inserted items
+	// in has bit p set when the item at position p of the indexed ranking
+	// is inserted: a walk over the index counts the inserted items ahead
+	// of a position with one popcount per word.
+	in []uint64
 }
 
 // NewScratch returns working memory for AMPs and Mallows models over m
@@ -124,7 +128,7 @@ func NewScratch(m int) *Scratch {
 		cur:  make([]int, m),
 		live: make([]rank.Item, 0, m),
 		pos:  make([]int, m),
-		fen:  make([]int, m+1),
+		in:   make([]uint64, (m+63)/64),
 	}
 }
 
@@ -147,28 +151,29 @@ func (sc *Scratch) index(tau rank.Ranking) bool {
 }
 
 // insert marks item x, at its indexed position, as inserted. A pass over
-// the indexed ranking starts from a cleared tree.
+// the indexed ranking starts from a cleared set.
 func (sc *Scratch) insert(x rank.Item) {
-	for i := sc.pos[x] + 1; i < len(sc.fen); i += i & (-i) {
-		sc.fen[i]++
-	}
+	p := uint(sc.pos[x])
+	sc.in[p/64] |= 1 << (p % 64)
 }
 
 // before returns the number of inserted items the indexed ranking places
 // ahead of item x: the position x has, or would take, among them.
 func (sc *Scratch) before(x rank.Item) int {
-	s := 0
-	for i := sc.pos[x]; i > 0; i -= i & (-i) {
-		s += sc.fen[i]
+	p := uint(sc.pos[x])
+	w := p / 64
+	n := bits.OnesCount64(sc.in[w] & (1<<(p%64) - 1))
+	for _, b := range sc.in[:w] {
+		n += bits.OnesCount64(b)
 	}
-	return s
+	return n
 }
 
 // distanceTo returns the Kendall tau distance between the indexed ranking
 // and sigma, a ranking of the same items: inserting sigma's items in order,
 // each one is discordant with the earlier ones that do not precede it.
 func (sc *Scratch) distanceTo(sigma rank.Ranking) int {
-	clear(sc.fen)
+	clear(sc.in)
 	d := 0
 	for i, x := range sigma {
 		d += i - sc.before(x)
@@ -189,9 +194,9 @@ func (a *AMP) Sample(rng *rand.Rand) (rank.Ranking, float64) {
 // next draw, and sc is left indexed on it.
 //
 // Only the positions of constrained items are tracked incrementally, so each
-// insertion costs O(#constrained + memmove).
+// insertion costs O(#constrained) plus the items it shifts.
 func (a *AMP) SampleInto(rng *rand.Rand, sc *Scratch) (rank.Ranking, float64) {
-	tau := sc.tau[:0]
+	tau := sc.tau[:len(a.Center)]
 	logq := 0.0
 	for i, item := range a.Center {
 		lo, hi := 0, i
@@ -210,11 +215,13 @@ func (a *AMP) SampleInto(rng *rand.Rand, sc *Scratch) (rank.Ranking, float64) {
 			// every predecessor precedes every successor in the invariant.
 			panic("rim: AMP feasible range empty")
 		}
-		// Offset t = hi - j in [0, hi-lo]; weight phi^(i-j) prop. to phi^t.
-		t := pickOffset(rng.Float64()*a.geom[hi-lo], a.geom[:hi-lo+1])
-		j := hi - t
-		logq += float64(t)*a.logPhi - a.logGeom[hi-lo]
-		tau = insertAt(tau, j, item)
+		// Every item from hi on moves up one place; the item goes in at
+		// offset t = hi - j in [0, hi-lo], weight phi^(i-j) prop. to phi^t.
+		for p := i; p > hi; p-- {
+			tau[p] = tau[p-1]
+		}
+		j := lo + offsetStep(tau[lo:hi+1], item, rng.Float64()*a.geom[hi-lo], a.geom)
+		logq += float64(hi-j)*a.logPhi - a.logGeom[hi-lo]
 		for _, y := range sc.live {
 			if sc.cur[y] >= j {
 				sc.cur[y]++
@@ -235,8 +242,8 @@ func (a *AMP) SampleInto(rng *rand.Rand, sc *Scratch) (rank.Ranking, float64) {
 
 // LogDensity returns the log probability that AMP samples exactly tau, and
 // whether tau is reachable (it is not when tau violates the constraints or
-// ranks different items). Runs in O(m log m) using a Fenwick tree over final
-// positions.
+// ranks different items). It replays the insertions in center order over a
+// bitset of final positions.
 func (a *AMP) LogDensity(tau rank.Ranking) (float64, bool) {
 	sc := NewScratch(len(a.Center))
 	if !sc.index(tau) {
@@ -247,13 +254,13 @@ func (a *AMP) LogDensity(tau rank.Ranking) (float64, bool) {
 
 // LogDensityIndexed is LogDensity of the ranking sc is indexed on — the
 // last ranking some AMP over the same items drew into sc — without
-// re-validating or re-indexing it: the O(m log m) walk alone, in no memory
-// of its own.
+// re-validating or re-indexing it: the replay alone, in no memory of its
+// own.
 func (a *AMP) LogDensityIndexed(sc *Scratch) (float64, bool) {
 	// Replaying the insertions in center order, the current position of an
 	// inserted item is the number of inserted items ahead of its final
 	// position.
-	clear(sc.fen)
+	clear(sc.in)
 	logq := 0.0
 	for i, item := range a.Center {
 		j := sc.before(item)

@@ -169,13 +169,24 @@ func (gm *GeneralizedMallows) Sample(rng *rand.Rand) rank.Ranking { return gm.Sa
 // drawn from the truncated geometric distribution with ratio Phis[i]. A
 // step with Phis[i] = 0 inserts at the end and reads nothing from rng.
 func (gm *GeneralizedMallows) SampleInto(rng *rand.Rand, buf rank.Ranking) rank.Ranking {
-	tau := drawBuf(buf, len(gm.Sigma))
-	for i, item := range gm.Sigma {
-		t := 0
+	return gm.SamplePrefixInto(rng, buf, len(gm.Sigma))
+}
+
+// SamplePrefixInto is SampleInto keeping the first k reference items only
+// (see PrefixSampler).
+func (gm *GeneralizedMallows) SamplePrefixInto(rng *rand.Rand, buf rank.Ranking, k int) rank.Ranking {
+	tau := drawBuf(buf, k)[:k]
+	for i, item := range gm.Sigma[:k] {
 		if gm.Phis[i] > 0 {
-			t = pickOffset(rng.Float64()*gm.cum[i][i], gm.cum[i])
+			offsetStep(tau[:i+1], item, rng.Float64()*gm.cum[i][i], gm.cum[i])
+		} else {
+			tau[i] = item
 		}
-		tau = insertAt(tau, i-t, item)
+	}
+	for _, phi := range gm.Phis[k:] {
+		if phi > 0 {
+			rng.Float64()
+		}
 	}
 	return tau
 }

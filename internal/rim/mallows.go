@@ -55,7 +55,7 @@ func MustMallows(sigma rank.Ranking, phi float64) *Mallows {
 // geometricSums returns s with s[k] = 1 + phi + ... + phi^k for k < n, each
 // entry the previous one plus the next power: the running sums of the
 // weights phi^t in the order a draw adds them up, which is what lets
-// pickOffset scan the table instead (and what the recorded sample streams
+// offsetStep scan the table instead (and what the recorded sample streams
 // depend on, bit for bit).
 func geometricSums(phi float64, n int) []float64 {
 	s := make([]float64, n)
@@ -145,13 +145,22 @@ func (ml *Mallows) Sample(rng *rand.Rand) rank.Ranking { return ml.SampleInto(rn
 // with weights phi^t / geom[i], whose running sums are geom[0..i] itself.
 // phi = 0 returns the center and reads nothing from rng.
 func (ml *Mallows) SampleInto(rng *rand.Rand, buf rank.Ranking) rank.Ranking {
-	tau := drawBuf(buf, len(ml.Sigma))
+	return ml.SamplePrefixInto(rng, buf, len(ml.Sigma))
+}
+
+// SamplePrefixInto is SampleInto keeping the first k center items only (see
+// PrefixSampler).
+func (ml *Mallows) SamplePrefixInto(rng *rand.Rand, buf rank.Ranking, k int) rank.Ranking {
+	tau := drawBuf(buf, k)
 	if ml.Phi == 0 {
-		return append(tau, ml.Sigma...)
+		return append(tau, ml.Sigma[:k]...)
 	}
-	for i, item := range ml.Sigma {
-		t := pickOffset(rng.Float64()*ml.geom[i], ml.geom[:i+1])
-		tau = insertAt(tau, i-t, item)
+	tau = tau[:k]
+	for i, item := range ml.Sigma[:k] {
+		offsetStep(tau[:i+1], item, rng.Float64()*ml.geom[i], ml.geom)
+	}
+	for range ml.Sigma[k:] {
+		rng.Float64()
 	}
 	return tau
 }

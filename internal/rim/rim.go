@@ -151,10 +151,28 @@ func (m *Model) Sample(rng *rand.Rand) rank.Ranking { return m.SampleInto(rng, n
 // (loaders adopt Pi for thousands of sessions that are never sampled) and
 // shared by concurrent samplers afterwards.
 func (m *Model) SampleInto(rng *rand.Rand, buf rank.Ranking) rank.Ranking {
+	return m.SamplePrefixInto(rng, buf, len(m.sigma))
+}
+
+// SamplePrefixInto is SampleInto keeping the first k reference items only
+// (see PrefixSampler). Step i inserts at the first position j with
+// u < cum[i][j] (the last when rounding leaves u at the total). The sums
+// never decrease along a row, so that j is also where a scan from the end
+// stops, and the scan shifts the tail as it goes.
+func (m *Model) SamplePrefixInto(rng *rand.Rand, buf rank.Ranking, k int) rank.Ranking {
 	m.cumOnce.Do(m.buildCum)
-	tau := drawBuf(buf, len(m.sigma))
-	for i, item := range m.sigma {
-		tau = insertAt(tau, pickOffset(rng.Float64(), m.cum[i]), item)
+	tau := drawBuf(buf, k)[:k]
+	for i, item := range m.sigma[:k] {
+		u, row := rng.Float64(), m.cum[i]
+		j := i
+		for j > 0 && u < row[j-1] {
+			tau[j] = tau[j-1]
+			j--
+		}
+		tau[j] = item
+	}
+	for range m.sigma[k:] {
+		rng.Float64()
 	}
 	return tau
 }

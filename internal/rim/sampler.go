@@ -61,7 +61,27 @@ var (
 	_ SessionModel = (*Mallows)(nil)
 	_ SessionModel = (*GeneralizedMallows)(nil)
 	_ SessionModel = (*Model)(nil)
+
+	_ PrefixSampler = (*Mallows)(nil)
+	_ PrefixSampler = (*GeneralizedMallows)(nil)
+	_ PrefixSampler = (*Model)(nil)
 )
+
+// PrefixSampler is a Sampler that inserts the items of its reference ranking
+// one by one, as every RIM does. Once the first k reference items are in,
+// later insertions only place other items between them, so their relative
+// order is final: a caller that reads nothing else of a draw (a rejection
+// loop whose union no later item can match) draws that prefix alone.
+type PrefixSampler interface {
+	Sampler
+	// Reference returns the reference ranking, in insertion order.
+	Reference() rank.Ranking
+	// SamplePrefixInto draws the relative order of Reference()[:k] into buf
+	// (as SampleInto does the whole ranking) and reads rng exactly as
+	// SampleInto does: the rest of the draw's numbers are read and dropped,
+	// so the next draw is the one that would have followed a full draw.
+	SamplePrefixInto(rng *rand.Rand, buf rank.Ranking, k int) rank.Ranking
+}
 
 // drawBuf returns the empty ranking of capacity m that a SampleInto draws
 // into: buf's memory when it is large enough, fresh memory otherwise.
@@ -72,26 +92,23 @@ func drawBuf(buf rank.Ranking, m int) rank.Ranking {
 	return buf[:0]
 }
 
-// insertAt inserts item at position j of tau, which must have spare
-// capacity (the draw loops size it for all m insertions up front).
-func insertAt(tau rank.Ranking, j int, item rank.Item) rank.Ranking {
-	tau = tau[:len(tau)+1]
-	copy(tau[j+1:], tau[j:])
-	tau[j] = item
-	return tau
-}
-
-// pickOffset is the insertion-offset picker of every insertion model: given
-// the running sums cum of a weight row and a uniform draw u scaled to their
-// total, it returns the first index t with u < cum[t] (the last index when
-// rounding leaves u at the total). The tables hold the partial sums in the
-// order a draw would add the weights up, so scanning them picks the offset
-// that adding them up would have picked, without the additions.
-func pickOffset(u float64, cum []float64) int {
-	for t, c := range cum {
+// offsetStep is the insertion step of the models that draw an offset from
+// the end (Mallows, GeneralizedMallows, AMP): one loop that scans the
+// running sums cum of a weight row and shifts the tail. The last slot of tau
+// is free, and item goes in at offset t from it, the first t with
+// u < cum[t] (the front of tau when rounding leaves u at the total). The
+// tables hold the partial sums in the order a draw would add the weights
+// up, so the scan picks the offset that adding them up would have picked,
+// without the additions. It returns item's position in tau.
+func offsetStep(tau rank.Ranking, item rank.Item, u float64, cum []float64) int {
+	j := len(tau) - 1
+	for _, c := range cum[:j] {
 		if u < c {
-			return t
+			break
 		}
+		tau[j] = tau[j-1]
+		j--
 	}
-	return len(cum) - 1
+	tau[j] = item
+	return j
 }

@@ -82,15 +82,17 @@ func misEstimateCI(ctx context.Context, ml *rim.Mallows, amps []*rim.AMP, n int,
 	logD := math.Log(float64(d))
 	logqs := make([]float64, d)
 	// The weigh kernel: each sample is drawn into sc, which leaves it
-	// indexed by position once; the d proposal densities and the target's
-	// Kendall tau distance are all read off that index, in sc's memory.
+	// indexed by position once; the other proposals' densities and the
+	// target's Kendall tau distance are all read off that index, in sc's
+	// memory. The drawing proposal's density is the one its draw returned:
+	// the same sum over the same insertions as LogDensityIndexed's.
 	sc := rim.NewScratch(ml.M())
 	done := ctx.Done()
 	var variance float64
 	sumMeans := 0.0
 	strata := 0
 sampling:
-	for _, a := range amps {
+	for ai, a := range amps {
 		// Welford's online mean/M2 per stratum.
 		mean, m2 := 0.0, 0.0
 		nt := 0
@@ -108,9 +110,11 @@ sampling:
 					break sampling
 				}
 			}
-			a.SampleInto(rng, sc)
+			_, logqs[ai] = a.SampleInto(rng, sc)
 			for t, other := range amps {
-				logqs[t], _ = other.LogDensityIndexed(sc) // -Inf where unreachable
+				if t != ai {
+					logqs[t], _ = other.LogDensityIndexed(sc) // -Inf where unreachable
+				}
 			}
 			logMix := logSumExp(logqs) - logD
 			w := math.Exp(ml.LogProbIndexed(sc) - logMix)

@@ -54,18 +54,36 @@ func GreedyModals(psi rank.Ranking, sigma rank.Ranking, maxModals int) []rank.Ra
 // the distance between the sub-ranking and the Mallows center — the distance
 // of the nearest modal contained in psi, whose exact computation is
 // intractable.
+//
+// The completion grows in place in one buffer. Its distance is psi's own
+// discordant pairs plus what each insertion adds: an inserted item's pairs
+// with the items already in place are settled when it goes in, because no
+// later insertion reorders them.
 func ApproximateDistance(psi rank.Ranking, sigma rank.Ranking) int {
-	inPsi := psi.ItemSet()
 	posSigma := positionsIn(sigma)
-	tau := psi.Clone()
+	inPsi := make([]bool, len(sigma))
+	d := 0
+	for i, x := range psi {
+		inPsi[x] = true
+		for _, y := range psi[:i] {
+			if posSigma[y] > posSigma[x] {
+				d++
+			}
+		}
+	}
+	tau := make(rank.Ranking, len(psi), len(sigma))
+	copy(tau, psi)
 	for _, x := range sigma {
 		if inPsi[x] {
 			continue
 		}
-		_, argmin := minInsertDistances(tau, x, posSigma)
-		tau = tau.Insert(x, argmin[0])
+		best, j := firstMinInsert(tau, x, posSigma)
+		d += best
+		tau = tau[:len(tau)+1]
+		copy(tau[j+1:], tau[j:])
+		tau[j] = x
 	}
-	return rank.KendallTau(tau, sigma)
+	return d
 }
 
 // positionsIn returns sigma's position of every item, indexed by item, for
@@ -116,4 +134,28 @@ func minInsertDistances(cur rank.Ranking, x rank.Item, posSigma []int) (int, []i
 		}
 	}
 	return best, argmin
+}
+
+// firstMinInsert is minInsertDistances keeping the first argmin only, the
+// one Algorithm 6 inserts at: the same sweep, with no slice of ties.
+func firstMinInsert(cur rank.Ranking, x rank.Item, posSigma []int) (best, at int) {
+	px := posSigma[x]
+	d := 0
+	for _, y := range cur {
+		if posSigma[y] < px {
+			d++
+		}
+	}
+	best = d
+	for j, y := range cur {
+		if posSigma[y] < px {
+			d--
+		} else {
+			d++
+		}
+		if d < best {
+			best, at = d, j+1
+		}
+	}
+	return best, at
 }

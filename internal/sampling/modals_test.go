@@ -147,3 +147,49 @@ func TestGreedyModalsCap(t *testing.T) {
 		t.Fatalf("cap exceeded: %d modals", len(modals))
 	}
 }
+
+// approximateDistanceByCompletion is Algorithm 6 as it was written first, kept
+// as the oracle: a fresh ranking per insertion at the first of all argmins,
+// and the Kendall tau distance of the finished completion.
+func approximateDistanceByCompletion(psi, sigma rank.Ranking) int {
+	inPsi := psi.ItemSet()
+	posSigma := positionsIn(sigma)
+	tau := psi.Clone()
+	for _, x := range sigma {
+		if inPsi[x] {
+			continue
+		}
+		_, argmin := minInsertDistances(tau, x, posSigma)
+		tau = tau.Insert(x, argmin[0])
+	}
+	return rank.KendallTau(tau, sigma)
+}
+
+// The in-place sweep returns the oracle's integers for random sub-rankings,
+// the empty one and whole permutations included, and firstMinInsert is the
+// first of minInsertDistances' argmins at the same distance.
+func TestApproximateDistanceMatchesCompletion(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 500; trial++ {
+		m := 1 + rng.Intn(24)
+		sigma := make(rank.Ranking, m)
+		for i, v := range rng.Perm(m) {
+			sigma[i] = rank.Item(v)
+		}
+		perm := rng.Perm(m)
+		psi := make(rank.Ranking, rng.Intn(m+1))
+		for i := range psi {
+			psi[i] = rank.Item(perm[i])
+		}
+		if got, want := ApproximateDistance(psi, sigma), approximateDistanceByCompletion(psi, sigma); got != want {
+			t.Fatalf("trial %d: ApproximateDistance(%v, %v) = %d, completion %d", trial, psi, sigma, got, want)
+		}
+		if len(psi) < m {
+			x := rank.Item(perm[len(psi)])
+			best, at := firstMinInsert(psi, x, positionsIn(sigma))
+			if wantBest, argmin := minInsertDistances(psi, x, positionsIn(sigma)); best != wantBest || at != argmin[0] {
+				t.Fatalf("trial %d: firstMinInsert (%d, %d), minInsertDistances (%d, %v)", trial, best, at, wantBest, argmin)
+			}
+		}
+	}
+}

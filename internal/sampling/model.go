@@ -42,7 +42,7 @@ func RejectionModelCICtx(ctx context.Context, mdl rim.Sampler, lab *label.Labeli
 	done := ctx.Done()
 	// The draw kernel: the union compiled once, one ranking buffer, and a
 	// loop that allocates nothing.
-	mt := pattern.CompileMatcher(u, lab, mdl.M())
+	mt, draw := rejectionKernel(mdl, lab, u)
 	var tau rank.Ranking
 	hits, drawn := 0, 0
 	for i := 0; i < n; i++ {
@@ -53,7 +53,7 @@ func RejectionModelCICtx(ctx context.Context, mdl rim.Sampler, lab *label.Labeli
 			}
 		}
 		drawn++
-		tau = mdl.SampleInto(rng, tau)
+		tau = draw(rng, tau)
 		if mt.Matches(tau) {
 			hits++
 		}
@@ -68,4 +68,21 @@ func RejectionModelCICtx(ctx context.Context, mdl rim.Sampler, lab *label.Labeli
 	}
 	halfWidth = z * math.Sqrt(p*(1-p)/float64(drawn))
 	return est, halfWidth, err
+}
+
+// rejectionKernel compiles u for a rejection loop over mdl and returns the
+// draw the loop tests against it: a RIM-family model draws only the prefix
+// of its reference ranking the matcher reads (rim.PrefixSampler), any other
+// model a whole ranking. Both read the random stream as a whole draw does,
+// so the hits of a seed are the same either way.
+func rejectionKernel(mdl rim.Sampler, lab *label.Labeling, u pattern.Union) (*pattern.Matcher, func(*rand.Rand, rank.Ranking) rank.Ranking) {
+	mt := pattern.CompileMatcher(u, lab, mdl.M())
+	ps, ok := mdl.(rim.PrefixSampler)
+	if !ok {
+		return mt, mdl.SampleInto
+	}
+	k := mt.Prefix(ps.Reference())
+	return mt, func(rng *rand.Rand, buf rank.Ranking) rank.Ranking {
+		return ps.SamplePrefixInto(rng, buf, k)
+	}
 }

@@ -26,13 +26,13 @@ func RejectionUntil(ml *rim.Mallows, lab *label.Labeling, u pattern.Union, truth
 	if checkEvery <= 0 {
 		checkEvery = 1000
 	}
-	mt := pattern.CompileMatcher(u, lab, ml.M())
+	mt, draw := rejectionKernel(ml, lab, u)
 	var tau rank.Ranking
 	hits, n := 0, 0
 	for n < maxN {
 		for k := 0; k < checkEvery && n < maxN; k++ {
 			n++
-			tau = ml.SampleInto(rng, tau)
+			tau = draw(rng, tau)
 			if mt.Matches(tau) {
 				hits++
 			}
