@@ -272,10 +272,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "Pr(Q|D)        = %.6g%s\n", resp.Prob, probCI)
 		fmt.Fprintf(out, "count(Q)       = %.6g%s (expected sessions satisfying Q)\n", resp.Count, countCI)
 		fmt.Fprintf(out, "live sessions  = %d, solver calls = %d (grouping)\n", len(resp.PerSession), resp.Solves)
-		if p := resp.Plan; p != nil {
-			fmt.Fprintf(out, "plan    : exact groups = %d, sampled = %d, samples = %d, max half-width = %.3g\n",
-				p.ExactGroups, p.SampledGroups, p.Samples, p.MaxHalfWidth)
-		}
 		if *verbose {
 			for _, sp := range resp.PerSession {
 				fmt.Fprintf(out, "  session %v: %.6g\n", sp.Session.Key, sp.Prob)
@@ -303,10 +299,6 @@ func run(args []string, out io.Writer) error {
 		diag := resp.Diag
 		fmt.Fprintf(out, "bound solves = %d, exact solves = %d, sessions evaluated = %d\n",
 			diag.BoundSolves, diag.ExactSolves, diag.SessionsEvaluated)
-		if p := diag.Plan; p != nil {
-			fmt.Fprintf(out, "plan    : exact groups = %d, sampled = %d, samples = %d, max half-width = %.3g\n",
-				p.ExactGroups, p.SampledGroups, p.Samples, p.MaxHalfWidth)
-		}
 	case ppd.KindAggregate:
 		agg := resp.Agg
 		fmt.Fprintf(out, "aggregate %s.%s over satisfying sessions:\n", *aggRel, *aggAttr)
@@ -342,6 +334,10 @@ func run(args []string, out io.Writer) error {
 				}
 			}
 		}
+	}
+	if p := resp.Plan; p != nil {
+		fmt.Fprintf(out, "plan    : exact groups = %d, sampled = %d, samples = %d, max half-width = %.3g\n",
+			p.ExactGroups, p.SampledGroups, p.Samples, p.MaxHalfWidth)
 	}
 	if solveCache != nil {
 		st := solveCache.Stats()

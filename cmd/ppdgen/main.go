@@ -40,7 +40,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ppdgen", flag.ContinueOnError)
 	var (
-		ds      = fs.String("dataset", "figure1", "dataset: figure1 | polls | movielens | crowdrank")
+		ds      = fs.String("dataset", "figure1", "dataset: "+strings.Join(dataset.Names(), " | "))
 		outDir  = fs.String("out", "", "output directory for CSV/JSON files")
 		snap    = fs.String("o", "", "write the dataset as one columnar snapshot file (<name>.ppds, see internal/store)")
 		parts   = fs.Int("partitions", 0, "with -o: split the snapshot into N contiguous session-range partition files (\"<name>--p<i>.ppds\", the naming hardqd -shard and the cluster coordinator expect) instead of one whole-model file")

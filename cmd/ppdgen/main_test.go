@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,32 @@ import (
 
 	"probpref/internal/ppd"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestHelpGolden pins the -help output to docs/ppdgen_help.txt, as hardq's
+// and hardqd's do theirs: the docs CI job fails when a flag or a dataset
+// name changes without regenerating the golden (go test -run Help -update).
+func TestHelpGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-help"}, &buf); err != flag.ErrHelp {
+		t.Fatalf("run(-help) = %v, want flag.ErrHelp", err)
+	}
+	path := filepath.Join("..", "..", "docs", "ppdgen_help.txt")
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing help golden (run go test -run TestHelpGolden -update): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("-help output differs from %s:\n-- got --\n%s\n-- want --\n%s", path, buf.Bytes(), want)
+	}
+}
 
 func TestRunRequiresOut(t *testing.T) {
 	var buf bytes.Buffer

@@ -50,6 +50,11 @@ func equivalenceBodies() []string {
 		fmt.Sprintf(`{"kind":"count","query":%q,"method":"mis-lite","seed":8,"per_session":true}`, q),
 		fmt.Sprintf(`{"kind":"countdist","query":%q,"method":"rejection","seed":9}`, q),
 		fmt.Sprintf(`{"kind":"countdist","query":%q,"method":"mis-lite","seed":10,"per_session":true}`, u),
+		fmt.Sprintf(`{"kind":"aggregate","query":%q,"agg_rel":"V","agg_attr":"age","method":"rejection","seed":12}`, q),
+		fmt.Sprintf(`{"kind":"aggregate","query":%q,"agg_rel":"V","agg_attr":"age","method":"mis-lite","seed":13,"per_session":true}`, u),
+		// A sampled aggregate groups with the bool and count requests of
+		// its query, seed and method, and draws what it draws alone.
+		fmt.Sprintf(`{"requests":[{"kind":"bool","query":%[1]q,"method":"rejection","seed":12},{"kind":"count","query":%[1]q,"method":"rejection","seed":12},{"kind":"aggregate","query":%[1]q,"agg_rel":"V","agg_attr":"age","method":"rejection","seed":12},{"kind":"aggregate","query":%[2]q,"agg_rel":"V","agg_attr":"age","method":"mis-lite","seed":13,"per_session":true},{"kind":"bool","query":%[2]q,"method":"mis-lite","seed":13},{"kind":"count","query":%[2]q,"method":"mis-lite","seed":13}]}`, q, u),
 		fmt.Sprintf(`{"requests":[{"kind":"bool","query":%q},{"kind":"topk","query":%q,"k":2},{"kind":"count","query":%q},{"kind":"aggregate","query":%q,"agg_rel":"V","agg_attr":"age"},{"kind":"countdist","query":%q},{"kind":"consensus","query":%q,"target":"median"}]}`, q, u, q, q, u, q),
 		fmt.Sprintf(`{"requests":[{"kind":"bool","query":%[1]q,"method":"rejection","seed":3},{"kind":"count","query":%[2]q,"method":"mis-lite","seed":4,"per_session":true},{"kind":"countdist","query":%[2]q,"method":"rejection","seed":3},{"kind":"bool","query":%[1]q,"method":"mis-lite"},{"kind":"count","query":%[1]q}]}`, q, u),
 		fmt.Sprintf(`{"requests":[{"kind":"bool","query":%[1]q,"model":%[3]q},{"kind":"bool","query":%[1]q},{"kind":"topk","query":%[2]q,"k":2,"model":%[3]q},{"kind":"countdist","query":%[1]q,"per_session":true},{"kind":"countdist","query":%[2]q,"model":%[3]q},{"kind":"topk","query":%[1]q,"k":3},{"kind":"consensus","query":%[1]q,"target":"median","model":%[3]q},{"kind":"bool","query":%[2]q,"model":%[3]q,"per_session":true},{"kind":"consensus","query":%[2]q,"target":"map"}]}`, q, u, secondModel),

@@ -81,7 +81,6 @@ func mergeResults(kind ppd.Kind, k int, rows bool, parts []*server.RowsResult) (
 			}
 			out.CountDist = server.NewCountDistJSON(dist)
 		}
-		out.Plan = mergePlans(parts)
 	case ppd.KindTopK:
 		// Concatenating in partition order and re-sorting stably reproduces
 		// the single process's stable sort over the same session order, so
@@ -109,7 +108,6 @@ func mergeResults(kind ppd.Kind, k int, rows bool, parts []*server.RowsResult) (
 			tops = tops[:k]
 		}
 		out.Top = tops
-		out.Plan = mergePlans(parts)
 	case ppd.KindConsensus:
 		// Partition rows concatenate in partition order (= session order)
 		// and the coordinator re-solves them through the same fold a single
@@ -157,6 +155,7 @@ func mergeResults(kind ppd.Kind, k int, rows bool, parts []*server.RowsResult) (
 	default:
 		return nil, fmt.Errorf("cluster: unknown kind %v", kind)
 	}
+	out.Plan = mergePlans(parts)
 	return out, nil
 }
 

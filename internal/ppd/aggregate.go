@@ -1,7 +1,6 @@
 package ppd
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -14,6 +13,8 @@ import (
 // Under possible-world semantics the set of satisfying sessions is random.
 // Sum and Count are exact expectations (by linearity); Avg is the ratio
 // Sum/Count, the standard first-order estimate of the expected average.
+// Engine.DoGrouped answers it as it answers a count, then folds the resolved
+// groups over the sessions that carry a value (groupProbs.aggregate).
 type AggregateResult struct {
 	// Sum is E[sum of the attribute over satisfying sessions].
 	Sum float64
@@ -45,9 +46,8 @@ type AggRow struct {
 // single-process evaluator, so the same rows always produce bit-identical
 // Sum, Count and Avg regardless of how they were partitioned for transport.
 func FoldAggregateRows(rows []AggRow) *AggregateResult {
-	res := &AggregateResult{Rows: rows}
+	res := &AggregateResult{Sessions: len(rows), Rows: rows}
 	for _, r := range rows {
-		res.Sessions++
 		res.Sum += r.Prob * r.Value
 		res.Count += r.Prob
 	}
@@ -59,14 +59,9 @@ func FoldAggregateRows(rows []AggRow) *AggregateResult {
 	return res
 }
 
-// aggregateUnion is the aggregation core behind KindAggregate: sum/avg of a
-// numeric attribute of rel over the sessions satisfying the
-// (single-disjunct) query. The row of rel whose key (first attribute)
-// equals the session's first key value provides the value of attr; sessions
-// without a matching row or with a non-numeric value are skipped, and only
-// the groups of sessions that carry a value are solved.
-func (e *Engine) aggregateUnion(ctx context.Context, uq *UnionQuery, rel, attr string) (*AggregateResult, error) {
-	r, ok := e.DB.Relations[rel]
+// aggValues maps the first attribute of rel's rows to their numeric attr.
+func (db *DB) aggValues(rel, attr string) (map[string]float64, error) {
+	r, ok := db.Relations[rel]
 	if !ok {
 		return nil, fmt.Errorf("ppd: unknown relation %q", rel)
 	}
@@ -74,33 +69,34 @@ func (e *Engine) aggregateUnion(ctx context.Context, uq *UnionQuery, rel, attr s
 	if col < 0 {
 		return nil, fmt.Errorf("ppd: relation %q has no attribute %q", rel, attr)
 	}
-	byKey := make(map[string]float64)
+	byKey := make(map[string]float64, len(r.Tuples))
 	for _, row := range r.Tuples {
 		if v, err := strconv.ParseFloat(row[col], 64); err == nil {
 			byKey[row[0]] = v
 		}
 	}
-	loopCtx, cancel := e.loopContext(ctx)
-	defer cancel()
-	gr, err := e.ground(loopCtx, uq)
-	if err != nil {
-		return nil, err
-	}
-	var rows []AggRow
-	probs := e.newGroupProbs(gr.Groups, e.cacheKeys(gr))
+	return byKey, nil
+}
+
+// aggregate folds the live sessions of gr whose first key value has a value
+// in vals, in session order, into an aggregation answer; gidx maps gr's
+// groups into gp's. A non-nil plan takes the half-width of the answer's
+// Count: the sum of the folded sessions' group half-widths.
+func (gp *groupProbs) aggregate(gr *Grounded, gidx []int, vals map[string]float64, plan *PlanStats) *AggregateResult {
+	rows := make([]AggRow, 0, len(gr.Live))
 	for _, ls := range gr.Live {
 		if len(ls.Session.Key) == 0 {
 			continue
 		}
-		v, ok := byKey[ls.Session.Key[0]]
+		v, ok := vals[ls.Session.Key[0]]
 		if !ok {
 			continue
 		}
-		p, err := probs.prob(ctx, ls.Group)
-		if err != nil {
-			return nil, err
+		gi := gidx[ls.Group]
+		rows = append(rows, AggRow{Prob: gp.probs[gi], Value: v})
+		if plan != nil {
+			plan.CountHalfWidth += gp.reports[gi].HalfWidth
 		}
-		rows = append(rows, AggRow{Prob: p, Value: v})
 	}
-	return FoldAggregateRows(rows), nil
+	return FoldAggregateRows(rows)
 }

@@ -41,31 +41,14 @@ func (e *Engine) DoCompiled(ctx context.Context, cr *CompiledRequest) (*Response
 		defer cancel()
 	}
 	switch cr.Kind {
-	case KindBool, KindCount, KindCountDist:
+	case KindBool, KindCount, KindCountDist, KindAggregate:
 		res, err := eng.DoGrouped(ctx, []*CompiledRequest{cr})
 		if err != nil {
 			return nil, err
 		}
 		return res.Responses[0], nil
 	case KindTopK:
-		top, diag, err := eng.topKUnion(ctx, cr.Union, cr.K, cr.BoundEdges)
-		if err != nil {
-			return nil, err
-		}
-		return &Response{
-			Kind:      KindTopK,
-			Top:       top,
-			Diag:      diag,
-			Solves:    diag.ExactSolves + diag.BoundSolves,
-			CacheHits: diag.CacheHits + diag.BoundCacheHits,
-			Plan:      diag.Plan,
-		}, nil
-	case KindAggregate:
-		agg, err := eng.aggregateUnion(ctx, cr.Union, cr.AggRel, cr.AggAttr)
-		if err != nil {
-			return nil, err
-		}
-		return &Response{Kind: KindAggregate, Agg: agg, Count: agg.Count}, nil
+		return eng.topKUnion(ctx, cr)
 	case KindConsensus:
 		return eng.consensusUnion(ctx, cr)
 	}

@@ -186,27 +186,31 @@ func (e *RequestError) Error() string { return e.Err.Error() }
 // Unwrap returns the cause.
 func (e *RequestError) Unwrap() error { return e.Err }
 
-// DoGrouped answers bool, count and countdist requests over the engine's
-// database as one unit; Do answers each such request as a call of one. The
-// (model, union) inference groups of all the requests are deduplicated (the
-// cross-query generalization of the paper's Section 6.4 grouping) and each
-// is resolved once, from Engine.Cache or by a solve, so exact answers are
-// bit-identical to asking alone. The requests run under the engine's Method
-// and RNG and under ctx; their own Method, Seed and Deadline are the
-// caller's to apply, as Do does. A done ctx aborts with ctx's error, but
-// MethodAdaptive budgets each group from the ctx deadline instead.
+// DoGrouped answers bool, count, countdist and aggregate requests over the
+// engine's database as one unit; Do answers each such request as a call of
+// one. The (model, union) inference groups of all the requests are
+// deduplicated (the cross-query generalization of the paper's Section 6.4
+// grouping) and each is resolved once, from Engine.Cache or by a solve, so
+// exact answers are bit-identical to asking alone. The requests run under
+// the engine's Method and RNG and under ctx; their own Method, Seed and
+// Deadline are the caller's to apply, as Do does. A done ctx aborts with
+// ctx's error, but MethodAdaptive budgets each group from the ctx deadline
+// instead.
 func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*GroupedResult, error) {
 	loopCtx, cancel := e.loopContext(ctx)
 	defer cancel()
 	res := &GroupedResult{Responses: make([]*Response, len(crs))}
 
-	// Ground every request and number its groups across the call: of[qi]
-	// maps request qi's groups into groups, and first[gi] is the first
-	// request referencing group gi. One request has nothing to dedup and
-	// keeps its grounding's groups, and without grouping every session is
-	// its own group.
-	grs := make([]*Grounded, len(crs))
-	of := make([][]int, len(crs))
+	// Ground every request and number its groups across the call: of maps
+	// a request's groups into groups, and first[gi] is the first request
+	// referencing group gi. One request has nothing to dedup and keeps its
+	// grounding's groups, and without grouping every session is its own
+	// group.
+	reqs := make([]struct {
+		gr   *Grounded
+		of   []int
+		vals map[string]float64 // an aggregate's values (aggValues)
+	}, len(crs))
 	var (
 		groups []Group
 		keys   []string // the groups' cache keys; nil without a cache
@@ -220,14 +224,21 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 		if err := loopCtx.Err(); err != nil {
 			return nil, context.Cause(loopCtx)
 		}
-		if cr.Kind != KindBool && cr.Kind != KindCount && cr.Kind != KindCountDist {
-			return nil, &RequestError{Index: qi, Err: fmt.Errorf("ppd: grouped evaluation answers bool, count and countdist, not %s", cr.Kind)}
+		rq := &reqs[qi]
+		if cr.Kind == KindAggregate {
+			vals, err := e.DB.aggValues(cr.AggRel, cr.AggAttr)
+			if err != nil {
+				return nil, &RequestError{Index: qi, Err: err}
+			}
+			rq.vals = vals
+		} else if cr.Kind != KindBool && cr.Kind != KindCount && cr.Kind != KindCountDist {
+			return nil, &RequestError{Index: qi, Err: fmt.Errorf("ppd: grouped evaluation answers bool, count, countdist and aggregate, not %s", cr.Kind)}
 		}
 		gr, err := e.ground(loopCtx, cr.Union)
 		if err != nil {
 			return nil, &RequestError{Index: qi, Err: err}
 		}
-		grs[qi], of[qi] = gr, make([]int, len(gr.Groups))
+		rq.gr, rq.of = gr, make([]int, len(gr.Groups))
 		first = slices.Grow(first, len(gr.Groups))
 		grKeys := e.cacheKeys(gr)
 		if len(crs) == 1 {
@@ -248,7 +259,7 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 					}
 				}
 			}
-			of[qi][lgi] = gi
+			rq.of[lgi] = gi
 		}
 		res.Instances += len(gr.Live)
 	}
@@ -265,13 +276,9 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 	// its request references, matching the propagated half-widths; a cache
 	// hit is an exact answer and contributes no width.
 	for qi, cr := range crs {
-		gr, gidx := grs[qi], of[qi]
-		per := make([]SessionProb, len(gr.Live))
-		for i, ls := range gr.Live {
-			per[i] = SessionProb{Session: ls.Session, Prob: gp.probs[gidx[ls.Group]]}
-		}
-		resp := &Response{Kind: cr.Kind, PerSession: per}
-		resp.Prob, resp.Count = BoolAggregate(per)
+		gr, gidx := reqs[qi].gr, reqs[qi].of
+		resp := &Response{Kind: cr.Kind}
+		res.Responses[qi] = resp
 		if e.Method == MethodAdaptive {
 			resp.Plan = &PlanStats{}
 			for _, gi := range gidx {
@@ -279,11 +286,20 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 					resp.Plan.note(gp.reports[gi])
 				}
 			}
-			hw := make([]float64, len(per)) // a cache hit's report is zero: exact, no width
-			for i, ls := range gr.Live {
-				hw[i] = gp.reports[gidx[ls.Group]].HalfWidth
-			}
-			resp.Plan.propagate(per, hw)
+		}
+		if cr.Kind == KindAggregate {
+			resp.Agg = gp.aggregate(gr, gidx, reqs[qi].vals, resp.Plan)
+			resp.Count = resp.Agg.Count
+			continue
+		}
+		per := make([]SessionProb, len(gr.Live))
+		for i, ls := range gr.Live {
+			per[i] = SessionProb{Session: ls.Session, Prob: gp.probs[gidx[ls.Group]]}
+		}
+		resp.PerSession = per
+		resp.Prob, resp.Count = BoolAggregate(per)
+		if resp.Plan != nil { // a cache hit's report is zero: exact, no width
+			resp.Plan.propagate(per, func(i int) float64 { return gp.reports[gidx[gr.Live[i].Group]].HalfWidth })
 		}
 		if cr.Kind == KindCountDist {
 			dist, err := CountDistFromSessions(per, gr.Sessions)
@@ -292,7 +308,6 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 			}
 			resp.Dist = dist
 		}
-		res.Responses[qi] = resp
 	}
 	for gi, qi := range first {
 		if gp.solved[gi] {
@@ -321,8 +336,8 @@ func BoolAggregate(per []SessionProb) (prob, count float64) {
 // once: from Engine.Cache when it holds the group, by a solve otherwise.
 // DoGrouped, and top-k for the groups that are their own bound, resolve a
 // set up front (resolve: one cache sweep, then the misses solved together);
-// the top-k loop and aggregation resolve the rest one group at a time, as
-// they need them (prob). Either way solve is where a group is solved.
+// the top-k loop resolves the rest one group at a time, as it needs them
+// (prob). Either way solve is where a group is solved.
 type groupProbs struct {
 	e       *Engine
 	groups  []Group
@@ -588,15 +603,12 @@ type TopKDiag struct {
 	SessionsEvaluated int
 	// CacheHits counts exact probabilities answered from Engine.Cache.
 	CacheHits int
-	// Plan reports MethodAdaptive's routing decisions for the per-session
-	// solves; nil for every other method.
-	Plan *PlanStats
 }
 
 // topKUnion is the Most-Probable-Session core behind KindTopK: the k
 // sessions satisfying the union with the highest probability (Section 3.2).
-// With boundEdges == 0 it evaluates every session exactly and sorts; with
-// boundEdges >= 1 cheap upper bounds from the hardest boundEdges
+// With BoundEdges == 0 it evaluates every session exactly and sorts; with
+// BoundEdges >= 1 cheap upper bounds from the hardest BoundEdges
 // transitive-closure edges of each pattern (Section 4.3.2) prioritize
 // sessions, and exact evaluation stops once k sessions are at least as
 // probable as every remaining bound. Upper bounds are resolved per distinct
@@ -606,17 +618,18 @@ type TopKDiag struct {
 // all two-label is bounded by its exact probability: those groups are
 // resolved up front, the cache swept and the misses solved together as
 // DoGrouped does, and no relaxation is built or solved for them.
-func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges int) ([]SessionProb, *TopKDiag, error) {
+func (e *Engine) topKUnion(ctx context.Context, cr *CompiledRequest) (*Response, error) {
+	k := cr.K
 	if k <= 0 {
-		return nil, nil, fmt.Errorf("ppd: top-k requires k >= 1, got %d", k)
+		return nil, fmt.Errorf("ppd: top-k requires k >= 1, got %d", k)
 	}
 	// The candidate loop and the cheap bound solves run under the loop
 	// context; each exact solve still sees the original ctx.
 	loopCtx, cancel := e.loopContext(ctx)
 	defer cancel()
-	gr, err := e.ground(loopCtx, uq)
+	gr, err := e.ground(loopCtx, cr.Union)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	diag := &TopKDiag{}
 	useCache := e.useCache()
@@ -625,12 +638,12 @@ func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges in
 	for gi := range ub {
 		ub[gi] = 1
 	}
-	if boundEdges > 0 {
+	if cr.BoundEdges > 0 {
 		lab := e.DB.Labeling()
-		bs := gr.bounds(boundMode{edges: boundEdges, own: e.Method.row().ownTopKBound}, lab)
+		bs := gr.bounds(boundMode{edges: cr.BoundEdges, own: e.Method.row().ownTopKBound}, lab)
 		own := func(gi int) bool { return bs.of[gi] < 0 }
 		if err := exact.resolve(ctx, loopCtx, own, func(_ int, err error) error { return err }); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		boundOpts := e.SolverOpts
 		if boundOpts.Ctx == nil {
@@ -650,7 +663,7 @@ func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges in
 			// the easy-to-satisfy relaxations of multi-edge patterns.
 			p, err := solver.Bipartite(b.Model.Model(), lab, b.Union, boundOpts)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			vals[bi] = p
 			diag.BoundSolves++
@@ -673,7 +686,7 @@ func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges in
 	var out []SessionProb
 	for _, c := range cands {
 		if err := loopCtx.Err(); err != nil {
-			return nil, nil, context.Cause(loopCtx)
+			return nil, context.Cause(loopCtx)
 		}
 		// out is kept sorted descending and trimmed to k.
 		if len(out) >= k && out[len(out)-1].Prob >= ub[c.Group] {
@@ -681,7 +694,7 @@ func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges in
 		}
 		p, err := exact.prob(ctx, c.Group)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		diag.SessionsEvaluated++
 		out = append(out, SessionProb{Session: c.Session, Prob: p})
@@ -692,13 +705,20 @@ func (e *Engine) topKUnion(ctx context.Context, uq *UnionQuery, k, boundEdges in
 	}
 	diag.ExactSolves = exact.solves
 	diag.CacheHits = exact.cacheHits
+	resp := &Response{
+		Kind:      KindTopK,
+		Top:       out,
+		Diag:      diag,
+		Solves:    diag.ExactSolves + diag.BoundSolves,
+		CacheHits: diag.CacheHits + diag.BoundCacheHits,
+	}
 	if exact.reports != nil && exact.solves > 0 {
-		diag.Plan = &PlanStats{}
+		resp.Plan = &PlanStats{}
 		for gi, solved := range exact.solved {
 			if solved {
-				diag.Plan.note(exact.reports[gi])
+				resp.Plan.note(exact.reports[gi])
 			}
 		}
 	}
-	return out, diag, nil
+	return resp, nil
 }

@@ -339,7 +339,7 @@ type PlanStats struct {
 	MaxHalfWidth float64
 	// ProbHalfWidth propagates the per-group half-widths to the
 	// evaluation's Boolean confidence (first-order error propagation;
-	// 0 when every group went exact).
+	// 0 when every group went exact, and for an aggregate).
 	ProbHalfWidth float64
 	// CountHalfWidth likewise propagates to the Count-Session expectation.
 	CountHalfWidth float64
@@ -365,10 +365,10 @@ func (ps *PlanStats) note(rep SolveReport) {
 }
 
 // propagate computes the half-widths on Prob and Count from the per-session
-// probabilities and their group half-widths: Count = sum p_s, so its
+// probabilities and their group half-widths hw(s): Count = sum p_s, so its
 // half-width is the sum of the per-session ones; Prob = 1 - prod(1 - p_s),
 // whose partial derivative in p_s is prod_{t != s}(1 - p_t).
-func (ps *PlanStats) propagate(per []SessionProb, hw []float64) {
+func (ps *PlanStats) propagate(per []SessionProb, hw func(s int) float64) {
 	ps.ProbHalfWidth, ps.CountHalfWidth = 0, 0
 	// prod_{t != s}(1 - p_t) via prefix/suffix products: O(n), and no
 	// division-by-zero hazard from a running product over (1 - p_t) == 0.
@@ -380,9 +380,9 @@ func (ps *PlanStats) propagate(per []SessionProb, hw []float64) {
 	}
 	prefix := 1.0
 	for s := 0; s < n; s++ {
-		if hw[s] != 0 {
-			ps.CountHalfWidth += hw[s]
-			ps.ProbHalfWidth += prefix * suffix[s+1] * hw[s]
+		if h := hw(s); h != 0 {
+			ps.CountHalfWidth += h
+			ps.ProbHalfWidth += prefix * suffix[s+1] * h
 		}
 		prefix *= 1 - per[s].Prob
 	}

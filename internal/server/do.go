@@ -82,8 +82,8 @@ type DoBatchResult struct {
 // DoBatch answers a batch of requests as one unit.
 //
 // The batch is partitioned per request, not all-or-nothing: every
-// evaluation-backed request (bool, count or countdist) without a deadline
-// joins a grouped cluster keyed by its model, effective method and
+// evaluation-backed request (bool, count, countdist or aggregate) without a
+// deadline joins a grouped cluster keyed by its model, effective method and
 // effective seed (its own, else Config.Seed), and each cluster is one
 // ppd.Engine.DoGrouped call, the grouped evaluation Engine.Do runs for a
 // single request: every request of the cluster is grounded, the inference
@@ -96,11 +96,11 @@ type DoBatchResult struct {
 // CacheHits attribute each group to the first request of its cluster that
 // needed it.
 //
-// Every other request — topk, aggregate and consensus kinds, and those
-// carrying a deadline — fans out request-by-request on the worker pool.
-// Identical fan-out requests (equal compiled Keys, which carry the seed)
-// are answered once and share the response. Cross-request sharing between
-// the two paths still happens through the shared solve cache.
+// Every other request — topk and consensus kinds, and those carrying a
+// deadline — fans out request-by-request on the worker pool. Identical
+// fan-out requests (equal compiled Keys, which carry the seed) are answered
+// once and share the response. Cross-request sharing between the two paths
+// still happens through the shared solve cache.
 func (s *Service) DoBatch(ctx context.Context, reqs []*ppd.Request) (*DoBatchResult, error) {
 	crs := make([]*ppd.CompiledRequest, len(reqs))
 	for i, r := range reqs {
@@ -136,7 +136,7 @@ func (s *Service) doBatch(ctx context.Context, crs []*ppd.CompiledRequest) (*DoB
 // path runs under the batch context).
 func groupEligible(cr *ppd.CompiledRequest) bool {
 	switch cr.Kind {
-	case ppd.KindBool, ppd.KindCount, ppd.KindCountDist:
+	case ppd.KindBool, ppd.KindCount, ppd.KindCountDist, ppd.KindAggregate:
 	default:
 		return false
 	}

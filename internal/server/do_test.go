@@ -176,8 +176,8 @@ func BenchmarkDoBatchGrouped(b *testing.B) {
 
 // TestDoBatchMixedKinds: a heterogeneous batch (every kind at once)
 // answers each request correctly against the same model, and the
-// evaluation-backed majority still takes the grouped/dedup path — only the
-// topk and aggregate carve-outs fan out.
+// evaluation-backed majority — aggregate included — still takes the
+// grouped/dedup path; only the topk carve-out fans out.
 func TestDoBatchMixedKinds(t *testing.T) {
 	svc := figure1Service(t, Config{})
 	reqs := []*ppd.Request{
@@ -194,8 +194,10 @@ func TestDoBatchMixedKinds(t *testing.T) {
 	if br.Groups == 0 {
 		t.Error("the bool/count/countdist cluster of a mixed batch should report grouped accounting")
 	}
-	if br.Instances < br.Groups {
-		t.Errorf("instances %d below groups %d", br.Instances, br.Groups)
+	// bool, count, aggregate and countdist each reference the query's live
+	// sessions once.
+	if live := len(br.Responses[0].PerSession); br.Instances != 4*live {
+		t.Errorf("instances %d, want the 4 grouped requests' %d live sessions each", br.Instances, live)
 	}
 	for i, resp := range br.Responses {
 		if resp == nil {

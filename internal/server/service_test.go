@@ -453,17 +453,27 @@ func TestWarmDoAllocsFlat(t *testing.T) {
 
 // BenchmarkWarmDo times one warm count request through Service.Do, every
 // group answered from the solve cache, at 10 and 1000 voters: the cost of
-// the lookups and the fold, not of any solve.
+// the lookups and the fold, not of any solve. The aggregate cases ask the
+// average age over the same query and groups.
 func BenchmarkWarmDo(b *testing.B) {
-	for _, voters := range []int{10, 1000} {
-		b.Run(fmt.Sprintf("voters=%d", voters), func(b *testing.B) {
-			svc, req := warmPolls(b, voters)
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := svc.Do(context.Background(), req); err != nil {
-					b.Fatal(err)
-				}
+	for _, agg := range []bool{false, true} {
+		for _, voters := range []int{10, 1000} {
+			name := fmt.Sprintf("voters=%d", voters)
+			if agg {
+				name = "aggregate/" + name
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				svc, req := warmPolls(b, voters)
+				if agg {
+					req = &ppd.Request{Kind: ppd.KindAggregate, Query: req.Query, AggRel: "V", AggAttr: "age"}
+				}
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := svc.Do(context.Background(), req); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

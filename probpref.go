@@ -238,7 +238,7 @@ type (
 	// grouping, recommended method).
 	Explanation = ppd.Explanation
 	// PlanStats reports MethodAdaptive's routing decisions and confidence
-	// half-widths (Response.Plan / TopKDiag.Plan).
+	// half-widths (Response.Plan).
 	PlanStats = ppd.PlanStats
 	// SolveReport describes how one inference group was answered
 	// (Engine.SolveUnionCtx).
