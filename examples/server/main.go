@@ -84,6 +84,8 @@ func main() {
 	resp.Body.Close()
 	fmt.Printf("POST /v1/query over HTTP:\n%s", body)
 
+	// The cache counts its own probes: the warm requests above read their
+	// answers off their memoised groundings and probed nothing.
 	st := svc.Stats()
 	fmt.Printf("service stats: evals=%d topks=%d batches=%d solves=%d cache hits=%d misses=%d\n",
 		st.Evals, st.TopKs, st.Batches, st.Solves, st.Cache.Hits, st.Cache.Misses)

@@ -2,8 +2,10 @@ package ppd
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"strconv"
+	"sync"
 )
 
 // AggregateResult reports an aggregation query over the sessions satisfying
@@ -60,6 +62,8 @@ func FoldAggregateRows(rows []AggRow) *AggregateResult {
 }
 
 // aggValues maps the first attribute of rel's rows to their numeric attr.
+// The map is parsed once per database version and attribute (see aggMemo)
+// and is shared: callers must not modify it.
 func (db *DB) aggValues(rel, attr string) (map[string]float64, error) {
 	r, ok := db.Relations[rel]
 	if !ok {
@@ -69,30 +73,67 @@ func (db *DB) aggValues(rel, attr string) (map[string]float64, error) {
 	if col < 0 {
 		return nil, fmt.Errorf("ppd: relation %q has no attribute %q", rel, attr)
 	}
+	key := aggKey{rel, attr}
+	db.aggs.mu.Lock()
+	defer db.aggs.mu.Unlock()
+	if byKey, ok := db.aggs.vals[key]; ok {
+		return byKey, nil
+	}
 	byKey := make(map[string]float64, len(r.Tuples))
 	for _, row := range r.Tuples {
 		if v, err := strconv.ParseFloat(row[col], 64); err == nil {
 			byKey[row[0]] = v
 		}
 	}
+	if db.aggs.vals == nil {
+		db.aggs.vals = make(map[aggKey]map[string]float64)
+	}
+	db.aggs.vals[key] = byKey
 	return byKey, nil
 }
 
-// aggregate folds the live sessions of gr whose first key value has a value
-// in vals, in session order, into an aggregation answer; gidx maps gr's
-// groups into gp's. A non-nil plan takes the half-width of the answer's
-// Count: the sum of the folded sessions' group half-widths.
-func (gp *groupProbs) aggregate(gr *Grounded, gidx []int, vals map[string]float64, plan *PlanStats) *AggregateResult {
-	rows := make([]AggRow, 0, len(gr.Live))
-	for _, ls := range gr.Live {
+// aggMemo is a database version's memo of aggregate value columns, by
+// relation and attribute. Like the grounding memo it lives on the DB: it
+// is dropped when relations are added and handed to the successor version
+// by AppendSessions, which leaves the o-relations alone. The zero value is
+// ready to use.
+type aggMemo struct {
+	mu   sync.Mutex
+	vals map[aggKey]map[string]float64
+}
+
+type aggKey struct{ rel, attr string }
+
+// drop empties the memo; adding a relation may change a value column.
+func (m *aggMemo) drop() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.vals = nil
+}
+
+// handTo copies the memo into a successor version's; the maps themselves
+// are shared.
+func (m *aggMemo) handTo(next *aggMemo) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	next.vals = maps.Clone(m.vals)
+}
+
+// aggregate folds the live sessions of rq's grounding whose first key
+// value has a value in rq.vals, in session order, into an aggregation
+// answer. A non-nil plan takes the half-width of the answer's Count: the
+// sum of the folded sessions' group half-widths.
+func (gp *groupProbs) aggregate(rq *groupedReq, plan *PlanStats) *AggregateResult {
+	rows := make([]AggRow, 0, len(rq.gr.Live))
+	for _, ls := range rq.gr.Live {
 		if len(ls.Session.Key) == 0 {
 			continue
 		}
-		v, ok := vals[ls.Session.Key[0]]
+		v, ok := rq.vals[ls.Session.Key[0]]
 		if !ok {
 			continue
 		}
-		gi := gidx[ls.Group]
+		gi := rq.group(ls.Group)
 		rows = append(rows, AggRow{Prob: gp.probs[gi], Value: v})
 		if plan != nil {
 			plan.CountHalfWidth += gp.reports[gi].HalfWidth

@@ -20,7 +20,17 @@ import (
 // A key is built once per grounding, not per lookup: a Grounded memoises
 // its groups' keys per method (Grounded.cacheKeys) and its top-k
 // relaxations' bipartite keys (boundSet), and a grounding extended by an
-// append inherits them, so a warm query hands Get strings it already holds.
+// append inherits them.
+//
+// A warm query does not call Get at all. A memoised Grounded keeps, per
+// method and per cache value (compared with ==; a cache whose value cannot
+// be compared gets none), a column of its groups' exact probabilities,
+// filled wherever the cache is filled or hit (Grounded.column). A repeated
+// request reads its groups off that column, counting each as a cache hit,
+// so Get and Put see the groups of cold groundings, of queries sharing a
+// group with an earlier one, and of groundings the memo does not keep.
+// Top-k relaxation bounds always go through Get. The column does not
+// follow the cache's evictions: it dies with its grounding.
 //
 // Keys are content-addressed — method, model parameters, union — so an
 // entry can never be wrong for a database it was not computed on, and

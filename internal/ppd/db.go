@@ -94,6 +94,7 @@ type DB struct {
 	itemKeys []string
 
 	memo groundMemo // groundings by query, see DB.Ground
+	aggs aggMemo    // aggregate value columns, see DB.aggValues
 }
 
 // NewDB builds a database around an item relation. Each item receives one
@@ -133,6 +134,7 @@ func (db *DB) AddRelation(r *Relation) error {
 	}
 	db.Relations[r.Name] = r
 	db.memo.drop()
+	db.aggs.drop()
 	return nil
 }
 

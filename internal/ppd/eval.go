@@ -44,7 +44,9 @@ type Engine struct {
 	// Cache, when non-nil, memoizes exactly solved (model, union) groups
 	// across Do calls (and across engines sharing the cache). It is
 	// consulted with GroupKey keys before each solve and updated after an
-	// exact one; see SolveCache. Ignored when DisableGrouping is set, since
+	// exact one, and a memoised grounding keeps what it answered for the
+	// next call through the same cache value; see SolveCache. Ignored when
+	// DisableGrouping is set, since
 	// per-session keys are synthetic then, and for the groups of a method
 	// that only samples, since it would never hold them.
 	Cache SolveCache
@@ -146,14 +148,15 @@ func (e *Engine) ground(ctx context.Context, uq *UnionQuery) (*Grounded, error) 
 // the ablation bypasses the content-addressed cache as well.
 func (e *Engine) useCache() bool { return e.Cache != nil && !e.DisableGrouping }
 
-// cacheKeys returns the cache keys of gr's groups under the engine's
-// method, or nil when groups do not resolve through Engine.Cache: without a
-// usable cache, or under a method whose answers it never stores.
-func (e *Engine) cacheKeys(gr *Grounded) []string {
-	if !e.useCache() || !e.Method.cached() {
-		return nil
+// source returns what a groupProbs resolves gr's groups through: with a
+// usable cache, under a method whose answers it stores, gr's cache keys and
+// probability column for the engine's method and cache.
+func (e *Engine) source(gr *Grounded) groupSource {
+	src := groupSource{gr: gr}
+	if e.useCache() && e.Method.cached() {
+		src.keys, src.col = gr.cacheKeys(e.Method), gr.column(e.Method, e.Cache)
 	}
-	return gr.cacheKeys(e.Method)
+	return src
 }
 
 // GroupedResult reports a DoGrouped call.
@@ -165,8 +168,9 @@ type GroupedResult struct {
 	// Groups, Instances, Solved and CacheHits account for the call's
 	// inference groups: the distinct (model, union) groups of all the
 	// requests, the group references before dedup (their live sessions),
-	// the groups sent to a solver or sampler, and those answered from
-	// Engine.Cache (Solved + CacheHits == Groups).
+	// the groups sent to a solver or sampler, and those answered through
+	// Engine.Cache, off a grounding's column or from the cache itself
+	// (Solved + CacheHits == Groups).
 	Groups, Instances, Solved, CacheHits int
 }
 
@@ -190,7 +194,8 @@ func (e *RequestError) Unwrap() error { return e.Err }
 // engine's database as one unit; Do answers each such request as a call of
 // one. The (model, union) inference groups of all the requests are
 // deduplicated (the cross-query generalization of the paper's Section 6.4
-// grouping) and each is resolved once, from Engine.Cache or by a solve, so
+// grouping; see numberGroups) and each is resolved once, off its
+// grounding's probability column, from Engine.Cache or by a solve, so
 // exact answers are bit-identical to asking alone. The requests run under
 // the engine's Method and RNG and under ctx; their own Method, Seed and
 // Deadline are the caller's to apply, as Do does. A done ctx aborts with
@@ -201,25 +206,7 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 	defer cancel()
 	res := &GroupedResult{Responses: make([]*Response, len(crs))}
 
-	// Ground every request and number its groups across the call: of maps
-	// a request's groups into groups, and first[gi] is the first request
-	// referencing group gi. One request has nothing to dedup and keeps its
-	// grounding's groups, and without grouping every session is its own
-	// group.
-	reqs := make([]struct {
-		gr   *Grounded
-		of   []int
-		vals map[string]float64 // an aggregate's values (aggValues)
-	}, len(crs))
-	var (
-		groups []Group
-		keys   []string // the groups' cache keys; nil without a cache
-		first  []int
-		index  map[groupID]int
-	)
-	if len(crs) > 1 && !e.DisableGrouping {
-		index = make(map[groupID]int)
-	}
+	reqs := make([]groupedReq, len(crs))
 	for qi, cr := range crs {
 		if err := loopCtx.Err(); err != nil {
 			return nil, context.Cause(loopCtx)
@@ -238,68 +225,47 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 		if err != nil {
 			return nil, &RequestError{Index: qi, Err: err}
 		}
-		rq.gr, rq.of = gr, make([]int, len(gr.Groups))
-		first = slices.Grow(first, len(gr.Groups))
-		grKeys := e.cacheKeys(gr)
-		if len(crs) == 1 {
-			groups, keys = gr.Groups, grKeys
-		}
-		for lgi, g := range gr.Groups {
-			gi, seen := index[g.id]
-			if !seen {
-				gi = len(first)
-				if index != nil {
-					index[g.id] = gi
-				}
-				first = append(first, qi)
-				if len(crs) > 1 {
-					groups = append(groups, g)
-					if grKeys != nil {
-						keys = append(keys, grKeys[lgi])
-					}
-				}
-			}
-			rq.of[lgi] = gi
-		}
+		rq.gr = gr
 		res.Instances += len(gr.Live)
 	}
 
-	gp := e.newGroupProbs(groups, keys)
+	gp := e.numberGroups(reqs)
 	if err := gp.resolve(ctx, loopCtx, nil, func(gi int, err error) error {
-		return &RequestError{Index: first[gi], Err: err}
+		return &RequestError{Index: gp.request(gi), Err: err}
 	}); err != nil {
 		return nil, err
 	}
-	res.Groups, res.Solved, res.CacheHits = len(groups), gp.solves, gp.cacheHits
+	res.Groups, res.Solved, res.CacheHits = len(gp.probs), gp.solves, gp.cacheHits
 
 	// Fold every request. An adaptive plan notes each freshly solved group
 	// its request references, matching the propagated half-widths; a cache
 	// hit is an exact answer and contributes no width.
 	for qi, cr := range crs {
-		gr, gidx := reqs[qi].gr, reqs[qi].of
+		rq := &reqs[qi]
+		gr := rq.gr
 		resp := &Response{Kind: cr.Kind}
 		res.Responses[qi] = resp
 		if e.Method == MethodAdaptive {
 			resp.Plan = &PlanStats{}
-			for _, gi := range gidx {
-				if gp.solved[gi] {
+			for lgi := range gr.Groups {
+				if gi := rq.group(lgi); gp.solved[gi] {
 					resp.Plan.note(gp.reports[gi])
 				}
 			}
 		}
 		if cr.Kind == KindAggregate {
-			resp.Agg = gp.aggregate(gr, gidx, reqs[qi].vals, resp.Plan)
+			resp.Agg = gp.aggregate(rq, resp.Plan)
 			resp.Count = resp.Agg.Count
 			continue
 		}
 		per := make([]SessionProb, len(gr.Live))
 		for i, ls := range gr.Live {
-			per[i] = SessionProb{Session: ls.Session, Prob: gp.probs[gidx[ls.Group]]}
+			per[i] = SessionProb{Session: ls.Session, Prob: gp.probs[rq.group(ls.Group)]}
 		}
 		resp.PerSession = per
 		resp.Prob, resp.Count = BoolAggregate(per)
 		if resp.Plan != nil { // a cache hit's report is zero: exact, no width
-			resp.Plan.propagate(per, func(i int) float64 { return gp.reports[gidx[gr.Live[i].Group]].HalfWidth })
+			resp.Plan.propagate(per, func(i int) float64 { return gp.reports[rq.group(gr.Live[i].Group)].HalfWidth })
 		}
 		if cr.Kind == KindCountDist {
 			dist, err := CountDistFromSessions(per, gr.Sessions)
@@ -309,14 +275,128 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 			resp.Dist = dist
 		}
 	}
-	for gi, qi := range first {
-		if gp.solved[gi] {
-			res.Responses[qi].Solves++
+	for gi, solved := range gp.solved {
+		if resp := res.Responses[gp.request(gi)]; solved {
+			resp.Solves++
 		} else {
-			res.Responses[qi].CacheHits++
+			resp.CacheHits++
 		}
 	}
 	return res, nil
+}
+
+// groupedReq is one request of a DoGrouped call: its grounding, where its
+// groups are among the call's, and an aggregate's values.
+type groupedReq struct {
+	gr   *Grounded
+	of   []int // the grounding's group -> the call's; nil: the same index
+	vals map[string]float64
+}
+
+// group returns the call's index of the request's group lgi.
+func (rq *groupedReq) group(lgi int) int {
+	if rq.of == nil {
+		return lgi
+	}
+	return rq.of[lgi]
+}
+
+// unionOwner is the first grounding of a DoGrouped call over a union key:
+// the request that brought it, and the union's index in its grounding, or
+// -1 once a second grounding over the key has had the owner's groups over
+// it indexed by (model, union).
+type unionOwner struct {
+	qi int
+	ui int32
+}
+
+// numberGroups numbers the inference groups of a DoGrouped call and
+// returns their resolver. A lone request's groups are its grounding's.
+// Otherwise groups are deduplicated across the requests unless grouping is
+// off, and each is read from the grounding of the first request that
+// references it. Groups of one grounding are distinct, so only groups of
+// two groundings over one union key can coincide: a grounding asked again
+// shares all its groups, one over union keys no earlier grounding has
+// brings only new ones, and only the groups over a union key two groundings
+// share are deduplicated by (model, union).
+func (e *Engine) numberGroups(reqs []groupedReq) *groupProbs {
+	if len(reqs) == 1 {
+		return e.newGroupProbs([]groupSource{e.source(reqs[0].gr)}, len(reqs[0].gr.Groups), nil, nil)
+	}
+	var (
+		seen   map[*Grounded]int     // grounding -> first request over it
+		owners map[string]unionOwner // union key -> first grounding over it
+		shared map[groupID]int       // group over a shared union key -> the call's index
+	)
+	if !e.DisableGrouping {
+		seen = make(map[*Grounded]int, len(reqs))
+	}
+	total, unions := 0, 0
+	for qi := range reqs {
+		if _, ok := seen[reqs[qi].gr]; !ok {
+			if seen != nil {
+				seen[reqs[qi].gr] = qi
+			}
+			total, unions = total+len(reqs[qi].gr.Groups), unions+len(reqs[qi].gr.unionAt)
+		}
+	}
+	if seen != nil {
+		owners = make(map[string]unionOwner, unions)
+	}
+	srcs := make([]groupSource, len(reqs))
+	first, local := make([]int, 0, total), make([]int32, 0, total)
+	for qi := range reqs {
+		rq := &reqs[qi]
+		gr := rq.gr
+		if qj, ok := seen[gr]; ok && qj != qi {
+			rq.of = reqs[qj].of
+			continue
+		}
+		srcs[qi] = e.source(gr)
+		var share []bool // by union of gr: whether an earlier grounding has its key
+		for ui, gi := range gr.unionAt {
+			if owners == nil {
+				break // grouping is off: no group is shared
+			}
+			key := gr.Groups[gi].id.union
+			o, ok := owners[key]
+			if !ok {
+				owners[key] = unionOwner{qi: qi, ui: int32(ui)}
+				continue
+			}
+			if share == nil {
+				share = make([]bool, len(gr.unionAt))
+			}
+			share[ui] = true
+			if o.ui < 0 {
+				continue
+			}
+			if shared == nil {
+				shared = make(map[groupID]int)
+			}
+			og := &reqs[o.qi] // index the owner's groups over the key
+			for lgi, u := range og.gr.unionOf {
+				if u == o.ui {
+					shared[og.gr.Groups[lgi].id] = og.group(lgi)
+				}
+			}
+			owners[key] = unionOwner{qi: o.qi, ui: -1}
+		}
+		rq.of = make([]int, len(gr.Groups))
+		for lgi := range gr.Groups {
+			if share != nil && share[gr.unionOf[lgi]] {
+				id := gr.Groups[lgi].id
+				if gi, ok := shared[id]; ok {
+					rq.of[lgi] = gi
+					continue
+				}
+				shared[id] = len(first)
+			}
+			rq.of[lgi] = len(first)
+			first, local = append(first, qi), append(local, int32(lgi))
+		}
+	}
+	return e.newGroupProbs(srcs, len(first), first, local)
 }
 
 // BoolAggregate folds per-session probabilities into the Boolean
@@ -333,30 +413,45 @@ func BoolAggregate(per []SessionProb) (prob, count float64) {
 }
 
 // groupProbs resolves the probabilities of distinct groups, each at most
-// once: from Engine.Cache when it holds the group, by a solve otherwise.
-// DoGrouped, and top-k for the groups that are their own bound, resolve a
-// set up front (resolve: one cache sweep, then the misses solved together);
+// once: from its grounding's probability column or Engine.Cache when either
+// holds the group, by a solve otherwise. DoGrouped, and top-k for the
+// groups that are their own bound, resolve a set up front (resolve: one
+// sweep of the columns and the cache, then the misses solved together);
 // the top-k loop resolves the rest one group at a time, as it needs them
 // (prob). Either way solve is where a group is solved.
+//
+// The groups are read from one or more groundings (srcs): group gi is
+// group local[gi] of srcs[first[gi]], or with first nil group gi of
+// srcs[0].
 type groupProbs struct {
 	e       *Engine
-	groups  []Group
-	keys    []string // the groups' cache keys (shared, read-only); nil without a cache
-	base    int64    // the evaluation's base seed, under a method that may sample
+	srcs    []groupSource
+	first   []int
+	local   []int32
+	base    int64 // the evaluation's base seed, under a method that may sample
 	probs   []float64
 	reports []SolveReport // of the solved groups, for MethodAdaptive's plans; else nil
-	done    []bool        // resolved, from the cache or by a solve
+	done    []bool        // resolved, from a column, the cache or by a solve
 	solved  []bool        // resolved by a solve
 
 	solves, cacheHits int
 }
 
-// newGroupProbs resolves groups, whose cache keys are keys (nil without a
-// cache; see cacheKeys). Under a method that may sample it draws the
+// groupSource is a grounding whose groups a groupProbs reads, with their
+// cache keys and probability column under the engine's method and cache
+// (both nil when groups do not resolve through Engine.Cache; see
+// Engine.source). The keys are shared and read-only.
+type groupSource struct {
+	gr   *Grounded
+	keys []string
+	col  *probColumn
+}
+
+// newGroupProbs resolves n groups read from srcs as first and local say
+// (see groupProbs). Under a method that may sample it draws the
 // evaluation's base seed from the engine's RNG.
-func (e *Engine) newGroupProbs(groups []Group, keys []string) *groupProbs {
-	n := len(groups)
-	gp := &groupProbs{e: e, groups: groups, keys: keys, probs: make([]float64, n), done: make([]bool, n), solved: make([]bool, n)}
+func (e *Engine) newGroupProbs(srcs []groupSource, n int, first []int, local []int32) *groupProbs {
+	gp := &groupProbs{e: e, srcs: srcs, first: first, local: local, probs: make([]float64, n), done: make([]bool, n), solved: make([]bool, n)}
 	if !e.Method.Exact() {
 		gp.base = e.rng().Int63()
 	}
@@ -366,14 +461,38 @@ func (e *Engine) newGroupProbs(groups []Group, keys []string) *groupProbs {
 	return gp
 }
 
+// at returns the source of group gi and the group's index in it.
+func (gp *groupProbs) at(gi int) (*groupSource, int) {
+	if gp.first == nil {
+		return &gp.srcs[0], gi
+	}
+	return &gp.srcs[gp.first[gi]], int(gp.local[gi])
+}
+
+// request returns the index of the source group gi is read from: in
+// DoGrouped, the first request referencing it.
+func (gp *groupProbs) request(gi int) int {
+	if gp.first == nil {
+		return 0
+	}
+	return gp.first[gi]
+}
+
+// group returns group gi.
+func (gp *groupProbs) group(gi int) Group {
+	src, li := gp.at(gi)
+	return src.gr.Groups[li]
+}
+
 // resolve resolves the groups want selects (every group when want is nil),
-// none of them resolved yet: it sweeps the cache, then solves the misses,
+// none of them resolved yet: it sweeps the columns and the cache (lookup),
+// then solves the misses,
 // concurrently on Engine.Workers. fail attributes a failed solve to its
 // group. Solves run under ctx, the loop under loopCtx.
 func (gp *groupProbs) resolve(ctx, loopCtx context.Context, want func(gi int) bool, fail func(gi int, err error) error) error {
 	e := gp.e
 	var pending []int
-	for gi := range gp.groups {
+	for gi := range gp.probs {
 		if (want == nil || want(gi)) && !gp.lookup(gi) {
 			pending = append(pending, gi)
 		}
@@ -390,7 +509,7 @@ func (gp *groupProbs) resolve(ctx, loopCtx context.Context, want func(gi int) bo
 		bg := make([]BatchGroup, len(pending))
 		keys := make([]string, len(pending))
 		for pi, gi := range pending {
-			g := gp.groups[gi]
+			g := gp.group(gi)
 			bg[pi], keys[pi] = BatchGroup{SM: g.Model, U: g.Union}, g.id.union
 		}
 		probs, err := e.batchSolveGroups(ctx, bg, keys)
@@ -415,12 +534,22 @@ func (gp *groupProbs) resolve(ctx, loopCtx context.Context, want func(gi int) bo
 	})
 }
 
-// lookup answers group gi from Engine.Cache when the cache holds it.
+// lookup answers group gi from its column or, failing that, from
+// Engine.Cache, whose answer then fills the column.
 func (gp *groupProbs) lookup(gi int) bool {
-	if gp.keys == nil {
-		return false
+	src, li := gp.at(gi)
+	var (
+		p  float64
+		ok bool
+	)
+	if src.col != nil {
+		p, ok = src.col.get(li)
 	}
-	p, ok := gp.e.Cache.Get(gp.keys[gi])
+	if !ok && src.keys != nil {
+		if p, ok = gp.e.Cache.Get(src.keys[li]); ok && src.col != nil {
+			src.col.set(li, p)
+		}
+	}
 	if ok {
 		gp.probs[gi], gp.done[gi] = p, true
 		gp.cacheHits++
@@ -428,15 +557,18 @@ func (gp *groupProbs) lookup(gi int) bool {
 	return ok
 }
 
-// record stores group gi's solved answer, and caches it when it is exact.
-// Calls for distinct groups may run concurrently.
+// record stores group gi's solved answer and, when it is exact, caches it
+// and fills its column. Calls for distinct groups may run concurrently.
 func (gp *groupProbs) record(gi int, p float64, rep SolveReport) {
 	gp.probs[gi], gp.done[gi], gp.solved[gi] = p, true, true
 	if gp.reports != nil {
 		gp.reports[gi] = rep
 	}
-	if gp.keys != nil && !rep.Sampled {
-		gp.e.Cache.Put(gp.keys[gi], p)
+	if src, li := gp.at(gi); src.keys != nil && !rep.Sampled {
+		gp.e.Cache.Put(src.keys[li], p)
+		if src.col != nil {
+			src.col.set(li, p)
+		}
 	}
 }
 
@@ -453,7 +585,7 @@ func (gp *groupProbs) prob(ctx context.Context, gi int) (float64, error) {
 // the group's own stream (see streamSeed), whoever resolves it and whenever.
 // Calls for distinct groups may run concurrently.
 func (gp *groupProbs) solve(ctx context.Context, gi int) (float64, error) {
-	g, e := gp.groups[gi], gp.e
+	g, e := gp.group(gi), gp.e
 	if !e.Method.Exact() {
 		sub := *e
 		sub.Rng, sub.seed = nil, streamSeed(gp.base, g.id.model, g.id.union)
@@ -601,7 +733,8 @@ type TopKDiag struct {
 	// SessionsEvaluated counts the sessions the candidate loop took an
 	// exact probability for before every remaining bound was dominated.
 	SessionsEvaluated int
-	// CacheHits counts exact probabilities answered from Engine.Cache.
+	// CacheHits counts exact probabilities answered through Engine.Cache
+	// (off the grounding's column or from the cache itself).
 	CacheHits int
 }
 
@@ -633,7 +766,7 @@ func (e *Engine) topKUnion(ctx context.Context, cr *CompiledRequest) (*Response,
 	}
 	diag := &TopKDiag{}
 	useCache := e.useCache()
-	exact := e.newGroupProbs(gr.Groups, e.cacheKeys(gr))
+	exact := e.newGroupProbs([]groupSource{e.source(gr)}, len(gr.Groups), nil, nil)
 	ub := make([]float64, len(gr.Groups)) // upper bound per group
 	for gi := range ub {
 		ub[gi] = 1

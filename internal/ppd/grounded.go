@@ -3,8 +3,11 @@ package ppd
 import (
 	"context"
 	"maps"
+	"math"
+	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"probpref/internal/label"
 	"probpref/internal/pattern"
@@ -71,7 +74,10 @@ func (id groupID) key(m Method) string {
 //
 // A Grounded retains *Session values of the store it was built over and
 // must not outlive the database version that returned it (or, for a
-// snapshot-backed store, the mapping behind it).
+// snapshot-backed store, the mapping behind it). Beside the groups it keeps
+// what evaluations derive from them alone: their solve-cache keys, top-k
+// relaxations, and the exact probabilities resolved through a solve cache
+// (probColumn), so a repeated query reads its answers off its grounding.
 type Grounded struct {
 	// Sessions is the session count of the queried p-relation, live or not.
 	Sessions int
@@ -83,9 +89,17 @@ type Grounded struct {
 
 	pref string // name of the queried p-relation
 
+	// unionOf numbers each group's union among the grounding's distinct
+	// union keys, in first-seen order; unionAt is each distinct union's
+	// first group. A batch dedups groups of different groundings by union
+	// first (see Engine.DoGrouped).
+	unionOf []int32
+	unionAt []int
+
 	mu        sync.Mutex
 	boundSets map[boundMode]*boundSet // top-k relaxations by bound mode, filled on demand
 	keys      map[Method][]string     // solve-cache keys of Groups by method, filled on demand
+	cols      []*probColumn           // exact group probabilities by (method, solve cache), filled on demand
 }
 
 // cacheKeys returns the solve-cache key of every group under method m,
@@ -108,6 +122,58 @@ func (gr *Grounded) cacheKeys(m Method) []string {
 	}
 	gr.keys[m] = keys
 	return keys
+}
+
+// maxColumns caps the probability columns one Grounded keeps: a service
+// keeps one per method its clients ask for, and an engine whose cache has
+// no room left resolves through its cache alone.
+const maxColumns = 16
+
+// probColumn holds the exact probabilities of a Grounded's groups under one
+// method, as resolved through one solve cache: a warm query reads its
+// groups off the column, without building a key or probing the cache. It
+// stores what the cache stores, exact answers only, and a slot is filled
+// when its group is solved or found in the cache. Slots are published
+// atomically, so readers take no lock, and the column dies with its
+// grounding.
+type probColumn struct {
+	m     Method
+	cache SolveCache
+	slots []atomic.Uint64 // ^math.Float64bits(p); 0 while unfilled
+}
+
+// get returns group gi's probability if its slot is filled.
+func (c *probColumn) get(gi int) (float64, bool) {
+	v := c.slots[gi].Load()
+	return math.Float64frombits(^v), v != 0
+}
+
+// set fills group gi's slot. A probability whose bits are all ones (a NaN)
+// reads as unfilled, so its group resolves through the cache instead.
+func (c *probColumn) set(gi int, p float64) { c.slots[gi].Store(^math.Float64bits(p)) }
+
+// column returns the probability column of gr's groups under method m and
+// solve cache c, or nil when there is none: when c's value cannot be
+// compared (engines are told apart by their cache, compared with ==), or
+// when gr holds maxColumns others. Two engines over one database version
+// share a column exactly when they share the method and the cache value.
+func (gr *Grounded) column(m Method, c SolveCache) *probColumn {
+	if !reflect.ValueOf(c).Comparable() {
+		return nil
+	}
+	gr.mu.Lock()
+	defer gr.mu.Unlock()
+	for _, col := range gr.cols {
+		if col.m == m && col.cache == c {
+			return col
+		}
+	}
+	if len(gr.cols) == maxColumns {
+		return nil
+	}
+	col := &probColumn{m: m, cache: c, slots: make([]atomic.Uint64, len(gr.Groups))}
+	gr.cols = append(gr.cols, col)
+	return col
 }
 
 // maxBoundSets caps the distinct bound modes one Grounded keeps
@@ -234,14 +300,20 @@ func groundUnion(ctx context.Context, db *DB, uq *UnionQuery, prev *Grounded, gr
 	// once per query and append, and would otherwise be the largest
 	// pointer-bearing part of every memo entry.
 	groupOf := make(map[groupID]int)
+	unionIdx := make(map[string]int32)
 	if prev != nil {
 		// Full slice expressions: the first append copies, so the arrays
 		// prev's readers see are never written.
 		from = prev.Sessions
 		gr.Live = prev.Live[:len(prev.Live):len(prev.Live)]
 		gr.Groups = prev.Groups[:len(prev.Groups):len(prev.Groups)]
+		gr.unionOf = prev.unionOf[:len(prev.unionOf):len(prev.unionOf)]
+		gr.unionAt = prev.unionAt[:len(prev.unionAt):len(prev.unionAt)]
 		for gi, g := range prev.Groups {
 			groupOf[g.id] = gi
+		}
+		for ui, gi := range prev.unionAt {
+			unionIdx[prev.Groups[gi].id.union] = int32(ui)
 		}
 		prev.mu.Lock()
 		gr.boundSets = maps.Clone(prev.boundSets)
@@ -263,6 +335,7 @@ func groundUnion(ctx context.Context, db *DB, uq *UnionQuery, prev *Grounded, gr
 		recent [8]struct {
 			u   pattern.Union
 			key string
+			ui  int32 // the union's index among the distinct unions
 		}
 		next int
 	)
@@ -286,6 +359,14 @@ func groundUnion(ctx context.Context, db *DB, uq *UnionQuery, prev *Grounded, gr
 		if ri == len(recent) {
 			ri, next = next, (next+1)%len(recent)
 			recent[ri].u, recent[ri].key = u, u.Key()
+			ui, seen := unionIdx[recent[ri].key]
+			if !seen {
+				// A union not seen before makes a new group, appended below.
+				ui = int32(len(unionIdx))
+				unionIdx[recent[ri].key] = ui
+				gr.unionAt = append(gr.unionAt, len(gr.Groups))
+			}
+			recent[ri].ui = ui
 		}
 		id := groupID{model: s.Model.Rehash(), union: recent[ri].key}
 		gi, known := groupOf[id]
@@ -293,8 +374,22 @@ func groundUnion(ctx context.Context, db *DB, uq *UnionQuery, prev *Grounded, gr
 			gi = len(gr.Groups)
 			groupOf[id] = gi
 			gr.Groups = append(gr.Groups, Group{Model: s.Model, Union: recent[ri].u, id: id})
+			gr.unionOf = append(gr.unionOf, recent[ri].ui)
 		}
 		gr.Live = append(gr.Live, LiveSession{Session: s, Group: gi})
+	}
+	if prev != nil {
+		// An extension carries over the filled slots of prev's columns, in
+		// new arrays: prev's readers may still be filling them.
+		prev.mu.Lock()
+		for _, pc := range prev.cols {
+			col := &probColumn{m: pc.m, cache: pc.cache, slots: make([]atomic.Uint64, len(gr.Groups))}
+			for gi := range pc.slots {
+				col.slots[gi].Store(pc.slots[gi].Load())
+			}
+			gr.cols = append(gr.cols, col)
+		}
+		prev.mu.Unlock()
 	}
 	return gr, nil
 }

@@ -254,9 +254,23 @@ var allMethods = []Method{MethodAuto, MethodTwoLabel, MethodBipartite, MethodGen
 
 // checkCacheKeys requires gr's memoised keys to be GroupKey's: every group
 // under every method, and every bound-1 relaxation under MethodBipartite;
-// in the own mode exactly the all-two-label groups are left unrelaxed.
+// in the own mode exactly the all-two-label groups are left unrelaxed. It
+// also requires gr's union numbering to name each group's union key, each
+// distinct key once, by its first group.
 func checkCacheKeys(t *testing.T, what string, gr *Grounded, lab *label.Labeling) {
 	t.Helper()
+	firstOf := make(map[string]int)
+	for gi, g := range gr.Groups {
+		if _, ok := firstOf[g.id.union]; !ok {
+			firstOf[g.id.union] = gi
+		}
+		if at := gr.unionAt[gr.unionOf[gi]]; at != firstOf[g.id.union] {
+			t.Fatalf("%s: group %d's union is numbered after group %d, first seen at %d", what, gi, at, firstOf[g.id.union])
+		}
+	}
+	if len(gr.unionAt) != len(firstOf) {
+		t.Fatalf("%s: %d numbered unions, %d distinct keys", what, len(gr.unionAt), len(firstOf))
+	}
 	for _, m := range allMethods {
 		keys := gr.cacheKeys(m)
 		if len(keys) != len(gr.Groups) {

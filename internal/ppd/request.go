@@ -305,7 +305,9 @@ type Response struct {
 	Dist *CountDistribution
 	// Solves counts fresh solver invocations behind the answer.
 	Solves int
-	// CacheHits counts inference groups answered from a solve cache.
+	// CacheHits counts inference groups answered through a solve cache:
+	// found in it, or read off the query's grounding, where an earlier
+	// request through the same cache left the answer (see SolveCache).
 	CacheHits int
 	// Plan reports MethodAdaptive's routing decisions and confidence
 	// half-widths; nil for every other method.

@@ -157,5 +157,6 @@ func (db *DB) AppendSessions(prefName string, sessions []*Session) (*DB, error) 
 	}
 	ndb.Prefs[prefName] = np
 	db.memo.handTo(&ndb.memo)
+	db.aggs.handTo(&ndb.aggs)
 	return ndb, nil
 }

@@ -104,7 +104,9 @@ type Stats struct {
 	// Solves counts solver invocations performed on behalf of the service
 	// (exact and bound solves, after grouping, dedup and cache hits).
 	Solves uint64 `json:"solves"`
-	// Cache reports solve-cache effectiveness (zero when disabled).
+	// Cache reports solve-cache probes (zero when disabled). A warm query
+	// reads its groups off its memoised grounding and probes nothing, so
+	// its hits show in the responses' CacheHits only.
 	Cache CacheStats `json:"cache"`
 	// PlanCache reports compiled-plan cache effectiveness (zero when
 	// disabled). A hit skips recompiling a union shape; the solved
