@@ -84,7 +84,7 @@ func run(args []string, out io.Writer) error {
 		model    = fs.String("model", "", "model name to evaluate against (requires -manifest; default: the manifest's first model)")
 		query    = fs.String("query", "", "conjunctive query (default: a dataset-specific demo query)")
 		method   = fs.String("method", "auto", "solver: "+strings.Join(ppd.MethodNames(), " | "))
-		deadline = fs.Duration("deadline", 0, "per-run latency budget; implies -method adaptive (unless one is forced): groups whose predicted exact cost exceeds the remaining budget are sampled with reported error bars")
+		deadline = fs.Duration("deadline", 0, "per-run latency budget, the request's deadline; implies -method adaptive (unless one is forced), which prices it once as solver work and samples, with reported error bars, the groups whose predicted exact cost exceeds what the budget has left")
 		mode     = fs.String("mode", "bool", "query kind: "+strings.Join(ppd.KindNames(), " | "))
 		target   = fs.String("target", "", "consensus answer for -mode consensus: "+strings.Join(consensus.TargetNames(), " | "))
 		k        = fs.Int("k", 3, "k for -mode topk, or the cutoff of -target topk")
@@ -192,22 +192,12 @@ func run(args []string, out io.Writer) error {
 			req.K = *k
 		}
 	}
+	req.Deadline = *deadline
 	if _, err := req.Compile(); err != nil {
 		return err
 	}
-	if *deadline < 0 {
-		return fmt.Errorf("-deadline must be non-negative, got %v", *deadline)
-	}
 	if *deadline > 0 && m == ppd.MethodAuto {
 		m = ppd.MethodAdaptive // a budget needs the planner to act on it
-	}
-	// Each evaluation run gets a fresh deadline: the budget is per run, and
-	// warm-up repeats should route groups the same way the timed run does.
-	runCtx := func() (context.Context, context.CancelFunc) {
-		if *deadline > 0 {
-			return context.WithTimeout(context.Background(), *deadline)
-		}
-		return context.Background(), func() {}
 	}
 	eng := &ppd.Engine{DB: db, Method: m, Rng: rand.New(rand.NewSource(*seed)), Workers: *par}
 	var solveCache *server.Cache
@@ -243,21 +233,13 @@ func run(args []string, out io.Writer) error {
 	// Warm-up evaluations: all but the last run, so the timed run below
 	// reports warm-cache latency when -cache is set.
 	for i := 1; i < *repeat; i++ {
-		err := func() error {
-			ctx, cancel := runCtx()
-			defer cancel()
-			_, err := eng.Do(ctx, req)
-			return err
-		}()
-		if err != nil {
+		if _, err := eng.Do(context.Background(), req); err != nil {
 			return err
 		}
 	}
 
-	ctx, cancel := runCtx()
-	defer cancel()
 	start := time.Now()
-	resp, err := eng.Do(ctx, req)
+	resp, err := eng.Do(context.Background(), req)
 	if err != nil {
 		return err
 	}

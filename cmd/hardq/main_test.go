@@ -172,10 +172,11 @@ func TestGoldenMethodError(t *testing.T) {
 // TestRunDeadlineAdaptive is the CLI acceptance path: a 1ms deadline on a
 // fixture whose exact inference cannot fit that budget returns a sampled
 // answer with a non-zero confidence half-width instead of hanging or
-// erroring. (Not a golden test: the estimates are seeded but the elapsed
-// budget at routing time is wall-clock.)
+// erroring. The deadline is priced once as a work budget and the estimates
+// are seeded, so the answer is a golden.
 func TestRunDeadlineAdaptive(t *testing.T) {
 	out := runOut(t, "-dataset", "crowdrank", "-workers", "12", "-deadline", "1ms")
+	checkGolden(t, "deadline_adaptive", out)
 	for _, want := range []string{"method  : adaptive", "deadline: 1ms", "plan    :", "±", "(95%)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

@@ -51,9 +51,6 @@ type Config struct {
 	// for the coordinator's lifetime — shards may join or leave, partitions
 	// may move, but the data split never changes.
 	Partitions int
-	// VNodes is the virtual-point count per shard on the consistent-hash
-	// ring (default 64).
-	VNodes int
 	// HedgeAfter is the hedge trigger used until a shard has enough latency
 	// samples for a p95 estimate (default 50ms). A negative value disables
 	// hedged duplicate attempts entirely — the replica is then used only for
@@ -89,9 +86,6 @@ const DefaultHedgeAfter = 50 * time.Millisecond
 func (c Config) withDefaults(shards int) Config {
 	if c.Partitions <= 0 {
 		c.Partitions = shards
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = defaultVNodes
 	}
 	if c.HedgeAfter == 0 {
 		c.HedgeAfter = DefaultHedgeAfter
@@ -264,7 +258,7 @@ func (c *Coordinator) rebuildRing() {
 	for i, s := range c.shards {
 		names[i] = s.name
 	}
-	c.ring = buildRing(names, c.cfg.VNodes)
+	c.ring = buildRing(names)
 }
 
 // AddShard adds a member at runtime and rehashes the ring. Partition counts

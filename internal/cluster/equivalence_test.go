@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
+	"probpref/internal/dataset"
 	"probpref/internal/registry"
 	"probpref/internal/server"
 )
@@ -291,5 +293,45 @@ func TestClusterGeneratorSpecProvisioning(t *testing.T) {
 		if ss != cs || !bytes.Equal(sb, cb) {
 			t.Errorf("spec-provisioned cluster differs for %s:\nsingle %d: %s\ncluster %d: %s", body, ss, sb, cs, cb)
 		}
+	}
+}
+
+// A streamed timeout_ms request reaches the shards with its deadline, which
+// the adaptive planner prices as the partition's budget: on a coordinator at
+// one partition its head is the unstreamed answer without the rows. Each
+// request runs on a cold cluster, since an exact answer a shard cached
+// would leave the next request more budget.
+func TestClusterStreamDeadlineHeadMatchesUnstreamed(t *testing.T) {
+	db, query, err := dataset.Build(dataset.BuildConfig{Name: "polls", Candidates: 20, Voters: 60, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"kind":"count","method":"adaptive","timeout_ms":5,"query":%q`, query)
+	status, raw := post(t, newHarness(t, db, 1, 1, Config{}).coordSrv.URL, body+`,"per_session":true}`)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, raw)
+	}
+	var want ResponseJSON
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if p := want.Result.Plan; p == nil || p.ExactGroups == 0 || p.SampledGroups == 0 {
+		t.Fatalf("fixture: a 5 ms budget should route some groups exact and sample others, got %+v", p)
+	}
+	want.Result.PerSession = nil
+	status, raw = post(t, newHarness(t, db, 1, 1, Config{}).coordSrv.URL, body+`,"stream":true}`)
+	if status != http.StatusOK {
+		t.Fatalf("stream status %d: %s", status, raw)
+	}
+	sc := bufio.NewScanner(bytes.NewReader(raw))
+	if !sc.Scan() {
+		t.Fatal("missing head line")
+	}
+	var head ResultJSON
+	if err := json.Unmarshal(sc.Bytes(), &head); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&head, want.Result) {
+		t.Fatalf("streamed head %+v (plan %+v), unstreamed %+v (plan %+v)", head, head.Plan, *want.Result, want.Result.Plan)
 	}
 }

@@ -659,8 +659,9 @@ func postJSON(t *testing.T, url, body string) int {
 
 // A seeded sampled answer is a function of the request, so the result cache
 // serves a repeat of it: the same bytes, but for the counters, which report
-// the groups as cache hits as an exact hit does. An unseeded one and one
-// with a deadline are not, and the cache does not serve them.
+// the groups as cache hits as an exact hit does. A deadline changes
+// neither, exact or adaptive: the planner prices it as a budget. An
+// unseeded sampled answer is not, and the cache does not serve it.
 func TestClusterCachesSeededSampledAnswers(t *testing.T) {
 	h := newHarness(t, testDB(t, 6), 3, 3, Config{})
 	cases := []struct {
@@ -669,7 +670,8 @@ func TestClusterCachesSeededSampledAnswers(t *testing.T) {
 	}{
 		{"seeded rejection", fmt.Sprintf(`{"kind":"bool","query":%q,"method":"rejection","seed":7}`, demoQuery), true},
 		{"unseeded rejection", fmt.Sprintf(`{"kind":"bool","query":%q,"method":"rejection"}`, demoQuery), false},
-		{"adaptive with a deadline", fmt.Sprintf(`{"kind":"bool","query":%q,"method":"adaptive","seed":7,"timeout_ms":60000}`, demoQuery), false},
+		{"adaptive with a deadline", fmt.Sprintf(`{"kind":"bool","query":%q,"method":"adaptive","seed":7,"timeout_ms":60000}`, demoQuery), true},
+		{"exact with a deadline", fmt.Sprintf(`{"kind":"count","query":%q,"timeout_ms":60000}`, demoQuery), true},
 	}
 	for _, c := range cases {
 		status, first := post(t, h.coordSrv.URL, c.body)

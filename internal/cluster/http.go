@@ -123,11 +123,11 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 // served again: whether it is a function of the request. An exact answer
 // is; a sampled one is when it carries a seed, because every sampled group
 // (consensus: every session) draws from a stream keyed by that seed and by
-// what it samples, wherever it runs. A deadline makes any answer depend on
-// how far the solve got, and an unseeded sampled answer on the engine's
-// generator.
+// what it samples, wherever it runs. A deadline changes neither (the
+// adaptive planner prices it as a budget; an exact method's timeout is an
+// error), and an unseeded sampled answer depends on the engine's generator.
 func cacheable(cr *ppd.CompiledRequest) bool {
-	return cr.Deadline == 0 && (cr.Method.Exact() || cr.Seed != 0)
+	return cr.Method.Exact() || cr.Seed != 0
 }
 
 // keysSuffix marks the result-cache entries merged with their rows: the
@@ -319,16 +319,15 @@ func collectFanout(errs []error, n int) (*ClusterDiagJSON, error) {
 // coordinator — so the coordinator's incremental value is emission, not
 // evaluation.
 func (c *Coordinator) stream(w http.ResponseWriter, r *http.Request, vr server.V1Request, cr *ppd.CompiledRequest) {
-	// Mirror the shard: one deadline governs the whole exchange, so the
-	// per-request timeout is armed here and not forwarded downstream.
+	// The shards evaluate under the forwarded deadline, as unstreamed; armed
+	// here from the request's arrival, it also governs emission.
 	ctx := r.Context()
 	if cr.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cr.Deadline)
 		defer cancel()
-		vr.TimeoutMS = 0
 	}
-	res, err := c.doSingle(ctx, vr, cr)
+	res, err := c.doSingle(r.Context(), vr, cr)
 	if err != nil {
 		server.ServeJSON(w, func() (any, error) { return nil, err })
 		return

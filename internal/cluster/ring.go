@@ -23,15 +23,12 @@ type ringPoint struct {
 	shard int
 }
 
-// defaultVNodes is the virtual-point count per shard; 64 keeps the maximum
+// vnodes is the virtual-point count per shard; 64 keeps the maximum
 // ownership imbalance under a few percent for small clusters.
-const defaultVNodes = 64
+const vnodes = 64
 
 // buildRing places vnodes points per shard name on the ring.
-func buildRing(names []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
+func buildRing(names []string) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(names)*vnodes), shards: len(names)}
 	for i, name := range names {
 		for v := 0; v < vnodes; v++ {

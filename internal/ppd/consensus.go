@@ -51,7 +51,7 @@ func (e *Engine) consensusUnion(ctx context.Context, cr *CompiledRequest) (*Resp
 		return nil, err
 	}
 	m := e.DB.M()
-	exact, err := e.consensusRoute(ctx, m, gr.Sessions)
+	exact, err := e.consensusRoute(m, gr.Sessions)
 	if err != nil {
 		return nil, err
 	}
@@ -83,11 +83,11 @@ func (e *Engine) consensusUnion(ctx context.Context, cr *CompiledRequest) (*Resp
 // evaluates all m! rankings per session, so it is capped at
 // consensus.MaxExactM items: an explicitly exact method beyond the cap is
 // an error, MethodAuto degrades to sampling, and MethodAdaptive
-// additionally compares EstimateConsensusCost against its budget — without
-// a deadline or an explicit budget, the price of the sampled rows the
-// request would otherwise get (DefaultConsensusDraws, or Engine.RejectionN,
-// draws for each session).
-func (e *Engine) consensusRoute(ctx context.Context, m, sessions int) (bool, error) {
+// additionally compares EstimateConsensusCost against its budget —
+// without a deadline or an explicit budget, the price of the sampled rows
+// the request would otherwise get (DefaultConsensusDraws, or
+// Engine.RejectionN, draws for each session).
+func (e *Engine) consensusRoute(m, sessions int) (bool, error) {
 	r := e.Method.row()
 	switch {
 	case e.Method == MethodAdaptive:
@@ -95,7 +95,7 @@ func (e *Engine) consensusRoute(ctx context.Context, m, sessions int) (bool, err
 			return false, nil
 		}
 		sampled := float64(sessions) * drawPrice(e.drawsOr(DefaultConsensusDraws), m)
-		return EstimateConsensusCost(m, sessions).States <= e.adaptiveBudget(ctx, sampled), nil
+		return EstimateConsensusCost(m, sessions).States <= e.adaptiveBudget(sampled), nil
 	case r.sampled != nil:
 		return false, nil
 	case r.exact == nil:

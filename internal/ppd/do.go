@@ -10,7 +10,8 @@ import (
 //
 // Request.Method and Request.Seed, when set, override the engine's
 // configured method and RNG for this call only (the engine itself is not
-// mutated); Request.Deadline arms a context deadline on top of ctx. The
+// mutated); Request.Deadline arms a context deadline on top of ctx, or a
+// work budget under MethodAdaptive (see Engine.AdaptiveBudget). The
 // Model field is ignored at this layer: the engine serves whatever database
 // it holds, and model routing happens in internal/server.
 func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
@@ -35,11 +36,8 @@ func (e *Engine) DoCompiled(ctx context.Context, cr *CompiledRequest) (*Response
 		}
 		eng = &clone
 	}
-	if cr.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cr.Deadline)
-		defer cancel()
-	}
+	eng, ctx, cancel := eng.applyDeadline(ctx, cr.Deadline)
+	defer cancel()
 	switch cr.Kind {
 	case KindBool, KindCount, KindCountDist, KindAggregate:
 		res, err := eng.DoGrouped(ctx, []*CompiledRequest{cr})

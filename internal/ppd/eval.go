@@ -23,8 +23,6 @@ type Engine struct {
 
 	// SolverOpts applies to exact solvers.
 	SolverOpts solver.Options
-	// SamplerCfg applies to MIS estimators.
-	SamplerCfg sampling.Config
 	// Adaptive configures MethodMISAdaptive.
 	Adaptive sampling.AdaptiveConfig
 	// LiteD and LiteN configure MethodMISLite (proposals, samples/proposal).
@@ -51,10 +49,10 @@ type Engine struct {
 	// that only samples, since it would never hold them.
 	Cache SolveCache
 	// AdaptiveBudget is MethodAdaptive's per-group work budget in predicted
-	// solver state-transitions. 0 derives the budget from the context
-	// deadline (remaining time at AdaptiveStatesPerSecond) and, when the
-	// context has none, from the price of the sampled answer the group
-	// would otherwise get (DefaultAdaptiveBudget on a 20-item model).
+	// solver state-transitions. 0 derives it from the deadline, priced once
+	// at AdaptiveStatesPerSecond (see applyDeadline), and with none from the
+	// price of the sampled answer the group would otherwise get
+	// (DefaultAdaptiveBudget on a 20-item model).
 	AdaptiveBudget float64
 	// Plans, when non-nil, caches compiled union plans across evaluations
 	// (see PlanCache); exact-method groups sharing a union shape then skip
@@ -65,6 +63,9 @@ type Engine struct {
 	// seed seeds Rng at its first use while Rng is nil (0 means 1), so a
 	// request's or group's engine copy that never draws builds no source.
 	seed int64
+	// budget is the deadline priced by applyDeadline, when priced is set.
+	budget float64
+	priced bool
 }
 
 func (e *Engine) rng() *rand.Rand {
@@ -118,19 +119,6 @@ type SessionProb struct {
 	Session *Session
 	// Prob is Pr(Q | session).
 	Prob float64
-}
-
-// loopContext returns the context an evaluation's grounding pass, group
-// loop and fan-out run under. With the adaptive planner an expired deadline
-// must not abort the evaluation — the planner's contract is to degrade the
-// remaining groups to sampling — so those run deadline-detached
-// (cancellation still aborts) while each solve still sees the original ctx
-// for budgeting and mid-solve deadline checks.
-func (e *Engine) loopContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if e.Method == MethodAdaptive {
-		return DetachDeadline(ctx)
-	}
-	return ctx, func() {}
 }
 
 // ground returns the grounding of uq over the engine's database: the
@@ -199,17 +187,17 @@ func (e *RequestError) Unwrap() error { return e.Err }
 // exact answers are bit-identical to asking alone. The requests run under
 // the engine's Method and RNG and under ctx; their own Method, Seed and
 // Deadline are the caller's to apply, as Do does. A done ctx aborts with
-// ctx's error, but MethodAdaptive budgets each group from the ctx deadline
-// instead.
+// ctx's error, but MethodAdaptive prices ctx's deadline as its budget
+// instead (applyDeadline) and routes the groups in their call order.
 func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*GroupedResult, error) {
-	loopCtx, cancel := e.loopContext(ctx)
+	e, ctx, cancel := e.applyDeadline(ctx, 0)
 	defer cancel()
 	res := &GroupedResult{Responses: make([]*Response, len(crs))}
 
 	reqs := make([]groupedReq, len(crs))
 	for qi, cr := range crs {
-		if err := loopCtx.Err(); err != nil {
-			return nil, context.Cause(loopCtx)
+		if err := ctx.Err(); err != nil {
+			return nil, context.Cause(ctx)
 		}
 		rq := &reqs[qi]
 		if cr.Kind == KindAggregate {
@@ -221,7 +209,7 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 		} else if cr.Kind != KindBool && cr.Kind != KindCount && cr.Kind != KindCountDist {
 			return nil, &RequestError{Index: qi, Err: fmt.Errorf("ppd: grouped evaluation answers bool, count, countdist and aggregate, not %s", cr.Kind)}
 		}
-		gr, err := e.ground(loopCtx, cr.Union)
+		gr, err := e.ground(ctx, cr.Union)
 		if err != nil {
 			return nil, &RequestError{Index: qi, Err: err}
 		}
@@ -230,7 +218,7 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 	}
 
 	gp := e.numberGroups(reqs)
-	if err := gp.resolve(ctx, loopCtx, nil, func(gi int, err error) error {
+	if err := gp.resolve(ctx, nil, func(gi int, err error) error {
 		return &RequestError{Index: gp.request(gi), Err: err}
 	}); err != nil {
 		return nil, err
@@ -418,7 +406,8 @@ func BoolAggregate(per []SessionProb) (prob, count float64) {
 // groups that are their own bound, resolve a set up front (resolve: one
 // sweep of the columns and the cache, then the misses solved together);
 // the top-k loop resolves the rest one group at a time, as it needs them
-// (prob). Either way solve is where a group is solved.
+// (prob). Either way solve is where a group is solved, after route under a
+// priced deadline.
 //
 // The groups are read from one or more groundings (srcs): group gi is
 // group local[gi] of srcs[first[gi]], or with first nil group gi of
@@ -430,9 +419,11 @@ type groupProbs struct {
 	local   []int32
 	base    int64 // the evaluation's base seed, under a method that may sample
 	probs   []float64
-	reports []SolveReport // of the solved groups, for MethodAdaptive's plans; else nil
-	done    []bool        // resolved, from a column, the cache or by a solve
-	solved  []bool        // resolved by a solve
+	reports []SolveReport   // of the solved groups, for MethodAdaptive's plans; else nil
+	done    []bool          // resolved, from a column, the cache or by a solve
+	solved  []bool          // resolved by a solve
+	routes  []adaptiveRoute // under a priced deadline, the solved groups' routes; else nil
+	left    float64         // what the priced deadline has left to route
 
 	solves, cacheHits int
 }
@@ -457,6 +448,9 @@ func (e *Engine) newGroupProbs(srcs []groupSource, n int, first []int, local []i
 	}
 	if e.Method == MethodAdaptive {
 		gp.reports = make([]SolveReport, n)
+	}
+	if e.priced {
+		gp.routes, gp.left = make([]adaptiveRoute, n), e.budget
 	}
 	return gp
 }
@@ -486,10 +480,10 @@ func (gp *groupProbs) group(gi int) Group {
 
 // resolve resolves the groups want selects (every group when want is nil),
 // none of them resolved yet: it sweeps the columns and the cache (lookup),
-// then solves the misses,
-// concurrently on Engine.Workers. fail attributes a failed solve to its
-// group. Solves run under ctx, the loop under loopCtx.
-func (gp *groupProbs) resolve(ctx, loopCtx context.Context, want func(gi int) bool, fail func(gi int, err error) error) error {
+// routes the misses in group order under a priced deadline, then solves
+// them concurrently on Engine.Workers. fail attributes a failed solve to
+// its group.
+func (gp *groupProbs) resolve(ctx context.Context, want func(gi int) bool, fail func(gi int, err error) error) error {
 	e := gp.e
 	var pending []int
 	for gi := range gp.probs {
@@ -501,6 +495,9 @@ func (gp *groupProbs) resolve(ctx, loopCtx context.Context, want func(gi int) bo
 		return nil
 	}
 	gp.solves += len(pending)
+	for _, gi := range pending {
+		gp.route(gi)
+	}
 	if len(pending) > 1 && e.Plans != nil && e.Method.row().plan != nil && !e.DisableGrouping {
 		// Exact compiled-plan methods: groups sharing a union shape solve as
 		// the lanes of one layer walk, bit-identical to per-group solves.
@@ -525,7 +522,7 @@ func (gp *groupProbs) resolve(ctx, loopCtx context.Context, want func(gi int) bo
 	if e.SolverOpts.Stats != nil {
 		workers = 1 // one Stats must not be shared across concurrent solves
 	}
-	return pool.RunCtx(loopCtx, len(pending), workers, func(pi int) error {
+	return pool.RunCtx(ctx, len(pending), workers, func(pi int) error {
 		gi := pending[pi]
 		if _, err := gp.solve(ctx, gi); err != nil {
 			return fail(gi, err)
@@ -578,12 +575,30 @@ func (gp *groupProbs) prob(ctx context.Context, gi int) (float64, error) {
 		return gp.probs[gi], nil
 	}
 	gp.solves++
+	gp.route(gi)
 	return gp.solve(ctx, gi)
 }
 
-// solve resolves group gi by a solve; under a method that may sample, from
-// the group's own stream (see streamSeed), whoever resolves it and whenever.
-// Calls for distinct groups may run concurrently.
+// route routes group gi against what a priced deadline has left, if any,
+// and charges it the exact price, or when that does not fit the price of
+// the group's draws. Groups are routed one at a time as they are resolved,
+// so the routes depend on the budget and that order alone.
+func (gp *groupProbs) route(gi int) {
+	if gp.routes == nil {
+		return
+	}
+	g, e := gp.group(gi), gp.e
+	r := e.route(g.Model, g.Union, gp.left)
+	price := r.est.States
+	if r.plan == nil {
+		price = drawPrice(e.adaptiveDraws(r.budget, g.Model.M()), g.Model.M())
+	}
+	gp.routes[gi], gp.left = r, max(gp.left-price, 0)
+}
+
+// solve resolves group gi by a solve, along its route under a priced
+// deadline; under a method that may sample, from the group's own stream
+// (see streamSeed). Calls for distinct groups may run concurrently.
 func (gp *groupProbs) solve(ctx context.Context, gi int) (float64, error) {
 	g, e := gp.group(gi), gp.e
 	if !e.Method.Exact() {
@@ -591,7 +606,16 @@ func (gp *groupProbs) solve(ctx context.Context, gi int) (float64, error) {
 		sub.Rng, sub.seed = nil, streamSeed(gp.base, g.id.model, g.id.union)
 		e = &sub
 	}
-	p, rep, err := e.solve(ctx, g.Model, g.Union)
+	var (
+		p   float64
+		rep SolveReport
+		err error
+	)
+	if gp.routes != nil {
+		p, rep, err = e.solveRoute(ctx, g.Model, g.Union, gp.routes[gi])
+	} else {
+		p, rep, err = e.solve(ctx, g.Model, g.Union)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -602,8 +626,11 @@ func (gp *groupProbs) solve(ctx context.Context, gi int) (float64, error) {
 // SolveUnionCtx computes Pr(union | model) with the engine's configured
 // method, bypassing grounding, grouping and Engine.Cache, and reports how
 // the group was answered (routed solver, sample count, confidence
-// half-width) alongside the probability.
+// half-width) alongside the probability. MethodAdaptive prices ctx's
+// deadline as the group's budget (applyDeadline).
 func (e *Engine) SolveUnionCtx(ctx context.Context, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
+	e, ctx, cancel := e.applyDeadline(ctx, 0)
+	defer cancel()
 	return e.solve(ctx, sm, u)
 }
 
@@ -638,7 +665,7 @@ func (e *Engine) solveMISAdaptive(ctx context.Context, sm rim.SessionModel, u pa
 	if !ok {
 		return e.solveMISRIM(ctx, sm, u, rep)
 	}
-	est, err := sampling.NewEstimator(ml, e.DB.Labeling(), u, e.SamplerCfg)
+	est, err := sampling.NewEstimator(ml, e.DB.Labeling(), u, sampling.Config{})
 	if err != nil {
 		return 0, rep, err
 	}
@@ -659,7 +686,7 @@ func (e *Engine) solveMISLite(ctx context.Context, sm rim.SessionModel, u patter
 	if !ok {
 		return e.solveMISRIM(ctx, sm, u, rep)
 	}
-	est, err := sampling.NewEstimator(ml, e.DB.Labeling(), u, e.SamplerCfg)
+	est, err := sampling.NewEstimator(ml, e.DB.Labeling(), u, sampling.Config{})
 	if err != nil {
 		return 0, rep, err
 	}
@@ -700,7 +727,7 @@ func (e *Engine) solveMISRIM(ctx context.Context, sm rim.SessionModel, u pattern
 	if n == 0 {
 		n = 500
 	}
-	p, _, err := sampling.MISRIMCtx(ctx, sm.Model(), e.DB.Labeling(), u, n, e.rng(), e.SamplerCfg.Limits)
+	p, _, err := sampling.MISRIMCtx(ctx, sm.Model(), e.DB.Labeling(), u, n, e.rng(), pattern.Limits{})
 	if err != nil {
 		return 0, rep, err
 	}
@@ -750,17 +777,14 @@ type TopKDiag struct {
 // whole, so under a method whose row is ownTopKBound a group whose union is
 // all two-label is bounded by its exact probability: those groups are
 // resolved up front, the cache swept and the misses solved together as
-// DoGrouped does, and no relaxation is built or solved for them.
+// DoGrouped does (routed first under a priced deadline), and no relaxation
+// is built or solved for them.
 func (e *Engine) topKUnion(ctx context.Context, cr *CompiledRequest) (*Response, error) {
 	k := cr.K
 	if k <= 0 {
 		return nil, fmt.Errorf("ppd: top-k requires k >= 1, got %d", k)
 	}
-	// The candidate loop and the cheap bound solves run under the loop
-	// context; each exact solve still sees the original ctx.
-	loopCtx, cancel := e.loopContext(ctx)
-	defer cancel()
-	gr, err := e.ground(loopCtx, cr.Union)
+	gr, err := e.ground(ctx, cr.Union)
 	if err != nil {
 		return nil, err
 	}
@@ -775,12 +799,12 @@ func (e *Engine) topKUnion(ctx context.Context, cr *CompiledRequest) (*Response,
 		lab := e.DB.Labeling()
 		bs := gr.bounds(boundMode{edges: cr.BoundEdges, own: e.Method.row().ownTopKBound}, lab)
 		own := func(gi int) bool { return bs.of[gi] < 0 }
-		if err := exact.resolve(ctx, loopCtx, own, func(_ int, err error) error { return err }); err != nil {
+		if err := exact.resolve(ctx, own, func(_ int, err error) error { return err }); err != nil {
 			return nil, err
 		}
 		boundOpts := e.SolverOpts
 		if boundOpts.Ctx == nil {
-			boundOpts.Ctx = loopCtx
+			boundOpts.Ctx = ctx
 		}
 		vals := make([]float64, len(bs.relaxed))
 		for bi, b := range bs.relaxed {
@@ -818,8 +842,8 @@ func (e *Engine) topKUnion(ctx context.Context, cr *CompiledRequest) (*Response,
 
 	var out []SessionProb
 	for _, c := range cands {
-		if err := loopCtx.Err(); err != nil {
-			return nil, context.Cause(loopCtx)
+		if err := ctx.Err(); err != nil {
+			return nil, context.Cause(ctx)
 		}
 		// out is kept sorted descending and trimmed to k.
 		if len(out) >= k && out[len(out)-1].Prob >= ub[c.Group] {

@@ -114,11 +114,12 @@ func (e *Engine) explain(uq *UnionQuery) (*Explanation, error) {
 		ex.MinUnion, ex.MaxUnion = min(cmp.Or(ex.MinUnion, n), n), max(ex.MaxUnion, n)
 		ex.AllTwoLabel = ex.AllTwoLabel && g.Union.AllTwoLabel()
 		ex.AllBipartite = ex.AllBipartite && g.Union.AllBipartite()
-		switch est, pl, _ := e.adaptiveRoute(context.Background(), g.Model, g.Union); {
-		case pl == nil || gi > 0 && est.Solver != ex.Recommended:
+		budget := e.adaptiveBudget(drawPrice(e.drawsOr(adaptiveSampleCeil), g.Model.M()))
+		switch r := e.route(g.Model, g.Union, budget); {
+		case r.plan == nil || gi > 0 && r.est.Solver != ex.Recommended:
 			ex.Recommended = MethodAdaptive
 		case gi == 0:
-			ex.Recommended = est.Solver
+			ex.Recommended = r.est.Solver
 		}
 	}
 	return ex, nil

@@ -34,7 +34,7 @@ const (
 	MethodRejection
 	// MethodAdaptive is the deadline-aware cost-based planner: per group it
 	// solves the cheapest exact solver's compiled plan when the plan's
-	// predicted work fits the budget (Engine.AdaptiveBudget, the context
+	// predicted work fits the budget (Engine.AdaptiveBudget, the priced
 	// deadline, or else the price of the sampled answer), and samples with
 	// a reported confidence half-width otherwise (see planner.go).
 	MethodAdaptive

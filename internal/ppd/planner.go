@@ -20,14 +20,15 @@ import (
 // (solver.Plan.Cost), and solves the cheapest one exactly when that price
 // fits the group's budget; otherwise the group is answered by Monte Carlo
 // sampling with a reported confidence half-width. Both sides are priced in
-// one unit, DP state-transitions: a budget is a context deadline converted
-// at AdaptiveStatesPerSecond, an explicit Engine.AdaptiveBudget, or — when
-// the caller gives neither — the price of the sampled answer the group would
-// otherwise get, so exact inference is bought exactly when it is predicted
-// to be no dearer. A request that cannot afford exact inference degrades to
-// an estimate with error bars instead of timing out with nothing.
+// one unit, DP state-transitions: a budget is an explicit
+// Engine.AdaptiveBudget, what is left of a deadline priced once as work
+// (applyDeadline), or — when the caller gives neither — the price of the
+// sampled answer the group would otherwise get, so exact inference is
+// bought exactly when it is predicted to be no dearer. A request that
+// cannot afford exact inference degrades to an estimate with error bars
+// instead of timing out with nothing.
 
-// AdaptiveStatesPerSecond converts wall-clock time into solver work: the
+// AdaptiveStatesPerSecond converts a deadline into solver work: the
 // exact DP solvers generate about this many state-transitions per second,
 // 62 ns each. Measured on the 2-core reference box (Xeon 2.1 GHz, go1.24,
 // 2026-10-04): BenchmarkTwoLabelSelective 36 ns a transition (0.40 ms /
@@ -60,7 +61,7 @@ const adaptiveSampleFloor = 512
 const adaptiveSampleCeil = 20000
 
 // DefaultAdaptiveBudget is the per-group budget MethodAdaptive works under
-// when neither Engine.AdaptiveBudget nor a context deadline supplies one,
+// when neither Engine.AdaptiveBudget nor a deadline supplies one,
 // for a model over 20 items (the polls and CrowdRank item counts): the price
 // of the adaptiveSampleCeil draws the group would otherwise be answered
 // with. The engine prices those draws at the group's own item count
@@ -173,24 +174,43 @@ type SolveReport struct {
 }
 
 // adaptiveBudget resolves a work budget in state-transitions: the explicit
-// Engine.AdaptiveBudget when set, otherwise the remaining time before the
-// context deadline converted at AdaptiveStatesPerSecond, otherwise sampled —
-// the price of the sampled answer the caller would give instead, so that
-// without a deadline exact inference is bought exactly when it is predicted
-// to be no dearer. An already-expired deadline yields 0 (everything routes
-// to the sampling floor).
-func (e *Engine) adaptiveBudget(ctx context.Context, sampled float64) float64 {
-	if e.AdaptiveBudget > 0 {
+// Engine.AdaptiveBudget when set, otherwise the priced deadline
+// (applyDeadline), otherwise sampled — the price of the sampled answer the
+// caller would give instead.
+func (e *Engine) adaptiveBudget(sampled float64) float64 {
+	switch {
+	case e.AdaptiveBudget > 0:
 		return e.AdaptiveBudget
-	}
-	if deadline, ok := ctx.Deadline(); ok {
-		remaining := time.Until(deadline).Seconds()
-		if remaining <= 0 {
-			return 0
-		}
-		return remaining * AdaptiveStatesPerSecond
+	case e.priced:
+		return e.budget
 	}
 	return sampled
+}
+
+// applyDeadline applies a deadline d (0: none) at an evaluation's entry.
+// Other methods arm it on ctx. MethodAdaptive prices it once, unless
+// Engine.AdaptiveBudget is set: d, else ctx's remaining time clamped at 0,
+// at AdaptiveStatesPerSecond. The returned engine carries the budget for
+// the groups to spend in a fixed order (groupProbs.route), and ctx's
+// deadline is detached, its cancellation kept, so no route reads the clock.
+func (e *Engine) applyDeadline(ctx context.Context, d time.Duration) (*Engine, context.Context, context.CancelFunc) {
+	if e.Method != MethodAdaptive {
+		if d == 0 {
+			return e, ctx, func() {}
+		}
+		ctx, cancel := context.WithTimeout(ctx, d)
+		return e, ctx, cancel
+	}
+	if deadline, ok := ctx.Deadline(); (d > 0 || ok) && e.AdaptiveBudget == 0 {
+		if d == 0 {
+			d = max(time.Until(deadline), 0)
+		}
+		priced := *e
+		priced.budget, priced.priced = d.Seconds()*AdaptiveStatesPerSecond, true
+		e = &priced
+	}
+	ctx, cancel := DetachDeadline(ctx)
+	return e, ctx, cancel
 }
 
 // drawsOr is the draw count Engine.RejectionN sets for every sampler that
@@ -203,52 +223,61 @@ func (e *Engine) drawsOr(def int) int {
 	return def
 }
 
-// adaptiveRoute is MethodAdaptive's route for one group under ctx: the
-// cheapest exact plan and its price, the group's budget, and the plan to
-// solve — nil when no exact solver applies or the price exceeds the
-// budget, and the group is sampled. solveAdaptive takes the route and
-// Explain reads it.
-func (e *Engine) adaptiveRoute(ctx context.Context, sm rim.SessionModel, u pattern.Union) (CostEstimate, *solver.Plan, float64) {
+// adaptiveDraws is the draws a budget pays for from a model over m items
+// (rounded: the default budget is the price of exactly the cap), within
+// the floor and the cap.
+func (e *Engine) adaptiveDraws(budget float64, m int) int {
+	n := int(math.Min(math.Round(budget/drawPrice(1, m)), math.MaxInt32))
+	return min(max(n, adaptiveSampleFloor), e.drawsOr(adaptiveSampleCeil))
+}
+
+// adaptiveRoute is one group's route: its cheapest exact plan's estimate,
+// its budget, and the plan to solve — nil when the group is sampled.
+type adaptiveRoute struct {
+	est    CostEstimate
+	plan   *solver.Plan
+	budget float64
+}
+
+// route routes one group against budget: the plan is kept when a solver
+// applies and its price fits.
+func (e *Engine) route(sm rim.SessionModel, u pattern.Union, budget float64) adaptiveRoute {
 	est, pl := cheapestPlan(sm, e.DB.Labeling(), u, e.SolverOpts.MaxInvolvedLimit())
-	budget := e.adaptiveBudget(ctx, drawPrice(e.drawsOr(adaptiveSampleCeil), sm.M()))
 	if est.States > budget {
 		pl = nil
 	}
-	return est, pl, budget
+	return adaptiveRoute{est: est, plan: pl, budget: budget}
 }
 
-// solveAdaptive routes one group. The plan the price was read from is the
-// plan that is solved. The exact attempt runs under the caller's context, so
-// a mis-predicted solve aborts at the deadline, and under a layer bound
-// derived from the budget (adaptiveLayerShare), so one without a deadline
-// cannot walk far past its price either; in both cases the group falls
-// through to sampling. The sampling pass runs with the deadline detached —
-// the whole point of the planner is to return an estimate instead of
-// nothing — while an outright cancellation (client disconnect) still aborts
-// it.
+// solveAdaptive routes one group against its budget, whose sampled answer
+// is the cap of draws, and solves the route.
 func (e *Engine) solveAdaptive(ctx context.Context, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
-	est, pl, budget := e.adaptiveRoute(ctx, sm, u)
-	rep := SolveReport{Method: est.Solver, Cost: est.States}
-	if pl != nil {
+	budget := e.adaptiveBudget(drawPrice(e.drawsOr(adaptiveSampleCeil), sm.M()))
+	return e.solveRoute(ctx, sm, u, e.route(sm, u, budget))
+}
+
+// solveRoute answers one routed group. The plan the price was read from is
+// the plan that is solved, under a layer bound derived from the budget
+// (adaptiveLayerShare): a walk past it has shown its price wrong and stops
+// (solver.ErrTooLarge), and the group is sampled under the same budget.
+func (e *Engine) solveRoute(ctx context.Context, sm rim.SessionModel, u pattern.Union, r adaptiveRoute) (float64, SolveReport, error) {
+	rep := SolveReport{Method: r.est.Solver, Cost: r.est.States}
+	if r.plan != nil {
 		opts := e.SolverOpts
 		opts.Ctx = ctx
-		bound := int(math.Min(math.Max(budget/adaptiveLayerShare, 1), math.MaxInt32))
+		bound := int(math.Min(math.Max(r.budget/adaptiveLayerShare, 1), math.MaxInt32))
 		if opts.MaxStates == 0 || bound < opts.MaxStates {
 			opts.MaxStates = bound
 		}
-		p, err := pl.Solve(sm.Model(), opts)
+		p, err := r.plan.Solve(sm.Model(), opts)
 		if err == nil {
 			return p, rep, nil
 		}
-		// A blown deadline or a layer past the bound degrades to sampling
-		// below; anything else (including a true cancellation) propagates.
-		if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, solver.ErrTooLarge) {
+		if !errors.Is(err, solver.ErrTooLarge) {
 			return 0, rep, err
 		}
 	}
-	sctx, cancel := DetachDeadline(ctx)
-	defer cancel()
-	return e.sampleAdaptive(sctx, sm, u, budget)
+	return e.sampleAdaptive(ctx, sm, u, r.budget)
 }
 
 // sampleAdaptive answers a group by Monte Carlo with a reported 95%
@@ -257,15 +286,7 @@ func (e *Engine) solveAdaptive(ctx context.Context, sm rim.SessionModel, u patte
 // MIS-AMP pass whose proposals concentrate on the satisfying set.
 func (e *Engine) sampleAdaptive(ctx context.Context, sm rim.SessionModel, u pattern.Union, budget float64) (float64, SolveReport, error) {
 	lab := e.DB.Labeling()
-	// As many draws as the budget pays for (rounded: the default budget is
-	// the price of exactly the cap), within the floor and the cap.
-	n := int(math.Min(math.Round(budget/drawPrice(1, sm.M())), math.MaxInt32))
-	if n < adaptiveSampleFloor {
-		n = adaptiveSampleFloor
-	}
-	if max := e.drawsOr(adaptiveSampleCeil); n > max {
-		n = max
-	}
+	n := e.adaptiveDraws(budget, sm.M())
 	rep := SolveReport{Method: MethodRejection, Sampled: true, Samples: n}
 	p, hw, err := sampling.RejectionModelCICtx(ctx, sm, lab, u, n, 1.96, e.rng())
 	if err != nil {
@@ -277,10 +298,7 @@ func (e *Engine) sampleAdaptive(ctx context.Context, sm rim.SessionModel, u patt
 		// says little. MIS-AMP proposals sample the satisfying set
 		// directly, so a bounded pass resolves rare probabilities the
 		// rejection pass cannot.
-		cfg := e.SamplerCfg
-		if cfg.Limits.MaxSubRankings == 0 {
-			cfg.Limits.MaxSubRankings = 256 // keep proposal construction bounded
-		}
+		cfg := sampling.Config{Limits: pattern.Limits{MaxSubRankings: 256}} // keep proposal construction bounded
 		mis, err := sampling.NewEstimator(ml, lab, u, cfg)
 		if err == nil {
 			misN := n / 8
@@ -303,15 +321,13 @@ func (e *Engine) sampleAdaptive(ctx context.Context, sm rim.SessionModel, u patt
 
 // DetachDeadline returns a context that drops the parent's deadline but
 // keeps true cancellation: Done fires when the parent was cancelled
-// outright, not when its deadline expired. MethodAdaptive's degraded
-// sampling pass and its surrounding evaluation loop run under it so an
-// evaluation can finish past the deadline (returning estimates with error
-// bars instead of nothing) while a client disconnect still aborts it; the
-// service's batch fan-out uses it the same way. (If the parent is already done
-// from its deadline, later cancellations are unobservable — acceptable for
-// the short, bounded sampling pass this guards.)
+// outright, not when its deadline expired. A MethodAdaptive evaluation runs
+// under it once it has priced the deadline (applyDeadline), while a client
+// disconnect still aborts it; the service's batch fan-out uses it the same
+// way. A parent without a deadline is returned as it is. (If the parent is
+// already done from its deadline, later cancellations are unobservable.)
 func DetachDeadline(parent context.Context) (context.Context, context.CancelFunc) {
-	if parent.Done() == nil {
+	if _, ok := parent.Deadline(); !ok {
 		return parent, func() {}
 	}
 	ctx, cancel := context.WithCancel(context.WithoutCancel(parent))

@@ -117,10 +117,11 @@ type Request struct {
 	// BoundEdges is the number of upper-bound edges of the topk
 	// optimization (0 = the naive strategy; only valid for KindTopK).
 	BoundEdges int
-	// Deadline arms a per-request deadline: with MethodAdaptive the planner
-	// budgets each inference group from it (degrading to sampling with
-	// error bars); with every other method the evaluation aborts when it
-	// expires. 0 means the caller's context governs alone.
+	// Deadline arms a per-request deadline: with MethodAdaptive it is the
+	// planner's work budget, priced once at AdaptiveStatesPerSecond, so groups
+	// it cannot buy are sampled with error bars and the clock changes nothing;
+	// with every other method the evaluation aborts when it expires. 0 means
+	// the caller's context governs alone.
 	Deadline time.Duration
 	// Seed reseeds the sampling methods for this request; 0 keeps the
 	// engine's (or service's) configured seed.
@@ -263,7 +264,7 @@ type CompiledRequest struct {
 	Method Method
 	// K and BoundEdges carry the topk parameters (zero otherwise).
 	K, BoundEdges int
-	// Deadline is the per-request latency budget (0 = none).
+	// Deadline is the per-request deadline (0 = none; see Request.Deadline).
 	Deadline time.Duration
 	// Seed reseeds the samplers (0 = keep the configured seed).
 	Seed int64

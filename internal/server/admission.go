@@ -26,26 +26,20 @@ const DefaultMaxInFlight = 256
 // is 0.
 const DefaultMaxQueue = 256
 
-// DefaultRetryAfterSeconds is the Retry-After hint on shed responses used
-// when Config.RetryAfterSeconds is 0.
-const DefaultRetryAfterSeconds = 1
+// retryAfterSeconds is the Retry-After hint on shed responses, in seconds.
+const retryAfterSeconds = 1
 
 // gate is the admission semaphore: slots bounds the requests running,
 // queued bounds the requests waiting for a slot.
 type gate struct {
-	slots      chan struct{}
-	maxQueue   int64
-	queued     atomic.Int64
-	sheds      atomic.Uint64
-	retryAfter int
+	slots    chan struct{}
+	maxQueue int64
+	queued   atomic.Int64
+	sheds    atomic.Uint64
 }
 
-func newGate(maxInFlight, maxQueue, retryAfter int) *gate {
-	return &gate{
-		slots:      make(chan struct{}, maxInFlight),
-		maxQueue:   int64(maxQueue),
-		retryAfter: retryAfter,
-	}
+func newGate(maxInFlight, maxQueue int) *gate {
+	return &gate{slots: make(chan struct{}, maxInFlight), maxQueue: int64(maxQueue)}
 }
 
 // admit blocks until a slot is free or the caller's context ends; it
@@ -88,7 +82,7 @@ func (s *Service) gated(h http.HandlerFunc) http.HandlerFunc {
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.gate.admit(r.Context()) {
-			shedResponse(w, s.gate.retryAfter)
+			shedResponse(w)
 			return
 		}
 		defer s.gate.release()
@@ -99,12 +93,12 @@ func (s *Service) gated(h http.HandlerFunc) http.HandlerFunc {
 // shedResponse writes the overload rejection: 503 with a Retry-After
 // header, echoed in the JSON body for clients that only read bodies. The
 // cluster coordinator treats exactly this status as retriable-to-replica.
-func shedResponse(w http.ResponseWriter, retryAfter int) {
+func shedResponse(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 	w.WriteHeader(http.StatusServiceUnavailable)
 	json.NewEncoder(w).Encode(map[string]any{
 		"error":       "service overloaded, retry later",
-		"retry_after": retryAfter,
+		"retry_after": retryAfterSeconds,
 	})
 }

@@ -236,7 +236,7 @@ func TestAdmissionDisabled(t *testing.T) {
 // TestGateContextCancelWhileQueued: a caller that gives up while waiting
 // in the queue counts as a shed and never occupies a slot.
 func TestGateContextCancelWhileQueued(t *testing.T) {
-	g := newGate(1, 1, 1)
+	g := newGate(1, 1)
 	if !g.admit(context.Background()) {
 		t.Fatal("empty gate refused")
 	}

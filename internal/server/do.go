@@ -23,8 +23,8 @@ import (
 // evaluation returns — and executed by a request-scoped engine sharing the
 // service's solve cache under the model's namespace. Request.Method and
 // Request.Seed override the service's configured method and seed for this
-// request only; Request.Deadline arms a deadline the adaptive planner
-// budgets against.
+// request only; Request.Deadline arms a deadline, or the adaptive planner's
+// work budget (see ppd.Engine.AdaptiveBudget).
 func (s *Service) Do(ctx context.Context, req *ppd.Request) (*ppd.Response, error) {
 	cr, err := req.Compile()
 	if err != nil {
@@ -132,8 +132,9 @@ func (s *Service) doBatch(ctx context.Context, crs []*ppd.CompiledRequest) (*DoB
 }
 
 // groupEligible reports whether one request may join a grouped cluster:
-// evaluation-backed kinds only, and no per-request deadline (the grouped
-// path runs under the batch context).
+// evaluation-backed kinds only, and no per-request deadline: a deadline is
+// one request's budget or timeout, and a grouped cluster shares its groups
+// across requests.
 func groupEligible(cr *ppd.CompiledRequest) bool {
 	switch cr.Kind {
 	case ppd.KindBool, ppd.KindCount, ppd.KindCountDist, ppd.KindAggregate:

@@ -41,9 +41,6 @@ type Config struct {
 	// is shed with 503 + Retry-After. 0 means DefaultMaxQueue, a negative
 	// value sheds as soon as every slot is busy (no queue).
 	MaxQueue int
-	// RetryAfterSeconds is the Retry-After hint on shed responses (default
-	// DefaultRetryAfterSeconds).
-	RetryAfterSeconds int
 }
 
 // DefaultCacheSize is the solve-cache capacity used when Config.CacheSize
@@ -75,9 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue < 0 {
 		c.MaxQueue = 0
-	}
-	if c.RetryAfterSeconds <= 0 {
-		c.RetryAfterSeconds = DefaultRetryAfterSeconds
 	}
 	return c
 }
@@ -181,7 +175,7 @@ func NewMulti(reg *registry.Registry, cfg Config) *Service {
 		s.plans = NewPlanCache(cfg.PlanCacheSize)
 	}
 	if cfg.MaxInFlight > 0 {
-		s.gate = newGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.RetryAfterSeconds)
+		s.gate = newGate(cfg.MaxInFlight, cfg.MaxQueue)
 	}
 	return s
 }

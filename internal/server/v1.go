@@ -40,9 +40,9 @@ type V1Request struct {
 	K int `json:"k,omitempty"`
 	// Bound is the number of topk upper-bound edges (0 = naive).
 	Bound int `json:"bound,omitempty"`
-	// TimeoutMS arms a per-request deadline: with the adaptive method the
-	// planner budgets each group from it (degrading to sampling with error
-	// bars); otherwise the evaluation aborts when it expires.
+	// TimeoutMS arms a per-request deadline: the adaptive planner prices it
+	// once as a work budget (degrading to sampling with error bars, and the
+	// same answer on any box); otherwise the evaluation aborts when it expires.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// Seed reseeds the sampling methods for this request (0 keeps the
 	// daemon's -seed).
@@ -435,17 +435,13 @@ func (s *Service) handleV1Query(w http.ResponseWriter, r *http.Request) {
 // v1Stream answers one request through StreamNDJSON: the summary with its
 // rows elided, then the topk or per-session rows one per line.
 func (s *Service) v1Stream(w http.ResponseWriter, r *http.Request, cr *ppd.CompiledRequest) {
-	// One deadline covers evaluation and emission, so it is armed here, not
-	// inside do (whose deadline would end with the evaluation and leave the
-	// streaming phase ungoverned).
+	// One deadline covers evaluation and emission, so it is armed here too:
+	// do's would end with the evaluation. The request keeps it, budget and all.
 	ctx := r.Context()
 	if cr.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cr.Deadline)
 		defer cancel()
-		detached := *cr
-		detached.Deadline = 0
-		cr = &detached
 	}
 	resp, err := s.do(ctx, cr)
 	if err != nil {

@@ -47,10 +47,11 @@
 //   - deadline-aware adaptive planning: the context of every Do call
 //     threads cancellation down to solver DP layers and sampling rounds, and
 //     MethodAdaptive prices each inference group's exact solve off its
-//     compiled plan and buys it when the price fits the budget — the
-//     remaining deadline, or without one the price of the sampled answer —
-//     and otherwise samples with reported confidence half-widths
-//     (EstimateCost, PlanStats, Response.Plan);
+//     compiled plan and buys it when the price fits the budget — what is
+//     left of the deadline, priced once as work when the evaluation starts
+//     and spent by the groups in a fixed order, or without one the price of
+//     the sampled answer — and otherwise samples with reported confidence
+//     half-widths (EstimateCost, PlanStats, Response.Plan);
 //   - the model registry: a concurrent named catalog of dataset-backed
 //     models with lazy builds, startup manifests and reference-counted
 //     eviction, served simultaneously by a multi-model Service whose
