@@ -227,10 +227,10 @@ func benchTrackerDrop(b *testing.B, solve func(*rim.Model, *label.Labeling, patt
 func BenchmarkAblationGroupingOn(b *testing.B) { benchGrouping(b, false) }
 
 // BenchmarkAblationGroupingOff measures the same evaluation solving every
-// session independently.
+// session independently (experiment.Naive, Figure 15's naive strategy).
 func BenchmarkAblationGroupingOff(b *testing.B) { benchGrouping(b, true) }
 
-func benchGrouping(b *testing.B, disable bool) {
+func benchGrouping(b *testing.B, naive bool) {
 	db, err := dataset.CrowdRank(dataset.CrowdRankConfig{Workers: 60, Movies: 10, Seed: 3})
 	if err != nil {
 		b.Fatal(err)
@@ -239,12 +239,17 @@ func benchGrouping(b *testing.B, disable bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := &ppd.Engine{DB: db, Method: ppd.MethodRelOrder, DisableGrouping: disable}
+	eng := &ppd.Engine{DB: db, Method: ppd.MethodRelOrder}
 	req := &ppd.Request{Kind: ppd.KindBool, Queries: []*ppd.Query{q}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Do(context.Background(), req); err != nil {
+		if naive {
+			_, err = experiment.Naive(context.Background(), db, q)
+		} else {
+			_, err = eng.Do(context.Background(), req)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

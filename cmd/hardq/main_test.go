@@ -237,6 +237,25 @@ func TestRunMethodsProduceSameAnswer(t *testing.T) {
 	}
 }
 
+// TestRunRepeatSameAnswer: a sampled answer does not depend on how many
+// evaluations the engine ran before it, so -repeat 3 prints the answer of
+// -repeat 1.
+func TestRunRepeatSameAnswer(t *testing.T) {
+	answer := func(repeat string) string {
+		out := runOut(t, "-dataset", "polls", "-candidates", "8", "-voters", "20", "-mode", "count", "-method", "rejection", "-repeat", repeat)
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "count(Q)") {
+				return line
+			}
+		}
+		t.Fatalf("no count(Q) line:\n%s", out)
+		return ""
+	}
+	if once, thrice := answer("1"), answer("3"); once != thrice {
+		t.Errorf("-repeat 1 printed %q, -repeat 3 %q", once, thrice)
+	}
+}
+
 // TestGoldenManifestModel evaluates against a named model picked from a
 // manifest instead of the -dataset flags.
 func TestGoldenManifestModel(t *testing.T) {

@@ -36,15 +36,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		eng := &probpref.Engine{
-			DB:     db,
-			Method: probpref.MethodMISAdaptive,
-			Adaptive: probpref.AdaptiveConfig{
-				Samples: 200,
-				MaxD:    9,
-			},
-			Rng: rand.New(rand.NewSource(1)),
-		}
+		eng := &probpref.Engine{DB: db, Method: probpref.MethodMISAdaptive, Rng: rand.New(rand.NewSource(1))}
 		start := time.Now()
 		res, err := eng.Do(context.Background(), req)
 		if err != nil {

@@ -41,15 +41,7 @@ func main() {
 		{"general (I-E)", probpref.MethodGeneral},
 		{"MIS-AMP-adaptive", probpref.MethodMISAdaptive},
 	} {
-		eng := &probpref.Engine{
-			DB:     db,
-			Method: m.method,
-			Adaptive: probpref.AdaptiveConfig{
-				Samples: 150,
-				MaxD:    7,
-			},
-			Rng: rand.New(rand.NewSource(1)),
-		}
+		eng := &probpref.Engine{DB: db, Method: m.method, Rng: rand.New(rand.NewSource(1))}
 		start := time.Now()
 		res, err := eng.Do(ctx, &probpref.Request{Kind: probpref.KindBool, Query: query})
 		if err != nil {

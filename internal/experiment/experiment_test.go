@@ -2,10 +2,15 @@ package experiment
 
 import (
 	"bytes"
+	"context"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"probpref/internal/dataset"
+	"probpref/internal/ppd"
 )
 
 // Every figure driver must run at small scale, produce a non-empty table,
@@ -97,5 +102,36 @@ func TestFmtFloat(t *testing.T) {
 	}
 	if _, err := strconv.ParseFloat(fmtFloat(0.25), 64); err != nil {
 		t.Fatal("plain float must parse")
+	}
+}
+
+// The naive baseline solves every session alone, and grouping changes only
+// how often a request is solved: each session's probability, and the count
+// folded from them, are the grouped evaluation's bit for bit.
+func TestNaiveMatchesGrouped(t *testing.T) {
+	db, err := dataset.CrowdRank(dataset.CrowdRankConfig{Workers: 50, Movies: 10, Seed: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ppd.MustParse(dataset.CrowdRankQuery)
+	per, err := Naive(context.Background(), db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &ppd.Engine{DB: db, Method: ppd.MethodRelOrder}
+	resp, err := eng.Do(context.Background(), &ppd.Request{Kind: ppd.KindCount, Queries: []*ppd.Query{q}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(per) != len(resp.PerSession) || resp.Solves >= len(per) {
+		t.Fatalf("naive solved %d sessions; grouped answered %d with %d solves", len(per), len(resp.PerSession), resp.Solves)
+	}
+	for i, sp := range per {
+		if got := resp.PerSession[i]; got.Session != sp.Session || math.Float64bits(got.Prob) != math.Float64bits(sp.Prob) {
+			t.Fatalf("session %d: naive %v = %v, grouped %v = %v", i, sp.Session.Key, sp.Prob, got.Session.Key, got.Prob)
+		}
+	}
+	if _, count := ppd.BoolAggregate(per); math.Float64bits(count) != math.Float64bits(resp.Count) {
+		t.Fatalf("naive count %v, grouped %v", count, resp.Count)
 	}
 }

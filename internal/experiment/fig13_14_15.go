@@ -10,6 +10,7 @@ import (
 	"probpref/internal/ppd"
 	"probpref/internal/rim"
 	"probpref/internal/sampling"
+	"probpref/internal/solver"
 )
 
 // RunFig13a reproduces Figure 13a: the proposal-construction overhead of
@@ -231,9 +232,8 @@ func RunFig15(scale Scale) (*Table, error) {
 		naiveTime := time.Duration(0)
 		speedup := "-"
 		if n <= naiveCap {
-			naive := &ppd.Engine{DB: db, Method: ppd.MethodRelOrder, DisableGrouping: true}
 			naiveTime, err = timeIt(func() error {
-				_, e := naive.Do(context.Background(), req)
+				_, e := Naive(context.Background(), db, q)
 				return e
 			})
 			if err != nil {
@@ -250,4 +250,32 @@ func RunFig15(scale Scale) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"target shape: naive time linear in sessions; grouped time converges once all distinct requests are seen")
 	return t, nil
+}
+
+// Naive is Figure 15's naive strategy, the evaluation without Section 6.4's
+// grouping: it grounds q on each session of its p-relation and solves that
+// session's union alone with the relative-order solver, so sessions that
+// share a (model, union) request solve it once each. It returns the live
+// sessions' probabilities in p-relation order.
+func Naive(ctx context.Context, db *ppd.DB, q *ppd.Query) ([]ppd.SessionProb, error) {
+	g, err := ppd.NewGrounder(db, q)
+	if err != nil {
+		return nil, err
+	}
+	var per []ppd.SessionProb
+	for _, s := range g.Pref().Sessions.All() {
+		gq, err := g.GroundSession(s)
+		if err != nil {
+			return nil, err
+		}
+		if len(gq.Union) == 0 {
+			continue
+		}
+		p, err := solver.RelOrder(s.Model.Model(), db.Labeling(), gq.Union, solver.Options{Ctx: ctx})
+		if err != nil {
+			return nil, err
+		}
+		per = append(per, ppd.SessionProb{Session: s, Prob: p})
+	}
+	return per, nil
 }

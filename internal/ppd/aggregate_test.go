@@ -106,7 +106,7 @@ func TestEvalParallelSampler(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() *Response {
-		eng := &Engine{DB: db, Method: MethodMISLite, Workers: 3, LiteD: 6, LiteN: 1500}
+		eng := &Engine{DB: db, Method: MethodMISLite, Workers: 3}
 		res, err := evalBool(eng, q)
 		if err != nil {
 			t.Fatal(err)

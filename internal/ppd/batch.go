@@ -77,7 +77,7 @@ func (e *Engine) plan(algo solver.Algo, key string, sm rim.SessionModel, u patte
 			return p, nil
 		}
 	}
-	p, err := solver.CompilePlan(algo, sm.Reference(), e.DB.Labeling(), u, e.SolverOpts)
+	p, err := solver.CompilePlan(algo, sm.Reference(), e.DB.Labeling(), u, e.knobs().opts)
 	if err != nil {
 		return nil, err
 	}
@@ -97,20 +97,17 @@ type BatchGroup struct {
 	U pattern.Union
 }
 
-// batchSolveGroups solves many groups with the engine's configured method,
-// which must plan through PlanAlgo: groups sharing a union shape (same
+// batchSolveGroups solves many groups with method m, which must plan
+// through PlanAlgo: groups sharing a union shape (same
 // algorithm, reference ranking and union, differing only in insertion
 // probabilities) are one plan class, and a class solves through one
 // SolveSessions walk with a lane per group. unionKeys[i] is
 // groups[i].U.Key(), which the grounding has already built (groupID.union).
 // Results are positionally aligned with groups and bit-identical to solving
-// each group alone with SolveUnionCtx.
-func (e *Engine) batchSolveGroups(ctx context.Context, groups []BatchGroup, unionKeys []string) ([]float64, error) {
+// each group alone (Engine.solve).
+func (e *Engine) batchSolveGroups(ctx context.Context, m Method, groups []BatchGroup, unionKeys []string) ([]float64, error) {
 	probs := make([]float64, len(groups))
-	opts := e.SolverOpts
-	if opts.Ctx == nil {
-		opts.Ctx = ctx
-	}
+	opts := e.solverOpts(ctx)
 
 	// Partition into plan classes: one compiled plan (and one layer walk)
 	// per canonical union shape.
@@ -121,9 +118,9 @@ func (e *Engine) batchSolveGroups(ctx context.Context, groups []BatchGroup, unio
 	var classes []class
 	classOf := make(map[string]int)
 	for gi, g := range groups {
-		algo, ok := PlanAlgo(e.Method, g.U) // a planning method plans every union it solves exactly
+		algo, ok := PlanAlgo(m, g.U) // a planning method plans every union it solves exactly
 		if !ok {
-			return nil, shapeErr(e.Method, g.U)
+			return nil, shapeErr(m, g.U)
 		}
 		key := planKey(algo, g.SM.Reference(), unionKeys[gi])
 		ci, seen := classOf[key]

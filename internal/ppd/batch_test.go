@@ -49,7 +49,7 @@ func unionKeys(groups []BatchGroup) []string {
 	return keys
 }
 
-// batchSolveGroups must match per-group SolveUnionCtx bit-for-bit for the
+// batchSolveGroups must match per-group solves bit-for-bit for the
 // exact compiled-plan methods — the grouped/batched path is a pure
 // performance optimization.
 func TestBatchSolveGroupsMatchesPerGroupBitwise(t *testing.T) {
@@ -74,14 +74,13 @@ func TestBatchSolveGroupsMatchesPerGroupBitwise(t *testing.T) {
 		t.Fatalf("fixture produced %d groups, want >= 2", len(groups))
 	}
 	for _, method := range []Method{MethodAuto, MethodTwoLabel, MethodBipartite, MethodRelOrder} {
-		eng := &Engine{DB: db, Method: method, Plans: newMapPlanCache(),
-			SolverOpts: solver.Options{MaxInvolved: 16}}
-		probs, err := eng.batchSolveGroups(context.Background(), groups, unionKeys(groups))
+		eng := &Engine{DB: db, Method: method, Plans: newMapPlanCache()}
+		probs, err := eng.batchSolveGroups(context.Background(), method, groups, unionKeys(groups))
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
 		for gi, bg := range groups {
-			want, _, err := eng.SolveUnionCtx(context.Background(), bg.SM, bg.U)
+			want, _, err := eng.solve(context.Background(), method, 0, bg.SM, bg.U)
 			if err != nil {
 				t.Fatalf("%v group %d: %v", method, gi, err)
 			}
@@ -114,7 +113,7 @@ func TestBatchSolveGroupsUsesPlanCache(t *testing.T) {
 	}
 	cache := newMapPlanCache()
 	eng := &Engine{DB: db, Method: MethodAuto, Plans: cache}
-	first, err := eng.batchSolveGroups(context.Background(), groups, unionKeys(groups))
+	first, err := eng.batchSolveGroups(context.Background(), MethodAuto, groups, unionKeys(groups))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +121,7 @@ func TestBatchSolveGroupsUsesPlanCache(t *testing.T) {
 		t.Fatal("no plans cached on first batch")
 	}
 	putsAfterFirst := cache.puts
-	second, err := eng.batchSolveGroups(context.Background(), groups, unionKeys(groups))
+	second, err := eng.batchSolveGroups(context.Background(), MethodAuto, groups, unionKeys(groups))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +149,7 @@ func TestEvalBatchedMatchesUngrouped(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
-		plain := &Engine{DB: db, Method: method, DisableGrouping: true}
-		want, err := evalBool(plain, q)
-		if err != nil {
-			t.Fatalf("%v: %v", method, err)
-		}
+		want := ungrouped(t, &Engine{DB: db, Method: method}, q)
 		if math.Float64bits(res.Prob) != math.Float64bits(want.Prob) ||
 			math.Float64bits(res.Count) != math.Float64bits(want.Count) {
 			t.Fatalf("%v: batched eval (%v, %v) != ungrouped (%v, %v)",
@@ -163,9 +158,8 @@ func TestEvalBatchedMatchesUngrouped(t *testing.T) {
 	}
 }
 
-// DoGrouped dedups groups across its requests, and does not under
-// DisableGrouping, where every session is its own group; the answers are the
-// same bits either way.
+// DoGrouped dedups groups across its requests; the answers are the bits of
+// solving every session alone.
 func TestDoGroupedDedupsAcrossRequests(t *testing.T) {
 	db := figure1DB(t)
 	cr := (&Request{Kind: KindBool, Query: `P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`}).MustCompile()
@@ -174,21 +168,18 @@ func TestDoGroupedDedupsAcrossRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := (&Engine{DB: db, DisableGrouping: true}).DoGrouped(context.Background(), crs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := ungrouped(t, &Engine{DB: db}, cr.Union.Disjuncts...)
 	if grouped.Groups >= grouped.Instances || grouped.Solved != grouped.Groups {
 		t.Errorf("grouped: %d groups, %d solved over %d instances", grouped.Groups, grouped.Solved, grouped.Instances)
 	}
 	if grouped.Responses[0].Solves != grouped.Groups || grouped.Responses[1].Solves != 0 {
 		t.Errorf("grouped solves %d/%d, want %d/0", grouped.Responses[0].Solves, grouped.Responses[1].Solves, grouped.Groups)
 	}
-	if plain.Groups != plain.Instances || plain.Instances != grouped.Instances {
-		t.Errorf("ungrouped: %d groups over %d instances, want one per instance of %d", plain.Groups, plain.Instances, grouped.Instances)
+	if grouped.Instances != 2*plain.Solves {
+		t.Errorf("grouped: %d instances over two requests of %d live sessions", grouped.Instances, plain.Solves)
 	}
 	for qi := range crs {
-		if g, p := grouped.Responses[qi].Prob, plain.Responses[qi].Prob; math.Float64bits(g) != math.Float64bits(p) {
+		if g, p := grouped.Responses[qi].Prob, plain.Prob; math.Float64bits(g) != math.Float64bits(p) {
 			t.Errorf("request %d: grouped %v != ungrouped %v", qi, g, p)
 		}
 	}
@@ -240,7 +231,7 @@ func TestPlanAlgoRouting(t *testing.T) {
 
 // Satellite regression: an already-expired deadline must degrade an
 // adaptive solve to the minimum sampling estimate with a confidence
-// interval — never a zero-draw result or an error. (adaptiveBudget clamps
+// interval — never a zero-draw result or an error. (Engine.start clamps
 // the remaining-time conversion at zero; without the clamp a negative
 // remaining time would produce a negative budget and a nonsensical draw
 // count.)
@@ -272,9 +263,11 @@ func TestAdaptiveExpiredDeadlineMinimumSamplingEstimate(t *testing.T) {
 			if len(gq.Union) == 0 {
 				continue
 			}
-			ctx, cancel := mk()
-			p, rep, err := eng.SolveUnionCtx(ctx, s.Model, gq.Union)
+			dctx, dcancel := mk()
+			rn, ctx, cancel := eng.start(dctx, MethodAuto, 0, 0)
+			p, rep, err := eng.solveRoute(ctx, 1, s.Model, gq.Union, eng.route(s.Model, gq.Union, rn.budget))
 			cancel()
+			dcancel()
 			if err != nil {
 				t.Fatalf("%s deadline, session %v: adaptive solve errored: %v", name, s.Key, err)
 			}
@@ -323,7 +316,7 @@ func TestBipartiteRefusesNonBipartite(t *testing.T) {
 		t.Error("PlanAlgo plans a forced bipartite solve of a chain")
 	}
 	eng := &Engine{DB: db, Method: MethodBipartite}
-	if p, _, err := eng.SolveUnionCtx(ctx, s.Model, gq.Union); !errors.Is(err, solver.ErrShape) {
+	if p, _, err := eng.solve(ctx, MethodBipartite, 0, s.Model, gq.Union); !errors.Is(err, solver.ErrShape) {
 		t.Errorf("forced bipartite solve of a chain = %v, %v; want ErrShape", p, err)
 	}
 	for _, plans := range []PlanCache{nil, newMapPlanCache()} {

@@ -44,9 +44,8 @@ import (
 //
 // The cache holds exact answers only (a sampled group is never stored, and
 // under a method that only samples no group is looked up either), so a hit
-// is exact whatever seed, deadline or budget the engine runs under;
-// engines sharing a cache may differ in Method but should agree on
-// SolverOpts, which is not part of the key.
+// is exact whatever seed, deadline or budget the evaluation runs under, and
+// engines sharing a cache may differ in Method.
 type SolveCache interface {
 	// Get returns the cached probability for key, if present.
 	Get(key string) (float64, bool)

@@ -72,25 +72,6 @@ func TestEvalWithCacheMatchesUncached(t *testing.T) {
 	}
 }
 
-func TestEvalCacheIgnoredWhenGroupingDisabled(t *testing.T) {
-	db := figure1DB(t)
-	q, err := Parse(`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := newLockedCache()
-	eng := &Engine{DB: db, Cache: cache, DisableGrouping: true}
-	if _, err := evalBool(eng, q); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := evalBool(eng, q); err != nil {
-		t.Fatal(err)
-	}
-	if cache.hits != 0 || cache.puts != 0 {
-		t.Fatalf("cache used despite DisableGrouping: hits=%d puts=%d", cache.hits, cache.puts)
-	}
-}
-
 func TestTopKWithCache(t *testing.T) {
 	db := figure1DB(t)
 	q, err := Parse(`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`)
@@ -193,7 +174,7 @@ func TestCacheKeysSeparateMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := newLockedCache()
-	sampler := &Engine{DB: db, Method: MethodRejection, RejectionN: 50, Cache: cache}
+	sampler := &Engine{DB: db, Method: MethodRejection, Cache: cache}
 	if _, err := evalBool(sampler, q); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +206,7 @@ func TestSolveCacheOnlyForStoredAnswers(t *testing.T) {
 		sampler := !m.Exact() && m != MethodAdaptive
 		for _, kind := range []Kind{KindBool, KindCount} {
 			cache := newLockedCache()
-			eng := &Engine{DB: db, Method: m, Cache: cache, RejectionN: 200, LiteN: 50}
+			eng := &Engine{DB: db, Method: m, Cache: cache}
 			resp, err := eng.Do(context.Background(), &Request{Kind: kind, Queries: []*Query{q}})
 			if err != nil {
 				t.Fatal(err)
@@ -244,7 +225,7 @@ func TestSolveCacheOnlyForStoredAnswers(t *testing.T) {
 			}
 		}
 		cache := newLockedCache()
-		eng := &Engine{DB: db, Method: m, Cache: cache, RejectionN: 200, LiteN: 50}
+		eng := &Engine{DB: db, Method: m, Cache: cache}
 		for run := range 2 {
 			cache.gets, cache.puts = 0, 0
 			_, diag, err := topK(eng, 1, 1, q)

@@ -256,11 +256,11 @@ func TestAdaptiveRoutesPoolExact(t *testing.T) {
 			continue
 		}
 		n++
-		p, rep, err := adaptive.SolveUnionCtx(context.Background(), g.sm, g.u)
+		p, rep, err := ppd.SolveGroup(adaptive, g.sm, g.u)
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
 		}
-		want, _, err := auto.SolveUnionCtx(context.Background(), g.sm, g.u)
+		want, _, err := ppd.SolveGroup(auto, g.sm, g.u)
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
 		}
@@ -340,10 +340,10 @@ func TestAdaptiveLayerGuard(t *testing.T) {
 			var st solver.Stats
 			opts := c.opts
 			opts.Stats = &st
-			eng := &ppd.Engine{DB: db, Method: ppd.MethodAdaptive, SolverOpts: opts, AdaptiveBudget: c.budget}
+			eng := ppd.Tune(&ppd.Engine{DB: db, Method: ppd.MethodAdaptive}, ppd.Tuning{Opts: opts, Budget: c.budget})
 			sampled := 0
 			for _, g := range groups {
-				_, rep, err := eng.SolveUnionCtx(context.Background(), g.sm, g.u)
+				_, rep, err := ppd.SolveGroup(eng, g.sm, g.u)
 				if err != nil {
 					t.Fatalf("%s: %v", g.name, err)
 				}
@@ -361,7 +361,7 @@ func TestAdaptiveLayerGuard(t *testing.T) {
 				t.Errorf("a layer of %d states was walked past the bound of %d", st.PeakStates, c.bound)
 			}
 
-			eng = &ppd.Engine{DB: db, Workers: 4, SolverOpts: c.opts, AdaptiveBudget: c.budget}
+			eng = ppd.Tune(&ppd.Engine{DB: db, Workers: 4}, ppd.Tuning{Opts: c.opts, Budget: c.budget})
 			resp, err := eng.Do(context.Background(), &ppd.Request{Kind: ppd.KindCount, Query: kernelQueryHead, Method: ppd.MethodAdaptive, Seed: 3})
 			if err != nil {
 				t.Fatal(err)

@@ -191,7 +191,7 @@ func TestColumnHoldsNoSampledAnswer(t *testing.T) {
 	for _, m := range []Method{MethodAdaptive, MethodRejection, MethodMISLite} {
 		db := w.db(t, w.sessions)
 		cache := newLockedCache()
-		eng := &Engine{DB: db, Cache: cache, RejectionN: 200, LiteN: 50}
+		eng := &Engine{DB: db, Cache: cache}
 		ctx := context.Background()
 		if m == MethodAdaptive {
 			var cancel context.CancelFunc
@@ -348,7 +348,7 @@ func TestColumnConcurrentMethods(t *testing.T) {
 		for ri, r := range reqs {
 			rq := *r
 			rq.Method, rq.Seed = m, 9
-			resp, err := (&Engine{DB: w.db(t, w.sessions), RejectionN: 200}).Do(context.Background(), &rq)
+			resp, err := (&Engine{DB: w.db(t, w.sessions)}).Do(context.Background(), &rq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,7 +361,7 @@ func TestColumnConcurrentMethods(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng := &Engine{DB: db, Cache: cache, RejectionN: 200, Workers: 1 + g%3}
+			eng := &Engine{DB: db, Cache: cache, Workers: 1 + g%3}
 			for i := range 3 * len(reqs) {
 				mi, ri := (g+i)%len(methods), (g*7+i)%len(reqs)
 				rq := *reqs[ri]

@@ -22,7 +22,7 @@ import (
 // rows and re-solving centrally (internal/cluster's merge).
 
 // DefaultConsensusDraws is the per-session Monte Carlo draw count of a
-// sampled consensus evaluation when Engine.RejectionN is unset.
+// sampled consensus evaluation.
 const DefaultConsensusDraws = 2000
 
 // ConsensusResult is the consensus section of a Response: the folded
@@ -45,13 +45,13 @@ type ConsensusResult struct {
 // count is zero are omitted — the population is "sessions that can
 // satisfy the query", mirroring the PerSession semantics of the
 // evaluation kinds.
-func (e *Engine) consensusUnion(ctx context.Context, cr *CompiledRequest) (*Response, error) {
-	gr, err := e.ground(ctx, cr.Union)
+func (e *Engine) consensusUnion(ctx context.Context, rn run, cr *CompiledRequest) (*Response, error) {
+	gr, err := e.DB.Ground(ctx, cr.Union)
 	if err != nil {
 		return nil, err
 	}
 	m := e.DB.M()
-	exact, err := e.consensusRoute(m, gr.Sessions)
+	exact, err := e.consensusRoute(rn, m, gr.Sessions)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +59,7 @@ func (e *Engine) consensusUnion(ctx context.Context, cr *CompiledRequest) (*Resp
 	if exact {
 		rows, err = e.consensusExactRows(ctx, gr, cr)
 	} else {
-		rows, err = e.consensusSampledRows(ctx, gr, cr)
+		rows, err = e.consensusSampledRows(ctx, e.baseSeed(rn.seed), gr, cr)
 	}
 	if err != nil {
 		return nil, err
@@ -83,26 +83,29 @@ func (e *Engine) consensusUnion(ctx context.Context, cr *CompiledRequest) (*Resp
 // evaluates all m! rankings per session, so it is capped at
 // consensus.MaxExactM items: an explicitly exact method beyond the cap is
 // an error, MethodAuto degrades to sampling, and MethodAdaptive
-// additionally compares EstimateConsensusCost against its budget —
-// without a deadline or an explicit budget, the price of the sampled rows
-// the request would otherwise get (DefaultConsensusDraws, or
-// Engine.RejectionN, draws for each session).
-func (e *Engine) consensusRoute(m, sessions int) (bool, error) {
-	r := e.Method.row()
+// additionally compares EstimateConsensusCost against its budget: the
+// priced deadline, or without one the price of the sampled rows the
+// request would otherwise get (DefaultConsensusDraws draws for each
+// session).
+func (e *Engine) consensusRoute(rn run, m, sessions int) (bool, error) {
+	r := rn.method.row()
 	switch {
-	case e.Method == MethodAdaptive:
+	case rn.method == MethodAdaptive:
 		if m > consensus.MaxExactM {
 			return false, nil
 		}
-		sampled := float64(sessions) * drawPrice(e.drawsOr(DefaultConsensusDraws), m)
-		return EstimateConsensusCost(m, sessions).States <= e.adaptiveBudget(sampled), nil
+		budget := rn.budget
+		if !rn.priced {
+			budget = e.adaptiveBudget(float64(sessions) * drawPrice(e.knobs().consensusN, m))
+		}
+		return EstimateConsensusCost(m, sessions).States <= budget, nil
 	case r.sampled != nil:
 		return false, nil
 	case r.exact == nil:
-		return false, e.Method.errUnknown()
+		return false, rn.method.errUnknown()
 	case m <= consensus.MaxExactM:
 		return true, nil
-	case e.Method == MethodAuto:
+	case rn.method == MethodAuto:
 		return false, nil
 	}
 	return false, fmt.Errorf("ppd: exact consensus enumerates m! rankings and m = %d exceeds the exact limit %d; use a sampling method or adaptive", m, consensus.MaxExactM)
@@ -176,19 +179,17 @@ func (e *Engine) consensusExactRows(ctx context.Context, gr *Grounded, cr *Compi
 }
 
 // consensusSampledRows estimates each live session's statistics by
-// rejection sampling: fixed draws per session (Engine.RejectionN, default
-// DefaultConsensusDraws) from the session's model, accepting rankings
-// that match its grounded union. Each session draws from its own stream,
-// seeded from one base draw from the engine RNG and the session key
-// (streamSeed), so the counters depend only on (engine seed, session key) —
-// not on which process, partition or iteration order evaluates the
-// session. That is what makes sampled consensus answers byte-identical
+// rejection sampling: DefaultConsensusDraws draws per session from the
+// session's model, accepting rankings that match its grounded union. Each
+// session draws from its own stream, seeded from the evaluation's base
+// seed and the session key (streamSeed), so the counters depend only on
+// (base seed, session key) — not on which process, partition or iteration
+// order evaluates the session. That is what makes sampled consensus answers byte-identical
 // between a single process and the sharded coordinator.
-func (e *Engine) consensusSampledRows(ctx context.Context, gr *Grounded, cr *CompiledRequest) ([]consensus.Row, error) {
+func (e *Engine) consensusSampledRows(ctx context.Context, base int64, gr *Grounded, cr *CompiledRequest) ([]consensus.Row, error) {
 	m := e.DB.M()
 	matchers := groupMatchers(gr, e.DB.Labeling(), m)
-	draws := e.drawsOr(DefaultConsensusDraws)
-	baseSeed := e.rng().Int63()
+	draws := e.knobs().consensusN
 	var rows []consensus.Row
 	var tau rank.Ranking // one draw buffer for every session
 	for _, ls := range gr.Live {
@@ -196,7 +197,7 @@ func (e *Engine) consensusSampledRows(ctx context.Context, gr *Grounded, cr *Com
 			return nil, context.Cause(ctx)
 		}
 		s, mt := ls.Session, matchers[ls.Group]
-		rng := rand.New(rand.NewSource(streamSeed(baseSeed, s.Key...)))
+		rng := rand.New(rand.NewSource(streamSeed(base, s.Key...)))
 		row := consensus.Row{Session: s.Key, Sampled: true, Draws: int64(draws)}
 		switch cr.Target {
 		case consensus.TargetMedian:

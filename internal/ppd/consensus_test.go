@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"probpref/internal/consensus"
 	"probpref/internal/rank"
@@ -40,7 +41,7 @@ func doConsensus(t *testing.T, eng *Engine, req *Request) *ConsensusResult {
 func TestConsensusExactSampledMetamorphic(t *testing.T) {
 	db := figure1DB(t)
 	exactEng := &Engine{DB: db, Method: MethodAuto}
-	sampledEng := &Engine{DB: db, Method: MethodRejection, Rng: rand.New(rand.NewSource(5)), RejectionN: 8000}
+	sampledEng := Tune(&Engine{DB: db, Method: MethodRejection, Rng: rand.New(rand.NewSource(5))}, Tuning{Draws: 8000})
 
 	t.Run("median", func(t *testing.T) {
 		exact := doConsensus(t, exactEng, consensusReq(consensus.TargetMedian, 0))
@@ -129,7 +130,7 @@ func TestConsensusExactSampledMetamorphic(t *testing.T) {
 func TestConsensusSampledDeterminism(t *testing.T) {
 	db := figure1DB(t)
 	run := func() *ConsensusResult {
-		eng := &Engine{DB: db, Method: MethodRejection, Rng: rand.New(rand.NewSource(7)), RejectionN: 500}
+		eng := &Engine{DB: db, Method: MethodRejection, Rng: rand.New(rand.NewSource(7))}
 		return doConsensus(t, eng, consensusReq(consensus.TargetMedian, 0))
 	}
 	a, b := run(), run()
@@ -152,7 +153,7 @@ func TestConsensusSampledDeterminism(t *testing.T) {
 	}
 
 	// The per-request Seed override must reproduce the engine-level seed.
-	eng := &Engine{DB: db, Method: MethodRejection, RejectionN: 500}
+	eng := &Engine{DB: db, Method: MethodRejection}
 	req := consensusReq(consensus.TargetMedian, 0)
 	req.Seed = 7
 	c := doConsensus(t, eng, req)
@@ -162,16 +163,19 @@ func TestConsensusSampledDeterminism(t *testing.T) {
 }
 
 // TestConsensusAdaptiveRouting: MethodAdaptive compares the predicted
-// enumeration cost against its budget — a starved budget routes to
-// sampling, a generous one to exact enumeration.
+// enumeration cost against its budget — a starved budget (a 1 ns deadline)
+// routes to sampling, a generous one (an hour) to exact enumeration.
 func TestConsensusAdaptiveRouting(t *testing.T) {
 	db := figure1DB(t)
-	starved := &Engine{DB: db, Method: MethodAdaptive, Rng: rand.New(rand.NewSource(1)), AdaptiveBudget: 1}
-	if res := doConsensus(t, starved, consensusReq(consensus.TargetMedian, 0)); !res.Sampled {
+	eng := &Engine{DB: db, Method: MethodAdaptive, Rng: rand.New(rand.NewSource(1))}
+	starved := consensusReq(consensus.TargetMedian, 0)
+	starved.Deadline = time.Nanosecond
+	if res := doConsensus(t, eng, starved); !res.Sampled {
 		t.Error("starved adaptive budget should route to sampling")
 	}
-	generous := &Engine{DB: db, Method: MethodAdaptive, Rng: rand.New(rand.NewSource(1)), AdaptiveBudget: 1e12}
-	if res := doConsensus(t, generous, consensusReq(consensus.TargetMedian, 0)); res.Sampled {
+	generous := consensusReq(consensus.TargetMedian, 0)
+	generous.Deadline = time.Hour
+	if res := doConsensus(t, eng, generous); res.Sampled {
 		t.Error("generous adaptive budget should route to exact")
 	}
 }
@@ -191,9 +195,9 @@ func TestConsensusAdaptiveDefaultBudget(t *testing.T) {
 		{m: 7, sampled: true},
 		{m: 6, rejectionN: 500, sampled: true},
 	} {
-		eng := &Engine{DB: bigDB(t, c.m), Method: MethodAdaptive, Rng: rand.New(rand.NewSource(1)), RejectionN: c.rejectionN}
+		eng := Tune(&Engine{DB: bigDB(t, c.m), Method: MethodAdaptive, Rng: rand.New(rand.NewSource(1))}, Tuning{Draws: c.rejectionN})
 		if res := doConsensus(t, eng, req); res.Sampled != c.sampled {
-			t.Errorf("m = %d, RejectionN %d: sampled %v, want %v", c.m, c.rejectionN, res.Sampled, c.sampled)
+			t.Errorf("m = %d, %d draws: sampled %v, want %v", c.m, c.rejectionN, res.Sampled, c.sampled)
 		}
 	}
 }
@@ -239,7 +243,7 @@ func TestConsensusExactCap(t *testing.T) {
 		t.Fatalf("explicit exact beyond the cap: got %v", err)
 	}
 
-	auto := &Engine{DB: db, Method: MethodAuto, Rng: rand.New(rand.NewSource(2)), RejectionN: 200}
+	auto := &Engine{DB: db, Method: MethodAuto, Rng: rand.New(rand.NewSource(2))}
 	res := doConsensus(t, auto, req)
 	if !res.Sampled {
 		t.Error("MethodAuto beyond the cap should sample")
@@ -247,7 +251,7 @@ func TestConsensusExactCap(t *testing.T) {
 	if len(res.Ranking) != consensus.MaxExactM+1 {
 		t.Errorf("median ranking has %d items, want %d", len(res.Ranking), consensus.MaxExactM+1)
 	}
-	again := doConsensus(t, &Engine{DB: db, Method: MethodAuto, Rng: rand.New(rand.NewSource(2)), RejectionN: 200}, req)
+	again := doConsensus(t, &Engine{DB: db, Method: MethodAuto, Rng: rand.New(rand.NewSource(2))}, req)
 	if res.Ranking.Key() != again.Ranking.Key() || res.ExpectedTau != again.ExpectedTau {
 		t.Error("sampled local-search median not deterministic under a fixed seed")
 	}
@@ -263,7 +267,7 @@ func TestConsensusRowsReturnCancelCause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := eng.ground(context.Background(), cr.Union)
+	gr, err := db.Ground(context.Background(), cr.Union)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +275,10 @@ func TestConsensusRowsReturnCancelCause(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
 	for name, rows := range map[string]func(context.Context, *Grounded, *CompiledRequest) ([]consensus.Row, error){
-		"exact":   eng.consensusExactRows,
-		"sampled": eng.consensusSampledRows,
+		"exact": eng.consensusExactRows,
+		"sampled": func(ctx context.Context, gr *Grounded, cr *CompiledRequest) ([]consensus.Row, error) {
+			return eng.consensusSampledRows(ctx, 1, gr, cr)
+		},
 	} {
 		if _, err := rows(ctx, gr, cr); err != cause {
 			t.Errorf("%s rows on a cancelled context: error %v, want the cause %v", name, err, cause)
@@ -287,7 +293,7 @@ func TestConsensusRowsFoldBitIdentically(t *testing.T) {
 	db := figure1DB(t)
 	for _, method := range []Method{MethodAuto, MethodRejection} {
 		for _, tgt := range []consensus.Target{consensus.TargetMAP, consensus.TargetMedian, consensus.TargetTopK} {
-			eng := &Engine{DB: db, Method: method, Rng: rand.New(rand.NewSource(3)), RejectionN: 300}
+			eng := &Engine{DB: db, Method: method, Rng: rand.New(rand.NewSource(3))}
 			k := 0
 			if tgt == consensus.TargetTopK {
 				k = 2

@@ -8,12 +8,13 @@ import (
 // Do is the engine's single entry point: it validates the request with
 // Compile and answers it according to its Kind.
 //
-// Request.Method and Request.Seed, when set, override the engine's
-// configured method and RNG for this call only (the engine itself is not
-// mutated); Request.Deadline arms a context deadline on top of ctx, or a
-// work budget under MethodAdaptive (see Engine.AdaptiveBudget). The
-// Model field is ignored at this layer: the engine serves whatever database
-// it holds, and model routing happens in internal/server.
+// Request.Method and Request.Seed, when set, choose the method and the
+// sampler seed of this call in place of the engine's Method and default
+// base seed (see Engine.Rng); Request.Deadline arms a context deadline on
+// top of ctx, or under MethodAdaptive a work budget priced once (see
+// Engine.start). The Model field is ignored at this layer: the engine
+// serves whatever database it holds, and model routing happens in
+// internal/server.
 func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 	cr, err := req.Compile()
 	if err != nil {
@@ -25,30 +26,19 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 // DoCompiled is Do for an already-compiled request; batch planners compile
 // once and execute many times (possibly against several engines).
 func (e *Engine) DoCompiled(ctx context.Context, cr *CompiledRequest) (*Response, error) {
-	eng := e
-	if cr.Method != MethodAuto || cr.Seed != 0 {
-		clone := *e
-		if cr.Method != MethodAuto {
-			clone.Method = cr.Method
-		}
-		if cr.Seed != 0 {
-			clone.Rng, clone.seed = nil, cr.Seed
-		}
-		eng = &clone
-	}
-	eng, ctx, cancel := eng.applyDeadline(ctx, cr.Deadline)
+	rn, ctx, cancel := e.start(ctx, cr.Method, cr.Seed, cr.Deadline)
 	defer cancel()
 	switch cr.Kind {
 	case KindBool, KindCount, KindCountDist, KindAggregate:
-		res, err := eng.DoGrouped(ctx, []*CompiledRequest{cr})
+		res, err := e.doGrouped(ctx, rn, []*CompiledRequest{cr})
 		if err != nil {
 			return nil, err
 		}
 		return res.Responses[0], nil
 	case KindTopK:
-		return eng.topKUnion(ctx, cr)
+		return e.topKUnion(ctx, rn, cr)
 	case KindConsensus:
-		return eng.consensusUnion(ctx, cr)
+		return e.consensusUnion(ctx, rn, cr)
 	}
 	return nil, fmt.Errorf("ppd: unknown kind %v", cr.Kind)
 }

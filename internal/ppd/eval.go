@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"probpref/internal/pattern"
 	"probpref/internal/pool"
@@ -14,65 +15,98 @@ import (
 	"probpref/internal/solver"
 )
 
-// Engine evaluates queries over a RIM-PPD.
+// Engine evaluates queries over a RIM-PPD. It holds resources — the
+// database, the default method and sampler seed, the workers and the
+// caches — and each evaluation decides once, at entry, what its request
+// asks for, so no evaluation copies or changes the engine. One engine is
+// safe for concurrent Do calls.
 type Engine struct {
 	// DB is the queried database.
 	DB *DB
-	// Method selects the per-session inference solver.
+	// Method selects the per-session inference solver of a request that
+	// names none.
 	Method Method
-
-	// SolverOpts applies to exact solvers.
-	SolverOpts solver.Options
-	// Adaptive configures MethodMISAdaptive.
-	Adaptive sampling.AdaptiveConfig
-	// LiteD and LiteN configure MethodMISLite (proposals, samples/proposal).
-	LiteD, LiteN int
-	// RejectionN configures MethodRejection.
-	RejectionN int
-	// Rng seeds the samplers (nil: seed 1): an evaluation under a method that
-	// may sample draws one base Int63 from it, and each sampled group draws
-	// from its own stream keyed by that base, its model and union (streamSeed).
+	// Rng seeds the samplers of a request that sets no seed: the engine
+	// reads one Int63 from it (from rand.NewSource(1) when nil) at its first
+	// such evaluation under a method that may sample, and that value is the
+	// base seed of every unseeded evaluation after it, so a repeated request
+	// gives the same bits. Each sampled group draws from its own stream
+	// keyed by the base, its model and union (streamSeed).
 	Rng *rand.Rand
-	// DisableGrouping turns off identical-request grouping (Section 6.4).
-	DisableGrouping bool
-	// Workers > 1 solves distinct session groups concurrently (serially
-	// while SolverOpts.Stats is set). Answers do not depend on it: every
-	// sampled group draws from its own stream (see Rng).
+	// Workers > 1 solves distinct session groups concurrently. Answers do
+	// not depend on it: every sampled group draws from its own stream.
 	Workers int
 	// Cache, when non-nil, memoizes exactly solved (model, union) groups
 	// across Do calls (and across engines sharing the cache). It is
 	// consulted with GroupKey keys before each solve and updated after an
 	// exact one, and a memoised grounding keeps what it answered for the
-	// next call through the same cache value; see SolveCache. Ignored when
-	// DisableGrouping is set, since
-	// per-session keys are synthetic then, and for the groups of a method
-	// that only samples, since it would never hold them.
+	// next call through the same cache value; see SolveCache. Ignored for
+	// the groups of a method that only samples, since it would never hold
+	// them.
 	Cache SolveCache
-	// AdaptiveBudget is MethodAdaptive's per-group work budget in predicted
-	// solver state-transitions. 0 derives it from the deadline, priced once
-	// at AdaptiveStatesPerSecond (see applyDeadline), and with none from the
-	// price of the sampled answer the group would otherwise get
-	// (DefaultAdaptiveBudget on a 20-item model).
-	AdaptiveBudget float64
 	// Plans, when non-nil, caches compiled union plans across evaluations
 	// (see PlanCache); exact-method groups sharing a union shape then skip
 	// recompilation and solve through one batched layer walk. Must not be
 	// shared between engines with different databases.
 	Plans PlanCache
 
-	// seed seeds Rng at its first use while Rng is nil (0 means 1), so a
-	// request's or group's engine copy that never draws builds no source.
-	seed int64
-	// budget is the deadline priced by applyDeadline, when priced is set.
-	budget float64
-	priced bool
+	baseOnce sync.Once
+	base     int64  // the default base seed, once baseOnce has run
+	tune     *knobs // nil: defaultKnobs; set by tests only (export_test.go)
 }
 
-func (e *Engine) rng() *rand.Rand {
-	if e.Rng == nil {
-		e.Rng = rand.New(rand.NewSource(cmp.Or(e.seed, 1)))
+// knobs are the sampler sizes, adaptive budget and exact-solver options an
+// engine's evaluations run with: defaultKnobs, or a test's own.
+type knobs struct {
+	rejectionN   int            // draws of a MethodRejection group
+	liteD, liteN int            // MIS-AMP-lite proposals and samples a proposal (liteN: MIS-RIM's samples too)
+	sampleCeil   int            // draws cap of a sampled MethodAdaptive group
+	consensusN   int            // draws a session of a sampled consensus row
+	budget       float64        // MethodAdaptive's per-group budget; 0: a deadline's, else the sampled answer's price
+	opts         solver.Options // exact solves' options; a solve sets Ctx
+}
+
+var defaultKnobs = knobs{rejectionN: 10000, liteD: 5, liteN: 500, sampleCeil: adaptiveSampleCeil, consensusN: DefaultConsensusDraws}
+
+func (e *Engine) knobs() *knobs {
+	if e.tune != nil {
+		return e.tune
 	}
-	return e.Rng
+	return &defaultKnobs
+}
+
+// solverOpts returns the options of an exact solve under ctx.
+func (e *Engine) solverOpts(ctx context.Context) solver.Options {
+	opts := e.knobs().opts
+	opts.Ctx = ctx
+	return opts
+}
+
+// baseSeed returns an evaluation's base seed: the first Int63 of
+// rand.NewSource(seed) for a request that sets a seed, else the engine's
+// default base (see Engine.Rng), read once whatever the concurrent callers.
+func (e *Engine) baseSeed(seed int64) int64 {
+	if seed != 0 {
+		return rand.NewSource(seed).Int63()
+	}
+	e.baseOnce.Do(func() {
+		if e.Rng == nil {
+			e.base = rand.NewSource(1).Int63()
+		} else {
+			e.base = e.Rng.Int63()
+		}
+	})
+	return e.base
+}
+
+// run is what one evaluation decides at entry (Engine.start) and passes
+// down: its method, the seed its base derives from, and under
+// MethodAdaptive the work a deadline priced.
+type run struct {
+	method Method
+	seed   int64   // the request's seed; 0: the engine's default base
+	budget float64 // the priced deadline, when priced
+	priced bool
 }
 
 // NewRand returns a generator with rand.NewSource(seed)'s stream, seeded at
@@ -121,28 +155,13 @@ type SessionProb struct {
 	Prob float64
 }
 
-// ground returns the grounding of uq over the engine's database: the
-// version's memoised one, or with DisableGrouping a private one in which
-// every live session is its own group.
-func (e *Engine) ground(ctx context.Context, uq *UnionQuery) (*Grounded, error) {
-	if e.DisableGrouping {
-		return groundUnion(ctx, e.DB, uq, nil, false)
-	}
-	return e.DB.Ground(ctx, uq)
-}
-
-// useCache reports whether groups resolve through Engine.Cache. Without
-// grouping every session is its own group by decree, not by content, so
-// the ablation bypasses the content-addressed cache as well.
-func (e *Engine) useCache() bool { return e.Cache != nil && !e.DisableGrouping }
-
 // source returns what a groupProbs resolves gr's groups through: with a
-// usable cache, under a method whose answers it stores, gr's cache keys and
-// probability column for the engine's method and cache.
-func (e *Engine) source(gr *Grounded) groupSource {
+// cache, under a method whose answers it stores, gr's cache keys and
+// probability column for method m and the engine's cache.
+func (e *Engine) source(m Method, gr *Grounded) groupSource {
 	src := groupSource{gr: gr}
-	if e.useCache() && e.Method.cached() {
-		src.keys, src.col = gr.cacheKeys(e.Method), gr.column(e.Method, e.Cache)
+	if e.Cache != nil && m.cached() {
+		src.keys, src.col = gr.cacheKeys(m), gr.column(m, e.Cache)
 	}
 	return src
 }
@@ -185,13 +204,19 @@ func (e *RequestError) Unwrap() error { return e.Err }
 // grouping; see numberGroups) and each is resolved once, off its
 // grounding's probability column, from Engine.Cache or by a solve, so
 // exact answers are bit-identical to asking alone. The requests run under
-// the engine's Method and RNG and under ctx; their own Method, Seed and
-// Deadline are the caller's to apply, as Do does. A done ctx aborts with
-// ctx's error, but MethodAdaptive prices ctx's deadline as its budget
-// instead (applyDeadline) and routes the groups in their call order.
+// the engine's Method and default base seed and under ctx; their own
+// Method, Seed and Deadline are the caller's to apply, as Do does. A done
+// ctx aborts with ctx's error, but MethodAdaptive prices ctx's deadline as
+// its budget instead (Engine.start) and routes the groups in their call
+// order.
 func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*GroupedResult, error) {
-	e, ctx, cancel := e.applyDeadline(ctx, 0)
+	rn, ctx, cancel := e.start(ctx, MethodAuto, 0, 0)
 	defer cancel()
+	return e.doGrouped(ctx, rn, crs)
+}
+
+// doGrouped is DoGrouped under an evaluation's run.
+func (e *Engine) doGrouped(ctx context.Context, rn run, crs []*CompiledRequest) (*GroupedResult, error) {
 	res := &GroupedResult{Responses: make([]*Response, len(crs))}
 
 	reqs := make([]groupedReq, len(crs))
@@ -209,7 +234,7 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 		} else if cr.Kind != KindBool && cr.Kind != KindCount && cr.Kind != KindCountDist {
 			return nil, &RequestError{Index: qi, Err: fmt.Errorf("ppd: grouped evaluation answers bool, count, countdist and aggregate, not %s", cr.Kind)}
 		}
-		gr, err := e.ground(ctx, cr.Union)
+		gr, err := e.DB.Ground(ctx, cr.Union)
 		if err != nil {
 			return nil, &RequestError{Index: qi, Err: err}
 		}
@@ -217,7 +242,7 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 		res.Instances += len(gr.Live)
 	}
 
-	gp := e.numberGroups(reqs)
+	gp := e.numberGroups(rn, reqs)
 	if err := gp.resolve(ctx, nil, func(gi int, err error) error {
 		return &RequestError{Index: gp.request(gi), Err: err}
 	}); err != nil {
@@ -233,7 +258,7 @@ func (e *Engine) DoGrouped(ctx context.Context, crs []*CompiledRequest) (*Groupe
 		gr := rq.gr
 		resp := &Response{Kind: cr.Kind}
 		res.Responses[qi] = resp
-		if e.Method == MethodAdaptive {
+		if rn.method == MethodAdaptive {
 			resp.Plan = &PlanStats{}
 			for lgi := range gr.Groups {
 				if gi := rq.group(lgi); gp.solved[gi] {
@@ -300,52 +325,39 @@ type unionOwner struct {
 
 // numberGroups numbers the inference groups of a DoGrouped call and
 // returns their resolver. A lone request's groups are its grounding's.
-// Otherwise groups are deduplicated across the requests unless grouping is
-// off, and each is read from the grounding of the first request that
-// references it. Groups of one grounding are distinct, so only groups of
-// two groundings over one union key can coincide: a grounding asked again
-// shares all its groups, one over union keys no earlier grounding has
-// brings only new ones, and only the groups over a union key two groundings
-// share are deduplicated by (model, union).
-func (e *Engine) numberGroups(reqs []groupedReq) *groupProbs {
+// Otherwise groups are deduplicated across the requests, and each is read
+// from the grounding of the first request that references it. Groups of
+// one grounding are distinct, so only groups of two groundings over one
+// union key can coincide: a grounding asked again shares all its groups,
+// one over union keys no earlier grounding has brings only new ones, and
+// only the groups over a union key two groundings share are deduplicated
+// by (model, union).
+func (e *Engine) numberGroups(rn run, reqs []groupedReq) *groupProbs {
 	if len(reqs) == 1 {
-		return e.newGroupProbs([]groupSource{e.source(reqs[0].gr)}, len(reqs[0].gr.Groups), nil, nil)
+		return e.newGroupProbs(rn, []groupSource{e.source(rn.method, reqs[0].gr)}, len(reqs[0].gr.Groups), nil, nil)
 	}
-	var (
-		seen   map[*Grounded]int     // grounding -> first request over it
-		owners map[string]unionOwner // union key -> first grounding over it
-		shared map[groupID]int       // group over a shared union key -> the call's index
-	)
-	if !e.DisableGrouping {
-		seen = make(map[*Grounded]int, len(reqs))
-	}
+	seen := make(map[*Grounded]int, len(reqs)) // grounding -> first request over it
 	total, unions := 0, 0
 	for qi := range reqs {
 		if _, ok := seen[reqs[qi].gr]; !ok {
-			if seen != nil {
-				seen[reqs[qi].gr] = qi
-			}
+			seen[reqs[qi].gr] = qi
 			total, unions = total+len(reqs[qi].gr.Groups), unions+len(reqs[qi].gr.unionAt)
 		}
 	}
-	if seen != nil {
-		owners = make(map[string]unionOwner, unions)
-	}
+	owners := make(map[string]unionOwner, unions) // union key -> first grounding over it
+	var shared map[groupID]int                    // group over a shared union key -> the call's index
 	srcs := make([]groupSource, len(reqs))
 	first, local := make([]int, 0, total), make([]int32, 0, total)
 	for qi := range reqs {
 		rq := &reqs[qi]
 		gr := rq.gr
-		if qj, ok := seen[gr]; ok && qj != qi {
+		if qj := seen[gr]; qj != qi {
 			rq.of = reqs[qj].of
 			continue
 		}
-		srcs[qi] = e.source(gr)
+		srcs[qi] = e.source(rn.method, gr)
 		var share []bool // by union of gr: whether an earlier grounding has its key
 		for ui, gi := range gr.unionAt {
-			if owners == nil {
-				break // grouping is off: no group is shared
-			}
 			key := gr.Groups[gi].id.union
 			o, ok := owners[key]
 			if !ok {
@@ -384,7 +396,7 @@ func (e *Engine) numberGroups(reqs []groupedReq) *groupProbs {
 			first, local = append(first, qi), append(local, int32(lgi))
 		}
 	}
-	return e.newGroupProbs(srcs, len(first), first, local)
+	return e.newGroupProbs(rn, srcs, len(first), first, local)
 }
 
 // BoolAggregate folds per-session probabilities into the Boolean
@@ -414,6 +426,7 @@ func BoolAggregate(per []SessionProb) (prob, count float64) {
 // srcs[0].
 type groupProbs struct {
 	e       *Engine
+	method  Method
 	srcs    []groupSource
 	first   []int
 	local   []int32
@@ -439,18 +452,18 @@ type groupSource struct {
 }
 
 // newGroupProbs resolves n groups read from srcs as first and local say
-// (see groupProbs). Under a method that may sample it draws the
-// evaluation's base seed from the engine's RNG.
-func (e *Engine) newGroupProbs(srcs []groupSource, n int, first []int, local []int32) *groupProbs {
-	gp := &groupProbs{e: e, srcs: srcs, first: first, local: local, probs: make([]float64, n), done: make([]bool, n), solved: make([]bool, n)}
-	if !e.Method.Exact() {
-		gp.base = e.rng().Int63()
+// (see groupProbs), under rn. Under a method that may sample it takes the
+// evaluation's base seed (Engine.baseSeed).
+func (e *Engine) newGroupProbs(rn run, srcs []groupSource, n int, first []int, local []int32) *groupProbs {
+	gp := &groupProbs{e: e, method: rn.method, srcs: srcs, first: first, local: local, probs: make([]float64, n), done: make([]bool, n), solved: make([]bool, n)}
+	if !rn.method.Exact() {
+		gp.base = e.baseSeed(rn.seed)
 	}
-	if e.Method == MethodAdaptive {
+	if rn.method == MethodAdaptive {
 		gp.reports = make([]SolveReport, n)
 	}
-	if e.priced {
-		gp.routes, gp.left = make([]adaptiveRoute, n), e.budget
+	if rn.priced {
+		gp.routes, gp.left = make([]adaptiveRoute, n), rn.budget
 	}
 	return gp
 }
@@ -498,7 +511,7 @@ func (gp *groupProbs) resolve(ctx context.Context, want func(gi int) bool, fail 
 	for _, gi := range pending {
 		gp.route(gi)
 	}
-	if len(pending) > 1 && e.Plans != nil && e.Method.row().plan != nil && !e.DisableGrouping {
+	if len(pending) > 1 && e.Plans != nil && gp.method.row().plan != nil {
 		// Exact compiled-plan methods: groups sharing a union shape solve as
 		// the lanes of one layer walk, bit-identical to per-group solves.
 		// Gated on a PlanCache: without one every evaluation would recompile
@@ -509,20 +522,16 @@ func (gp *groupProbs) resolve(ctx context.Context, want func(gi int) bool, fail 
 			g := gp.group(gi)
 			bg[pi], keys[pi] = BatchGroup{SM: g.Model, U: g.Union}, g.id.union
 		}
-		probs, err := e.batchSolveGroups(ctx, bg, keys)
+		probs, err := e.batchSolveGroups(ctx, gp.method, bg, keys)
 		if err != nil {
 			return fail(pending[0], err)
 		}
 		for pi, gi := range pending {
-			gp.record(gi, probs[pi], SolveReport{Method: e.Method})
+			gp.record(gi, probs[pi], SolveReport{Method: gp.method})
 		}
 		return nil
 	}
-	workers := e.Workers
-	if e.SolverOpts.Stats != nil {
-		workers = 1 // one Stats must not be shared across concurrent solves
-	}
-	return pool.RunCtx(ctx, len(pending), workers, func(pi int) error {
+	return pool.RunCtx(ctx, len(pending), e.Workers, func(pi int) error {
 		gi := pending[pi]
 		if _, err := gp.solve(ctx, gi); err != nil {
 			return fail(gi, err)
@@ -601,10 +610,9 @@ func (gp *groupProbs) route(gi int) {
 // (see streamSeed). Calls for distinct groups may run concurrently.
 func (gp *groupProbs) solve(ctx context.Context, gi int) (float64, error) {
 	g, e := gp.group(gi), gp.e
-	if !e.Method.Exact() {
-		sub := *e
-		sub.Rng, sub.seed = nil, streamSeed(gp.base, g.id.model, g.id.union)
-		e = &sub
+	var seed int64
+	if !gp.method.Exact() {
+		seed = streamSeed(gp.base, g.id.model, g.id.union)
 	}
 	var (
 		p   float64
@@ -612,9 +620,9 @@ func (gp *groupProbs) solve(ctx context.Context, gi int) (float64, error) {
 		err error
 	)
 	if gp.routes != nil {
-		p, rep, err = e.solveRoute(ctx, g.Model, g.Union, gp.routes[gi])
+		p, rep, err = e.solveRoute(ctx, seed, g.Model, g.Union, gp.routes[gi])
 	} else {
-		p, rep, err = e.solve(ctx, g.Model, g.Union)
+		p, rep, err = e.solve(ctx, gp.method, seed, g.Model, g.Union)
 	}
 	if err != nil {
 		return 0, err
@@ -623,81 +631,61 @@ func (gp *groupProbs) solve(ctx context.Context, gi int) (float64, error) {
 	return p, nil
 }
 
-// SolveUnionCtx computes Pr(union | model) with the engine's configured
-// method, bypassing grounding, grouping and Engine.Cache, and reports how
-// the group was answered (routed solver, sample count, confidence
-// half-width) alongside the probability. MethodAdaptive prices ctx's
-// deadline as the group's budget (applyDeadline).
-func (e *Engine) SolveUnionCtx(ctx context.Context, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
-	e, ctx, cancel := e.applyDeadline(ctx, 0)
-	defer cancel()
-	return e.solve(ctx, sm, u)
-}
-
-// solve runs the configured inference method. Exact methods apply to any
-// RIM-backed session model through its materialization; the MIS-AMP
-// estimators are Mallows-specific and fall back to the model-generic MISRIM
-// estimator for other session models (e.g. Generalized Mallows).
-func (e *Engine) solve(ctx context.Context, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
-	rep := SolveReport{Method: e.Method}
-	if err := shapeErr(e.Method, u); err != nil {
+// solve answers one group alone under method m. Exact methods apply to any
+// RIM-backed session model through its materialization; a method that may
+// sample draws from the stream seed seeds. The MIS-AMP estimators are
+// Mallows-specific and fall back to the model-generic MISRIM estimator for
+// other session models (e.g. Generalized Mallows).
+func (e *Engine) solve(ctx context.Context, m Method, seed int64, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
+	rep := SolveReport{Method: m}
+	if err := shapeErr(m, u); err != nil {
 		return 0, rep, err
 	}
-	r := e.Method.row()
+	r := m.row()
 	if r.exact == nil {
 		if r.sampled == nil {
-			return 0, rep, e.Method.errUnknown()
+			return 0, rep, m.errUnknown()
 		}
-		return r.sampled(e, ctx, sm, u)
+		return r.sampled(e, ctx, seed, sm, u)
 	}
-	opts := e.SolverOpts
-	if opts.Ctx == nil {
-		opts.Ctx = ctx
-	}
-	p, err := r.exact(sm.Model(), e.DB.Labeling(), u, opts)
+	p, err := r.exact(sm.Model(), e.DB.Labeling(), u, e.solverOpts(ctx))
 	return p, rep, err
 }
 
 // solveMISAdaptive answers a group with MIS-AMP-adaptive.
-func (e *Engine) solveMISAdaptive(ctx context.Context, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
+func (e *Engine) solveMISAdaptive(ctx context.Context, seed int64, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
 	rep := SolveReport{Method: MethodMISAdaptive, Sampled: true}
+	rng := rand.New(rand.NewSource(seed))
 	ml, ok := sm.(*rim.Mallows)
 	if !ok {
-		return e.solveMISRIM(ctx, sm, u, rep)
+		return e.solveMISRIM(ctx, rng, sm, u, rep)
 	}
 	est, err := sampling.NewEstimator(ml, e.DB.Labeling(), u, sampling.Config{})
 	if err != nil {
 		return 0, rep, err
 	}
-	cfg := e.Adaptive
-	cfg.Compensate = true
-	r, err := est.EstimateAdaptiveCtx(ctx, cfg, e.rng())
+	r, err := est.EstimateAdaptiveCtx(ctx, sampling.AdaptiveConfig{Compensate: true}, rng)
 	if err != nil {
 		return 0, rep, err
 	}
 	return clamp01(r.Estimate), rep, nil
 }
 
-// solveMISLite answers a group with MIS-AMP-lite: Engine.LiteD proposals
-// (default 5) of Engine.LiteN samples each (default 500).
-func (e *Engine) solveMISLite(ctx context.Context, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
+// solveMISLite answers a group with MIS-AMP-lite: 5 proposals of 500
+// samples each.
+func (e *Engine) solveMISLite(ctx context.Context, seed int64, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
 	rep := SolveReport{Method: MethodMISLite, Sampled: true}
+	rng := rand.New(rand.NewSource(seed))
 	ml, ok := sm.(*rim.Mallows)
 	if !ok {
-		return e.solveMISRIM(ctx, sm, u, rep)
+		return e.solveMISRIM(ctx, rng, sm, u, rep)
 	}
 	est, err := sampling.NewEstimator(ml, e.DB.Labeling(), u, sampling.Config{})
 	if err != nil {
 		return 0, rep, err
 	}
-	d, n := e.LiteD, e.LiteN
-	if d == 0 {
-		d = 5
-	}
-	if n == 0 {
-		n = 500
-	}
-	p, hw, drawn, err := est.EstimateCI(ctx, d, n, e.rng(), true, 1.96)
+	k := e.knobs()
+	p, hw, drawn, err := est.EstimateCI(ctx, k.liteD, k.liteN, rng, true, 1.96)
 	if err != nil {
 		return 0, rep, err
 	}
@@ -705,15 +693,11 @@ func (e *Engine) solveMISLite(ctx context.Context, sm rim.SessionModel, u patter
 	return clamp01(p), rep, nil
 }
 
-// solveRejection answers a group by rejection sampling with
-// Engine.RejectionN draws (default 10 000).
-func (e *Engine) solveRejection(ctx context.Context, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
-	n := e.RejectionN
-	if n == 0 {
-		n = 10000
-	}
+// solveRejection answers a group by rejection sampling with 10 000 draws.
+func (e *Engine) solveRejection(ctx context.Context, seed int64, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
+	n := e.knobs().rejectionN
 	rep := SolveReport{Method: MethodRejection, Sampled: true, Samples: n}
-	p, hw, err := sampling.RejectionModelCICtx(ctx, sm, e.DB.Labeling(), u, n, 1.96, e.rng())
+	p, hw, err := sampling.RejectionModelCICtx(ctx, sm, e.DB.Labeling(), u, n, 1.96, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return 0, rep, err
 	}
@@ -721,13 +705,10 @@ func (e *Engine) solveRejection(ctx context.Context, sm rim.SessionModel, u patt
 	return p, rep, nil
 }
 
-// solveMISRIM is the sampling fallback for non-Mallows session models.
-func (e *Engine) solveMISRIM(ctx context.Context, sm rim.SessionModel, u pattern.Union, rep SolveReport) (float64, SolveReport, error) {
-	n := e.LiteN
-	if n == 0 {
-		n = 500
-	}
-	p, _, err := sampling.MISRIMCtx(ctx, sm.Model(), e.DB.Labeling(), u, n, e.rng(), pattern.Limits{})
+// solveMISRIM is the sampling fallback for non-Mallows session models: 500
+// samples.
+func (e *Engine) solveMISRIM(ctx context.Context, rng *rand.Rand, sm rim.SessionModel, u pattern.Union, rep SolveReport) (float64, SolveReport, error) {
+	p, _, err := sampling.MISRIMCtx(ctx, sm.Model(), e.DB.Labeling(), u, e.knobs().liteN, rng, pattern.Limits{})
 	if err != nil {
 		return 0, rep, err
 	}
@@ -779,36 +760,32 @@ type TopKDiag struct {
 // resolved up front, the cache swept and the misses solved together as
 // DoGrouped does (routed first under a priced deadline), and no relaxation
 // is built or solved for them.
-func (e *Engine) topKUnion(ctx context.Context, cr *CompiledRequest) (*Response, error) {
+func (e *Engine) topKUnion(ctx context.Context, rn run, cr *CompiledRequest) (*Response, error) {
 	k := cr.K
 	if k <= 0 {
 		return nil, fmt.Errorf("ppd: top-k requires k >= 1, got %d", k)
 	}
-	gr, err := e.ground(ctx, cr.Union)
+	gr, err := e.DB.Ground(ctx, cr.Union)
 	if err != nil {
 		return nil, err
 	}
 	diag := &TopKDiag{}
-	useCache := e.useCache()
-	exact := e.newGroupProbs([]groupSource{e.source(gr)}, len(gr.Groups), nil, nil)
+	exact := e.newGroupProbs(rn, []groupSource{e.source(rn.method, gr)}, len(gr.Groups), nil, nil)
 	ub := make([]float64, len(gr.Groups)) // upper bound per group
 	for gi := range ub {
 		ub[gi] = 1
 	}
 	if cr.BoundEdges > 0 {
 		lab := e.DB.Labeling()
-		bs := gr.bounds(boundMode{edges: cr.BoundEdges, own: e.Method.row().ownTopKBound}, lab)
+		bs := gr.bounds(boundMode{edges: cr.BoundEdges, own: rn.method.row().ownTopKBound}, lab)
 		own := func(gi int) bool { return bs.of[gi] < 0 }
 		if err := exact.resolve(ctx, own, func(_ int, err error) error { return err }); err != nil {
 			return nil, err
 		}
-		boundOpts := e.SolverOpts
-		if boundOpts.Ctx == nil {
-			boundOpts.Ctx = ctx
-		}
+		boundOpts := e.solverOpts(ctx)
 		vals := make([]float64, len(bs.relaxed))
 		for bi, b := range bs.relaxed {
-			if useCache {
+			if e.Cache != nil {
 				if p, ok := e.Cache.Get(bs.keys[bi]); ok {
 					vals[bi] = p
 					diag.BoundCacheHits++
@@ -824,7 +801,7 @@ func (e *Engine) topKUnion(ctx context.Context, cr *CompiledRequest) (*Response,
 			}
 			vals[bi] = p
 			diag.BoundSolves++
-			if useCache {
+			if e.Cache != nil {
 				e.Cache.Put(bs.keys[bi], p)
 			}
 		}

@@ -95,7 +95,7 @@ func TestEvalApproximateMethods(t *testing.T) {
 	q := MustParse(`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`)
 	wantProb, _, _ := bruteEval(t, db, q)
 	for _, m := range []Method{MethodMISAdaptive, MethodMISLite, MethodRejection} {
-		eng := &Engine{DB: db, Method: m, Rng: rand.New(rand.NewSource(9)), RejectionN: 50000, LiteD: 8, LiteN: 2000}
+		eng := Tune(&Engine{DB: db, Method: m, Rng: rand.New(rand.NewSource(9))}, Tuning{Draws: 50000, Proposals: 8, Samples: 2000})
 		res, err := evalBool(eng, q)
 		if err != nil {
 			t.Fatalf("method %v: %v", m, err)
@@ -124,11 +124,7 @@ func TestEvalGrouping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ungrouped := &Engine{DB: db, Method: MethodAuto, DisableGrouping: true}
-	res2, err := evalBool(ungrouped, q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := ungrouped(t, grouped, q)
 	if math.Abs(res1.Prob-res2.Prob) > tol || math.Abs(res1.Count-res2.Count) > tol {
 		t.Fatalf("grouping changed results: %v vs %v", res1, res2)
 	}
@@ -228,13 +224,13 @@ func TestTopKBoundsDominate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, _, err := eng.solve(context.Background(), s.Model, gq.Union)
+		exact, _, err := eng.solve(context.Background(), MethodAuto, 0, s.Model, gq.Union)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, edges := range []int{1, 2, 3} {
 			bu := pattern.BoundUnion(gq.Union, s.Model.Reference(), db.Labeling(), edges)
-			bound, err := solver.Bipartite(s.Model.Model(), db.Labeling(), bu, eng.SolverOpts)
+			bound, err := solver.Bipartite(s.Model.Model(), db.Labeling(), bu, solver.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

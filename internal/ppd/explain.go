@@ -96,7 +96,7 @@ func (e *Engine) explain(uq *UnionQuery) (*Explanation, error) {
 	if err != nil {
 		return nil, err
 	}
-	gr, err := e.ground(context.TODO(), uq)
+	gr, err := e.DB.Ground(context.TODO(), uq)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func (e *Engine) explain(uq *UnionQuery) (*Explanation, error) {
 		ex.MinUnion, ex.MaxUnion = min(cmp.Or(ex.MinUnion, n), n), max(ex.MaxUnion, n)
 		ex.AllTwoLabel = ex.AllTwoLabel && g.Union.AllTwoLabel()
 		ex.AllBipartite = ex.AllBipartite && g.Union.AllBipartite()
-		budget := e.adaptiveBudget(drawPrice(e.drawsOr(adaptiveSampleCeil), g.Model.M()))
+		budget := e.adaptiveBudget(drawPrice(e.knobs().sampleCeil, g.Model.M()))
 		switch r := e.route(g.Model, g.Union, budget); {
 		case r.plan == nil || gi > 0 && r.est.Solver != ex.Recommended:
 			ex.Recommended = MethodAdaptive

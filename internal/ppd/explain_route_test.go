@@ -17,7 +17,7 @@ import (
 // nothing: it gets the grounding Explain built from the memo.
 //
 // To keep the test short the engine caps a sampled group at 2 000 draws
-// (RejectionN) and fixes the budget at DefaultAdaptiveBudget, which is the
+// and fixes the budget at DefaultAdaptiveBudget (ppd.Tune), which is the
 // stock budget of a 20-item model such as polls' and CrowdRank's. The
 // stock engine's explanation, the one hardq -explain prints, must come to
 // the same recommendation.
@@ -41,7 +41,7 @@ func TestExplainRecommendsTheEvaluatedRoute(t *testing.T) {
 			if ppd.Memoised(db, uq) == nil {
 				t.Fatal("Explain left no grounding in the memo")
 			}
-			eng := &ppd.Engine{DB: db, Method: ppd.MethodAdaptive, AdaptiveBudget: ppd.DefaultAdaptiveBudget, RejectionN: 2000}
+			eng := ppd.Tune(&ppd.Engine{DB: db, Method: ppd.MethodAdaptive}, ppd.Tuning{Draws: 2000, Budget: ppd.DefaultAdaptiveBudget})
 			ex, err := eng.Explain(uq.Disjuncts[0])
 			if err != nil {
 				t.Fatal(err)

@@ -66,6 +66,35 @@ func evalBool(e *Engine, qs ...*Query) (*Response, error) {
 	return e.Do(context.Background(), &Request{Kind: KindBool, Queries: qs})
 }
 
+// ungrouped answers a KindBool request the way the paper's naive strategy
+// does, the reference grouping must match: each session's union is grounded
+// and solved alone under e's method, no solve shared between sessions.
+func ungrouped(t *testing.T, e *Engine, qs ...*Query) *Response {
+	t.Helper()
+	grounders, err := UnionGrounders(e.DB, &UnionQuery{Disjuncts: qs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := &Response{Kind: KindBool}
+	for _, s := range grounders[0].Pref().Sessions.All() {
+		u, err := GroundMerged(grounders, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(u) == 0 {
+			continue
+		}
+		p, _, err := e.solve(context.Background(), e.Method, 0, s.Model, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.PerSession = append(resp.PerSession, SessionProb{Session: s, Prob: p})
+		resp.Solves++
+	}
+	resp.Prob, resp.Count = BoolAggregate(resp.PerSession)
+	return resp
+}
+
 // figure1Chain is a chain query over figure1DB: a multi-edge pattern, so
 // bounded top-k relaxes it and solves the relaxation with Bipartite.
 const figure1Chain = `P(_, _; c1; c2), P(_, _; c2; c3), C(c1, _, F, _, _, _), C(c2, D, _, _, _, _), C(c3, R, _, _, _, _)`

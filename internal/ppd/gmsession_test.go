@@ -85,11 +85,7 @@ func TestGeneralizedMallowsSessionSamplerFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []Method{MethodMISAdaptive, MethodMISLite, MethodRejection} {
-		eng := &Engine{
-			DB: db, Method: m,
-			Rng:   rand.New(rand.NewSource(61)),
-			LiteN: 2000, RejectionN: 30000,
-		}
+		eng := Tune(&Engine{DB: db, Method: m, Rng: rand.New(rand.NewSource(61))}, Tuning{Draws: 30000, Samples: 2000})
 		res, err := evalBool(eng,
 			MustParse(`P(_, _; c1; c2), C(c1, _, "F", _, _, _), C(c2, _, "M", _, _, _)`))
 		if err != nil {

@@ -273,7 +273,7 @@ func (db *DB) Ground(ctx context.Context, uq *UnionQuery) (*Grounded, error) {
 			return prev, nil
 		}
 	}
-	gr, err := groundUnion(ctx, db, uq, prev, true)
+	gr, err := groundUnion(ctx, db, uq, prev)
 	if err != nil {
 		return nil, err
 	}
@@ -283,12 +283,11 @@ func (db *DB) Ground(ctx context.Context, uq *UnionQuery) (*Grounded, error) {
 
 // groundUnion grounds uq on the sessions prev does not cover yet (all of
 // them when prev is nil) and returns the grounding of the whole relation;
-// prev is not modified. With grouping off every live session is its own
-// group, which is what Engine.DisableGrouping asks for (prev is nil then).
+// prev is not modified.
 //
 // A true union grounds every disjunct and merges the per-session unions
 // into the single equivalent inference request (GroundMerged).
-func groundUnion(ctx context.Context, db *DB, uq *UnionQuery, prev *Grounded, grouping bool) (*Grounded, error) {
+func groundUnion(ctx context.Context, db *DB, uq *UnionQuery, prev *Grounded) (*Grounded, error) {
 	grounders, err := UnionGrounders(db, uq)
 	if err != nil {
 		return nil, err
@@ -370,7 +369,7 @@ func groundUnion(ctx context.Context, db *DB, uq *UnionQuery, prev *Grounded, gr
 		}
 		id := groupID{model: s.Model.Rehash(), union: recent[ri].key}
 		gi, known := groupOf[id]
-		if !known || !grouping {
+		if !known {
 			gi = len(gr.Groups)
 			groupOf[id] = gi
 			gr.Groups = append(gr.Groups, Group{Model: s.Model, Union: recent[ri].u, id: id})

@@ -117,7 +117,7 @@ func worldRequests() []*Request {
 // the one NaN DeepEqual could never match.
 func answerOf(t *testing.T, db *DB, req *Request, workers int) *Response {
 	t.Helper()
-	eng := &Engine{DB: db, Workers: workers, RejectionN: 300}
+	eng := Tune(&Engine{DB: db, Workers: workers}, Tuning{Draws: 300})
 	resp, err := eng.Do(context.Background(), req)
 	if err != nil {
 		t.Fatalf("%v %v on %q: %v", req.Method, req.Kind, req.Query, err)

@@ -82,7 +82,7 @@ func TestSampledAnswersBitIdentical(t *testing.T) {
 	cases := []struct {
 		name   string
 		req    ppd.Request
-		budget float64 // Engine.AdaptiveBudget; 0 keeps the default
+		budget float64 // ppd.Tuning.Budget; 0 keeps the default
 		// The Count-Session estimate (consensus: the accepted draws), the
 		// plan's count half-width (adaptive only) and the digest of the
 		// whole response, which every Workers value must hit.
@@ -113,7 +113,7 @@ func TestSampledAnswersBitIdentical(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 4} {
-			eng := &ppd.Engine{DB: db, Workers: workers, AdaptiveBudget: c.budget}
+			eng := ppd.Tune(&ppd.Engine{DB: db, Workers: workers}, ppd.Tuning{Budget: c.budget})
 			resp, err := eng.Do(context.Background(), &c.req)
 			if err != nil {
 				t.Fatalf("%s workers %d: %v", c.name, workers, err)
@@ -153,7 +153,7 @@ func TestConsensusRowsAllocateNothingPerDraw(t *testing.T) {
 	}
 	for _, target := range []consensus.Target{consensus.TargetMedian, consensus.TargetTopK} {
 		allocs := func(draws int) float64 {
-			eng := &ppd.Engine{DB: db, RejectionN: draws}
+			eng := ppd.Tune(&ppd.Engine{DB: db}, ppd.Tuning{Draws: draws})
 			return testing.AllocsPerRun(3, func() {
 				if _, err := eng.Do(context.Background(), consensusRequest(target)); err != nil {
 					t.Fatal(err)

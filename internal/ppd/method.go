@@ -28,15 +28,15 @@ const (
 	MethodRelOrder
 	// MethodMISAdaptive uses MIS-AMP-adaptive.
 	MethodMISAdaptive
-	// MethodMISLite uses MIS-AMP-lite with Engine.LiteD proposals.
+	// MethodMISLite uses MIS-AMP-lite with 5 proposals of 500 samples.
 	MethodMISLite
-	// MethodRejection uses rejection sampling with Engine.RejectionN samples.
+	// MethodRejection uses rejection sampling with 10 000 samples.
 	MethodRejection
 	// MethodAdaptive is the deadline-aware cost-based planner: per group it
 	// solves the cheapest exact solver's compiled plan when the plan's
-	// predicted work fits the budget (Engine.AdaptiveBudget, the priced
-	// deadline, or else the price of the sampled answer), and samples with
-	// a reported confidence half-width otherwise (see planner.go).
+	// predicted work fits the budget (the priced deadline, or else the price
+	// of the sampled answer), and samples with a reported confidence
+	// half-width otherwise (see planner.go).
 	MethodAdaptive
 )
 
@@ -46,9 +46,10 @@ type methodRow struct {
 	name  string   // canonical name (String): solve-cache key prefix, PlanStats.Methods key
 	names []string // other ParseMethod spellings; MethodNames lists names[0]
 	// exact solves a group exactly; it is nil for a method that may sample,
-	// whose groups sampled solves.
+	// whose groups sampled solves, drawing from the stream its seed
+	// argument seeds.
 	exact   func(*rim.Model, *label.Labeling, pattern.Union, solver.Options) (float64, error)
-	sampled func(*Engine, context.Context, rim.SessionModel, pattern.Union) (float64, SolveReport, error)
+	sampled func(*Engine, context.Context, int64, rim.SessionModel, pattern.Union) (float64, SolveReport, error)
 	// plan maps a union to the DP algorithm the method's exact solves
 	// compile to (see PlanAlgo). Only a method with a plan batches its
 	// groups as the lanes of one walk (groupProbs.resolve): a sampler draws

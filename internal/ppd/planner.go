@@ -1,9 +1,11 @@
 package ppd
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"time"
 
 	"probpref/internal/label"
@@ -20,13 +22,12 @@ import (
 // (solver.Plan.Cost), and solves the cheapest one exactly when that price
 // fits the group's budget; otherwise the group is answered by Monte Carlo
 // sampling with a reported confidence half-width. Both sides are priced in
-// one unit, DP state-transitions: a budget is an explicit
-// Engine.AdaptiveBudget, what is left of a deadline priced once as work
-// (applyDeadline), or — when the caller gives neither — the price of the
-// sampled answer the group would otherwise get, so exact inference is
-// bought exactly when it is predicted to be no dearer. A request that
-// cannot afford exact inference degrades to an estimate with error bars
-// instead of timing out with nothing.
+// one unit, DP state-transitions: a budget is what is left of a deadline
+// priced once as work (Engine.start), or — when the request gives none —
+// the price of the sampled answer the group would otherwise get, so exact
+// inference is bought exactly when it is predicted to be no dearer. A
+// request that cannot afford exact inference degrades to an estimate with
+// error bars instead of timing out with nothing.
 
 // AdaptiveStatesPerSecond converts a deadline into solver work: the
 // exact DP solvers generate about this many state-transitions per second,
@@ -61,12 +62,12 @@ const adaptiveSampleFloor = 512
 const adaptiveSampleCeil = 20000
 
 // DefaultAdaptiveBudget is the per-group budget MethodAdaptive works under
-// when neither Engine.AdaptiveBudget nor a deadline supplies one,
-// for a model over 20 items (the polls and CrowdRank item counts): the price
-// of the adaptiveSampleCeil draws the group would otherwise be answered
-// with. The engine prices those draws at the group's own item count
-// (drawPrice); tools that mirror the no-deadline rule on a 20-item model
-// compare EstimateCost(...).States against this value.
+// when no deadline supplies one, for a model over 20 items (the polls and
+// CrowdRank item counts): the price of the adaptiveSampleCeil draws the
+// group would otherwise be answered with. The engine prices those draws at
+// the group's own item count (drawPrice); tools that mirror the no-deadline
+// rule on a 20-item model compare EstimateCost(...).States against this
+// value.
 const DefaultAdaptiveBudget = adaptiveSampleCeil * 20 * adaptiveDrawStates
 
 // adaptiveLayerShare derives the layer bound an exact attempt runs under
@@ -173,54 +174,36 @@ type SolveReport struct {
 	Cost float64
 }
 
-// adaptiveBudget resolves a work budget in state-transitions: the explicit
-// Engine.AdaptiveBudget when set, otherwise the priced deadline
-// (applyDeadline), otherwise sampled — the price of the sampled answer the
-// caller would give instead.
+// adaptiveBudget is MethodAdaptive's work budget in state-transitions where
+// no deadline is priced: sampled, the price of the sampled answer the
+// caller would give instead, unless a test's knobs fix one.
 func (e *Engine) adaptiveBudget(sampled float64) float64 {
-	switch {
-	case e.AdaptiveBudget > 0:
-		return e.AdaptiveBudget
-	case e.priced:
-		return e.budget
-	}
-	return sampled
+	return cmp.Or(e.knobs().budget, sampled)
 }
 
-// applyDeadline applies a deadline d (0: none) at an evaluation's entry.
-// Other methods arm it on ctx. MethodAdaptive prices it once, unless
-// Engine.AdaptiveBudget is set: d, else ctx's remaining time clamped at 0,
-// at AdaptiveStatesPerSecond. The returned engine carries the budget for
+// start builds an evaluation's run from the request's method and seed
+// (zero: the engine's) and applies its deadline d (0: none). Other methods
+// arm d on ctx. MethodAdaptive prices it once: d, else ctx's remaining time
+// clamped at 0, at AdaptiveStatesPerSecond. The run carries that budget for
 // the groups to spend in a fixed order (groupProbs.route), and ctx's
 // deadline is detached, its cancellation kept, so no route reads the clock.
-func (e *Engine) applyDeadline(ctx context.Context, d time.Duration) (*Engine, context.Context, context.CancelFunc) {
-	if e.Method != MethodAdaptive {
+func (e *Engine) start(ctx context.Context, m Method, seed int64, d time.Duration) (run, context.Context, context.CancelFunc) {
+	rn := run{method: cmp.Or(m, e.Method), seed: seed}
+	if rn.method != MethodAdaptive {
 		if d == 0 {
-			return e, ctx, func() {}
+			return rn, ctx, func() {}
 		}
 		ctx, cancel := context.WithTimeout(ctx, d)
-		return e, ctx, cancel
+		return rn, ctx, cancel
 	}
-	if deadline, ok := ctx.Deadline(); (d > 0 || ok) && e.AdaptiveBudget == 0 {
+	if deadline, ok := ctx.Deadline(); (d > 0 || ok) && e.knobs().budget == 0 {
 		if d == 0 {
 			d = max(time.Until(deadline), 0)
 		}
-		priced := *e
-		priced.budget, priced.priced = d.Seconds()*AdaptiveStatesPerSecond, true
-		e = &priced
+		rn.budget, rn.priced = d.Seconds()*AdaptiveStatesPerSecond, true
 	}
 	ctx, cancel := DetachDeadline(ctx)
-	return e, ctx, cancel
-}
-
-// drawsOr is the draw count Engine.RejectionN sets for every sampler that
-// takes one — a sampled adaptive group's cap, a sampled consensus row — or
-// def when it is unset.
-func (e *Engine) drawsOr(def int) int {
-	if e.RejectionN > 0 {
-		return e.RejectionN
-	}
-	return def
+	return rn, ctx, cancel
 }
 
 // adaptiveDraws is the draws a budget pays for from a model over m items
@@ -228,7 +211,7 @@ func (e *Engine) drawsOr(def int) int {
 // the floor and the cap.
 func (e *Engine) adaptiveDraws(budget float64, m int) int {
 	n := int(math.Min(math.Round(budget/drawPrice(1, m)), math.MaxInt32))
-	return min(max(n, adaptiveSampleFloor), e.drawsOr(adaptiveSampleCeil))
+	return min(max(n, adaptiveSampleFloor), e.knobs().sampleCeil)
 }
 
 // adaptiveRoute is one group's route: its cheapest exact plan's estimate,
@@ -242,7 +225,7 @@ type adaptiveRoute struct {
 // route routes one group against budget: the plan is kept when a solver
 // applies and its price fits.
 func (e *Engine) route(sm rim.SessionModel, u pattern.Union, budget float64) adaptiveRoute {
-	est, pl := cheapestPlan(sm, e.DB.Labeling(), u, e.SolverOpts.MaxInvolvedLimit())
+	est, pl := cheapestPlan(sm, e.DB.Labeling(), u, e.knobs().opts.MaxInvolvedLimit())
 	if est.States > budget {
 		pl = nil
 	}
@@ -250,21 +233,22 @@ func (e *Engine) route(sm rim.SessionModel, u pattern.Union, budget float64) ada
 }
 
 // solveAdaptive routes one group against its budget, whose sampled answer
-// is the cap of draws, and solves the route.
-func (e *Engine) solveAdaptive(ctx context.Context, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
-	budget := e.adaptiveBudget(drawPrice(e.drawsOr(adaptiveSampleCeil), sm.M()))
-	return e.solveRoute(ctx, sm, u, e.route(sm, u, budget))
+// is the cap of draws, and solves the route; a sampled group draws from
+// the stream seed seeds.
+func (e *Engine) solveAdaptive(ctx context.Context, seed int64, sm rim.SessionModel, u pattern.Union) (float64, SolveReport, error) {
+	budget := e.adaptiveBudget(drawPrice(e.knobs().sampleCeil, sm.M()))
+	return e.solveRoute(ctx, seed, sm, u, e.route(sm, u, budget))
 }
 
 // solveRoute answers one routed group. The plan the price was read from is
 // the plan that is solved, under a layer bound derived from the budget
 // (adaptiveLayerShare): a walk past it has shown its price wrong and stops
-// (solver.ErrTooLarge), and the group is sampled under the same budget.
-func (e *Engine) solveRoute(ctx context.Context, sm rim.SessionModel, u pattern.Union, r adaptiveRoute) (float64, SolveReport, error) {
+// (solver.ErrTooLarge), and the group is sampled under the same budget,
+// from the stream seed seeds: its generator is built only then.
+func (e *Engine) solveRoute(ctx context.Context, seed int64, sm rim.SessionModel, u pattern.Union, r adaptiveRoute) (float64, SolveReport, error) {
 	rep := SolveReport{Method: r.est.Solver, Cost: r.est.States}
 	if r.plan != nil {
-		opts := e.SolverOpts
-		opts.Ctx = ctx
+		opts := e.solverOpts(ctx)
 		bound := int(math.Min(math.Max(r.budget/adaptiveLayerShare, 1), math.MaxInt32))
 		if opts.MaxStates == 0 || bound < opts.MaxStates {
 			opts.MaxStates = bound
@@ -277,18 +261,19 @@ func (e *Engine) solveRoute(ctx context.Context, sm rim.SessionModel, u pattern.
 			return 0, rep, err
 		}
 	}
-	return e.sampleAdaptive(ctx, sm, u, r.budget)
+	return e.sampleAdaptive(ctx, rand.New(rand.NewSource(seed)), sm, u, r.budget)
 }
 
 // sampleAdaptive answers a group by Monte Carlo with a reported 95%
 // half-width: a rejection pass sized to the budget first and, when the
 // event is so rare that rejection saw no hits on a Mallows model, an
-// MIS-AMP pass whose proposals concentrate on the satisfying set.
-func (e *Engine) sampleAdaptive(ctx context.Context, sm rim.SessionModel, u pattern.Union, budget float64) (float64, SolveReport, error) {
+// MIS-AMP pass whose proposals concentrate on the satisfying set, both
+// drawing from rng.
+func (e *Engine) sampleAdaptive(ctx context.Context, rng *rand.Rand, sm rim.SessionModel, u pattern.Union, budget float64) (float64, SolveReport, error) {
 	lab := e.DB.Labeling()
 	n := e.adaptiveDraws(budget, sm.M())
 	rep := SolveReport{Method: MethodRejection, Sampled: true, Samples: n}
-	p, hw, err := sampling.RejectionModelCICtx(ctx, sm, lab, u, n, 1.96, e.rng())
+	p, hw, err := sampling.RejectionModelCICtx(ctx, sm, lab, u, n, 1.96, rng)
 	if err != nil {
 		return 0, rep, err
 	}
@@ -306,7 +291,7 @@ func (e *Engine) sampleAdaptive(ctx context.Context, sm rim.SessionModel, u patt
 				misN = adaptiveSampleFloor / 2
 			}
 			const misD = 4
-			mp, mhw, drawn, merr := mis.EstimateCI(ctx, misD, misN, e.rng(), true, 1.96)
+			mp, mhw, drawn, merr := mis.EstimateCI(ctx, misD, misN, rng, true, 1.96)
 			if merr != nil {
 				return 0, rep, merr
 			}
@@ -322,7 +307,7 @@ func (e *Engine) sampleAdaptive(ctx context.Context, sm rim.SessionModel, u patt
 // DetachDeadline returns a context that drops the parent's deadline but
 // keeps true cancellation: Done fires when the parent was cancelled
 // outright, not when its deadline expired. A MethodAdaptive evaluation runs
-// under it once it has priced the deadline (applyDeadline), while a client
+// under it once it has priced the deadline (Engine.start), while a client
 // disconnect still aborts it; the service's batch fan-out uses it the same
 // way. A parent without a deadline is returned as it is. (If the parent is
 // already done from its deadline, later cancellations are unobservable.)

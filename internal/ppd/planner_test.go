@@ -35,7 +35,7 @@ func TestAdaptiveMatchesExactBitIdentical(t *testing.T) {
 		if len(gq.Union) == 0 {
 			continue
 		}
-		got, rep, err := eng.SolveUnionCtx(context.Background(), s.Model, gq.Union)
+		got, rep, err := eng.solve(context.Background(), MethodAdaptive, 1, s.Model, gq.Union)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,11 +45,11 @@ func TestAdaptiveMatchesExactBitIdentical(t *testing.T) {
 		var want float64
 		switch rep.Method {
 		case MethodTwoLabel:
-			want, err = solver.TwoLabel(s.Model.Model(), db.Labeling(), gq.Union, eng.SolverOpts)
+			want, err = solver.TwoLabel(s.Model.Model(), db.Labeling(), gq.Union, solver.Options{})
 		case MethodBipartite:
-			want, err = solver.Bipartite(s.Model.Model(), db.Labeling(), gq.Union, eng.SolverOpts)
+			want, err = solver.Bipartite(s.Model.Model(), db.Labeling(), gq.Union, solver.Options{})
 		case MethodRelOrder:
-			want, err = solver.RelOrder(s.Model.Model(), db.Labeling(), gq.Union, eng.SolverOpts)
+			want, err = solver.RelOrder(s.Model.Model(), db.Labeling(), gq.Union, solver.Options{})
 		default:
 			t.Fatalf("unexpected routed method %v", rep.Method)
 		}
@@ -100,28 +100,28 @@ func TestAdaptiveZeroBudgetSamples(t *testing.T) {
 	}
 }
 
-// TestAdaptiveExplicitBudgetRouting: AdaptiveBudget overrides the context
-// budget; a budget below the predicted cost samples, one above goes exact.
+// TestAdaptiveExplicitBudgetRouting: a request's deadline is its budget; a
+// budget below the predicted cost (1 ns) samples, one above (an hour) goes
+// exact.
 func TestAdaptiveExplicitBudgetRouting(t *testing.T) {
 	db := figure1DB(t)
 	q := MustParse(`P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`)
+	eng := &Engine{DB: db, Method: MethodAdaptive}
 
-	tiny := &Engine{DB: db, Method: MethodAdaptive, AdaptiveBudget: 1}
-	res, err := evalBool(tiny, q)
+	res, err := eng.Do(context.Background(), &Request{Kind: KindBool, Queries: []*Query{q}, Deadline: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Plan.SampledGroups == 0 {
-		t.Fatalf("budget 1 should sample, plan %+v", res.Plan)
+		t.Fatalf("a 1 ns budget should sample, plan %+v", res.Plan)
 	}
 
-	big := &Engine{DB: db, Method: MethodAdaptive, AdaptiveBudget: 1e12}
-	res, err = evalBool(big, q)
+	res, err = eng.Do(context.Background(), &Request{Kind: KindBool, Queries: []*Query{q}, Deadline: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Plan.SampledGroups != 0 || res.Plan.ExactGroups == 0 {
-		t.Fatalf("budget 1e12 should go exact, plan %+v", res.Plan)
+		t.Fatalf("an hour's budget should go exact, plan %+v", res.Plan)
 	}
 	exact, err := evalBool(&Engine{DB: db, Method: MethodAuto}, q)
 	if err != nil {
@@ -323,8 +323,15 @@ func TestAdaptiveEmptyUnion(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
+	eng := &Engine{DB: db, Method: MethodAdaptive}
 	for _, c := range []context.Context{context.Background(), ctx} {
-		p, rep, err := (&Engine{DB: db, Method: MethodAdaptive}).SolveUnionCtx(c, s.Model, nil)
+		rn, c, cancel := eng.start(c, MethodAuto, 0, 0)
+		budget := DefaultAdaptiveBudget
+		if rn.priced {
+			budget = rn.budget
+		}
+		p, rep, err := eng.solveRoute(c, 1, s.Model, nil, eng.route(s.Model, nil, budget))
+		cancel()
 		if err != nil || p != 0 || rep.Sampled || rep.Method != MethodAuto || rep.Cost != 0 {
 			t.Fatalf("empty union: p %v report %+v err %v, want an exact 0", p, rep, err)
 		}

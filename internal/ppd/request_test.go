@@ -224,7 +224,7 @@ func TestEngineDoDeadline(t *testing.T) {
 // mutate the engine, and a seeded sampling request must be reproducible.
 func TestEngineDoSeedAndMethodOverride(t *testing.T) {
 	db := figure1DB(t)
-	eng := &Engine{DB: db, Method: MethodAuto, RejectionN: 256}
+	eng := &Engine{DB: db, Method: MethodAuto}
 	req := &Request{
 		Kind:   KindBool,
 		Query:  `P(_, _; c1; c2), C(c1, _, F, _, _, _), C(c2, _, M, _, _, _)`,

@@ -7,7 +7,6 @@ import (
 
 	"probpref/internal/rank"
 	"probpref/internal/rim"
-	"probpref/internal/solver"
 )
 
 func TestParseUnionSplitting(t *testing.T) {
@@ -241,7 +240,7 @@ func TestEvalUnionAgreesAcrossSolvers(t *testing.T) {
 			` | P(_, _; c1; c2), C(c1, "D", _, _, "JD", _), C(c2, "R", _, _, _, _)`)
 	var ref *Response
 	for _, m := range []Method{MethodAuto, MethodBipartite, MethodGeneral, MethodRelOrder} {
-		eng := &Engine{DB: db, Method: m, SolverOpts: solver.Options{}}
+		eng := &Engine{DB: db, Method: m}
 		res, err := evalBool(eng, uq.Disjuncts...)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)

@@ -24,7 +24,7 @@ import (
 // service's solve cache under the model's namespace. Request.Method and
 // Request.Seed override the service's configured method and seed for this
 // request only; Request.Deadline arms a deadline, or the adaptive planner's
-// work budget (see ppd.Engine.AdaptiveBudget).
+// work budget (see ppd.Engine.Do).
 func (s *Service) Do(ctx context.Context, req *ppd.Request) (*ppd.Response, error) {
 	cr, err := req.Compile()
 	if err != nil {
@@ -92,7 +92,7 @@ type DoBatchResult struct {
 // from the shared solve cache, and only the remaining distinct groups are
 // solved. Every answer, sampled ones included, is identical to answering
 // the request alone: a sampled group draws from a stream keyed by its
-// seed, model and union (see ppd.Engine.Rng). A request's Solves /
+// base seed, model and union (see ppd.Engine.Rng). A request's Solves /
 // CacheHits attribute each group to the first request of its cluster that
 // needed it.
 //

@@ -29,9 +29,9 @@ type Config struct {
 	// Plans are per union shape, not per session, so a modest capacity
 	// covers a large working set of queries.
 	PlanCacheSize int
-	// Seed is the base seed for the sampling methods (default 1) of every
-	// request without its own seed (see ppd.Engine.Rng): identical requests
-	// get identical answers, alone or in a batch, whatever Workers.
+	// Seed seeds the sampling methods (default 1) of every request without
+	// its own seed, as ppd.Engine.Rng = ppd.NewRand(Seed): identical
+	// requests get identical answers, alone or in a batch, whatever Workers.
 	Seed int64
 	// MaxInFlight bounds the concurrently admitted query and ingest
 	// requests of the HTTP handler; 0 means DefaultMaxInFlight, a negative
@@ -260,9 +260,8 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// engine builds a request-scoped engine over one opened model, sharing the
-// service cache under the model's namespace. Engines are cheap; one per
-// request keeps RNG and solver statistics unshared.
+// engine builds a request-scoped engine over one opened model, whose base
+// seed comes from seed, sharing the service cache under the model's namespace.
 func (s *Service) engine(seed int64, h *registry.Handle) *ppd.Engine {
 	e := &ppd.Engine{
 		DB:      h.DB(),

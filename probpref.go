@@ -241,8 +241,7 @@ type (
 	// PlanStats reports MethodAdaptive's routing decisions and confidence
 	// half-widths (Response.Plan).
 	PlanStats = ppd.PlanStats
-	// SolveReport describes how one inference group was answered
-	// (Engine.SolveUnionCtx).
+	// SolveReport describes how one inference group was answered.
 	SolveReport = ppd.SolveReport
 	// CostEstimate predicts the exact-inference work of one group, in DP
 	// state-transitions.
