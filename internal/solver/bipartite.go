@@ -334,7 +334,8 @@ func runBipartite(ar *arena, pl *bipPlan, models []*rim.Model, opts Options, out
 		itemMatches []bool
 		remNow      []int
 	}
-	expand := func(ws *workspace, key []int16, q []float64, em *emitter) {
+	expand := func(ws *workspace, pk uint64, key []int16, q []float64, em *emitter) {
+		key = ws.words(pk, key)
 		sat, dead := pl.unpackHeader(key)
 		vals := key[hw:]
 		next := ws.next[hw:]

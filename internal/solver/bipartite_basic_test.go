@@ -182,7 +182,8 @@ func runBipartiteBasic(ar *arena, pl *basicPlan, models []*rim.Model, opts Optio
 		feed  []int
 		steps int
 	)
-	expand := func(ws *workspace, vals []int16, q []float64, em *emitter) {
+	expand := func(ws *workspace, pk uint64, vals []int16, q []float64, em *emitter) {
+		vals = ws.words(pk, vals)
 		next := ws.next
 		for j := 0; j < steps; j++ {
 			jj := int16(j)
@@ -227,10 +228,10 @@ func runBipartiteBasic(ar *arena, pl *basicPlan, models []*rim.Model, opts Optio
 	// Enumerate the final states: satisfied iff some pattern has every edge
 	// alpha(l) < beta(r) and every isolated node present.
 	clear(out)
-	dec := ar.workspaces(1, n, n)[0].dec
+	ws := &ar.workspaces(1, n, n)[0]
 	nStates := cur.len()
 	for ki := 0; ki < nStates; ki++ {
-		if pl.satisfiedAt(cur.key(ki, dec)) {
+		if pl.satisfiedAt(ws.words(cur.state(ki))) {
 			for l, q := range cur.valsAt(ki) {
 				out[l] += q
 			}

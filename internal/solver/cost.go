@@ -34,7 +34,7 @@ func (p *Plan) Cost() (transitions, peak float64) {
 	switch {
 	case p.isConst:
 		return 0, 0
-	case p.two != nil:
+	case p.algo == AlgoTwoLabel:
 		return p.two.cost()
 	case p.bip != nil:
 		return p.bip.cost()
@@ -55,87 +55,82 @@ func slotRange(k float64, inv int) float64 {
 // cost models the two-label walk of runTwoLabel.
 //
 // A tracker holds a position in the layer step i emits iff some step <= i
-// fed it and i < lastRead (see retire). A pattern with both trackers live
-// keeps only the alpha >= beta half of their pairs; once an inserted item
-// carries both of its label sets that item is the minimum and the maximum at
-// once, and the maximum moves with the minimum. Each reduction is counted
-// for patterns that share no tracker only — the halves of those that do are
-// far from independent (z patterns on one minimum keep 1/(z+1) of the
-// vectors, not 1/2^z). Two inserted items x in L_p and R_q, y in L_q and
+// fed it and no step since has retired it (see setRetire). A pattern with
+// both trackers live keeps only the alpha >= beta half of their pairs; once
+// an inserted item carries both of its label sets that item is the minimum
+// and the maximum at once, and the maximum moves with the minimum. Each
+// reduction is counted for patterns that share no tracker only — the halves
+// of those that do are far from independent (z patterns on one minimum keep
+// 1/(z+1) of the vectors, not 1/2^z). Two inserted items x in L_p and R_q, y in L_q and
 // R_p (p = q included) cannot both have all of R before all of L: no state
 // survives them and the rest of the walk is free — the absorption that ends
 // most walks over overlapping label sets early. A step that feeds a tracker
-// expands a state into all i+1 insertion points; one that feeds none is
+// is priced at all i+1 insertion points of each state, though the walk
+// expands only the interval that keeps it violated; one that feeds none is
 // gap-merged into one successor per gap between live trackers.
 func (pl *twoLabelPlan) cost() (transitions, peak float64) {
 	n := pl.n
 	if n > maxPricedSlots {
 		return math.Inf(1), math.Inf(1)
 	}
+	pats := pl.pats // pattern p's alpha slot at 2p, its beta slot at 2p+1
 	var (
 		partners [maxPricedSlots]uint64 // per slot, the other slots of its patterns
 		inv      [maxPricedSlots]int    // per slot, inserted items feeding it or a partner
 		cross    [maxPricedSlots]uint64 // per min slot, the max slots some inserted item feeds with it
-		minSlots uint64
 	)
-	for p, l := range pl.patL {
-		r := pl.patR[p]
-		partners[l] |= 1 << uint(r)
-		partners[r] |= 1 << uint(l)
-		minSlots |= 1 << uint(l)
+	for p := 0; p < len(pats); p += 2 {
+		l, r := pats[p], pats[p+1]
+		partners[l] |= 1 << r
+		partners[r] |= 1 << l
 	}
-	var fed, liveSet uint64
+	var liveSet uint64
 	w := 1.0 // width of the layer being expanded; liveSet, its live trackers
 	peak = 1
-	for i, feed := range pl.feeds {
+	for i := 0; i < pl.m; i++ {
 		k := float64(i + 1)
-		var f uint64
-		for _, s := range feed {
-			f |= 1 << uint(s)
-		}
+		fmin, fmax := pl.set(i, setFeedMin)[0], pl.set(i, setFeedMax)[0]
+		f := fmin | fmax
 		if f != 0 {
 			transitions += w * k
 		} else {
 			transitions += w * math.Min(float64(bits.OnesCount64(liveSet)+1), k)
 		}
-		fed |= f
-		if fmin, fmax := f&minSlots, f&^minSlots; fmin != 0 && fmax != 0 {
-			for p, lp := range pl.patL {
-				if fmin>>uint(lp)&1 == 0 {
+		if fmin != 0 && fmax != 0 {
+			for p := 0; p < len(pats); p += 2 {
+				if fmin>>pats[p]&1 == 0 {
 					continue
 				}
-				for q, rq := range pl.patR {
-					if fmax>>uint(rq)&1 != 0 && cross[pl.patL[q]]>>uint(pl.patR[p])&1 != 0 {
+				for q := 0; q < len(pats); q += 2 {
+					if fmax>>pats[q+1]&1 != 0 && cross[pats[q]]>>pats[p+1]&1 != 0 {
 						return transitions, peak
 					}
 				}
 			}
-			for _, s := range feed {
-				if fmin>>uint(s)&1 != 0 {
-					cross[s] |= fmax
-				}
+			for b := fmin; b != 0; b &= b - 1 {
+				cross[bits.TrailingZeros64(b)] |= fmax
 			}
 		}
-		w, liveSet = 1, 0
+		liveSet = (liveSet | f) &^ pl.set(i, setRetire)[0]
+		w = 1
 		for s := 0; s < n; s++ {
 			if f>>uint(s)&1 != 0 || partners[s]&f != 0 {
 				inv[s]++
 			}
-			if fed>>uint(s)&1 != 0 && i < pl.lastRead[s] {
-				liveSet |= 1 << uint(s)
+			if liveSet>>uint(s)&1 != 0 {
 				w *= slotRange(k, inv[s])
 			}
 		}
 		var used uint64 // trackers a reduction has been counted for
-		for p, l := range pl.patL {
-			r := pl.patR[p]
-			pair := uint64(1)<<uint(l) | 1<<uint(r)
+		for p := 0; p < len(pats); p += 2 {
+			l, r := pats[p], pats[p+1]
+			pair := uint64(1)<<l | 1<<r
 			switch {
 			case liveSet&pair != pair:
-			case cross[l]>>uint(r)&1 != 0:
-				if used>>uint(r)&1 == 0 {
+			case cross[l]>>r&1 != 0:
+				if used>>r&1 == 0 {
 					w /= slotRange(k, inv[r])
-					used |= 1 << uint(r)
+					used |= 1 << r
 				}
 			case used&pair == 0:
 				w /= 2

@@ -54,10 +54,9 @@ func expandWorkers() int {
 // scratch that must not be shared across workers. Workers keep their
 // workspace across chunks and steps of a solve.
 type workspace struct {
-	dec  []int16      // decode buffer for packed source keys
+	dec  []int16      // decode buffer for packed source keys (see words)
 	next []int16      // successor word buffer
 	bits []uint64     // RelOrder per-position item bitmasks
-	gaps []int16      // sorted tracked-position thresholds for gap merging
 	rank rank.Ranking // RelOrder's generic-matcher fallback buffer
 	kb   []byte       // arrangement-key buffer for the fallback memo
 	// match memoizes the generic-matcher fallback per arrangement of
@@ -78,6 +77,17 @@ func (ws *workspace) ensure(srcWords, dstWords int) {
 		ws.next = make([]int16, dstWords)
 	}
 	ws.next = ws.next[:dstWords]
+}
+
+// words returns the word vector of a state runStep handed over as (k, key):
+// key itself on a wide layer, or the packed key k decoded into the
+// workspace's buffer.
+func (ws *workspace) words(k uint64, key []int16) []int16 {
+	if key != nil {
+		return key
+	}
+	unpackWords(k, ws.dec)
+	return ws.dec
 }
 
 // chunkBuf holds one parallel chunk's output: the successor sublayer and
@@ -125,6 +135,11 @@ type arena struct {
 	em     emitter // the sequential step's (see chunkBuf)
 	chunks []chunkBuf
 	fbuf   []float64 // lane scratch: running answers, per-step weight matrix
+
+	// two is the two-label walk's step state and twoExpand its expand method
+	// bound to it, built once per arena (see twoLabelWalk).
+	two       twoLabelWalk
+	twoExpand expandFn
 
 	ints      bump[int]
 	bools     bump[bool]
@@ -233,14 +248,6 @@ func (e *emitter) window(w []int16) []float64 {
 	return e.dst.valsAt(e.dst.slotWords(w))
 }
 
-// window64 is window for a pre-packed key. Only valid when the destination
-// layer is packed (dstWords <= packedWords); solvers that pack inline use it
-// to skip the slotWords dispatch.
-func (e *emitter) window64(k uint64) []float64 {
-	e.transitions++
-	return e.dst.valsAt(e.dst.slot64(k))
-}
-
 // absorbWindow returns the per-lane accumulator for mass leaving the DP: the
 // state has satisfied the union (or is otherwise finished) and its
 // probability goes straight to the answer. It is the running answer vector
@@ -258,11 +265,12 @@ func (e *emitter) absorbWindow() []float64 {
 	return e.absorbed[n:]
 }
 
-// expandFn expands one source state: decode key (srcWords wide, read-only)
-// and its per-lane mass vector q (read-only), generate successors into em
-// using ws scratch. It must be pure given (key, q) — workers run it
-// concurrently on disjoint states.
-type expandFn func(ws *workspace, key []int16, q []float64, em *emitter)
+// expandFn expands one source state — its packed key k with a nil key on a
+// packed layer, its srcWords-wide word window key on a wide one (read-only;
+// ws.words decodes either form) — and its per-lane mass vector q
+// (read-only), generating successors into em using ws scratch. It must be
+// pure given (k, key, q) — workers run it concurrently on disjoint states.
+type expandFn func(ws *workspace, k uint64, key []int16, q []float64, em *emitter)
 
 // runStep expands every state of cur into nxt (reset to dstWords-wide
 // states of cur's stride) and folds every absorbed contribution into probs,
@@ -295,7 +303,8 @@ func runStep(ctx context.Context, ar *arena, cur, nxt *layerTable, dstWords int,
 					return err
 				}
 			}
-			fn(ws, cur.key(i, ws.dec), cur.valsAt(i), em)
+			k, key := cur.state(i)
+			fn(ws, k, key, cur.valsAt(i), em)
 		}
 		if opts.Stats != nil {
 			opts.Stats.Transitions += em.transitions
@@ -340,7 +349,8 @@ func runStep(ctx context.Context, ar *arena, cur, nxt *layerTable, dstWords int,
 					hi = n
 				}
 				for i := lo; i < hi; i++ {
-					fn(ws, cur.key(i, ws.dec), cur.valsAt(i), &cb.em)
+					k, key := cur.state(i)
+					fn(ws, k, key, cur.valsAt(i), &cb.em)
 				}
 			}
 		}(&wss[w])

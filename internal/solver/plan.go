@@ -112,7 +112,7 @@ type Plan struct {
 	isConst  bool
 	constVal float64
 
-	two *twoLabelPlan
+	two twoLabelPlan // AlgoTwoLabel's tables, held inline
 	bip *bipPlan
 	rel *relPlan
 }
@@ -140,8 +140,7 @@ func CompilePlan(algo Algo, sigma rank.Ranking, lab *label.Labeling, u pattern.U
 	heap := planAlloc{}
 	switch algo {
 	case AlgoTwoLabel:
-		p.two = new(twoLabelPlan)
-		if err := compileTwoLabel(p.two, heap, sigma, lab, u); err != nil {
+		if err := compileTwoLabel(&p.two, heap, sigma, lab, u); err != nil {
 			return nil, err
 		}
 	case AlgoBipartite:
@@ -187,7 +186,7 @@ func (p *Plan) check(mdl *rim.Model) error {
 func (p *Plan) run(ar *arena, models []*rim.Model, opts Options, out []float64) error {
 	switch p.algo {
 	case AlgoTwoLabel:
-		return runTwoLabel(ar, p.two, models, opts, out)
+		return runTwoLabel(ar, &p.two, models, opts, out)
 	case AlgoBipartite:
 		return runBipartite(ar, p.bip, models, opts, out)
 	default:

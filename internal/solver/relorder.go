@@ -278,7 +278,8 @@ func runRelOrder(ar *arena, pl *relPlan, models []*rim.Model, opts Options, out 
 		dstK  int       // entries per successor state
 		xIdx  int       // involved index of the inserted item
 	)
-	expandInvolvedFast := func(ws *workspace, key []int16, q []float64, em *emitter) {
+	expandInvolvedFast := func(ws *workspace, pk uint64, key []int16, q []float64, em *emitter) {
+		key = ws.words(pk, key)
 		ne := ws.next
 		for j := 0; j <= stepI; j++ {
 			jj := uint16(j)
@@ -316,7 +317,8 @@ func runRelOrder(ar *arena, pl *relPlan, models []*rim.Model, opts Options, out 
 			}
 		}
 	}
-	expandGapFast := func(ws *workspace, key []int16, q []float64, em *emitter) {
+	expandGapFast := func(ws *workspace, pk uint64, key []int16, q []float64, em *emitter) {
+		key = ws.words(pk, key)
 		ne := ws.next
 		lo := 0
 		for g := 0; g <= k; g++ {
@@ -342,7 +344,8 @@ func runRelOrder(ar *arena, pl *relPlan, models []*rim.Model, opts Options, out 
 		}
 	}
 	// Generic two-word variants for oversized instances.
-	expandInvolvedWide := func(ws *workspace, key []int16, q []float64, em *emitter) {
+	expandInvolvedWide := func(ws *workspace, pk uint64, key []int16, q []float64, em *emitter) {
+		key = ws.words(pk, key)
 		ne := ws.next
 		for j := 0; j <= stepI; j++ {
 			jj := int16(j)
@@ -378,7 +381,8 @@ func runRelOrder(ar *arena, pl *relPlan, models []*rim.Model, opts Options, out 
 			}
 		}
 	}
-	expandGapWide := func(ws *workspace, key []int16, q []float64, em *emitter) {
+	expandGapWide := func(ws *workspace, pk uint64, key []int16, q []float64, em *emitter) {
+		key = ws.words(pk, key)
 		ne := ws.next
 		lo := 0
 		for g := 0; g <= k; g++ {

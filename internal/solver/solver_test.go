@@ -103,6 +103,19 @@ func randDAGUnion(rng *rand.Rand, z, numLabels int) pattern.Union {
 	return u
 }
 
+// BruteConstraints is Brute under min/max constraint semantics
+// (MatchesConstraints); ground truth for the upper-bound solver.
+func BruteConstraints(model *rim.Model, lab *label.Labeling, u pattern.Union) float64 {
+	total := 0.0
+	rank.ForEachPermutation(model.M(), func(tau rank.Ranking) bool {
+		if u.MatchesConstraints(tau, lab) {
+			total += model.Prob(tau)
+		}
+		return true
+	})
+	return total
+}
+
 func TestTwoLabelAgainstBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 150; trial++ {

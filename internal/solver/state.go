@@ -137,16 +137,14 @@ func (l *layerTable) keyW(i int) []int16 {
 	return l.keysW[i*l.words : (i+1)*l.words]
 }
 
-// key decodes state i into buf (packed layers) or returns the arena window
-// directly (wide layers). The result is only valid until the layer is
-// reset; callers must not mutate it.
-func (l *layerTable) key(i int, buf []int16) []int16 {
+// state returns state i as the expand step reads it: its uint64 key and a
+// nil window on a packed layer, its arena window on a wide one. The window
+// is only valid until the layer is reset; callers must not mutate it.
+func (l *layerTable) state(i int) (uint64, []int16) {
 	if l.packed {
-		buf = buf[:l.words]
-		unpackWords(l.keys64[i], buf)
-		return buf
+		return l.keys64[i], nil
 	}
-	return l.keyW(i)
+	return 0, l.keyW(i)
 }
 
 // genMask selects a slot's generation bits.
